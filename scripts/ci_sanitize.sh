@@ -4,9 +4,10 @@
 #   address (default): ASan + UBSan over the full ctest suite (plus
 #     ndc-lint, which is registered with ctest).
 #   thread: TSan over the parallel-simulation surfaces — the sharded
-#     event-queue tests, the machine-level PDES tests, the harness pool
-#     tests, and one multi-threaded figure regeneration (ndc-sweep fig04 at
-#     --sim-threads=8 on top of a parallel sweep pool).
+#     event-queue tests, the machine-level PDES tests, the harness tests
+#     (scheduler, shared-profile sweeps), ndc-sweep fig04 on 4 sweep workers
+#     sharing profiles, diffed against its golden, and one multi-threaded
+#     figure regeneration (--sim-threads=8 on top of parallel sweep workers).
 #
 # Usage: scripts/ci_sanitize.sh [address|thread] [build-dir]
 #        (default build-dir: build-sanitize for address, build-tsan for thread)
@@ -48,6 +49,11 @@ if [ "$MODE" = "thread" ]; then
   "$BUILD_DIR"/tests/pdes_test
   "$BUILD_DIR"/tests/pdes_machine_test
   "$BUILD_DIR"/tests/harness_test
+  # Shared profiles across 4 sweep workers, end to end: stdout must match
+  # the sequential golden byte for byte.
+  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
+    --jobs=4 > "$BUILD_DIR/fig04-j4.txt" 2>/dev/null
+  diff -u tests/goldens/fig04.scale-test.stdout "$BUILD_DIR/fig04-j4.txt"
   # One multi-threaded figure end-to-end: shard workers and sweep workers
   # composed. stdout must be byte-identical across parallel thread counts.
   "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \

@@ -103,6 +103,39 @@ std::string CellSpec::Key() const {
   return buf;
 }
 
+std::string CellSpec::ProfileKey() const {
+  CellSpec base = *this;
+  base.scheme = metrics::Scheme::kBaseline;
+  base.coarse_grain = false;
+  base.allow_reroute = true;
+  base.control_register = arch::kAllLocs;
+  base.faults = {};
+  return base.CanonicalString();
+}
+
+namespace {
+
+bool IsCompiled(const CellSpec& spec) {
+  return spec.coarse_grain || spec.scheme == metrics::Scheme::kAlgorithm1 ||
+         spec.scheme == metrics::Scheme::kAlgorithm2;
+}
+
+}  // namespace
+
+bool CellSpec::NeedsObserve() const {
+  if (IsCompiled(*this)) return false;
+  switch (scheme) {
+    case metrics::Scheme::kOracle:
+    case metrics::Scheme::kWait5:
+    case metrics::Scheme::kWait10:
+    case metrics::Scheme::kWait25:
+    case metrics::Scheme::kWait50:
+      return true;
+    default:
+      return false;
+  }
+}
+
 double CellResult::ImprovementPct() const {
   return metrics::ImprovementPct(baseline_makespan, makespan);
 }
@@ -209,9 +242,7 @@ namespace {
 
 /// The compiled-vs-policy dispatch shared by RunCell and RunCellObsSummary.
 metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
-  bool compiled = spec.coarse_grain || spec.scheme == metrics::Scheme::kAlgorithm1 ||
-                  spec.scheme == metrics::Scheme::kAlgorithm2;
-  if (compiled) {
+  if (IsCompiled(spec)) {
     compiler::CompileOptions opt;
     opt.mode = spec.coarse_grain ? compiler::Mode::kCoarseGrain
                : spec.scheme == metrics::Scheme::kAlgorithm2
@@ -226,9 +257,17 @@ metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
 
 }  // namespace
 
-CellResult RunCell(const CellSpec& spec) {
-  metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
-  exp.set_sim_threads(spec.sim_threads);
+std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec) {
+  auto profile =
+      std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed);
+  profile->set_sim_threads(spec.sim_threads);
+  return profile;
+}
+
+CellResult RunCell(const CellSpec& spec) { return RunCell(spec, MakeProfile(spec)); }
+
+CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile) {
+  metrics::Experiment exp(std::move(profile));
   if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 
@@ -365,9 +404,8 @@ json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
   oo.emit_stage_events = false;  // aggregate summary only; no timeline
   oo.window_cycles = classify_window;
   obs::Observability ob(oo);
-  metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
+  metrics::Experiment exp(MakeProfile(spec));
   exp.set_obs(&ob);
-  exp.set_sim_threads(spec.sim_threads);
   if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 

@@ -1,13 +1,17 @@
 #pragma once
 
 // One sweep cell = one (workload, scheme, scale, configuration) simulation.
-// A cell is fully self-contained: it builds its own metrics::Experiment from
-// a deterministic seed, so cells can run on any thread in any order and
-// still produce results byte-identical to a serial run.
+// A cell's result depends only on its spec: its runs are measured against a
+// metrics::Profile (program, baseline traces, baseline and observation runs)
+// that is itself a pure function of the spec's ProfileKey(). RunCell builds
+// a private profile; RunSweep shares one profile among all cells with the
+// same key. Either way cells can run on any thread in any order and produce
+// results byte-identical to a serial run.
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "arch/config.hpp"
@@ -72,6 +76,17 @@ struct CellSpec {
 
   /// 16-hex-digit FNV-1a of CanonicalString() + kCacheVersion.
   std::string Key() const;
+
+  /// CanonicalString() with the fields only the measured run reads
+  /// (scheme, coarse-grain, reroute, control register, faults) cleared.
+  /// Everything the baseline and observation runs depend on stays: workload,
+  /// scale, seed, the full ArchConfig and sim_threads. Cells with equal keys
+  /// can share one metrics::Profile.
+  std::string ProfileKey() const;
+
+  /// Whether the measured run decides from the observation profile (the
+  /// Oracle and Wait(x%) policies).
+  bool NeedsObserve() const;
 };
 
 /// The scalar results of one cell — the subset of runtime::RunResult and
@@ -110,9 +125,18 @@ struct CellResult {
   bool operator==(const CellResult& o) const;
 };
 
-/// Executes the cell: baseline run + the scheme's run (plus the observation
-/// run where the scheme needs a profile). Thread-safe with respect to other
-/// cells — the simulator has no global mutable state.
+/// The (not yet simulated) profile for `spec`: its workload built at its
+/// scale, seed and configuration, with its sim_threads count.
+std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec);
+
+/// Executes the cell against `profile`, which must come from MakeProfile of
+/// a spec with the same ProfileKey(): the scheme's run, plus the baseline
+/// and observation runs if the profile does not hold them yet. Thread-safe
+/// with respect to other cells, including cells sharing the profile — the
+/// simulator has no global mutable state.
+CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile);
+
+/// Executes the cell against a private profile of its own.
 CellResult RunCell(const CellSpec& spec);
 
 /// Re-simulates the cell with an observation bundle attached and returns a

@@ -12,7 +12,7 @@
 //    smoke): a (workload x scheme x config) grid of scalar cells; cached.
 //  - record figures (fig02, fig03, fig05, tab02): need full observation
 //    records or access replay, too large for the scalar cache; they still
-//    fan out per workload on the same thread pool.
+//    fan out per workload on the same scheduler (ParallelFor).
 
 #include <string>
 #include <vector>

@@ -1,7 +1,7 @@
 // Record-based figures: these consume the full per-candidate observation
 // records (Section 4) or replay accesses through functional caches, so
 // their per-workload artifacts are too large for the scalar result cache.
-// They still fan out one workload per task on the work-stealing pool; each
+// They still fan out one workload per task (harness::ParallelFor); each
 // task reduces its records to the small per-workload aggregate the renderer
 // needs, so peak memory is bounded by the number of jobs.
 
@@ -69,7 +69,7 @@ SweepSummary RunFig02(const FigureOptions& opt) {
 
   std::vector<std::string> names = FilteredWorkloads(opt);
   std::vector<std::array<sim::BucketHistogram, 4>> hists(names.size());
-  WorkStealingPool::ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
+  ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     arch::ArchConfig cfg;
     metrics::Experiment exp(names[b], opt.scale, cfg, opt.seed);
     const auto& obs = exp.Observe();
@@ -122,7 +122,7 @@ SweepSummary RunFig03(const FigureOptions& opt) {
   };
   std::vector<std::string> names = FilteredWorkloads(opt);
   std::vector<PerWorkload> parts(names.size());
-  WorkStealingPool::ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
+  ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     metrics::Experiment exp(names[b], opt.scale, cfg, opt.seed);
     const auto& obs = exp.Observe();
     PerWorkload& p = parts[b];
@@ -222,7 +222,7 @@ SweepSummary RunFig05(const FigureOptions& opt) {
 
   const std::array<const char*, 2> names = {"ocean", "radiosity"};
   std::array<std::vector<sim::Cycle>, 2> traces;
-  WorkStealingPool::ParallelFor(opt.jobs, names.size(), [&](std::size_t i) {
+  ParallelFor(opt.jobs, names.size(), [&](std::size_t i) {
     traces[i] = WindowTrace(names[i], opt.scale, opt.seed, 30);
   });
 
@@ -350,7 +350,7 @@ SweepSummary RunTab02(const FigureOptions& opt) {
 
   std::vector<std::string> names = FilteredWorkloads(opt);
   std::vector<Accuracy> accs(names.size());
-  WorkStealingPool::ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
+  ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     accs[b] = EvaluateCme(names[b], opt.scale, opt.seed);
   });
 

@@ -1,65 +1,36 @@
 #pragma once
 
-// A small work-stealing thread pool for fanning independent simulation
-// cells out across cores. Tasks are dealt round-robin onto per-worker
-// deques; a worker pops from the back of its own deque and, when empty,
-// steals from the front of a victim's. Simulation cells are coarse
-// (milliseconds to seconds), so the deques use plain mutexes rather than a
-// lock-free Chase-Lev structure — contention is negligible at this grain.
+// The harness scheduler: runs a plan of tasks with dependencies on a
+// transient set of worker threads. Each idle worker takes the first task in
+// plan order that has not started and whose dependencies have all finished,
+// so the plan order is also the priority order. A sweep plans a profile's
+// lowering, baseline and observation runs ahead of the cells that read them
+// (RunSweep), and a plain index loop is the no-dependency case
+// (ParallelFor). Tasks are coarse (milliseconds to seconds), so one mutex
+// guards all scheduling state.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace ndc::harness {
 
-class WorkStealingPool {
- public:
-  /// Spawns `num_threads` workers (clamped to >= 1). Workers idle until a
-  /// batch is submitted via Run().
-  explicit WorkStealingPool(int num_threads);
-  ~WorkStealingPool();
-
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Executes all tasks and blocks until every one has finished. Tasks may
-  /// run on any worker in any order; callers needing a deterministic result
-  /// order must index into a pre-sized output (tasks receive no ordering
-  /// guarantees). Reentrant Run() calls from inside a task are not allowed.
-  void Run(std::vector<std::function<void()>> tasks);
-
-  /// Convenience: runs fn(0..n-1) on a transient pool of `jobs` workers
-  /// when jobs > 1, or inline (in index order) when jobs <= 1.
-  static void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
-
- private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(std::size_t self);
-  bool PopOrSteal(std::size_t self, std::function<void()>* out);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex run_mu_;                 ///< serializes concurrent Run() calls
-  std::mutex mu_;
-  std::condition_variable work_cv_;   ///< wakes workers on a new batch / stop
-  std::condition_variable done_cv_;   ///< wakes Run() when the batch drains
-  std::size_t pending_ = 0;           ///< tasks not yet finished
-  std::atomic<std::size_t> queued_{0};  ///< tasks still sitting in deques
-  bool stop_ = false;
+struct PlanTask {
+  std::function<void()> run;
+  /// Indices of the tasks that must finish before this one starts. Each
+  /// must be lower than this task's own index, so plan order is a
+  /// topological order and the plan cannot deadlock.
+  std::vector<std::size_t> deps;
 };
+
+/// Runs every task of `plan` exactly once and returns when all have
+/// finished. `jobs` <= 1 runs them inline, in plan order; otherwise
+/// min(jobs, plan.size()) workers share them as described above. Tasks may
+/// run on any worker; callers needing a deterministic result order index
+/// into a pre-sized output.
+void RunPlan(int jobs, const std::vector<PlanTask>& plan);
+
+/// Runs fn(0..n-1) as a plan of n independent tasks.
+void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ndc::harness

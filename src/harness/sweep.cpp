@@ -6,7 +6,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -126,20 +128,68 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
   }
   out.summary.sim_invocations = misses.size();
 
+  // Group the misses by profile key, in order of first miss. Each group
+  // plans one lowering, one baseline run, one observation run if some cell
+  // needs it, then its cells; the scheduler's plan-order priority finishes
+  // one group's cells before it starts lowering later groups whenever it
+  // can, and each profile is dropped after its last cell, so only about
+  // `jobs` profiles are alive at once.
+  struct Group {
+    std::vector<std::size_t> cells;  // indices into spec.cells
+    bool observe = false;
+    std::shared_ptr<metrics::Profile> profile;
+    std::atomic<std::size_t> cells_left{0};
+  };
+  std::deque<Group> groups;  // a deque: Group is not movable
+  {
+    std::map<std::string, std::size_t> index;
+    for (std::size_t i : misses) {
+      auto [it, fresh] = index.emplace(spec.cells[i].ProfileKey(), groups.size());
+      if (fresh) groups.emplace_back();
+      Group& g = groups[it->second];
+      g.cells.push_back(i);
+      g.observe = g.observe || spec.cells[i].NeedsObserve();
+      ++g.cells_left;
+    }
+  }
+
   {
     std::unique_ptr<ProgressReporter> progress;
     if (opt.progress && !misses.empty()) {
       progress = std::make_unique<ProgressReporter>(spec.figure, misses.size(),
                                                     out.summary.cache_hits);
     }
-    auto run_one = [&](std::size_t mi) {
-      std::size_t i = misses[mi];
-      CellResult r = RunCell(spec.cells[i]);
-      if (cache != nullptr) cache->Insert(spec.cells[i], r);
-      out.cells[i] = std::move(r);
-      if (progress != nullptr) progress->CellDone();
-    };
-    WorkStealingPool::ParallelFor(opt.jobs, misses.size(), run_one);
+    std::vector<PlanTask> plan;
+    for (Group& group : groups) {
+      std::size_t lower = plan.size();
+      plan.push_back({[&group, &spec] {
+                        group.profile = MakeProfile(spec.cells[group.cells.front()]);
+                        group.profile->Traces();
+                      },
+                      {}});
+      std::size_t baseline = plan.size();
+      plan.push_back({[&group] { group.profile->Baseline(); }, {lower}});
+      std::size_t observe = baseline;
+      if (group.observe) {
+        observe = plan.size();
+        plan.push_back({[&group] { group.profile->Observe(); }, {lower}});
+      }
+      for (std::size_t i : group.cells) {
+        std::vector<std::size_t> deps = {baseline};
+        if (spec.cells[i].NeedsObserve()) deps.push_back(observe);
+        plan.push_back({[&, i] {
+                          CellResult r = RunCell(spec.cells[i], group.profile);
+                          if (cache != nullptr) cache->Insert(spec.cells[i], r);
+                          out.cells[i] = std::move(r);
+                          if (group.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                            group.profile.reset();
+                          }
+                          if (progress != nullptr) progress->CellDone();
+                        },
+                        std::move(deps)});
+      }
+    }
+    RunPlan(opt.jobs, plan);
   }
 
   out.summary.elapsed_ms = static_cast<std::uint64_t>(

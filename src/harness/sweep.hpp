@@ -1,9 +1,14 @@
 #pragma once
 
-// The sweep engine: fans a declarative SweepSpec (a list of fully resolved
-// cells) out across a work-stealing thread pool, consults the persistent
-// result cache before invoking the simulator, and returns results in spec
-// order — so a parallel sweep is cell-for-cell identical to a serial one.
+// The sweep engine: consults the persistent result cache for each cell of a
+// declarative SweepSpec (a list of fully resolved cells), then simulates the
+// misses on `jobs` workers, sharing one metrics::Profile (program, baseline
+// traces, baseline and observation runs) among the misses with the same
+// CellSpec::ProfileKey(). It plans, per key, a lowering, a baseline run, an
+// observation run if some cell needs it, then the cells (harness::RunPlan),
+// and drops each profile after its last cell. Results come back in spec
+// order, and each equals a standalone RunCell — so a parallel sweep is
+// cell-for-cell identical to a serial one.
 
 #include <cstdint>
 #include <map>

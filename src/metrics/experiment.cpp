@@ -32,72 +32,91 @@ double ImprovementPct(sim::Cycle base, sim::Cycle t) {
          100.0;
 }
 
-Experiment::Experiment(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
-                       std::uint64_t seed)
-    : workload_(std::move(workload)), scale_(scale), cfg_(cfg), seed_(seed) {
-  obs::ScopedPhase phase(obs::Phase::kBuildWorkload);
-  // shard.* scenarios are sized by the machine itself (one shard per core)
-  // and pass through the sharded generator's classifier gate.
-  base_program_ = workloads::IsShardedScenario(workload_)
-                      ? workloads::BuildShardedWorkload(workload_, scale_,
-                                                        cfg_.num_nodes(), seed_)
-                      : workloads::BuildWorkload(workload_, scale_, seed_);
-}
+namespace {
 
-const std::vector<arch::Trace>& Experiment::BaselineTraces() {
-  if (base_traces_.empty()) {
-    obs::ScopedPhase phase(obs::Phase::kLowerTraces);
-    base_traces_ = compiler::Lower(base_program_, cfg_.num_nodes(), &cfg_).traces;
-  }
-  return base_traces_;
-}
-
-runtime::RunResult Experiment::RunTraces(const std::vector<arch::Trace>& traces,
-                                         runtime::MachineOptions opts, bool with_faults) {
+/// Simulates `traces` on `cfg`: the one place every run of this module goes
+/// through. `conservation`, when non-null, receives the run's request
+/// conservation inputs.
+runtime::RunResult Simulate(const arch::ArchConfig& cfg, const std::vector<arch::Trace>& traces,
+                            const runtime::MachineOptions& opts,
+                            fault::ConservationInputs* conservation = nullptr) {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
-  // A fresh injector per measured run: its RNG restarts from the schedule
-  // seed, so the same (workload, schedule) pair is identically faulted every
-  // time it is simulated.
-  std::unique_ptr<fault::FaultInjector> inj;
-  if (with_faults && faults_ != nullptr && !faults_->Empty()) {
-    inj = std::make_unique<fault::FaultInjector>(*faults_);
-    opts.faults = inj.get();
-  }
-  opts.sim_threads = sim_threads_;
-  runtime::Machine m(cfg_, opts);
+  runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
   runtime::RunResult r = m.Run();
-  if (inj != nullptr) {
-    last_conservation_ = m.GatherConservation();
-    last_injections_ = inj->counts();
-    have_fault_report_ = true;
-  }
+  if (conservation != nullptr) *conservation = m.GatherConservation();
   if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddSimEvents(r.events);
   return r;
 }
 
-const runtime::RunResult& Experiment::Baseline() {
-  if (!have_baseline_) {
-    baseline_ = RunTraces(BaselineTraces(), {});
-    have_baseline_ = true;
-  }
+}  // namespace
+
+Profile::Profile(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
+                 std::uint64_t seed)
+    : workload_(std::move(workload)), cfg_(cfg) {
+  obs::ScopedPhase phase(obs::Phase::kBuildWorkload);
+  // shard.* scenarios are sized by the machine itself (one shard per core)
+  // and pass through the sharded generator's classifier gate.
+  program_ = workloads::IsShardedScenario(workload_)
+                 ? workloads::BuildShardedWorkload(workload_, scale, cfg_.num_nodes(), seed)
+                 : workloads::BuildWorkload(workload_, scale, seed);
+}
+
+const std::vector<arch::Trace>& Profile::Traces() {
+  std::call_once(traces_once_, [this] {
+    obs::ScopedPhase phase(obs::Phase::kLowerTraces);
+    traces_ = compiler::Lower(program_, cfg_.num_nodes(), &cfg_).traces;
+  });
+  return traces_;
+}
+
+const runtime::RunResult& Profile::Baseline() {
+  std::call_once(baseline_once_, [this] {
+    runtime::MachineOptions opts;
+    opts.sim_threads = sim_threads_;
+    baseline_ = Simulate(cfg_, Traces(), opts);
+  });
   return baseline_;
 }
 
-const runtime::RunResult& Experiment::Observe() {
-  if (!have_observe_) {
+const runtime::RunResult& Profile::Observe() {
+  std::call_once(observe_once_, [this] {
     runtime::MachineOptions opts;
     opts.observe = true;
-    observe_ = RunTraces(BaselineTraces(), opts);
-    have_observe_ = true;
-  }
+    opts.sim_threads = sim_threads_;
+    observe_ = Simulate(cfg_, Traces(), opts);
+  });
   return observe_;
+}
+
+Experiment::Experiment(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
+                       std::uint64_t seed)
+    : profile_(std::make_shared<Profile>(std::move(workload), scale, cfg, seed)) {}
+
+Experiment::Experiment(std::shared_ptr<Profile> profile) : profile_(std::move(profile)) {}
+
+runtime::RunResult Experiment::RunMeasured(const arch::ArchConfig& cfg,
+                                           const std::vector<arch::Trace>& traces,
+                                           runtime::MachineOptions opts) {
+  opts.obs = obs_;
+  opts.sim_threads = profile_->sim_threads();
+  if (faults_ == nullptr || faults_->Empty()) return Simulate(cfg, traces, opts);
+  // A fresh injector per measured run: its RNG restarts from the schedule
+  // seed, so the same (workload, schedule) pair is identically faulted every
+  // time it is simulated.
+  fault::FaultInjector inj(*faults_);
+  opts.faults = &inj;
+  runtime::RunResult r = Simulate(cfg, traces, opts, &last_conservation_);
+  last_injections_ = inj.counts();
+  have_fault_report_ = true;
+  return r;
 }
 
 SchemeResult Experiment::Run(Scheme scheme) {
   SchemeResult out;
   out.scheme = scheme;
   const runtime::RunResult& base = Baseline();
+  const arch::ArchConfig& cfg = profile_->cfg();
 
   switch (scheme) {
     case Scheme::kBaseline:
@@ -105,9 +124,7 @@ SchemeResult Experiment::Run(Scheme scheme) {
         // The cached baseline carries no observation or fault data;
         // re-simulate so the requested trace/audit/faults reflect this very
         // scheme.
-        runtime::MachineOptions bopts;
-        bopts.obs = obs_;
-        out.run = RunTraces(BaselineTraces(), bopts, /*with_faults=*/true);
+        out.run = RunMeasured(cfg, BaselineTraces(), {});
       } else {
         out.run = base;
       }
@@ -130,36 +147,35 @@ SchemeResult Experiment::Run(Scheme scheme) {
   std::unique_ptr<runtime::Policy> policy;
   switch (scheme) {
     case Scheme::kDefault:
-      policy = std::make_unique<runtime::AlwaysWaitPolicy>(cfg_);
+      policy = std::make_unique<runtime::AlwaysWaitPolicy>(cfg);
       break;
     case Scheme::kOracle:
-      policy = std::make_unique<runtime::OraclePolicy>(cfg_, *Observe().records);
+      policy = std::make_unique<runtime::OraclePolicy>(cfg, *Observe().records);
       break;
     case Scheme::kWait5:
-      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg_, *Observe().records, 0.05);
+      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg, *Observe().records, 0.05);
       break;
     case Scheme::kWait10:
-      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg_, *Observe().records, 0.10);
+      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg, *Observe().records, 0.10);
       break;
     case Scheme::kWait25:
-      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg_, *Observe().records, 0.25);
+      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg, *Observe().records, 0.25);
       break;
     case Scheme::kWait50:
-      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg_, *Observe().records, 0.50);
+      policy = std::make_unique<runtime::FractionWaitPolicy>(cfg, *Observe().records, 0.50);
       break;
     case Scheme::kLastWait:
-      policy = std::make_unique<runtime::LastWaitPolicy>(cfg_);
+      policy = std::make_unique<runtime::LastWaitPolicy>(cfg);
       break;
     case Scheme::kMarkov:
-      policy = std::make_unique<runtime::MarkovWaitPolicy>(cfg_);
+      policy = std::make_unique<runtime::MarkovWaitPolicy>(cfg);
       break;
     default:
       break;
   }
   runtime::MachineOptions opts;
   opts.policy = policy.get();
-  opts.obs = obs_;
-  out.run = RunTraces(BaselineTraces(), opts, /*with_faults=*/true);
+  out.run = RunMeasured(cfg, BaselineTraces(), opts);
   out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
   return out;
 }
@@ -169,10 +185,10 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
   out.scheme = opt.mode == compiler::Mode::kAlgorithm2 ? Scheme::kAlgorithm2
                                                        : Scheme::kAlgorithm1;
   const runtime::RunResult& base = Baseline();
-  // Compile mutates its input program, so copy the cached build instead of
-  // regenerating the workload from scratch.
-  ir::Program prog = base_program_;
-  arch::ArchConfig cfg = cfg_;
+  // Compile mutates its input program, so copy the profile's build instead
+  // of regenerating the workload from scratch.
+  ir::Program prog = profile_->program();
+  arch::ArchConfig cfg = profile_->cfg();
   cfg.allow_reroute = opt.allow_reroute;
   cfg.control_register = opt.control_register;
   compiler::ArchDescription ad(cfg);
@@ -182,24 +198,7 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
     out.compile_report = compiler::Compile(prog, ad, opt);
     traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
   }
-  obs::ScopedPhase phase(obs::Phase::kSimulate);
-  runtime::MachineOptions mopts;
-  mopts.obs = obs_;
-  mopts.sim_threads = sim_threads_;
-  std::unique_ptr<fault::FaultInjector> inj;
-  if (faults_ != nullptr && !faults_->Empty()) {
-    inj = std::make_unique<fault::FaultInjector>(*faults_);
-    mopts.faults = inj.get();
-  }
-  runtime::Machine m(cfg, mopts);
-  m.LoadProgram(traces);
-  out.run = m.Run();
-  if (inj != nullptr) {
-    last_conservation_ = m.GatherConservation();
-    last_injections_ = inj->counts();
-    have_fault_report_ = true;
-  }
-  if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddSimEvents(out.run.events);
+  out.run = RunMeasured(cfg, traces, {});
   out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
   return out;
 }

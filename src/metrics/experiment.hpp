@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,22 +39,73 @@ struct SchemeResult {
   compiler::CompileReport compile_report;  ///< compiler modes only
 };
 
-/// A workload prepared for experiments: baseline + observation runs are
-/// cached so that multiple schemes can reuse the profile.
-class Experiment {
+/// The fault-free, untraced state that every scheme run of one workload
+/// reuses: the built program, its lowered baseline traces, and the baseline
+/// and observation runs over those traces. Each piece is computed on first
+/// use, exactly once even under concurrent callers, and is never modified
+/// afterwards, so one Profile may back any number of Experiments on any
+/// threads (harness::RunSweep shares one per profile key).
+class Profile {
  public:
-  Experiment(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
-             std::uint64_t seed = 1);
+  Profile(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
+          std::uint64_t seed = 1);
+
+  Profile(const Profile&) = delete;
+  Profile& operator=(const Profile&) = delete;
 
   const std::string& workload() const { return workload_; }
   const arch::ArchConfig& cfg() const { return cfg_; }
+  /// The workload program as built (copy it before compiling: Compile
+  /// mutates its input).
+  const ir::Program& program() const { return program_; }
 
-  /// Baseline (conventional) run; cached.
+  /// Simulation-thread count of every run over this profile, profile runs
+  /// included. Set it before the first Traces()/Baseline()/Observe() call
+  /// and before sharing the profile; see runtime::MachineOptions::sim_threads
+  /// for what the count changes.
+  int sim_threads() const { return sim_threads_; }
+  void set_sim_threads(int n) { sim_threads_ = n; }
+
+  /// The traces of the original program (baseline schedule).
+  const std::vector<arch::Trace>& Traces();
+  /// Baseline (conventional) run.
   const runtime::RunResult& Baseline();
+  /// Observation run over the original program (Section 4 quantification).
+  /// Timing-identical to the baseline.
+  const runtime::RunResult& Observe();
+
+ private:
+  std::string workload_;
+  arch::ArchConfig cfg_;
+  int sim_threads_ = 1;
+  ir::Program program_;
+  std::once_flag traces_once_, baseline_once_, observe_once_;
+  std::vector<arch::Trace> traces_;
+  runtime::RunResult baseline_;
+  runtime::RunResult observe_;
+};
+
+/// A workload prepared for experiments: scheme runs measured against a
+/// Profile, so that multiple schemes reuse one baseline and one observation
+/// run. Per-run state (observation bundle, faults, the last fault report)
+/// belongs to the Experiment, never to the profile.
+class Experiment {
+ public:
+  /// An Experiment over a private profile of its own.
+  Experiment(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
+             std::uint64_t seed = 1);
+  /// An Experiment over a (possibly shared) profile.
+  explicit Experiment(std::shared_ptr<Profile> profile);
+
+  const std::string& workload() const { return profile_->workload(); }
+  const arch::ArchConfig& cfg() const { return profile_->cfg(); }
+
+  /// Baseline (conventional) run; computed once per profile.
+  const runtime::RunResult& Baseline() { return profile_->Baseline(); }
 
   /// Observation run over the original program (Section 4 quantification);
-  /// cached. Timing-identical to the baseline.
-  const runtime::RunResult& Observe();
+  /// computed once per profile. Timing-identical to the baseline.
+  const runtime::RunResult& Observe() { return profile_->Observe(); }
 
   /// Runs one scheme and reports improvement vs the baseline.
   SchemeResult Run(Scheme scheme);
@@ -62,7 +114,7 @@ class Experiment {
   SchemeResult RunCompiled(compiler::CompileOptions opt);
 
   /// The traces of the original program (baseline schedule).
-  const std::vector<arch::Trace>& BaselineTraces();
+  const std::vector<arch::Trace>& BaselineTraces() { return profile_->Traces(); }
 
   /// Attaches an observation bundle to subsequent Run()/RunCompiled() calls:
   /// the *measured* scheme run is traced (never the cached baseline/observe
@@ -79,12 +131,13 @@ class Experiment {
   /// schedule) detaches.
   void set_faults(const fault::FaultSchedule* s) { faults_ = s; }
 
-  /// Simulation-thread count for every subsequent run (measured *and*
-  /// cached profile runs — RunTraces applies it centrally). 1 (the
-  /// default) keeps the sequential engine; >= 2 enables conservative-window
-  /// sharding on eligible runs (ineligible runs silently degrade, see
-  /// runtime::MachineOptions::sim_threads).
-  void set_sim_threads(int n) { sim_threads_ = n; }
+  /// Simulation-thread count for every subsequent run, measured *and*
+  /// profile runs: it sets the profile's count, so call it before the first
+  /// run. 1 (the default) is the sequential engine. Any n >= 2 is one other
+  /// deterministic schedule, identical for every n >= 2, which differs from
+  /// n = 1 in same-cycle tie-breaks on eligible runs (see
+  /// runtime::MachineOptions::sim_threads and DESIGN.md §14).
+  void set_sim_threads(int n) { profile_->set_sim_threads(n); }
 
   /// Fault report for the most recent faulted measured run.
   bool have_fault_report() const { return have_fault_report_; }
@@ -92,21 +145,14 @@ class Experiment {
   const fault::InjectionCounts& last_injections() const { return last_injections_; }
 
  private:
-  runtime::RunResult RunTraces(const std::vector<arch::Trace>& traces,
-                               runtime::MachineOptions opts, bool with_faults = false);
+  /// One measured run: `opts` plus this Experiment's obs bundle, faults and
+  /// the profile's thread count.
+  runtime::RunResult RunMeasured(const arch::ArchConfig& cfg,
+                                 const std::vector<arch::Trace>& traces,
+                                 runtime::MachineOptions opts);
 
-  std::string workload_;
-  workloads::Scale scale_;
-  arch::ArchConfig cfg_;
-  std::uint64_t seed_;
-  ir::Program base_program_;
-  std::vector<arch::Trace> base_traces_;
-  bool have_baseline_ = false;
-  runtime::RunResult baseline_;
-  bool have_observe_ = false;
-  runtime::RunResult observe_;
+  std::shared_ptr<Profile> profile_;
   obs::Observability* obs_ = nullptr;
-  int sim_threads_ = 1;
   const fault::FaultSchedule* faults_ = nullptr;
   bool have_fault_report_ = false;
   fault::ConservationInputs last_conservation_;

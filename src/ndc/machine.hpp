@@ -61,8 +61,14 @@ struct MachineOptions {
   /// concurrently between lookahead barriers when the run is eligible
   /// (baseline runs: no observe/policy/faults/obs, no kSync or kPreCompute
   /// instructions, mesh at least 2x2); ineligible runs silently degrade to
-  /// the sequential engine. Execution is bit-reproducible: RunResult and
-  /// StatSet are identical for every sim_threads value, including 1.
+  /// the sequential engine, and their results equal those at 1. On eligible
+  /// runs every value >= 2 is one deterministic schedule: RunResult and
+  /// StatSet are identical for all of them, but they differ from 1 in
+  /// same-cycle tie-breaks between shards, so makespan, event counts and
+  /// cache counters may move slightly (the small-scale swim baseline runs
+  /// 1,540,580 events at 1 thread and 1,541,156 at 2 or more).
+  /// Tie-break-insensitive outcomes (offloads, NDC successes, fallbacks)
+  /// stay exact. See DESIGN.md §14.
   int sim_threads = 1;
 };
 

@@ -1,21 +1,25 @@
 // src/harness unit tests: the JSON codec, cache-key semantics, CellResult
-// round-tripping, the on-disk result cache, the work-stealing pool, and the
-// warm-sweep zero-simulation guarantee.
+// round-tripping, the on-disk result cache, the plan scheduler, the
+// warm-sweep zero-simulation guarantee, and the equivalence of a sweep that
+// shares profiles with standalone RunCell calls.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "harness/cache.hpp"
 #include "harness/figures.hpp"
 #include "harness/pool.hpp"
 #include "harness/sweep.hpp"
+#include "obs/phase.hpp"
 
 namespace ndc::harness {
 namespace {
@@ -84,6 +88,61 @@ TEST(CellSpec, KeyIsStableAndSensitiveToSemanticFields) {
   EXPECT_NE(a.Key(), b.Key());
   b.sim_threads = 1;
   EXPECT_EQ(a.Key(), b.Key());
+}
+
+// Cells share a profile exactly when their baseline and observation runs
+// are the same runs: the measured run's own fields leave the key alone,
+// everything the baseline reads changes it.
+TEST(CellSpec, ProfileKeyKeepsEverythingTheBaselineDependsOn) {
+  CellSpec a;
+  a.workload = "md";
+  a.scale = workloads::Scale::kTest;
+  a.scheme = metrics::Scheme::kOracle;
+
+  CellSpec b = a;
+  b.scheme = metrics::Scheme::kAlgorithm2;
+  b.coarse_grain = true;
+  b.allow_reroute = false;
+  b.control_register = 1;
+  b.faults.seed = 3;
+  b.faults.mc_pressure.push_back({0, 0, 100, 8});
+  b.variant = "label";
+  EXPECT_EQ(a.ProfileKey(), b.ProfileKey());
+  EXPECT_NE(a.Key(), b.Key());
+
+  b = a;
+  b.seed = 2;
+  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
+  b = a;
+  b.scale = workloads::Scale::kSmall;
+  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
+  b = a;
+  b.cfg.l2.size_bytes *= 2;
+  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
+  b = a;
+  b.cfg.allow_reroute = false;  // an ArchConfig field, unlike CellSpec::allow_reroute
+  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
+}
+
+// sim_threads changes the baseline itself: 2 or more threads is a
+// different same-cycle tie-break schedule from 1 (MachineOptions::
+// sim_threads). So cells that differ only in sim_threads must not share a
+// profile, and every count >= 2 gives the same baseline.
+TEST(CellSpec, SimThreadsSeparatesProfiles) {
+  CellSpec a;
+  a.workload = "fft";
+  a.scale = workloads::Scale::kTest;
+  CellSpec b = a;
+  b.sim_threads = 2;
+  CellSpec c = a;
+  c.sim_threads = 4;
+  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
+  EXPECT_NE(b.ProfileKey(), c.ProfileKey());
+
+  std::uint64_t one = MakeProfile(a)->Baseline().events;
+  std::uint64_t two = MakeProfile(b)->Baseline().events;
+  EXPECT_NE(one, two);
+  EXPECT_EQ(two, MakeProfile(c)->Baseline().events);
 }
 
 // The variant display label is deliberately not hashed: two figures probing
@@ -189,29 +248,69 @@ TEST(ResultCache, CorruptLinesAreCountedAndSkipped) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ---------------------------------------------------------------- pool ---
+// ----------------------------------------------------------- scheduler ---
 
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
+TEST(Scheduler, RunsEveryTaskExactlyOnce) {
   std::atomic<int> counter{0};
   std::vector<std::atomic<int>> per_task(257);
   for (auto& t : per_task) t = 0;
-  WorkStealingPool pool(4);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < per_task.size(); ++i) {
-    tasks.push_back([&, i] {
+  std::vector<PlanTask> plan(per_task.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    plan[i].run = [&, i] {
       per_task[i].fetch_add(1);
       counter.fetch_add(1);
-    });
+    };
+    if (i % 3 == 2) plan[i].deps = {i / 2};
   }
-  pool.Run(std::move(tasks));
+  RunPlan(4, plan);
   EXPECT_EQ(counter.load(), 257);
   for (auto& t : per_task) EXPECT_EQ(t.load(), 1);
 }
 
-TEST(WorkStealingPool, ParallelForCoversTheFullIndexRange) {
+// Every task checks, as it starts, that each of its dependencies has
+// finished. Dependencies reach back several tasks so that workers really
+// do find the next task in plan order blocked and skip ahead.
+TEST(Scheduler, NoTaskStartsBeforeItsDependenciesFinish) {
+  constexpr std::size_t kTasks = 120;
+  std::vector<std::atomic<bool>> done(kTasks);
+  for (auto& d : done) d = false;
+  std::atomic<int> violations{0};
+  std::vector<PlanTask> plan(kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    if (i >= 1 && i % 4 != 0) plan[i].deps.push_back(i - 1);
+    if (i >= 7 && i % 5 == 0) plan[i].deps.push_back(i - 7);
+    plan[i].run = [&, i] {
+      for (std::size_t d : plan[i].deps) {
+        if (!done[d].load()) violations.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * (i % 7)));
+      done[i] = true;
+    };
+  }
+  for (int jobs : {2, 8}) {
+    for (auto& d : done) d = false;
+    RunPlan(jobs, plan);
+    EXPECT_EQ(violations.load(), 0) << "jobs=" << jobs;
+    for (auto& d : done) EXPECT_TRUE(d.load());
+  }
+}
+
+TEST(Scheduler, SingleJobRunsTasksInPlanOrder) {
+  std::vector<std::size_t> order;
+  std::vector<PlanTask> plan(20);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    plan[i].run = [&order, i] { order.push_back(i); };
+    if (i > 0) plan[i].deps = {0};
+  }
+  RunPlan(1, plan);
+  ASSERT_EQ(order.size(), plan.size());
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Scheduler, ParallelForCoversTheFullIndexRange) {
   std::vector<std::atomic<int>> hits(100);
   for (auto& h : hits) h = 0;
-  WorkStealingPool::ParallelFor(3, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(3, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -266,6 +365,135 @@ TEST(Sweep, UncachedParallelMatchesSerial) {
   SweepResult b = RunSweep(spec, parallel);
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
     EXPECT_TRUE(a.cells[i] == b.cells[i]) << i;
+  }
+}
+
+fault::FaultSchedule SmallFaultSchedule() {
+  fault::FaultSchedule s;
+  s.seed = 7;
+  s.link_faults.push_back({3, 100, 900, 8, 0.25});
+  s.mc_pressure.push_back({1, 200, 400, 16});
+  return s;
+}
+
+/// A test-scale grid that exercises every way cells can share a profile:
+/// all 11 schemes of one workload, a coarse-grain and a reroute-off
+/// compiled cell, a faulted cell, sim_threads=2 cells, two ArchConfig
+/// variants of one workload, and a duplicated cell.
+SweepSpec EquivalenceGrid() {
+  SweepSpec spec;
+  spec.figure = "equivalence";
+  auto cell = [](const char* w, metrics::Scheme s) {
+    CellSpec c;
+    c.workload = w;
+    c.scale = workloads::Scale::kTest;
+    c.scheme = s;
+    return c;
+  };
+  using metrics::Scheme;
+  for (Scheme s : {Scheme::kBaseline, Scheme::kDefault, Scheme::kOracle, Scheme::kWait5,
+                   Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
+                   Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
+    spec.cells.push_back(cell("md", s));
+  }
+  CellSpec coarse = cell("md", Scheme::kAlgorithm1);
+  coarse.coarse_grain = true;
+  spec.cells.push_back(coarse);
+  CellSpec no_reroute = cell("md", Scheme::kAlgorithm2);
+  no_reroute.allow_reroute = false;
+  spec.cells.push_back(no_reroute);
+  CellSpec faulted = cell("md", Scheme::kOracle);
+  faulted.faults = SmallFaultSchedule();
+  spec.cells.push_back(faulted);
+  for (Scheme s : {Scheme::kBaseline, Scheme::kWait25}) {
+    CellSpec threads = cell("fft", s);
+    threads.sim_threads = 2;
+    spec.cells.push_back(threads);
+    spec.cells.push_back(cell("fft", s));
+    CellSpec half_l2 = cell("fft", s);
+    half_l2.cfg.l2.size_bytes /= 2;
+    half_l2.variant = "half-l2";
+    spec.cells.push_back(half_l2);
+  }
+  spec.cells.push_back(spec.cells[2]);  // md Oracle again
+  return spec;
+}
+
+std::uint64_t SimEventsSoFar() { return obs::GlobalPhases().Take().sim_events; }
+
+// A sweep that shares one profile per key produces, cell for cell, what
+// standalone RunCell calls produce, at any job count and with part of the
+// grid served from the cache. With observability compiled in it also
+// simulates exactly one baseline per key, one observation run per key that
+// needs it and one measured run per simulated cell (a fault-free Baseline
+// cell's measured run is the profile's baseline itself).
+TEST(Sweep, SharedProfilesMatchStandaloneCells) {
+  SweepSpec spec = EquivalenceGrid();
+  const std::size_t n = spec.cells.size();
+  std::vector<CellResult> standalone(n);
+  for (std::size_t i = 0; i < n; ++i) standalone[i] = RunCell(spec.cells[i]);
+
+  // Warm: two md cells, and every cell of the half-L2 profile, which then
+  // has no misses and must plan no profile runs.
+  auto warm = [&](std::size_t i) {
+    return spec.cells[i].scheme == metrics::Scheme::kDefault ||
+           spec.cells[i].scheme == metrics::Scheme::kLastWait ||
+           spec.cells[i].variant == "half-l2";
+  };
+
+  // Expected simulated events: the profile runs each missed key needs, plus
+  // each missed cell's measured run over an already filled profile.
+  std::map<std::string, std::shared_ptr<metrics::Profile>> profiles;
+  std::map<std::string, bool> needs_observe;
+  std::uint64_t expected_events = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (warm(i)) continue;
+    std::string key = spec.cells[i].ProfileKey();
+    auto& p = profiles[key];
+    if (p == nullptr) p = MakeProfile(spec.cells[i]);
+    needs_observe[key] = needs_observe[key] || spec.cells[i].NeedsObserve();
+  }
+  for (const auto& [key, p] : profiles) {
+    expected_events += p->Baseline().events;
+    if (needs_observe[key]) expected_events += p->Observe().events;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (warm(i)) continue;
+    std::uint64_t before = SimEventsSoFar();
+    CellResult r = RunCell(spec.cells[i], profiles[spec.cells[i].ProfileKey()]);
+    expected_events += SimEventsSoFar() - before;
+    EXPECT_TRUE(r == standalone[i]) << i;
+  }
+
+  for (int jobs : {1, 3, 8}) {
+    std::string dir = UniqueCacheDir(("shared-j" + std::to_string(jobs)).c_str());
+    std::filesystem::remove_all(dir);
+    std::size_t num_warm = 0;
+    {
+      ResultCache cache(dir);
+      ASSERT_TRUE(cache.ok());
+      for (std::size_t i = 0; i < n; ++i) {
+        if (warm(i)) {
+          cache.Insert(spec.cells[i], standalone[i]);
+          ++num_warm;
+        }
+      }
+    }
+    SweepOptions opt;
+    opt.jobs = jobs;
+    opt.cache_dir = dir;
+    SweepResult res = RunSweep(spec, opt);
+    ASSERT_EQ(res.cells.size(), n);
+    EXPECT_EQ(res.summary.cache_hits, num_warm) << "jobs=" << jobs;
+    EXPECT_EQ(res.summary.sim_invocations, n - num_warm) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(res.cells[i] == standalone[i])
+          << "jobs=" << jobs << " cell " << i << " " << spec.cells[i].workload << "/"
+          << spec.cells[i].SchemeLabel();
+    }
+    if constexpr (obs::kObsEnabled) {
+      EXPECT_EQ(res.summary.sim_events, expected_events) << "jobs=" << jobs;
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // ndc-sweep — regenerate any paper figure's experiment grid by name.
 //
-// Fans the figure's (workload x scheme x config) grid across a work-stealing
-// thread pool, consults the persistent on-disk result cache (.ndc-cache/),
-// and renders the same stdout table the corresponding bench binary prints.
+// Fans the figure's (workload x scheme x config) grid across worker
+// threads that share one baseline profile per configuration, consults the
+// persistent on-disk result cache (.ndc-cache/), and renders the same
+// stdout table the corresponding bench binary prints.
 // A warm re-run of an already-measured grid performs zero simulator
 // invocations; --require-all-hits turns that into an enforced exit status
 // for CI cache verification.
