@@ -6,6 +6,7 @@
 // or misspelled argument (e.g. --scale=ful) prints a usage message and
 // exits non-zero instead of being silently ignored.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,7 +70,7 @@ inline Args Parse(int argc, char** argv, workloads::Scale default_scale,
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       char* end = nullptr;
       long n = std::strtol(arg + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
+      if (end == nullptr || *end != '\0' || n < 1 || n > INT_MAX) {
         std::fprintf(stderr, "%s: --jobs expects a positive integer, got '%s'\n",
                      argv[0], arg + 7);
         UsageAndExit(argv[0], spec);

@@ -12,13 +12,11 @@
 // this translation unit, sampled after a warmup pass so one-time pool/bucket
 // growth is excluded (steady-state behaviour is what the floor is about).
 //
-// The report also carries the PDES speedup curve: one full machine run of a
-// fig04 grid workload per --sim-threads value in {1, 2, 4, 8} under the
-// conservative-window sharded engine, plus "pdes_speedup_4t" (events/sec at
-// 4 sim threads over the sequential engine) for CI's --min-pdes-speedup
-// floor. --pdes-scale=off skips the curve (e.g. for quick local runs).
+// The report also carries one whole-machine row, "machine_swim": a full
+// sequential Machine run of a fig04 grid workload, so the layer table ends
+// with the ns/event and allocs/event of the assembled simulator.
 //
-// Usage: bench_substrate [--events=N] [--out=FILE] [--pdes-scale=test|small|off]
+// Usage: bench_substrate [--events=N] [--out=FILE]
 
 #include <atomic>
 #include <chrono>
@@ -27,7 +25,6 @@
 #include <cstring>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -235,21 +232,16 @@ BenchResult NocBench(std::uint64_t packets) {
   return Measure("noc_stream", [&] { eq.RunUntilEmpty(); }, [&] { return eq.executed(); });
 }
 
-// --- Parallel simulation: conservative-window sharding ---------------------
-// One full machine run of the swim stencil (a fig04 grid workload) per
-// sim-thread count. Each run builds a fresh machine over the same lowered
-// traces; workload build + lowering stay off the clock. The sharded engine
-// retires a slightly different event count than the sequential one (a
-// different same-cycle tie-break schedule), so each row's events/sec uses
-// its own engine's count.
+// --- Whole machine ----------------------------------------------------------
+// One full machine run of the swim stencil (a fig04 grid workload) at small
+// scale over freshly built traces; workload build + lowering stay off the
+// clock.
 
-BenchResult PdesBench(const char* name, int sim_threads, workloads::Scale scale) {
+BenchResult MachineBench(const char* name) {
   arch::ArchConfig cfg;
-  metrics::Experiment e("swim", scale, cfg, 1);
+  metrics::Experiment e("swim", workloads::Scale::kSmall, cfg, 1);
   const std::vector<arch::Trace>& traces = e.BaselineTraces();
-  runtime::MachineOptions opts;
-  opts.sim_threads = sim_threads;
-  runtime::Machine m(cfg, opts);
+  runtime::Machine m(cfg);
   m.LoadProgram(traces);
   std::uint64_t events = 0;
   return Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
@@ -258,7 +250,7 @@ BenchResult PdesBench(const char* name, int sim_threads, workloads::Scale scale)
 // ---------------------------------------------------------------------------
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
-               double speedup, double pdes_speedup_4t, std::uint64_t events_target) {
+               double speedup, std::uint64_t events_target) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_substrate: cannot write %s\n", path.c_str());
@@ -267,13 +259,7 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
   std::fprintf(f, "{\n  \"benchmark\": \"bench_substrate\",\n");
   std::fprintf(f, "  \"events_target\": %llu,\n",
                static_cast<unsigned long long>(events_target));
-  // Lets the perf gate tell "the sharded engine is slow" apart from "this
-  // box cannot run 4 shard workers in parallel at all".
-  std::fprintf(f, "  \"hw_threads\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"speedup_vs_legacy\": %.3f,\n", speedup);
-  if (pdes_speedup_4t > 0.0) {
-    std::fprintf(f, "  \"pdes_speedup_4t\": %.3f,\n", pdes_speedup_4t);
-  }
   std::fprintf(f, "  \"benches\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchResult& r = rows[i];
@@ -293,8 +279,6 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
 int Main(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
   std::string out = "BENCH_substrate.json";
-  bool pdes = true;
-  workloads::Scale pdes_scale = workloads::Scale::kSmall;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--events=", 9) == 0) {
@@ -305,15 +289,8 @@ int Main(int argc, char** argv) {
       }
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out = arg + 6;
-    } else if (std::strcmp(arg, "--pdes-scale=test") == 0) {
-      pdes_scale = workloads::Scale::kTest;
-    } else if (std::strcmp(arg, "--pdes-scale=small") == 0) {
-      pdes_scale = workloads::Scale::kSmall;
-    } else if (std::strcmp(arg, "--pdes-scale=off") == 0) {
-      pdes = false;
     } else {
-      std::fprintf(stderr, "usage: %s [--events=N] [--out=FILE] [--pdes-scale=test|small|off]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--events=N] [--out=FILE]\n", argv[0]);
       return 2;
     }
   }
@@ -329,19 +306,8 @@ int Main(int argc, char** argv) {
                        ? rows[0].events_per_sec() / rows[1].events_per_sec()
                        : 0.0;
 
-  double pdes_speedup_4t = 0.0;
-  if (pdes) {
-    double eps_1t = 0.0, eps_4t = 0.0;
-    PdesBench("pdes_swim_warmup", 1, pdes_scale);  // page-in + pool growth
-    for (int t : {1, 2, 4, 8}) {
-      std::string name = "pdes_swim_" + std::to_string(t) + "t";
-      BenchResult r = PdesBench(name.c_str(), t, pdes_scale);
-      if (t == 1) eps_1t = r.events_per_sec();
-      if (t == 4) eps_4t = r.events_per_sec();
-      rows.push_back(r);
-    }
-    if (eps_1t > 0) pdes_speedup_4t = eps_4t / eps_1t;
-  }
+  MachineBench("machine_swim_warmup");  // page-in + pool growth
+  rows.push_back(MachineBench("machine_swim"));
 
   std::printf("# bench_substrate  (events=%llu)\n",
               static_cast<unsigned long long>(events));
@@ -353,8 +319,7 @@ int Main(int argc, char** argv) {
                 r.ns_per_event(), r.allocs_per_event());
   }
   std::printf("speedup_vs_legacy = %.2fx\n", speedup);
-  if (pdes) std::printf("pdes_speedup_4t = %.2fx\n", pdes_speedup_4t);
-  WriteJson(out, rows, speedup, pdes_speedup_4t, events);
+  WriteJson(out, rows, speedup, events);
   return 0;
 }
 

@@ -8,14 +8,8 @@ robust to runner speed:
   - the hot path must be allocation-free in steady state: the calendar_chain
     bench may average at most --max-allocs-per-event heap allocations.
 
-With --min-pdes-speedup > 0 a third gate applies: the conservative-window
-sharded engine must reach that events/sec multiple over the sequential
-engine at 4 sim threads on the fig04 workload run ("pdes_speedup_4t",
-emitted unless bench_substrate ran with --pdes-scale=off).
-
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
-           [--min-pdes-speedup=0]
 Exit: 0 within floors, 1 floor violated, 2 usage/parse errors.
 """
 
@@ -27,14 +21,11 @@ def main(argv):
     path = None
     min_speedup = 2.0
     max_allocs = 0.01
-    min_pdes = 0.0
     for arg in argv[1:]:
         if arg.startswith("--min-speedup="):
             min_speedup = float(arg.split("=", 1)[1])
         elif arg.startswith("--max-allocs-per-event="):
             max_allocs = float(arg.split("=", 1)[1])
-        elif arg.startswith("--min-pdes-speedup="):
-            min_pdes = float(arg.split("=", 1)[1])
         elif arg.startswith("--"):
             print(__doc__, file=sys.stderr)
             return 2
@@ -67,24 +58,6 @@ def main(argv):
         ok = False
     else:
         print(f"ok   speedup_vs_legacy = {speedup:.2f}x (floor {min_speedup:.2f}x)")
-    hw = report.get("hw_threads", 0)
-    if min_pdes > 0 and hw and hw < 4:
-        # A 4-shard-worker speedup floor is meaningless without 4 hardware
-        # threads — skip loudly rather than fail on starved runners.
-        print(f"skip pdes_speedup_4t floor: only {hw} hardware threads")
-    elif min_pdes > 0:
-        pdes = report.get("pdes_speedup_4t")
-        if pdes is None:
-            print("check_substrate_perf: --min-pdes-speedup set but the report "
-                  "has no pdes_speedup_4t (bench_substrate --pdes-scale=off?)",
-                  file=sys.stderr)
-            return 2
-        if pdes < min_pdes:
-            print(f"FAIL pdes_speedup_4t = {pdes:.2f}x < floor {min_pdes:.2f}x",
-                  file=sys.stderr)
-            ok = False
-        else:
-            print(f"ok   pdes_speedup_4t = {pdes:.2f}x (floor {min_pdes:.2f}x)")
     if allocs > max_allocs:
         print(f"FAIL calendar_chain allocs/event = {allocs:.6f} > "
               f"ceiling {max_allocs}", file=sys.stderr)

@@ -3,11 +3,9 @@
 #
 #   address (default): ASan + UBSan over the full ctest suite (plus
 #     ndc-lint, which is registered with ctest).
-#   thread: TSan over the parallel-simulation surfaces — the sharded
-#     event-queue tests, the machine-level PDES tests, the harness tests
-#     (scheduler, shared-profile sweeps), ndc-sweep fig04 on 4 sweep workers
-#     sharing profiles, diffed against its golden, and one multi-threaded
-#     figure regeneration (--sim-threads=8 on top of parallel sweep workers).
+#   thread: TSan over the sweep worker pool — the harness tests (plan
+#     scheduler, shared-profile sweeps) and ndc-sweep fig04 on 4 sweep
+#     workers sharing profiles, diffed against its golden.
 #
 # Usage: scripts/ci_sanitize.sh [address|thread] [build-dir]
 #        (default build-dir: build-sanitize for address, build-tsan for thread)
@@ -34,7 +32,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DNDC_WERROR=ON
 if [ "$MODE" = "thread" ]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target pdes_test pdes_machine_test harness_test ndc-sweep
+    --target harness_test ndc-sweep
 else
   cmake --build "$BUILD_DIR" -j "$(nproc)"
 fi
@@ -46,21 +44,12 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export TSAN_OPTIONS="halt_on_error=1"
 
 if [ "$MODE" = "thread" ]; then
-  "$BUILD_DIR"/tests/pdes_test
-  "$BUILD_DIR"/tests/pdes_machine_test
   "$BUILD_DIR"/tests/harness_test
   # Shared profiles across 4 sweep workers, end to end: stdout must match
   # the sequential golden byte for byte.
   "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
     --jobs=4 > "$BUILD_DIR/fig04-j4.txt" 2>/dev/null
   diff -u tests/goldens/fig04.scale-test.stdout "$BUILD_DIR/fig04-j4.txt"
-  # One multi-threaded figure end-to-end: shard workers and sweep workers
-  # composed. stdout must be byte-identical across parallel thread counts.
-  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
-    --jobs=2 --sim-threads=2 > "$BUILD_DIR/fig04-t2.txt" 2>/dev/null
-  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
-    --jobs=2 --sim-threads=8 > "$BUILD_DIR/fig04-t8.txt" 2>/dev/null
-  diff -u "$BUILD_DIR/fig04-t2.txt" "$BUILD_DIR/fig04-t8.txt"
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 fi

@@ -25,11 +25,6 @@ class Core {
 
   sim::NodeId id() const { return id_; }
 
-  /// Rebinds the core onto another event queue (the machine points each
-  /// core at its home shard's queue before a sharded run). Must be called
-  /// before Start().
-  void RebindQueue(sim::EventQueue* eq) { eq_ = eq; }
-
   /// Installs the trace and resets execution state.
   void SetTrace(Trace trace);
 
@@ -86,7 +81,7 @@ class Core {
 
   sim::NodeId id_;
   const ArchConfig* cfg_;
-  sim::EventQueue* eq_;  ///< home queue; a shard queue under sharded runs
+  sim::EventQueue* eq_;
   MemoryPort& port_;
 
   Trace trace_;

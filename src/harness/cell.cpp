@@ -87,12 +87,6 @@ std::string CellSpec::CanonicalString() const {
   if (!faults.Empty()) {
     out += "faults{" + faults.CanonicalString() + "};";
   }
-  // Appended only for parallel simulation: sequential cells (and all
-  // pre-PDES cache entries) keep their historical key, and sharded results
-  // — a different same-cycle tie-break schedule — get keys of their own.
-  if (sim_threads != 1) {
-    AppendField(out, "simthreads", static_cast<std::uint64_t>(sim_threads));
-  }
   return out;
 }
 
@@ -258,10 +252,7 @@ metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
 }  // namespace
 
 std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec) {
-  auto profile =
-      std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed);
-  profile->set_sim_threads(spec.sim_threads);
-  return profile;
+  return std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed);
 }
 
 CellResult RunCell(const CellSpec& spec) { return RunCell(spec, MakeProfile(spec)); }

@@ -55,13 +55,6 @@ struct CellSpec {
   /// fault-free). Folded into the cache key only when non-empty, so every
   /// pre-fault cache entry keeps its key.
   fault::FaultSchedule faults;
-  /// Simulation-thread count the cell's runs execute with. 1 (the default)
-  /// is the sequential engine; >= 2 enables conservative-window sharding on
-  /// eligible runs. Folded into the cache key only when != 1 — the sharded
-  /// engine is a different same-cycle tie-break schedule, so its numbers
-  /// must never be served from (or poison) a sequential cell's cache entry,
-  /// while every existing entry keeps its historical key.
-  int sim_threads = 1;
   /// Display label for configuration variants ("" = Table-1 defaults).
   /// Deliberately NOT part of the cache key: two figures probing the same
   /// resolved configuration under different labels share one cache entry.
@@ -80,7 +73,7 @@ struct CellSpec {
   /// CanonicalString() with the fields only the measured run reads
   /// (scheme, coarse-grain, reroute, control register, faults) cleared.
   /// Everything the baseline and observation runs depend on stays: workload,
-  /// scale, seed, the full ArchConfig and sim_threads. Cells with equal keys
+  /// scale, seed and the full ArchConfig. Cells with equal keys
   /// can share one metrics::Profile.
   std::string ProfileKey() const;
 
@@ -126,7 +119,7 @@ struct CellResult {
 };
 
 /// The (not yet simulated) profile for `spec`: its workload built at its
-/// scale, seed and configuration, with its sim_threads count.
+/// scale, seed and configuration.
 std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec);
 
 /// Executes the cell against `profile`, which must come from MakeProfile of

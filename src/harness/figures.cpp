@@ -613,9 +613,6 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
       if (!opt.faults.Empty()) {
         for (CellSpec& c : spec.cells) c.faults = opt.faults;
       }
-      if (opt.sim_threads != 1) {
-        for (CellSpec& c : spec.cells) c.sim_threads = opt.sim_threads;
-      }
       SweepOptions so;
       so.jobs = opt.jobs;
       so.use_cache = opt.use_cache;

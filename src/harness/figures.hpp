@@ -48,12 +48,6 @@ struct FigureOptions {
   /// the schedule in their cache key, so they never collide with — or
   /// invalidate — fault-free entries.
   fault::FaultSchedule faults;
-  /// Simulation-thread count stamped onto every grid cell (default 1 =
-  /// sequential engine, cache keys unchanged). >= 2 enables
-  /// conservative-window sharding on eligible cells; sharded cells carry the
-  /// thread count in their cache key so they never collide with sequential
-  /// entries. Record figures always run sequentially.
-  int sim_threads = 1;
 };
 
 struct FigureInfo {

@@ -67,11 +67,6 @@ class MemCtrl {
 
   sim::McId id() const { return id_; }
 
-  /// Rebinds the controller onto another event queue (the machine points
-  /// each MC at its home shard's queue before a sharded run). Must be
-  /// called while the queue is empty.
-  void RebindQueue(sim::EventQueue* eq) { eq_ = eq; }
-
   /// Enqueues a read of `addr`; `done` fires when the data is at the
   /// controller (before any NoC response hop). `obs_token` identifies the
   /// originating traced request (0 = untraced). `tag` must not be
@@ -164,7 +159,7 @@ class MemCtrl {
 
   sim::McId id_;
   const AddressMap* amap_;
-  sim::EventQueue* eq_;  ///< home queue; a shard queue under sharded runs
+  sim::EventQueue* eq_;
   std::vector<DramBank> banks_;
   std::vector<bool> bank_in_flight_;
   std::vector<std::deque<Request>> bank_queues_;  ///< FIFO per bank

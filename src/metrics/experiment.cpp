@@ -72,9 +72,7 @@ const std::vector<arch::Trace>& Profile::Traces() {
 
 const runtime::RunResult& Profile::Baseline() {
   std::call_once(baseline_once_, [this] {
-    runtime::MachineOptions opts;
-    opts.sim_threads = sim_threads_;
-    baseline_ = Simulate(cfg_, Traces(), opts);
+    baseline_ = Simulate(cfg_, Traces(), {});
   });
   return baseline_;
 }
@@ -83,7 +81,6 @@ const runtime::RunResult& Profile::Observe() {
   std::call_once(observe_once_, [this] {
     runtime::MachineOptions opts;
     opts.observe = true;
-    opts.sim_threads = sim_threads_;
     observe_ = Simulate(cfg_, Traces(), opts);
   });
   return observe_;
@@ -99,7 +96,6 @@ runtime::RunResult Experiment::RunMeasured(const arch::ArchConfig& cfg,
                                            const std::vector<arch::Trace>& traces,
                                            runtime::MachineOptions opts) {
   opts.obs = obs_;
-  opts.sim_threads = profile_->sim_threads();
   if (faults_ == nullptr || faults_->Empty()) return Simulate(cfg, traces, opts);
   // A fresh injector per measured run: its RNG restarts from the schedule
   // seed, so the same (workload, schedule) pair is identically faulted every

@@ -59,13 +59,6 @@ class Profile {
   /// mutates its input).
   const ir::Program& program() const { return program_; }
 
-  /// Simulation-thread count of every run over this profile, profile runs
-  /// included. Set it before the first Traces()/Baseline()/Observe() call
-  /// and before sharing the profile; see runtime::MachineOptions::sim_threads
-  /// for what the count changes.
-  int sim_threads() const { return sim_threads_; }
-  void set_sim_threads(int n) { sim_threads_ = n; }
-
   /// The traces of the original program (baseline schedule).
   const std::vector<arch::Trace>& Traces();
   /// Baseline (conventional) run.
@@ -77,7 +70,6 @@ class Profile {
  private:
   std::string workload_;
   arch::ArchConfig cfg_;
-  int sim_threads_ = 1;
   ir::Program program_;
   std::once_flag traces_once_, baseline_once_, observe_once_;
   std::vector<arch::Trace> traces_;
@@ -130,14 +122,6 @@ class Experiment {
   /// schedule, so repeated runs are identically faulted. Null (or an empty
   /// schedule) detaches.
   void set_faults(const fault::FaultSchedule* s) { faults_ = s; }
-
-  /// Simulation-thread count for every subsequent run, measured *and*
-  /// profile runs: it sets the profile's count, so call it before the first
-  /// run. 1 (the default) is the sequential engine. Any n >= 2 is one other
-  /// deterministic schedule, identical for every n >= 2, which differs from
-  /// n = 1 in same-cycle tie-breaks on eligible runs (see
-  /// runtime::MachineOptions::sim_threads and DESIGN.md §14).
-  void set_sim_threads(int n) { profile_->set_sim_threads(n); }
 
   /// Fault report for the most recent faulted measured run.
   bool have_fault_report() const { return have_fault_report_; }

@@ -58,7 +58,6 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   }
   site_to_uid_.resize(static_cast<std::size_t>(n));
   active_offloads_.assign(static_cast<std::size_t>(n), 0);
-  lanes_.emplace_back();  // sequential runs: a single lane, selected unconditionally
   sync_ = std::make_unique<sync::SyncManager>(eq_, opts_.sync);
   if (opts_.observe) records_ = std::make_shared<RunRecord>(n);
   if (ObsOn()) {
@@ -155,107 +154,14 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
   }
 }
 
-bool Machine::ShardingEligible() const {
-  if (opts_.sim_threads <= 1) return false;
-  // Only baseline runs shard. Observe/policy/fault/obs runs and sync or
-  // precompute programs keep state that crosses shard boundaries mid-window
-  // (decision logs, held packets, sync engines); they run sequentially and
-  // therefore stay bit-identical to sim_threads == 1 by construction.
-  if (opts_.observe || opts_.policy != nullptr || opts_.faults != nullptr) return false;
-  if (obs::kObsEnabled && opts_.obs != nullptr) return false;
-  if (cfg_.mesh_width < 2 || cfg_.mesh_height < 2) return false;
-  for (const auto& c : cores_) {
-    const arch::Trace& t = c->trace();
-    for (std::uint32_t i = 0; i < t.size(); ++i) {
-      arch::Instr::Kind k = t[i].kind;
-      if (k == arch::Instr::Kind::kSync || k == arch::Instr::Kind::kPreCompute) return false;
-    }
-  }
-  return true;
-}
-
-void Machine::SetupSharding() {
-  if (sq_ != nullptr) {
-    sharded_ = true;  // built by an earlier Run on this machine
-    return;
-  }
-  if (!ShardingEligible()) return;
-  // 2x2 mesh quadrants: shard boundaries cut the fewest links of any
-  // 4-way partition, and every quadrant holds a memory controller on the
-  // usual corner placements.
-  int w = cfg_.mesh_width, h = cfg_.mesh_height;
-  int n = cfg_.num_nodes();
-  int mx = (w + 1) / 2, my = (h + 1) / 2;
-  shard_of_node_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    noc::Coord c = mesh_.CoordOf(i);
-    shard_of_node_[static_cast<std::size_t>(i)] = (c.y >= my ? 2 : 0) + (c.x >= mx ? 1 : 0);
-  }
-  constexpr int kShards = 4;
-  // Lookahead: the earliest a hop scheduled at cycle t can land on the next
-  // router is t + router_pipeline + 1 serialization cycle (noc/network.cpp
-  // Traverse) — the only cross-shard schedule in the machine.
-  sq_ = std::make_unique<sim::ShardedEventQueue>(kShards, cfg_.noc.router_pipeline + 1);
-  for (int i = 0; i < n; ++i) {
-    cores_[static_cast<std::size_t>(i)]->RebindQueue(
-        &sq_->shard(shard_of_node_[static_cast<std::size_t>(i)]));
-  }
-  for (auto& m : mcs_) {
-    sim::NodeId node = mc_nodes_[static_cast<std::size_t>(m->id())];
-    m->RebindQueue(&sq_->shard(shard_of_node_[static_cast<std::size_t>(node)]));
-  }
-  net_->EnableSharding(sq_.get(), shard_of_node_);
-  // Without offloads the hop hook is a pure kContinue, but it reads
-  // instance state owned by other shards; drop it so hops stay race-free
-  // (and cheaper). Sequential runs keep the hook — goldens unchanged.
-  net_->set_hop_hook({});
-  while (lanes_.size() < static_cast<std::size_t>(kShards)) lanes_.emplace_back();
-  PreCreateInstances();
-  sharded_ = true;
-}
-
-void Machine::PreCreateInstances() {
-  // Sharded runs create every dynamic candidate instance before any thread
-  // starts, so instances_ and site_to_uid_ stay structurally immutable
-  // while shards execute concurrently (IssueLoad's lazy creation would
-  // otherwise rehash the map under foreign readers). uids are numbered in
-  // (core, candidate) order — fixed for every thread count; a uid is an
-  // identity only and never influences timing or results.
-  for (std::size_t c = 0; c < cands_.size(); ++c) {
-    const arch::Trace& t = cores_[c]->trace();
-    for (const CandInfo& cand : cands_[c]) {
-      if (site_to_uid_[c].count(cand.site_idx) != 0) continue;
-      std::uint64_t uid = next_uid_++;
-      Instance ni;
-      ni.uid = uid;
-      ni.core = static_cast<sim::NodeId>(c);
-      ni.site_idx = cand.site_idx;
-      const arch::Instr& site = t[cand.site_idx];
-      ni.pc = site.pc;
-      ni.site = site.site;
-      ni.op = site.op;
-      ni.load_idx = cand.load_idx;
-      ni.addr = {t[cand.load_idx[0]].addr, t[cand.load_idx[1]].addr};
-      ni.is_precompute = cand.is_precompute;
-      site_to_uid_[c][cand.site_idx] = uid;
-      instances_.emplace(uid, std::move(ni));
-    }
-  }
-}
-
 RunResult Machine::Run(sim::Cycle limit) {
-  SetupSharding();
   for (auto& c : cores_) {
     if (!c->trace().empty()) c->Start();
   }
-  if (sharded_) {
-    sq_->RunUntilEmpty(limit, opts_.sim_threads);
-  } else {
-    eq_.RunUntilEmpty(limit);
-  }
+  eq_.RunUntilEmpty(limit);
 
   RunResult r;
-  r.events = sharded_ ? sq_->executed() : eq_.executed();
+  r.events = eq_.executed();
   for (auto& c : cores_) {
     if (c->trace().empty()) continue;
     if (!c->finished()) incomplete_cores_.Add();
@@ -269,10 +175,8 @@ RunResult Machine::Run(sim::Cycle limit) {
     r.l2_hits += cache->hits();
     r.l2_misses += cache->misses();
   }
-  for (const ShardLane& l : lanes_) {
-    r.candidates += l.candidates.v;
-    r.local_l1_skips += l.local_l1_skips.v;
-  }
+  r.candidates = candidates_.v;
+  r.local_l1_skips = local_l1_skips_.v;
   r.offloads = offloads_.v;
   r.ndc_success = success_.v;
   r.fallbacks = fallbacks_.v;
@@ -303,7 +207,7 @@ RunResult Machine::Run(sim::Cycle limit) {
       r.stats.Add("core.stall.sync", stall_sync);
       r.stats.Add("core.busy.compute", busy_compute);
     }
-    opts_.obs->EndRun(eq_.now());  // observed runs are never sharded
+    opts_.obs->EndRun(eq_.now());
     MirrorRegistry(r);
   }
   return r;
@@ -316,7 +220,7 @@ RunResult Machine::Run(sim::Cycle limit) {
 void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   auto c = static_cast<std::size_t>(core);
   std::uint64_t rtok = 0;
-  if (ObsOn()) rtok = opts_.obs->tracer.Begin(core, idx, addr, ceq().now());
+  if (ObsOn()) rtok = opts_.obs->tracer.Begin(core, idx, addr, eq_.now());
   Instance* inst = nullptr;
   int operand = -1;
   std::int32_t lc = load_to_cand_[c][idx];
@@ -357,19 +261,19 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   }
   bool hit = l1_[c]->Access(addr);
   if (hit) {
-    sim::Cycle done = ceq().now() + cfg_.l1.access_latency;
+    sim::Cycle done = eq_.now() + cfg_.l1.access_latency;
     if (ObsOn() && rtok != 0) opts_.obs->tracer.Finish(rtok, obs::Stage::kL1Hit, done);
     cores_[c]->Complete(idx, done);
     if (inst != nullptr) {
       std::uint64_t uid = inst->uid;
-      ceq().ScheduleAt(done, [this, uid, operand, done] {
+      eq_.ScheduleAt(done, [this, uid, operand, done] {
         if (Instance* i2 = InstanceByUid(uid)) OnOperandAtCore(*i2, operand, done);
       });
     }
     return;
   }
   std::uint64_t uid = inst ? inst->uid : 0;
-  ceq().ScheduleAfter(cfg_.l1.access_latency, [this, core, idx, addr, uid, operand, rtok] {
+  eq_.ScheduleAfter(cfg_.l1.access_latency, [this, core, idx, addr, uid, operand, rtok] {
     Instance* i2 = uid ? InstanceByUid(uid) : nullptr;
     StartL1Miss(core, idx, addr, i2, operand, rtok);
   });
@@ -380,7 +284,7 @@ void Machine::IssueStore(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   auto c = static_cast<std::size_t>(core);
   l1_[c]->Access(addr);  // write-through, no-allocate
   sim::NodeId home = amap_.HomeBank(addr);
-  ceq().ScheduleAfter(cfg_.l1.access_latency, [this, core, home, addr] {
+  eq_.ScheduleAfter(cfg_.l1.access_latency, [this, core, home, addr] {
     SendLocal(core, home, 64, {}, 0, kWrite, [this, home, addr](const noc::Packet&, sim::Cycle) {
       // Write-allocate at the L2 home bank (write-back policy; dirty
       // eviction write-back traffic is not modeled — see DESIGN.md).
@@ -395,7 +299,7 @@ void Machine::IssuePreCompute(sim::NodeId core, std::uint32_t idx, const arch::I
   if (inst == nullptr) {
     // Degenerate site (e.g. operand loads were deduplicated away): nothing
     // will complete it, so complete immediately as a 1-cycle no-op.
-    cores_[static_cast<std::size_t>(core)]->Complete(idx, ceq().now() + 1);
+    cores_[static_cast<std::size_t>(core)]->Complete(idx, eq_.now() + 1);
     return;
   }
   // If both operands already reached the core conventionally, finish now.
@@ -408,7 +312,7 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
   // legs queue and contend like any memory request.
   sim::NodeId engine = amap_.HomeBank(instr.addr);
   if (ObsOn()) {
-    opts_.obs->sink.Instant("ndc.sync", ceq().now(), core, 0, "op",
+    opts_.obs->sink.Instant("ndc.sync", eq_.now(), core, 0, "op",
                             static_cast<std::uint64_t>(instr.sync_op));
   }
   sync::SyncRequest req;
@@ -418,14 +322,14 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
   req.arg2 = instr.sync_arg2;
   req.core = core;
   req.slot = idx;
-  req.issued_at = ceq().now();
+  req.issued_at = eq_.now();
   req.grant = [this, engine](const sync::SyncRequest& r, sim::Cycle) {
     SendLocal(engine, r.core, 8, {}, 0, kSyncResp,
               [this, core = r.core, slot = r.slot](const noc::Packet&, sim::Cycle) {
                 if (ObsOn()) {
-                  opts_.obs->sink.Instant("ndc.sync.grant", ceq().now(), core, 0);
+                  opts_.obs->sink.Instant("ndc.sync.grant", eq_.now(), core, 0);
                 }
-                cores_[static_cast<std::size_t>(core)]->Complete(slot, ceq().now());
+                cores_[static_cast<std::size_t>(core)]->Complete(slot, eq_.now());
               });
   };
   SendLocal(core, engine, 8, {}, 0, kSyncReq,
@@ -442,7 +346,7 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route 
                         std::uint64_t tag, int kind, noc::Network::DeliverFn fn,
                         std::uint64_t rtok) {
   if (from == to) {
-    ceq().ScheduleAfter(cfg_.noc.router_pipeline, [fn = std::move(fn)] {
+    eq_.ScheduleAfter(cfg_.noc.router_pipeline, [fn = std::move(fn)] {
       noc::Packet p;
       fn(p, 0);
     });
@@ -462,7 +366,7 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route 
 void Machine::StartL1Miss(sim::NodeId core, std::uint32_t idx, sim::Addr addr, Instance* inst,
                           int operand, std::uint64_t rtok) {
   (void)operand;
-  if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL1Miss, ceq().now());
+  if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL1Miss, eq_.now());
   sim::NodeId home = amap_.HomeBank(addr);
   std::uint64_t tag = inst ? Tag(inst->uid, operand) : 0;
   if (home == core) {
@@ -478,27 +382,27 @@ void Machine::StartL1Miss(sim::NodeId core, std::uint32_t idx, sim::Addr addr, I
 
 void Machine::AccessL2(sim::NodeId home, sim::NodeId core, std::uint32_t idx, sim::Addr addr,
                        std::uint64_t tag, std::uint64_t rtok) {
-  if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kReqAtHome, ceq().now());
+  if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kReqAtHome, eq_.now());
   auto h = static_cast<std::size_t>(home);
-  sim::Cycle start = std::max(ceq().now(), l2_busy_until_[h]);
+  sim::Cycle start = std::max(eq_.now(), l2_busy_until_[h]);
   l2_busy_until_[h] = start + 2;  // bank occupancy (pipelined)
   bool hit = l2_[h]->Access(addr);
   sim::Cycle ready = start + cfg_.l2.access_latency;
   if (hit) {
-    ceq().ScheduleAt(ready, [this, home, core, idx, addr, tag, rtok] {
-      if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Hit, ceq().now());
+    eq_.ScheduleAt(ready, [this, home, core, idx, addr, tag, rtok] {
+      if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Hit, eq_.now());
       L2DataReady(home, core, idx, addr, tag, rtok);
     });
     return;
   }
-  ceq().ScheduleAt(ready, [this, home, core, idx, addr, tag, rtok] {
-    if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Miss, ceq().now());
+  eq_.ScheduleAt(ready, [this, home, core, idx, addr, tag, rtok] {
+    if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Miss, eq_.now());
     sim::McId m = amap_.Mc(addr);
     sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(m)];
     SendLocal(home, mc_node, 8, {}, tag, kReqToMc,
               [this, m, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
                 if (ObsOn() && rtok != 0) {
-                  opts_.obs->tracer.Stamp(rtok, obs::Stage::kMcEnqueue, ceq().now());
+                  opts_.obs->tracer.Stamp(rtok, obs::Stage::kMcEnqueue, eq_.now());
                 }
                 mcs_[static_cast<std::size_t>(m)]->EnqueueRead(
                     tag, addr,
@@ -523,7 +427,7 @@ void Machine::McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std:
     SendLocal(mc_node, home, 256, std::move(route), tag, kRespToHome,
               [this, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
                 if (ObsOn() && rtok != 0) {
-                  opts_.obs->tracer.Stamp(rtok, obs::Stage::kHomeRefill, ceq().now());
+                  opts_.obs->tracer.Stamp(rtok, obs::Stage::kHomeRefill, eq_.now());
                 }
                 l2_[static_cast<std::size_t>(home)]->Fill(addr);
                 L2DataReady(home, core, idx, addr, tag, rtok);
@@ -536,8 +440,8 @@ void Machine::McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std:
       int operand = TagOperand(tag);
       int bank = amap_.DramBank(addr);
       if (opts_.observe) {
-        RecordObs(*inst, operand, Loc::kMemCtrl, mc_node, ceq().now());
-        RecordObs(*inst, operand, Loc::kMemBank, mc_node, ceq().now());
+        RecordObs(*inst, operand, Loc::kMemCtrl, mc_node, eq_.now());
+        RecordObs(*inst, operand, Loc::kMemBank, mc_node, eq_.now());
       }
       if (inst->offloaded &&
           (inst->planned == Loc::kMemCtrl || inst->planned == Loc::kMemBank)) {
@@ -559,7 +463,7 @@ void Machine::L2DataReady(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
     if (Instance* inst = InstanceByUid(TagUid(tag))) {
       int operand = TagOperand(tag);
       if (opts_.observe) {
-        RecordObs(*inst, operand, Loc::kCacheCtrl, home, ceq().now());
+        RecordObs(*inst, operand, Loc::kCacheCtrl, home, eq_.now());
         // Residency check: if the partner operand arrived earlier, is its
         // line still resident now? (Paper: "x is replaced from the L2
         // cache before y reaches there".)
@@ -596,7 +500,7 @@ void Machine::SendResponseToCore(sim::NodeId home, sim::NodeId core, std::uint32
 void Machine::DeliverToCore(sim::NodeId core, std::uint32_t idx, sim::Addr addr,
                             std::uint64_t tag, std::uint64_t rtok) {
   l1_[static_cast<std::size_t>(core)]->Fill(addr);
-  sim::Cycle now = ceq().now();
+  sim::Cycle now = eq_.now();
   if (ObsOn() && rtok != 0) opts_.obs->tracer.Finish(rtok, obs::Stage::kDeliver, now);
   cores_[static_cast<std::size_t>(core)]->Complete(idx, now);
   if (tag != 0) {
@@ -618,7 +522,7 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
       inst->offloaded) {
     return;  // already decided (defensive)
   }
-  lane().candidates.Add();
+  candidates_.Add();
 
   auto c = static_cast<std::size_t>(core);
   // LD/ST-unit local-cache probe (Section 2): if an operand is already in
@@ -626,7 +530,7 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   if (l1_[c]->Contains(a) || l1_[c]->Contains(b)) {
     inst->local_l1 = true;
     inst->state = InstState::kConventional;
-    lane().local_l1_skips.Add();
+    local_l1_skips_.Add();
     RecordDecision(*inst, obs::DecisionKind::kLocalL1Skip, -1);
     return;
   }
@@ -722,9 +626,8 @@ std::uint8_t Machine::ComputeFeasibility(Instance& inst) {
 const noc::RoutePair& Machine::OverlapFor(sim::NodeId a_src, sim::NodeId a_dst,
                                           sim::NodeId b_src, sim::NodeId b_dst, bool reroute) {
   std::uint64_t key = QuadKey(a_src, a_dst, b_src, b_dst, reroute);
-  auto& cache = lane().route_pairs;  // per shard: memoized without sharing
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
+  auto it = route_pairs_.find(key);
+  if (it != route_pairs_.end()) return it->second;
   noc::RoutePair p;
   if (reroute) {
     p = noc::MaxOverlapRoutes(mesh_, a_src, a_dst, b_src, b_dst);
@@ -734,7 +637,7 @@ const noc::RoutePair& Machine::OverlapFor(sim::NodeId a_src, sim::NodeId a_dst,
     p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
     p.shared_links = p.shared.Popcount();
   }
-  return cache.emplace(key, std::move(p)).first->second;
+  return route_pairs_.emplace(key, std::move(p)).first->second;
 }
 
 void Machine::PlanRoutes(Instance& inst) {
@@ -831,7 +734,7 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
 bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node,
                              int service_key, std::function<void()> resume) {
   if (inst.at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
-    inst.at_planned[static_cast<std::size_t>(operand)] = ceq().now();
+    inst.at_planned[static_cast<std::size_t>(operand)] = eq_.now();
     ReportWindow(inst);
   }
   int other = operand == 0 ? 1 : 0;
@@ -878,7 +781,7 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
   }
   inst.state = InstState::kComputed;
   inst.waiting_op = -1;
-  sim::Cycle now = ceq().now();
+  sim::Cycle now = eq_.now();
   success_.Add();
   ++ndc_at_loc_[static_cast<std::size_t>(loc)];
   if (ObsOn()) {
@@ -901,10 +804,10 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
   // CPU-feed: the 8-byte result travels back to the core after the op.
   sim::NodeId core = inst.core;
   std::uint32_t site_idx = inst.site_idx;
-  ceq().ScheduleAfter(cfg_.compute_latency, [this, node, core, site_idx] {
+  eq_.ScheduleAfter(cfg_.compute_latency, [this, node, core, site_idx] {
     SendLocal(node, core, 8, {}, 0, kNdcResult,
               [this, core, site_idx](const noc::Packet&, sim::Cycle) {
-                cores_[static_cast<std::size_t>(core)]->Complete(site_idx, ceq().now());
+                cores_[static_cast<std::size_t>(core)]->Complete(site_idx, eq_.now());
               });
   });
 }
@@ -913,7 +816,7 @@ void Machine::ArmWaitTimeout(Instance& inst) {
   std::uint64_t token = next_wait_token_++;
   inst.wait_token = token;
   std::uint64_t uid = inst.uid;
-  ceq().ScheduleAfter(inst.cur_timeout, [this, uid, token] {
+  eq_.ScheduleAfter(inst.cur_timeout, [this, uid, token] {
     Instance* i2 = InstanceByUid(uid);
     if (i2 != nullptr && i2->state == InstState::kWaiting && i2->wait_token == token) {
       OnWaitTimeout(*i2);
@@ -936,7 +839,7 @@ void Machine::OnWaitTimeout(Instance& inst) {
       inst.cur_timeout = std::max<sim::Cycle>(1, widened);
       if (ObsOn()) {
         opts_.obs->decisions.NoteRetry(inst.uid);
-        opts_.obs->sink.Instant("ndc.retry", ceq().now(), inst.core, inst.uid);
+        opts_.obs->sink.Instant("ndc.retry", eq_.now(), inst.core, inst.uid);
       }
       ArmWaitTimeout(inst);
       return;
@@ -971,7 +874,7 @@ void Machine::AbortWait(Instance& inst, AbortReason reason) {
       break;
   }
   if (ObsOn()) {
-    opts_.obs->sink.Instant("ndc.abort", ceq().now(), inst.core, inst.uid);
+    opts_.obs->sink.Instant("ndc.abort", eq_.now(), inst.core, inst.uid);
     ResolveDecision(inst, outcome, -1);
   }
   if (inst.held_packet != 0 && net_->IsHeld(inst.held_packet)) {
@@ -1001,12 +904,12 @@ void Machine::MaybeFallback(Instance& inst) {
   if (inst.at_core[0] == sim::kNeverCycle || inst.at_core[1] == sim::kNeverCycle) return;
   inst.fallback_done = true;
   sim::Cycle done = std::max(inst.at_core[0], inst.at_core[1]);
-  done = std::max(done, ceq().now()) + cfg_.compute_latency;
+  done = std::max(done, eq_.now()) + cfg_.compute_latency;
   cores_[static_cast<std::size_t>(inst.core)]->Complete(inst.site_idx, done);
   if (inst.offloaded) {
     fallbacks_.Add();
     if (ObsOn()) {
-      opts_.obs->sink.Instant("ndc.fallback", ceq().now(), inst.core, inst.uid);
+      opts_.obs->sink.Instant("ndc.fallback", eq_.now(), inst.core, inst.uid);
       // Catch-all: if no abort path resolved this offload, the operands
       // simply never met at the planned location.
       ResolveDecision(inst, obs::Outcome::kFallbackNeverMet, -1);
@@ -1071,29 +974,22 @@ void Machine::RecordDecision(const Instance& inst, obs::DecisionKind kind,
     if (inst.feasible_mask & (1u << l)) ++prior;
   }
   opts_.obs->decisions.Record(inst.uid, inst.core, inst.site_idx, kind, planned_loc,
-                              ceq().now(), prior);
+                              eq_.now(), prior);
   if (kind == obs::DecisionKind::kOffload) {
-    opts_.obs->sink.Instant("ndc.offload", ceq().now(), inst.core, inst.uid, "loc",
+    opts_.obs->sink.Instant("ndc.offload", eq_.now(), inst.core, inst.uid, "loc",
                             static_cast<std::uint64_t>(planned_loc));
   }
 }
 
 void Machine::ResolveDecision(const Instance& inst, obs::Outcome outcome, std::int8_t met_loc) {
   if (!ObsOn()) return;
-  opts_.obs->decisions.Resolve(inst.uid, outcome, met_loc, ceq().now());
+  opts_.obs->decisions.Resolve(inst.uid, outcome, met_loc, eq_.now());
 }
 
 void Machine::MaterializeStats() {
   stats_.Clear();
-  sim::RawCounter cands, skips;  // lane merge, shard order: touched OR, v sum
-  for (const ShardLane& l : lanes_) {
-    cands.v += l.candidates.v;
-    cands.touched = cands.touched || l.candidates.touched;
-    skips.v += l.local_l1_skips.v;
-    skips.touched = skips.touched || l.local_l1_skips.touched;
-  }
-  cands.MaterializeInto(stats_, "ndc.candidates");
-  skips.MaterializeInto(stats_, "ndc.local_l1_skips");
+  candidates_.MaterializeInto(stats_, "ndc.candidates");
+  local_l1_skips_.MaterializeInto(stats_, "ndc.local_l1_skips");
   offloads_.MaterializeInto(stats_, "ndc.offloads");
   success_.MaterializeInto(stats_, "ndc.success");
   fallbacks_.MaterializeInto(stats_, "ndc.fallbacks");

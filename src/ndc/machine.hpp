@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,7 +21,6 @@
 #include "obs/obs.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
 #include "sync/sync.hpp"
 
@@ -55,21 +53,6 @@ struct MachineOptions {
   /// demand-driven: traces without kSync instructions never touch it, so
   /// sync-free runs stay bit-identical to pre-sync builds.
   sync::SyncParams sync;
-  /// Simulation threads for conservative-window parallel execution
-  /// (DESIGN.md §14). 1 (the default) is the historical sequential engine.
-  /// Above 1 the machine shards into mesh quadrants and runs them
-  /// concurrently between lookahead barriers when the run is eligible
-  /// (baseline runs: no observe/policy/faults/obs, no kSync or kPreCompute
-  /// instructions, mesh at least 2x2); ineligible runs silently degrade to
-  /// the sequential engine, and their results equal those at 1. On eligible
-  /// runs every value >= 2 is one deterministic schedule: RunResult and
-  /// StatSet are identical for all of them, but they differ from 1 in
-  /// same-cycle tie-breaks between shards, so makespan, event counts and
-  /// cache counters may move slightly (the small-scale swim baseline runs
-  /// 1,540,580 events at 1 thread and 1,541,156 at 2 or more).
-  /// Tie-break-insensitive outcomes (offloads, NDC successes, fallbacks)
-  /// stay exact. See DESIGN.md §14.
-  int sim_threads = 1;
 };
 
 /// Aggregate results of one simulation run.
@@ -137,9 +120,6 @@ class Machine final : public arch::MemoryPort {
   // --- component access (tests, benches) ---
   const arch::ArchConfig& config() const { return cfg_; }
   sim::EventQueue& eq() { return eq_; }
-  /// Sharded engine of the last Run (null when the run was sequential —
-  /// sim_threads == 1 or the run was ineligible for sharding).
-  sim::ShardedEventQueue* sharded_queue() { return sharded_ ? sq_.get() : nullptr; }
   noc::Network& network() { return *net_; }
   mem::Cache& l1(sim::NodeId n) { return *l1_[static_cast<std::size_t>(n)]; }
   mem::Cache& l2(sim::NodeId n) { return *l2_[static_cast<std::size_t>(n)]; }
@@ -257,19 +237,6 @@ class Machine final : public arch::MemoryPort {
   Instance* FindInstance(sim::NodeId core, std::uint32_t site_idx);
   Instance* InstanceByUid(std::uint64_t uid);
 
-  // -- conservative-window sharding (DESIGN.md §14) --
-  /// True when this program/option combination may run sharded: baseline
-  /// runs only (no observe/policy/faults/obs and no kSync/kPreCompute
-  /// instructions — those subsystems keep cross-shard state), on a mesh
-  /// with at least 2x2 quadrants.
-  bool ShardingEligible() const;
-  /// Builds the sharded engine on first eligible Run: quadrant shard map,
-  /// per-shard queues with the NoC lookahead, core/MC queue rebinding, and
-  /// up-front creation of every candidate instance (the map must be
-  /// structurally immutable while shards run concurrently).
-  void SetupSharding();
-  void PreCreateInstances();
-
   void FinalizeRecords(RunResult& result);
 
   /// True when this run observes itself. Folds to `false` at compile time
@@ -285,14 +252,6 @@ class Machine final : public arch::MemoryPort {
   MachineOptions opts_;
   sim::EventQueue eq_;
   noc::Mesh mesh_;
-
-  // Conservative-window sharding state. `ceq()` is the queue of the shard
-  // executing the current event — the plain queue on sequential runs; it
-  // must only be used from inside event callbacks once sharded.
-  std::unique_ptr<sim::ShardedEventQueue> sq_;
-  std::vector<int> shard_of_node_;
-  bool sharded_ = false;
-  sim::EventQueue& ceq() { return sharded_ ? sq_->current() : eq_; }
   mem::AddressMap amap_;
   std::unique_ptr<noc::Network> net_;
   std::vector<std::unique_ptr<mem::Cache>> l1_;
@@ -315,22 +274,8 @@ class Machine final : public arch::MemoryPort {
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_wait_token_ = 1;
 
-  /// Per-shard machine state touched on the candidate hot path (one lane on
-  /// sequential runs). Keeping the candidate counters and the memoized
-  /// route-pair cache per shard lets concurrent shards bump and memoize
-  /// without sharing a written cache line; counters merge in shard order at
-  /// materialization.
-  struct alignas(64) ShardLane {
-    sim::RawCounter candidates, local_l1_skips;
-    // Memoized route-pair overlap results, keyed by (srcA,dstA,srcB,dstB).
-    std::unordered_map<std::uint64_t, noc::RoutePair> route_pairs;
-  };
-  std::deque<ShardLane> lanes_;
-  ShardLane& lane() {
-    return sharded_
-               ? lanes_[static_cast<std::size_t>(sim::ShardedEventQueue::CurrentShard())]
-               : lanes_.front();
-  }
+  // Memoized route-pair overlap results, keyed by (srcA,dstA,srcB,dstB).
+  std::unordered_map<std::uint64_t, noc::RoutePair> route_pairs_;
 
   const noc::RoutePair& OverlapFor(sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
                                    sim::NodeId b_dst, bool reroute);
@@ -340,10 +285,7 @@ class Machine final : public arch::MemoryPort {
 
   std::shared_ptr<RunRecord> records_;
   // Hot-path counters (plain bumps; string keys only at materialization).
-  // The candidate-path counters live in lanes_ (they are hit under
-  // sharding); everything below is only reachable on sequential runs
-  // (offload/policy/fault paths) or after the run completes.
-  sim::RawCounter offloads_, success_, fallbacks_,
+  sim::RawCounter candidates_, local_l1_skips_, offloads_, success_, fallbacks_,
       plan_infeasible_, offload_table_full_, service_table_full_, abort_timeout_,
       abort_partner_done_, incomplete_cores_;
   // Resilience counters: touched only when a fault schedule enables retries,

@@ -10,16 +10,6 @@ Network::Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params)
     : mesh_(mesh), eq_(eq), params_(params) {
   link_busy_until_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
   link_hold_count_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
-  lanes_.emplace_back();  // unsharded: a single lane, selected unconditionally
-}
-
-void Network::EnableSharding(sim::ShardedEventQueue* sq, std::vector<int> shard_of_node) {
-  assert(sq != nullptr);
-  assert(sent_count() == 0 && "sharding must be enabled before any traffic");
-  assert(shard_of_node.size() == static_cast<std::size_t>(mesh_.num_nodes()));
-  sq_ = sq;
-  shard_of_node_ = std::move(shard_of_node);
-  while (lanes_.size() < static_cast<std::size_t>(sq_->num_shards())) lanes_.emplace_back();
 }
 
 void Network::RegisterMetrics(obs::Registry& reg) {
@@ -33,34 +23,26 @@ void Network::RegisterMetrics(obs::Registry& reg) {
 }
 
 Network::Flight* Network::AcquireFlight() {
-  Lane& ln = lane();
-  if (ln.free_flights.empty()) {
-    ln.flight_arena.emplace_back();
-    return &ln.flight_arena.back();
+  if (free_flights_.empty()) {
+    flight_arena_.emplace_back();
+    return &flight_arena_.back();
   }
-  Flight* f = ln.free_flights.back();
-  ln.free_flights.pop_back();
+  Flight* f = free_flights_.back();
+  free_flights_.pop_back();
   return f;
 }
 
 void Network::ReleaseFlight(Flight* f) {
   f->deliver = nullptr;        // drop captured state now, keep the slot
   f->packet.route.clear();     // keep capacity for the next packet
-  // A flight retires into the lane of the shard it finished on (which may
-  // differ from the lane that allocated it); the migration is deterministic
-  // because the event schedule is.
-  lane().free_flights.push_back(f);
+  free_flights_.push_back(f);
 }
 
 std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
-  Lane& ln = lane();
-  // Lane-striped ids: sequence * num_lanes + lane_index + 1. With one lane
-  // this is exactly the historical 1,2,3,... id stream; with N lanes the ids
-  // stay globally unique and per-lane deterministic without shared state.
-  p.id = ln.next_seq++ * lanes_.size() + (&ln - &lanes_.front()) + 1;
+  p.id = ++next_seq_;
   p.hop = 0;
-  ln.packets.Add();
-  ln.bytes.Add(static_cast<std::uint64_t>(p.size_bytes));
+  packets_.Add();
+  bytes_.Add(static_cast<std::uint64_t>(p.size_bytes));
   std::uint64_t id = p.id;
   Flight* f = AcquireFlight();
   // Hold on to the pooled route buffer so the default X-Y route reuses its
@@ -77,16 +59,16 @@ std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
   }
   f->deliver = std::move(on_deliver);
   // Local delivery (same node) still pays one router pipeline transit.
-  cur().ScheduleAfter(0, [this, f] { ProcessHop(f, /*run_hook=*/true); });
+  eq_.ScheduleAfter(0, [this, f] { ProcessHop(f, /*run_hook=*/true); });
   return id;
 }
 
 void Network::ProcessHop(Flight* f, bool run_hook) {
-  sim::Cycle now = cur().now();
+  sim::Cycle now = eq_.now();
   Packet& p = f->packet;
   if (p.hop >= p.route.size()) {
-    cur().ScheduleAfter(params_.router_pipeline, [this, f] {
-      ++lane().delivered;
+    eq_.ScheduleAfter(params_.router_pipeline, [this, f] {
+      ++delivered_;
       f->deliver(f->packet, 0);
       ReleaseFlight(f);
     });
@@ -98,12 +80,12 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
       case HopAction::kContinue:
         break;
       case HopAction::kHold:
-        lane().holds.Add();
+        holds_.Add();
         ++link_hold_count_[static_cast<std::size_t>(link)];
         held_.emplace(p.id, Held{f, link});
         return;
       case HopAction::kSquash:
-        lane().squashes.Add();
+        squashes_.Add();
         ReleaseFlight(f);
         return;
     }
@@ -113,7 +95,7 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
 
 void Network::Traverse(Flight* f, sim::LinkId link) {
   Packet& p = f->packet;
-  sim::Cycle now = cur().now();
+  sim::Cycle now = eq_.now();
   sim::Cycle ready = now + params_.router_pipeline;
   if (link_fault_) {
     LinkFault fault = link_fault_(link, now);
@@ -123,15 +105,15 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
       // delay so the network stays policy-free). The NDC hop hook is not
       // re-run: its decision for this hop already stands.
       assert(fault.retransmit_delay > 0 && "a dropped packet needs a retransmit delay");
-      lane().drops.Add();
-      cur().ScheduleAfter(fault.retransmit_delay, [this, f, link] {
-        lane().retransmits.Add();
+      drops_.Add();
+      eq_.ScheduleAfter(fault.retransmit_delay, [this, f, link] {
+        retransmits_.Add();
         Traverse(f, link);
       });
       return;
     }
     if (fault.extra_latency > 0) {
-      lane().fault_delay_cycles.Add(fault.extra_latency);
+      fault_delay_cycles_.Add(fault.extra_latency);
       ready += fault.extra_latency;
     }
   }
@@ -140,14 +122,14 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
   // traffic, delaying it proportionally.
   int held_here = link_hold_count_[static_cast<std::size_t>(link)];
   if (held_here > 0) {
-    lane().hol_blocked.Add();
+    hol_blocked_.Add();
     ready += static_cast<sim::Cycle>(held_here) * kHoldPenalty;
   }
   sim::Cycle depart = std::max(ready, link_busy_until_[static_cast<std::size_t>(link)]);
   sim::Cycle ser = SerializationCycles(p.size_bytes);
   link_busy_until_[static_cast<std::size_t>(link)] = depart + ser;
-  lane().link_busy_cycles.Add(ser);
-  if (depart > ready) lane().contention_cycles.Add(depart - ready);
+  link_busy_cycles_.Add(ser);
+  if (depart > ready) contention_cycles_.Add(depart - ready);
   sim::Cycle arrive = depart + ser;
   if constexpr (obs::kObsEnabled) {
     if (tracer_ != nullptr && p.obs_token != 0) {
@@ -162,16 +144,7 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
     }
   }
   p.hop++;
-  if (sq_ != nullptr) {
-    // The next hop runs on the shard owning the router at the far end of
-    // this link. arrive >= now + router_pipeline + 1 serialization cycle,
-    // which satisfies the sharded queue's lookahead for cross-shard posts
-    // (same-shard posts go straight into the local queue).
-    int dst_shard = shard_of_node_[static_cast<std::size_t>(mesh_.LinkDest(link))];
-    sq_->ScheduleOn(dst_shard, arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });
-  } else {
-    eq_.ScheduleAt(arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });
-  }
+  eq_.ScheduleAt(arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });
 }
 
 void Network::Release(std::uint64_t packet_id) {
@@ -179,7 +152,7 @@ void Network::Release(std::uint64_t packet_id) {
   if (it == held_.end()) return;
   Held h = it->second;
   held_.erase(it);
-  lane().releases.Add();
+  releases_.Add();
   --link_hold_count_[static_cast<std::size_t>(h.link)];
   Traverse(h.flight, h.link);
 }
@@ -189,34 +162,24 @@ void Network::Squash(std::uint64_t packet_id) {
   if (it == held_.end()) return;
   Held h = it->second;
   held_.erase(it);
-  lane().squashes.Add();
+  squashes_.Add();
   --link_hold_count_[static_cast<std::size_t>(h.link)];
   ReleaseFlight(h.flight);
 }
 
-std::uint64_t Network::delivered_count() const {
-  std::uint64_t d = 0;
-  for (const Lane& l : lanes_) d += l.delivered;
-  return d;
-}
-std::uint64_t Network::sent_count() const { return Merged([](const Lane& l) -> const sim::RawCounter& { return l.packets; }).v; }
-std::uint64_t Network::squashed_count() const { return Merged([](const Lane& l) -> const sim::RawCounter& { return l.squashes; }).v; }
-std::uint64_t Network::dropped_count() const { return Merged([](const Lane& l) -> const sim::RawCounter& { return l.drops; }).v; }
-std::uint64_t Network::retransmitted_count() const { return Merged([](const Lane& l) -> const sim::RawCounter& { return l.retransmits; }).v; }
-
 void Network::MaterializeStats() const {
   stats_.Clear();
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.packets; }).MaterializeInto(stats_, "noc.packets");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.bytes; }).MaterializeInto(stats_, "noc.bytes");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.holds; }).MaterializeInto(stats_, "noc.holds");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.squashes; }).MaterializeInto(stats_, "noc.squashes");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.releases; }).MaterializeInto(stats_, "noc.releases");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.hol_blocked; }).MaterializeInto(stats_, "noc.hol_blocked");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.link_busy_cycles; }).MaterializeInto(stats_, "noc.link_busy_cycles");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.contention_cycles; }).MaterializeInto(stats_, "noc.contention_cycles");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.drops; }).MaterializeInto(stats_, "noc.drops");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.retransmits; }).MaterializeInto(stats_, "noc.retransmits");
-  Merged([](const Lane& l) -> const sim::RawCounter& { return l.fault_delay_cycles; }).MaterializeInto(stats_, "noc.fault_delay_cycles");
+  packets_.MaterializeInto(stats_, "noc.packets");
+  bytes_.MaterializeInto(stats_, "noc.bytes");
+  holds_.MaterializeInto(stats_, "noc.holds");
+  squashes_.MaterializeInto(stats_, "noc.squashes");
+  releases_.MaterializeInto(stats_, "noc.releases");
+  hol_blocked_.MaterializeInto(stats_, "noc.hol_blocked");
+  link_busy_cycles_.MaterializeInto(stats_, "noc.link_busy_cycles");
+  contention_cycles_.MaterializeInto(stats_, "noc.contention_cycles");
+  drops_.MaterializeInto(stats_, "noc.drops");
+  retransmits_.MaterializeInto(stats_, "noc.retransmits");
+  fault_delay_cycles_.MaterializeInto(stats_, "noc.fault_delay_cycles");
 }
 
 }  // namespace ndc::noc

@@ -12,7 +12,6 @@
 #include "obs/request_trace.hpp"
 #include "obs/sampler.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
 
 namespace ndc::noc {
@@ -61,16 +60,6 @@ struct LinkFault {
 /// contention (busy-until per link), a 3-cycle router pipeline per hop, and
 /// a per-hop hook that lets the NDC engine observe, hold, or squash packets
 /// at link buffers.
-///
-/// Under conservative-window sharding (EnableSharding, DESIGN.md §14) a hop
-/// runs on the shard owning the router it departs from; crossing a shard
-/// boundary posts the next hop through the sharded queue's mailboxes. The
-/// per-hop arrive cycle is always >= now + router_pipeline + 1 serialization
-/// cycle, which is exactly the lookahead the sharded queue synchronizes on.
-/// Mutable per-packet state (flight pool, counters, packet ids) lives in
-/// per-shard lanes so concurrent shards never share a written cache line;
-/// link busy/hold state is per-link and a link is only ever touched by the
-/// shard owning its source router.
 class Network {
  public:
   using DeliverFn = std::function<void(const Packet&, sim::Cycle)>;
@@ -84,13 +73,6 @@ class Network {
 
   const Mesh& mesh() const { return mesh_; }
   const NetworkParams& params() const { return params_; }
-
-  /// Switches hop scheduling and per-packet state onto `sq`'s shards.
-  /// `shard_of_node[n]` is the shard owning node n. Must be called before
-  /// any Send; only valid for runs where the hop hook never holds or
-  /// squashes (the held-packet table is not sharded).
-  void EnableSharding(sim::ShardedEventQueue* sq, std::vector<int> shard_of_node);
-  bool sharded() const { return sq_ != nullptr; }
 
   /// Injects a packet. If `p.route` is empty and src != dst, the default
   /// X-Y route is used. Returns the packet id.
@@ -114,11 +96,11 @@ class Network {
   /// Packets handed to their DeliverFn so far (conservation checks:
   /// packets == delivered + squashed). Plain accessor — deliberately never
   /// materialized into stats() so golden StatSet dumps are unchanged.
-  std::uint64_t delivered_count() const;
-  std::uint64_t sent_count() const;
-  std::uint64_t squashed_count() const;
-  std::uint64_t dropped_count() const;
-  std::uint64_t retransmitted_count() const;
+  std::uint64_t delivered_count() const { return delivered_; }
+  std::uint64_t sent_count() const { return packets_.v; }
+  std::uint64_t squashed_count() const { return squashes_.v; }
+  std::uint64_t dropped_count() const { return drops_.v; }
+  std::uint64_t retransmitted_count() const { return retransmits_.v; }
 
   /// Traced packets report each link traversal to `tracer` (may be null).
   void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
@@ -146,8 +128,7 @@ class Network {
 
   /// Counter view. Materialized lazily from raw per-event counters (the
   /// per-event path never touches string keys); key set and values are
-  /// identical to the historical eager StatSet (lanes are summed in shard
-  /// order, so sharded runs merge deterministically).
+  /// identical to the historical eager StatSet.
   sim::StatSet& stats() {
     MaterializeStats();
     return stats_;
@@ -174,42 +155,6 @@ class Network {
     sim::LinkId link;
   };
 
-  /// Per-shard mutable state (one lane in unsharded runs). A flight is
-  /// acquired from the injecting shard's lane and released into the lane of
-  /// the shard it finishes on — pool migration is deterministic because the
-  /// event schedule is.
-  struct alignas(64) Lane {
-    std::deque<Flight> flight_arena;   ///< stable storage for pooled flights
-    std::vector<Flight*> free_flights;
-    std::uint64_t next_seq = 0;
-    std::uint64_t delivered = 0;  ///< accessor-only; never a StatSet key
-    sim::RawCounter packets, bytes, holds, squashes, releases, hol_blocked,
-        link_busy_cycles, contention_cycles;
-    // Fault counters: touched only when a link-fault hook injects something,
-    // so their StatSet keys never appear in fault-free runs (goldens frozen).
-    sim::RawCounter drops, retransmits, fault_delay_cycles;
-  };
-
-  /// The event queue of the executing shard (the plain queue when
-  /// unsharded).
-  sim::EventQueue& cur() { return sq_ != nullptr ? sq_->current() : eq_; }
-  Lane& lane() {
-    return sq_ != nullptr
-               ? lanes_[static_cast<std::size_t>(sim::ShardedEventQueue::CurrentShard())]
-               : lanes_.front();
-  }
-  /// Sums a per-lane counter in lane (= shard) order.
-  template <typename F>
-  sim::RawCounter Merged(F&& pick) const {
-    sim::RawCounter m;
-    for (const Lane& l : lanes_) {
-      const sim::RawCounter& c = pick(l);
-      m.v += c.v;
-      m.touched = m.touched || c.touched;
-    }
-    return m;
-  }
-
   Flight* AcquireFlight();
   void ReleaseFlight(Flight* f);
   void ProcessHop(Flight* f, bool run_hook);
@@ -222,8 +167,6 @@ class Network {
   Mesh mesh_;
   sim::EventQueue& eq_;
   NetworkParams params_;
-  sim::ShardedEventQueue* sq_ = nullptr;
-  std::vector<int> shard_of_node_;
   HopHook hop_hook_;
   LinkFaultFn link_fault_;
   obs::RequestTracer* tracer_ = nullptr;
@@ -235,7 +178,15 @@ class Network {
   // per-held-packet delay (buffer pressure).
   std::vector<int> link_hold_count_;
   std::unordered_map<std::uint64_t, Held> held_;
-  std::deque<Lane> lanes_;
+  std::deque<Flight> flight_arena_;  ///< stable storage for pooled flights
+  std::vector<Flight*> free_flights_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t delivered_ = 0;  ///< accessor-only; never a StatSet key
+  sim::RawCounter packets_, bytes_, holds_, squashes_, releases_, hol_blocked_,
+      link_busy_cycles_, contention_cycles_;
+  // Fault counters: touched only when a link-fault hook injects something,
+  // so their StatSet keys never appear in fault-free runs (goldens frozen).
+  sim::RawCounter drops_, retransmits_, fault_delay_cycles_;
   mutable sim::StatSet stats_;
 };
 

@@ -90,11 +90,6 @@ class EventQueue {
   /// Total events executed so far.
   std::uint64_t executed() const { return executed_; }
 
-  /// Cycle of the earliest pending event; kNeverCycle when empty. Used by
-  /// the sharded driver (sim/sharded_queue) to skip empty windows and to
-  /// detect completion without popping anything.
-  Cycle next_event_cycle() const { return NextEventCycle(); }
-
  private:
   static constexpr int kWheelBits = 12;
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;

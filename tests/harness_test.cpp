@@ -79,15 +79,28 @@ TEST(CellSpec, KeyIsStableAndSensitiveToSemanticFields) {
   b = a;
   b.seed = 7;
   EXPECT_NE(a.Key(), b.Key());
+}
 
-  // Sharded cells (a different same-cycle tie-break schedule) must never
-  // share an entry with sequential ones, and the default must keep every
-  // historical key: sim_threads is hashed only when != 1.
-  b = a;
-  b.sim_threads = 4;
-  EXPECT_NE(a.Key(), b.Key());
-  b.sim_threads = 1;
-  EXPECT_EQ(a.Key(), b.Key());
+fault::FaultSchedule SmallFaultSchedule() {
+  fault::FaultSchedule s;
+  s.seed = 7;
+  s.link_faults.push_back({3, 100, 900, 8, 0.25});
+  s.mc_pressure.push_back({1, 200, 400, 16});
+  return s;
+}
+
+// Cache keys are pinned literals: a change to CanonicalString() or
+// kCacheVersion that moves them orphans every entry already on disk, so it
+// must show up here (and come with a version bump).
+TEST(CellSpec, DefaultKeyIsStable) {
+  CellSpec a;
+  a.workload = "swim";
+  a.scale = workloads::Scale::kSmall;
+  a.scheme = metrics::Scheme::kOracle;
+  EXPECT_EQ(a.Key(), "c692371c58525ce3");
+
+  a.faults = SmallFaultSchedule();
+  EXPECT_EQ(a.Key(), "a54d03c11a5019b5");
 }
 
 // Cells share a profile exactly when their baseline and observation runs
@@ -122,27 +135,6 @@ TEST(CellSpec, ProfileKeyKeepsEverythingTheBaselineDependsOn) {
   b = a;
   b.cfg.allow_reroute = false;  // an ArchConfig field, unlike CellSpec::allow_reroute
   EXPECT_NE(a.ProfileKey(), b.ProfileKey());
-}
-
-// sim_threads changes the baseline itself: 2 or more threads is a
-// different same-cycle tie-break schedule from 1 (MachineOptions::
-// sim_threads). So cells that differ only in sim_threads must not share a
-// profile, and every count >= 2 gives the same baseline.
-TEST(CellSpec, SimThreadsSeparatesProfiles) {
-  CellSpec a;
-  a.workload = "fft";
-  a.scale = workloads::Scale::kTest;
-  CellSpec b = a;
-  b.sim_threads = 2;
-  CellSpec c = a;
-  c.sim_threads = 4;
-  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
-  EXPECT_NE(b.ProfileKey(), c.ProfileKey());
-
-  std::uint64_t one = MakeProfile(a)->Baseline().events;
-  std::uint64_t two = MakeProfile(b)->Baseline().events;
-  EXPECT_NE(one, two);
-  EXPECT_EQ(two, MakeProfile(c)->Baseline().events);
 }
 
 // The variant display label is deliberately not hashed: two figures probing
@@ -368,18 +360,10 @@ TEST(Sweep, UncachedParallelMatchesSerial) {
   }
 }
 
-fault::FaultSchedule SmallFaultSchedule() {
-  fault::FaultSchedule s;
-  s.seed = 7;
-  s.link_faults.push_back({3, 100, 900, 8, 0.25});
-  s.mc_pressure.push_back({1, 200, 400, 16});
-  return s;
-}
-
 /// A test-scale grid that exercises every way cells can share a profile:
 /// all 11 schemes of one workload, a coarse-grain and a reroute-off
-/// compiled cell, a faulted cell, sim_threads=2 cells, two ArchConfig
-/// variants of one workload, and a duplicated cell.
+/// compiled cell, a faulted cell, two ArchConfig variants of one workload,
+/// and duplicated cells.
 SweepSpec EquivalenceGrid() {
   SweepSpec spec;
   spec.figure = "equivalence";
@@ -406,9 +390,7 @@ SweepSpec EquivalenceGrid() {
   faulted.faults = SmallFaultSchedule();
   spec.cells.push_back(faulted);
   for (Scheme s : {Scheme::kBaseline, Scheme::kWait25}) {
-    CellSpec threads = cell("fft", s);
-    threads.sim_threads = 2;
-    spec.cells.push_back(threads);
+    spec.cells.push_back(cell("fft", s));
     spec.cells.push_back(cell("fft", s));
     CellSpec half_l2 = cell("fft", s);
     half_l2.cfg.l2.size_bytes /= 2;
@@ -581,30 +563,6 @@ TEST(Figures, ClassifyExportIsByteStableAcrossJobs) {
   EXPECT_EQ(files1, files8a) << "obs summaries must not depend on --jobs";
   EXPECT_EQ(err8a, err8b) << "double run at --jobs=8 must be byte-identical";
   EXPECT_EQ(files8a, files8b);
-}
-
-// A figure regenerated under the sharded engine renders the same table for
-// any parallel thread count (the machine-level 2 == 4 == 8 bit-identity,
-// surfaced end-to-end through sweep, cache keys, and rendering).
-TEST(Figures, ShardedFigureOutputIdenticalAcrossThreadCounts) {
-  FigureOptions opt;
-  opt.scale = workloads::Scale::kTest;
-  opt.only = "md";
-  opt.use_cache = false;
-
-  testing::internal::CaptureStdout();
-  opt.sim_threads = 2;
-  ASSERT_EQ(RunFigure("fig04", opt), 0);
-  std::string two = testing::internal::GetCapturedStdout();
-
-  testing::internal::CaptureStdout();
-  opt.sim_threads = 8;
-  opt.jobs = 4;  // sweep-level and simulation-level parallelism compose
-  ASSERT_EQ(RunFigure("fig04", opt), 0);
-  std::string eight = testing::internal::GetCapturedStdout();
-
-  EXPECT_FALSE(two.empty());
-  EXPECT_EQ(two, eight);
 }
 
 }  // namespace

@@ -26,16 +26,8 @@
 // to unclassified runs. --classify-window overrides the window width.
 //
 // Usage:
-// --sim-threads=N (N >= 2) runs every grid cell's simulations under the
-// conservative-window sharded engine with N worker threads (eligible
-// baseline runs shard; policy/sync/fault/observed runs degrade to the
-// sequential engine). Results are deterministic for any N >= 2 but are a
-// different same-cycle tie-break schedule than the default N=1 sequential
-// engine, so sharded cells get distinct cache keys.
-//
-// Usage:
 //   ndc-sweep --figure=NAME|all [--scale=test|small|full] [--bench=NAME]
-//             [--jobs=N] [--sim-threads=N] [--no-cache] [--cache-dir=DIR]
+//             [--jobs=N] [--no-cache] [--cache-dir=DIR]
 //             [--progress]
 //             [--export-jsonl=FILE] [--export-csv=FILE] [--export-obs=DIR]
 //             [--classify] [--classify-window=CYCLES]
@@ -43,6 +35,7 @@
 //             [--faults=FILE|JSON] [--fault-intensity=X[,Y,...]]
 //   ndc-sweep --list
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,8 +65,7 @@ struct SweepArgs {
 [[noreturn]] void UsageAndExit() {
   std::fprintf(stderr,
                "usage: ndc-sweep --figure=NAME|all [--scale=test|small|full]\n"
-               "         [--bench=NAME] [--jobs=N] [--sim-threads=N] [--no-cache]\n"
-               "         [--cache-dir=DIR]\n"
+               "         [--bench=NAME] [--jobs=N] [--no-cache] [--cache-dir=DIR]\n"
                "         [--progress] [--export-jsonl=FILE] [--export-csv=FILE]\n"
                "         [--export-obs=DIR] [--classify] [--classify-window=CYCLES]\n"
                "         [--summary=FILE] [--require-all-hits]\n"
@@ -135,22 +127,12 @@ SweepArgs Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       char* end = nullptr;
       long n = std::strtol(arg + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
+      if (end == nullptr || *end != '\0' || n < 1 || n > INT_MAX) {
         std::fprintf(stderr, "ndc-sweep: --jobs expects a positive integer, got '%s'\n",
                      arg + 7);
         UsageAndExit();
       }
       a.opt.jobs = static_cast<int>(n);
-    } else if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(arg + 14, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
-        std::fprintf(stderr,
-                     "ndc-sweep: --sim-threads expects a positive integer, got '%s'\n",
-                     arg + 14);
-        UsageAndExit();
-      }
-      a.opt.sim_threads = static_cast<int>(n);
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       a.opt.use_cache = false;
     } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
