@@ -172,62 +172,77 @@ BenchResult MixedBench(std::uint64_t events) {
 
 // --- End-to-end component streams ------------------------------------------
 
+// Each stream's callback captures one pointer, which std::function stores
+// inline, so the rows count the component's own allocations, not the
+// bench's.
+
+/// Closed loop of random reads: each completion enqueues another one,
+/// keeping every bank queue busy (the FR-FCFS pick always has material to
+/// scan).
+struct McStream {
+  mem::MemCtrl* mc;
+  sim::Rng rng;
+  std::uint64_t remaining = 0, next_tag = 1;
+
+  void Enqueue() {
+    mc->EnqueueRead(next_tag++, rng.NextBelow(1u << 28) * 64, [this](std::uint64_t, sim::Cycle) {
+      if (remaining == 0) return;
+      --remaining;
+      Enqueue();
+    });
+  }
+};
+
 BenchResult MemCtrlBench(std::uint64_t requests) {
   mem::AddressMap amap;
   mem::DramParams dram;
   sim::EventQueue eq;
   mem::MemCtrl mc(0, amap, dram, eq);
-  sim::Rng rng(7);
-  std::uint64_t remaining = 0;
-  std::uint64_t next_tag = 1;
-  // Closed loop: each completion enqueues another random read, keeping every
-  // bank queue busy (the FR-FCFS pick always has material to scan).
-  std::function<void(std::uint64_t, sim::Cycle)> done = [&](std::uint64_t, sim::Cycle) {
-    if (remaining == 0) return;
-    --remaining;
-    mc.EnqueueRead(next_tag++, rng.NextBelow(1u << 28) * 64, done);
-  };
+  McStream stream{&mc, sim::Rng(7)};
   auto seed = [&] {
-    for (int i = 0; i < 128; ++i) mc.EnqueueRead(next_tag++, rng.NextBelow(1u << 28) * 64, done);
+    for (int i = 0; i < 128; ++i) stream.Enqueue();
   };
-  remaining = requests / 10;
+  stream.remaining = requests / 10;
   seed();
   eq.RunUntilEmpty();
-  remaining = requests;
+  stream.remaining = requests;
   seed();
   return Measure("memctrl_stream", [&] { eq.RunUntilEmpty(); },
                  [&] { return eq.executed(); });
 }
 
+/// Closed loop of random packets: each delivery injects a new one.
+struct NocStream {
+  noc::Network* net;
+  sim::Rng rng;
+  std::uint64_t remaining = 0;
+
+  /// Seed packets are 8 bytes; the loop's packets draw a random size.
+  void Inject(bool random_size) {
+    noc::Packet p;
+    p.src = static_cast<sim::NodeId>(rng.NextBelow(25));
+    p.dst = static_cast<sim::NodeId>(rng.NextBelow(25));
+    if (random_size) p.size_bytes = 8 + static_cast<int>(rng.NextBelow(4)) * 8;
+    net->Send(std::move(p), [this](const noc::Packet&, sim::Cycle) {
+      if (remaining == 0) return;
+      --remaining;
+      Inject(/*random_size=*/true);
+    });
+  }
+};
+
 BenchResult NocBench(std::uint64_t packets) {
   sim::EventQueue eq;
   noc::Mesh mesh(5, 5);
   noc::Network net(mesh, eq);
-  sim::Rng rng(13);
-  std::uint64_t remaining = 0;
-  // Closed loop: each delivery injects a new random packet.
-  std::function<void(const noc::Packet&, sim::Cycle)> deliver =
-      [&](const noc::Packet&, sim::Cycle) {
-        if (remaining == 0) return;
-        --remaining;
-        noc::Packet p;
-        p.src = static_cast<sim::NodeId>(rng.NextBelow(25));
-        p.dst = static_cast<sim::NodeId>(rng.NextBelow(25));
-        p.size_bytes = 8 + static_cast<int>(rng.NextBelow(4)) * 8;
-        net.Send(std::move(p), deliver);
-      };
+  NocStream stream{&net, sim::Rng(13)};
   auto seed = [&] {
-    for (int i = 0; i < 64; ++i) {
-      noc::Packet p;
-      p.src = static_cast<sim::NodeId>(rng.NextBelow(25));
-      p.dst = static_cast<sim::NodeId>(rng.NextBelow(25));
-      net.Send(std::move(p), deliver);
-    }
+    for (int i = 0; i < 64; ++i) stream.Inject(/*random_size=*/false);
   };
-  remaining = packets / 10;
+  stream.remaining = packets / 10;
   seed();
   eq.RunUntilEmpty();
-  remaining = packets;
+  stream.remaining = packets;
   seed();
   return Measure("noc_stream", [&] { eq.RunUntilEmpty(); }, [&] { return eq.executed(); });
 }

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Enforce the substrate performance floors from a BENCH_substrate.json.
 
-Two gates, both measured on the same machine in the same process so they are
+Gates, all measured on the same machine in the same process so they are
 robust to runner speed:
   - the calendar queue must beat the seed binary-heap queue by at least
     --min-speedup on the hot small-delay scheduling path;
   - the hot path must be allocation-free in steady state: the calendar_chain
-    bench may average at most --max-allocs-per-event heap allocations.
+    bench may average at most --max-allocs-per-event heap allocations;
+  - per-row allocation ceilings (allocs/event) for the component streams and
+    the whole machine: memctrl_stream <= 0.01, noc_stream <= 0.01,
+    machine_swim <= 0.05.
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
@@ -15,6 +18,8 @@ Exit: 0 within floors, 1 floor violated, 2 usage/parse errors.
 
 import json
 import sys
+
+ROW_CEILINGS = {"memctrl_stream": 0.01, "noc_stream": 0.01, "machine_swim": 0.05}
 
 
 def main(argv):
@@ -65,6 +70,18 @@ def main(argv):
     else:
         print(f"ok   calendar_chain allocs/event = {allocs:.6f} "
               f"(ceiling {max_allocs})")
+
+    for name, ceiling in sorted(ROW_CEILINGS.items()):
+        if name not in benches:
+            print(f"check_substrate_perf: report lacks {name}", file=sys.stderr)
+            return 2
+        row_allocs = benches[name]["allocs_per_event"]
+        if row_allocs > ceiling:
+            print(f"FAIL {name} allocs/event = {row_allocs:.6f} > ceiling {ceiling}",
+                  file=sys.stderr)
+            ok = False
+        else:
+            print(f"ok   {name} allocs/event = {row_allocs:.6f} (ceiling {ceiling})")
 
     for row in report.get("benches", []):
         print(f"     {row['name']:<24} {row['events_per_sec'] / 1e6:8.2f} Mev/s "

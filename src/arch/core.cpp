@@ -14,7 +14,7 @@ void Core::SetTrace(Trace trace) {
   external_.assign(trace_.size(), false);
   complete_flag_.assign(trace_.size(), false);
   dispatched_.assign(trace_.size(), false);
-  dependents_.assign(trace_.size(), {});
+  waiters_.assign(trace_.size(), WaitLinks{});
   next_ = 0;
   completed_ = 0;
   outstanding_loads_ = 0;
@@ -57,10 +57,15 @@ void Core::Complete(std::uint32_t idx, sim::Cycle when) {
   }
   if (trace_[idx].kind == Instr::Kind::kLoad) --outstanding_loads_;
   finish_cycle_ = std::max(finish_cycle_, when);
-  // Wake dependents that were dispatched while waiting on this slot.
-  std::vector<std::uint32_t> waiters = std::move(dependents_[idx]);
-  dependents_[idx].clear();
-  for (std::uint32_t w : waiters) ResolveWaiter(w);
+  // Wake dependents that were dispatched while waiting on this slot, in the
+  // order they queued.
+  std::uint32_t entry = waiters_[idx].head;
+  waiters_[idx].head = waiters_[idx].tail = WaitLinks::kNone;
+  while (entry != WaitLinks::kNone) {
+    std::uint32_t w = entry >> 1;
+    entry = waiters_[w].next[entry & 1];
+    ResolveWaiter(w);
+  }
   if (when > eq_->now()) {
     eq_->ScheduleAt(when, [this] { TryDispatch(); });
   } else {
@@ -78,6 +83,24 @@ bool Core::DepsDone(const Instr& in, sim::Cycle* ready_at) const {
   }
   *ready_at = ready;
   return true;
+}
+
+void Core::WaitOnPendingDeps(std::uint32_t idx) {
+  const Instr& in = trace_[idx];
+  const std::int32_t deps[2] = {in.dep0, in.dep1};
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    if (deps[k] < 0) continue;
+    auto dep = static_cast<std::size_t>(deps[k]);
+    if (done_[dep] != sim::kNeverCycle) continue;
+    std::uint32_t entry = idx * 2 + k;
+    WaitLinks& list = waiters_[dep];
+    if (list.tail == WaitLinks::kNone) {
+      list.head = entry;
+    } else {
+      waiters_[list.tail >> 1].next[list.tail & 1] = entry;
+    }
+    list.tail = entry;
+  }
 }
 
 void Core::ResolveWaiter(std::uint32_t idx) {
@@ -161,11 +184,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
         port_.IssueStore(id_, idx, in.addr);
         Complete(idx, ready + 1);
       } else {
-        for (std::int32_t dep : {in.dep0, in.dep1}) {
-          if (dep >= 0 && done_[static_cast<std::size_t>(dep)] == sim::kNeverCycle) {
-            dependents_[static_cast<std::size_t>(dep)].push_back(idx);
-          }
-        }
+        WaitOnPendingDeps(idx);
       }
       break;
     case Instr::Kind::kCompute:
@@ -174,11 +193,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
       if (DepsDone(in, &ready)) {
         Complete(idx, ready + cfg_->compute_latency);
       } else {
-        for (std::int32_t dep : {in.dep0, in.dep1}) {
-          if (dep >= 0 && done_[static_cast<std::size_t>(dep)] == sim::kNeverCycle) {
-            dependents_[static_cast<std::size_t>(dep)].push_back(idx);
-          }
-        }
+        WaitOnPendingDeps(idx);
       }
       break;
     case Instr::Kind::kPreCompute:
@@ -193,11 +208,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
       if (DepsDone(in, &ready)) {
         port_.IssueSync(id_, idx, in);
       } else {
-        for (std::int32_t dep : {in.dep0, in.dep1}) {
-          if (dep >= 0 && done_[static_cast<std::size_t>(dep)] == sim::kNeverCycle) {
-            dependents_[static_cast<std::size_t>(dep)].push_back(idx);
-          }
-        }
+        WaitOnPendingDeps(idx);
       }
       break;
   }

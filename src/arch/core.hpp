@@ -77,6 +77,8 @@ class Core {
   /// Dispatch-time handling once the slot's turn comes.
   void DispatchSlot(std::uint32_t idx);
   bool DepsDone(const Instr& in, sim::Cycle* ready_at) const;
+  /// Queues dispatched slot `idx` on each of its deps still outstanding.
+  void WaitOnPendingDeps(std::uint32_t idx);
   void ScheduleRetry(sim::Cycle at);
 
   sim::NodeId id_;
@@ -89,7 +91,16 @@ class Core {
   std::vector<bool> external_;
   std::vector<bool> complete_flag_;
   std::vector<bool> dispatched_;
-  std::vector<std::vector<std::uint32_t>> dependents_;  // dep idx -> waiters
+  /// Dependency waiters as intrusive FIFO lists, one per slot. A list entry
+  /// is `waiter * 2 + k`, meaning `waiter` waits on its k-th dep (dep0 or
+  /// dep1): `head`/`tail` delimit the entries waiting on this slot, and
+  /// `next[k]` links this slot's k-th entry within its dep's list.
+  struct WaitLinks {
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    std::uint32_t head = kNone, tail = kNone;
+    std::uint32_t next[2] = {kNone, kNone};
+  };
+  std::vector<WaitLinks> waiters_;
   std::uint32_t next_ = 0;  // next trace slot to dispatch (in order)
   std::size_t completed_ = 0;
   int outstanding_loads_ = 0;

@@ -26,25 +26,46 @@ void MemCtrl::RegisterMetrics(obs::Registry& reg) {
   m_queue_wait_total_ = reg.counter(prefix + "queue_wait_total");
 }
 
-void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
+void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, const sim::Payload& payload,
                           std::uint64_t obs_token) {
-  assert(tag != kWriteSentinelTag && "kWriteSentinelTag is reserved for writes");
   Request r;
   r.tag = tag;
   r.addr = addr;
-  r.bank = amap_->DramBank(addr);
-  r.row = amap_->DramRow(addr);
+  r.obs_token = obs_token;
+  r.payload = payload;
+  AdmitRead(std::move(r));
+}
+
+void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
+                          std::uint64_t obs_token) {
+  Request r;
+  r.tag = tag;
+  r.addr = addr;
+  r.obs_token = obs_token;
+  r.done = std::move(done);
+  AdmitRead(std::move(r));
+}
+
+void MemCtrl::AdmitRead(Request r) {
+  assert(r.tag != kWriteSentinelTag && "kWriteSentinelTag is reserved for writes");
+  r.bank = amap_->DramBank(r.addr);
+  r.row = amap_->DramRow(r.addr);
   r.is_write = false;
   r.enqueued_at = eq_->now();
-  r.done = std::move(done);
-  r.obs_token = obs_token;
   reads_.Add();
   if constexpr (obs::kObsEnabled) {
     if (m_reads_ != nullptr) m_reads_->Add();
   }
-  ++pending_read_addrs_[addr];
-  if (on_enqueue_) on_enqueue_(tag, addr, eq_->now());
+  if (on_enqueue_) on_enqueue_(r.tag, r.addr, eq_->now());
   Admit(std::move(r));
+}
+
+bool MemCtrl::HasPendingAddr(sim::Addr addr) const {
+  auto b = static_cast<std::size_t>(amap_->DramBank(addr));
+  auto is_read_of = [addr](const Request& r) { return !r.is_write && r.addr == addr; };
+  if (bank_in_flight_[b] && is_read_of(in_service_[b])) return true;
+  const std::vector<Request>& q = bank_queues_[b];
+  return std::any_of(q.begin(), q.end(), is_read_of);
 }
 
 void MemCtrl::EnqueueWrite(sim::Addr addr) {
@@ -62,8 +83,8 @@ void MemCtrl::EnqueueWrite(sim::Addr addr) {
 
 void MemCtrl::Admit(Request r) {
   // Queue-pressure faults delay the request's entry into the transaction
-  // queue; the request is already visible upstream (pending-read index and
-  // enqueue hooks fired at arrival), so NDC meeting checks are unaffected.
+  // queue. The enqueue hook already fired at arrival; HasPendingAddr sees
+  // the request only once it is queued.
   if (pressure_) {
     sim::Cycle extra = pressure_(eq_->now());
     if (extra > 0) {
@@ -84,19 +105,13 @@ void MemCtrl::Enqueue(Request r) {
   TrySchedule();
 }
 
-void MemCtrl::DropPendingRead(sim::Addr addr) {
-  auto it = pending_read_addrs_.find(addr);
-  assert(it != pending_read_addrs_.end());
-  if (--it->second == 0) pending_read_addrs_.erase(it);
-}
-
 void MemCtrl::TrySchedule() {
   // For each idle bank, pick per FR-FCFS: oldest row-hit request for that
   // bank, else the oldest request for that bank. One pass suffices: issuing
   // never frees a bank, so a second pass could not make more progress.
   for (std::size_t b = 0; b < banks_.size(); ++b) {
     if (bank_in_flight_[b]) continue;
-    std::deque<Request>& q = bank_queues_[b];
+    std::vector<Request>& q = bank_queues_[b];
     if (q.empty()) continue;
     BankFault::Effect effect = BankFault::Effect::kNone;
     sim::Cycle nack_backoff = 0;
@@ -128,9 +143,9 @@ void MemCtrl::TrySchedule() {
     if (effect == BankFault::Effect::kNack) {
       // The bank rejects the command; the request re-enters the queue after
       // the backoff with its original arrival time (its queue wait includes
-      // the NACK detour) and without re-firing hooks or the pending-read
-      // index, which both already saw it arrive. Nothing is lost: every
-      // NACK schedules exactly one retry.
+      // the NACK detour) and without re-firing the enqueue hook, which
+      // already saw it arrive. Nothing is lost: every NACK schedules
+      // exactly one retry.
       assert(nack_backoff > 0 && "a NACKed request needs a positive backoff");
       nacks_.Add();
       eq_->ScheduleAfter(nack_backoff, [this, req = std::move(req)]() mutable {
@@ -176,7 +191,6 @@ void MemCtrl::Complete(int bank_idx) {
   Request req = std::move(in_service_[b]);
   bank_in_flight_[b] = false;
   if (!req.is_write) {
-    DropPendingRead(req.addr);
     assert(req.tag != kWriteSentinelTag && "read completed with the write sentinel tag");
     if constexpr (obs::kObsEnabled) {
       if (tracer_ != nullptr && req.obs_token != 0) {
@@ -185,7 +199,11 @@ void MemCtrl::Complete(int bank_idx) {
     }
     ++reads_done_;
     if (on_ready_) on_ready_(req.tag, req.addr, eq_->now());
-    if (req.done) req.done(req.tag, eq_->now());
+    if (req.done) {
+      req.done(req.tag, eq_->now());
+    } else if (on_done_) {
+      on_done_(req.tag, req.addr, req.payload, req.obs_token);
+    }
   } else {
     assert(req.tag == kWriteSentinelTag && "write completed without the sentinel tag");
   }
@@ -212,7 +230,6 @@ void MemCtrl::Reset() {
   for (auto& q : bank_queues_) q.clear();
   for (Request& r : in_service_) r = Request{};
   queued_ = 0;
-  pending_read_addrs_.clear();
   std::fill(bank_wake_until_.begin(), bank_wake_until_.end(), 0);
   reads_.Reset();
   writes_.Reset();

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address_map.hpp"
@@ -40,16 +38,21 @@ struct BankFault {
 /// open row of its bank is scheduled first; if no queued request is a row
 /// hit, the oldest request overall is scheduled.
 ///
-/// Requests are kept in per-bank FIFO deques (a request only ever competes
+/// Requests are kept in per-bank FIFO vectors (a request only ever competes
 /// with requests for its own bank, so per-bank order is all FR-FCFS needs),
-/// and pending read addresses are counted in a hash index, making the
-/// FR-FCFS pick O(that bank's queue) and HasPendingAddr O(1) instead of
-/// full-queue scans.
+/// making the FR-FCFS pick O(that bank's queue). A read carries plain data
+/// (tag, payload, request-trace token); its completion goes to the one done
+/// hook unless the caller passed a DoneFn of its own.
 class MemCtrl {
  public:
-  /// Completion callback: (request tag, data-ready cycle).
+  /// Per-read completion callback: (request tag, data-ready cycle).
   using DoneFn = std::function<void(std::uint64_t, sim::Cycle)>;
-  /// Observation hooks for the NDC engine / recorder.
+  /// Completion handler of every read enqueued without a DoneFn: (tag, addr,
+  /// payload, obs_token). The data-ready cycle is the queue's now().
+  using DoneHook =
+      std::function<void(std::uint64_t tag, sim::Addr, const sim::Payload&, std::uint64_t)>;
+  /// Observation hooks (tests and external observers; the machine installs
+  /// neither).
   using QueueHook = std::function<void(std::uint64_t tag, sim::Addr, sim::Cycle)>;
   /// Fault hooks: bank state when scheduling, extra admission delay under
   /// queue pressure. The controller id is bound by the installer.
@@ -67,10 +70,15 @@ class MemCtrl {
 
   sim::McId id() const { return id_; }
 
-  /// Enqueues a read of `addr`; `done` fires when the data is at the
-  /// controller (before any NoC response hop). `obs_token` identifies the
-  /// originating traced request (0 = untraced). `tag` must not be
-  /// kWriteSentinelTag.
+  /// Enqueues a read of `addr`; when the data is at the controller (before
+  /// any NoC response hop) the done hook receives (tag, addr, payload,
+  /// obs_token). `obs_token` identifies the originating traced request
+  /// (0 = untraced). `tag` must not be kWriteSentinelTag.
+  void EnqueueRead(std::uint64_t tag, sim::Addr addr, const sim::Payload& payload,
+                   std::uint64_t obs_token = 0);
+
+  /// Enqueues a read whose completion goes to `done` instead of the done
+  /// hook.
   void EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
                    std::uint64_t obs_token = 0);
 
@@ -82,12 +90,15 @@ class MemCtrl {
   /// Number of requests currently queued (not yet issued to a bank).
   std::size_t queue_depth() const { return queued_; }
 
-  /// True if a *read* of `addr` is currently sitting in the queue or being
-  /// serviced (used by NDC memory-queue meeting checks). Queued writes do
-  /// not count: a write cannot satisfy an offloaded read's meeting. O(1).
-  bool HasPendingAddr(sim::Addr addr) const {
-    return pending_read_addrs_.find(addr) != pending_read_addrs_.end();
-  }
+  /// True if a *read* of `addr` sits in its bank's queue or is being
+  /// serviced. Queued writes do not count. A read that the pressure hook
+  /// delays, or that a NACK sent into backoff, is not pending until it
+  /// (re-)enters the queue. O(that bank's queue); only tests call it,
+  /// no simulated path does.
+  bool HasPendingAddr(sim::Addr addr) const;
+
+  /// Installs the completion handler of reads enqueued without a DoneFn.
+  void set_done_hook(DoneHook h) { on_done_ = std::move(h); }
 
   /// Hook invoked when a request enters the queue (reads and writes; writes
   /// carry kWriteSentinelTag).
@@ -145,8 +156,9 @@ class MemCtrl {
     std::uint64_t row = 0;
     bool is_write = false;
     sim::Cycle enqueued_at = 0;
-    DoneFn done;
     std::uint64_t obs_token = 0;
+    sim::Payload payload;
+    DoneFn done;  ///< empty unless the caller passed its own
   };
 
   void Admit(Request r);
@@ -155,18 +167,17 @@ class MemCtrl {
   void IssueTo(int bank_idx, Request req);
   void Complete(int bank_idx);
   void MaterializeStats() const;
-  void DropPendingRead(sim::Addr addr);
+  void AdmitRead(Request r);
 
   sim::McId id_;
   const AddressMap* amap_;
   sim::EventQueue* eq_;
   std::vector<DramBank> banks_;
   std::vector<bool> bank_in_flight_;
-  std::vector<std::deque<Request>> bank_queues_;  ///< FIFO per bank
-  std::vector<Request> in_service_;               ///< one slot per bank
-  std::size_t queued_ = 0;                        ///< total across bank_queues_
-  /// addr -> number of pending reads (queued or in service) of that addr.
-  std::unordered_map<sim::Addr, int> pending_read_addrs_;
+  std::vector<std::vector<Request>> bank_queues_;  ///< FIFO per bank
+  std::vector<Request> in_service_;                ///< one slot per bank
+  std::size_t queued_ = 0;                         ///< total across bank_queues_
+  DoneHook on_done_;
   QueueHook on_enqueue_;
   QueueHook on_ready_;
   BankFaultFn bank_fault_;

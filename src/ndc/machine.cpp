@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace ndc::runtime {
 namespace {
 
-// Packet kinds on the NoC.
+// Packet kinds on the NoC. Machine::OnDeliver is the receiver of each.
 constexpr int kReq = 1;         // core -> home L2 bank (8 B)
 constexpr int kRespToCore = 2;  // home L2 bank -> core (L1 line, 64 B)
 constexpr int kReqToMc = 3;     // home L2 bank -> memory controller (8 B)
@@ -41,6 +42,7 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   net_->set_hop_hook([this](noc::Packet& p, sim::LinkId l, sim::Cycle now) {
     return OnHop(p, l, now);
   });
+  net_->set_deliver_hook([this](const noc::Packet& p) { OnDeliver(p); });
   int n = cfg_.num_nodes();
   l1_.reserve(static_cast<std::size_t>(n));
   l2_.reserve(static_cast<std::size_t>(n));
@@ -52,6 +54,10 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   mc_nodes_ = cfg_.McNodes();
   for (int m = 0; m < cfg_.num_mcs; ++m) {
     mcs_.push_back(std::make_unique<mem::MemCtrl>(m, amap_, cfg_.dram, eq_));
+    mcs_.back()->set_done_hook(
+        [this, m](std::uint64_t tag, sim::Addr, const sim::Payload& msg, std::uint64_t rtok) {
+          McDataReady(m, msg, tag, rtok);
+        });
   }
   for (int i = 0; i < n; ++i) {
     cores_.push_back(std::make_unique<arch::Core>(i, cfg_, eq_, *this));
@@ -133,6 +139,7 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
     auto& l2c = load_to_cand_[static_cast<std::size_t>(c)];
     auto& cands = cands_[static_cast<std::size_t>(c)];
     l2c.assign(t.size(), -1);
+    site_to_uid_[static_cast<std::size_t>(c)].assign(t.size(), 0);
     for (std::uint32_t i = 0; i < t.size(); ++i) {
       const arch::Instr& in = t[i];
       bool site = (in.kind == arch::Instr::Kind::kCompute && in.ndc_candidate) ||
@@ -148,8 +155,10 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
       l2c[d0] = cand_id * 2;
       l2c[d1] = cand_id * 2 + 1;
     }
-    future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
-    future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
+    if (opts_.observe) {  // read only by FinalizeRecords
+      future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
+      future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
+    }
     cores_[static_cast<std::size_t>(c)]->SetTrace(std::move(traces[static_cast<std::size_t>(c)]));
   }
 }
@@ -230,9 +239,7 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
     inst = FindInstance(core, cand.site_idx);
     if (inst == nullptr) {
       // First operand load of this site: create the dynamic instance.
-      std::uint64_t uid = next_uid_++;
-      Instance ni;
-      ni.uid = uid;
+      Instance& ni = NewInstance();
       ni.core = core;
       ni.site_idx = cand.site_idx;
       const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
@@ -243,8 +250,9 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
       ni.addr = {cores_[c]->trace()[cand.load_idx[0]].addr,
                  cores_[c]->trace()[cand.load_idx[1]].addr};
       ni.is_precompute = cand.is_precompute;
-      site_to_uid_[c][cand.site_idx] = uid;
-      inst = &instances_.emplace(uid, std::move(ni)).first->second;
+      assert(ni.uid <= UINT32_MAX && "site_to_uid_ holds 32-bit uids");
+      site_to_uid_[c][cand.site_idx] = static_cast<std::uint32_t>(ni.uid);
+      inst = &ni;
     }
     // Second operand load issued? (the other load slot is already past the
     // in-order issue pointer, or it is this very slot when both deps alias).
@@ -285,11 +293,7 @@ void Machine::IssueStore(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   l1_[c]->Access(addr);  // write-through, no-allocate
   sim::NodeId home = amap_.HomeBank(addr);
   eq_.ScheduleAfter(cfg_.l1.access_latency, [this, core, home, addr] {
-    SendLocal(core, home, 64, {}, 0, kWrite, [this, home, addr](const noc::Packet&, sim::Cycle) {
-      // Write-allocate at the L2 home bank (write-back policy; dirty
-      // eviction write-back traffic is not modeled — see DESIGN.md).
-      l2_[static_cast<std::size_t>(home)]->Fill(addr);
-    });
+    SendLocal(core, home, 64, {}, 0, kWrite, sim::Payload{core, home, 0, addr});
   });
 }
 
@@ -324,15 +328,12 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
   req.slot = idx;
   req.issued_at = eq_.now();
   req.grant = [this, engine](const sync::SyncRequest& r, sim::Cycle) {
-    SendLocal(engine, r.core, 8, {}, 0, kSyncResp,
-              [this, core = r.core, slot = r.slot](const noc::Packet&, sim::Cycle) {
-                if (ObsOn()) {
-                  opts_.obs->sink.Instant("ndc.sync.grant", eq_.now(), core, 0);
-                }
-                cores_[static_cast<std::size_t>(core)]->Complete(slot, eq_.now());
-              });
+    SendLocal(engine, r.core, 8, {}, 0, kSyncResp, sim::Payload{r.core, engine, r.slot, r.addr});
   };
-  SendLocal(core, engine, 8, {}, 0, kSyncReq,
+  // The request leg keeps a per-packet closure: the SyncRequest it carries
+  // owns the `grant` function, so it is not plain data. No figure issues
+  // sync ops, so this leg is off the hot path.
+  SendLocal(core, engine, 8, {}, 0, kSyncReq, sim::Payload{core, engine, idx, instr.addr}, 0,
             [this, engine, req = std::move(req)](const noc::Packet&, sim::Cycle) mutable {
               sync_->Enqueue(engine, std::move(req));
             });
@@ -343,13 +344,25 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
 // ---------------------------------------------------------------------------
 
 void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route route,
-                        std::uint64_t tag, int kind, noc::Network::DeliverFn fn,
-                        std::uint64_t rtok) {
+                        std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok,
+                        noc::Network::DeliverFn own) {
   if (from == to) {
-    eq_.ScheduleAfter(cfg_.noc.router_pipeline, [fn = std::move(fn)] {
+    if (own) {
+      eq_.ScheduleAfter(cfg_.noc.router_pipeline, [own = std::move(own)] { own(noc::Packet{}, 0); });
+      return;
+    }
+    auto deliver = [this, to, kind, tag, rtok, msg] {
       noc::Packet p;
-      fn(p, 0);
-    });
+      p.src = p.dst = to;
+      p.tag = tag;
+      p.kind = kind;
+      p.obs_token = rtok;
+      p.payload = msg;
+      OnDeliver(p);
+    };
+    static_assert(sizeof(deliver) <= sim::SmallCallback::kInlineBytes,
+                  "a same-node message must fit an event's inline buffer");
+    eq_.ScheduleAfter(cfg_.noc.router_pipeline, deliver);
     return;
   }
   noc::Packet p;
@@ -360,85 +373,87 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route 
   p.tag = tag;
   p.kind = kind;
   p.obs_token = rtok;
-  net_->Send(std::move(p), std::move(fn));
+  p.payload = msg;
+  net_->Send(std::move(p), std::move(own));
+}
+
+void Machine::OnDeliver(const noc::Packet& p) {
+  const sim::Payload& msg = p.payload;
+  std::uint64_t rtok = p.obs_token;
+  switch (p.kind) {
+    case kReq:
+      AccessL2(msg, p.tag, rtok);
+      return;
+    case kReqToMc:
+      if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kMcEnqueue, eq_.now());
+      mcs_[static_cast<std::size_t>(amap_.Mc(msg.addr))]->EnqueueRead(p.tag, msg.addr, msg, rtok);
+      return;
+    case kRespToHome:
+      if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kHomeRefill, eq_.now());
+      l2_[static_cast<std::size_t>(msg.home)]->Fill(msg.addr);
+      L2DataReady(msg, p.tag, rtok);
+      return;
+    case kRespToCore:
+      DeliverToCore(msg, p.tag, rtok);
+      return;
+    case kWrite:
+      // Write-allocate at the L2 home bank (write-back policy; dirty
+      // eviction write-back traffic is not modeled — see DESIGN.md).
+      l2_[static_cast<std::size_t>(msg.home)]->Fill(msg.addr);
+      return;
+    case kNdcResult:
+      cores_[static_cast<std::size_t>(msg.core)]->Complete(msg.idx, eq_.now());
+      return;
+    case kSyncResp:
+      if (ObsOn()) opts_.obs->sink.Instant("ndc.sync.grant", eq_.now(), msg.core, 0);
+      cores_[static_cast<std::size_t>(msg.core)]->Complete(msg.idx, eq_.now());
+      return;
+    default:
+      assert(false && "kSyncReq packets carry their own DeliverFn");
+      return;
+  }
 }
 
 void Machine::StartL1Miss(sim::NodeId core, std::uint32_t idx, sim::Addr addr, Instance* inst,
                           int operand, std::uint64_t rtok) {
-  (void)operand;
   if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL1Miss, eq_.now());
-  sim::NodeId home = amap_.HomeBank(addr);
+  sim::Payload msg{core, amap_.HomeBank(addr), idx, addr};
   std::uint64_t tag = inst ? Tag(inst->uid, operand) : 0;
-  if (home == core) {
-    AccessL2(home, core, idx, addr, tag, rtok);
+  if (msg.home == core) {
+    AccessL2(msg, tag, rtok);
     return;
   }
-  SendLocal(core, home, 8, {}, tag, kReq,
-            [this, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
-              AccessL2(home, core, idx, addr, tag, rtok);
-            },
-            rtok);
+  SendLocal(core, msg.home, 8, {}, tag, kReq, msg, rtok);
 }
 
-void Machine::AccessL2(sim::NodeId home, sim::NodeId core, std::uint32_t idx, sim::Addr addr,
-                       std::uint64_t tag, std::uint64_t rtok) {
+void Machine::AccessL2(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok) {
   if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kReqAtHome, eq_.now());
-  auto h = static_cast<std::size_t>(home);
+  auto h = static_cast<std::size_t>(msg.home);
   sim::Cycle start = std::max(eq_.now(), l2_busy_until_[h]);
   l2_busy_until_[h] = start + 2;  // bank occupancy (pipelined)
-  bool hit = l2_[h]->Access(addr);
+  bool hit = l2_[h]->Access(msg.addr);
   sim::Cycle ready = start + cfg_.l2.access_latency;
   if (hit) {
-    eq_.ScheduleAt(ready, [this, home, core, idx, addr, tag, rtok] {
+    eq_.ScheduleAt(ready, [this, msg, tag, rtok] {
       if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Hit, eq_.now());
-      L2DataReady(home, core, idx, addr, tag, rtok);
+      L2DataReady(msg, tag, rtok);
     });
     return;
   }
-  eq_.ScheduleAt(ready, [this, home, core, idx, addr, tag, rtok] {
+  eq_.ScheduleAt(ready, [this, msg, tag, rtok] {
     if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Miss, eq_.now());
-    sim::McId m = amap_.Mc(addr);
-    sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(m)];
-    SendLocal(home, mc_node, 8, {}, tag, kReqToMc,
-              [this, m, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
-                if (ObsOn() && rtok != 0) {
-                  opts_.obs->tracer.Stamp(rtok, obs::Stage::kMcEnqueue, eq_.now());
-                }
-                mcs_[static_cast<std::size_t>(m)]->EnqueueRead(
-                    tag, addr,
-                    [this, m, home, core, idx, addr, tag, rtok](std::uint64_t, sim::Cycle) {
-                      McDataReady(m, home, core, idx, addr, tag, rtok);
-                    },
-                    rtok);
-              },
-              rtok);
+    sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(amap_.Mc(msg.addr))];
+    SendLocal(msg.home, mc_node, 8, {}, tag, kReqToMc, msg, rtok);
   });
 }
 
-void Machine::McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std::uint32_t idx,
-                          sim::Addr addr, std::uint64_t tag, std::uint64_t rtok) {
-  sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(mc)];
-  auto forward = [this, mc_node, home, core, idx, addr, tag, rtok] {
-    Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
-    noc::Route route;
-    if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
-      route = inst->route_mc_to_home[static_cast<std::size_t>(TagOperand(tag))];
-    }
-    SendLocal(mc_node, home, 256, std::move(route), tag, kRespToHome,
-              [this, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
-                if (ObsOn() && rtok != 0) {
-                  opts_.obs->tracer.Stamp(rtok, obs::Stage::kHomeRefill, eq_.now());
-                }
-                l2_[static_cast<std::size_t>(home)]->Fill(addr);
-                L2DataReady(home, core, idx, addr, tag, rtok);
-              },
-              rtok);
-  };
-
+void Machine::McDataReady(sim::McId mc, const sim::Payload& msg, std::uint64_t tag,
+                          std::uint64_t rtok) {
   if (tag != 0) {
     if (Instance* inst = InstanceByUid(TagUid(tag))) {
+      sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(mc)];
       int operand = TagOperand(tag);
-      int bank = amap_.DramBank(addr);
+      int bank = amap_.DramBank(msg.addr);
       if (opts_.observe) {
         RecordObs(*inst, operand, Loc::kMemCtrl, mc_node, eq_.now());
         RecordObs(*inst, operand, Loc::kMemBank, mc_node, eq_.now());
@@ -447,23 +462,31 @@ void Machine::McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std:
           (inst->planned == Loc::kMemCtrl || inst->planned == Loc::kMemBank)) {
         int key = inst->planned == Loc::kMemCtrl ? static_cast<int>(mc)
                                                  : static_cast<int>(mc) * 64 + bank;
-        if (OnOperandAtLoc(*inst, operand, inst->planned, mc_node, key, forward)) return;
+        HeldResponse held{HeldResponse::Leg::kMcToHome, mc, msg, tag, rtok};
+        if (OnOperandAtLoc(*inst, operand, inst->planned, mc_node, key, held)) return;
       }
     }
   }
-  forward();
+  ForwardToHome(mc, msg, tag, rtok);
 }
 
-void Machine::L2DataReady(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
-                          sim::Addr addr, std::uint64_t tag, std::uint64_t rtok) {
-  auto forward = [this, home, core, idx, addr, tag, rtok] {
-    SendResponseToCore(home, core, idx, addr, tag, rtok);
-  };
+void Machine::ForwardToHome(sim::McId mc, const sim::Payload& msg, std::uint64_t tag,
+                            std::uint64_t rtok) {
+  Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
+  noc::Route route;
+  if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
+    route = inst->route_mc_to_home[static_cast<std::size_t>(TagOperand(tag))];
+  }
+  SendLocal(mc_nodes_[static_cast<std::size_t>(mc)], msg.home, 256, std::move(route), tag,
+            kRespToHome, msg, rtok);
+}
+
+void Machine::L2DataReady(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok) {
   if (tag != 0) {
     if (Instance* inst = InstanceByUid(TagUid(tag))) {
       int operand = TagOperand(tag);
       if (opts_.observe) {
-        RecordObs(*inst, operand, Loc::kCacheCtrl, home, eq_.now());
+        RecordObs(*inst, operand, Loc::kCacheCtrl, msg.home, eq_.now());
         // Residency check: if the partner operand arrived earlier, is its
         // line still resident now? (Paper: "x is replaced from the L2
         // cache before y reaches there".)
@@ -472,37 +495,33 @@ void Machine::L2DataReady(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
         sim::Cycle t_other = other == 0 ? obs.t_a : obs.t_b;
         if (obs.feasible && t_other != sim::kNeverCycle) {
           sim::Addr other_addr = inst->addr[static_cast<std::size_t>(other)];
-          if (!l2_[static_cast<std::size_t>(home)]->Contains(other_addr)) obs.meet_ok = false;
+          if (!l2_[static_cast<std::size_t>(msg.home)]->Contains(other_addr)) obs.meet_ok = false;
         }
       }
       if (inst->offloaded && inst->planned == Loc::kCacheCtrl) {
-        if (OnOperandAtLoc(*inst, operand, Loc::kCacheCtrl, home, home, forward)) return;
+        HeldResponse held{HeldResponse::Leg::kHomeToCore, 0, msg, tag, rtok};
+        if (OnOperandAtLoc(*inst, operand, Loc::kCacheCtrl, msg.home, msg.home, held)) return;
       }
     }
   }
-  forward();
+  SendResponseToCore(msg, tag, rtok);
 }
 
-void Machine::SendResponseToCore(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
-                                 sim::Addr addr, std::uint64_t tag, std::uint64_t rtok) {
+void Machine::SendResponseToCore(const sim::Payload& msg, std::uint64_t tag,
+                                 std::uint64_t rtok) {
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
   noc::Route route;
   if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
     route = inst->route_home_to_core[static_cast<std::size_t>(TagOperand(tag))];
   }
-  SendLocal(home, core, 64, std::move(route), tag, kRespToCore,
-            [this, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
-              DeliverToCore(core, idx, addr, tag, rtok);
-            },
-            rtok);
+  SendLocal(msg.home, msg.core, 64, std::move(route), tag, kRespToCore, msg, rtok);
 }
 
-void Machine::DeliverToCore(sim::NodeId core, std::uint32_t idx, sim::Addr addr,
-                            std::uint64_t tag, std::uint64_t rtok) {
-  l1_[static_cast<std::size_t>(core)]->Fill(addr);
+void Machine::DeliverToCore(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok) {
+  l1_[static_cast<std::size_t>(msg.core)]->Fill(msg.addr);
   sim::Cycle now = eq_.now();
   if (ObsOn() && rtok != 0) opts_.obs->tracer.Finish(rtok, obs::Stage::kDeliver, now);
-  cores_[static_cast<std::size_t>(core)]->Complete(idx, now);
+  cores_[static_cast<std::size_t>(msg.core)]->Complete(msg.idx, now);
   if (tag != 0) {
     if (Instance* inst = InstanceByUid(TagUid(tag))) {
       OnOperandAtCore(*inst, TagOperand(tag), now);
@@ -732,7 +751,7 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
 }
 
 bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node,
-                             int service_key, std::function<void()> resume) {
+                             int service_key, const HeldResponse& resume) {
   if (inst.at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
     inst.at_planned[static_cast<std::size_t>(operand)] = eq_.now();
     ReportWindow(inst);
@@ -743,7 +762,7 @@ bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId n
       if (inst.waiting_op == other) {
         // The waiting operand's held response is discarded: its data was
         // consumed by the near-data computation.
-        inst.resume = nullptr;
+        inst.resume.leg = HeldResponse::Leg::kNone;
         MeetAndCompute(inst, loc, node);
         return true;
       }
@@ -762,7 +781,7 @@ bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId n
       }
       inst.state = InstState::kWaiting;
       inst.waiting_op = operand;
-      inst.resume = std::move(resume);
+      inst.resume = resume;
       inst.service_key = service_key;
       inst.cur_timeout = inst.timeout;
       inst.retries_used = 0;
@@ -805,10 +824,7 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
   sim::NodeId core = inst.core;
   std::uint32_t site_idx = inst.site_idx;
   eq_.ScheduleAfter(cfg_.compute_latency, [this, node, core, site_idx] {
-    SendLocal(node, core, 8, {}, 0, kNdcResult,
-              [this, core, site_idx](const noc::Packet&, sim::Cycle) {
-                cores_[static_cast<std::size_t>(core)]->Complete(site_idx, eq_.now());
-              });
+    SendLocal(node, core, 8, {}, 0, kNdcResult, sim::Payload{core, node, site_idx, 0});
   });
 }
 
@@ -880,10 +896,14 @@ void Machine::AbortWait(Instance& inst, AbortReason reason) {
   if (inst.held_packet != 0 && net_->IsHeld(inst.held_packet)) {
     net_->Release(inst.held_packet);
     inst.held_packet = 0;
-  } else if (inst.resume) {
-    auto r = std::move(inst.resume);
-    inst.resume = nullptr;
-    r();
+  } else if (inst.resume.leg != HeldResponse::Leg::kNone) {
+    HeldResponse r = inst.resume;
+    inst.resume.leg = HeldResponse::Leg::kNone;
+    if (r.leg == HeldResponse::Leg::kMcToHome) {
+      ForwardToHome(r.mc, r.msg, r.tag, r.rtok);
+    } else {
+      SendResponseToCore(r.msg, r.tag, r.rtok);
+    }
   }
 }
 
@@ -952,15 +972,25 @@ void Machine::ServiceTableRelease(Loc loc, int key) {
 }
 
 Machine::Instance* Machine::FindInstance(sim::NodeId core, std::uint32_t site_idx) {
-  auto& m = site_to_uid_[static_cast<std::size_t>(core)];
-  auto it = m.find(site_idx);
-  if (it == m.end()) return nullptr;
-  return InstanceByUid(it->second);
+  return InstanceByUid(site_to_uid_[static_cast<std::size_t>(core)][site_idx]);
 }
 
 Machine::Instance* Machine::InstanceByUid(std::uint64_t uid) {
-  auto it = instances_.find(uid);
-  return it == instances_.end() ? nullptr : &it->second;
+  if (uid == 0 || uid >= next_uid_) return nullptr;
+  std::uint64_t slot = uid - 1;
+  return &instance_chunks_[slot / kInstancesPerChunk][slot % kInstancesPerChunk];
+}
+
+Machine::Instance& Machine::NewInstance() {
+  static_assert(sizeof(Instance) * kInstancesPerChunk < 128 * 1024,
+                "an instance chunk must stay below glibc's initial mmap threshold");
+  std::uint64_t slot = next_uid_ - 1;
+  if (slot % kInstancesPerChunk == 0) {
+    instance_chunks_.push_back(std::make_unique<Instance[]>(kInstancesPerChunk));
+  }
+  Instance& inst = instance_chunks_[slot / kInstancesPerChunk][slot % kInstancesPerChunk];
+  inst.uid = next_uid_++;
+  return inst;
 }
 
 void Machine::RecordDecision(const Instance& inst, obs::DecisionKind kind,
@@ -1062,8 +1092,8 @@ fault::ConservationInputs Machine::GatherConservation() const {
 
 void Machine::FinalizeRecords(RunResult& result) {
   (void)result;
-  for (auto& [uid, inst] : instances_) {
-    (void)uid;
+  for (std::uint64_t uid = 1; uid < next_uid_; ++uid) {
+    const Instance& inst = *InstanceByUid(uid);
     auto c = static_cast<std::size_t>(inst.core);
     InstanceRecord& rec = records_->Get(inst.core, inst.site_idx);
     rec.core = inst.core;

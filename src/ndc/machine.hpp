@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -143,6 +142,19 @@ class Machine final : public arch::MemoryPort {
 
   enum class InstState { kPending, kWaiting, kComputed, kAborted, kConventional };
 
+  /// A response held at a non-link NDC location, as a plain record of the
+  /// forward it was about to take: MC -> home L2 bank, or home -> core. An
+  /// aborted wait replays it through ForwardToHome / SendResponseToCore; a
+  /// meeting discards it.
+  struct HeldResponse {
+    enum class Leg : std::uint8_t { kNone, kMcToHome, kHomeToCore };
+    Leg leg = Leg::kNone;
+    sim::McId mc = 0;  ///< kMcToHome only
+    sim::Payload msg;
+    std::uint64_t tag = 0;
+    std::uint64_t rtok = 0;
+  };
+
   // One dynamic NDC candidate in flight.
   struct Instance {
     std::uint64_t uid = 0;
@@ -172,7 +184,7 @@ class Machine final : public arch::MemoryPort {
     int waiting_op = -1;
     sim::LinkId held_link = sim::kNoLink;
     std::uint64_t held_packet = 0;
-    std::function<void()> resume;  // held response continuation (non-link locs)
+    HeldResponse resume;  // held response (non-link locs)
     std::uint64_t wait_token = 0;
     int service_key = -1;
 
@@ -192,23 +204,27 @@ class Machine final : public arch::MemoryPort {
   enum class AbortReason { kTimeout, kPartnerDone, kRetriesExhausted };
 
   // -- memory path --
-  // `rtok` is the request-trace token of the load making its way through the
-  // hierarchy (0 = untraced; always 0 when observation is off).
+  // A load making its way through the hierarchy is `msg` (requesting core,
+  // its trace slot, the address and its home bank), its NDC `tag` (0 = not
+  // an operand of a live instance) and `rtok`, its request-trace token
+  // (0 = untraced; always 0 when observation is off).
   void StartL1Miss(sim::NodeId core, std::uint32_t idx, sim::Addr addr, Instance* inst,
                    int operand, std::uint64_t rtok);
-  void AccessL2(sim::NodeId home, sim::NodeId core, std::uint32_t idx, sim::Addr addr,
-                std::uint64_t tag, std::uint64_t rtok);
-  void L2DataReady(sim::NodeId home, sim::NodeId core, std::uint32_t idx, sim::Addr addr,
-                   std::uint64_t tag, std::uint64_t rtok);
-  void McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std::uint32_t idx,
-                   sim::Addr addr, std::uint64_t tag, std::uint64_t rtok);
-  void SendResponseToCore(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
-                          sim::Addr addr, std::uint64_t tag, std::uint64_t rtok);
-  void DeliverToCore(sim::NodeId core, std::uint32_t idx, sim::Addr addr, std::uint64_t tag,
+  void AccessL2(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
+  void L2DataReady(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
+  void McDataReady(sim::McId mc, const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
+  void ForwardToHome(sim::McId mc, const sim::Payload& msg, std::uint64_t tag,
                      std::uint64_t rtok);
+  void SendResponseToCore(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
+  void DeliverToCore(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
+  /// Sends a message of `kind` to `to`; on arrival OnDeliver dispatches it
+  /// (or `own`, when given). A same-node message skips the network but
+  /// still pays one router pipeline transit.
   void SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route route,
-                 std::uint64_t tag, int kind, noc::Network::DeliverFn fn,
-                 std::uint64_t rtok = 0);
+                 std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok = 0,
+                 noc::Network::DeliverFn own = {});
+  /// The one receiver of the machine's messages: dispatches on packet kind.
+  void OnDeliver(const noc::Packet& p);
 
   // -- NDC engine --
   void OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Addr a, sim::Addr b);
@@ -218,7 +234,7 @@ class Machine final : public arch::MemoryPort {
   /// Operand data became available at a non-link location. Returns true if
   /// the machine should NOT forward the data onward (held or consumed).
   bool OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node, int service_key,
-                      std::function<void()> resume);
+                      const HeldResponse& resume);
   void MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node);
   /// Arms (or re-arms) the wait-timeout timer for a waiting instance using
   /// its current (possibly backed-off) window.
@@ -236,6 +252,8 @@ class Machine final : public arch::MemoryPort {
 
   Instance* FindInstance(sim::NodeId core, std::uint32_t site_idx);
   Instance* InstanceByUid(std::uint64_t uid);
+  /// Appends a fresh instance to the slab and assigns it the next uid.
+  Instance& NewInstance();
 
   void FinalizeRecords(RunResult& result);
 
@@ -268,9 +286,17 @@ class Machine final : public arch::MemoryPort {
   std::vector<std::vector<bool>> future_reuse_;     // per core/slot, L1-line grain
   std::vector<std::vector<bool>> future_reuse_l2_;  // per core/slot, L2-line grain
 
-  // Live instances keyed by (core, site trace slot) and by uid.
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> site_to_uid_;
-  std::unordered_map<std::uint64_t, Instance> instances_;
+  // Instances live in a slab indexed by uid - 1, in fixed chunks that are
+  // never freed or moved during a run (pointers stay valid). A chunk stays
+  // below glibc's 128 KiB initial mmap threshold: a larger block would be
+  // mmapped and, once freed, raise the dynamic threshold and with it the
+  // heap's peak RSS.
+  static constexpr std::size_t kInstancesPerChunk = 128;
+  std::vector<std::unique_ptr<Instance[]>> instance_chunks_;
+  // Per core, site trace slot -> uid of its instance (0 = none yet). Uids
+  // are stored in 32 bits, so a run may create at most 2^32 - 1 instances
+  // (asserted where a uid is stored).
+  std::vector<std::vector<std::uint32_t>> site_to_uid_;
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_wait_token_ = 1;
 

@@ -69,7 +69,12 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
   if (p.hop >= p.route.size()) {
     eq_.ScheduleAfter(params_.router_pipeline, [this, f] {
       ++delivered_;
-      f->deliver(f->packet, 0);
+      if (f->deliver) {
+        f->deliver(f->packet, 0);
+      } else {
+        assert(deliver_hook_ && "a packet without a DeliverFn needs a delivery hook");
+        deliver_hook_(f->packet);
+      }
       ReleaseFlight(f);
     });
     return;

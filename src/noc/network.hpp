@@ -25,7 +25,8 @@ struct NetworkParams {
 
 /// A message traversing the NoC. `route` is fixed at injection time (the
 /// compiler may have selected a non-default minimal route; hardware default
-/// is X-Y).
+/// is X-Y). `tag`, `kind`, `obs_token` and `payload` are plain data the
+/// network carries unchanged to the receiver.
 struct Packet {
   std::uint64_t id = 0;       ///< assigned by Network::Send
   sim::NodeId src = 0;
@@ -36,6 +37,7 @@ struct Packet {
   std::uint64_t tag = 0;      ///< opaque user tag (e.g. memory request id)
   int kind = 0;               ///< opaque user kind
   std::uint64_t obs_token = 0;  ///< request-trace token (0 = untraced)
+  sim::Payload payload;         ///< opaque user payload
 };
 
 /// What a hop hook tells the network to do with a packet that just arrived
@@ -63,6 +65,8 @@ struct LinkFault {
 class Network {
  public:
   using DeliverFn = std::function<void(const Packet&, sim::Cycle)>;
+  /// The one receiver of every packet sent without a DeliverFn of its own.
+  using DeliverHook = std::function<void(const Packet&)>;
   /// Called when `packet` is at the router about to traverse `link`.
   using HopHook = std::function<HopAction(Packet&, sim::LinkId, sim::Cycle)>;
   /// Called per link traversal attempt when installed; returns the fault
@@ -75,8 +79,9 @@ class Network {
   const NetworkParams& params() const { return params_; }
 
   /// Injects a packet. If `p.route` is empty and src != dst, the default
-  /// X-Y route is used. Returns the packet id.
-  std::uint64_t Send(Packet p, DeliverFn on_deliver);
+  /// X-Y route is used. On arrival the packet goes to `on_deliver` if one
+  /// is given, else to the delivery hook. Returns the packet id.
+  std::uint64_t Send(Packet p, DeliverFn on_deliver = {});
 
   /// Resumes a packet previously held by the hop hook. No-op if the id is
   /// unknown (e.g. already squashed).
@@ -89,11 +94,14 @@ class Network {
 
   void set_hop_hook(HopHook hook) { hop_hook_ = std::move(hook); }
 
+  /// Installs the receiver of packets sent without a DeliverFn.
+  void set_deliver_hook(DeliverHook hook) { deliver_hook_ = std::move(hook); }
+
   /// Installs a link-fault hook (empty schedule => never install one: the
   /// hook-less traversal path is byte-identical to the pre-fault network).
   void set_link_fault_hook(LinkFaultFn hook) { link_fault_ = std::move(hook); }
 
-  /// Packets handed to their DeliverFn so far (conservation checks:
+  /// Packets handed to their receiver so far (conservation checks:
   /// packets == delivered + squashed). Plain accessor — deliberately never
   /// materialized into stats() so golden StatSet dumps are unchanged.
   std::uint64_t delivered_count() const { return delivered_; }
@@ -139,12 +147,12 @@ class Network {
   }
 
  private:
-  /// Pooled per-packet in-flight state. Hop events capture only {this,
-  /// Flight*} (which fits a SmallCallback's inline buffer), so a hop
-  /// schedules nothing on the heap; the seed implementation instead moved
-  /// the whole Packet + DeliverFn into a fresh std::function per hop.
-  /// Flights are recycled through a free list; their route vectors keep
-  /// their capacity across reuse.
+  /// Pooled per-packet in-flight state: the packet and, only when the
+  /// sender passed one, its own DeliverFn (packets for the delivery hook
+  /// carry none). Hop events capture only {this, Flight*}, which fits a
+  /// SmallCallback's inline buffer, so a hop allocates nothing. Flights are
+  /// recycled through a free list; their route vectors keep their capacity
+  /// across reuse.
   struct Flight {
     Packet packet;
     DeliverFn deliver;
@@ -168,6 +176,7 @@ class Network {
   sim::EventQueue& eq_;
   NetworkParams params_;
   HopHook hop_hook_;
+  DeliverHook deliver_hook_;
   LinkFaultFn link_fault_;
   obs::RequestTracer* tracer_ = nullptr;
   obs::WindowSampler* sampler_ = nullptr;

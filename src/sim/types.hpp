@@ -28,4 +28,17 @@ inline constexpr Cycle kNeverCycle = std::numeric_limits<Cycle>::max();
 inline constexpr NodeId kNoNode = -1;
 inline constexpr LinkId kNoLink = -1;
 
+/// Plain-data payload of one message (a NoC packet or a memory-controller
+/// read): which core's trace slot it serves and which line it concerns.
+/// The receiver dispatches on the message's kind and reads these fields, so
+/// no message needs a closure of its own.
+struct Payload {
+  NodeId core = 0;        ///< core whose trace slot the message serves
+  NodeId home = 0;        ///< L2 home bank of `addr`
+  std::uint32_t idx = 0;  ///< trace slot the message completes
+  Addr addr = 0;          ///< line address the message concerns
+
+  friend bool operator==(const Payload&, const Payload&) = default;
+};
+
 }  // namespace ndc::sim

@@ -114,6 +114,52 @@ TEST_F(CoreFixture, ComputeCompletesAtMaxOfDeps) {
   EXPECT_EQ(core->done_cycle(2), core->done_cycle(1) + cfg.compute_latency);
 }
 
+TEST_F(CoreFixture, DependentsOfOneSlotWakeInDispatchOrder) {
+  // Four stores wait on load 0, two of them through dep1 (one also waits on
+  // load 1, which returns first). When load 0 returns they must wake in the
+  // order they dispatched, all in the same cycle.
+  port.per_addr_latency[0] = 100;
+  port.per_addr_latency[4096] = 30;
+  Trace t;
+  t.push_back(MakeLoad(0));        // 0
+  t.push_back(MakeLoad(4096));     // 1
+  t.push_back(MakeStore(8192, 0));  // 2
+  t.push_back(MakeStore(8200, 1));  // 3: waits on 1 and 0
+  t[3].dep1 = 0;
+  t.push_back(MakeStore(8208, 0));  // 4
+  t.push_back(MakeStore(8216));     // 5: waits on 0 through dep1
+  t[5].dep1 = 0;
+  Run(std::move(t));
+  EXPECT_TRUE(core->finished());
+  ASSERT_EQ(port.issued_stores.size(), 4u);
+  std::vector<std::uint32_t> order;
+  for (const auto& [when, idx] : port.issued_stores) {
+    EXPECT_EQ(when, core->done_cycle(0));
+    order.push_back(idx);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 3, 4, 5}));
+}
+
+TEST_F(CoreFixture, WaiterOnTwoPendingDepsResolvesAfterTheSecond) {
+  // dep0 returns last: the first wake-up (from dep1) must not resolve the
+  // compute or the store.
+  port.per_addr_latency[0] = 120;
+  port.per_addr_latency[4096] = 40;
+  Trace t;
+  t.push_back(MakeLoad(0));                         // 0: slow
+  t.push_back(MakeLoad(4096));                      // 1: fast
+  t.push_back(MakeCompute(Op::kAdd, 0, 1, false));  // 2
+  t.push_back(MakeStore(8192, 1));                  // 3: waits on 1 and 0
+  t[3].dep1 = 0;
+  Run(std::move(t));
+  EXPECT_TRUE(core->finished());
+  EXPECT_EQ(core->done_cycle(0), 120u);
+  EXPECT_EQ(core->done_cycle(1), 40u);
+  EXPECT_EQ(core->done_cycle(2), 120u + cfg.compute_latency);
+  ASSERT_EQ(port.issued_stores.size(), 1u);
+  EXPECT_EQ(port.issued_stores[0].first, 120u);
+}
+
 TEST_F(CoreFixture, StoreWaitsForItsValue) {
   port.latency = 60;
   Trace t;

@@ -6,6 +6,7 @@
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
+#include "fault/conservation.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 
@@ -231,6 +232,58 @@ TEST(MachineNdc, ControlRegisterZeroMeansConventional) {
   RunResult r = m.Run();
   EXPECT_EQ(r.offloads, 0u);
   EXPECT_TRUE(m.l1(6).Contains(kA));
+}
+
+// 300 pre-compute sites on one core: more instances than one slab chunk
+// holds. Even sites pair two lines of one DRAM page and plan the MC; odd
+// sites pair two lines of one L2 home bank and plan the cache controller.
+// Every other site of each kind gets a 1-cycle time-out, so its held
+// response is replayed (MC -> home, or home -> core).
+Trace ManySitesTrace(int sites) {
+  Trace t;
+  for (int i = 0; i < sites; ++i) {
+    auto base = static_cast<std::int32_t>(t.size());
+    sim::Addr a, b;
+    Loc loc;
+    if (i % 2 == 0) {
+      a = static_cast<sim::Addr>(16 + i) * 4096;
+      b = a + 512;
+      loc = Loc::kMemCtrl;
+    } else {
+      a = (1ull << 24) + static_cast<sim::Addr>(i) * 2 * 256 * 25;
+      b = a + 256 * 25;
+      loc = Loc::kCacheCtrl;
+    }
+    sim::Cycle timeout = i % 4 < 2 ? 1 : 4000;
+    t.push_back(MakeLoad(a));
+    t.push_back(MakeLoad(b));
+    t.push_back(MakePreCompute(Op::kAdd, base, base + 1, loc, timeout));
+  }
+  return t;
+}
+
+TEST(MachineNdc, InstancesBeyondOneSlabChunkConserveRequests) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  m.LoadProgram(Program1(12, ManySitesTrace(300)));
+  RunResult r = m.Run();
+  EXPECT_EQ(r.candidates, 300u);
+  EXPECT_GT(r.ndc_success, 0u);
+  EXPECT_GT(r.fallbacks, 0u);
+  EXPECT_GT(r.ndc_at_loc[static_cast<std::size_t>(Loc::kMemCtrl)], 0u);
+  EXPECT_GT(r.ndc_at_loc[static_cast<std::size_t>(Loc::kCacheCtrl)], 0u);
+  EXPECT_EQ(r.offloads, r.ndc_success + r.fallbacks);
+  fault::ConservationReport rep = fault::CheckConservation(m.GatherConservation());
+  EXPECT_TRUE(rep.ok) << rep.ToString();
+
+  MachineOptions opts;
+  opts.observe = true;
+  Machine obs(cfg, opts);
+  obs.LoadProgram(Program1(12, ManySitesTrace(300)));
+  RunResult ro = obs.Run();
+  ASSERT_NE(ro.records, nullptr);
+  EXPECT_EQ(ro.records->TotalInstances(), 300u);
+  EXPECT_TRUE(fault::CheckConservation(obs.GatherConservation()).ok);
 }
 
 }  // namespace

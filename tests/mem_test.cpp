@@ -205,6 +205,47 @@ TEST_F(McFixture, PendingAddrVisibleInQueue) {
   EXPECT_FALSE(mc->HasPendingAddr(0x42000));
 }
 
+TEST_F(McFixture, DoneHookReceivesTagAddrPayloadAndToken) {
+  struct Done {
+    std::uint64_t tag;
+    sim::Addr addr;
+    sim::Payload payload;
+    std::uint64_t token;
+    sim::Cycle at;
+  };
+  std::vector<Done> got;
+  mc->set_done_hook([&](std::uint64_t tag, sim::Addr addr, const sim::Payload& p,
+                        std::uint64_t token) { got.push_back({tag, addr, p, token, eq.now()}); });
+  const sim::Payload payload{4, 11, 17, 0x3000};
+  mc->EnqueueRead(7, 0x3000, payload, 23);
+  // A read with its own DoneFn bypasses the hook.
+  int own = 0;
+  mc->EnqueueRead(8, 16384, [&](std::uint64_t, sim::Cycle) { ++own; });
+  eq.RunUntilEmpty();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].tag, 7u);
+  EXPECT_EQ(got[0].addr, 0x3000u);
+  EXPECT_EQ(got[0].payload, payload);
+  EXPECT_EQ(got[0].token, 23u);
+  EXPECT_EQ(got[0].at, dram.row_miss_latency);
+  EXPECT_EQ(own, 1);
+}
+
+TEST_F(McFixture, PressureDelayedReadIsPendingOnlyOnceQueued) {
+  // Contract: HasPendingAddr reports reads in the bank queue or in service.
+  // A read the pressure hook delays is not pending until it is admitted.
+  mc->set_pressure_hook([](sim::Cycle now) -> sim::Cycle { return now == 0 ? 100 : 0; });
+  mc->EnqueueRead(1, 0x42000, [](std::uint64_t, sim::Cycle) {});
+  EXPECT_FALSE(mc->HasPendingAddr(0x42000));
+  eq.RunUntilEmpty(99);
+  EXPECT_FALSE(mc->HasPendingAddr(0x42000));
+  eq.RunUntilEmpty(100);
+  EXPECT_TRUE(mc->HasPendingAddr(0x42000));
+  eq.RunUntilEmpty();
+  EXPECT_FALSE(mc->HasPendingAddr(0x42000));
+  EXPECT_EQ(mc->reads_done_count(), 1u);
+}
+
 TEST_F(McFixture, QueuedWriteIsNotAPendingRead) {
   // Regression: HasPendingAddr() used to report queued *writes* too, so the
   // NDC engine could offload a read expecting to "meet" data in the memory
@@ -256,7 +297,8 @@ TEST(McDeathTest, ReadWithWriteSentinelTagAssertsInDebugBuilds) {
 
 TEST_F(McFixture, PendingAddrCountsDuplicateReads) {
   // Two reads of one address: the address stays pending until the *last*
-  // read completes (the index counts, it does not just flag).
+  // read completes (the scan finds the duplicate still in the bank queue
+  // or in service after the first read's completion).
   std::vector<bool> pending_at_done;
   auto cb = [&](std::uint64_t, sim::Cycle) {
     pending_at_done.push_back(mc->HasPendingAddr(0));

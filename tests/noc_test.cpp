@@ -279,5 +279,54 @@ TEST(Network, SquashConsumesPacket) {
   EXPECT_EQ(net.stats().Get("noc.squashes"), 1u);
 }
 
+TEST(Network, DeliverHookReceivesPayloadUnchangedAcrossHops) {
+  sim::EventQueue eq;
+  Mesh m(5, 5);
+  Network net(m, eq);
+  std::vector<Packet> got;
+  net.set_deliver_hook([&](const Packet& p) { got.push_back(p); });
+  const sim::Payload sent{3, 7, 42, 0xDEAD40};
+  Packet p;
+  p.src = 0;
+  p.dst = 24;  // 8 hops
+  p.tag = 99;
+  p.kind = 4;
+  p.obs_token = 5;
+  p.payload = sent;
+  // A second packet first takes the pooled flight, so the payload must not
+  // leak across reuse either.
+  Packet q;
+  q.src = 1;
+  q.dst = 2;
+  q.payload = sim::Payload{9, 9, 9, 9};
+  net.Send(q);
+  eq.RunUntilEmpty();
+  net.Send(p);
+  eq.RunUntilEmpty();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].payload, sent);
+  EXPECT_EQ(got[1].tag, 99u);
+  EXPECT_EQ(got[1].kind, 4);
+  EXPECT_EQ(got[1].obs_token, 5u);
+  EXPECT_EQ(got[1].hop, 8u);
+  EXPECT_EQ(net.delivered_count(), 2u);
+}
+
+TEST(Network, OwnDeliverFnTakesPrecedenceOverHook) {
+  sim::EventQueue eq;
+  Mesh m(5, 5);
+  Network net(m, eq);
+  int hooked = 0, own = 0;
+  net.set_deliver_hook([&](const Packet&) { ++hooked; });
+  Packet p;
+  p.src = 0;
+  p.dst = 6;
+  net.Send(p, [&](const Packet&, sim::Cycle) { ++own; });
+  net.Send(p);
+  eq.RunUntilEmpty();
+  EXPECT_EQ(own, 1);
+  EXPECT_EQ(hooked, 1);
+}
+
 }  // namespace
 }  // namespace ndc::noc
