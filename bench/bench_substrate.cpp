@@ -12,9 +12,11 @@
 // this translation unit, sampled after a warmup pass so one-time pool/bucket
 // growth is excluded (steady-state behaviour is what the floor is about).
 //
-// The report also carries one whole-machine row, "machine_swim": a full
-// sequential Machine run of a fig04 grid workload, so the layer table ends
-// with the ns/event and allocs/event of the assembled simulator.
+// The report also carries two whole-machine rows: "machine_swim", a full
+// sequential Machine run of a fig04 grid workload, and "machine_offload",
+// the same run with the NDC engine offloading under the Default
+// always-wait policy, so the layer table ends with the ns/event and
+// allocs/event of the assembled simulator with and without NDC traffic.
 //
 // Usage: bench_substrate [--events=N] [--out=FILE]
 
@@ -33,6 +35,7 @@
 #include "mem/memctrl.hpp"
 #include "metrics/experiment.hpp"
 #include "ndc/machine.hpp"
+#include "ndc/policy.hpp"
 #include "noc/geometry.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
@@ -250,13 +253,17 @@ BenchResult NocBench(std::uint64_t packets) {
 // --- Whole machine ----------------------------------------------------------
 // One full machine run of the swim stencil (a fig04 grid workload) at small
 // scale over freshly built traces; workload build + lowering stay off the
-// clock.
+// clock. With `offload`, the NDC engine offloads every feasible candidate
+// under the Default always-wait policy (holds, waits, planned routes).
 
-BenchResult MachineBench(const char* name) {
+BenchResult MachineBench(const char* name, bool offload) {
   arch::ArchConfig cfg;
   metrics::Experiment e("swim", workloads::Scale::kSmall, cfg, 1);
   const std::vector<arch::Trace>& traces = e.BaselineTraces();
-  runtime::Machine m(cfg);
+  runtime::AlwaysWaitPolicy policy(cfg);
+  runtime::MachineOptions opts;
+  if (offload) opts.policy = &policy;
+  runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
   std::uint64_t events = 0;
   return Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
@@ -321,8 +328,9 @@ int Main(int argc, char** argv) {
                        ? rows[0].events_per_sec() / rows[1].events_per_sec()
                        : 0.0;
 
-  MachineBench("machine_swim_warmup");  // page-in + pool growth
-  rows.push_back(MachineBench("machine_swim"));
+  MachineBench("machine_swim_warmup", false);  // page-in + pool growth
+  rows.push_back(MachineBench("machine_swim", false));
+  rows.push_back(MachineBench("machine_offload", true));
 
   std::printf("# bench_substrate  (events=%llu)\n",
               static_cast<unsigned long long>(events));

@@ -9,7 +9,7 @@ robust to runner speed:
     bench may average at most --max-allocs-per-event heap allocations;
   - per-row allocation ceilings (allocs/event) for the component streams and
     the whole machine: memctrl_stream <= 0.01, noc_stream <= 0.01,
-    machine_swim <= 0.05.
+    machine_swim <= 0.05, machine_offload <= 0.05.
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
@@ -19,7 +19,8 @@ Exit: 0 within floors, 1 floor violated, 2 usage/parse errors.
 import json
 import sys
 
-ROW_CEILINGS = {"memctrl_stream": 0.01, "noc_stream": 0.01, "machine_swim": 0.05}
+ROW_CEILINGS = {"memctrl_stream": 0.01, "noc_stream": 0.01, "machine_swim": 0.05,
+                "machine_offload": 0.05}
 
 
 def main(argv):

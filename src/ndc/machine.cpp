@@ -293,7 +293,7 @@ void Machine::IssueStore(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   l1_[c]->Access(addr);  // write-through, no-allocate
   sim::NodeId home = amap_.HomeBank(addr);
   eq_.ScheduleAfter(cfg_.l1.access_latency, [this, core, home, addr] {
-    SendLocal(core, home, 64, {}, 0, kWrite, sim::Payload{core, home, 0, addr});
+    SendLocal(core, home, 64, noc::kXyRoute, 0, kWrite, sim::Payload{core, home, 0, addr});
   });
 }
 
@@ -328,12 +328,14 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
   req.slot = idx;
   req.issued_at = eq_.now();
   req.grant = [this, engine](const sync::SyncRequest& r, sim::Cycle) {
-    SendLocal(engine, r.core, 8, {}, 0, kSyncResp, sim::Payload{r.core, engine, r.slot, r.addr});
+    SendLocal(engine, r.core, 8, noc::kXyRoute, 0, kSyncResp,
+              sim::Payload{r.core, engine, r.slot, r.addr});
   };
   // The request leg keeps a per-packet closure: the SyncRequest it carries
   // owns the `grant` function, so it is not plain data. No figure issues
   // sync ops, so this leg is off the hot path.
-  SendLocal(core, engine, 8, {}, 0, kSyncReq, sim::Payload{core, engine, idx, instr.addr}, 0,
+  SendLocal(core, engine, 8, noc::kXyRoute, 0, kSyncReq,
+            sim::Payload{core, engine, idx, instr.addr}, 0,
             [this, engine, req = std::move(req)](const noc::Packet&, sim::Cycle) mutable {
               sync_->Enqueue(engine, std::move(req));
             });
@@ -343,7 +345,7 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
 // Memory path
 // ---------------------------------------------------------------------------
 
-void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route route,
+void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::RouteId route,
                         std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok,
                         noc::Network::DeliverFn own) {
   if (from == to) {
@@ -369,7 +371,7 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route 
   p.src = from;
   p.dst = to;
   p.size_bytes = bytes;
-  p.route = std::move(route);
+  p.route = route;
   p.tag = tag;
   p.kind = kind;
   p.obs_token = rtok;
@@ -423,7 +425,7 @@ void Machine::StartL1Miss(sim::NodeId core, std::uint32_t idx, sim::Addr addr, I
     AccessL2(msg, tag, rtok);
     return;
   }
-  SendLocal(core, msg.home, 8, {}, tag, kReq, msg, rtok);
+  SendLocal(core, msg.home, 8, noc::kXyRoute, tag, kReq, msg, rtok);
 }
 
 void Machine::AccessL2(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok) {
@@ -443,7 +445,7 @@ void Machine::AccessL2(const sim::Payload& msg, std::uint64_t tag, std::uint64_t
   eq_.ScheduleAt(ready, [this, msg, tag, rtok] {
     if (ObsOn() && rtok != 0) opts_.obs->tracer.Stamp(rtok, obs::Stage::kL2Miss, eq_.now());
     sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(amap_.Mc(msg.addr))];
-    SendLocal(msg.home, mc_node, 8, {}, tag, kReqToMc, msg, rtok);
+    SendLocal(msg.home, mc_node, 8, noc::kXyRoute, tag, kReqToMc, msg, rtok);
   });
 }
 
@@ -473,11 +475,11 @@ void Machine::McDataReady(sim::McId mc, const sim::Payload& msg, std::uint64_t t
 void Machine::ForwardToHome(sim::McId mc, const sim::Payload& msg, std::uint64_t tag,
                             std::uint64_t rtok) {
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
-  noc::Route route;
+  noc::RouteId route = noc::kXyRoute;
   if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
     route = inst->route_mc_to_home[static_cast<std::size_t>(TagOperand(tag))];
   }
-  SendLocal(mc_nodes_[static_cast<std::size_t>(mc)], msg.home, 256, std::move(route), tag,
+  SendLocal(mc_nodes_[static_cast<std::size_t>(mc)], msg.home, 256, route, tag,
             kRespToHome, msg, rtok);
 }
 
@@ -510,11 +512,11 @@ void Machine::L2DataReady(const sim::Payload& msg, std::uint64_t tag, std::uint6
 void Machine::SendResponseToCore(const sim::Payload& msg, std::uint64_t tag,
                                  std::uint64_t rtok) {
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
-  noc::Route route;
+  noc::RouteId route = noc::kXyRoute;
   if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
     route = inst->route_home_to_core[static_cast<std::size_t>(TagOperand(tag))];
   }
-  SendLocal(msg.home, msg.core, 64, std::move(route), tag, kRespToCore, msg, rtok);
+  SendLocal(msg.home, msg.core, 64, route, tag, kRespToCore, msg, rtok);
 }
 
 void Machine::DeliverToCore(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok) {
@@ -630,33 +632,27 @@ std::uint8_t Machine::ComputeFeasibility(Instance& inst) {
     if (amap_.DramBank(a) == amap_.DramBank(b)) mask |= arch::LocBit(Loc::kMemBank);
   }
   bool reroute = inst.is_precompute && cfg_.allow_reroute && !opts_.observe;
-  const noc::RoutePair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
+  const noc::RouteIdPair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
   bool link = p1.shared_links > 0;
   if (!link) {
     sim::NodeId mna = mc_nodes_[static_cast<std::size_t>(ma)];
     sim::NodeId mnb = mc_nodes_[static_cast<std::size_t>(mb)];
-    const noc::RoutePair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
+    const noc::RouteIdPair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
     link = p2.shared_links > 0;
   }
   if (link) mask |= arch::LocBit(Loc::kLinkBuffer);
   return mask;
 }
 
-const noc::RoutePair& Machine::OverlapFor(sim::NodeId a_src, sim::NodeId a_dst,
-                                          sim::NodeId b_src, sim::NodeId b_dst, bool reroute) {
+const noc::RouteIdPair& Machine::OverlapFor(sim::NodeId a_src, sim::NodeId a_dst,
+                                            sim::NodeId b_src, sim::NodeId b_dst, bool reroute) {
   std::uint64_t key = QuadKey(a_src, a_dst, b_src, b_dst, reroute);
   auto it = route_pairs_.find(key);
   if (it != route_pairs_.end()) return it->second;
-  noc::RoutePair p;
-  if (reroute) {
-    p = noc::MaxOverlapRoutes(mesh_, a_src, a_dst, b_src, b_dst);
-  } else {
-    p.a = noc::XyRoute(mesh_, a_src, a_dst);
-    p.b = noc::XyRoute(mesh_, b_src, b_dst);
-    p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
-    p.shared_links = p.shared.Popcount();
-  }
-  return route_pairs_.emplace(key, std::move(p)).first->second;
+  noc::RouteTable& routes = net_->routes();
+  noc::RouteIdPair p = reroute ? routes.MaxOverlapPair(a_src, a_dst, b_src, b_dst)
+                               : routes.XyPair(a_src, a_dst, b_src, b_dst);
+  return route_pairs_.emplace(key, p).first->second;
 }
 
 void Machine::PlanRoutes(Instance& inst) {
@@ -665,22 +661,22 @@ void Machine::PlanRoutes(Instance& inst) {
   sim::McId ma = amap_.Mc(inst.addr[0]), mb = amap_.Mc(inst.addr[1]);
   sim::NodeId mna = mc_nodes_[static_cast<std::size_t>(ma)];
   sim::NodeId mnb = mc_nodes_[static_cast<std::size_t>(mb)];
-  const noc::RoutePair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
-  const noc::RoutePair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
+  const noc::RouteIdPair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
+  const noc::RouteIdPair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
   inst.route_home_to_core = {p1.a, p1.b};
   inst.route_mc_to_home = {p2.a, p2.b};
-  inst.shared_links = p1.shared.Union(p2.shared);
   // Observation timing link: the first shared link along operand A's
   // home->core route, falling back to the MC segment.
+  const noc::RouteTable& routes = net_->routes();
   inst.obs_link = sim::kNoLink;
-  for (sim::LinkId l : p1.a) {
+  for (sim::LinkId l : routes.Links(p1.a)) {
     if (p1.shared.Test(l)) {
       inst.obs_link = l;
       break;
     }
   }
   if (inst.obs_link == sim::kNoLink) {
-    for (sim::LinkId l : p2.a) {
+    for (sim::LinkId l : routes.Links(p2.a)) {
       if (p2.shared.Test(l)) {
         inst.obs_link = l;
         break;
@@ -824,7 +820,7 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
   sim::NodeId core = inst.core;
   std::uint32_t site_idx = inst.site_idx;
   eq_.ScheduleAfter(cfg_.compute_latency, [this, node, core, site_idx] {
-    SendLocal(node, core, 8, {}, 0, kNdcResult, sim::Payload{core, node, site_idx, 0});
+    SendLocal(node, core, 8, noc::kXyRoute, 0, kNdcResult, sim::Payload{core, node, site_idx, 0});
   });
 }
 

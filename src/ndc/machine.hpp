@@ -173,10 +173,10 @@ class Machine final : public arch::MemoryPort {
     InstState state = InstState::kPending;
     std::uint8_t feasible_mask = 0;
 
-    // Routing plan (responses toward the core / L2) and shared links.
-    std::array<noc::Route, 2> route_home_to_core{};
-    std::array<noc::Route, 2> route_mc_to_home{};
-    noc::Signature shared_links;
+    // Routing plan (responses toward the core / L2), as ids in the
+    // network's route table.
+    std::array<noc::RouteId, 2> route_home_to_core{noc::kXyRoute, noc::kXyRoute};
+    std::array<noc::RouteId, 2> route_mc_to_home{noc::kXyRoute, noc::kXyRoute};
     sim::LinkId obs_link = sim::kNoLink;  ///< link used for observation timing
     bool fallback_done = false;
 
@@ -220,7 +220,7 @@ class Machine final : public arch::MemoryPort {
   /// Sends a message of `kind` to `to`; on arrival OnDeliver dispatches it
   /// (or `own`, when given). A same-node message skips the network but
   /// still pays one router pipeline transit.
-  void SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route route,
+  void SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::RouteId route,
                  std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok = 0,
                  noc::Network::DeliverFn own = {});
   /// The one receiver of the machine's messages: dispatches on packet kind.
@@ -301,10 +301,10 @@ class Machine final : public arch::MemoryPort {
   std::uint64_t next_wait_token_ = 1;
 
   // Memoized route-pair overlap results, keyed by (srcA,dstA,srcB,dstB).
-  std::unordered_map<std::uint64_t, noc::RoutePair> route_pairs_;
+  std::unordered_map<std::uint64_t, noc::RouteIdPair> route_pairs_;
 
-  const noc::RoutePair& OverlapFor(sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
-                                   sim::NodeId b_dst, bool reroute);
+  const noc::RouteIdPair& OverlapFor(sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
+                                     sim::NodeId b_dst, bool reroute);
 
   std::array<std::map<int, int>, arch::kNumLocs> service_tables_;
   std::vector<int> active_offloads_;  // per-core offload-table occupancy

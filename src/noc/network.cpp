@@ -7,7 +7,7 @@
 namespace ndc::noc {
 
 Network::Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params)
-    : mesh_(mesh), eq_(eq), params_(params) {
+    : mesh_(mesh), eq_(eq), params_(params), routes_(mesh) {
   link_busy_until_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
   link_hold_count_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
 }
@@ -33,8 +33,7 @@ Network::Flight* Network::AcquireFlight() {
 }
 
 void Network::ReleaseFlight(Flight* f) {
-  f->deliver = nullptr;        // drop captured state now, keep the slot
-  f->packet.route.clear();     // keep capacity for the next packet
+  f->deliver = nullptr;  // drop captured state now, keep the slot
   free_flights_.push_back(f);
 }
 
@@ -44,19 +43,9 @@ std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
   packets_.Add();
   bytes_.Add(static_cast<std::uint64_t>(p.size_bytes));
   std::uint64_t id = p.id;
+  if (p.route == kXyRoute) p.route = routes_.Xy(p.src, p.dst);
   Flight* f = AcquireFlight();
-  // Hold on to the pooled route buffer so the default X-Y route reuses its
-  // capacity; a caller-selected route replaces it wholesale.
-  Route pooled = std::move(f->packet.route);
   f->packet = std::move(p);
-  if (f->packet.route.empty()) {
-    if (f->packet.src != f->packet.dst) {
-      XyRouteInto(mesh_, f->packet.src, f->packet.dst, pooled);
-    } else {
-      pooled.clear();
-    }
-    f->packet.route = std::move(pooled);
-  }
   f->deliver = std::move(on_deliver);
   // Local delivery (same node) still pays one router pipeline transit.
   eq_.ScheduleAfter(0, [this, f] { ProcessHop(f, /*run_hook=*/true); });
@@ -66,7 +55,8 @@ std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
 void Network::ProcessHop(Flight* f, bool run_hook) {
   sim::Cycle now = eq_.now();
   Packet& p = f->packet;
-  if (p.hop >= p.route.size()) {
+  std::span<const sim::LinkId> route = routes_.Links(p.route);
+  if (p.hop >= route.size()) {
     eq_.ScheduleAfter(params_.router_pipeline, [this, f] {
       ++delivered_;
       if (f->deliver) {
@@ -79,7 +69,7 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
     });
     return;
   }
-  sim::LinkId link = p.route[p.hop];
+  sim::LinkId link = route[p.hop];
   if (run_hook && hop_hook_) {
     switch (hop_hook_(p, link, now)) {
       case HopAction::kContinue:
@@ -87,7 +77,8 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
       case HopAction::kHold:
         holds_.Add();
         ++link_hold_count_[static_cast<std::size_t>(link)];
-        held_.emplace(p.id, Held{f, link});
+        f->held_link = link;
+        held_.push_back(f);
         return;
       case HopAction::kSquash:
         squashes_.Add();
@@ -152,24 +143,33 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
   eq_.ScheduleAt(arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });
 }
 
+std::size_t Network::FindHeld(std::uint64_t packet_id) const {
+  std::size_t i = 0;
+  while (i < held_.size() && held_[i]->packet.id != packet_id) ++i;
+  return i;
+}
+
+Network::Flight* Network::Unhold(std::size_t i) {
+  Flight* f = held_[i];
+  held_[i] = held_.back();
+  held_.pop_back();
+  --link_hold_count_[static_cast<std::size_t>(f->held_link)];
+  return f;
+}
+
 void Network::Release(std::uint64_t packet_id) {
-  auto it = held_.find(packet_id);
-  if (it == held_.end()) return;
-  Held h = it->second;
-  held_.erase(it);
+  std::size_t i = FindHeld(packet_id);
+  if (i == held_.size()) return;
   releases_.Add();
-  --link_hold_count_[static_cast<std::size_t>(h.link)];
-  Traverse(h.flight, h.link);
+  Flight* f = Unhold(i);
+  Traverse(f, f->held_link);
 }
 
 void Network::Squash(std::uint64_t packet_id) {
-  auto it = held_.find(packet_id);
-  if (it == held_.end()) return;
-  Held h = it->second;
-  held_.erase(it);
+  std::size_t i = FindHeld(packet_id);
+  if (i == held_.size()) return;
   squashes_.Add();
-  --link_hold_count_[static_cast<std::size_t>(h.link)];
-  ReleaseFlight(h.flight);
+  ReleaseFlight(Unhold(i));
 }
 
 void Network::MaterializeStats() const {

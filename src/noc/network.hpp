@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "noc/geometry.hpp"
@@ -23,16 +22,17 @@ struct NetworkParams {
   int link_bytes = 16;             ///< link width (bytes transferred per cycle)
 };
 
-/// A message traversing the NoC. `route` is fixed at injection time (the
-/// compiler may have selected a non-default minimal route; hardware default
-/// is X-Y). `tag`, `kind`, `obs_token` and `payload` are plain data the
+/// A message traversing the NoC. `route` is fixed at injection time: an id
+/// in the network's RouteTable (the compiler may have selected a
+/// non-default minimal route), or kXyRoute for the hardware default X-Y
+/// route. `tag`, `kind`, `obs_token` and `payload` are plain data the
 /// network carries unchanged to the receiver.
 struct Packet {
   std::uint64_t id = 0;       ///< assigned by Network::Send
   sim::NodeId src = 0;
   sim::NodeId dst = 0;
   int size_bytes = 8;
-  Route route;                ///< links from src to dst
+  RouteId route = kXyRoute;   ///< links from src to dst
   std::size_t hop = 0;        ///< index of the next link to traverse
   std::uint64_t tag = 0;      ///< opaque user tag (e.g. memory request id)
   int kind = 0;               ///< opaque user kind
@@ -78,9 +78,14 @@ class Network {
   const Mesh& mesh() const { return mesh_; }
   const NetworkParams& params() const { return params_; }
 
-  /// Injects a packet. If `p.route` is empty and src != dst, the default
-  /// X-Y route is used. On arrival the packet goes to `on_deliver` if one
-  /// is given, else to the delivery hook. Returns the packet id.
+  /// The routes this network's packets take; senders pick non-default
+  /// routes from it.
+  RouteTable& routes() { return routes_; }
+
+  /// Injects a packet. If `p.route` is kXyRoute, the default X-Y route is
+  /// used; otherwise it must be an id from routes(). On arrival the packet
+  /// goes to `on_deliver` if one is given, else to the delivery hook.
+  /// Returns the packet id.
   std::uint64_t Send(Packet p, DeliverFn on_deliver = {});
 
   /// Resumes a packet previously held by the hop hook. No-op if the id is
@@ -90,7 +95,7 @@ class Network {
   /// Consumes a held packet (its data was absorbed by an NDC computation).
   void Squash(std::uint64_t packet_id);
 
-  bool IsHeld(std::uint64_t packet_id) const { return held_.count(packet_id) != 0; }
+  bool IsHeld(std::uint64_t packet_id) const { return FindHeld(packet_id) != held_.size(); }
 
   void set_hop_hook(HopHook hook) { hop_hook_ = std::move(hook); }
 
@@ -147,26 +152,27 @@ class Network {
   }
 
  private:
-  /// Pooled per-packet in-flight state: the packet and, only when the
-  /// sender passed one, its own DeliverFn (packets for the delivery hook
-  /// carry none). Hop events capture only {this, Flight*}, which fits a
-  /// SmallCallback's inline buffer, so a hop allocates nothing. Flights are
-  /// recycled through a free list; their route vectors keep their capacity
-  /// across reuse.
+  /// Pooled per-packet in-flight state: the packet, only when the sender
+  /// passed one its own DeliverFn (packets for the delivery hook carry
+  /// none), and the link whose buffer holds it while an NDC wait parks it.
+  /// Hop events capture only {this, Flight*}, which fits a SmallCallback's
+  /// inline buffer, so a hop allocates nothing. Flights are recycled through
+  /// a free list.
   struct Flight {
     Packet packet;
     DeliverFn deliver;
-  };
-
-  struct Held {
-    Flight* flight;
-    sim::LinkId link;
+    sim::LinkId held_link = sim::kNoLink;  ///< meaningful while in held_
   };
 
   Flight* AcquireFlight();
   void ReleaseFlight(Flight* f);
   void ProcessHop(Flight* f, bool run_hook);
   void Traverse(Flight* f, sim::LinkId link);
+  /// Index in held_ of the held flight carrying `packet_id`, or
+  /// held_.size() when no held packet has that id.
+  std::size_t FindHeld(std::uint64_t packet_id) const;
+  /// Removes held_[i] from the held set and its link buffer.
+  Flight* Unhold(std::size_t i);
   void MaterializeStats() const;
 
   /// Extra cycles a passing packet pays per held packet in a link buffer.
@@ -175,6 +181,7 @@ class Network {
   Mesh mesh_;
   sim::EventQueue& eq_;
   NetworkParams params_;
+  RouteTable routes_;
   HopHook hop_hook_;
   DeliverHook deliver_hook_;
   LinkFaultFn link_fault_;
@@ -186,7 +193,10 @@ class Network {
   // Held packets occupy link-buffer slots; passing traffic pays a
   // per-held-packet delay (buffer pressure).
   std::vector<int> link_hold_count_;
-  std::unordered_map<std::uint64_t, Held> held_;
+  // The flights parked in link buffers, in no order. Each is an operand of
+  // an offloaded NDC instance waiting at a link, and the cores' offload
+  // tables bound those, so a scan finds one by packet id.
+  std::vector<Flight*> held_;
   std::deque<Flight> flight_arena_;  ///< stable storage for pooled flights
   std::vector<Flight*> free_flights_;
   std::uint64_t next_seq_ = 0;

@@ -4,7 +4,7 @@
 
 namespace ndc::noc {
 
-Signature Signature::FromRoute(const std::vector<sim::LinkId>& route) {
+Signature Signature::FromRoute(std::span<const sim::LinkId> route) {
   Signature s;
   for (sim::LinkId l : route) s.Set(l);
   return s;

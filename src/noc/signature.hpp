@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@ class Signature {
 
   Signature() { words_.fill(0); }
 
-  static Signature FromRoute(const std::vector<sim::LinkId>& route);
+  static Signature FromRoute(std::span<const sim::LinkId> route);
 
   void Set(sim::LinkId l) { words_[Word(l)] |= Mask(l); }
   bool Test(sim::LinkId l) const { return (words_[Word(l)] & Mask(l)) != 0; }

@@ -2,8 +2,9 @@
 
 // Allocation-free callback storage for the discrete-event substrate.
 //
-// A SmallCallback is a move-only type-erased `void()` callable. Callables up
-// to kInlineBytes are stored inline in the object (the common case: hot-path
+// A SmallCallback is a type-erased `void()` callable slot that never moves:
+// the callable is constructed in place and invoked where it was built.
+// Callables up to kInlineBytes are stored inline in the object (the common case: hot-path
 // lambdas capture a handful of pointers and integers). Larger callables are
 // placed in fixed-size blocks drawn from a CallbackArena free list, so the
 // steady-state scheduling path performs no heap allocation at all; only
@@ -63,8 +64,10 @@ class CallbackArena {
   std::vector<void*> free_;
 };
 
-/// Move-only type-erased `void()` callable with inline storage for small
-/// captures and arena-pooled storage for large ones.
+/// Non-movable type-erased `void()` callable slot with inline storage for
+/// small captures and arena-pooled storage for large ones. It lives in stable
+/// storage (an EventQueue node) and is filled with Emplace and emptied with
+/// Reset.
 class SmallCallback {
  public:
   static constexpr std::size_t kInlineBytes = 64;
@@ -72,63 +75,44 @@ class SmallCallback {
 
   SmallCallback() = default;
 
+  /// Constructs `f` in this callback, which must be empty. The callable is
+  /// built in place, so a callback that lives in stable storage (an event
+  /// queue node) is never relocated between scheduling and invocation.
   template <typename F>
-  static SmallCallback Make(CallbackArena& arena, F&& f) {
+  void Emplace(CallbackArena& arena, F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, Fn&>, "callback must be callable as void()");
-    SmallCallback c;
-    c.arena_ = &arena;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(c.buf_)) Fn(std::forward<F>(f));
-      c.ops_ = &kInlineOps<Fn>;
+    assert(ops_ == nullptr);
+    arena_ = &arena;
+    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
     } else if constexpr (sizeof(Fn) <= CallbackArena::kBlockBytes &&
                          alignof(Fn) <= alignof(std::max_align_t)) {
       void* p = arena.Acquire();
       ::new (p) Fn(std::forward<F>(f));
-      c.ext_ = p;
-      c.ops_ = &kPooledOps<Fn>;
+      ext_ = p;
+      ops_ = &kPooledOps<Fn>;
     } else {
       void* p = ::operator new(sizeof(Fn), std::align_val_t{alignof(Fn)});
       ::new (p) Fn(std::forward<F>(f));
-      c.ext_ = p;
-      c.ops_ = &kHeapOps<Fn>;
+      ext_ = p;
+      ops_ = &kHeapOps<Fn>;
     }
-    return c;
-  }
-
-  SmallCallback(SmallCallback&& o) noexcept : ops_(o.ops_), arena_(o.arena_) {
-    if (ops_ == nullptr) return;
-    if (ops_->release != nullptr) {
-      ext_ = o.ext_;
-    } else {
-      ops_->relocate(buf_, o.buf_);
-    }
-    o.ops_ = nullptr;
-  }
-
-  SmallCallback& operator=(SmallCallback&& o) noexcept {
-    if (this == &o) return *this;
-    Dispose();
-    ops_ = o.ops_;
-    arena_ = o.arena_;
-    if (ops_ != nullptr) {
-      if (ops_->release != nullptr) {
-        ext_ = o.ext_;
-      } else {
-        ops_->relocate(buf_, o.buf_);
-      }
-      o.ops_ = nullptr;
-    }
-    return *this;
   }
 
   SmallCallback(const SmallCallback&) = delete;
   SmallCallback& operator=(const SmallCallback&) = delete;
+  SmallCallback(SmallCallback&&) = delete;
+  SmallCallback& operator=(SmallCallback&&) = delete;
 
   ~SmallCallback() { Dispose(); }
 
   explicit operator bool() const { return ops_ != nullptr; }
+
+  /// Destroys the stored callable (returning any pooled block), leaving this
+  /// callback empty.
+  void Reset() { Dispose(); }
 
   void operator()() {
     assert(ops_ != nullptr);
@@ -139,8 +123,6 @@ class SmallCallback {
   struct Ops {
     void (*invoke)(void*);
     void (*destroy)(void*);
-    /// Move-construct into dst and destroy src (inline storage only).
-    void (*relocate)(void* dst, void* src);
     /// Return external storage (pooled or heap); null for inline storage.
     void (*release)(CallbackArena*, void*);
   };
@@ -163,12 +145,6 @@ class SmallCallback {
   static void DestroyImpl(void* p) {
     static_cast<Fn*>(p)->~Fn();
   }
-  template <typename Fn>
-  static void RelocateImpl(void* dst, void* src) {
-    Fn* s = static_cast<Fn*>(src);
-    ::new (dst) Fn(std::move(*s));
-    s->~Fn();
-  }
   static void ReleasePooled(CallbackArena* a, void* p) { a->Release(p); }
   template <typename Fn>
   static void ReleaseHeap(CallbackArena*, void* p) {
@@ -176,14 +152,11 @@ class SmallCallback {
   }
 
   template <typename Fn>
-  static constexpr Ops kInlineOps{&InvokeImpl<Fn>, &DestroyImpl<Fn>, &RelocateImpl<Fn>,
-                                  nullptr};
+  static constexpr Ops kInlineOps{&InvokeImpl<Fn>, &DestroyImpl<Fn>, nullptr};
   template <typename Fn>
-  static constexpr Ops kPooledOps{&InvokeImpl<Fn>, &DestroyImpl<Fn>, nullptr,
-                                  &ReleasePooled};
+  static constexpr Ops kPooledOps{&InvokeImpl<Fn>, &DestroyImpl<Fn>, &ReleasePooled};
   template <typename Fn>
-  static constexpr Ops kHeapOps{&InvokeImpl<Fn>, &DestroyImpl<Fn>, nullptr,
-                                &ReleaseHeap<Fn>};
+  static constexpr Ops kHeapOps{&InvokeImpl<Fn>, &DestroyImpl<Fn>, &ReleaseHeap<Fn>};
 
   const Ops* ops_ = nullptr;
   CallbackArena* arena_ = nullptr;

@@ -31,33 +31,37 @@ Cycle EventQueue::NextEventCycle() const {
 void EventQueue::StartDrain(Cycle c) {
   assert(c != kNeverCycle && c >= now_);
   now_ = c;
-  if (!far_.empty() && far_.begin()->first == c) {
-    far_cur_ = std::move(far_.begin()->second);
-    far_.erase(far_.begin());
-  }
-  far_idx_ = 0;
   cur_bucket_ = static_cast<std::size_t>(c) & kWheelMask;
-  wheel_idx_ = 0;
+  if (!far_.empty() && far_.begin()->first == c) {
+    List older = far_.begin()->second;
+    far_.erase(far_.begin());
+    List& bucket = wheel_[cur_bucket_];
+    if (bucket.head == kNil) {
+      bucket.tail = older.tail;
+    } else {
+      NodeAt(older.tail).next = bucket.head;
+    }
+    bucket.head = older.head;
+    occupied_[cur_bucket_ >> 6] |= 1ull << (cur_bucket_ & 63);
+  }
   draining_ = true;
 }
 
 void EventQueue::ExecuteOne() {
-  // Move the callback out before invoking it: the invocation may append to
-  // the very bucket we are draining (ScheduleAt(now)) and reallocate it.
-  SmallCallback cb;
-  if (far_idx_ < far_cur_.size()) {
-    cb = std::move(far_cur_[far_idx_++]);
-  } else {
-    cb = std::move(wheel_[cur_bucket_][wheel_idx_++]);
-  }
+  // Unlink the head first: the callback may append to this very bucket
+  // (ScheduleAt(now)), and the node must not be reused while it runs.
+  List& bucket = wheel_[cur_bucket_];
+  std::uint32_t n = bucket.head;
+  Node& node = NodeAt(n);
+  bucket.head = node.next;
+  if (bucket.head == kNil) bucket.tail = kNil;
   --pending_;
   ++executed_;
-  cb();
-  if (far_idx_ >= far_cur_.size() && wheel_idx_ >= wheel_[cur_bucket_].size()) {
-    far_cur_.clear();
-    far_idx_ = 0;
-    wheel_[cur_bucket_].clear();  // keeps capacity for reuse
-    wheel_idx_ = 0;
+  node.cb();  // in place: chunks never move, so `node` stays valid
+  node.cb.Reset();
+  node.next = free_;
+  free_ = n;
+  if (bucket.head == kNil) {
     occupied_[cur_bucket_ >> 6] &= ~(1ull << (cur_bucket_ & 63));
     draining_ = false;
   }

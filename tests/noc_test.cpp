@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "noc/geometry.hpp"
 #include "noc/network.hpp"
@@ -169,6 +171,78 @@ INSTANTIATE_TEST_SUITE_P(
                       OverlapCase{3, 3, 0, 0, 4, 4, 1, 1},   // both decreasing
                       OverlapCase{0, 4, 4, 0, 0, 3, 4, 1},   // anti-diagonal
                       OverlapCase{2, 2, 2, 2, 1, 1, 3, 3})); // degenerate single node
+
+TEST(RouteTable, XyRoutesMatchXyRouteOnEveryPair) {
+  for (Mesh m : {Mesh(5, 5), Mesh(8, 8)}) {
+    RouteTable table(m);
+    int n = m.num_nodes();
+    EXPECT_EQ(table.size(), static_cast<std::size_t>(n * n));
+    for (sim::NodeId s = 0; s < n; ++s) {
+      for (sim::NodeId d = 0; d < n; ++d) {
+        std::span<const sim::LinkId> links = table.Links(table.Xy(s, d));
+        EXPECT_EQ(Route(links.begin(), links.end()), XyRoute(m, s, d))
+            << m.width() << "x" << m.height() << " " << s << "->" << d;
+      }
+    }
+  }
+}
+
+// The staircase search as first written: every pivot's route, sorted and
+// deduplicated, then the first pair with the most shared links.
+RoutePair ReferenceMaxOverlap(const Mesh& m, sim::NodeId as, sim::NodeId ad, sim::NodeId bs,
+                              sim::NodeId bd) {
+  auto candidates = [&](sim::NodeId s, sim::NodeId d) {
+    Coord cs = m.CoordOf(s), cd = m.CoordOf(d);
+    std::vector<Route> out;
+    for (int px = std::min(cs.x, cd.x); px <= std::max(cs.x, cd.x); ++px) {
+      for (int py = std::min(cs.y, cd.y); py <= std::max(cs.y, cd.y); ++py) {
+        out.push_back(StaircaseRoute(m, s, d, px, py));
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  RoutePair best;
+  best.shared_links = -1;
+  for (const Route& ra : candidates(as, ad)) {
+    for (const Route& rb : candidates(bs, bd)) {
+      Signature inter = Signature::FromRoute(ra).Intersect(Signature::FromRoute(rb));
+      if (inter.Popcount() > best.shared_links) best = RoutePair{ra, rb, inter, inter.Popcount()};
+    }
+  }
+  return best;
+}
+
+TEST(RouteTable, OverlapPairIsMaxOverlapRoutesOnEveryQuad) {
+  // Link for link and in order, not just the same overlap count: the chosen
+  // links set packet timing. One table answers every quad, so candidates
+  // interned for earlier quads are reused by later ones.
+  Mesh m(4, 4);
+  RouteTable table(m);
+  auto as_route = [&](RouteId id) {
+    std::span<const sim::LinkId> links = table.Links(id);
+    return Route(links.begin(), links.end());
+  };
+  int n = m.num_nodes();
+  for (sim::NodeId as = 0; as < n; ++as) {
+    for (sim::NodeId ad = 0; ad < n; ++ad) {
+      for (sim::NodeId bs = 0; bs < n; ++bs) {
+        for (sim::NodeId bd = 0; bd < n; ++bd) {
+          RoutePair want = MaxOverlapRoutes(m, as, ad, bs, bd);
+          RouteIdPair got = table.MaxOverlapPair(as, ad, bs, bd);
+          ASSERT_EQ(as_route(got.a), want.a) << as << "->" << ad << " / " << bs << "->" << bd;
+          ASSERT_EQ(as_route(got.b), want.b) << as << "->" << ad << " / " << bs << "->" << bd;
+          ASSERT_EQ(got.shared, want.shared);
+          ASSERT_EQ(got.shared_links, want.shared_links);
+          RoutePair ref = ReferenceMaxOverlap(m, as, ad, bs, bd);
+          ASSERT_EQ(want.a, ref.a) << as << "->" << ad << " / " << bs << "->" << bd;
+          ASSERT_EQ(want.b, ref.b) << as << "->" << ad << " / " << bs << "->" << bd;
+        }
+      }
+    }
+  }
+}
 
 TEST(Network, UncontendedLatencyMatchesFormula) {
   sim::EventQueue eq;

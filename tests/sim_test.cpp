@@ -5,6 +5,8 @@
 
 #include <array>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -124,6 +126,50 @@ TEST(EventQueue, FarEventsRunBeforeSameCycleWheelEvents) {
   });
   eq.RunUntilEmpty();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eq.now(), 5000u);
+}
+
+TEST(EventQueue, ScheduleAtNowFromLastCallbackOfABucketRunsThatCycle) {
+  // The running event is unlinked before it runs, so when it is the last
+  // one of its bucket it leaves the bucket empty. A same-cycle event it
+  // schedules must still join this cycle's drain, after it.
+  EventQueue eq;
+  std::vector<std::pair<int, Cycle>> order;
+  eq.ScheduleAt(7, [&] { order.emplace_back(0, eq.now()); });
+  eq.ScheduleAt(7, [&] {
+    order.emplace_back(1, eq.now());
+    eq.ScheduleAt(eq.now(), [&] { order.emplace_back(2, eq.now()); });
+  });
+  eq.ScheduleAt(8, [&] { order.emplace_back(3, eq.now()); });
+  eq.RunUntilEmpty();
+  std::vector<std::pair<int, Cycle>> want{{0, 7}, {1, 7}, {2, 7}, {3, 8}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, PromotedOverflowRunsBeforeBucketAndSameCycleAppends) {
+  // Cycle 5000 gets two overflow events (scheduled at cycle 0, beyond the
+  // wheel horizon) and, from cycle 1000, two wheel events. On promotion the
+  // overflow list goes in front of the non-empty bucket; events that the
+  // drain itself schedules for cycle 5000 run after all four, in order.
+  EventQueue eq;
+  std::vector<std::string> order;
+  eq.ScheduleAt(5000, [&] {
+    order.push_back("far0");
+    eq.ScheduleAt(eq.now(), [&] { order.push_back("far0.child"); });
+  });
+  eq.ScheduleAt(5000, [&] { order.push_back("far1"); });
+  eq.ScheduleAt(1000, [&] {
+    eq.ScheduleAt(5000, [&] {
+      order.push_back("wheel0");
+      eq.ScheduleAt(eq.now(), [&] { order.push_back("wheel0.child"); });
+    });
+    eq.ScheduleAt(5000, [&] { order.push_back("wheel1"); });
+  });
+  eq.RunUntilEmpty();
+  std::vector<std::string> want{"far0",   "far1",       "wheel0",
+                                "wheel1", "far0.child", "wheel0.child"};
+  EXPECT_EQ(order, want);
   EXPECT_EQ(eq.now(), 5000u);
 }
 
