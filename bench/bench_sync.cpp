@@ -29,7 +29,7 @@
 
 #include "bench_common.hpp"
 #include "compiler/codegen.hpp"
-#include "fault/fault.hpp"
+#include "fault/conservation.hpp"
 #include "workloads/sharded.hpp"
 
 namespace {

@@ -30,7 +30,6 @@ NDC_INSTANTS = {
     "ndc.sync.grant": (),       # grant response reached the core
     "ndc.meet": ("loc",),       # operands met; computed near data
     "ndc.offload": ("loc",),    # offload decision (loc = planned arch::Loc)
-    "ndc.retry": (),            # wait window widened and re-armed
     "ndc.abort": (),            # wait aborted (timeout / partner done)
     "ndc.fallback": (),         # offloaded pair completed conventionally
 }

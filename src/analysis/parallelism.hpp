@@ -9,7 +9,7 @@
 namespace ndc::analysis {
 
 /// Parallelism classification of one loop level (the lattice of
-/// DESIGN.md §12, least conservative first):
+/// DESIGN.md §11, least conservative first):
 ///   kDoall ⊏ kDoacross ⊏ kUnknown
 /// kDoall may still carry *proof obligations* (LevelClass::privatization /
 /// reduction_stmts): the level is parallel provided the runtime privatizes
@@ -57,7 +57,7 @@ struct LevelClass {
 /// that survived disjointness refinement).
 struct Classification {
   std::vector<LevelClass> levels;       ///< one per loop level
-  std::vector<int> privatizable;        ///< arrays with covered reads (see §12)
+  std::vector<int> privatizable;        ///< arrays with covered reads (see §11)
   std::vector<Reduction> reductions;
   std::vector<int> unknown_arrays;      ///< unanalyzable after refinement (sorted, unique)
   int refuted_pairs = 0;                ///< unknown ref pairs refuted by disjointness

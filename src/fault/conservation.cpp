@@ -37,13 +37,8 @@ ConservationReport CheckConservation(const ConservationInputs& in) {
   Require(r, in.packets_sent == in.packets_delivered + in.packets_squashed,
           Eq("packets_sent", in.packets_sent, "delivered + squashed",
              in.packets_delivered + in.packets_squashed));
-  Require(r, in.packets_dropped == in.packets_retransmitted,
-          Eq("packets_dropped", in.packets_dropped, "packets_retransmitted",
-             in.packets_retransmitted));
   Require(r, in.mc_reads == in.mc_reads_done,
           Eq("mc_reads", in.mc_reads, "mc_reads_done", in.mc_reads_done));
-  Require(r, in.mc_nacks == in.mc_nack_retries,
-          Eq("mc_nacks", in.mc_nacks, "mc_nack_retries", in.mc_nack_retries));
   Require(r, in.sync_acquires == in.sync_releases,
           Eq("sync_acquires", in.sync_acquires, "sync_releases", in.sync_releases));
   Require(r, in.sync_barrier_arrivals == in.sync_barrier_departures,

@@ -1,11 +1,11 @@
 #pragma once
 
-// Request-conservation invariant: no request is ever lost under faults.
-// Every issued unit of work must be accounted for as completed, degraded to
-// the host core, or dropped-and-retried — never silently vanished. The
-// checker is a pure function over counter snapshots; the NDC layer gathers
-// the snapshot (src/fault cannot depend on src/ndc) and tests assert it
-// after every fault storm.
+// Request-conservation invariant: no request is ever lost. Every issued
+// unit of work must be accounted for as completed or fallen back to the host
+// core — never silently vanished. The checker is a pure function over
+// counter snapshots; the NDC layer gathers the snapshot (src/fault cannot
+// depend on src/ndc), metrics::Experiment records it after every measured
+// run, and tests assert it.
 
 #include <cstdint>
 #include <string>
@@ -26,13 +26,9 @@ struct ConservationInputs {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_delivered = 0;
   std::uint64_t packets_squashed = 0;  ///< consumed by an NDC computation
-  std::uint64_t packets_dropped = 0;   ///< dropped by a link fault
-  std::uint64_t packets_retransmitted = 0;
   // Memory-controller accounting.
   std::uint64_t mc_reads = 0;
   std::uint64_t mc_reads_done = 0;
-  std::uint64_t mc_nacks = 0;
-  std::uint64_t mc_nack_retries = 0;
   // Synchronization accounting (sync engines; all zero when sync never ran).
   std::uint64_t sync_acquires = 0;           ///< lock grants handed out
   std::uint64_t sync_releases = 0;           ///< lock releases serviced
@@ -55,9 +51,7 @@ struct ConservationReport {
 ///   offloads       == ndc_success + fallbacks        (every offload resolves)
 ///   cores_incomplete == 0                            (every core finishes)
 ///   packets_sent   == delivered + squashed           (every packet lands)
-///   dropped        == retransmitted                  (every drop is retried)
 ///   mc_reads       == mc_reads_done                  (every read completes)
-///   mc_nacks       == mc_nack_retries                (every NACK re-enqueues)
 ///   sync_acquires  == sync_releases                  (every lock is released)
 ///   barrier_arrivals == barrier_departures           (no one parked forever)
 ///   atomics_issued == atomics_completed              (every atomic applies)

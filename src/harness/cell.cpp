@@ -82,11 +82,6 @@ std::string CellSpec::CanonicalString() const {
   AppendField(out, "dto", cfg.default_timeout);
   AppendField(out, "cfgrr", cfg.allow_reroute ? 1 : 0);
   AppendField(out, "addsub", cfg.restrict_ops_to_addsub ? 1 : 0);
-  // Appended only when faulted: every fault-free cell (including all cached
-  // entries written before faults existed) keeps its historical key.
-  if (!faults.Empty()) {
-    out += "faults{" + faults.CanonicalString() + "};";
-  }
   return out;
 }
 
@@ -103,7 +98,6 @@ std::string CellSpec::ProfileKey() const {
   base.coarse_grain = false;
   base.allow_reroute = true;
   base.control_register = arch::kAllLocs;
-  base.faults = {};
   return base.CanonicalString();
 }
 
@@ -259,7 +253,6 @@ CellResult RunCell(const CellSpec& spec) { return RunCell(spec, MakeProfile(spec
 
 CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile) {
   metrics::Experiment exp(std::move(profile));
-  if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 
   CellResult out;
@@ -397,7 +390,6 @@ json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
   obs::Observability ob(oo);
   metrics::Experiment exp(MakeProfile(spec));
   exp.set_obs(&ob);
-  if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 
   v.obj["makespan"] = json::Value::Int(r.run.makespan);

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "arch/config.hpp"
-#include "fault/schedule.hpp"
 #include "harness/json.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/bottleneck.hpp"
@@ -51,10 +50,6 @@ struct CellSpec {
   std::uint8_t control_register = arch::kAllLocs;
   /// Fully resolved configuration (any figure variant already applied).
   arch::ArchConfig cfg;
-  /// Fault schedule the measured run executes under (default: empty =
-  /// fault-free). Folded into the cache key only when non-empty, so every
-  /// pre-fault cache entry keeps its key.
-  fault::FaultSchedule faults;
   /// Display label for configuration variants ("" = Table-1 defaults).
   /// Deliberately NOT part of the cache key: two figures probing the same
   /// resolved configuration under different labels share one cache entry.
@@ -71,7 +66,7 @@ struct CellSpec {
   std::string Key() const;
 
   /// CanonicalString() with the fields only the measured run reads
-  /// (scheme, coarse-grain, reroute, control register, faults) cleared.
+  /// (scheme, coarse-grain, reroute, control register) cleared.
   /// Everything the baseline and observation runs depend on stays: workload,
   /// scale, seed and the full ArchConfig. Cells with equal keys
   /// can share one metrics::Profile.

@@ -610,9 +610,6 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
     SweepSummary s;
     if (e.build != nullptr) {
       SweepSpec spec = e.build(opt);
-      if (!opt.faults.Empty()) {
-        for (CellSpec& c : spec.cells) c.faults = opt.faults;
-      }
       SweepOptions so;
       so.jobs = opt.jobs;
       so.use_cache = opt.use_cache;
@@ -632,12 +629,6 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
       }
       s = res.summary;
     } else {
-      if (!opt.faults.Empty()) {
-        std::fprintf(stderr,
-                     "ndc-harness: record figure '%s' runs fault-free "
-                     "(--faults applies to grid figures)\n",
-                     name.c_str());
-      }
       s = e.record(opt);
       std::fflush(stdout);
     }

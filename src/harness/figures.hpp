@@ -43,11 +43,6 @@ struct FigureOptions {
   /// export_obs also set, the per-cell summary files carry the full
   /// "classification" object (one re-simulation serves both).
   std::uint64_t classify_window = 0;
-  /// Fault schedule stamped onto every grid cell (default: empty =
-  /// fault-free; record figures always run fault-free). Faulted cells carry
-  /// the schedule in their cache key, so they never collide with — or
-  /// invalidate — fault-free entries.
-  fault::FaultSchedule faults;
 };
 
 struct FigureInfo {

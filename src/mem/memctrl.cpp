@@ -14,7 +14,6 @@ MemCtrl::MemCtrl(sim::McId id, const AddressMap& amap, const DramParams& dram_pa
   bank_in_flight_.assign(banks_.size(), false);
   bank_queues_.resize(banks_.size());
   in_service_.resize(banks_.size());
-  bank_wake_until_.assign(banks_.size(), 0);
 }
 
 void MemCtrl::RegisterMetrics(obs::Registry& reg) {
@@ -57,7 +56,7 @@ void MemCtrl::AdmitRead(Request r) {
     if (m_reads_ != nullptr) m_reads_->Add();
   }
   if (on_enqueue_) on_enqueue_(r.tag, r.addr, eq_->now());
-  Admit(std::move(r));
+  Enqueue(std::move(r));
 }
 
 bool MemCtrl::HasPendingAddr(sim::Addr addr) const {
@@ -78,24 +77,6 @@ void MemCtrl::EnqueueWrite(sim::Addr addr) {
   r.enqueued_at = eq_->now();
   writes_.Add();
   if (on_enqueue_) on_enqueue_(kWriteSentinelTag, addr, eq_->now());
-  Admit(std::move(r));
-}
-
-void MemCtrl::Admit(Request r) {
-  // Queue-pressure faults delay the request's entry into the transaction
-  // queue. The enqueue hook already fired at arrival; HasPendingAddr sees
-  // the request only once it is queued.
-  if (pressure_) {
-    sim::Cycle extra = pressure_(eq_->now());
-    if (extra > 0) {
-      pressure_events_.Add();
-      pressure_delay_cycles_.Add(extra);
-      eq_->ScheduleAfter(extra, [this, r = std::move(r)]() mutable {
-        Enqueue(std::move(r));
-      });
-      return;
-    }
-  }
   Enqueue(std::move(r));
 }
 
@@ -113,23 +94,6 @@ void MemCtrl::TrySchedule() {
     if (bank_in_flight_[b]) continue;
     std::vector<Request>& q = bank_queues_[b];
     if (q.empty()) continue;
-    BankFault::Effect effect = BankFault::Effect::kNone;
-    sim::Cycle nack_backoff = 0;
-    if (bank_fault_) {
-      BankFault fault = bank_fault_(static_cast<int>(b), eq_->now());
-      effect = fault.effect;
-      if (effect == BankFault::Effect::kStall) {
-        // The bank issues nothing until the stall window ends; schedule one
-        // wake at the window end (not one per attempt) to resume it.
-        bank_stall_events_.Add();
-        if (bank_wake_until_[b] < fault.stall_until) {
-          bank_wake_until_[b] = fault.stall_until;
-          eq_->ScheduleAt(fault.stall_until, [this] { TrySchedule(); });
-        }
-        continue;
-      }
-      nack_backoff = fault.nack_backoff;
-    }
     std::size_t pick = 0;  // oldest overall is the fallback
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (banks_[b].IsRowOpen(q[i].row)) {
@@ -140,20 +104,6 @@ void MemCtrl::TrySchedule() {
     Request req = std::move(q[pick]);
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
     --queued_;
-    if (effect == BankFault::Effect::kNack) {
-      // The bank rejects the command; the request re-enters the queue after
-      // the backoff with its original arrival time (its queue wait includes
-      // the NACK detour) and without re-firing the enqueue hook, which
-      // already saw it arrive. Nothing is lost: every NACK schedules
-      // exactly one retry.
-      assert(nack_backoff > 0 && "a NACKed request needs a positive backoff");
-      nacks_.Add();
-      eq_->ScheduleAfter(nack_backoff, [this, req = std::move(req)]() mutable {
-        nack_retries_.Add();
-        Enqueue(std::move(req));
-      });
-      continue;
-    }
     IssueTo(static_cast<int>(b), std::move(req));
   }
 }
@@ -217,11 +167,6 @@ void MemCtrl::MaterializeStats() const {
   row_hits_.MaterializeInto(stats_, "mc.row_hits");
   row_misses_.MaterializeInto(stats_, "mc.row_misses");
   queue_wait_cycles_.MaterializeInto(stats_, "mc.queue_wait_cycles");
-  nacks_.MaterializeInto(stats_, "mc.nacks");
-  nack_retries_.MaterializeInto(stats_, "mc.nack_retries");
-  bank_stall_events_.MaterializeInto(stats_, "mc.bank_stall_events");
-  pressure_events_.MaterializeInto(stats_, "mc.pressure_events");
-  pressure_delay_cycles_.MaterializeInto(stats_, "mc.pressure_delay_cycles");
 }
 
 void MemCtrl::Reset() {
@@ -230,17 +175,11 @@ void MemCtrl::Reset() {
   for (auto& q : bank_queues_) q.clear();
   for (Request& r : in_service_) r = Request{};
   queued_ = 0;
-  std::fill(bank_wake_until_.begin(), bank_wake_until_.end(), 0);
   reads_.Reset();
   writes_.Reset();
   row_hits_.Reset();
   row_misses_.Reset();
   queue_wait_cycles_.Reset();
-  nacks_.Reset();
-  nack_retries_.Reset();
-  bank_stall_events_.Reset();
-  pressure_events_.Reset();
-  pressure_delay_cycles_.Reset();
   reads_done_ = 0;
   stats_.Clear();
 }

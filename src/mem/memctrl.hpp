@@ -16,20 +16,6 @@
 
 namespace ndc::mem {
 
-/// What a fault hook tells the controller about a bank it is about to
-/// schedule onto. Produced by src/fault's injector; the controller itself is
-/// fault-agnostic and only follows the instruction.
-struct BankFault {
-  enum class Effect : std::uint8_t {
-    kNone = 0,
-    kStall,  ///< issue nothing to this bank; re-check at `stall_until`
-    kNack,   ///< reject the FR-FCFS pick; re-enqueue it after `nack_backoff`
-  };
-  Effect effect = Effect::kNone;
-  sim::Cycle stall_until = 0;    ///< wake cycle when effect == kStall
-  sim::Cycle nack_backoff = 0;   ///< re-enqueue delay when effect == kNack (> 0)
-};
-
 /// A memory controller with an FR-FCFS (first-ready, first-come-first-serve)
 /// transaction queue over a set of DRAM banks (Table 1: FR-FCFS scheduling,
 /// 4 KB interleaving).
@@ -54,10 +40,6 @@ class MemCtrl {
   /// Observation hooks (tests and external observers; the machine installs
   /// neither).
   using QueueHook = std::function<void(std::uint64_t tag, sim::Addr, sim::Cycle)>;
-  /// Fault hooks: bank state when scheduling, extra admission delay under
-  /// queue pressure. The controller id is bound by the installer.
-  using BankFaultFn = std::function<BankFault(int bank, sim::Cycle)>;
-  using PressureFn = std::function<sim::Cycle(sim::Cycle)>;
 
   /// Tag carried by every write request. Writes have no tag of their own
   /// (fire-and-forget), and must never alias tag 0, which identifies
@@ -91,10 +73,9 @@ class MemCtrl {
   std::size_t queue_depth() const { return queued_; }
 
   /// True if a *read* of `addr` sits in its bank's queue or is being
-  /// serviced. Queued writes do not count. A read that the pressure hook
-  /// delays, or that a NACK sent into backoff, is not pending until it
-  /// (re-)enters the queue. O(that bank's queue); only tests call it,
-  /// no simulated path does.
+  /// serviced. Queued writes do not count. A read is pending from the cycle
+  /// it is enqueued until its data is ready. O(that bank's queue); only
+  /// tests call it, no simulated path does.
   bool HasPendingAddr(sim::Addr addr) const;
 
   /// Installs the completion handler of reads enqueued without a DoneFn.
@@ -106,19 +87,11 @@ class MemCtrl {
   /// Hook invoked when a read's data is ready at the controller.
   void set_ready_hook(QueueHook h) { on_ready_ = std::move(h); }
 
-  /// Installs fault hooks. Never installed for fault-free runs: the
-  /// hook-less scheduling/admission paths are byte-identical to the
-  /// pre-fault controller.
-  void set_bank_fault_hook(BankFaultFn h) { bank_fault_ = std::move(h); }
-  void set_pressure_hook(PressureFn h) { pressure_ = std::move(h); }
-
-  /// Conservation accessors (mc_reads == mc_reads_done at end of run;
-  /// mc_nacks == mc_nack_retries). `reads_done_count` is deliberately never
-  /// a StatSet key: it is always touched, and goldens must not change.
+  /// Conservation accessors (mc_reads == mc_reads_done at end of run).
+  /// `reads_done_count` is deliberately never a StatSet key: it is always
+  /// touched, and goldens must not change.
   std::uint64_t reads_count() const { return reads_.v; }
   std::uint64_t reads_done_count() const { return reads_done_; }
-  std::uint64_t nacks_count() const { return nacks_.v; }
-  std::uint64_t nack_retries_count() const { return nack_retries_.v; }
 
   /// Traced reads stamp FR-FCFS issue and DRAM-ready on `tracer` (may be null).
   void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
@@ -161,7 +134,6 @@ class MemCtrl {
     DoneFn done;  ///< empty unless the caller passed its own
   };
 
-  void Admit(Request r);
   void Enqueue(Request r);
   void TrySchedule();
   void IssueTo(int bank_idx, Request req);
@@ -180,11 +152,6 @@ class MemCtrl {
   DoneHook on_done_;
   QueueHook on_enqueue_;
   QueueHook on_ready_;
-  BankFaultFn bank_fault_;
-  PressureFn pressure_;
-  /// Latest cycle a stalled bank already has a wake scheduled for (avoids
-  /// piling up one wake event per scheduling attempt during a stall).
-  std::vector<sim::Cycle> bank_wake_until_;
   obs::RequestTracer* tracer_ = nullptr;
   obs::WindowSampler* sampler_ = nullptr;
   obs::Counter* m_reads_ = nullptr;
@@ -192,10 +159,6 @@ class MemCtrl {
   obs::Histogram* m_queue_wait_ = nullptr;
   obs::Counter* m_queue_wait_total_ = nullptr;
   sim::RawCounter reads_, writes_, row_hits_, row_misses_, queue_wait_cycles_;
-  // Fault counters: touched only when a fault hook fires, so their StatSet
-  // keys never appear in fault-free runs (goldens frozen).
-  sim::RawCounter nacks_, nack_retries_, bank_stall_events_, pressure_events_,
-      pressure_delay_cycles_;
   std::uint64_t reads_done_ = 0;  ///< accessor-only; never a StatSet key
   mutable sim::StatSet stats_;
 };

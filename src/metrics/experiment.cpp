@@ -72,7 +72,7 @@ const std::vector<arch::Trace>& Profile::Traces() {
 
 const runtime::RunResult& Profile::Baseline() {
   std::call_once(baseline_once_, [this] {
-    baseline_ = Simulate(cfg_, Traces(), {});
+    baseline_ = Simulate(cfg_, Traces(), {}, &baseline_conservation_);
   });
   return baseline_;
 }
@@ -96,16 +96,7 @@ runtime::RunResult Experiment::RunMeasured(const arch::ArchConfig& cfg,
                                            const std::vector<arch::Trace>& traces,
                                            runtime::MachineOptions opts) {
   opts.obs = obs_;
-  if (faults_ == nullptr || faults_->Empty()) return Simulate(cfg, traces, opts);
-  // A fresh injector per measured run: its RNG restarts from the schedule
-  // seed, so the same (workload, schedule) pair is identically faulted every
-  // time it is simulated.
-  fault::FaultInjector inj(*faults_);
-  opts.faults = &inj;
-  runtime::RunResult r = Simulate(cfg, traces, opts, &last_conservation_);
-  last_injections_ = inj.counts();
-  have_fault_report_ = true;
-  return r;
+  return Simulate(cfg, traces, opts, &last_conservation_);
 }
 
 SchemeResult Experiment::Run(Scheme scheme) {
@@ -116,13 +107,13 @@ SchemeResult Experiment::Run(Scheme scheme) {
 
   switch (scheme) {
     case Scheme::kBaseline:
-      if (obs_ != nullptr || faults_ != nullptr) {
-        // The cached baseline carries no observation or fault data;
-        // re-simulate so the requested trace/audit/faults reflect this very
-        // scheme.
+      if (obs_ != nullptr) {
+        // The cached baseline carries no observation data; re-simulate so
+        // the requested trace/audit reflects this very scheme.
         out.run = RunMeasured(cfg, BaselineTraces(), {});
       } else {
         out.run = base;
+        last_conservation_ = profile_->BaselineConservation();
       }
       out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
       return out;

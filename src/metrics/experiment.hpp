@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "compiler/pipeline.hpp"
-#include "fault/fault.hpp"
+#include "fault/conservation.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 #include "obs/obs.hpp"
@@ -39,7 +39,7 @@ struct SchemeResult {
   compiler::CompileReport compile_report;  ///< compiler modes only
 };
 
-/// The fault-free, untraced state that every scheme run of one workload
+/// The untraced state that every scheme run of one workload
 /// reuses: the built program, its lowered baseline traces, and the baseline
 /// and observation runs over those traces. Each piece is computed on first
 /// use, exactly once even under concurrent callers, and is never modified
@@ -63,6 +63,11 @@ class Profile {
   const std::vector<arch::Trace>& Traces();
   /// Baseline (conventional) run.
   const runtime::RunResult& Baseline();
+  /// The request-conservation inputs the baseline run ended with.
+  const fault::ConservationInputs& BaselineConservation() {
+    Baseline();
+    return baseline_conservation_;
+  }
   /// Observation run over the original program (Section 4 quantification).
   /// Timing-identical to the baseline.
   const runtime::RunResult& Observe();
@@ -74,12 +79,13 @@ class Profile {
   std::once_flag traces_once_, baseline_once_, observe_once_;
   std::vector<arch::Trace> traces_;
   runtime::RunResult baseline_;
+  fault::ConservationInputs baseline_conservation_;
   runtime::RunResult observe_;
 };
 
 /// A workload prepared for experiments: scheme runs measured against a
 /// Profile, so that multiple schemes reuse one baseline and one observation
-/// run. Per-run state (observation bundle, faults, the last fault report)
+/// run. Per-run state (observation bundle, the last conservation inputs)
 /// belongs to the Experiment, never to the profile.
 class Experiment {
  public:
@@ -114,33 +120,20 @@ class Experiment {
   /// baseline itself can be observed). Null detaches.
   void set_obs(obs::Observability* o) { obs_ = o; }
 
-  /// Attaches a fault schedule to subsequent Run()/RunCompiled() calls.
-  /// Mirrors set_obs: only the *measured* scheme run is faulted (the cached
-  /// baseline/observe profile runs stay pristine, so improvement numbers
-  /// compare a faulted run against the healthy baseline — the degradation
-  /// curve's y-axis). Each measured run gets a fresh injector built from the
-  /// schedule, so repeated runs are identically faulted. Null (or an empty
-  /// schedule) detaches.
-  void set_faults(const fault::FaultSchedule* s) { faults_ = s; }
-
-  /// Fault report for the most recent faulted measured run.
-  bool have_fault_report() const { return have_fault_report_; }
+  /// Request-conservation inputs of the run the last Run()/RunCompiled()
+  /// returned; fault::CheckConservation must report ok on them.
   const fault::ConservationInputs& last_conservation() const { return last_conservation_; }
-  const fault::InjectionCounts& last_injections() const { return last_injections_; }
 
  private:
-  /// One measured run: `opts` plus this Experiment's obs bundle, faults and
-  /// the profile's thread count.
+  /// One measured run: `opts` plus this Experiment's obs bundle. Records
+  /// the run's conservation inputs.
   runtime::RunResult RunMeasured(const arch::ArchConfig& cfg,
                                  const std::vector<arch::Trace>& traces,
                                  runtime::MachineOptions opts);
 
   std::shared_ptr<Profile> profile_;
   obs::Observability* obs_ = nullptr;
-  const fault::FaultSchedule* faults_ = nullptr;
-  bool have_fault_report_ = false;
   fault::ConservationInputs last_conservation_;
-  fault::InjectionCounts last_injections_;
 };
 
 /// Percentage improvement of `t` over baseline `base` (positive = faster,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 
 namespace ndc::runtime {
@@ -83,44 +82,6 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
       sync_->set_sampler(smp);
       for (auto& m : mcs_) m->set_sampler(smp);
       for (auto& c : cores_) c->set_stall_tracking(true);
-    }
-  }
-  if (opts_.faults != nullptr) {
-    // Each fault class installs its hook only when the schedule contains
-    // windows of that class: an empty schedule leaves the NoC/MC hot paths
-    // hook-free and therefore bit-identical to a fault-free run.
-    fault::FaultInjector* inj = opts_.faults;
-    if (!inj->schedule().link_faults.empty()) {
-      net_->set_link_fault_hook([inj](sim::LinkId link, sim::Cycle now) {
-        fault::LinkEffect e = inj->OnLinkTraverse(link, now);
-        return noc::LinkFault{e.extra_latency, e.drop, e.retransmit_delay};
-      });
-    }
-    for (auto& m : mcs_) {
-      sim::McId mc = m->id();
-      if (!inj->schedule().bank_faults.empty()) {
-        m->set_bank_fault_hook([inj, mc](int bank, sim::Cycle now) {
-          mem::BankFault f;
-          switch (inj->OnBankSchedule(mc, bank, now)) {
-            case fault::BankEffect::kHealthy:
-              break;
-            case fault::BankEffect::kStall:
-              f.effect = mem::BankFault::Effect::kStall;
-              f.stall_until = inj->StallEnd(mc, bank, now);
-              break;
-            case fault::BankEffect::kNack:
-              f.effect = mem::BankFault::Effect::kNack;
-              f.nack_backoff = inj->nack_backoff();
-              break;
-          }
-          return f;
-        });
-      }
-      if (!inj->schedule().mc_pressure.empty()) {
-        m->set_pressure_hook([inj, mc](sim::Cycle now) {
-          return inj->OnMcEnqueue(mc, now);
-        });
-      }
     }
   }
 }
@@ -736,8 +697,6 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
       inst->held_link = link;
       inst->held_packet = p.id;
       inst->service_key = link;
-      inst->cur_timeout = inst->timeout;
-      inst->retries_used = 0;
       ArmWaitTimeout(*inst);
       return noc::HopAction::kHold;
     }
@@ -779,8 +738,6 @@ bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId n
       inst.waiting_op = operand;
       inst.resume = resume;
       inst.service_key = service_key;
-      inst.cur_timeout = inst.timeout;
-      inst.retries_used = 0;
       ArmWaitTimeout(inst);
       return true;
     }
@@ -828,40 +785,12 @@ void Machine::ArmWaitTimeout(Instance& inst) {
   std::uint64_t token = next_wait_token_++;
   inst.wait_token = token;
   std::uint64_t uid = inst.uid;
-  eq_.ScheduleAfter(inst.cur_timeout, [this, uid, token] {
+  eq_.ScheduleAfter(inst.timeout, [this, uid, token] {
     Instance* i2 = InstanceByUid(uid);
     if (i2 != nullptr && i2->state == InstState::kWaiting && i2->wait_token == token) {
-      OnWaitTimeout(*i2);
+      AbortWait(*i2, AbortReason::kTimeout);
     }
   });
-}
-
-void Machine::OnWaitTimeout(Instance& inst) {
-  // Bounded retry with backoff: under a fault schedule, an expired wait
-  // window re-arms (wider each time) up to the retry budget before the
-  // offload degrades to host-core execution. Without a fault injector the
-  // budget is zero and the first timeout aborts, exactly as before.
-  if (opts_.faults != nullptr) {
-    const fault::ResilienceParams& res = opts_.faults->resilience();
-    if (inst.retries_used < res.max_retries) {
-      ++inst.retries_used;
-      retries_.Add();
-      auto widened = static_cast<sim::Cycle>(
-          std::llround(static_cast<double>(inst.cur_timeout) * res.backoff_mult));
-      inst.cur_timeout = std::max<sim::Cycle>(1, widened);
-      if (ObsOn()) {
-        opts_.obs->decisions.NoteRetry(inst.uid);
-        opts_.obs->sink.Instant("ndc.retry", eq_.now(), inst.core, inst.uid);
-      }
-      ArmWaitTimeout(inst);
-      return;
-    }
-    if (res.max_retries > 0) {
-      AbortWait(inst, AbortReason::kRetriesExhausted);
-      return;
-    }
-  }
-  AbortWait(inst, AbortReason::kTimeout);
 }
 
 void Machine::AbortWait(Instance& inst, AbortReason reason) {
@@ -876,13 +805,6 @@ void Machine::AbortWait(Instance& inst, AbortReason reason) {
     case AbortReason::kPartnerDone:
       abort_partner_done_.Add();
       outcome = obs::Outcome::kFallbackPartnerDone;
-      break;
-    case AbortReason::kRetriesExhausted:
-      // Still a timeout abort, but one that consumed its retry budget: the
-      // offload degrades gracefully to the host core (the baseline path).
-      abort_timeout_.Add();
-      degraded_.Add();
-      outcome = obs::Outcome::kDegradedToHost;
       break;
   }
   if (ObsOn()) {
@@ -1024,8 +946,6 @@ void Machine::MaterializeStats() {
   service_table_full_.MaterializeInto(stats_, "ndc.service_table_full");
   abort_timeout_.MaterializeInto(stats_, "ndc.abort.timeout");
   abort_partner_done_.MaterializeInto(stats_, "ndc.abort.partner_done");
-  retries_.MaterializeInto(stats_, "ndc.retries");
-  degraded_.MaterializeInto(stats_, "ndc.degraded_to_host");
   incomplete_cores_.MaterializeInto(stats_, "run.incomplete_cores");
   sync_->MaterializeInto(stats_);  // keys appear only when sync ran
   for (int l = 0; l < arch::kNumLocs; ++l) {
@@ -1046,12 +966,6 @@ void Machine::MirrorRegistry(const RunResult& r) {
   set("machine/fallbacks", fallbacks_.v);
   set("machine/l1_misses", r.l1_misses);
   set("machine/l2_misses", r.l2_misses);
-  if (opts_.faults != nullptr) {
-    // Registered only for faulted runs so fault-free registry dumps keep
-    // their historical key set.
-    set("machine/retries", retries_.v);
-    set("machine/degraded_to_host", degraded_.v);
-  }
   if (obs::Gauge* g = reg.gauge("machine/makespan")) {
     g->Set(static_cast<std::int64_t>(r.makespan));
   }
@@ -1068,13 +982,9 @@ fault::ConservationInputs Machine::GatherConservation() const {
   in.packets_sent = net_->sent_count();
   in.packets_delivered = net_->delivered_count();
   in.packets_squashed = net_->squashed_count();
-  in.packets_dropped = net_->dropped_count();
-  in.packets_retransmitted = net_->retransmitted_count();
   for (const auto& m : mcs_) {
     in.mc_reads += m->reads_count();
     in.mc_reads_done += m->reads_done_count();
-    in.mc_nacks += m->nacks_count();
-    in.mc_nack_retries += m->nack_retries_count();
   }
   const sync::SyncStats& ss = sync_->stats();
   in.sync_acquires = ss.lock_acquires;

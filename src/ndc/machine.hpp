@@ -12,7 +12,6 @@
 #include "arch/memory_port.hpp"
 #include "arch/trace.hpp"
 #include "fault/conservation.hpp"
-#include "fault/injector.hpp"
 #include "mem/cache.hpp"
 #include "mem/memctrl.hpp"
 #include "ndc/policy.hpp"
@@ -41,13 +40,6 @@ struct MachineOptions {
   /// compiles out entirely, and even with NDC_OBS=ON a null pointer reduces
   /// each hook to one predictable branch. Never affects simulated timing.
   obs::Observability* obs = nullptr;
-  /// Fault injector driving this run (null = fault-free). The machine wires
-  /// it into the NoC/MC fault hooks and applies its resilience budgets
-  /// (timeout retry with backoff, degrade-to-host on exhaustion). Hooks are
-  /// installed per fault class only when the schedule actually contains
-  /// windows of that class, so an empty schedule leaves every simulated path
-  /// bit-identical to a fault-free run.
-  fault::FaultInjector* faults = nullptr;
   /// Sync-engine tuning (service occupancy per op). The subsystem itself is
   /// demand-driven: traces without kSync instructions never touch it, so
   /// sync-free runs stay bit-identical to pre-sync builds.
@@ -129,7 +121,7 @@ class Machine final : public arch::MemoryPort {
 
   /// Snapshot of the request-conservation counters (call after Run drains):
   /// fault::CheckConservation(GatherConservation()) must report ok — no
-  /// request lost, however hostile the fault schedule.
+  /// request lost.
   fault::ConservationInputs GatherConservation() const;
 
  private:
@@ -168,8 +160,6 @@ class Machine final : public arch::MemoryPort {
     bool offloaded = false;
     Loc planned = Loc::kCacheCtrl;
     sim::Cycle timeout = 0;
-    sim::Cycle cur_timeout = 0;  ///< current wait window (grows with backoff)
-    int retries_used = 0;        ///< wait windows re-armed after a timeout
     InstState state = InstState::kPending;
     std::uint8_t feasible_mask = 0;
 
@@ -201,7 +191,7 @@ class Machine final : public arch::MemoryPort {
     std::array<std::uint64_t, 2> obs_tok{};
   };
 
-  enum class AbortReason { kTimeout, kPartnerDone, kRetriesExhausted };
+  enum class AbortReason { kTimeout, kPartnerDone };
 
   // -- memory path --
   // A load making its way through the hierarchy is `msg` (requesting core,
@@ -236,12 +226,9 @@ class Machine final : public arch::MemoryPort {
   bool OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node, int service_key,
                       const HeldResponse& resume);
   void MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node);
-  /// Arms (or re-arms) the wait-timeout timer for a waiting instance using
-  /// its current (possibly backed-off) window.
+  /// Arms the wait-timeout timer for a waiting instance; on expiry the
+  /// wait aborts and the instance falls back to host-core execution.
   void ArmWaitTimeout(Instance& inst);
-  /// A wait window expired: retry with backoff if the resilience budget
-  /// allows, otherwise abort (degrading to host-core execution).
-  void OnWaitTimeout(Instance& inst);
   void AbortWait(Instance& inst, AbortReason reason);
   void OnOperandAtCore(Instance& inst, int operand, sim::Cycle when);
   void MaybeFallback(Instance& inst);
@@ -314,9 +301,6 @@ class Machine final : public arch::MemoryPort {
   sim::RawCounter candidates_, local_l1_skips_, offloads_, success_, fallbacks_,
       plan_infeasible_, offload_table_full_, service_table_full_, abort_timeout_,
       abort_partner_done_, incomplete_cores_;
-  // Resilience counters: touched only when a fault schedule enables retries,
-  // so their StatSet keys never appear in fault-free runs (goldens frozen).
-  sim::RawCounter retries_, degraded_;
   sim::StatSet stats_;
   std::array<std::uint64_t, arch::kNumLocs> ndc_at_loc_{};
 };

@@ -91,28 +91,7 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
 
 void Network::Traverse(Flight* f, sim::LinkId link) {
   Packet& p = f->packet;
-  sim::Cycle now = eq_.now();
-  sim::Cycle ready = now + params_.router_pipeline;
-  if (link_fault_) {
-    LinkFault fault = link_fault_(link, now);
-    if (fault.drop) {
-      // The packet never occupied the link; it retries the same hop from
-      // this router after the retransmit delay (the fault hook decides the
-      // delay so the network stays policy-free). The NDC hop hook is not
-      // re-run: its decision for this hop already stands.
-      assert(fault.retransmit_delay > 0 && "a dropped packet needs a retransmit delay");
-      drops_.Add();
-      eq_.ScheduleAfter(fault.retransmit_delay, [this, f, link] {
-        retransmits_.Add();
-        Traverse(f, link);
-      });
-      return;
-    }
-    if (fault.extra_latency > 0) {
-      fault_delay_cycles_.Add(fault.extra_latency);
-      ready += fault.extra_latency;
-    }
-  }
+  sim::Cycle ready = eq_.now() + params_.router_pipeline;
   // Buffer pressure: each packet held in this link's buffer (an NDC operand
   // waiting for its partner) reduces the slots available to passing
   // traffic, delaying it proportionally.
@@ -182,9 +161,6 @@ void Network::MaterializeStats() const {
   hol_blocked_.MaterializeInto(stats_, "noc.hol_blocked");
   link_busy_cycles_.MaterializeInto(stats_, "noc.link_busy_cycles");
   contention_cycles_.MaterializeInto(stats_, "noc.contention_cycles");
-  drops_.MaterializeInto(stats_, "noc.drops");
-  retransmits_.MaterializeInto(stats_, "noc.retransmits");
-  fault_delay_cycles_.MaterializeInto(stats_, "noc.fault_delay_cycles");
 }
 
 }  // namespace ndc::noc

@@ -48,16 +48,6 @@ enum class HopAction {
   kSquash,    ///< consume the packet here (NDC computed; data no longer travels)
 };
 
-/// What a faulted link does to a packet about to traverse it. Produced by a
-/// fault hook (src/fault's injector binds one); the network itself is
-/// fault-agnostic. A dropped packet is retransmitted from the same router
-/// after `retransmit_delay` cycles — never lost.
-struct LinkFault {
-  sim::Cycle extra_latency = 0;
-  bool drop = false;
-  sim::Cycle retransmit_delay = 0;  ///< must be set when drop is true
-};
-
 /// Cycle-approximate mesh network with per-link serialization and
 /// contention (busy-until per link), a 3-cycle router pipeline per hop, and
 /// a per-hop hook that lets the NDC engine observe, hold, or squash packets
@@ -69,9 +59,6 @@ class Network {
   using DeliverHook = std::function<void(const Packet&)>;
   /// Called when `packet` is at the router about to traverse `link`.
   using HopHook = std::function<HopAction(Packet&, sim::LinkId, sim::Cycle)>;
-  /// Called per link traversal attempt when installed; returns the fault
-  /// effect (if any) the traversal experiences.
-  using LinkFaultFn = std::function<LinkFault(sim::LinkId, sim::Cycle)>;
 
   Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params = {});
 
@@ -102,18 +89,12 @@ class Network {
   /// Installs the receiver of packets sent without a DeliverFn.
   void set_deliver_hook(DeliverHook hook) { deliver_hook_ = std::move(hook); }
 
-  /// Installs a link-fault hook (empty schedule => never install one: the
-  /// hook-less traversal path is byte-identical to the pre-fault network).
-  void set_link_fault_hook(LinkFaultFn hook) { link_fault_ = std::move(hook); }
-
   /// Packets handed to their receiver so far (conservation checks:
   /// packets == delivered + squashed). Plain accessor — deliberately never
   /// materialized into stats() so golden StatSet dumps are unchanged.
   std::uint64_t delivered_count() const { return delivered_; }
   std::uint64_t sent_count() const { return packets_.v; }
   std::uint64_t squashed_count() const { return squashes_.v; }
-  std::uint64_t dropped_count() const { return drops_.v; }
-  std::uint64_t retransmitted_count() const { return retransmits_.v; }
 
   /// Traced packets report each link traversal to `tracer` (may be null).
   void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
@@ -184,7 +165,6 @@ class Network {
   RouteTable routes_;
   HopHook hop_hook_;
   DeliverHook deliver_hook_;
-  LinkFaultFn link_fault_;
   obs::RequestTracer* tracer_ = nullptr;
   obs::WindowSampler* sampler_ = nullptr;
   std::vector<obs::Counter*> link_traversals_;  ///< per-link registry handles
@@ -203,9 +183,6 @@ class Network {
   std::uint64_t delivered_ = 0;  ///< accessor-only; never a StatSet key
   sim::RawCounter packets_, bytes_, holds_, squashes_, releases_, hol_blocked_,
       link_busy_cycles_, contention_cycles_;
-  // Fault counters: touched only when a link-fault hook injects something,
-  // so their StatSet keys never appear in fault-free runs (goldens frozen).
-  sim::RawCounter drops_, retransmits_, fault_delay_cycles_;
   mutable sim::StatSet stats_;
 };
 

@@ -24,7 +24,6 @@ const char* OutcomeName(Outcome o) {
     case Outcome::kFallbackPartnerDone: return "fallback_partner_done";
     case Outcome::kFallbackServiceTableFull: return "fallback_service_table_full";
     case Outcome::kFallbackNeverMet: return "fallback_never_met";
-    case Outcome::kDegradedToHost: return "degraded_to_host";
     case Outcome::kUnresolved: return "unresolved";
   }
   return "?";
@@ -64,15 +63,6 @@ void DecisionLog::Resolve(std::uint64_t uid, Outcome outcome, std::int8_t met_lo
   e.met_loc = met_loc;
   e.resolved_at = now;
   ++outcome_counts_[static_cast<int>(outcome)];
-}
-
-void DecisionLog::NoteRetry(std::uint64_t uid) {
-  auto it = by_uid_.find(uid);
-  if (it == by_uid_.end()) return;
-  DecisionEntry& e = entries_[it->second];
-  if (e.outcome != Outcome::kUnresolved) return;
-  ++e.retries;
-  ++total_retries_;
 }
 
 void DecisionLog::EndRun(sim::Cycle now) {
@@ -115,13 +105,8 @@ std::string DecisionLog::ToJsonl() const {
   std::string out;
   char line[256];
   for (const DecisionEntry& e : entries_) {
-    // `retries` is emitted only when consumed (faulted runs) and `prior`
-    // only when computed: decision JSONL without either stays
-    // byte-identical to the historical format.
-    char retries[32] = "";
-    if (e.retries != 0) {
-      std::snprintf(retries, sizeof(retries), ",\"retries\":%u", e.retries);
-    }
+    // `prior` is emitted only when computed: decision JSONL without it
+    // stays byte-identical to the historical format.
     char prior[32] = "";
     if (e.prior != 0) {
       std::snprintf(prior, sizeof(prior), ",\"prior\":%u", e.prior);
@@ -129,12 +114,12 @@ std::string DecisionLog::ToJsonl() const {
     std::snprintf(line, sizeof(line),
                   "{\"uid\":%llu,\"core\":%d,\"site\":%u,\"kind\":\"%s\","
                   "\"planned_loc\":%d,\"decided_at\":%llu,\"outcome\":\"%s\","
-                  "\"met_loc\":%d,\"resolved_at\":%llu%s%s}\n",
+                  "\"met_loc\":%d,\"resolved_at\":%llu%s}\n",
                   static_cast<unsigned long long>(e.uid), static_cast<int>(e.core),
                   e.site, DecisionKindName(e.kind), static_cast<int>(e.planned_loc),
                   static_cast<unsigned long long>(e.decided_at), OutcomeName(e.outcome),
                   static_cast<int>(e.met_loc),
-                  static_cast<unsigned long long>(e.resolved_at), retries, prior);
+                  static_cast<unsigned long long>(e.resolved_at), prior);
     out += line;
   }
   return out;

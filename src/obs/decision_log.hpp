@@ -39,10 +39,9 @@ enum class Outcome : std::uint8_t {
   kFallbackPartnerDone,      ///< partner operand already consumed/delivered
   kFallbackServiceTableFull, ///< no service-table entry at the meeting point
   kFallbackNeverMet,         ///< run ended before the operands met
-  kDegradedToHost,           ///< retry budget exhausted; ran on the host core
   kUnresolved,               ///< not yet resolved (transient; none at EndRun)
 };
-inline constexpr int kNumOutcomes = 8;
+inline constexpr int kNumOutcomes = 7;
 
 const char* DecisionKindName(DecisionKind k);
 const char* OutcomeName(Outcome o);
@@ -57,7 +56,6 @@ struct DecisionEntry {
   Outcome outcome = Outcome::kUnresolved;
   std::int8_t met_loc = -1;      ///< arch::Loc where operands actually met
   sim::Cycle resolved_at = 0;
-  std::uint32_t retries = 0;     ///< wait-timeout retries consumed (faults)
   /// Advisory NMPO-style profiling prior: the number of feasible NDC
   /// locations the planner saw for this candidate (popcount of the
   /// feasibility mask). Audit-only — recorded, never read back by the
@@ -79,10 +77,6 @@ class DecisionLog {
   /// fallback sweep). Unknown uids are ignored.
   void Resolve(std::uint64_t uid, Outcome outcome, std::int8_t met_loc, sim::Cycle now);
 
-  /// Notes one retry of an unresolved offload's wait window (resilience
-  /// under faults). Unknown or already-resolved uids are ignored.
-  void NoteRetry(std::uint64_t uid);
-
   /// Marks every still-unresolved offload as kFallbackNeverMet.
   void EndRun(sim::Cycle now);
 
@@ -94,7 +88,6 @@ class DecisionLog {
     return outcome_counts_[static_cast<int>(o)];
   }
   std::uint64_t unresolved() const { return outcome_count(Outcome::kUnresolved); }
-  std::uint64_t total_retries() const { return total_retries_; }
 
   /// Human-readable decision / outcome tallies (ndc-trace stdout).
   std::string Summary() const;
@@ -107,7 +100,6 @@ class DecisionLog {
   std::map<std::uint64_t, std::size_t> by_uid_;
   std::uint64_t kind_counts_[kNumDecisionKinds] = {};
   std::uint64_t outcome_counts_[kNumOutcomes] = {};
-  std::uint64_t total_retries_ = 0;
 };
 
 }  // namespace ndc::obs

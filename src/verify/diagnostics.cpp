@@ -121,18 +121,28 @@ std::string Report::ToText() const {
   return os.str();
 }
 
-namespace {
-void JsonEscape(std::ostringstream& os, const std::string& s) {
+// Control characters get named escapes where JSON defines one and \u00xx
+// otherwise (the snprintf argument must be widened through unsigned char: a
+// raw signed char would sign-extend and print \uffxx). Bytes >= 0x80 —
+// UTF-8 continuation and lead bytes — pass through untouched: the document
+// is UTF-8, and escaping them as \u00xx would re-encode each byte as a
+// separate Latin-1 code point, corrupting every multi-byte rune on the
+// first decode.
+void JsonEscape(std::ostream& os, const std::string& s) {
   for (char c : s) {
     switch (c) {
       case '"': os << "\\\""; break;
       case '\\': os << "\\\\"; break;
       case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
       case '\t': os << "\\t"; break;
+      case '\b': os << "\\b"; break;
+      case '\f': os << "\\f"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
           os << buf;
         } else {
           os << c;
@@ -140,7 +150,6 @@ void JsonEscape(std::ostringstream& os, const std::string& s) {
     }
   }
 }
-}  // namespace
 
 std::string Report::ToJson() const {
   std::ostringstream os;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -105,5 +106,9 @@ struct Report {
   /// Machine-readable rendering (a JSON array of finding objects).
   std::string ToJson() const;
 };
+
+/// Writes `s` as the body of a JSON string (no surrounding quotes): the one
+/// escaper behind ToJson and the SARIF exporter.
+void JsonEscape(std::ostream& os, const std::string& s);
 
 }  // namespace ndc::verify

@@ -1,6 +1,5 @@
 #include "verify/sarif.hpp"
 
-#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -14,36 +13,6 @@ const char* SarifLevel(Severity s) {
     case Severity::kError: return "error";
   }
   return "none";
-}
-
-// JSON string escaping. Control characters get named escapes where JSON
-// defines one and \u00xx otherwise (the snprintf argument must be widened
-// through unsigned char: a raw signed char would sign-extend and print
-// ￿ffxx). Bytes >= 0x80 — UTF-8 continuation and lead bytes — pass
-// through untouched: the document is UTF-8, and escaping them as \u00xx
-// would re-encode each byte as a separate Latin-1 code point, corrupting
-// every multi-byte rune on the first decode.
-void Escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -67,10 +36,10 @@ std::string ToSarif(const Report& report, const std::string& tool_name,
      << "      \"tool\": {\n"
      << "        \"driver\": {\n"
      << "          \"name\": \"";
-  Escape(os, tool_name);
+  JsonEscape(os, tool_name);
   os << "\",\n"
      << "          \"version\": \"";
-  Escape(os, tool_version);
+  JsonEscape(os, tool_version);
   os << "\",\n"
      << "          \"informationUri\": \"https://example.invalid/ndc\",\n"
      << "          \"rules\": [";
@@ -93,12 +62,12 @@ std::string ToSarif(const Report& report, const std::string& tool_name,
     os << "        {\"ruleId\": \"" << CodeId(d.code)
        << "\", \"ruleIndex\": " << rule_index[static_cast<int>(d.code)]
        << ", \"level\": \"" << SarifLevel(d.severity) << "\", \"message\": {\"text\": \"";
-    Escape(os, d.message);
+    JsonEscape(os, d.message);
     os << "\"}, \"locations\": [{\"logicalLocations\": [{\"fullyQualifiedName\": \"";
     std::ostringstream loc;
     loc << "nest" << d.nest;
     if (d.stmt >= 0) loc << "/stmt" << d.stmt;
-    Escape(os, loc.str());
+    JsonEscape(os, loc.str());
     os << "\", \"kind\": \"function\"}]}], \"properties\": {\"nest\": " << d.nest
        << ", \"stmt\": " << d.stmt << ", \"array\": " << d.array << "}}";
   }

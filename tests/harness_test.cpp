@@ -81,14 +81,6 @@ TEST(CellSpec, KeyIsStableAndSensitiveToSemanticFields) {
   EXPECT_NE(a.Key(), b.Key());
 }
 
-fault::FaultSchedule SmallFaultSchedule() {
-  fault::FaultSchedule s;
-  s.seed = 7;
-  s.link_faults.push_back({3, 100, 900, 8, 0.25});
-  s.mc_pressure.push_back({1, 200, 400, 16});
-  return s;
-}
-
 // Cache keys are pinned literals: a change to CanonicalString() or
 // kCacheVersion that moves them orphans every entry already on disk, so it
 // must show up here (and come with a version bump).
@@ -98,9 +90,6 @@ TEST(CellSpec, DefaultKeyIsStable) {
   a.scale = workloads::Scale::kSmall;
   a.scheme = metrics::Scheme::kOracle;
   EXPECT_EQ(a.Key(), "c692371c58525ce3");
-
-  a.faults = SmallFaultSchedule();
-  EXPECT_EQ(a.Key(), "a54d03c11a5019b5");
 }
 
 // Cells share a profile exactly when their baseline and observation runs
@@ -117,8 +106,6 @@ TEST(CellSpec, ProfileKeyKeepsEverythingTheBaselineDependsOn) {
   b.coarse_grain = true;
   b.allow_reroute = false;
   b.control_register = 1;
-  b.faults.seed = 3;
-  b.faults.mc_pressure.push_back({0, 0, 100, 8});
   b.variant = "label";
   EXPECT_EQ(a.ProfileKey(), b.ProfileKey());
   EXPECT_NE(a.Key(), b.Key());
@@ -362,8 +349,8 @@ TEST(Sweep, UncachedParallelMatchesSerial) {
 
 /// A test-scale grid that exercises every way cells can share a profile:
 /// all 11 schemes of one workload, a coarse-grain and a reroute-off
-/// compiled cell, a faulted cell, two ArchConfig variants of one workload,
-/// and duplicated cells.
+/// compiled cell, two ArchConfig variants of one workload, and duplicated
+/// cells.
 SweepSpec EquivalenceGrid() {
   SweepSpec spec;
   spec.figure = "equivalence";
@@ -386,9 +373,6 @@ SweepSpec EquivalenceGrid() {
   CellSpec no_reroute = cell("md", Scheme::kAlgorithm2);
   no_reroute.allow_reroute = false;
   spec.cells.push_back(no_reroute);
-  CellSpec faulted = cell("md", Scheme::kOracle);
-  faulted.faults = SmallFaultSchedule();
-  spec.cells.push_back(faulted);
   for (Scheme s : {Scheme::kBaseline, Scheme::kWait25}) {
     spec.cells.push_back(cell("fft", s));
     spec.cells.push_back(cell("fft", s));
@@ -407,7 +391,7 @@ std::uint64_t SimEventsSoFar() { return obs::GlobalPhases().Take().sim_events; }
 // standalone RunCell calls produce, at any job count and with part of the
 // grid served from the cache. With observability compiled in it also
 // simulates exactly one baseline per key, one observation run per key that
-// needs it and one measured run per simulated cell (a fault-free Baseline
+// needs it and one measured run per simulated cell (a Baseline
 // cell's measured run is the profile's baseline itself).
 TEST(Sweep, SharedProfilesMatchStandaloneCells) {
   SweepSpec spec = EquivalenceGrid();

@@ -231,21 +231,6 @@ TEST_F(McFixture, DoneHookReceivesTagAddrPayloadAndToken) {
   EXPECT_EQ(own, 1);
 }
 
-TEST_F(McFixture, PressureDelayedReadIsPendingOnlyOnceQueued) {
-  // Contract: HasPendingAddr reports reads in the bank queue or in service.
-  // A read the pressure hook delays is not pending until it is admitted.
-  mc->set_pressure_hook([](sim::Cycle now) -> sim::Cycle { return now == 0 ? 100 : 0; });
-  mc->EnqueueRead(1, 0x42000, [](std::uint64_t, sim::Cycle) {});
-  EXPECT_FALSE(mc->HasPendingAddr(0x42000));
-  eq.RunUntilEmpty(99);
-  EXPECT_FALSE(mc->HasPendingAddr(0x42000));
-  eq.RunUntilEmpty(100);
-  EXPECT_TRUE(mc->HasPendingAddr(0x42000));
-  eq.RunUntilEmpty();
-  EXPECT_FALSE(mc->HasPendingAddr(0x42000));
-  EXPECT_EQ(mc->reads_done_count(), 1u);
-}
-
 TEST_F(McFixture, QueuedWriteIsNotAPendingRead) {
   // Regression: HasPendingAddr() used to report queued *writes* too, so the
   // NDC engine could offload a read expecting to "meet" data in the memory

@@ -111,8 +111,8 @@ TEST(Diagnostics, TextRenderingCarriesLocationAndCode) {
 TEST(Diagnostics, JsonRenderingIsWellFormed) {
   Report r;
   EXPECT_EQ(r.ToJson(), "[]");
-  r.Add(Severity::kWarning, Code::kSubscriptOutOfBounds, "quote \" and \\ backslash", 0,
-        2, 9, 1);
+  r.Add(Severity::kWarning, Code::kSubscriptOutOfBounds, "quote \" and \\ backslash\rcr",
+        0, 2, 9, 1);
   r.Add(Severity::kError, Code::kUnsafeLead, "second", 1);
   std::string js = r.ToJson();
   EXPECT_EQ(js.front(), '[');
@@ -121,6 +121,8 @@ TEST(Diagnostics, JsonRenderingIsWellFormed) {
   EXPECT_NE(js.find("\"code\": 203"), std::string::npos);
   EXPECT_NE(js.find("\\\""), std::string::npos);   // escaped quote
   EXPECT_NE(js.find("\\\\"), std::string::npos);   // escaped backslash
+  EXPECT_NE(js.find("backslash\\rcr"), std::string::npos);  // named \r escape
+  EXPECT_EQ(js.find('\r'), std::string::npos);
 }
 
 TEST(Diagnostics, MergeConcatenates) {

@@ -11,12 +11,6 @@
 // Exit status: 0 on success, 2 on usage errors or unknown figure,
 // 3 when --require-all-hits is set and any cell had to be simulated.
 //
-// --faults=FILE (or an inline JSON object) runs every grid cell under that
-// fault schedule; --fault-intensity=X,Y,... additionally repeats each figure
-// once per intensity with the schedule's magnitudes scaled by that factor —
-// the raw material of a degradation curve. Faulted runs never share cache
-// entries with fault-free ones.
-//
 // --classify re-simulates every grid cell with the phase-window sampler
 // attached (outside the result cache — cache keys are untouched) and emits
 // one bottleneck-classification JSONL line per cell to stderr: label plus
@@ -32,7 +26,6 @@
 //             [--export-jsonl=FILE] [--export-csv=FILE] [--export-obs=DIR]
 //             [--classify] [--classify-window=CYCLES]
 //             [--summary=FILE] [--require-all-hits]
-//             [--faults=FILE|JSON] [--fault-intensity=X[,Y,...]]
 //   ndc-sweep --list
 
 #include <climits>
@@ -42,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/schedule.hpp"
 #include "harness/cell.hpp"
 #include "harness/figures.hpp"
 
@@ -58,8 +50,6 @@ struct SweepArgs {
   bool list = false;
   bool require_all_hits = false;
   std::string summary_path;  ///< append per-figure summary JSONL lines here
-  bool have_faults = false;  ///< --faults parsed into opt.faults
-  std::vector<double> intensities;  ///< --fault-intensity factors (may be empty)
 };
 
 [[noreturn]] void UsageAndExit() {
@@ -69,38 +59,8 @@ struct SweepArgs {
                "         [--progress] [--export-jsonl=FILE] [--export-csv=FILE]\n"
                "         [--export-obs=DIR] [--classify] [--classify-window=CYCLES]\n"
                "         [--summary=FILE] [--require-all-hits]\n"
-               "         [--faults=FILE|JSON] [--fault-intensity=X[,Y,...]]\n"
                "       ndc-sweep --list\n");
   std::exit(2);
-}
-
-std::vector<double> ParseIntensityList(const char* list) {
-  std::vector<double> out;
-  const char* p = list;
-  while (*p != '\0') {
-    char* end = nullptr;
-    double v = std::strtod(p, &end);
-    if (end == p || v < 0.0) {
-      std::fprintf(stderr,
-                   "ndc-sweep: --fault-intensity expects comma-separated "
-                   "non-negative factors, got '%s'\n",
-                   list);
-      UsageAndExit();
-    }
-    out.push_back(v);
-    p = end;
-    if (*p == ',') ++p;
-    else if (*p != '\0') {
-      std::fprintf(stderr, "ndc-sweep: trailing characters in --fault-intensity '%s'\n",
-                   list);
-      UsageAndExit();
-    }
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "ndc-sweep: --fault-intensity list is empty\n");
-    UsageAndExit();
-  }
-  return out;
 }
 
 SweepArgs Parse(int argc, char** argv) {
@@ -163,15 +123,6 @@ SweepArgs Parse(int argc, char** argv) {
       a.summary_path = arg + 10;
     } else if (std::strcmp(arg, "--require-all-hits") == 0) {
       a.require_all_hits = true;
-    } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-      std::string err;
-      if (!ndc::fault::LoadSchedule(arg + 9, &a.opt.faults, &err)) {
-        std::fprintf(stderr, "ndc-sweep: --faults: %s\n", err.c_str());
-        std::exit(2);
-      }
-      a.have_faults = true;
-    } else if (std::strncmp(arg, "--fault-intensity=", 18) == 0) {
-      a.intensities = ParseIntensityList(arg + 18);
     } else {
       std::fprintf(stderr, "ndc-sweep: unknown argument '%s'\n", arg);
       UsageAndExit();
@@ -197,10 +148,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ndc-sweep: no --figure given\n");
     UsageAndExit();
   }
-  if (!args.intensities.empty() && !args.have_faults) {
-    std::fprintf(stderr, "ndc-sweep: --fault-intensity requires --faults\n");
-    UsageAndExit();
-  }
 
   // Expand --figure=all into the registry, in paper order.
   std::vector<std::string> names;
@@ -216,9 +163,10 @@ int main(int argc, char** argv) {
   }
 
   std::uint64_t total_sims = 0;
-  auto run_one = [&](const std::string& name, const FigureOptions& opt) -> int {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) std::printf("\n");
     SweepSummary summary;
-    int rc = ndc::harness::RunFigure(name, opt, &summary);
+    int rc = ndc::harness::RunFigure(names[i], args.opt, &summary);
     if (rc != 0) return rc;
     total_sims += summary.sim_invocations;
     std::fprintf(stderr, "%s\n", ndc::harness::json::Dump(summary.ToJson()).c_str());
@@ -226,25 +174,6 @@ int main(int argc, char** argv) {
         !ndc::harness::AppendSummary(summary, args.summary_path)) {
       std::fprintf(stderr, "ndc-sweep: cannot append to %s\n", args.summary_path.c_str());
       return 2;
-    }
-    return 0;
-  };
-
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) std::printf("\n");
-    if (args.intensities.empty()) {
-      int rc = run_one(names[i], args.opt);
-      if (rc != 0) return rc;
-    } else {
-      for (std::size_t k = 0; k < args.intensities.size(); ++k) {
-        if (k > 0) std::printf("\n");
-        FigureOptions opt = args.opt;
-        opt.faults = args.opt.faults.Scaled(args.intensities[k]);
-        std::printf("## fault-intensity=%g (fault seed %llu)\n", args.intensities[k],
-                    static_cast<unsigned long long>(opt.faults.seed));
-        int rc = run_one(names[i], opt);
-        if (rc != 0) return rc;
-      }
     }
   }
   if (args.require_all_hits && total_sims > 0) {
