@@ -17,6 +17,9 @@
 // the same run with the NDC engine offloading under the Default
 // always-wait policy, so the layer table ends with the ns/event and
 // allocs/event of the assembled simulator with and without NDC traffic.
+// A last row, "lower_fig04", times the code generator: lowering the 20
+// fig04 benchmarks at small scale, with events = emitted instructions, so
+// it reads ns/instr and allocs/instr.
 //
 // Usage: bench_substrate [--events=N] [--out=FILE]
 
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "arch/config.hpp"
+#include "compiler/codegen.hpp"
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
@@ -269,6 +273,28 @@ BenchResult MachineBench(const char* name, bool offload) {
   return Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
 }
 
+// --- Code generation ---------------------------------------------------------
+// compiler::Lower over the 20 fig04 benchmarks at small scale; workload
+// build stays off the clock. Lowering allocates per (core, nest), never per
+// instruction, so allocs/instr stays near zero.
+
+BenchResult LowerBench() {
+  arch::ArchConfig cfg;
+  std::vector<ir::Program> programs;
+  for (const std::string& name : workloads::BenchmarkNames()) {
+    programs.push_back(workloads::BuildWorkload(name, workloads::Scale::kSmall, 1));
+  }
+  std::uint64_t instrs = 0;
+  return Measure(
+      "lower_fig04",
+      [&] {
+        for (const ir::Program& p : programs) {
+          instrs += compiler::Lower(p, cfg.num_nodes(), &cfg).total_instrs;
+        }
+      },
+      [&] { return instrs; });
+}
+
 // ---------------------------------------------------------------------------
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
@@ -331,6 +357,7 @@ int Main(int argc, char** argv) {
   MachineBench("machine_swim_warmup", false);  // page-in + pool growth
   rows.push_back(MachineBench("machine_swim", false));
   rows.push_back(MachineBench("machine_offload", true));
+  rows.push_back(LowerBench());
 
   std::printf("# bench_substrate  (events=%llu)\n",
               static_cast<unsigned long long>(events));

@@ -7,9 +7,10 @@ robust to runner speed:
     --min-speedup on the hot small-delay scheduling path;
   - the hot path must be allocation-free in steady state: the calendar_chain
     bench may average at most --max-allocs-per-event heap allocations;
-  - per-row allocation ceilings (allocs/event) for the component streams and
-    the whole machine: memctrl_stream <= 0.01, noc_stream <= 0.01,
-    machine_swim <= 0.05, machine_offload <= 0.05.
+  - per-row allocation ceilings (allocs/event) for the component streams,
+    the whole machine and the code generator: memctrl_stream <= 0.01,
+    noc_stream <= 0.01, machine_swim <= 0.05, machine_offload <= 0.05,
+    lower_fig04 <= 0.05 (allocs per emitted instruction).
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
@@ -20,7 +21,7 @@ import json
 import sys
 
 ROW_CEILINGS = {"memctrl_stream": 0.01, "noc_stream": 0.01, "machine_swim": 0.05,
-                "machine_offload": 0.05}
+                "machine_offload": 0.05, "lower_fig04": 0.05}
 
 
 def main(argv):

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include "analysis/cme.hpp"
@@ -28,25 +28,6 @@ struct Emission {
   int stmt = 0;       // body index
   Phase phase = kLoad0;
   ir::Int j = 0;      // index of the computation's iteration in the core list
-
-  bool operator<(const Emission& o) const {
-    if (slot != o.slot) return slot < o.slot;
-    if (j != o.j) return j < o.j;
-    if (stmt != o.stmt) return stmt < o.stmt;
-    return phase < o.phase;
-  }
-};
-
-// Key for remembering where a load was emitted (for dependences).
-struct LoadKey {
-  int stmt;
-  ir::Int j;
-  int which;  // 0/1 = operand, 2 = store-index, 3 = lock acquire
-  bool operator<(const LoadKey& o) const {
-    if (stmt != o.stmt) return stmt < o.stmt;
-    if (j != o.j) return j < o.j;
-    return which < o.which;
-  }
 };
 
 // Deterministic per-iteration reduction payload. Both lowering schemes
@@ -55,6 +36,36 @@ struct LoadKey {
 // schemes — the cross-scheme equivalence the sync tests assert.
 ir::Int ReductionPayload(const ir::IntVec& iter) {
   return 1 + ((iter.front() * 31 + iter.back()) % 13);
+}
+
+// Byte address of element `i` of a 1-D (sync) array.
+sim::Addr ElemAddr(const ir::Array& a, ir::Int i) {
+  return a.base + static_cast<sim::Addr>(i) * static_cast<sim::Addr>(a.elem_bytes);
+}
+
+// Upper bound on the instructions one iteration of `nest` lowers to. Every
+// emission gives at most one instruction, except an indirect operand load
+// (its index load comes first) and the host-lock store (store + release).
+std::size_t InstrsPerIteration(const ir::LoopNest& nest) {
+  auto load = [](const ir::Operand& op) -> std::size_t {
+    if (!op.IsMemory()) return 0;
+    return op.kind == ir::Operand::Kind::kIndirect ? 2 : 1;
+  };
+  std::size_t n = nest.sync.kind == ir::SyncKind::kPostWait ? 2 : 0;  // wait + post
+  for (const ir::Stmt& st : nest.body) {
+    switch (st.sync.kind) {
+      case ir::SyncKind::kNdcAtomic:
+        n += load(st.rhs1) + 1;  // + fetch-add
+        break;
+      case ir::SyncKind::kHostLock:
+        n += load(st.rhs1) + load(st.rhs0) + 4;  // + acquire, compute, store, release
+        break;
+      default:
+        n += load(st.rhs0) + load(st.rhs1) + 1 + (st.lhs.IsMemory() ? 1 : 0);
+        break;
+    }
+  }
+  return n;
 }
 
 }  // namespace
@@ -69,10 +80,54 @@ int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_c
 
 CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConfig* cfg) {
   CodegenResult out;
-  out.traces.assign(static_cast<std::size_t>(num_cores), {});
+  const auto cores = static_cast<std::size_t>(num_cores);
+  out.traces.assign(cores, {});
+
+  // Iteration count per (nest, core); from it, each trace's size bound, so
+  // every trace is reserved once.
+  std::vector<ir::Int> counts(prog.nests.size() * cores, 0);
+  {
+    std::vector<std::size_t> bound(cores, 0);
+    for (std::size_t n = 0; n < prog.nests.size(); ++n) {
+      const ir::LoopNest& nest = prog.nests[n];
+      ir::Int* cnt = &counts[n * cores];
+      nest.ForEachIteration([&](const ir::IntVec& iter) {
+        ++cnt[CoreForIteration(nest, iter, num_cores)];
+      });
+      const std::size_t per_iter = InstrsPerIteration(nest);
+      for (std::size_t c = 0; c < cores; ++c) {
+        if (cnt[c] > 0) bound[c] += static_cast<std::size_t>(cnt[c]) * per_iter + 1;  // + barrier
+      }
+    }
+    for (std::size_t c = 0; c < cores; ++c) out.traces[c].reserve(bound[c]);
+  }
+
+  // Scratch reused across nests and cores, so lowering allocates per
+  // (core, nest) at most, never per iteration or instruction.
+  std::vector<std::vector<ir::Int>> per_core(cores);  // depth Ints per iteration
+  std::vector<ir::Int> keys;                          // T*I per iteration
+  std::vector<std::size_t> perm;
+  std::vector<ir::Int> permuted;
+  std::vector<Emission> generated;
+  std::vector<Emission> emissions;
+  std::vector<ir::Int> slot_cursor;
+  // Dependence tables, -1 = not emitted. load_at is indexed
+  // (j*|body| + stmt)*4 + which, which = 0/1 operand, 2 store-index,
+  // 3 lock acquire; compute_at by j*|body| + stmt; wait_at (the wait gating
+  // j's loads) and last_at (j's last instruction, the post's dep) by j.
+  std::vector<std::int32_t> load_at;
+  std::vector<std::int32_t> compute_at;
+  std::vector<std::int32_t> wait_at;
+  std::vector<std::int32_t> last_at;
+  ir::IntVec iter;
+  ir::IntVec prod;
 
   std::set<int> warm_arrays;
-  for (const ir::LoopNest& nest : prog.nests) {
+  for (std::size_t n = 0; n < prog.nests.size(); ++n) {
+    const ir::LoopNest& nest = prog.nests[n];
+    const ir::Int* cnt = &counts[n * cores];
+    const auto depth = static_cast<std::size_t>(nest.depth());
+    const auto body_size = nest.body.size();
     // Per-iteration CME gate for NDC-annotated statements: the pre-compute
     // is emitted only where both operands are predicted to miss the L1
     // (the paper's compiler "first checks whether x in S1 and y in S2
@@ -89,137 +144,185 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
     }
 
     // Partition iterations by core, preserving original order.
-    std::vector<std::vector<ir::IntVec>> per_core(static_cast<std::size_t>(num_cores));
-    nest.ForEachIteration([&](const ir::IntVec& iter) {
-      per_core[static_cast<std::size_t>(CoreForIteration(nest, iter, num_cores))].push_back(iter);
+    for (std::size_t c = 0; c < cores; ++c) {
+      per_core[c].clear();
+      per_core[c].reserve(static_cast<std::size_t>(cnt[c]) * depth);
+    }
+    nest.ForEachIteration([&](const ir::IntVec& it) {
+      std::vector<ir::Int>& dst =
+          per_core[static_cast<std::size_t>(CoreForIteration(nest, it, num_cores))];
+      dst.insert(dst.end(), it.begin(), it.end());
     });
 
-    // Post/wait DOACROSS lowering needs to know, for each iteration, which
-    // core runs it and at which local position (the wait threshold is the
-    // producer's 1-based position). Sync-annotated nests never carry a
-    // schedule transform (the pipeline refuses transforms on annotated
-    // nests), so the partition order above is final.
+    // Post/wait DOACROSS lowering needs to know, for each producer
+    // iteration, which core runs it and at which local position (the wait
+    // threshold is the producer's 1-based position). Sync-annotated nests
+    // never carry a schedule transform (the pipeline refuses transforms on
+    // annotated nests), so each core's list stays in original, that is
+    // lexicographic, order and a producer is found by binary search.
     const bool postwait =
         nest.sync.kind == ir::SyncKind::kPostWait && nest.sync.sync_array >= 0;
-    std::map<ir::IntVec, std::pair<int, ir::Int>> iter_pos;
-    if (postwait) {
-      for (int c = 0; c < num_cores; ++c) {
-        const std::vector<ir::IntVec>& its = per_core[static_cast<std::size_t>(c)];
-        for (std::size_t k = 0; k < its.size(); ++k) {
-          iter_pos[its[k]] = {c, static_cast<ir::Int>(k)};
+    assert(!postwait || !nest.transform.has_value());
+    auto find_producer = [&](const ir::IntVec& p, int* core_out, ir::Int* pos_out) {
+      const int pc = CoreForIteration(nest, p, num_cores);
+      if (pc < 0) return false;
+      const std::vector<ir::Int>& its = per_core[static_cast<std::size_t>(pc)];
+      ir::Int lo = 0;
+      ir::Int hi = cnt[pc];
+      while (lo < hi) {
+        const ir::Int mid = lo + (hi - lo) / 2;
+        const ir::Int* q = its.data() + mid * static_cast<ir::Int>(depth);
+        if (std::lexicographical_compare(q, q + depth, p.begin(), p.end())) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
         }
       }
-    }
+      if (lo == cnt[pc] ||
+          !std::equal(p.begin(), p.end(), its.data() + lo * static_cast<ir::Int>(depth))) {
+        return false;
+      }
+      *core_out = pc;
+      *pos_out = lo;
+      return true;
+    };
     int participants = 0;
     if (nest.sync.barrier_after && nest.sync.sync_array >= 0) {
-      for (int c = 0; c < num_cores; ++c) {
-        if (!per_core[static_cast<std::size_t>(c)].empty()) ++participants;
+      for (std::size_t c = 0; c < cores; ++c) {
+        if (cnt[c] > 0) ++participants;
       }
     }
 
     for (int core = 0; core < num_cores; ++core) {
-      std::vector<ir::IntVec>& iters = per_core[static_cast<std::size_t>(core)];
-      if (iters.empty()) continue;
+      const ir::Int m = cnt[core];
+      if (m == 0) continue;
+      std::vector<ir::Int>& its = per_core[static_cast<std::size_t>(core)];
       if (nest.transform.has_value()) {
+        // Execute in lexicographic order of T*I: compute each key once,
+        // stable-sort a permutation, then gather the iterations.
         const ir::IntMat& T = *nest.transform;
-        std::stable_sort(iters.begin(), iters.end(),
-                         [&](const ir::IntVec& a, const ir::IntVec& b) {
-                           return ir::LexCompare(T.Apply(a), T.Apply(b)) < 0;
-                         });
+        const auto rows = static_cast<std::size_t>(T.rows());
+        keys.resize(static_cast<std::size_t>(m) * rows);
+        for (std::size_t j = 0; j < static_cast<std::size_t>(m); ++j) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            ir::Int k = 0;
+            for (std::size_t c = 0; c < depth; ++c) {
+              k += T.at(static_cast<int>(r), static_cast<int>(c)) * its[j * depth + c];
+            }
+            keys[j * rows + r] = k;
+          }
+        }
+        perm.resize(static_cast<std::size_t>(m));
+        std::iota(perm.begin(), perm.end(), std::size_t{0});
+        std::stable_sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+          const ir::Int* ka = keys.data() + a * rows;
+          const ir::Int* kb = keys.data() + b * rows;
+          return std::lexicographical_compare(ka, ka + rows, kb, kb + rows);
+        });
+        permuted.resize(its.size());
+        for (std::size_t k = 0; k < perm.size(); ++k) {
+          std::copy_n(its.begin() + static_cast<std::ptrdiff_t>(perm[k] * depth), depth,
+                      permuted.begin() + static_cast<std::ptrdiff_t>(k * depth));
+        }
+        its.swap(permuted);
       }
-      auto m = static_cast<ir::Int>(iters.size());
       auto clamp_slot = [m](ir::Int s) { return std::clamp<ir::Int>(s, 0, m - 1); };
 
-      std::vector<Emission> emissions;
-      emissions.reserve(static_cast<std::size_t>(m) * nest.body.size() * 4);
-      for (int s = 0; s < static_cast<int>(nest.body.size()); ++s) {
-        const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];
-        if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
-          // The RMW collapses to one remote fetch-add: load the contributed
-          // operand, then ship the delta to the sync engine. No local
-          // accumulator load, compute, or store is emitted.
-          for (ir::Int j = 0; j < m; ++j) {
-            if (st.rhs1.IsMemory()) emissions.push_back({j, s, kLoad1, j});
-            emissions.push_back({j, s, kComputeP, j});
-          }
-          continue;
+      // Emissions are generated in (j, stmt, phase) order; a stable
+      // counting sort by slot then yields program order (slot, j, stmt,
+      // phase).
+      generated.clear();
+      for (ir::Int j = 0; j < m; ++j) {
+        if (postwait) {
+          // Pseudo-statement before every body statement of the slot: the
+          // iteration's wait (stmt -1).
+          generated.push_back({j, -1, kIdx0, j});
         }
-        if (st.sync.kind == ir::SyncKind::kHostLock) {
-          // Lock-guarded host RMW: the data load stays outside the critical
-          // section; acquire -> accumulator load -> compute -> store ->
-          // release. Phase values only encode within-slot order here (the
-          // data load reuses kLoad0's slot so it can overlap the acquire).
-          for (ir::Int j = 0; j < m; ++j) {
-            if (st.rhs1.IsMemory()) emissions.push_back({j, s, kLoad0, j});
-            emissions.push_back({j, s, kIdx1, j});  // lock acquire
-            if (st.rhs0.IsMemory()) emissions.push_back({j, s, kLoad1, j});
-            emissions.push_back({j, s, kComputeP, j});
-            emissions.push_back({j, s, kStoreP, j});  // store + release
+        for (int s = 0; s < static_cast<int>(body_size); ++s) {
+          const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];
+          if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
+            // The RMW collapses to one remote fetch-add: load the contributed
+            // operand, then ship the delta to the sync engine. No local
+            // accumulator load, compute, or store is emitted.
+            if (st.rhs1.IsMemory()) generated.push_back({j, s, kLoad1, j});
+            generated.push_back({j, s, kComputeP, j});
+            continue;
           }
-          continue;
-        }
-        ir::Int lead0 = st.ndc.offload ? st.ndc.lead0 : 0;
-        ir::Int lead1 = st.ndc.offload ? st.ndc.lead1 : 0;
-        for (ir::Int j = 0; j < m; ++j) {
+          if (st.sync.kind == ir::SyncKind::kHostLock) {
+            // Lock-guarded host RMW: the data load stays outside the critical
+            // section; acquire -> accumulator load -> compute -> store ->
+            // release. Phase values only encode within-slot order here (the
+            // data load reuses kLoad0's slot so it can overlap the acquire).
+            if (st.rhs1.IsMemory()) generated.push_back({j, s, kLoad0, j});
+            generated.push_back({j, s, kIdx1, j});  // lock acquire
+            if (st.rhs0.IsMemory()) generated.push_back({j, s, kLoad1, j});
+            generated.push_back({j, s, kComputeP, j});
+            generated.push_back({j, s, kStoreP, j});  // store + release
+            continue;
+          }
+          ir::Int lead0 = st.ndc.offload ? st.ndc.lead0 : 0;
+          ir::Int lead1 = st.ndc.offload ? st.ndc.lead1 : 0;
           ir::Int slot0 = clamp_slot(j - lead0);
           ir::Int slot1 = clamp_slot(j - lead1);
           ir::Int slotc = std::max(slot0, slot1);
           if (st.rhs0.IsMemory()) {
             if (st.rhs0.kind == ir::Operand::Kind::kIndirect) {
-              emissions.push_back({slot0, s, kIdx0, j});
+              generated.push_back({slot0, s, kIdx0, j});
             }
-            emissions.push_back({slot0, s, kLoad0, j});
+            generated.push_back({slot0, s, kLoad0, j});
           }
           if (st.rhs1.IsMemory()) {
             if (st.rhs1.kind == ir::Operand::Kind::kIndirect) {
-              emissions.push_back({slot1, s, kIdx1, j});
+              generated.push_back({slot1, s, kIdx1, j});
             }
-            emissions.push_back({slot1, s, kLoad1, j});
+            generated.push_back({slot1, s, kLoad1, j});
           }
-          emissions.push_back({slotc, s, kComputeP, j});
+          generated.push_back({slotc, s, kComputeP, j});
           if (st.lhs.IsMemory()) {
             if (st.lhs.kind == ir::Operand::Kind::kIndirect) {
-              emissions.push_back({slotc, s, kIdxStore, j});
+              generated.push_back({slotc, s, kIdxStore, j});
             }
-            emissions.push_back({slotc, s, kStoreP, j});
+            generated.push_back({slotc, s, kStoreP, j});
           }
         }
-      }
-      if (postwait) {
-        // Pseudo-statements bracketing each iteration: a wait (stmt -1,
-        // sorts before every body statement of the slot) and a post
-        // (stmt == body.size(), sorts after).
-        for (ir::Int j = 0; j < m; ++j) {
-          emissions.push_back({j, -1, kIdx0, j});
-          emissions.push_back({j, static_cast<int>(nest.body.size()), kStoreP, j});
+        if (postwait) {
+          // ... and after them: the iteration's post (stmt == body.size()).
+          generated.push_back({j, static_cast<int>(body_size), kStoreP, j});
         }
       }
-      std::stable_sort(emissions.begin(), emissions.end());
+      slot_cursor.assign(static_cast<std::size_t>(m) + 1, 0);
+      for (const Emission& e : generated) ++slot_cursor[static_cast<std::size_t>(e.slot) + 1];
+      std::partial_sum(slot_cursor.begin(), slot_cursor.end(), slot_cursor.begin());
+      emissions.resize(generated.size());
+      for (const Emission& e : generated) {
+        emissions[static_cast<std::size_t>(slot_cursor[static_cast<std::size_t>(e.slot)]++)] = e;
+      }
 
       arch::Trace& trace = out.traces[static_cast<std::size_t>(core)];
       const std::size_t nest_base = trace.size();
-      std::map<LoadKey, std::int32_t> load_at;
-      std::map<LoadKey, std::int32_t> compute_at;
-      std::map<ir::Int, std::int32_t> wait_at;  // j -> wait slot gating its loads
-      std::map<ir::Int, std::int32_t> last_at;  // j -> last emitted instr (post dep)
+      load_at.assign(static_cast<std::size_t>(m) * body_size * 4, -1);
+      compute_at.assign(static_cast<std::size_t>(m) * body_size, -1);
+      wait_at.assign(static_cast<std::size_t>(m), -1);
+      last_at.assign(static_cast<std::size_t>(m), -1);
+      auto load_slot = [&](int stmt, ir::Int j, int which) -> std::int32_t& {
+        const std::size_t js = static_cast<std::size_t>(j) * body_size;
+        return load_at[(js + static_cast<std::size_t>(stmt)) * 4 + static_cast<std::size_t>(which)];
+      };
+      auto compute_slot = [&](int stmt, ir::Int j) -> std::int32_t& {
+        return compute_at[static_cast<std::size_t>(j) * body_size + static_cast<std::size_t>(stmt)];
+      };
 
-      auto emit_operand_load = [&](const ir::Stmt& st, const ir::Operand& op, ir::Int j,
-                                   int which, Phase idx_phase) {
-        (void)idx_phase;
-        const ir::IntVec& iter = iters[static_cast<std::size_t>(j)];
+      // Loads operand `op` of statement `s` at iteration j (held in `iter`).
+      auto emit_operand_load = [&](int s, const ir::Operand& op, ir::Int j, int which) {
+        const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];
         auto addr = prog.ResolveAddr(op, iter);
         if (!addr.has_value()) return;
         std::int32_t dep = -1;
         if (op.kind == ir::Operand::Kind::kIndirect) {
           // Emit the index-array load first; the data load depends on it.
           const ir::Array& idx_arr = prog.array(op.access.array);
-          ir::IntVec sub = op.access.Subscript(iter);
-          bool ok = true;
-          for (std::size_t d = 0; d < sub.size(); ++d) {
-            ok &= sub[d] >= 0 && sub[d] < idx_arr.dims[d];
-          }
-          if (ok) {
-            arch::Instr il = arch::MakeLoad(idx_arr.AddrOf(sub));
+          if (auto idx = op.access.ElementIndex(idx_arr, iter)) {
+            arch::Instr il = arch::MakeLoad(ElemAddr(idx_arr, *idx));
             il.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2;
             dep = static_cast<std::int32_t>(trace.size());
             trace.push_back(il);
@@ -228,13 +331,11 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
         if (dep < 0) {
           // Post/wait ordering: the iteration's loads may not leave the
           // core before its wait has been granted.
-          auto w = wait_at.find(j);
-          if (w != wait_at.end()) dep = w->second;
+          dep = wait_at[static_cast<std::size_t>(j)];
         }
         arch::Instr ld = arch::MakeLoad(*addr, dep);
         ld.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2 + 1;
-        load_at[{static_cast<int>(&st - nest.body.data()), j, which}] =
-            static_cast<std::int32_t>(trace.size());
+        load_slot(s, j, which) = static_cast<std::int32_t>(trace.size());
         trace.push_back(ld);
       };
 
@@ -243,18 +344,14 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       // acquire -> guarded load/compute/store (never NDC-offloaded: the
       // accumulator line must not meet in-network while a lock orders it)
       // -> release carrying the payload for the engine's value map.
-      auto emit_sync_stmt = [&](const Emission& e, const ir::Stmt& st, const ir::IntVec& iter) {
-        auto find_at = [&](std::map<LoadKey, std::int32_t>& m2, int which) -> std::int32_t {
-          auto it = m2.find({e.stmt, e.j, which});
-          return it == m2.end() ? -1 : it->second;
-        };
+      auto emit_sync_stmt = [&](const Emission& e, const ir::Stmt& st) {
         auto lhs_addr = prog.ResolveAddr(st.lhs, iter);
         if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
           if (e.phase == kLoad1) {
-            emit_operand_load(st, st.rhs1, e.j, 1, kIdx1);
+            emit_operand_load(e.stmt, st.rhs1, e.j, 1);
           } else if (e.phase == kComputeP && lhs_addr.has_value()) {
             arch::Instr sy = arch::MakeSync(sync::SyncOp::kAtomicAdd, *lhs_addr,
-                                            ReductionPayload(iter), find_at(load_at, 1));
+                                            ReductionPayload(iter), load_slot(e.stmt, e.j, 1));
             sy.pc = st.id * 16 + kComputeP;
             trace.push_back(sy);
           }
@@ -262,37 +359,37 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
         }
         switch (e.phase) {
           case kLoad0:  // data load, outside the critical section
-            emit_operand_load(st, st.rhs1, e.j, 1, kIdx0);
+            emit_operand_load(e.stmt, st.rhs1, e.j, 1);
             break;
           case kIdx1: {  // lock acquire on the accumulator cell
             if (!lhs_addr.has_value()) break;
-            load_at[{e.stmt, e.j, 3}] = static_cast<std::int32_t>(trace.size());
+            load_slot(e.stmt, e.j, 3) = static_cast<std::int32_t>(trace.size());
             arch::Instr sy = arch::MakeSync(sync::SyncOp::kLockAcquire, *lhs_addr);
             sy.pc = st.id * 16 + kIdx1;
             trace.push_back(sy);
             break;
           }
           case kLoad1: {  // accumulator load, gated on the acquire
-            emit_operand_load(st, st.rhs0, e.j, 0, kIdx1);
-            std::int32_t acq = find_at(load_at, 3);
-            std::int32_t ld = find_at(load_at, 0);
+            emit_operand_load(e.stmt, st.rhs0, e.j, 0);
+            std::int32_t acq = load_slot(e.stmt, e.j, 3);
+            std::int32_t ld = load_slot(e.stmt, e.j, 0);
             if (ld >= 0 && acq >= 0 && trace[static_cast<std::size_t>(ld)].dep0 < 0) {
               trace[static_cast<std::size_t>(ld)].dep0 = acq;
             }
             break;
           }
           case kComputeP: {
-            arch::Instr ci = arch::MakeCompute(st.op, find_at(load_at, 0), find_at(load_at, 1),
+            arch::Instr ci = arch::MakeCompute(st.op, load_slot(e.stmt, e.j, 0),
+                                               load_slot(e.stmt, e.j, 1),
                                                /*candidate=*/false, st.id * 16 + kComputeP,
                                                st.id);
-            compute_at[{e.stmt, e.j, 0}] = static_cast<std::int32_t>(trace.size());
+            compute_slot(e.stmt, e.j) = static_cast<std::int32_t>(trace.size());
             trace.push_back(ci);
             break;
           }
           case kStoreP: {
             if (!lhs_addr.has_value()) break;
-            std::int32_t cmp = find_at(compute_at, 0);
-            arch::Instr si = arch::MakeStore(*lhs_addr, cmp);
+            arch::Instr si = arch::MakeStore(*lhs_addr, compute_slot(e.stmt, e.j));
             si.pc = st.id * 16 + kStoreP;
             std::int32_t st_idx = static_cast<std::int32_t>(trace.size());
             trace.push_back(si);
@@ -307,103 +404,97 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
         }
       };
 
+      ir::Int iter_j = -1;  // which iteration `iter` holds
       for (const Emission& e : emissions) {
+        if (e.j != iter_j) {
+          const ir::Int* src = its.data() + e.j * static_cast<ir::Int>(depth);
+          iter.assign(src, src + depth);
+          iter_j = e.j;
+        }
         if (e.stmt < 0) {
           // Wait pseudo-statement: consume the cross-core post of the
           // producing iteration one witness distance upstream. Same-core
           // producers are already ordered by the trace; they need no wait.
-          const ir::IntVec& iter = iters[static_cast<std::size_t>(e.j)];
-          ir::IntVec prod = iter;
+          prod = iter;
           prod[0] -= nest.sync.distance;
-          auto it = iter_pos.find(prod);
-          if (it == iter_pos.end() || it->second.first == core) continue;
+          int prod_core = 0;
+          ir::Int prod_pos = 0;
+          if (!find_producer(prod, &prod_core, &prod_pos) || prod_core == core) continue;
           const ir::Array& sa = prog.array(nest.sync.sync_array);
-          sim::Addr paddr = sa.AddrOf({static_cast<ir::Int>(it->second.first)});
-          wait_at[e.j] = static_cast<std::int32_t>(trace.size());
-          trace.push_back(arch::MakeSync(sync::SyncOp::kWait, paddr, it->second.second + 1));
+          wait_at[static_cast<std::size_t>(e.j)] = static_cast<std::int32_t>(trace.size());
+          trace.push_back(
+              arch::MakeSync(sync::SyncOp::kWait, ElemAddr(sa, prod_core), prod_pos + 1));
           continue;
         }
-        if (e.stmt >= static_cast<int>(nest.body.size())) {
+        if (e.stmt >= static_cast<int>(body_size)) {
           // Post pseudo-statement: announce this iteration complete in this
           // core's post slot, after the iteration's last instruction.
           const ir::Array& sa = prog.array(nest.sync.sync_array);
-          sim::Addr paddr = sa.AddrOf({static_cast<ir::Int>(core)});
-          auto lit = last_at.find(e.j);
-          std::int32_t dep = lit == last_at.end() ? -1 : lit->second;
-          trace.push_back(arch::MakeSync(sync::SyncOp::kPost, paddr, 0, dep));
+          trace.push_back(arch::MakeSync(sync::SyncOp::kPost, ElemAddr(sa, core), 0,
+                                         last_at[static_cast<std::size_t>(e.j)]));
           continue;
         }
         const ir::Stmt& st = nest.body[static_cast<std::size_t>(e.stmt)];
-        const ir::IntVec& iter = iters[static_cast<std::size_t>(e.j)];
         const std::size_t size_before = trace.size();
         if (st.sync.kind == ir::SyncKind::kNdcAtomic || st.sync.kind == ir::SyncKind::kHostLock) {
-          emit_sync_stmt(e, st, iter);
-          if (postwait && trace.size() > size_before) {
-            last_at[e.j] = static_cast<std::int32_t>(trace.size()) - 1;
-          }
-          continue;
-        }
-        switch (e.phase) {
-          case kIdx0:
-          case kIdx1:
-          case kIdxStore:
-            break;  // folded into the load/store emission below
-          case kLoad0:
-            emit_operand_load(st, st.rhs0, e.j, 0, kIdx0);
-            break;
-          case kLoad1:
-            emit_operand_load(st, st.rhs1, e.j, 1, kIdx1);
-            break;
-          case kComputeP: {
-            auto find_load = [&](int which) -> std::int32_t {
-              auto it = load_at.find({e.stmt, e.j, which});
-              return it == load_at.end() ? -1 : it->second;
-            };
-            std::int32_t l0 = st.rhs0.IsMemory() ? find_load(0) : -1;
-            std::int32_t l1 = st.rhs1.IsMemory() ? find_load(1) : -1;
-            arch::Instr ci;
-            bool both_mem = l0 >= 0 && l1 >= 0;
-            bool offload_here = st.ndc.offload && both_mem;
-            if (offload_here && cme != nullptr) {
-              offload_here =
-                  cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs0, iter) &&
-                  cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs1, iter);
+          emit_sync_stmt(e, st);
+        } else {
+          switch (e.phase) {
+            case kIdx0:
+            case kIdx1:
+            case kIdxStore:
+              break;  // folded into the load/store emission below
+            case kLoad0:
+              emit_operand_load(e.stmt, st.rhs0, e.j, 0);
+              break;
+            case kLoad1:
+              emit_operand_load(e.stmt, st.rhs1, e.j, 1);
+              break;
+            case kComputeP: {
+              std::int32_t l0 = st.rhs0.IsMemory() ? load_slot(e.stmt, e.j, 0) : -1;
+              std::int32_t l1 = st.rhs1.IsMemory() ? load_slot(e.stmt, e.j, 1) : -1;
+              arch::Instr ci;
+              bool both_mem = l0 >= 0 && l1 >= 0;
+              bool offload_here = st.ndc.offload && both_mem;
+              if (offload_here && cme != nullptr) {
+                offload_here =
+                    cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs0, iter) &&
+                    cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs1, iter);
+              }
+              if (offload_here) {
+                ci = arch::MakePreCompute(st.op, l0, l1, st.ndc.planned, st.ndc.timeout,
+                                          st.id * 16 + kComputeP, st.id);
+                ++out.precomputes;
+              } else {
+                ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id);
+              }
+              compute_slot(e.stmt, e.j) = static_cast<std::int32_t>(trace.size());
+              trace.push_back(ci);
+              break;
             }
-            if (offload_here) {
-              ci = arch::MakePreCompute(st.op, l0, l1, st.ndc.planned, st.ndc.timeout,
-                                        st.id * 16 + kComputeP, st.id);
-              ++out.precomputes;
-            } else {
-              ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id);
+            case kStoreP: {
+              auto addr = prog.ResolveAddr(st.lhs, iter);
+              if (!addr.has_value()) break;
+              arch::Instr si = arch::MakeStore(*addr, compute_slot(e.stmt, e.j));
+              si.pc = st.id * 16 + kStoreP;
+              trace.push_back(si);
+              break;
             }
-            compute_at[{e.stmt, e.j, 0}] = static_cast<std::int32_t>(trace.size());
-            trace.push_back(ci);
-            break;
-          }
-          case kStoreP: {
-            auto addr = prog.ResolveAddr(st.lhs, iter);
-            if (!addr.has_value()) break;
-            auto it = compute_at.find({e.stmt, e.j, 0});
-            std::int32_t dep = it == compute_at.end() ? -1 : it->second;
-            arch::Instr si = arch::MakeStore(*addr, dep);
-            si.pc = st.id * 16 + kStoreP;
-            trace.push_back(si);
-            break;
           }
         }
         if (postwait && trace.size() > size_before) {
-          last_at[e.j] = static_cast<std::int32_t>(trace.size()) - 1;
+          last_at[static_cast<std::size_t>(e.j)] = static_cast<std::int32_t>(trace.size()) - 1;
         }
       }
       if (nest.sync.barrier_after && nest.sync.sync_array >= 0 && participants > 0) {
         // Join the nest: every active core arrives at the barrier cell (the
         // sync array's last element) after its final instruction.
         const ir::Array& sa = prog.array(nest.sync.sync_array);
-        sim::Addr baddr = sa.AddrOf({sa.dims[0] - 1});
         std::int32_t dep = trace.size() > nest_base
                                ? static_cast<std::int32_t>(trace.size()) - 1
                                : -1;
-        trace.push_back(arch::MakeSync(sync::SyncOp::kBarrierArrive, baddr, participants, dep));
+        trace.push_back(arch::MakeSync(sync::SyncOp::kBarrierArrive,
+                                       ElemAddr(sa, sa.dims[0] - 1), participants, dep));
       }
     }
     for (const ir::Stmt& st : nest.body) {

@@ -30,6 +30,10 @@ int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_c
 ///  - all other statements lower to load/compute/store with explicit
 ///    dependence indices; computations with two memory operands are marked
 ///    as NDC candidates (for the hardware-policy studies of Section 4).
+/// Lowering allocates only per (core, nest) — iteration lists, dependence
+/// tables and each trace reserved once from a counted bound — never per
+/// iteration or per emitted instruction. (The CME gate above may allocate
+/// per prediction on NDC-annotated statements with a reuse vector.)
 CodegenResult Lower(const ir::Program& prog, int num_cores,
                     const arch::ArchConfig* cfg = nullptr);
 

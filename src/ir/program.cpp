@@ -29,23 +29,6 @@ Int LoopNest::HiEffective(int level, const IntVec& iter) const {
   return hi;
 }
 
-void LoopNest::ForEachIteration(const std::function<void(const IntVec&)>& fn) const {
-  IntVec iter(static_cast<std::size_t>(depth()), 0);
-  std::function<void(int)> rec = [&](int level) {
-    if (level == depth()) {
-      fn(iter);
-      return;
-    }
-    Int lo = LoEffective(level, iter);
-    Int hi = HiEffective(level, iter);
-    for (Int v = lo; v <= hi; ++v) {
-      iter[static_cast<std::size_t>(level)] = v;
-      rec(level + 1);
-    }
-  };
-  rec(0);
-}
-
 Int LoopNest::NumIterations() const {
   Int n = 0;
   ForEachIteration([&](const IntVec&) { ++n; });
@@ -74,18 +57,17 @@ std::uint32_t Program::NextStmtId() { return next_stmt_id_++; }
 std::optional<sim::Addr> Program::ResolveAddr(const Operand& op, const IntVec& iter) const {
   if (!op.IsMemory()) return std::nullopt;
   const Array& idx_arr = array(op.access.array);
-  IntVec sub = op.access.Subscript(iter);
-  for (std::size_t d = 0; d < sub.size(); ++d) {
-    if (sub[d] < 0 || sub[d] >= idx_arr.dims[d]) return std::nullopt;
+  std::optional<Int> flat = op.access.ElementIndex(idx_arr, iter);
+  if (!flat.has_value()) return std::nullopt;
+  if (op.kind == Operand::Kind::kAffine) {
+    return idx_arr.base +
+           static_cast<sim::Addr>(*flat) * static_cast<sim::Addr>(idx_arr.elem_bytes);
   }
-  if (op.kind == Operand::Kind::kAffine) return idx_arr.AddrOf(sub);
   // Indirect: read the index value, then address the target array (1-D).
   auto it = index_data.find(op.access.array);
   if (it == index_data.end()) return std::nullopt;
-  Int flat = 0;
-  for (std::size_t d = 0; d < sub.size(); ++d) flat = flat * idx_arr.dims[d] + sub[d];
-  if (flat < 0 || flat >= static_cast<Int>(it->second.size())) return std::nullopt;
-  Int target_idx = it->second[static_cast<std::size_t>(flat)];
+  if (*flat >= static_cast<Int>(it->second.size())) return std::nullopt;
+  Int target_idx = it->second[static_cast<std::size_t>(*flat)];
   const Array& tgt = array(op.target_array);
   if (target_idx < 0 || target_idx >= tgt.NumElems()) return std::nullopt;
   return tgt.base +

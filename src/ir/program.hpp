@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -38,6 +37,22 @@ struct AffineAccess {
   IntVec f;   ///< dims(X) offsets
 
   IntVec Subscript(const IntVec& iter) const { return VecAdd(F.Apply(iter), f); }
+
+  /// Row-major element index of Subscript(iter) in `arr` (the accessed
+  /// array), or nullopt when any subscript is out of bounds. Evaluates the
+  /// subscripts row by row, so it never allocates.
+  std::optional<Int> ElementIndex(const Array& arr, const IntVec& iter) const {
+    Int idx = 0;
+    for (int d = 0; d < F.rows(); ++d) {
+      Int s = 0;
+      for (int c = 0; c < F.cols(); ++c) s += F.at(d, c) * iter[static_cast<std::size_t>(c)];
+      s += f[static_cast<std::size_t>(d)];
+      const Int extent = arr.dims[static_cast<std::size_t>(d)];
+      if (s < 0 || s >= extent) return std::nullopt;
+      idx = idx * extent + s;
+    }
+    return idx;
+  }
 };
 
 /// One operand (or store target) of a statement.
@@ -171,11 +186,30 @@ struct LoopNest {
   Int LoEffective(int level, const IntVec& iter) const;
   Int HiEffective(int level, const IntVec& iter) const;
 
-  /// Calls fn(I) for every iteration in original program order.
-  void ForEachIteration(const std::function<void(const IntVec&)>& fn) const;
+  /// Calls fn(I) for every iteration in original program order (which is
+  /// lexicographic order of I). A depth-0 nest has one, empty, iteration.
+  template <typename Fn>
+  void ForEachIteration(Fn&& fn) const {
+    IntVec iter(static_cast<std::size_t>(depth()), 0);
+    ForEachIterationFrom(0, iter, fn);
+  }
 
   /// Total iteration count.
   Int NumIterations() const;
+
+ private:
+  template <typename Fn>
+  void ForEachIterationFrom(int level, IntVec& iter, Fn& fn) const {
+    if (level == depth()) {
+      fn(static_cast<const IntVec&>(iter));
+      return;
+    }
+    const Int hi = HiEffective(level, iter);
+    for (Int v = LoEffective(level, iter); v <= hi; ++v) {
+      iter[static_cast<std::size_t>(level)] = v;
+      ForEachIterationFrom(level + 1, iter, fn);
+    }
+  }
 };
 
 /// A whole program: arrays, index-array contents for indirect accesses, and

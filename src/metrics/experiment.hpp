@@ -126,9 +126,10 @@ class Experiment {
 
  private:
   /// One measured run: `opts` plus this Experiment's obs bundle. Records
-  /// the run's conservation inputs.
+  /// the run's conservation inputs. Takes `traces` by value: pass an rvalue
+  /// to hand them to the machine without a copy.
   runtime::RunResult RunMeasured(const arch::ArchConfig& cfg,
-                                 const std::vector<arch::Trace>& traces,
+                                 std::vector<arch::Trace> traces,
                                  runtime::MachineOptions opts);
 
   std::shared_ptr<Profile> profile_;

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/config.hpp"
+#include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
+#include "compiler/pipeline.hpp"
 #include "ir/program.hpp"
+#include "workloads/sharded.hpp"
+#include "workloads/workloads.hpp"
 
 namespace ndc::compiler {
 namespace {
@@ -206,6 +211,26 @@ TEST(Codegen, TransformReordersIterations) {
   EXPECT_EQ(x_addrs[1], 4u * 8 * 8);  // iteration (1,0), not (0,1)
 }
 
+TEST(Codegen, TransformSortIsStableOnTiedKeys) {
+  Program p = StreamProgram(4, 4);
+  // A 1x2 T maps (i,j) to the anti-diagonal i+j, so keys tie; tied
+  // iterations keep their original (row-major) order.
+  p.nests[0].transform = IntMat(1, 2, {1, 1});
+  arch::Trace t = Lower(p, 1).traces[0];
+  std::vector<sim::Addr> want;
+  for (Int diag = 0; diag <= 6; ++diag) {
+    for (Int i = 0; i < 4; ++i) {
+      Int j = diag - i;
+      if (j >= 0 && j < 4) want.push_back(p.array(2).base + static_cast<sim::Addr>(i * 4 + j) * 8);
+    }
+  }
+  std::vector<sim::Addr> stores;
+  for (const Instr& in : t) {
+    if (in.kind == Instr::Kind::kStore) stores.push_back(in.addr);
+  }
+  EXPECT_EQ(stores, want);
+}
+
 TEST(Codegen, IndirectOperandEmitsIndexLoadFirst) {
   Program p;
   int idx = p.AddArray("idx", {16});
@@ -257,6 +282,76 @@ TEST(Codegen, DeterministicOutput) {
       EXPECT_EQ(ra.traces[c][i].kind, rb.traces[c][i].kind);
     }
   }
+}
+
+// --- Frozen lowering digest ----------------------------------------------
+// An FNV-1a hash over every field of every lowered instruction (and the
+// pre-compute count) for the 20 benchmarks lowered as baseline, Algorithm-1
+// and Algorithm-2, plus every sharded scenario (which alone reach the
+// post/wait, host-lock and ndc-atomic lowering), all at test scale. Any
+// change to the emitted traces moves the digest; a lowering rewrite must
+// keep it.
+
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t precomputes = 0;
+  std::uint64_t syncs = 0;
+  void Add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+void HashLowered(Fnv1a& fnv, const CodegenResult& r) {
+  fnv.Add(r.traces.size());
+  fnv.Add(r.precomputes);
+  fnv.precomputes += r.precomputes;
+  for (const arch::Trace& t : r.traces) {
+    fnv.Add(t.size());
+    for (const Instr& i : t) {
+      fnv.Add(static_cast<std::uint64_t>(i.kind));
+      fnv.syncs += i.kind == Instr::Kind::kSync;
+      fnv.Add(static_cast<std::uint64_t>(i.op));
+      fnv.Add(i.addr);
+      fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep0)));
+      fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep1)));
+      fnv.Add(i.pc);
+      fnv.Add(i.site);
+      fnv.Add(i.ndc_candidate ? 1u : 0u);
+      fnv.Add(static_cast<std::uint64_t>(i.planned_loc));
+      fnv.Add(i.timeout);
+      fnv.Add(static_cast<std::uint64_t>(i.sync_op));
+      fnv.Add(static_cast<std::uint64_t>(i.sync_arg));
+      fnv.Add(static_cast<std::uint64_t>(i.sync_arg2));
+    }
+  }
+}
+
+TEST(Codegen, LoweredTracesMatchFrozenDigest) {
+  const arch::ArchConfig cfg;
+  const int cores = cfg.num_nodes();
+  const ArchDescription ad(cfg);
+  Fnv1a fnv;
+  for (const std::string& name : workloads::BenchmarkNames()) {
+    const Program built = workloads::BuildWorkload(name, workloads::Scale::kTest);
+    HashLowered(fnv, Lower(built, cores, &cfg));
+    for (Mode mode : {Mode::kAlgorithm1, Mode::kAlgorithm2}) {
+      Program p = built;
+      CompileOptions opt;
+      opt.mode = mode;
+      Compile(p, ad, opt);
+      HashLowered(fnv, Lower(p, cores, &cfg));
+    }
+  }
+  for (const std::string& name : workloads::ShardedNames()) {
+    const Program p = workloads::BuildShardedWorkload(name, workloads::Scale::kTest, cores);
+    HashLowered(fnv, Lower(p, cores, &cfg));
+  }
+  EXPECT_GT(fnv.precomputes, 0u);
+  EXPECT_GT(fnv.syncs, 0u);
+  EXPECT_EQ(fnv.h, 0x67df1e27ec9e0efdull) << std::hex << "digest 0x" << fnv.h;
 }
 
 }  // namespace

@@ -170,6 +170,36 @@ TEST(LoopNest, DependentLowerBound) {
   nest.ForEachIteration([&](const IntVec& i) { EXPECT_GT(i[1], i[0]); });
 }
 
+TEST(LoopNest, EmptyRangeHasNoIterations) {
+  // An inner range with hi < lo yields nothing, whatever the outer range.
+  LoopNest inner_empty;
+  inner_empty.loops = {{0, 2, -1, 0, -1, 0}, {3, 1, -1, 0, -1, 0}};
+  int calls = 0;
+  inner_empty.ForEachIteration([&](const IntVec&) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(inner_empty.NumIterations(), 0);
+  // So does an empty outer range.
+  LoopNest outer_empty;
+  outer_empty.loops = {{5, 4, -1, 0, -1, 0}, {0, 3, -1, 0, -1, 0}};
+  EXPECT_EQ(outer_empty.NumIterations(), 0);
+  // A bound-dependent inner range can be empty for some outer values only:
+  // i in [0,3], j in [i, 1] runs (0,0) (0,1) (1,1).
+  LoopNest partly_empty;
+  partly_empty.loops = {{0, 3, -1, 0, -1, 0}, {0, 1, 0, 1, -1, 0}};
+  std::vector<IntVec> seen;
+  partly_empty.ForEachIteration([&](const IntVec& i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<IntVec>{{0, 0}, {0, 1}, {1, 1}}));
+}
+
+TEST(LoopNest, DepthZeroNestHasOneEmptyIteration) {
+  LoopNest nest;
+  std::vector<IntVec> seen;
+  nest.ForEachIteration([&](const IntVec& i) { seen.push_back(i); });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_TRUE(seen[0].empty());
+  EXPECT_EQ(nest.NumIterations(), 1);
+}
+
 TEST(Program, ResolveAffineAddr) {
   Program p;
   int a = p.AddArray("A", {100});
@@ -223,6 +253,67 @@ TEST(Program, ResolveIndirectOutOfRangeIsNull) {
   Operand op = Operand::Indirect(acc, tgt);
   EXPECT_FALSE(p.ResolveAddr(op, {0}).has_value());
   EXPECT_TRUE(p.ResolveAddr(op, {1}).has_value());
+}
+
+// Seeded property: the allocation-free ResolveAddr agrees with the
+// reference Array::AddrOf(access.Subscript(iter)) for random 1-4-D affine
+// and indirect accesses, and gives nullopt exactly when a subscript, the
+// index data or the target index is out of range.
+TEST(Program, ResolveAddrMatchesSubscriptReference) {
+  sim::Rng rng(20211017);
+  int in_bounds = 0;
+  int out_of_bounds = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    Program p;
+    const int rank = 1 + static_cast<int>(rng.NextBelow(4));
+    const int depth = 1 + static_cast<int>(rng.NextBelow(4));
+    std::vector<Int> dims;
+    for (int d = 0; d < rank; ++d) dims.push_back(rng.NextInRange(1, 6));
+    const int arr = p.AddArray("X", dims);
+    const int tgt = p.AddArray("T", {rng.NextInRange(1, 40)});
+    AffineAccess acc;
+    acc.array = arr;
+    acc.F = IntMat(rank, depth);
+    for (int r = 0; r < rank; ++r) {
+      for (int c = 0; c < depth; ++c) acc.F.at(r, c) = rng.NextInRange(-1, 1);
+      acc.f.push_back(rng.NextInRange(-1, 5));
+    }
+    const bool indirect = rng.NextBool(0.5);
+    if (indirect) {
+      // Index values run past the target array; the data is sometimes
+      // shorter than the index array.
+      const Int n = p.array(arr).NumElems() - (rng.NextBool(0.2) ? 1 : 0);
+      std::vector<Int>& data = p.index_data[arr];
+      for (Int k = 0; k < n; ++k) {
+        data.push_back(rng.NextInRange(-2, p.array(tgt).NumElems() + 2));
+      }
+    }
+    const Operand op = indirect ? Operand::Indirect(acc, tgt) : Operand::Affine(acc);
+    for (int sample = 0; sample < 8; ++sample) {
+      IntVec iter;
+      for (int c = 0; c < depth; ++c) iter.push_back(rng.NextInRange(-1, 4));
+      const IntVec sub = acc.Subscript(iter);
+      bool ok = true;
+      for (int d = 0; d < rank; ++d) ok &= sub[d] >= 0 && sub[d] < dims[d];
+      std::optional<sim::Addr> want;
+      if (ok && !indirect) {
+        want = p.array(arr).AddrOf(sub);
+      } else if (ok) {
+        const Array& x = p.array(arr);
+        const auto flat = static_cast<std::size_t>((x.AddrOf(sub) - x.base) / 8);
+        const std::vector<Int>& data = p.index_data.at(arr);
+        const Array& t = p.array(tgt);
+        if (flat < data.size() && data[flat] >= 0 && data[flat] < t.NumElems()) {
+          want = t.AddrOf({data[flat]});
+        }
+      }
+      EXPECT_EQ(p.ResolveAddr(op, iter), want) << "trial " << trial << " sample " << sample;
+      ++(want.has_value() ? in_bounds : out_of_bounds);
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(in_bounds, 200);
+  EXPECT_GT(out_of_bounds, 200);
 }
 
 TEST(Program, NonMemoryOperandsResolveToNull) {
