@@ -2,12 +2,10 @@
 //
 // Sweeps the active shard (core) count k over a small set of sharded
 // workloads at the Table-1 machine, classifying every run through the
-// utilization-attribution layer: as k grows the label migrates to whichever
-// resource saturates first — the streaming kernel drives the MC queues ever
-// deeper (dram-latency, queue occupancy climbing toward the full MLP
-// window), while the atomic reduction and the wavefront stencil flip from
-// dram-latency to sync once grant stalls dominate core time. Each row
-// prints the label next to the full derived signal vector, so a flip is
+// utilization-attribution layer: as k grows each run lands on whichever
+// resource saturates first — the streaming, reduction and halo-stencil
+// kernels all drive the MC queues ever deeper (dram-latency, queue
+// occupancy climbing toward the full MLP window). Each row prints the label next to the full derived signal vector, so a flip is
 // always accompanied by the fractions that caused it; --json writes the
 // curve with the complete classification objects (raw counters, thresholds,
 // per-window series).
@@ -34,8 +32,7 @@ namespace {
 
 namespace json = ndc::harness::json;
 
-const char* const kClassifyWorkloads[] = {"shard.stream", "shard.reduce.atomic",
-                                          "shard.stencil.wave"};
+const char* const kClassifyWorkloads[] = {"shard.stream", "shard.reduce", "shard.stencil"};
 
 struct ClassifyBenchArgs {
   ndc::workloads::Scale scale = ndc::workloads::Scale::kSmall;

@@ -5,7 +5,7 @@
 # minimum of N timed runs per binary to suppress scheduler noise.
 #
 # The runtime-off path includes every hot-path branch observability has
-# grown — request tracing, sync grant/stall stats, the phase-window
+# grown — request tracing, the NDC decision log, the phase-window
 # sampler's disabled check, and the gated core stall breakdown — so the
 # budget re-proves itself as instrumentation accrues. A second, purely
 # informational measurement times the same sweep with --classify (sampler

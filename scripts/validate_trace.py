@@ -7,7 +7,7 @@ every event the keys ph/ts/pid/tid/name with sane types; 'X' events must
 also carry a numeric "dur". On top of the generic schema it validates the
 simulator's own instant-event vocabulary: every 'i' event named "ndc.*"
 must be one of the names the runtime actually emits, carrying its required
-numeric args ("ndc.sync" needs "op", "ndc.meet"/"ndc.offload" need "loc") —
+numeric args ("ndc.meet"/"ndc.offload" need "loc") —
 a renamed event or a dropped arg fails instead of passing silently. Exits 0
 when valid, 1 otherwise, 2 on usage errors. Stdlib only — runs anywhere CI
 has a python3.
@@ -26,8 +26,6 @@ REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
 # is a vocabulary drift — the tooling reading these traces keys on exact
 # names, so drift must fail loudly here rather than downstream.
 NDC_INSTANTS = {
-    "ndc.sync": ("op",),        # sync request issued (op = sync::Op)
-    "ndc.sync.grant": (),       # grant response reached the core
     "ndc.meet": ("loc",),       # operands met; computed near data
     "ndc.offload": ("loc",),    # offload decision (loc = planned arch::Loc)
     "ndc.abort": (),            # wait aborted (timeout / partner done)

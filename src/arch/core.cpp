@@ -24,7 +24,6 @@ void Core::SetTrace(Trace trace) {
   retry_scheduled_ = false;
   if (stall_tracking_) dispatch_cycle_.assign(trace_.size(), sim::kNeverCycle);
   stall_mem_ = 0;
-  stall_sync_ = 0;
   busy_compute_ = 0;
 }
 
@@ -46,7 +45,6 @@ void Core::Complete(std::uint32_t idx, sim::Cycle when) {
     std::uint64_t exposure = when > d ? when - d : 0;
     switch (trace_[idx].kind) {
       case Instr::Kind::kLoad: stall_mem_ += exposure; break;
-      case Instr::Kind::kSync: stall_sync_ += exposure; break;
       case Instr::Kind::kCompute:
         // Off-core (external) computes are the NDC engine's busy time, not
         // the host ALU's; they are attributed via ndc.success instead.
@@ -115,9 +113,6 @@ void Core::ResolveWaiter(std::uint32_t idx) {
     case Instr::Kind::kStore:
       port_.IssueStore(id_, idx, in.addr);
       Complete(idx, ready + 1);
-      break;
-    case Instr::Kind::kSync:
-      port_.IssueSync(id_, idx, in);  // sync engine completes the slot
       break;
     default:
       break;  // loads/pre-computes are completed by the memory port
@@ -200,17 +195,6 @@ void Core::DispatchSlot(std::uint32_t idx) {
       precomputes_ctr_.Add();
       port_.IssuePreCompute(id_, idx, in);
       break;
-    case Instr::Kind::kSync:
-      // Sync ops wait for their data dep (e.g. the guarded store, or the
-      // value whose delta they carry) before the request leaves the core;
-      // the grant response completes the slot.
-      syncs_ctr_.Add();
-      if (DepsDone(in, &ready)) {
-        port_.IssueSync(id_, idx, in);
-      } else {
-        WaitOnPendingDeps(idx);
-      }
-      break;
   }
 }
 
@@ -221,7 +205,6 @@ void Core::MaterializeStats() {
   stores_ctr_.MaterializeInto(stats_, "core.stores");
   computes_ctr_.MaterializeInto(stats_, "core.computes");
   precomputes_ctr_.MaterializeInto(stats_, "core.precomputes");
-  syncs_ctr_.MaterializeInto(stats_, "core.syncs");
 }
 
 }  // namespace ndc::arch

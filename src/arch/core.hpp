@@ -48,7 +48,7 @@ class Core {
   bool issued(std::uint32_t idx) const { return idx < next_; }
 
   /// Enables the per-kind stall breakdown (dispatch-to-completion cycles,
-  /// attributed mem/sync/compute). Off by default: untracked runs record
+  /// attributed mem/compute). Off by default: untracked runs record
   /// nothing, and the breakdown never reaches the merged StatSet unless the
   /// machine explicitly sums it — golden key sets stay frozen.
   void set_stall_tracking(bool on) { stall_tracking_ = on; }
@@ -56,8 +56,6 @@ class Core {
 
   /// Dispatch-to-completion cycles of loads (memory stall exposure).
   std::uint64_t stall_mem_cycles() const { return stall_mem_; }
-  /// Dispatch-to-grant cycles of sync ops.
-  std::uint64_t stall_sync_cycles() const { return stall_sync_; }
   /// ALU-busy cycles of on-core computes (compute_latency each).
   std::uint64_t busy_compute_cycles() const { return busy_compute_; }
 
@@ -112,10 +110,8 @@ class Core {
   bool stall_tracking_ = false;
   std::vector<sim::Cycle> dispatch_cycle_;  ///< only filled when tracking
   std::uint64_t stall_mem_ = 0;
-  std::uint64_t stall_sync_ = 0;
   std::uint64_t busy_compute_ = 0;
-  sim::RawCounter issued_ctr_, loads_ctr_, stores_ctr_, computes_ctr_, precomputes_ctr_,
-      syncs_ctr_;
+  sim::RawCounter issued_ctr_, loads_ctr_, stores_ctr_, computes_ctr_, precomputes_ctr_;
   sim::StatSet stats_;
 };
 

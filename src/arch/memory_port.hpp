@@ -26,10 +26,6 @@ class MemoryPort {
   /// when the NDC result arrives at the core (or the fallback core
   /// computation finishes).
   virtual void IssuePreCompute(sim::NodeId core, std::uint32_t idx, const Instr& instr) = 0;
-
-  /// A synchronization op issued. The port completes the slot when the sync
-  /// engine's grant response arrives back at the core.
-  virtual void IssueSync(sim::NodeId core, std::uint32_t idx, const Instr& instr) = 0;
 };
 
 }  // namespace ndc::arch

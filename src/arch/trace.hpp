@@ -5,7 +5,6 @@
 
 #include "arch/config.hpp"
 #include "sim/types.hpp"
-#include "sync/ops.hpp"
 
 namespace ndc::arch {
 
@@ -39,11 +38,11 @@ inline const char* OpName(Op op) {
 /// offload ("pre-compute" ISA instruction, Section 5.2.1): its deps identify
 /// the two operand Loads it offloads.
 struct Instr {
-  enum class Kind : std::uint8_t { kLoad, kStore, kCompute, kPreCompute, kSync };
+  enum class Kind : std::uint8_t { kLoad, kStore, kCompute, kPreCompute };
 
   Kind kind = Kind::kCompute;
   Op op = Op::kAdd;
-  sim::Addr addr = 0;          ///< Load/Store/Sync address
+  sim::Addr addr = 0;          ///< Load/Store address
   std::int32_t dep0 = -1;
   std::int32_t dep1 = -1;
   std::uint32_t pc = 0;        ///< static program counter (predictors, Fig. 5)
@@ -53,14 +52,6 @@ struct Instr {
   // PreCompute-only fields (set by the compiler):
   Loc planned_loc = Loc::kCacheCtrl;  ///< target component the compiler chose
   sim::Cycle timeout = 0;             ///< time-out register value (breakeven)
-
-  // Sync-only fields: the operation, its operand (add delta / CAS expected /
-  // barrier population / wait threshold), and the CAS desired value. The
-  // request travels to the sync engine at addr's home node and the slot
-  // completes when the grant response arrives back at the core.
-  sync::SyncOp sync_op = sync::SyncOp::kAtomicAdd;
-  std::int64_t sync_arg = 0;
-  std::int64_t sync_arg2 = 0;
 };
 
 using Trace = std::vector<Instr>;
@@ -90,17 +81,6 @@ inline Instr MakeCompute(Op op, std::int32_t dep0, std::int32_t dep1, bool candi
   i.ndc_candidate = candidate;
   i.pc = pc;
   i.site = site;
-  return i;
-}
-inline Instr MakeSync(sync::SyncOp op, sim::Addr a, std::int64_t arg = 0,
-                      std::int32_t dep = -1, std::int64_t arg2 = 0) {
-  Instr i;
-  i.kind = Instr::Kind::kSync;
-  i.sync_op = op;
-  i.addr = a;
-  i.sync_arg = arg;
-  i.sync_arg2 = arg2;
-  i.dep0 = dep;
   return i;
 }
 inline Instr MakePreCompute(Op op, std::int32_t load0, std::int32_t load1, Loc planned,

@@ -1,7 +1,6 @@
 #include "compiler/codegen.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -30,40 +29,22 @@ struct Emission {
   ir::Int j = 0;      // index of the computation's iteration in the core list
 };
 
-// Deterministic per-iteration reduction payload. Both lowering schemes
-// (remote fetch-add and lock-guarded host RMW) contribute the same value
-// for the same iteration, so the engines' final value maps agree across
-// schemes — the cross-scheme equivalence the sync tests assert.
-ir::Int ReductionPayload(const ir::IntVec& iter) {
-  return 1 + ((iter.front() * 31 + iter.back()) % 13);
-}
-
-// Byte address of element `i` of a 1-D (sync) array.
+// Byte address of element `i` of a 1-D array.
 sim::Addr ElemAddr(const ir::Array& a, ir::Int i) {
   return a.base + static_cast<sim::Addr>(i) * static_cast<sim::Addr>(a.elem_bytes);
 }
 
 // Upper bound on the instructions one iteration of `nest` lowers to. Every
 // emission gives at most one instruction, except an indirect operand load
-// (its index load comes first) and the host-lock store (store + release).
+// (its index load comes first).
 std::size_t InstrsPerIteration(const ir::LoopNest& nest) {
   auto load = [](const ir::Operand& op) -> std::size_t {
     if (!op.IsMemory()) return 0;
     return op.kind == ir::Operand::Kind::kIndirect ? 2 : 1;
   };
-  std::size_t n = nest.sync.kind == ir::SyncKind::kPostWait ? 2 : 0;  // wait + post
+  std::size_t n = 0;
   for (const ir::Stmt& st : nest.body) {
-    switch (st.sync.kind) {
-      case ir::SyncKind::kNdcAtomic:
-        n += load(st.rhs1) + 1;  // + fetch-add
-        break;
-      case ir::SyncKind::kHostLock:
-        n += load(st.rhs1) + load(st.rhs0) + 4;  // + acquire, compute, store, release
-        break;
-      default:
-        n += load(st.rhs0) + load(st.rhs1) + 1 + (st.lhs.IsMemory() ? 1 : 0);
-        break;
-    }
+    n += load(st.rhs0) + load(st.rhs1) + 1 + (st.lhs.IsMemory() ? 1 : 0);
   }
   return n;
 }
@@ -96,7 +77,7 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       });
       const std::size_t per_iter = InstrsPerIteration(nest);
       for (std::size_t c = 0; c < cores; ++c) {
-        if (cnt[c] > 0) bound[c] += static_cast<std::size_t>(cnt[c]) * per_iter + 1;  // + barrier
+        bound[c] += static_cast<std::size_t>(cnt[c]) * per_iter;
       }
     }
     for (std::size_t c = 0; c < cores; ++c) out.traces[c].reserve(bound[c]);
@@ -112,15 +93,11 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
   std::vector<Emission> emissions;
   std::vector<ir::Int> slot_cursor;
   // Dependence tables, -1 = not emitted. load_at is indexed
-  // (j*|body| + stmt)*4 + which, which = 0/1 operand, 2 store-index,
-  // 3 lock acquire; compute_at by j*|body| + stmt; wait_at (the wait gating
-  // j's loads) and last_at (j's last instruction, the post's dep) by j.
+  // (j*|body| + stmt)*2 + which, which = 0/1 operand; compute_at by
+  // j*|body| + stmt.
   std::vector<std::int32_t> load_at;
   std::vector<std::int32_t> compute_at;
-  std::vector<std::int32_t> wait_at;
-  std::vector<std::int32_t> last_at;
   ir::IntVec iter;
-  ir::IntVec prod;
 
   std::set<int> warm_arrays;
   for (std::size_t n = 0; n < prog.nests.size(); ++n) {
@@ -153,45 +130,6 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
           per_core[static_cast<std::size_t>(CoreForIteration(nest, it, num_cores))];
       dst.insert(dst.end(), it.begin(), it.end());
     });
-
-    // Post/wait DOACROSS lowering needs to know, for each producer
-    // iteration, which core runs it and at which local position (the wait
-    // threshold is the producer's 1-based position). Sync-annotated nests
-    // never carry a schedule transform (the pipeline refuses transforms on
-    // annotated nests), so each core's list stays in original, that is
-    // lexicographic, order and a producer is found by binary search.
-    const bool postwait =
-        nest.sync.kind == ir::SyncKind::kPostWait && nest.sync.sync_array >= 0;
-    assert(!postwait || !nest.transform.has_value());
-    auto find_producer = [&](const ir::IntVec& p, int* core_out, ir::Int* pos_out) {
-      const int pc = CoreForIteration(nest, p, num_cores);
-      if (pc < 0) return false;
-      const std::vector<ir::Int>& its = per_core[static_cast<std::size_t>(pc)];
-      ir::Int lo = 0;
-      ir::Int hi = cnt[pc];
-      while (lo < hi) {
-        const ir::Int mid = lo + (hi - lo) / 2;
-        const ir::Int* q = its.data() + mid * static_cast<ir::Int>(depth);
-        if (std::lexicographical_compare(q, q + depth, p.begin(), p.end())) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo == cnt[pc] ||
-          !std::equal(p.begin(), p.end(), its.data() + lo * static_cast<ir::Int>(depth))) {
-        return false;
-      }
-      *core_out = pc;
-      *pos_out = lo;
-      return true;
-    };
-    int participants = 0;
-    if (nest.sync.barrier_after && nest.sync.sync_array >= 0) {
-      for (std::size_t c = 0; c < cores; ++c) {
-        if (cnt[c] > 0) ++participants;
-      }
-    }
 
     for (int core = 0; core < num_cores; ++core) {
       const ir::Int m = cnt[core];
@@ -233,33 +171,8 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       // phase).
       generated.clear();
       for (ir::Int j = 0; j < m; ++j) {
-        if (postwait) {
-          // Pseudo-statement before every body statement of the slot: the
-          // iteration's wait (stmt -1).
-          generated.push_back({j, -1, kIdx0, j});
-        }
         for (int s = 0; s < static_cast<int>(body_size); ++s) {
           const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];
-          if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
-            // The RMW collapses to one remote fetch-add: load the contributed
-            // operand, then ship the delta to the sync engine. No local
-            // accumulator load, compute, or store is emitted.
-            if (st.rhs1.IsMemory()) generated.push_back({j, s, kLoad1, j});
-            generated.push_back({j, s, kComputeP, j});
-            continue;
-          }
-          if (st.sync.kind == ir::SyncKind::kHostLock) {
-            // Lock-guarded host RMW: the data load stays outside the critical
-            // section; acquire -> accumulator load -> compute -> store ->
-            // release. Phase values only encode within-slot order here (the
-            // data load reuses kLoad0's slot so it can overlap the acquire).
-            if (st.rhs1.IsMemory()) generated.push_back({j, s, kLoad0, j});
-            generated.push_back({j, s, kIdx1, j});  // lock acquire
-            if (st.rhs0.IsMemory()) generated.push_back({j, s, kLoad1, j});
-            generated.push_back({j, s, kComputeP, j});
-            generated.push_back({j, s, kStoreP, j});  // store + release
-            continue;
-          }
           ir::Int lead0 = st.ndc.offload ? st.ndc.lead0 : 0;
           ir::Int lead1 = st.ndc.offload ? st.ndc.lead1 : 0;
           ir::Int slot0 = clamp_slot(j - lead0);
@@ -285,10 +198,6 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
             generated.push_back({slotc, s, kStoreP, j});
           }
         }
-        if (postwait) {
-          // ... and after them: the iteration's post (stmt == body.size()).
-          generated.push_back({j, static_cast<int>(body_size), kStoreP, j});
-        }
       }
       slot_cursor.assign(static_cast<std::size_t>(m) + 1, 0);
       for (const Emission& e : generated) ++slot_cursor[static_cast<std::size_t>(e.slot) + 1];
@@ -299,14 +208,11 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       }
 
       arch::Trace& trace = out.traces[static_cast<std::size_t>(core)];
-      const std::size_t nest_base = trace.size();
-      load_at.assign(static_cast<std::size_t>(m) * body_size * 4, -1);
+      load_at.assign(static_cast<std::size_t>(m) * body_size * 2, -1);
       compute_at.assign(static_cast<std::size_t>(m) * body_size, -1);
-      wait_at.assign(static_cast<std::size_t>(m), -1);
-      last_at.assign(static_cast<std::size_t>(m), -1);
       auto load_slot = [&](int stmt, ir::Int j, int which) -> std::int32_t& {
         const std::size_t js = static_cast<std::size_t>(j) * body_size;
-        return load_at[(js + static_cast<std::size_t>(stmt)) * 4 + static_cast<std::size_t>(which)];
+        return load_at[(js + static_cast<std::size_t>(stmt)) * 2 + static_cast<std::size_t>(which)];
       };
       auto compute_slot = [&](int stmt, ir::Int j) -> std::int32_t& {
         return compute_at[static_cast<std::size_t>(j) * body_size + static_cast<std::size_t>(stmt)];
@@ -328,80 +234,10 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
             trace.push_back(il);
           }
         }
-        if (dep < 0) {
-          // Post/wait ordering: the iteration's loads may not leave the
-          // core before its wait has been granted.
-          dep = wait_at[static_cast<std::size_t>(j)];
-        }
         arch::Instr ld = arch::MakeLoad(*addr, dep);
         ld.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2 + 1;
         load_slot(s, j, which) = static_cast<std::int32_t>(trace.size());
         trace.push_back(ld);
-      };
-
-      // Sync-lowered reduction statements. kNdcAtomic: the data load feeds
-      // one remote fetch-add carrying the iteration's payload. kHostLock:
-      // acquire -> guarded load/compute/store (never NDC-offloaded: the
-      // accumulator line must not meet in-network while a lock orders it)
-      // -> release carrying the payload for the engine's value map.
-      auto emit_sync_stmt = [&](const Emission& e, const ir::Stmt& st) {
-        auto lhs_addr = prog.ResolveAddr(st.lhs, iter);
-        if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
-          if (e.phase == kLoad1) {
-            emit_operand_load(e.stmt, st.rhs1, e.j, 1);
-          } else if (e.phase == kComputeP && lhs_addr.has_value()) {
-            arch::Instr sy = arch::MakeSync(sync::SyncOp::kAtomicAdd, *lhs_addr,
-                                            ReductionPayload(iter), load_slot(e.stmt, e.j, 1));
-            sy.pc = st.id * 16 + kComputeP;
-            trace.push_back(sy);
-          }
-          return;
-        }
-        switch (e.phase) {
-          case kLoad0:  // data load, outside the critical section
-            emit_operand_load(e.stmt, st.rhs1, e.j, 1);
-            break;
-          case kIdx1: {  // lock acquire on the accumulator cell
-            if (!lhs_addr.has_value()) break;
-            load_slot(e.stmt, e.j, 3) = static_cast<std::int32_t>(trace.size());
-            arch::Instr sy = arch::MakeSync(sync::SyncOp::kLockAcquire, *lhs_addr);
-            sy.pc = st.id * 16 + kIdx1;
-            trace.push_back(sy);
-            break;
-          }
-          case kLoad1: {  // accumulator load, gated on the acquire
-            emit_operand_load(e.stmt, st.rhs0, e.j, 0);
-            std::int32_t acq = load_slot(e.stmt, e.j, 3);
-            std::int32_t ld = load_slot(e.stmt, e.j, 0);
-            if (ld >= 0 && acq >= 0 && trace[static_cast<std::size_t>(ld)].dep0 < 0) {
-              trace[static_cast<std::size_t>(ld)].dep0 = acq;
-            }
-            break;
-          }
-          case kComputeP: {
-            arch::Instr ci = arch::MakeCompute(st.op, load_slot(e.stmt, e.j, 0),
-                                               load_slot(e.stmt, e.j, 1),
-                                               /*candidate=*/false, st.id * 16 + kComputeP,
-                                               st.id);
-            compute_slot(e.stmt, e.j) = static_cast<std::int32_t>(trace.size());
-            trace.push_back(ci);
-            break;
-          }
-          case kStoreP: {
-            if (!lhs_addr.has_value()) break;
-            arch::Instr si = arch::MakeStore(*lhs_addr, compute_slot(e.stmt, e.j));
-            si.pc = st.id * 16 + kStoreP;
-            std::int32_t st_idx = static_cast<std::int32_t>(trace.size());
-            trace.push_back(si);
-            arch::Instr rel = arch::MakeSync(sync::SyncOp::kLockRelease, *lhs_addr,
-                                             ReductionPayload(iter), st_idx);
-            rel.pc = st.id * 16 + kStoreP;
-            trace.push_back(rel);
-            break;
-          }
-          default:
-            break;
-        }
       };
 
       ir::Int iter_j = -1;  // which iteration `iter` holds
@@ -411,90 +247,49 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
           iter.assign(src, src + depth);
           iter_j = e.j;
         }
-        if (e.stmt < 0) {
-          // Wait pseudo-statement: consume the cross-core post of the
-          // producing iteration one witness distance upstream. Same-core
-          // producers are already ordered by the trace; they need no wait.
-          prod = iter;
-          prod[0] -= nest.sync.distance;
-          int prod_core = 0;
-          ir::Int prod_pos = 0;
-          if (!find_producer(prod, &prod_core, &prod_pos) || prod_core == core) continue;
-          const ir::Array& sa = prog.array(nest.sync.sync_array);
-          wait_at[static_cast<std::size_t>(e.j)] = static_cast<std::int32_t>(trace.size());
-          trace.push_back(
-              arch::MakeSync(sync::SyncOp::kWait, ElemAddr(sa, prod_core), prod_pos + 1));
-          continue;
-        }
-        if (e.stmt >= static_cast<int>(body_size)) {
-          // Post pseudo-statement: announce this iteration complete in this
-          // core's post slot, after the iteration's last instruction.
-          const ir::Array& sa = prog.array(nest.sync.sync_array);
-          trace.push_back(arch::MakeSync(sync::SyncOp::kPost, ElemAddr(sa, core), 0,
-                                         last_at[static_cast<std::size_t>(e.j)]));
-          continue;
-        }
         const ir::Stmt& st = nest.body[static_cast<std::size_t>(e.stmt)];
-        const std::size_t size_before = trace.size();
-        if (st.sync.kind == ir::SyncKind::kNdcAtomic || st.sync.kind == ir::SyncKind::kHostLock) {
-          emit_sync_stmt(e, st);
-        } else {
-          switch (e.phase) {
-            case kIdx0:
-            case kIdx1:
-            case kIdxStore:
-              break;  // folded into the load/store emission below
-            case kLoad0:
-              emit_operand_load(e.stmt, st.rhs0, e.j, 0);
-              break;
-            case kLoad1:
-              emit_operand_load(e.stmt, st.rhs1, e.j, 1);
-              break;
-            case kComputeP: {
-              std::int32_t l0 = st.rhs0.IsMemory() ? load_slot(e.stmt, e.j, 0) : -1;
-              std::int32_t l1 = st.rhs1.IsMemory() ? load_slot(e.stmt, e.j, 1) : -1;
-              arch::Instr ci;
-              bool both_mem = l0 >= 0 && l1 >= 0;
-              bool offload_here = st.ndc.offload && both_mem;
-              if (offload_here && cme != nullptr) {
-                offload_here =
-                    cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs0, iter) &&
-                    cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs1, iter);
-              }
-              if (offload_here) {
-                ci = arch::MakePreCompute(st.op, l0, l1, st.ndc.planned, st.ndc.timeout,
-                                          st.id * 16 + kComputeP, st.id);
-                ++out.precomputes;
-              } else {
-                ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id);
-              }
-              compute_slot(e.stmt, e.j) = static_cast<std::int32_t>(trace.size());
-              trace.push_back(ci);
-              break;
+        switch (e.phase) {
+          case kIdx0:
+          case kIdx1:
+          case kIdxStore:
+            break;  // folded into the load/store emission below
+          case kLoad0:
+            emit_operand_load(e.stmt, st.rhs0, e.j, 0);
+            break;
+          case kLoad1:
+            emit_operand_load(e.stmt, st.rhs1, e.j, 1);
+            break;
+          case kComputeP: {
+            std::int32_t l0 = st.rhs0.IsMemory() ? load_slot(e.stmt, e.j, 0) : -1;
+            std::int32_t l1 = st.rhs1.IsMemory() ? load_slot(e.stmt, e.j, 1) : -1;
+            arch::Instr ci;
+            bool both_mem = l0 >= 0 && l1 >= 0;
+            bool offload_here = st.ndc.offload && both_mem;
+            if (offload_here && cme != nullptr) {
+              offload_here =
+                  cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs0, iter) &&
+                  cme->PredictMissL1(e.stmt, analysis::OperandSel::kRhs1, iter);
             }
-            case kStoreP: {
-              auto addr = prog.ResolveAddr(st.lhs, iter);
-              if (!addr.has_value()) break;
-              arch::Instr si = arch::MakeStore(*addr, compute_slot(e.stmt, e.j));
-              si.pc = st.id * 16 + kStoreP;
-              trace.push_back(si);
-              break;
+            if (offload_here) {
+              ci = arch::MakePreCompute(st.op, l0, l1, st.ndc.planned, st.ndc.timeout,
+                                        st.id * 16 + kComputeP, st.id);
+              ++out.precomputes;
+            } else {
+              ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id);
             }
+            compute_slot(e.stmt, e.j) = static_cast<std::int32_t>(trace.size());
+            trace.push_back(ci);
+            break;
+          }
+          case kStoreP: {
+            auto addr = prog.ResolveAddr(st.lhs, iter);
+            if (!addr.has_value()) break;
+            arch::Instr si = arch::MakeStore(*addr, compute_slot(e.stmt, e.j));
+            si.pc = st.id * 16 + kStoreP;
+            trace.push_back(si);
+            break;
           }
         }
-        if (postwait && trace.size() > size_before) {
-          last_at[static_cast<std::size_t>(e.j)] = static_cast<std::int32_t>(trace.size()) - 1;
-        }
-      }
-      if (nest.sync.barrier_after && nest.sync.sync_array >= 0 && participants > 0) {
-        // Join the nest: every active core arrives at the barrier cell (the
-        // sync array's last element) after its final instruction.
-        const ir::Array& sa = prog.array(nest.sync.sync_array);
-        std::int32_t dep = trace.size() > nest_base
-                               ? static_cast<std::int32_t>(trace.size()) - 1
-                               : -1;
-        trace.push_back(arch::MakeSync(sync::SyncOp::kBarrierArrive,
-                                       ElemAddr(sa, sa.dims[0] - 1), participants, dep));
       }
     }
     for (const ir::Stmt& st : nest.body) {

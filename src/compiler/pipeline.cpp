@@ -225,11 +225,6 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
       ir::Stmt& stmt = nest.body[static_cast<std::size_t>(chain.stmt_idx)];
       ++rep.chains;
 
-      // Sync-lowered statements never offload: the RMW either collapses to
-      // a remote atomic or runs under a lock, and the NDC meeting machinery
-      // must not race the synchronization that orders it.
-      if (stmt.sync.kind != ir::SyncKind::kNone) continue;
-
       // Algorithm 2 (Section 5.3): favor data locality whenever an operand
       // is reused beyond the computation (more than k times).
       if (opt.mode == Mode::kAlgorithm2) {

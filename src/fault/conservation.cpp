@@ -39,14 +39,6 @@ ConservationReport CheckConservation(const ConservationInputs& in) {
              in.packets_delivered + in.packets_squashed));
   Require(r, in.mc_reads == in.mc_reads_done,
           Eq("mc_reads", in.mc_reads, "mc_reads_done", in.mc_reads_done));
-  Require(r, in.sync_acquires == in.sync_releases,
-          Eq("sync_acquires", in.sync_acquires, "sync_releases", in.sync_releases));
-  Require(r, in.sync_barrier_arrivals == in.sync_barrier_departures,
-          Eq("sync_barrier_arrivals", in.sync_barrier_arrivals, "sync_barrier_departures",
-             in.sync_barrier_departures));
-  Require(r, in.sync_atomics_issued == in.sync_atomics_completed,
-          Eq("sync_atomics_issued", in.sync_atomics_issued, "sync_atomics_completed",
-             in.sync_atomics_completed));
   return r;
 }
 

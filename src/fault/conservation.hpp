@@ -29,13 +29,6 @@ struct ConservationInputs {
   // Memory-controller accounting.
   std::uint64_t mc_reads = 0;
   std::uint64_t mc_reads_done = 0;
-  // Synchronization accounting (sync engines; all zero when sync never ran).
-  std::uint64_t sync_acquires = 0;           ///< lock grants handed out
-  std::uint64_t sync_releases = 0;           ///< lock releases serviced
-  std::uint64_t sync_barrier_arrivals = 0;
-  std::uint64_t sync_barrier_departures = 0;
-  std::uint64_t sync_atomics_issued = 0;
-  std::uint64_t sync_atomics_completed = 0;
 };
 
 /// Result of a conservation check: ok iff every invariant held; violations
@@ -52,9 +45,6 @@ struct ConservationReport {
 ///   cores_incomplete == 0                            (every core finishes)
 ///   packets_sent   == delivered + squashed           (every packet lands)
 ///   mc_reads       == mc_reads_done                  (every read completes)
-///   sync_acquires  == sync_releases                  (every lock is released)
-///   barrier_arrivals == barrier_departures           (no one parked forever)
-///   atomics_issued == atomics_completed              (every atomic applies)
 ConservationReport CheckConservation(const ConservationInputs& in);
 
 }  // namespace ndc::fault

@@ -323,10 +323,8 @@ json::Value ClassificationJson(const obs::UtilizationSignals& sig,
   ri("mc_row_misses", sig.mc_row_misses);
   ri("noc_link_busy_cycles", sig.noc_link_busy_cycles);
   ri("noc_contention_cycles", sig.noc_contention_cycles);
-  ri("sync_stall_cycles", sig.sync_stall_cycles);
   ri("ndc_success", sig.ndc_success);
   ri("core_stall_mem", sig.core_stall_mem);
-  ri("core_stall_sync", sig.core_stall_sync);
   ri("core_busy_compute", sig.core_busy_compute);
   ri("num_cores", sig.shape.num_cores);
   ri("num_mcs", sig.shape.num_mcs);
@@ -345,7 +343,6 @@ json::Value ClassificationJson(const obs::UtilizationSignals& sig,
   rd("row_miss_ratio", sig.row_miss_ratio);
   rd("noc_util", sig.noc_util);
   rd("noc_max_link_util", sig.noc_max_link_util);
-  rd("sync_frac", sig.sync_frac);
   rd("ndc_busy_frac", sig.ndc_busy_frac);
   rd("compute_frac", sig.compute_frac);
   rd("mem_stall_frac", sig.mem_stall_frac);
@@ -356,7 +353,6 @@ json::Value ClassificationJson(const obs::UtilizationSignals& sig,
   th.obj["dram_bw"] = json::Value::Str(obs::FormatFrac(t.dram_bw));
   th.obj["dram_queue_wait"] = json::Value::Str(obs::FormatFrac(t.dram_queue_wait));
   th.obj["noc"] = json::Value::Str(obs::FormatFrac(t.noc));
-  th.obj["sync"] = json::Value::Str(obs::FormatFrac(t.sync));
   th.obj["compute"] = json::Value::Str(obs::FormatFrac(t.compute));
   c.obj["thresholds"] = std::move(th);
 

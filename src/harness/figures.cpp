@@ -605,8 +605,16 @@ bool HasFigure(const std::string& name) {
 }
 
 int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* summary) {
+  if (!opt.only.empty()) {
+    const std::vector<std::string> names = workloads::BenchmarkNames();
+    if (std::find(names.begin(), names.end(), opt.only) == names.end()) {
+      std::fprintf(stderr, "unknown benchmark '%s'\n", opt.only.c_str());
+      return 2;
+    }
+  }
   for (const FigureEntry& e : kFigures) {
     if (name != e.name) continue;
+    int rc = 0;
     SweepSummary s;
     if (e.build != nullptr) {
       SweepSpec spec = e.build(opt);
@@ -620,9 +628,11 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
       std::fflush(stdout);
       if (!opt.export_jsonl.empty() && !ExportJsonl(spec, res, opt.export_jsonl)) {
         std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_jsonl.c_str());
+        rc = 2;
       }
       if (!opt.export_csv.empty() && !ExportCsv(spec, res, opt.export_csv)) {
         std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_csv.c_str());
+        rc = 2;
       }
       if (!opt.export_obs.empty() || opt.classify_window > 0) {
         ExportObsSummaries(spec, opt.export_obs, opt.classify_window, opt.jobs);
@@ -633,7 +643,7 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
       std::fflush(stdout);
     }
     if (summary != nullptr) *summary = s;
-    return 0;
+    return rc;
   }
   std::fprintf(stderr, "unknown figure '%s' (see ndc-sweep --list)\n", name.c_str());
   return 2;

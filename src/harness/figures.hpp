@@ -57,9 +57,11 @@ const std::vector<FigureInfo>& Figures();
 bool HasFigure(const std::string& name);
 
 /// Regenerates one figure end-to-end: sweep + render to stdout. Returns 0
-/// on success (2 for an unknown figure name) and fills `summary` when
-/// non-null. Exporters run when the corresponding FigureOptions paths are
-/// set (grid figures only).
+/// on success and fills `summary` when non-null. Returns 2, before any cell
+/// runs, for an unknown figure name or an `only` that names no benchmark,
+/// and 2, after rendering, when a JSONL or CSV export cannot be written.
+/// Exporters run when the corresponding FigureOptions paths are set (grid
+/// figures only).
 int RunFigure(const std::string& name, const FigureOptions& opt,
               SweepSummary* summary = nullptr);
 

@@ -103,34 +103,6 @@ struct NdcAnnotation {
   Int lead1 = 0;
 };
 
-/// How a proof obligation of a parallel nest is discharged at execution
-/// time. Statement-level kinds lower a recognized reduction RMW to remote
-/// synchronization; the nest-level kind orders DOACROSS iterations.
-enum class SyncKind : std::uint8_t {
-  kNone,       ///< no synchronization
-  kNdcAtomic,  ///< stmt: lower the RMW to a remote fetch-add at the sync engine
-  kHostLock,   ///< stmt: guard the host-side RMW with a ticket lock
-  kPostWait,   ///< nest: point-to-point post/wait along the witness distance
-};
-
-/// Statement-level synchronization annotation (reduction lowering scheme).
-struct StmtSync {
-  SyncKind kind = SyncKind::kNone;
-};
-
-/// Nest-level synchronization annotation. `kPostWait` orders cross-core
-/// DOACROSS iterations: each core posts per completed iteration into its
-/// slot of `sync_array`, and consumers wait on the producing core's slot
-/// along the outer-level dependence `distance`. `barrier_after` appends a
-/// barrier arrival (population = active cores) after the nest's last
-/// iteration on each core, using the final element of `sync_array`.
-struct NestSync {
-  SyncKind kind = SyncKind::kNone;  ///< kNone or kPostWait
-  Int distance = 0;                 ///< outer-level post/wait distance (>0)
-  int sync_array = -1;              ///< array holding post slots (+ barrier cell)
-  bool barrier_after = false;
-};
-
 /// A statement `lhs = rhs0 op rhs1`, executed at every iteration of its
 /// loop nest. `id` is the static statement id (used as PC and NDC site id).
 struct Stmt {
@@ -140,7 +112,6 @@ struct Stmt {
   Operand rhs0;
   Operand rhs1;
   NdcAnnotation ndc;
-  StmtSync sync;
 };
 
 /// Parallelization assertion attached to a nest by its producer (a workload
@@ -179,7 +150,6 @@ struct LoopNest {
   std::vector<Stmt> body;
   std::optional<IntMat> transform;
   ParallelAnnotation parallel;
-  NestSync sync;
 
   int depth() const { return static_cast<int>(loops.size()); }
 

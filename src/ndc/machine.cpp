@@ -14,8 +14,6 @@ constexpr int kReqToMc = 3;     // home L2 bank -> memory controller (8 B)
 constexpr int kRespToHome = 4;  // memory controller -> home L2 bank (L2 line, 256 B)
 constexpr int kWrite = 5;       // write-through traffic (64 B)
 constexpr int kNdcResult = 6;   // NDC result feed-back to the core (8 B)
-constexpr int kSyncReq = 7;     // core -> sync engine at the addr's home (8 B)
-constexpr int kSyncResp = 8;    // sync engine grant -> core (8 B)
 
 constexpr std::uint64_t Tag(std::uint64_t uid, int operand) {
   return (uid << 1) | static_cast<std::uint64_t>(operand);
@@ -63,10 +61,8 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   }
   site_to_uid_.resize(static_cast<std::size_t>(n));
   active_offloads_.assign(static_cast<std::size_t>(n), 0);
-  sync_ = std::make_unique<sync::SyncManager>(eq_, opts_.sync);
   if (opts_.observe) records_ = std::make_shared<RunRecord>(n);
   if (ObsOn()) {
-    sync_->set_registry(&opts_.obs->registry);
     net_->set_request_tracer(&opts_.obs->tracer);
     net_->RegisterMetrics(opts_.obs->registry);
     for (auto& m : mcs_) {
@@ -79,7 +75,6 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
       // without windows keep their StatSet key set bit-identical.
       obs::WindowSampler* smp = &opts_.obs->sampler;
       net_->set_sampler(smp);
-      sync_->set_sampler(smp);
       for (auto& m : mcs_) m->set_sampler(smp);
       for (auto& c : cores_) c->set_stall_tracking(true);
     }
@@ -157,7 +152,6 @@ RunResult Machine::Run(sim::Cycle limit) {
   for (auto& m : mcs_) {
     for (const auto& [k, v] : m->stats().all()) r.stats.Add(k, v);
   }
-  if (sync_->used()) r.sync_values = sync_->values();
   if (opts_.observe) {
     FinalizeRecords(r);
     r.records = records_;
@@ -167,14 +161,12 @@ RunResult Machine::Run(sim::Cycle limit) {
       // Core stall breakdown reaches the merged StatSet only on
       // classification runs — the keys are gated with the sampler, so the
       // default-run golden key set never changes.
-      std::uint64_t stall_mem = 0, stall_sync = 0, busy_compute = 0;
+      std::uint64_t stall_mem = 0, busy_compute = 0;
       for (auto& c : cores_) {
         stall_mem += c->stall_mem_cycles();
-        stall_sync += c->stall_sync_cycles();
         busy_compute += c->busy_compute_cycles();
       }
       r.stats.Add("core.stall.mem", stall_mem);
-      r.stats.Add("core.stall.sync", stall_sync);
       r.stats.Add("core.busy.compute", busy_compute);
     }
     opts_.obs->EndRun(eq_.now());
@@ -271,49 +263,13 @@ void Machine::IssuePreCompute(sim::NodeId core, std::uint32_t idx, const arch::I
   MaybeFallback(*inst);
 }
 
-void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& instr) {
-  // The request is an ordinary 8-byte NoC packet to the sync engine at the
-  // address's home node; the grant comes back as an 8-byte response. Both
-  // legs queue and contend like any memory request.
-  sim::NodeId engine = amap_.HomeBank(instr.addr);
-  if (ObsOn()) {
-    opts_.obs->sink.Instant("ndc.sync", eq_.now(), core, 0, "op",
-                            static_cast<std::uint64_t>(instr.sync_op));
-  }
-  sync::SyncRequest req;
-  req.op = instr.sync_op;
-  req.addr = instr.addr;
-  req.arg = instr.sync_arg;
-  req.arg2 = instr.sync_arg2;
-  req.core = core;
-  req.slot = idx;
-  req.issued_at = eq_.now();
-  req.grant = [this, engine](const sync::SyncRequest& r, sim::Cycle) {
-    SendLocal(engine, r.core, 8, noc::kXyRoute, 0, kSyncResp,
-              sim::Payload{r.core, engine, r.slot, r.addr});
-  };
-  // The request leg keeps a per-packet closure: the SyncRequest it carries
-  // owns the `grant` function, so it is not plain data. No figure issues
-  // sync ops, so this leg is off the hot path.
-  SendLocal(core, engine, 8, noc::kXyRoute, 0, kSyncReq,
-            sim::Payload{core, engine, idx, instr.addr}, 0,
-            [this, engine, req = std::move(req)](const noc::Packet&, sim::Cycle) mutable {
-              sync_->Enqueue(engine, std::move(req));
-            });
-}
-
 // ---------------------------------------------------------------------------
 // Memory path
 // ---------------------------------------------------------------------------
 
 void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::RouteId route,
-                        std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok,
-                        noc::Network::DeliverFn own) {
+                        std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok) {
   if (from == to) {
-    if (own) {
-      eq_.ScheduleAfter(cfg_.noc.router_pipeline, [own = std::move(own)] { own(noc::Packet{}, 0); });
-      return;
-    }
     auto deliver = [this, to, kind, tag, rtok, msg] {
       noc::Packet p;
       p.src = p.dst = to;
@@ -337,7 +293,7 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::RouteI
   p.kind = kind;
   p.obs_token = rtok;
   p.payload = msg;
-  net_->Send(std::move(p), std::move(own));
+  net_->Send(std::move(p));
 }
 
 void Machine::OnDeliver(const noc::Packet& p) {
@@ -367,12 +323,8 @@ void Machine::OnDeliver(const noc::Packet& p) {
     case kNdcResult:
       cores_[static_cast<std::size_t>(msg.core)]->Complete(msg.idx, eq_.now());
       return;
-    case kSyncResp:
-      if (ObsOn()) opts_.obs->sink.Instant("ndc.sync.grant", eq_.now(), msg.core, 0);
-      cores_[static_cast<std::size_t>(msg.core)]->Complete(msg.idx, eq_.now());
-      return;
     default:
-      assert(false && "kSyncReq packets carry their own DeliverFn");
+      assert(false && "unknown packet kind");
       return;
   }
 }
@@ -947,7 +899,6 @@ void Machine::MaterializeStats() {
   abort_timeout_.MaterializeInto(stats_, "ndc.abort.timeout");
   abort_partner_done_.MaterializeInto(stats_, "ndc.abort.partner_done");
   incomplete_cores_.MaterializeInto(stats_, "run.incomplete_cores");
-  sync_->MaterializeInto(stats_);  // keys appear only when sync ran
   for (int l = 0; l < arch::kNumLocs; ++l) {
     std::uint64_t v = ndc_at_loc_[static_cast<std::size_t>(l)];
     if (v > 0) stats_.Add(std::string("ndc.at.") + arch::LocName(static_cast<Loc>(l)), v);
@@ -986,13 +937,6 @@ fault::ConservationInputs Machine::GatherConservation() const {
     in.mc_reads += m->reads_count();
     in.mc_reads_done += m->reads_done_count();
   }
-  const sync::SyncStats& ss = sync_->stats();
-  in.sync_acquires = ss.lock_acquires;
-  in.sync_releases = ss.lock_releases;
-  in.sync_barrier_arrivals = ss.barrier_arrivals;
-  in.sync_barrier_departures = ss.barrier_departures;
-  in.sync_atomics_issued = ss.atomics_issued;
-  in.sync_atomics_completed = ss.atomics_completed;
   return in;
 }
 

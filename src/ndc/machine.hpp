@@ -20,7 +20,6 @@
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "sync/sync.hpp"
 
 namespace ndc::runtime {
 
@@ -40,10 +39,6 @@ struct MachineOptions {
   /// compiles out entirely, and even with NDC_OBS=ON a null pointer reduces
   /// each hook to one predictable branch. Never affects simulated timing.
   obs::Observability* obs = nullptr;
-  /// Sync-engine tuning (service occupancy per op). The subsystem itself is
-  /// demand-driven: traces without kSync instructions never touch it, so
-  /// sync-free runs stay bit-identical to pre-sync builds.
-  sync::SyncParams sync;
 };
 
 /// Aggregate results of one simulation run.
@@ -71,11 +66,6 @@ struct RunResult {
 
   sim::StatSet stats;  ///< merged component counters
   std::shared_ptr<RunRecord> records;  ///< observation data (observe mode)
-
-  /// Final values of atomically-updated cells (sync runs only; empty
-  /// otherwise). Keyed by address; the reproducibility tests compare these
-  /// maps across same-seed runs.
-  std::map<sim::Addr, std::int64_t> sync_values;
 };
 
 /// The simulated manycore machine of Section 2: a WxH mesh of
@@ -106,7 +96,6 @@ class Machine final : public arch::MemoryPort {
   void IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) override;
   void IssueStore(sim::NodeId core, std::uint32_t idx, sim::Addr addr) override;
   void IssuePreCompute(sim::NodeId core, std::uint32_t idx, const arch::Instr& instr) override;
-  void IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& instr) override;
 
   // --- component access (tests, benches) ---
   const arch::ArchConfig& config() const { return cfg_; }
@@ -117,7 +106,6 @@ class Machine final : public arch::MemoryPort {
   mem::MemCtrl& mc(sim::McId m) { return *mcs_[static_cast<std::size_t>(m)]; }
   arch::Core& core(sim::NodeId n) { return *cores_[static_cast<std::size_t>(n)]; }
   const mem::AddressMap& amap() const { return amap_; }
-  sync::SyncManager& sync_manager() { return *sync_; }
 
   /// Snapshot of the request-conservation counters (call after Run drains):
   /// fault::CheckConservation(GatherConservation()) must report ok — no
@@ -207,12 +195,11 @@ class Machine final : public arch::MemoryPort {
                      std::uint64_t rtok);
   void SendResponseToCore(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
   void DeliverToCore(const sim::Payload& msg, std::uint64_t tag, std::uint64_t rtok);
-  /// Sends a message of `kind` to `to`; on arrival OnDeliver dispatches it
-  /// (or `own`, when given). A same-node message skips the network but
-  /// still pays one router pipeline transit.
+  /// Sends a message of `kind` to `to`; on arrival OnDeliver dispatches it.
+  /// A same-node message skips the network but still pays one router
+  /// pipeline transit.
   void SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::RouteId route,
-                 std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok = 0,
-                 noc::Network::DeliverFn own = {});
+                 std::uint64_t tag, int kind, const sim::Payload& msg, std::uint64_t rtok = 0);
   /// The one receiver of the machine's messages: dispatches on packet kind.
   void OnDeliver(const noc::Packet& p);
 
@@ -265,7 +252,6 @@ class Machine final : public arch::MemoryPort {
   std::vector<std::unique_ptr<mem::MemCtrl>> mcs_;
   std::vector<sim::NodeId> mc_nodes_;
   std::vector<std::unique_ptr<arch::Core>> cores_;
-  std::unique_ptr<sync::SyncManager> sync_;
 
   // Trace preprocessing: per core, map load slot -> (candidate, operand).
   std::vector<std::vector<std::int32_t>> load_to_cand_;  // cand*2 + operand, -1 none

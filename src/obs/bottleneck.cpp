@@ -16,7 +16,6 @@ const char* LabelName(Label l) {
     case Label::kDramBw: return "dram-bw";
     case Label::kDramLatency: return "dram-latency";
     case Label::kNoc: return "noc";
-    case Label::kSync: return "sync";
     case Label::kCompute: return "compute";
     case Label::kBalanced: return "balanced";
   }
@@ -35,10 +34,8 @@ UtilizationSignals ComputeSignals(const sim::StatSet& st, sim::Cycle makespan,
   s.mc_row_misses = st.Get("mc.row_misses");
   s.noc_link_busy_cycles = st.Get("noc.link_busy_cycles");
   s.noc_contention_cycles = st.Get("noc.contention_cycles");
-  s.sync_stall_cycles = st.Get("sync.stall_cycles");
   s.ndc_success = st.Get("ndc.success");
   s.core_stall_mem = st.Get("core.stall.mem");
-  s.core_stall_sync = st.Get("core.stall.sync");
   s.core_busy_compute = st.Get("core.busy.compute");
 
   const std::uint64_t accesses = s.mc_reads + s.mc_writes;
@@ -48,7 +45,6 @@ UtilizationSignals ComputeSignals(const sim::StatSet& st, sim::Cycle makespan,
   s.row_miss_ratio = Frac(s.mc_row_misses, s.mc_row_hits + s.mc_row_misses);
   s.noc_util = Frac(s.noc_link_busy_cycles, shape.num_links * makespan);
   s.noc_max_link_util = s.noc_util;  // refined when per-link counters exist
-  s.sync_frac = Frac(s.sync_stall_cycles, shape.num_cores * makespan);
   s.ndc_busy_frac = Frac(s.ndc_success * shape.compute_latency, makespan);
   s.compute_frac = Frac(s.core_busy_compute, shape.num_cores * makespan);
   s.mem_stall_frac = Frac(s.core_stall_mem, shape.num_cores * makespan);
@@ -62,13 +58,10 @@ void RefineMaxLinkBusy(UtilizationSignals& s, std::uint64_t max_link_busy_cycles
 
 Label Classify(const UtilizationSignals& s, const ClassifierThresholds& t) {
   // Fixed precedence. Data-bus saturation is the least ambiguous signal, so
-  // it wins outright. Sync stall outranks the memory-latency check: a core
-  // parked on a grant issues no memory demand, so whatever queue wait its
-  // few accesses saw is a symptom, not the constraint. Queue wait then
-  // outranks raw link utilization — a hot link feeding an overloaded MC
-  // shows up in both, and the deeper queue is the root cause.
+  // it wins outright. Queue wait then outranks raw link utilization — a hot
+  // link feeding an overloaded MC shows up in both, and the deeper queue is
+  // the root cause.
   if (s.dram_bw_frac >= t.dram_bw) return Label::kDramBw;
-  if (s.sync_frac >= t.sync) return Label::kSync;
   if (s.avg_queue_wait >= t.dram_queue_wait) return Label::kDramLatency;
   double noc = s.noc_max_link_util > s.noc_util ? s.noc_max_link_util : s.noc_util;
   if (noc >= t.noc) return Label::kNoc;
@@ -89,7 +82,6 @@ std::string SignalsToText(const UtilizationSignals& s) {
   out += " qocc=" + FormatFrac(s.mc_queue_occ);
   out += " noc=" + FormatFrac(s.noc_util);
   out += " noc_max=" + FormatFrac(s.noc_max_link_util);
-  out += " sync=" + FormatFrac(s.sync_frac);
   out += " ndc=" + FormatFrac(s.ndc_busy_frac);
   out += " compute=" + FormatFrac(s.compute_frac);
   out += " memstall=" + FormatFrac(s.mem_stall_frac);

@@ -5,7 +5,7 @@
 // Attribution derives, from a run's touched-only counters plus the machine
 // shape, a small vector of resource utilizations — DRAM data-bus busy
 // fraction, per-MC queue occupancy (Little's law), NoC link utilization,
-// core stall breakdown (mem vs sync vs compute), NDC engine busy fraction.
+// core stall breakdown (mem vs compute), NDC engine busy fraction.
 // The classifier maps that vector to one stable label through a fixed-order
 // threshold tree, so the same counters always produce the same label, and
 // the report carries both the thresholds and the full signal vector — a
@@ -28,16 +28,15 @@
 namespace ndc::obs {
 
 /// Stable bottleneck labels. Classifier precedence (see Classify):
-/// dram-bw, sync, dram-latency, noc, compute, balanced.
+/// dram-bw, dram-latency, noc, compute, balanced.
 enum class Label : std::uint8_t {
   kDramBw = 0,   ///< DRAM data bus saturated
   kDramLatency,  ///< long MC queues, bus not saturated
   kNoc,          ///< mesh links the constraint
-  kSync,         ///< cores stalled on sync grants
   kCompute,      ///< ALUs (host or near-data) dominate
   kBalanced,     ///< no single resource past its threshold
 };
-inline constexpr int kNumLabels = 6;
+inline constexpr int kNumLabels = 5;
 
 const char* LabelName(Label l);  // "dram-bw", "dram-latency", ...
 
@@ -64,10 +63,8 @@ struct UtilizationSignals {
   std::uint64_t mc_row_misses = 0;
   std::uint64_t noc_link_busy_cycles = 0;
   std::uint64_t noc_contention_cycles = 0;
-  std::uint64_t sync_stall_cycles = 0;
   std::uint64_t ndc_success = 0;
   std::uint64_t core_stall_mem = 0;     ///< present only when stall tracking on
-  std::uint64_t core_stall_sync = 0;    ///< present only when stall tracking on
   std::uint64_t core_busy_compute = 0;  ///< present only when stall tracking on
   MachineShape shape;
 
@@ -78,7 +75,6 @@ struct UtilizationSignals {
   double row_miss_ratio = 0.0;    ///< row misses / (hits + misses)
   double noc_util = 0.0;          ///< link-busy / (links * makespan)
   double noc_max_link_util = 0.0; ///< hottest link (registry refinement)
-  double sync_frac = 0.0;         ///< sync stall / (cores * makespan)
   double ndc_busy_frac = 0.0;     ///< success*latency / makespan
   double compute_frac = 0.0;      ///< core compute busy / (cores * makespan)
   double mem_stall_frac = 0.0;    ///< core mem stall / (cores * makespan)
@@ -90,13 +86,11 @@ struct ClassifierThresholds {
   double dram_bw = 0.50;        ///< dram_bw_frac at/above => dram-bw
   double dram_queue_wait = 25.0;///< avg_queue_wait at/above => dram-latency
   double noc = 0.35;            ///< max(noc_util, noc_max_link_util) => noc
-  double sync = 0.25;           ///< sync_frac at/above => sync
   double compute = 0.40;        ///< compute_frac + ndc_busy_frac => compute
 };
 
 /// Reads the raw counters out of `st` and derives the fractions. Keys that
-/// were never touched read as 0 and contribute 0 — a sync-free run simply
-/// has sync_frac 0.
+/// were never touched read as 0 and contribute 0.
 UtilizationSignals ComputeSignals(const sim::StatSet& st, sim::Cycle makespan,
                                   const MachineShape& shape);
 

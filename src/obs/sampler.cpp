@@ -9,7 +9,6 @@ const char* SignalName(Signal s) {
     case Signal::kDramAccess: return "dram_access";
     case Signal::kMcQueueWait: return "mc_queue_wait";
     case Signal::kNocBusy: return "noc_busy";
-    case Signal::kSyncStall: return "sync_stall";
     case Signal::kNdcBusy: return "ndc_busy";
   }
   return "?";

@@ -1,7 +1,7 @@
 #pragma once
 
 // Phase-windowed signal sampler. Instrumented sites (the memory
-// controllers, the NoC, the sync engines, the NDC runtime) report additive
+// controllers, the NoC, the NDC runtime) report additive
 // deltas of a small fixed set of utilization signals; the sampler buckets
 // each delta into a fixed-width cycle window (window = now / window_cycles)
 // so a run's signals become a per-window time series instead of one
@@ -30,16 +30,14 @@ namespace ndc::obs {
 ///   kDramAccess -> mc.reads + mc.writes        (delta 1 per issued access)
 ///   kMcQueueWait -> mc.queue_wait_cycles       (delta = issue - enqueue)
 ///   kNocBusy    -> noc.link_busy_cycles        (delta = serialization cycles)
-///   kSyncStall  -> sync.stall_cycles           (delta = grant - issue)
 ///   kNdcBusy    -> ndc.success * compute_latency (delta per near-data op)
 enum class Signal : std::uint8_t {
   kDramAccess = 0,
   kMcQueueWait,
   kNocBusy,
-  kSyncStall,
   kNdcBusy,
 };
-inline constexpr int kNumSignals = 5;
+inline constexpr int kNumSignals = 4;
 
 const char* SignalName(Signal s);
 

@@ -44,13 +44,6 @@ const char* CodeName(Code c) {
     case Code::kAnnotationNeedsPrivatization: return "annotation-needs-privatization";
     case Code::kAnnotationBadLevel: return "annotation-bad-level";
     case Code::kAnnotationUnusedObligation: return "annotation-unused-obligation";
-    case Code::kSyncOnUnannotatedNest: return "sync-on-unannotated-nest";
-    case Code::kSyncWithoutObligation: return "sync-without-obligation";
-    case Code::kSyncMissingOnObligation: return "sync-missing-on-obligation";
-    case Code::kPostWaitNotDoacross: return "postwait-not-doacross";
-    case Code::kPostWaitDistanceMismatch: return "postwait-distance-mismatch";
-    case Code::kSyncBadArray: return "sync-bad-array";
-    case Code::kPostWaitUncoveredDependence: return "postwait-uncovered-dependence";
   }
   return "?";
 }
@@ -58,10 +51,9 @@ const char* CodeName(Code c) {
 std::string CodeId(Code c) {
   // Code prefix mirrors the pass that owns the range: V1xx structural
   // (validator), L2xx legality (auditor), R3xx races (detector),
-  // P4xx parallel-annotation proofs, S5xx synchronization audit.
+  // P4xx parallel-annotation proofs.
   int num = static_cast<int>(c);
-  char prefix = num >= 500 ? 'S'
-              : num >= 400 ? 'P'
+  char prefix = num >= 400 ? 'P'
               : num >= 300 ? 'R'
               : num >= 200 ? 'L'
                            : 'V';

@@ -18,7 +18,7 @@ const char* SeverityName(Severity s);
 
 /// Stable diagnostic codes. V1xx = IR structural validation,
 /// L2xx = legality audit, R3xx = parallel-loop race detection,
-/// P4xx = parallel-annotation proof audit, S5xx = synchronization audit.
+/// P4xx = parallel-annotation proof audit.
 enum class Code : int {
   // --- IR validator ---
   kBadArrayRef = 101,             ///< operand references an invalid array id
@@ -51,14 +51,6 @@ enum class Code : int {
   kAnnotationNeedsPrivatization = 405,///< proof requires privatized arrays
   kAnnotationBadLevel = 406,         ///< annotated level outside the nest depth
   kAnnotationUnusedObligation = 407, ///< annotation enables an unneeded obligation
-  // --- synchronization audit ---
-  kSyncOnUnannotatedNest = 501,      ///< sync lowering without a parallel annotation
-  kSyncWithoutObligation = 502,      ///< sync op discharges no classifier obligation
-  kSyncMissingOnObligation = 503,    ///< obligation left unsynchronized in a sync nest
-  kPostWaitNotDoacross = 504,        ///< post/wait on a level with no DOACROSS proof
-  kPostWaitDistanceMismatch = 505,   ///< declared distance != witness min distance
-  kSyncBadArray = 506,               ///< sync array missing or too small
-  kPostWaitUncoveredDependence = 507,///< a carried dep post/wait cannot order
 };
 
 const char* CodeName(Code c);

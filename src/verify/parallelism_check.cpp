@@ -47,12 +47,6 @@ void CheckParallelism(const ir::Program& prog, const VerifyOptions& opts,
       continue;
     }
     const analysis::LevelClass& lc = cls.level(ann.level);
-    if (lc.kind == analysis::LevelKind::kDoacross && lc.witness_valid &&
-        nest.sync.kind == ir::SyncKind::kPostWait) {
-      // The carried dependence is discharged by post/wait lowering; the
-      // S5xx sync audit checks the declared distance against the witness.
-      continue;
-    }
     if (lc.kind == analysis::LevelKind::kDoacross && lc.witness_valid) {
       const analysis::Dependence& w = lc.witness;
       std::ostringstream os;

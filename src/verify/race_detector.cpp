@@ -53,15 +53,6 @@ void DetectRaces(const ir::Program& prog, const VerifyOptions& opts, Report* rep
       if (priv_ok && priv_set.count(d.array) != 0) {
         continue;  // per-shard private copy kills the carried dependence
       }
-      if (nest.sync.kind == ir::SyncKind::kPostWait && nest.sync.distance > 0 &&
-          d.distance[0] > 0 && d.distance[0] % nest.sync.distance == 0) {
-        // Post/wait at distance k orders every dependence whose outer
-        // distance is a positive multiple of k (later components must stay
-        // non-negative; otherwise the dep is a real race and stays reported).
-        bool covered = true;
-        for (std::size_t i = 1; i < d.distance.size(); ++i) covered &= d.distance[i] >= 0;
-        if (covered) continue;
-      }
       if (!reported.insert({d.array, d.from_stmt}).second) continue;
       std::ostringstream os;
       os << "dependence with outer-loop distance " << d.distance[0]

@@ -8,7 +8,6 @@ Report VerifyProgram(const ir::Program& prog, const VerifyOptions& opts) {
   if (opts.check_legality) AuditLegality(prog, opts, &report);
   if (opts.check_races) DetectRaces(prog, opts, &report);
   if (opts.check_parallelism) CheckParallelism(prog, opts, &report);
-  if (opts.check_sync) CheckSync(prog, opts, &report);
   report.Sort();  // pass order never leaks into the report
   return report;
 }

@@ -6,7 +6,6 @@
 #include "verify/legality_audit.hpp"
 #include "verify/parallelism_check.hpp"
 #include "verify/race_detector.hpp"
-#include "verify/sync_check.hpp"
 #include "verify/verify_options.hpp"
 
 namespace ndc::verify {

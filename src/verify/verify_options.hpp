@@ -18,7 +18,6 @@ struct VerifyOptions {
   bool check_legality = true;     ///< run the legality auditor
   bool check_races = true;        ///< run the parallel-loop race detector
   bool check_parallelism = true;  ///< run the parallel-annotation proof audit (P4xx)
-  bool check_sync = true;         ///< run the synchronization audit (S5xx)
 };
 
 }  // namespace ndc::verify

@@ -147,50 +147,6 @@ ir::Program MakeShardPriv(ShardBuilder b) {
   return std::move(b.p);
 }
 
-// shard.reduce.atomic / shard.reduce.lock: every core accumulates straight
-// into the one shared total cell — a contended reduction the classifier
-// recognizes but cannot privatize away. The RMW statement is sync-lowered:
-// kNdcAtomic sends a fetch-add to the cell's home sync engine; kHostLock
-// wraps a host-side load/compute/store in a ticket-lock critical section.
-// A barrier on the sync array's last cell closes the nest.
-ir::Program MakeShardReduceSync(ShardBuilder b, ir::SyncKind kind) {
-  Int N = b.N();
-  int data = b.arr("data", N);
-  int total = b.arr("total", 1);
-  int sync = b.arr("__sync", 1);
-  ir::LoopNest& n = b.shard_nest();
-  b.stmt(b.cell(total), Op::kAdd, b.cell(total), b.global(data, 0));
-  n.body.back().sync.kind = kind;
-  n.sync.sync_array = sync;
-  n.sync.barrier_after = true;
-  return std::move(b.p);
-}
-
-// shard.stencil.wave: a true DOACROSS — each shard's chunk reads the value
-// its left neighbour wrote (out[g+chunk] = out[g] + in[g], so the flow
-// dependence has outer distance exactly 1). Post/wait lowering orders the
-// shards into a pipeline: core c posts into __sync[c] per finished
-// iteration, core c+1 waits on it before consuming; __sync's last cell
-// hosts the closing barrier.
-ir::Program MakeShardStencilWave(ShardBuilder b) {
-  Int N = b.N();
-  int in = b.arr("in", N);
-  int out = b.arr("out", N + b.chunk);
-  int sync = b.arr("__sync", b.C + 1);
-  ir::LoopNest& n = b.shard_nest();
-  b.stmt(b.global(out, b.chunk), Op::kAdd, b.global(out, 0), b.global(in, 0));
-  if (b.C > 1) {
-    // A single shard carries no cross-shard dependence (the trip-1 outer
-    // loop is trivially DOALL), so post/wait would be S504-rejected by the
-    // gate; the degenerate case keeps only the closing barrier.
-    n.sync.kind = ir::SyncKind::kPostWait;
-    n.sync.distance = 1;
-  }
-  n.sync.sync_array = sync;
-  n.sync.barrier_after = true;
-  return std::move(b.p);
-}
-
 // shard.racy (test-only): a first-order recurrence out[i] = out[i-1] + a[i]
 // crosses every shard boundary; the gate must reject it.
 ir::Program MakeShardRacy(ShardBuilder b) {
@@ -203,10 +159,9 @@ ir::Program MakeShardRacy(ShardBuilder b) {
 }
 
 /// The verifier gate, now the real thing: run the P4xx annotation proofs
-/// and the S5xx synchronization audit over the generated program and
-/// reject on any error. Scenario construction discharges obligations
-/// physically (per-core accumulators, expanded temporaries, sync
-/// lowering), so a throw here means the generator produced code it cannot
+/// over the generated program and reject on any error. Scenario
+/// construction discharges obligations physically (per-core accumulators,
+/// expanded temporaries), so a throw here means the generator produced code it cannot
 /// prove race-free — a bug, never a recoverable condition. Structure and
 /// legality passes stay off: they audit compiler output, and boundary
 /// subscripts some scenarios use on purpose are their business to warn
@@ -229,9 +184,6 @@ const std::vector<WorkloadInfo>& ShardedScenarios() {
       {"shard.stencil", "sharded", "halo Jacobi step, separate buffers"},
       {"shard.reduce", "sharded", "per-core partials + sequential combine"},
       {"shard.priv", "sharded", "per-core expanded temporary"},
-      {"shard.reduce.atomic", "sharded", "shared total via NDC fetch-add + barrier"},
-      {"shard.reduce.lock", "sharded", "shared total via ticket-lock RMW + barrier"},
-      {"shard.stencil.wave", "sharded", "DOACROSS pipeline via post/wait (dist 1)"},
   };
   return kAll;
 }
@@ -259,12 +211,6 @@ ir::Program BuildShardedWorkload(const std::string& name, Scale scale, int num_c
     p = MakeShardReduce(std::move(b));
   } else if (name == "shard.priv") {
     p = MakeShardPriv(std::move(b));
-  } else if (name == "shard.reduce.atomic") {
-    p = MakeShardReduceSync(std::move(b), ir::SyncKind::kNdcAtomic);
-  } else if (name == "shard.reduce.lock") {
-    p = MakeShardReduceSync(std::move(b), ir::SyncKind::kHostLock);
-  } else if (name == "shard.stencil.wave") {
-    p = MakeShardStencilWave(std::move(b));
   } else if (name == "shard.racy") {
     p = MakeShardRacy(std::move(b));
   } else {

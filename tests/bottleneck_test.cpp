@@ -69,9 +69,9 @@ TEST_F(SamplerUnit, BucketsDeltasByWindowAndSumsToTotal) {
 TEST_F(SamplerUnit, ReconfigureResetsTheSeries) {
   WindowSampler s;
   s.Configure(10);
-  s.Note(Signal::kSyncStall, 5, 1);
+  s.Note(Signal::kNdcBusy, 5, 1);
   s.Configure(10);
-  EXPECT_EQ(s.Total(Signal::kSyncStall), 0u);
+  EXPECT_EQ(s.Total(Signal::kNdcBusy), 0u);
   EXPECT_EQ(s.num_windows(), 0u);
 }
 
@@ -106,7 +106,6 @@ TEST(ComputeSignalsUnit, DerivesFractionsFromStatSet) {
   st.Add("mc.row_hits", 120);
   st.Add("mc.row_misses", 30);
   st.Add("noc.link_busy_cycles", 8000);
-  st.Add("sync.stall_cycles", 5000);
   st.Add("ndc.success", 40);
   st.Add("core.busy.compute", 250);
   st.Add("core.stall.mem", 12500);
@@ -120,7 +119,6 @@ TEST(ComputeSignalsUnit, DerivesFractionsFromStatSet) {
   EXPECT_DOUBLE_EQ(s.row_miss_ratio, 30.0 / 150);                // 0.2
   EXPECT_DOUBLE_EQ(s.noc_util, 8000.0 / (80 * 1000));            // 0.1
   EXPECT_DOUBLE_EQ(s.noc_max_link_util, s.noc_util);             // unrefined
-  EXPECT_DOUBLE_EQ(s.sync_frac, 5000.0 / (25 * 1000));           // 0.2
   EXPECT_DOUBLE_EQ(s.ndc_busy_frac, 40.0 * 1 / 1000);            // 0.04
   EXPECT_DOUBLE_EQ(s.compute_frac, 250.0 / (25 * 1000));         // 0.01
   EXPECT_DOUBLE_EQ(s.mem_stall_frac, 12500.0 / (25 * 1000));     // 0.5
@@ -132,7 +130,6 @@ TEST(ComputeSignalsUnit, UntouchedKeysAndZeroMakespanAreAllZero) {
   EXPECT_DOUBLE_EQ(s.dram_bw_frac, 0.0);
   EXPECT_DOUBLE_EQ(s.avg_queue_wait, 0.0);
   EXPECT_DOUBLE_EQ(s.noc_util, 0.0);
-  EXPECT_DOUBLE_EQ(s.sync_frac, 0.0);
   EXPECT_EQ(Classify(s), Label::kBalanced);
 }
 
@@ -152,16 +149,12 @@ TEST(ClassifierUnit, FixedPrecedenceOrder) {
   UtilizationSignals s;
   // Everything screaming at once: the data bus wins outright.
   s.dram_bw_frac = 0.6;
-  s.sync_frac = 0.9;
   s.avg_queue_wait = 1000.0;
   s.noc_max_link_util = 0.9;
   s.compute_frac = 0.9;
   EXPECT_EQ(Classify(s), Label::kDramBw);
-  // Bus below threshold: sync stall outranks the latency symptom.
+  // Bus below threshold: deep MC queues outrank the hot link feeding them.
   s.dram_bw_frac = 0.1;
-  EXPECT_EQ(Classify(s), Label::kSync);
-  // Sync quiet: deep MC queues outrank the hot link feeding them.
-  s.sync_frac = 0.0;
   EXPECT_EQ(Classify(s), Label::kDramLatency);
   // Queues shallow: the mesh is the constraint.
   s.avg_queue_wait = 1.0;
@@ -297,7 +290,6 @@ TEST_F(ClassifyEndToEnd, WindowSumsReconcileWithTouchedOnlyCounters) {
             st.Get("mc.reads") + st.Get("mc.writes"));
   EXPECT_EQ(ob.sampler.Total(Signal::kMcQueueWait), st.Get("mc.queue_wait_cycles"));
   EXPECT_EQ(ob.sampler.Total(Signal::kNocBusy), st.Get("noc.link_busy_cycles"));
-  EXPECT_EQ(ob.sampler.Total(Signal::kSyncStall), st.Get("sync.stall_cycles"));
   EXPECT_EQ(ob.sampler.Total(Signal::kNdcBusy),
             st.Get("ndc.success") * cfg.compute_latency);
   ASSERT_GT(ob.sampler.Total(Signal::kDramAccess), 0u);
@@ -310,16 +302,7 @@ TEST_F(ClassifyEndToEnd, WindowSumsReconcileWithTouchedOnlyCounters) {
 
   // The sampled run carries the gated stall-breakdown keys.
   EXPECT_TRUE(st.Has("core.stall.mem"));
-  EXPECT_TRUE(st.Has("core.stall.sync"));
   EXPECT_TRUE(st.Has("core.busy.compute"));
-}
-
-TEST_F(ClassifyEndToEnd, SyncStallSignalReconcilesOnShardedWorkload) {
-  ndc::obs::Observability ob(SampledOptions());
-  ndc::metrics::SchemeResult r = RunSampled(&ob, "shard.reduce.atomic", Scheme::kBaseline);
-  const ndc::sim::StatSet& st = r.run.stats;
-  ASSERT_GT(st.Get("sync.stall_cycles"), 0u);
-  EXPECT_EQ(ob.sampler.Total(Signal::kSyncStall), st.Get("sync.stall_cycles"));
 }
 
 TEST_F(ClassifyEndToEnd, UnsampledRunsKeepStallKeysOutOfTheStatSet) {
@@ -327,7 +310,6 @@ TEST_F(ClassifyEndToEnd, UnsampledRunsKeepStallKeysOutOfTheStatSet) {
   ndc::metrics::SchemeResult r = RunSampled(&ob, "md", Scheme::kOracle);
   const ndc::sim::StatSet& st = r.run.stats;
   EXPECT_FALSE(st.Has("core.stall.mem"));
-  EXPECT_FALSE(st.Has("core.stall.sync"));
   EXPECT_FALSE(st.Has("core.busy.compute"));
   EXPECT_EQ(ob.sampler.num_windows(), 0u);
 }
@@ -344,7 +326,6 @@ TEST_F(ClassifyEndToEnd, ComputeRunSignalsMatchesTheStatSetVerbatim) {
   EXPECT_EQ(s.mc_writes, st.Get("mc.writes"));
   EXPECT_EQ(s.mc_queue_wait_cycles, st.Get("mc.queue_wait_cycles"));
   EXPECT_EQ(s.noc_link_busy_cycles, st.Get("noc.link_busy_cycles"));
-  EXPECT_EQ(s.sync_stall_cycles, st.Get("sync.stall_cycles"));
   EXPECT_EQ(s.ndc_success, st.Get("ndc.success"));
   EXPECT_EQ(s.core_stall_mem, st.Get("core.stall.mem"));
   EXPECT_EQ(s.core_busy_compute, st.Get("core.busy.compute"));

@@ -1,5 +1,6 @@
 // Request-conservation tests: the checker's invariants on hand-built counter
-// snapshots, and the invariant itself after every Figure-4 scheme run.
+// snapshots, and the invariant itself after every Figure-4 scheme run on
+// every benchmark.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "fault/conservation.hpp"
 #include "metrics/experiment.hpp"
+#include "workloads/workloads.hpp"
 
 namespace ndc::fault {
 namespace {
@@ -40,23 +42,33 @@ TEST(Conservation, EachLostRequestIsNamed) {
 
 // Every scheme of Figure 4, plus the baseline it is normalized to, loses no
 // request: each offload resolves, each packet lands, each read completes.
-TEST(Conservation, HoldsAfterEveryFig04SchemeRun) {
+class ConservationPerBenchmark : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ConservationPerBenchmark, HoldsAfterEveryFig04SchemeRun) {
   using metrics::Scheme;
-  arch::ArchConfig cfg;
-  for (const char* name : {"swim", "md", "fft"}) {
-    metrics::Experiment exp(name, workloads::Scale::kTest, cfg);
-    for (Scheme s : {Scheme::kBaseline, Scheme::kDefault, Scheme::kOracle, Scheme::kWait5,
-                     Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
-                     Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
-      metrics::SchemeResult r = exp.Run(s);
-      const ConservationInputs& in = exp.last_conservation();
-      ConservationReport rep = CheckConservation(in);
-      EXPECT_TRUE(rep.ok) << name << " " << metrics::SchemeName(s) << "\n" << rep.ToString();
-      EXPECT_GT(in.packets_sent, 0u) << name << " " << metrics::SchemeName(s);
-      EXPECT_EQ(in.offloads, r.run.offloads) << name << " " << metrics::SchemeName(s);
-    }
+  const std::string& name = GetParam();
+  metrics::Experiment exp(name, workloads::Scale::kTest, arch::ArchConfig{});
+  for (Scheme s : {Scheme::kBaseline, Scheme::kDefault, Scheme::kOracle, Scheme::kWait5,
+                   Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
+                   Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
+    metrics::SchemeResult r = exp.Run(s);
+    const ConservationInputs& in = exp.last_conservation();
+    ConservationReport rep = CheckConservation(in);
+    EXPECT_TRUE(rep.ok) << name << " " << metrics::SchemeName(s) << "\n" << rep.ToString();
+    EXPECT_GT(in.packets_sent, 0u) << name << " " << metrics::SchemeName(s);
+    EXPECT_EQ(in.offloads, r.run.offloads) << name << " " << metrics::SchemeName(s);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(All, ConservationPerBenchmark,
+                         ::testing::ValuesIn(workloads::BenchmarkNames()),
+                         [](const auto& info) {
+                           std::string n = info.param;
+                           for (char& c : n) {
+                             if (c == '.') c = '_';
+                           }
+                           return n;
+                         });
 
 }  // namespace
 }  // namespace ndc::fault

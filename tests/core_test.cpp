@@ -35,12 +35,6 @@ class FakePort : public MemoryPort {
   void IssuePreCompute(sim::NodeId, std::uint32_t idx, const Instr&) override {
     issued_precomputes.push_back({eq_.now(), idx});
   }
-  void IssueSync(sim::NodeId, std::uint32_t idx, const Instr&) override {
-    issued_syncs.push_back({eq_.now(), idx});
-    if (auto_complete) {
-      eq_.ScheduleAfter(latency, [this, idx] { core->Complete(idx, eq_.now()); });
-    }
-  }
 
   sim::EventQueue& eq_;
   Core* core = nullptr;
@@ -50,7 +44,6 @@ class FakePort : public MemoryPort {
   std::vector<std::pair<sim::Cycle, std::uint32_t>> issued_loads;
   std::vector<std::pair<sim::Cycle, std::uint32_t>> issued_stores;
   std::vector<std::pair<sim::Cycle, std::uint32_t>> issued_precomputes;
-  std::vector<std::pair<sim::Cycle, std::uint32_t>> issued_syncs;
 };
 
 struct CoreFixture : public ::testing::Test {

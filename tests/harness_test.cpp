@@ -498,6 +498,37 @@ TEST(Figures, UnknownFigureNameFails) {
   EXPECT_EQ(RunFigure("not-a-figure", opt), 2);
 }
 
+TEST(Figures, UnknownBenchmarkFailsBeforeAnyCellRuns) {
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.only = "nosuch";
+  opt.use_cache = false;
+  SweepSummary summary;
+  summary.cells = 99;  // untouched on failure
+
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(RunFigure("fig04", opt, &summary), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(summary.cells, 99u);
+}
+
+TEST(Figures, UnwritableExportFails) {
+  const std::string missing_dir = testing::TempDir() + "/ndc-harness-test-no-such-dir";
+  std::filesystem::remove_all(missing_dir);
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.only = "md";
+  opt.use_cache = false;
+
+  testing::internal::CaptureStdout();
+  opt.export_jsonl = missing_dir + "/cells.jsonl";
+  EXPECT_EQ(RunFigure("fig04", opt), 2);
+  opt.export_jsonl.clear();
+  opt.export_csv = missing_dir + "/cells.csv";
+  EXPECT_EQ(RunFigure("fig04", opt), 2);
+  testing::internal::GetCapturedStdout();
+}
+
 // Reads every regular file under `dir` into a name -> contents map.
 std::map<std::string, std::string> SlurpDir(const std::string& dir) {
   std::map<std::string, std::string> out;

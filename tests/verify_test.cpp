@@ -641,124 +641,6 @@ TEST(ParallelismCheck, CanBeDisabled) {
   EXPECT_EQ(CountCode(r, Code::kAnnotatedCarriedFlow), 0) << r.ToText();
 }
 
-// --- synchronization audit (S5xx) ------------------------------------------
-
-ir::Program AtomicReduceProgram() {
-  return workloads::BuildShardedWorkload("shard.reduce.atomic", workloads::Scale::kTest,
-                                         4);
-}
-
-ir::Program WaveProgram() {
-  return workloads::BuildShardedWorkload("shard.stencil.wave", workloads::Scale::kTest,
-                                         4);
-}
-
-TEST(SyncCheck, SyncLoweredScenariosVerifyClean) {
-  EXPECT_TRUE(VerifyProgram(AtomicReduceProgram()).Clean());
-  EXPECT_TRUE(VerifyProgram(WaveProgram()).Clean());
-}
-
-TEST(SyncCheck, SyncOnUnannotatedNestIsAnError) {
-  ir::Program p = AtomicReduceProgram();
-  p.nests[0].parallel.level = -1;
-  Report r = VerifyProgram(p);
-  EXPECT_GE(CountCode(r, Code::kSyncOnUnannotatedNest), 1) << r.ToText();
-  EXPECT_FALSE(r.Clean());
-}
-
-TEST(SyncCheck, AtomicOnPerCoreAccumulatorDischargesNothing) {
-  // shard.reduce's accumulator is indexed by the shard id — already private
-  // per core, so sync-lowering its RMW discharges no obligation.
-  ir::Program p =
-      workloads::BuildShardedWorkload("shard.reduce", workloads::Scale::kTest, 4);
-  p.nests[0].body[0].sync.kind = ir::SyncKind::kNdcAtomic;
-  Report r = VerifyProgram(p);
-  EXPECT_GE(CountCode(r, Code::kSyncWithoutObligation), 1) << r.ToText();
-}
-
-TEST(SyncCheck, SharedReductionLeftUnsynchronizedIsAnError) {
-  ir::Program p = AtomicReduceProgram();
-  p.nests[0].body[0].sync.kind = ir::SyncKind::kNone;  // barrier stays: sync nest
-  Report r = VerifyProgram(p);
-  EXPECT_GE(CountCode(r, Code::kSyncMissingOnObligation), 1) << r.ToText();
-}
-
-TEST(SyncCheck, PostWaitOnDoallLevelIsAnError) {
-  ir::Program p =
-      workloads::BuildShardedWorkload("shard.stencil", workloads::Scale::kTest, 4);
-  int sa = p.AddArray("__sync", {5});
-  p.nests[0].sync.kind = ir::SyncKind::kPostWait;
-  p.nests[0].sync.distance = 1;
-  p.nests[0].sync.sync_array = sa;
-  Report r = VerifyProgram(p);
-  EXPECT_GE(CountCode(r, Code::kPostWaitNotDoacross), 1) << r.ToText();
-}
-
-TEST(SyncCheck, DeclaredDistanceMustMatchTheWitness) {
-  ir::Program p = WaveProgram();
-  p.nests[0].sync.distance = 2;  // witness min carried distance is 1
-  Report r = VerifyProgram(p);
-  EXPECT_GE(CountCode(r, Code::kPostWaitDistanceMismatch), 1) << r.ToText();
-}
-
-TEST(SyncCheck, BadSyncArrayIsAnError) {
-  ir::Program p = WaveProgram();
-  p.nests[0].sync.sync_array = 99;
-  Report r = VerifyProgram(p);
-  EXPECT_GE(CountCode(r, Code::kSyncBadArray), 1) << r.ToText();
-}
-
-TEST(SyncCheck, DependenceNotAMultipleOfTheDistanceIsUncovered) {
-  // Two carried flow dependences, distances (2,0) and (3,0). Post/wait at
-  // the min distance 2 satisfies S505 but cannot order the distance-3 dep:
-  // 3 is not a multiple of 2, so S507 must fire.
-  ir::Program p;
-  int a = p.AddArray("A", {96});
-  int b = p.AddArray("B", {96});
-  int sa = p.AddArray("__sync", {5});
-  ir::LoopNest nest;
-  nest.loops = {{0, 7, -1, 0, -1, 0}, {0, 7, -1, 0, -1, 0}};
-  auto acc = [&](int arr, Int off) {
-    ir::AffineAccess x;
-    x.array = arr;
-    x.F = IntMat(1, 2, {8, 1});
-    x.f = {off};
-    return Operand::Affine(x);
-  };
-  ir::Stmt s0;
-  s0.id = p.NextStmtId();
-  s0.lhs = acc(a, 16);
-  s0.op = arch::Op::kAdd;
-  s0.rhs0 = acc(a, 0);
-  s0.rhs1 = acc(b, 0);
-  nest.body.push_back(s0);
-  ir::Stmt s1;
-  s1.id = p.NextStmtId();
-  s1.lhs = acc(b, 24);
-  s1.op = arch::Op::kAdd;
-  s1.rhs0 = acc(b, 0);
-  s1.rhs1 = acc(a, 0);
-  nest.body.push_back(s1);
-  nest.parallel.level = 0;
-  nest.sync.kind = ir::SyncKind::kPostWait;
-  nest.sync.distance = 2;
-  nest.sync.sync_array = sa;
-  p.nests.push_back(std::move(nest));
-
-  Report r = VerifyProgram(p);
-  EXPECT_EQ(CountCode(r, Code::kPostWaitDistanceMismatch), 0) << r.ToText();
-  EXPECT_GE(CountCode(r, Code::kPostWaitUncoveredDependence), 1) << r.ToText();
-}
-
-TEST(SyncCheck, CanBeDisabled) {
-  ir::Program p = AtomicReduceProgram();
-  p.nests[0].parallel.level = -1;
-  VerifyOptions opts;
-  opts.check_sync = false;
-  Report r = VerifyProgram(p, opts);
-  EXPECT_EQ(CountCode(r, Code::kSyncOnUnannotatedNest), 0) << r.ToText();
-}
-
 // --- report determinism and SARIF export ----------------------------------
 
 TEST(ReportOrdering, SortIsByNestStmtCode) {
@@ -810,22 +692,6 @@ TEST(Sarif, FindingsCarryRuleIdsLevelsAndEscapedText) {
   EXPECT_LT(s.find("\"id\": \"R301\""), s.find("\"id\": \"P401\""));
 }
 
-TEST(ReportOrdering, SyncCodesCarrySPrefixAndSortAfterParallelCodes) {
-  EXPECT_EQ(CodeId(Code::kSyncOnUnannotatedNest), "S501");
-  EXPECT_EQ(CodeId(Code::kPostWaitUncoveredDependence), "S507");
-  Report r;
-  r.Add(Severity::kError, Code::kPostWaitUncoveredDependence, "uncovered", 0, 0);
-  r.Add(Severity::kError, Code::kAnnotatedCarriedFlow, "carried", 0, 0);
-  r.Add(Severity::kError, Code::kSyncOnUnannotatedNest, "unannotated", 0, 0);
-  r.Add(Severity::kError, Code::kSyncWithoutObligation, "pointless", 0, 0);
-  r.Sort();
-  ASSERT_EQ(r.diags.size(), 4u);
-  EXPECT_EQ(r.diags[0].message, "carried");      // P401
-  EXPECT_EQ(r.diags[1].message, "unannotated");  // S501
-  EXPECT_EQ(r.diags[2].message, "pointless");    // S502
-  EXPECT_EQ(r.diags[3].message, "uncovered");    // S507
-}
-
 TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
   // One message exercising every escape class: quote, backslash, newline,
   // tab, carriage return, backspace, form feed, a bare control byte, and a
@@ -835,7 +701,7 @@ TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
   const std::string msg =
       "dist \"x\" a\\b\nnl\ttab\rcr\bbs\fff \x01 S0\xE2\x86\x92S1";
   Report rep;
-  rep.Add(Severity::kError, Code::kSyncBadArray, msg, 1, 2);
+  rep.Add(Severity::kError, Code::kAnnotationBadLevel, msg, 1, 2);
   std::string s = ToSarif(rep);
 
   harness::json::Value v;
@@ -850,7 +716,7 @@ TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
   const harness::json::Value* text = message->Find("text");
   ASSERT_TRUE(text != nullptr);
   EXPECT_EQ(text->str, msg);  // byte-identical round trip
-  EXPECT_NE(s.find("\"ruleId\": \"S506\""), std::string::npos) << s;
+  EXPECT_NE(s.find("\"ruleId\": \"P406\""), std::string::npos) << s;
   EXPECT_NE(s.find("\xE2\x86\x92"), std::string::npos);  // rune stayed raw
   EXPECT_EQ(s.find('\r'), std::string::npos);  // no raw control bytes leak
   EXPECT_EQ(s.find('\x01'), std::string::npos);

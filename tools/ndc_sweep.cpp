@@ -8,8 +8,10 @@
 // invocations; --require-all-hits turns that into an enforced exit status
 // for CI cache verification.
 //
-// Exit status: 0 on success, 2 on usage errors or unknown figure,
-// 3 when --require-all-hits is set and any cell had to be simulated.
+// Exit status: 0 on success, 2 on usage errors, an unknown figure, a --bench
+// that names no benchmark, or an --export-jsonl/--export-csv/--summary file
+// that cannot be written, 3 when --require-all-hits is set and any cell had
+// to be simulated.
 //
 // --classify re-simulates every grid cell with the phase-window sampler
 // attached (outside the result cache — cache keys are untouched) and emits

@@ -140,8 +140,7 @@ bool KnownWorkload(const std::string& name) {
   for (const std::string& w : ndc::workloads::BenchmarkNames()) {
     if (w == name) return true;
   }
-  // The sharded (shard.*) family is where the sync instants live; Experiment
-  // routes these names like any benchmark.
+  // Experiment routes the sharded (shard.*) names like any benchmark.
   for (const std::string& w : ndc::workloads::ShardedNames()) {
     if (w == name) return true;
   }
