@@ -12,8 +12,6 @@ void Core::SetTrace(Trace trace) {
   trace_ = std::move(trace);
   done_.assign(trace_.size(), sim::kNeverCycle);
   external_.assign(trace_.size(), false);
-  complete_flag_.assign(trace_.size(), false);
-  dispatched_.assign(trace_.size(), false);
   waiters_.assign(trace_.size(), WaitLinks{});
   next_ = 0;
   completed_ = 0;
@@ -35,15 +33,14 @@ void Core::MarkExternal(std::uint32_t idx) { external_[idx] = true; }
 
 void Core::Complete(std::uint32_t idx, sim::Cycle when) {
   assert(idx < trace_.size());
-  if (complete_flag_[idx]) return;  // idempotent (squash + fallback races)
-  complete_flag_[idx] = true;
+  if (done_[idx] != sim::kNeverCycle) return;  // idempotent (squash + fallback races)
   done_[idx] = when;
   ++completed_;
   if (stall_tracking_ && idx < dispatch_cycle_.size() &&
       dispatch_cycle_[idx] != sim::kNeverCycle) {
     sim::Cycle d = dispatch_cycle_[idx];
     std::uint64_t exposure = when > d ? when - d : 0;
-    switch (trace_[idx].kind) {
+    switch (trace_[idx].kind()) {
       case Instr::Kind::kLoad: stall_mem_ += exposure; break;
       case Instr::Kind::kCompute:
         // Off-core (external) computes are the NDC engine's busy time, not
@@ -53,7 +50,7 @@ void Core::Complete(std::uint32_t idx, sim::Cycle when) {
       default: break;
     }
   }
-  if (trace_[idx].kind == Instr::Kind::kLoad) --outstanding_loads_;
+  if (trace_[idx].kind() == Instr::Kind::kLoad) --outstanding_loads_;
   finish_cycle_ = std::max(finish_cycle_, when);
   // Wake dependents that were dispatched while waiting on this slot, in the
   // order they queued.
@@ -73,7 +70,7 @@ void Core::Complete(std::uint32_t idx, sim::Cycle when) {
 
 bool Core::DepsDone(const Instr& in, sim::Cycle* ready_at) const {
   sim::Cycle ready = eq_->now();
-  for (std::int32_t dep : {in.dep0, in.dep1}) {
+  for (std::int32_t dep : {in.dep0(), in.dep1()}) {
     if (dep < 0) continue;
     sim::Cycle d = done_[static_cast<std::size_t>(dep)];
     if (d == sim::kNeverCycle) return false;
@@ -85,7 +82,7 @@ bool Core::DepsDone(const Instr& in, sim::Cycle* ready_at) const {
 
 void Core::WaitOnPendingDeps(std::uint32_t idx) {
   const Instr& in = trace_[idx];
-  const std::int32_t deps[2] = {in.dep0, in.dep1};
+  const std::int32_t deps[2] = {in.dep0(), in.dep1()};
   for (std::uint32_t k = 0; k < 2; ++k) {
     if (deps[k] < 0) continue;
     auto dep = static_cast<std::size_t>(deps[k]);
@@ -103,15 +100,15 @@ void Core::WaitOnPendingDeps(std::uint32_t idx) {
 
 void Core::ResolveWaiter(std::uint32_t idx) {
   const Instr& in = trace_[idx];
-  if (complete_flag_[idx]) return;
+  if (done_[idx] != sim::kNeverCycle) return;
   sim::Cycle ready;
   if (!DepsDone(in, &ready)) return;  // still waiting on the other dep
-  switch (in.kind) {
+  switch (in.kind()) {
     case Instr::Kind::kCompute:
       if (!external_[idx]) Complete(idx, ready + cfg_->compute_latency);
       break;
     case Instr::Kind::kStore:
-      port_.IssueStore(id_, idx, in.addr);
+      port_.IssueStore(id_, idx, in.addr());
       Complete(idx, ready + 1);
       break;
     default:
@@ -141,10 +138,10 @@ void Core::TryDispatch() {
       return;
     }
     const Instr& in = trace_[next_];
-    if (in.kind == Instr::Kind::kLoad) {
+    if (in.kind() == Instr::Kind::kLoad) {
       // Loads need their address operand and an LDQ slot before dispatch.
-      if (in.dep0 >= 0) {
-        sim::Cycle d = done_[static_cast<std::size_t>(in.dep0)];
+      if (in.dep0() >= 0) {
+        sim::Cycle d = done_[static_cast<std::size_t>(in.dep0())];
         if (d == sim::kNeverCycle) return;  // completion will re-trigger
         if (d > now) {
           ScheduleRetry(d);
@@ -163,20 +160,19 @@ void Core::TryDispatch() {
 
 void Core::DispatchSlot(std::uint32_t idx) {
   const Instr& in = trace_[idx];
-  dispatched_[idx] = true;
   if (stall_tracking_ && idx < dispatch_cycle_.size()) dispatch_cycle_[idx] = eq_->now();
   issued_ctr_.Add();
   sim::Cycle ready;
-  switch (in.kind) {
+  switch (in.kind()) {
     case Instr::Kind::kLoad:
       ++outstanding_loads_;
       loads_ctr_.Add();
-      port_.IssueLoad(id_, idx, in.addr);
+      port_.IssueLoad(id_, idx, in.addr());
       break;
     case Instr::Kind::kStore:
       stores_ctr_.Add();
       if (DepsDone(in, &ready)) {
-        port_.IssueStore(id_, idx, in.addr);
+        port_.IssueStore(id_, idx, in.addr());
         Complete(idx, ready + 1);
       } else {
         WaitOnPendingDeps(idx);

@@ -87,8 +87,6 @@ class Core {
   Trace trace_;
   std::vector<sim::Cycle> done_;
   std::vector<bool> external_;
-  std::vector<bool> complete_flag_;
-  std::vector<bool> dispatched_;
   /// Dependency waiters as intrusive FIFO lists, one per slot. A list entry
   /// is `waiter * 2 + k`, meaning `waiter` waits on its k-th dep (dep0 or
   /// dep1): `head`/`tail` delimit the entries waiting on this slot, and

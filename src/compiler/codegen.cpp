@@ -228,16 +228,14 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
           // Emit the index-array load first; the data load depends on it.
           const ir::Array& idx_arr = prog.array(op.access.array);
           if (auto idx = op.access.ElementIndex(idx_arr, iter)) {
-            arch::Instr il = arch::MakeLoad(ElemAddr(idx_arr, *idx));
-            il.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2;
             dep = static_cast<std::int32_t>(trace.size());
-            trace.push_back(il);
+            trace.push_back(arch::MakeLoad(ElemAddr(idx_arr, *idx), -1,
+                                           st.id * 16 + static_cast<std::uint32_t>(which) * 2));
           }
         }
-        arch::Instr ld = arch::MakeLoad(*addr, dep);
-        ld.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2 + 1;
         load_slot(s, j, which) = static_cast<std::int32_t>(trace.size());
-        trace.push_back(ld);
+        trace.push_back(
+            arch::MakeLoad(*addr, dep, st.id * 16 + static_cast<std::uint32_t>(which) * 2 + 1));
       };
 
       ir::Int iter_j = -1;  // which iteration `iter` holds
@@ -284,9 +282,8 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
           case kStoreP: {
             auto addr = prog.ResolveAddr(st.lhs, iter);
             if (!addr.has_value()) break;
-            arch::Instr si = arch::MakeStore(*addr, compute_slot(e.stmt, e.j));
-            si.pc = st.id * 16 + kStoreP;
-            trace.push_back(si);
+            trace.push_back(
+                arch::MakeStore(*addr, compute_slot(e.stmt, e.j), -1, st.id * 16 + kStoreP));
             break;
           }
         }

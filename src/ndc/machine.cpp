@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace ndc::runtime {
 namespace {
@@ -85,6 +87,10 @@ Machine::~Machine() = default;
 
 void Machine::LoadProgram(std::vector<arch::Trace> traces) {
   int n = cfg_.num_nodes();
+  if (traces.size() > static_cast<std::size_t>(n)) {
+    throw std::invalid_argument("Machine::LoadProgram: " + std::to_string(traces.size()) +
+                                " traces for " + std::to_string(n) + " cores");
+  }
   traces.resize(static_cast<std::size_t>(n));
   load_to_cand_.assign(static_cast<std::size_t>(n), {});
   cands_.assign(static_cast<std::size_t>(n), {});
@@ -98,16 +104,16 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
     site_to_uid_[static_cast<std::size_t>(c)].assign(t.size(), 0);
     for (std::uint32_t i = 0; i < t.size(); ++i) {
       const arch::Instr& in = t[i];
-      bool site = (in.kind == arch::Instr::Kind::kCompute && in.ndc_candidate) ||
-                  in.kind == arch::Instr::Kind::kPreCompute;
-      if (!site || in.dep0 < 0 || in.dep1 < 0) continue;
-      auto d0 = static_cast<std::uint32_t>(in.dep0);
-      auto d1 = static_cast<std::uint32_t>(in.dep1);
-      if (t[d0].kind != arch::Instr::Kind::kLoad || t[d1].kind != arch::Instr::Kind::kLoad)
+      bool site = (in.kind() == arch::Instr::Kind::kCompute && in.ndc_candidate()) ||
+                  in.kind() == arch::Instr::Kind::kPreCompute;
+      if (!site || in.dep0() < 0 || in.dep1() < 0) continue;
+      auto d0 = static_cast<std::uint32_t>(in.dep0());
+      auto d1 = static_cast<std::uint32_t>(in.dep1());
+      if (t[d0].kind() != arch::Instr::Kind::kLoad || t[d1].kind() != arch::Instr::Kind::kLoad)
         continue;
       if (l2c[d0] != -1 || l2c[d1] != -1) continue;  // a load feeds one site only
       auto cand_id = static_cast<std::int32_t>(cands.size());
-      cands.push_back(CandInfo{i, {d0, d1}, in.kind == arch::Instr::Kind::kPreCompute});
+      cands.push_back(CandInfo{i, {d0, d1}, in.kind() == arch::Instr::Kind::kPreCompute});
       l2c[d0] = cand_id * 2;
       l2c[d1] = cand_id * 2 + 1;
     }
@@ -196,12 +202,12 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
       ni.core = core;
       ni.site_idx = cand.site_idx;
       const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
-      ni.pc = site.pc;
-      ni.site = site.site;
-      ni.op = site.op;
+      ni.pc = site.pc();
+      ni.site = site.site();
+      ni.op = site.op();
       ni.load_idx = cand.load_idx;
-      ni.addr = {cores_[c]->trace()[cand.load_idx[0]].addr,
-                 cores_[c]->trace()[cand.load_idx[1]].addr};
+      ni.addr = {cores_[c]->trace()[cand.load_idx[0]].addr(),
+                 cores_[c]->trace()[cand.load_idx[1]].addr()};
       ni.is_precompute = cand.is_precompute;
       assert(ni.uid <= UINT32_MAX && "site_to_uid_ holds 32-bit uids");
       site_to_uid_[c][cand.site_idx] = static_cast<std::uint32_t>(ni.uid);
@@ -490,14 +496,14 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   if (cand.is_precompute && opts_.honor_precompute) {
     const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
     std::uint8_t allowed = inst->feasible_mask & cfg_.control_register;
-    if (allowed & arch::LocBit(site.planned_loc)) {
+    if (allowed & arch::LocBit(site.planned_loc())) {
       d.offload = true;
-      d.loc = site.planned_loc;
-      d.timeout = site.timeout ? site.timeout : cfg_.default_timeout;
+      d.loc = site.planned_loc();
+      d.timeout = site.timeout() ? site.timeout() : cfg_.default_timeout;
     } else {
       plan_infeasible_.Add();
       why = obs::DecisionKind::kPlanInfeasible;
-      why_loc = static_cast<std::int8_t>(site.planned_loc);
+      why_loc = static_cast<std::int8_t>(site.planned_loc());
     }
   } else if (opts_.policy != nullptr) {
     d = opts_.policy->Decide(core, cand.site_idx, inst->pc, a, b, inst->feasible_mask);

@@ -81,7 +81,8 @@ class Machine final : public arch::MemoryPort {
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
-  /// Installs one trace per core (missing cores idle).
+  /// Installs one trace per core (missing cores idle). Throws
+  /// std::invalid_argument when there are more traces than cores.
   void LoadProgram(std::vector<arch::Trace> traces);
 
   /// Runs to completion (or `limit`) and returns aggregate results.

@@ -28,19 +28,19 @@ std::vector<bool> ComputeFutureReuse(const arch::Trace& trace, std::uint64_t l1_
   last_access.reserve(trace.size());
   for (std::uint32_t i = 0; i < trace.size(); ++i) {
     const arch::Instr& in = trace[i];
-    if (in.kind == arch::Instr::Kind::kLoad || in.kind == arch::Instr::Kind::kStore) {
-      last_access[in.addr / l1_line_bytes * l1_line_bytes] = i;
+    if (in.kind() == arch::Instr::Kind::kLoad || in.kind() == arch::Instr::Kind::kStore) {
+      last_access[in.addr() / l1_line_bytes * l1_line_bytes] = i;
     }
   }
   for (std::uint32_t i = 0; i < trace.size(); ++i) {
     const arch::Instr& in = trace[i];
-    bool is_site = (in.kind == arch::Instr::Kind::kCompute && in.ndc_candidate) ||
-                   in.kind == arch::Instr::Kind::kPreCompute;
-    if (!is_site || in.dep0 < 0 || in.dep1 < 0) continue;
-    for (std::int32_t dep : {in.dep0, in.dep1}) {
+    bool is_site = (in.kind() == arch::Instr::Kind::kCompute && in.ndc_candidate()) ||
+                   in.kind() == arch::Instr::Kind::kPreCompute;
+    if (!is_site || in.dep0() < 0 || in.dep1() < 0) continue;
+    for (std::int32_t dep : {in.dep0(), in.dep1()}) {
       const arch::Instr& ld = trace[static_cast<std::size_t>(dep)];
-      if (ld.kind != arch::Instr::Kind::kLoad) continue;
-      auto it = last_access.find(ld.addr / l1_line_bytes * l1_line_bytes);
+      if (ld.kind() != arch::Instr::Kind::kLoad) continue;
+      auto it = last_access.find(ld.addr() / l1_line_bytes * l1_line_bytes);
       if (it != last_access.end() && it->second > i) {
         reused[i] = true;
         break;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "arch/config.hpp"
 #include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
@@ -57,7 +61,7 @@ Program StreamProgram(Int n0, Int n1) {
 
 int CountKind(const arch::Trace& t, Instr::Kind k) {
   int n = 0;
-  for (const Instr& i : t) n += i.kind == k;
+  for (const Instr& i : t) n += i.kind() == k;
   return n;
 }
 
@@ -75,13 +79,13 @@ TEST(Codegen, ComputeDependsOnItsLoads) {
   Program p = StreamProgram(2, 2);
   arch::Trace t = Lower(p, 1).traces[0];
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Instr::Kind::kCompute) continue;
-    ASSERT_GE(t[i].dep0, 0);
-    ASSERT_GE(t[i].dep1, 0);
-    EXPECT_EQ(t[static_cast<std::size_t>(t[i].dep0)].kind, Instr::Kind::kLoad);
-    EXPECT_EQ(t[static_cast<std::size_t>(t[i].dep1)].kind, Instr::Kind::kLoad);
-    EXPECT_LT(static_cast<std::size_t>(t[i].dep0), i);
-    EXPECT_TRUE(t[i].ndc_candidate);
+    if (t[i].kind() != Instr::Kind::kCompute) continue;
+    ASSERT_GE(t[i].dep0(), 0);
+    ASSERT_GE(t[i].dep1(), 0);
+    EXPECT_EQ(t[static_cast<std::size_t>(t[i].dep0())].kind(), Instr::Kind::kLoad);
+    EXPECT_EQ(t[static_cast<std::size_t>(t[i].dep1())].kind(), Instr::Kind::kLoad);
+    EXPECT_LT(static_cast<std::size_t>(t[i].dep0()), i);
+    EXPECT_TRUE(t[i].ndc_candidate());
   }
 }
 
@@ -89,9 +93,9 @@ TEST(Codegen, StoreDependsOnCompute) {
   Program p = StreamProgram(2, 2);
   arch::Trace t = Lower(p, 1).traces[0];
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Instr::Kind::kStore) continue;
-    ASSERT_GE(t[i].dep0, 0);
-    Instr::Kind k = t[static_cast<std::size_t>(t[i].dep0)].kind;
+    if (t[i].kind() != Instr::Kind::kStore) continue;
+    ASSERT_GE(t[i].dep0(), 0);
+    Instr::Kind k = t[static_cast<std::size_t>(t[i].dep0())].kind();
     EXPECT_TRUE(k == Instr::Kind::kCompute || k == Instr::Kind::kPreCompute);
   }
 }
@@ -131,9 +135,9 @@ TEST(Codegen, PreComputeEmittedForOffloadedChains) {
   // instance through.
   EXPECT_EQ(pre, 32);
   for (const Instr& in : t) {
-    if (in.kind != Instr::Kind::kPreCompute) continue;
-    EXPECT_EQ(in.planned_loc, arch::Loc::kLinkBuffer);
-    EXPECT_EQ(in.timeout, 42u);
+    if (in.kind() != Instr::Kind::kPreCompute) continue;
+    EXPECT_EQ(in.planned_loc(), arch::Loc::kLinkBuffer);
+    EXPECT_EQ(in.timeout(), 42u);
   }
 }
 
@@ -168,11 +172,11 @@ TEST(Codegen, LeadHoistsOperandLoad) {
   // dep1 must exceed the distance to dep0 substantially.
   int checked = 0;
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Instr::Kind::kPreCompute) continue;
+    if (t[i].kind() != Instr::Kind::kPreCompute) continue;
     ++checked;
     if (checked <= 8) continue;  // skip the clamped prologue iterations
-    auto dist0 = static_cast<std::int64_t>(i) - t[i].dep0;
-    auto dist1 = static_cast<std::int64_t>(i) - t[i].dep1;
+    auto dist0 = static_cast<std::int64_t>(i) - t[i].dep0();
+    auto dist1 = static_cast<std::int64_t>(i) - t[i].dep1();
     EXPECT_GT(dist1, dist0 + 6) << "pre-compute " << checked;
   }
   EXPECT_GT(checked, 8);
@@ -185,9 +189,9 @@ TEST(Codegen, NegativeLeadDelaysComputation) {
   arch::Trace t = Lower(p, 1).traces[0];
   // Every pre-compute still depends on both of its loads.
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Instr::Kind::kPreCompute) continue;
-    EXPECT_LT(static_cast<std::size_t>(t[i].dep0), i);
-    EXPECT_LT(static_cast<std::size_t>(t[i].dep1), i);
+    if (t[i].kind() != Instr::Kind::kPreCompute) continue;
+    EXPECT_LT(static_cast<std::size_t>(t[i].dep0()), i);
+    EXPECT_LT(static_cast<std::size_t>(t[i].dep1()), i);
   }
 }
 
@@ -202,8 +206,8 @@ TEST(Codegen, TransformReordersIterations) {
   sim::Addr x_base = p.array(0).base;
   sim::Addr x_end = x_base + 4 * 4 * 8 * 8;
   for (const Instr& in : t) {
-    if (in.kind == Instr::Kind::kLoad && in.addr >= x_base && in.addr < x_end) {
-      x_addrs.push_back(in.addr - x_base);
+    if (in.kind() == Instr::Kind::kLoad && in.addr() >= x_base && in.addr() < x_end) {
+      x_addrs.push_back(in.addr() - x_base);
     }
   }
   ASSERT_GE(x_addrs.size(), 2u);
@@ -226,7 +230,7 @@ TEST(Codegen, TransformSortIsStableOnTiedKeys) {
   }
   std::vector<sim::Addr> stores;
   for (const Instr& in : t) {
-    if (in.kind == Instr::Kind::kStore) stores.push_back(in.addr);
+    if (in.kind() == Instr::Kind::kStore) stores.push_back(in.addr());
   }
   EXPECT_EQ(stores, want);
 }
@@ -253,8 +257,8 @@ TEST(Codegen, IndirectOperandEmitsIndexLoadFirst) {
   // Data loads through indirection depend on their index load.
   int dependent_loads = 0;
   for (const Instr& in : t) {
-    if (in.kind == Instr::Kind::kLoad && in.dep0 >= 0) {
-      EXPECT_EQ(t[static_cast<std::size_t>(in.dep0)].kind, Instr::Kind::kLoad);
+    if (in.kind() == Instr::Kind::kLoad && in.dep0() >= 0) {
+      EXPECT_EQ(t[static_cast<std::size_t>(in.dep0())].kind(), Instr::Kind::kLoad);
       ++dependent_loads;
     }
   }
@@ -278,8 +282,8 @@ TEST(Codegen, DeterministicOutput) {
   for (std::size_t c = 0; c < ra.traces.size(); ++c) {
     ASSERT_EQ(ra.traces[c].size(), rb.traces[c].size());
     for (std::size_t i = 0; i < ra.traces[c].size(); ++i) {
-      EXPECT_EQ(ra.traces[c][i].addr, rb.traces[c][i].addr);
-      EXPECT_EQ(ra.traces[c][i].kind, rb.traces[c][i].kind);
+      EXPECT_EQ(ra.traces[c][i].addr(), rb.traces[c][i].addr());
+      EXPECT_EQ(ra.traces[c][i].kind(), rb.traces[c][i].kind());
     }
   }
 }
@@ -292,7 +296,87 @@ TEST(Codegen, DeterministicOutput) {
 // keep it.
 
 // A lowered trace stores one Instr per slot, so its size bounds trace memory.
-static_assert(sizeof(Instr) == 48, "arch::Instr grew: lowered traces cost more memory");
+static_assert(sizeof(Instr) == 24, "arch::Instr grew: lowered traces cost more memory");
+
+constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::int32_t kMaxDep = std::numeric_limits<std::int32_t>::max();
+constexpr std::uint32_t kMaxPc = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kMaxSite = (1u << 24) - 1;
+
+// Every Make* constructor returns each field it was given, at the extremes
+// of every packed field; a field a kind does not use reads its default.
+TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
+  for (std::int32_t dep : {-1, 0, kMaxDep}) {
+    for (sim::Addr a : {sim::Addr{0}, kMax64}) {
+      Instr ld = arch::MakeLoad(a, dep, kMaxPc);
+      EXPECT_EQ(ld.kind(), Instr::Kind::kLoad);
+      EXPECT_EQ(ld.addr(), a);
+      EXPECT_EQ(ld.dep0(), dep);
+      EXPECT_EQ(ld.dep1(), -1);
+      EXPECT_EQ(ld.pc(), kMaxPc);
+      EXPECT_EQ(ld.timeout(), 0u);
+      EXPECT_EQ(ld.site(), 0u);
+      EXPECT_FALSE(ld.ndc_candidate());
+      EXPECT_EQ(ld.planned_loc(), arch::Loc::kCacheCtrl);
+
+      Instr st = arch::MakeStore(a, dep, kMaxDep, kMaxPc);
+      EXPECT_EQ(st.kind(), Instr::Kind::kStore);
+      EXPECT_EQ(st.addr(), a);
+      EXPECT_EQ(st.dep0(), dep);
+      EXPECT_EQ(st.dep1(), kMaxDep);
+      EXPECT_EQ(st.pc(), kMaxPc);
+      EXPECT_EQ(st.timeout(), 0u);
+      EXPECT_EQ(st.site(), 0u);
+    }
+  }
+  for (int o = 0; o <= static_cast<int>(arch::Op::kXor); ++o) {
+    const auto op = static_cast<arch::Op>(o);
+    for (bool cand : {false, true}) {
+      for (std::uint32_t site : {0u, kMaxSite}) {
+        Instr c = arch::MakeCompute(op, kMaxDep, -1, cand, kMaxPc, site);
+        EXPECT_EQ(c.kind(), Instr::Kind::kCompute);
+        EXPECT_EQ(c.op(), op);
+        EXPECT_EQ(c.dep0(), kMaxDep);
+        EXPECT_EQ(c.dep1(), -1);
+        EXPECT_EQ(c.ndc_candidate(), cand);
+        EXPECT_EQ(c.pc(), kMaxPc);
+        EXPECT_EQ(c.site(), site);
+        EXPECT_EQ(c.addr(), 0u);
+        EXPECT_EQ(c.timeout(), 0u);
+        EXPECT_EQ(c.planned_loc(), arch::Loc::kCacheCtrl);
+      }
+    }
+    for (int l = 0; l < arch::kNumLocs; ++l) {
+      const auto loc = static_cast<arch::Loc>(l);
+      for (sim::Cycle timeout : {sim::Cycle{0}, kMax64}) {
+        Instr pre = arch::MakePreCompute(op, -1, kMaxDep, loc, timeout, kMaxPc, kMaxSite);
+        EXPECT_EQ(pre.kind(), Instr::Kind::kPreCompute);
+        EXPECT_EQ(pre.op(), op);
+        EXPECT_EQ(pre.dep0(), -1);
+        EXPECT_EQ(pre.dep1(), kMaxDep);
+        EXPECT_EQ(pre.planned_loc(), loc);
+        EXPECT_EQ(pre.timeout(), timeout);
+        EXPECT_EQ(pre.pc(), kMaxPc);
+        EXPECT_EQ(pre.site(), kMaxSite);
+        EXPECT_EQ(pre.addr(), 0u);
+        EXPECT_FALSE(pre.ndc_candidate());
+      }
+    }
+  }
+  const Instr def;
+  EXPECT_EQ(def.kind(), Instr::Kind::kCompute);
+  EXPECT_EQ(def.op(), arch::Op::kAdd);
+  EXPECT_EQ(def.dep0(), -1);
+  EXPECT_EQ(def.dep1(), -1);
+  EXPECT_EQ(def.planned_loc(), arch::Loc::kCacheCtrl);
+}
+
+TEST(InstrLayout, SiteBeyondTwentyFourBitsThrows) {
+  EXPECT_THROW(arch::MakeCompute(arch::Op::kAdd, 0, 1, true, 0, kMaxSite + 1), std::out_of_range);
+  EXPECT_THROW(arch::MakePreCompute(arch::Op::kAdd, 0, 1, arch::Loc::kMemBank, 5, 0,
+                                    std::numeric_limits<std::uint32_t>::max()),
+               std::out_of_range);
+}
 
 struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;
@@ -312,16 +396,16 @@ void HashLowered(Fnv1a& fnv, const CodegenResult& r) {
   for (const arch::Trace& t : r.traces) {
     fnv.Add(t.size());
     for (const Instr& i : t) {
-      fnv.Add(static_cast<std::uint64_t>(i.kind));
-      fnv.Add(static_cast<std::uint64_t>(i.op));
-      fnv.Add(i.addr);
-      fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep0)));
-      fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep1)));
-      fnv.Add(i.pc);
-      fnv.Add(i.site);
-      fnv.Add(i.ndc_candidate ? 1u : 0u);
-      fnv.Add(static_cast<std::uint64_t>(i.planned_loc));
-      fnv.Add(i.timeout);
+      fnv.Add(static_cast<std::uint64_t>(i.kind()));
+      fnv.Add(static_cast<std::uint64_t>(i.op()));
+      fnv.Add(i.addr());
+      fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep0())));
+      fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep1())));
+      fnv.Add(i.pc());
+      fnv.Add(i.site());
+      fnv.Add(i.ndc_candidate() ? 1u : 0u);
+      fnv.Add(static_cast<std::uint64_t>(i.planned_loc()));
+      fnv.Add(i.timeout());
     }
   }
 }

@@ -114,14 +114,12 @@ TEST_F(CoreFixture, DependentsOfOneSlotWakeInDispatchOrder) {
   port.per_addr_latency[0] = 100;
   port.per_addr_latency[4096] = 30;
   Trace t;
-  t.push_back(MakeLoad(0));        // 0
-  t.push_back(MakeLoad(4096));     // 1
-  t.push_back(MakeStore(8192, 0));  // 2
-  t.push_back(MakeStore(8200, 1));  // 3: waits on 1 and 0
-  t[3].dep1 = 0;
-  t.push_back(MakeStore(8208, 0));  // 4
-  t.push_back(MakeStore(8216));     // 5: waits on 0 through dep1
-  t[5].dep1 = 0;
+  t.push_back(MakeLoad(0));             // 0
+  t.push_back(MakeLoad(4096));          // 1
+  t.push_back(MakeStore(8192, 0));      // 2
+  t.push_back(MakeStore(8200, 1, 0));   // 3: waits on 1 and 0
+  t.push_back(MakeStore(8208, 0));      // 4
+  t.push_back(MakeStore(8216, -1, 0));  // 5: waits on 0 through dep1
   Run(std::move(t));
   EXPECT_TRUE(core->finished());
   ASSERT_EQ(port.issued_stores.size(), 4u);
@@ -142,8 +140,7 @@ TEST_F(CoreFixture, WaiterOnTwoPendingDepsResolvesAfterTheSecond) {
   t.push_back(MakeLoad(0));                         // 0: slow
   t.push_back(MakeLoad(4096));                      // 1: fast
   t.push_back(MakeCompute(Op::kAdd, 0, 1, false));  // 2
-  t.push_back(MakeStore(8192, 1));                  // 3: waits on 1 and 0
-  t[3].dep1 = 0;
+  t.push_back(MakeStore(8192, 1, 0));               // 3: waits on 1 and 0
   Run(std::move(t));
   EXPECT_TRUE(core->finished());
   EXPECT_EQ(core->done_cycle(0), 120u);

@@ -38,13 +38,14 @@ Trace RandomTrace(sim::Rng& rng, int len) {
   while (static_cast<int>(t.size()) < len) {
     switch (rng.NextBelow(10)) {
       case 0: case 1: case 2: case 3: {
-        Instr ld = MakeLoad(rand_addr());
+        sim::Addr a = rand_addr();
+        std::int32_t dep = -1;
         if (!loads.empty() && rng.NextBool(0.2)) {
-          ld.dep0 = loads[rng.NextBelow(loads.size())];
+          dep = loads[rng.NextBelow(loads.size())];
         }
-        ld.pc = static_cast<std::uint32_t>(rng.NextBelow(32));
+        auto pc = static_cast<std::uint32_t>(rng.NextBelow(32));
         loads.push_back(static_cast<int>(t.size()));
-        t.push_back(ld);
+        t.push_back(MakeLoad(a, dep, pc));
         break;
       }
       case 4: case 5: {
@@ -71,22 +72,18 @@ Trace RandomTrace(sim::Rng& rng, int len) {
         std::int32_t dep = -1;
         if (!t.empty() && rng.NextBool(0.5)) {
           dep = static_cast<std::int32_t>(rng.NextBelow(t.size()));
-          if (t[static_cast<std::size_t>(dep)].kind == Instr::Kind::kStore) dep = -1;
+          if (t[static_cast<std::size_t>(dep)].kind() == Instr::Kind::kStore) dep = -1;
         }
         t.push_back(MakeStore(rand_addr(), dep));
         break;
       }
-      default:
-        t.push_back(MakeCompute(Op::kAdd,
-                                t.empty() ? -1
-                                          : static_cast<std::int32_t>(rng.NextBelow(t.size())),
-                                -1, false));
-        if (!t.empty() &&
-            t.back().dep0 >= 0 &&
-            t[static_cast<std::size_t>(t.back().dep0)].kind == Instr::Kind::kStore) {
-          t.back().dep0 = -1;
-        }
+      default: {
+        std::int32_t dep =
+            t.empty() ? -1 : static_cast<std::int32_t>(rng.NextBelow(t.size()));
+        if (dep >= 0 && t[static_cast<std::size_t>(dep)].kind() == Instr::Kind::kStore) dep = -1;
+        t.push_back(MakeCompute(Op::kAdd, dep, -1, false));
         break;
+      }
     }
   }
   return t;

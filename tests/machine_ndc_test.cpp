@@ -206,11 +206,8 @@ TEST(MachineNdc, MarkovPolicyRunsEndToEnd) {
   Trace t;
   for (int i = 0; i < 10; ++i) {
     int l0 = static_cast<int>(t.size());
-    arch::Instr a = MakeLoad(kA + static_cast<sim::Addr>(i) * 64 * 25 * 8);
-    arch::Instr b = MakeLoad(kB + static_cast<sim::Addr>(i) * 64 * 25 * 8);
-    a.pc = b.pc = 7;
-    t.push_back(a);
-    t.push_back(b);
+    t.push_back(MakeLoad(kA + static_cast<sim::Addr>(i) * 64 * 25 * 8, -1, /*pc=*/7));
+    t.push_back(MakeLoad(kB + static_cast<sim::Addr>(i) * 64 * 25 * 8, -1, /*pc=*/7));
     arch::Instr c = MakeCompute(Op::kAdd, l0, l0 + 1, true, /*pc=*/7);
     t.push_back(c);
   }

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
+#include "noc/geometry.hpp"
 
 namespace ndc::runtime {
 namespace {
@@ -47,8 +51,8 @@ TEST(Machine, SingleLoadMissTraversesHierarchy) {
 TEST(Machine, SecondAccessToSameLineHitsL1) {
   ArchConfig cfg;
   Machine m(cfg);
-  Trace t{MakeLoad(kAddrA), MakeLoad(kAddrA + 8)};
-  t[1].dep0 = 0;  // force ordering so the fill has landed
+  // dep0 forces ordering so the fill has landed.
+  Trace t{MakeLoad(kAddrA), MakeLoad(kAddrA + 8, /*dep=*/0)};
   m.LoadProgram(Program(6, std::move(t)));
   RunResult r = m.Run();
   EXPECT_EQ(r.l1_misses, 1u);
@@ -80,6 +84,126 @@ TEST(Machine, L2HitIsFasterThanMemoryAccess) {
   // hit must finish well before a full memory access would have.
   EXPECT_LT(r.makespan, 400 + miss_time);
   EXPECT_GT(r.makespan, 400u);
+}
+
+// --- Idle-machine latencies ------------------------------------------------
+// On an idle machine one load takes exactly the sum along its path
+// (DESIGN.md §10, "Load latency on an idle machine"). The message sizes
+// are the packet kinds' sizes in the machine: an 8 B request, a 64 B L1
+// line to the core, a 256 B L2 line from the memory controller.
+constexpr int kReqBytes = 8;
+constexpr int kL1LineBytes = 64;
+constexpr int kL2LineBytes = 256;
+
+// An address whose L2 home (node 12, mid-mesh) is neither the requesting
+// corner core 24 nor its memory controller's node 0.
+constexpr sim::Addr kAddrMid = 256ull * 12;
+constexpr sim::NodeId kCorner = 24;
+
+// Idle-mesh cycles for a `bytes` message from `a` to `b`: per X-Y hop one
+// router pipeline plus serialization, then the router pipeline of the
+// delivering node (the whole cost of a same-node message).
+sim::Cycle NocCycles(const ArchConfig& cfg, sim::NodeId a, sim::NodeId b, int bytes) {
+  noc::Mesh mesh(cfg.mesh_width, cfg.mesh_height);
+  noc::Coord ca = mesh.CoordOf(a), cb = mesh.CoordOf(b);
+  auto hops = static_cast<sim::Cycle>(std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y));
+  auto ser = static_cast<sim::Cycle>((bytes + cfg.noc.link_bytes - 1) / cfg.noc.link_bytes);
+  return hops * (cfg.noc.router_pipeline + ser) + cfg.noc.router_pipeline;
+}
+
+// L1 miss to DRAM and back: request to the home bank, L2 miss, request to
+// the memory controller, the DRAM access, the L2 line back to the home and
+// the L1 line back to the core.
+sim::Cycle DramPath(const ArchConfig& cfg, sim::NodeId core, sim::Addr addr,
+                    sim::Cycle dram_latency) {
+  mem::AddressMap amap = cfg.MakeAddressMap();
+  sim::NodeId home = amap.HomeBank(addr);
+  sim::NodeId mc = cfg.McNodes()[static_cast<std::size_t>(amap.Mc(addr))];
+  return cfg.l1.access_latency + NocCycles(cfg, core, home, kReqBytes) +
+         cfg.l2.access_latency + NocCycles(cfg, home, mc, kReqBytes) + dram_latency +
+         NocCycles(cfg, mc, home, kL2LineBytes) + NocCycles(cfg, home, core, kL1LineBytes);
+}
+
+TEST(MachineLatency, L1Hit) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  m.LoadProgram(Program(6, {MakeLoad(kAddrA), MakeLoad(kAddrA + 8, /*dep=*/0)}));
+  RunResult r = m.Run();
+  ASSERT_EQ(r.l1_hits, 1u);
+  // The second load dispatches the cycle the first completes.
+  EXPECT_EQ(m.core(6).done_cycle(1) - m.core(6).done_cycle(0), cfg.l1.access_latency);
+}
+
+TEST(MachineLatency, LocalL2Hit) {
+  // Core 0 is kAddrA's home: the L1 miss reaches its own L2 bank without a
+  // router transit, and the line comes back as a same-node message.
+  ArchConfig cfg;
+  ASSERT_EQ(cfg.MakeAddressMap().HomeBank(kAddrA), 0);
+  Machine m(cfg);
+  m.LoadProgram(Program(0, {MakeLoad(kAddrA), MakeLoad(kAddrA + 64, /*dep=*/0)}));
+  RunResult r = m.Run();
+  ASSERT_EQ(r.l2_hits, 1u);
+  EXPECT_EQ(m.core(0).done_cycle(1) - m.core(0).done_cycle(0),
+            cfg.l1.access_latency + cfg.l2.access_latency + cfg.noc.router_pipeline);
+}
+
+TEST(MachineLatency, RemoteL2Hit) {
+  ArchConfig cfg;
+  sim::NodeId home = cfg.MakeAddressMap().HomeBank(kAddrMid);
+  Machine m(cfg);
+  m.LoadProgram(Program(kCorner, {MakeLoad(kAddrMid), MakeLoad(kAddrMid + 64, /*dep=*/0)}));
+  RunResult r = m.Run();
+  ASSERT_EQ(r.l2_hits, 1u);
+  EXPECT_EQ(m.core(kCorner).done_cycle(1) - m.core(kCorner).done_cycle(0),
+            cfg.l1.access_latency + NocCycles(cfg, kCorner, home, kReqBytes) +
+                cfg.l2.access_latency + NocCycles(cfg, home, kCorner, kL1LineBytes));
+}
+
+TEST(MachineLatency, DramRowMiss) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  m.LoadProgram(Program(kCorner, {MakeLoad(kAddrMid)}));
+  RunResult r = m.Run();
+  ASSERT_EQ(r.stats.Get("mc.row_misses"), 1u);
+  // The first slot dispatches at cycle 0.
+  EXPECT_EQ(m.core(kCorner).done_cycle(0),
+            DramPath(cfg, kCorner, kAddrMid, cfg.dram.row_miss_latency));
+}
+
+TEST(MachineLatency, DramRowHit) {
+  // The next L2 line (another home) lies in the same DRAM row, which the
+  // first load left open. The bank's data beat ended long before.
+  ArchConfig cfg;
+  const sim::Addr next = kAddrMid + 256;
+  mem::AddressMap amap = cfg.MakeAddressMap();
+  ASSERT_EQ(amap.Mc(next), amap.Mc(kAddrMid));
+  ASSERT_EQ(amap.DramBank(next), amap.DramBank(kAddrMid));
+  ASSERT_EQ(amap.DramRow(next), amap.DramRow(kAddrMid));
+  Machine m(cfg);
+  m.LoadProgram(Program(kCorner, {MakeLoad(kAddrMid), MakeLoad(next, /*dep=*/0)}));
+  RunResult r = m.Run();
+  ASSERT_EQ(r.stats.Get("mc.row_hits"), 1u);
+  EXPECT_EQ(m.core(kCorner).done_cycle(1) - m.core(kCorner).done_cycle(0),
+            DramPath(cfg, kCorner, next, cfg.dram.row_hit_latency));
+}
+
+TEST(Machine, LoadProgramRejectsMoreTracesThanCores) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  std::vector<Trace> p(static_cast<std::size_t>(cfg.num_nodes()) + 1);
+  p.back() = {MakeLoad(kAddrA)};
+  EXPECT_THROW(m.LoadProgram(std::move(p)), std::invalid_argument);
+}
+
+TEST(Machine, LoadProgramIdlesMissingCores) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  m.LoadProgram({Trace{MakeLoad(kAddrA)}, Trace{MakeLoad(kAddrB)}});
+  RunResult r = m.Run();
+  EXPECT_EQ(r.l1_misses, 2u);
+  EXPECT_TRUE(m.core(1).finished());
+  EXPECT_TRUE(m.core(24).finished());
+  EXPECT_TRUE(m.core(24).trace().empty());
 }
 
 TEST(Machine, StoreGeneratesWriteTraffic) {
