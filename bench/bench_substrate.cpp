@@ -17,9 +17,13 @@
 // the same run with the NDC engine offloading under the Default
 // always-wait policy, so the layer table ends with the ns/event and
 // allocs/event of the assembled simulator with and without NDC traffic.
-// A last row, "lower_fig04", times the code generator: lowering the 20
-// fig04 benchmarks at small scale, with events = emitted instructions, so
-// it reads ns/instr and allocs/instr.
+// Both machine rows also report the machine's run state per trace
+// instruction (Machine::RunStateBytes over the instruction count): a size
+// computed from container sizes, not RSS, so it is the same on every host.
+// Two last rows time the code generator: "lower_fig04" lowers the 20 fig04
+// benchmarks at small scale and "lower_fig04_alg2" lowers them after
+// Algorithm-2 compilation (the CME gate runs per pre-compute), with events
+// = emitted instructions, so they read ns/instr and allocs/instr.
 //
 // Usage: bench_substrate [--events=N] [--out=FILE]
 
@@ -33,7 +37,9 @@
 #include <vector>
 
 #include "arch/config.hpp"
+#include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
+#include "compiler/pipeline.hpp"
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
@@ -83,6 +89,7 @@ struct BenchResult {
   std::uint64_t events = 0;
   double seconds = 0.0;
   std::uint64_t allocs = 0;
+  double run_state_bytes_per_instr = -1;  ///< machine rows only
 
   double events_per_sec() const { return seconds > 0 ? static_cast<double>(events) / seconds : 0; }
   double ns_per_event() const {
@@ -270,23 +277,34 @@ BenchResult MachineBench(const char* name, bool offload) {
   runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
   std::uint64_t events = 0;
-  return Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
+  BenchResult r = Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
+  std::size_t instrs = 0;
+  for (const arch::Trace& t : traces) instrs += t.size();
+  r.run_state_bytes_per_instr =
+      static_cast<double>(m.RunStateBytes()) / static_cast<double>(instrs);
+  return r;
 }
 
 // --- Code generation ---------------------------------------------------------
 // compiler::Lower over the 20 fig04 benchmarks at small scale; workload
-// build stays off the clock. Lowering allocates per (core, nest), never per
-// instruction, so allocs/instr stays near zero.
+// build (and, with `algorithm2`, Algorithm-2 compilation) stays off the
+// clock. Lowering allocates per (core, nest), never per instruction, so
+// allocs/instr stays near zero; the Algorithm-2 row also runs the CME gate
+// once per pre-compute.
 
-BenchResult LowerBench() {
+BenchResult LowerBench(const char* name, bool algorithm2) {
   arch::ArchConfig cfg;
+  compiler::ArchDescription ad(cfg);
+  compiler::CompileOptions opt;
+  opt.mode = compiler::Mode::kAlgorithm2;
   std::vector<ir::Program> programs;
-  for (const std::string& name : workloads::BenchmarkNames()) {
-    programs.push_back(workloads::BuildWorkload(name, workloads::Scale::kSmall, 1));
+  for (const std::string& bench : workloads::BenchmarkNames()) {
+    programs.push_back(workloads::BuildWorkload(bench, workloads::Scale::kSmall, 1));
+    if (algorithm2) compiler::Compile(programs.back(), ad, opt);
   }
   std::uint64_t instrs = 0;
   return Measure(
-      "lower_fig04",
+      name,
       [&] {
         for (const ir::Program& p : programs) {
           instrs += compiler::Lower(p, cfg.num_nodes(), &cfg).total_instrs;
@@ -314,11 +332,14 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"events\": %llu, \"seconds\": %.6f, "
                  "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f, "
-                 "\"allocs\": %llu, \"allocs_per_event\": %.6f}%s\n",
+                 "\"allocs\": %llu, \"allocs_per_event\": %.6f",
                  r.name.c_str(), static_cast<unsigned long long>(r.events), r.seconds,
                  r.events_per_sec(), r.ns_per_event(),
-                 static_cast<unsigned long long>(r.allocs), r.allocs_per_event(),
-                 i + 1 < rows.size() ? "," : "");
+                 static_cast<unsigned long long>(r.allocs), r.allocs_per_event());
+    if (r.run_state_bytes_per_instr >= 0) {
+      std::fprintf(f, ", \"run_state_bytes_per_instr\": %.2f", r.run_state_bytes_per_instr);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -357,7 +378,8 @@ int Main(int argc, char** argv) {
   MachineBench("machine_swim_warmup", false);  // page-in + pool growth
   rows.push_back(MachineBench("machine_swim", false));
   rows.push_back(MachineBench("machine_offload", true));
-  rows.push_back(LowerBench());
+  rows.push_back(LowerBench("lower_fig04", false));
+  rows.push_back(LowerBench("lower_fig04_alg2", true));
 
   std::printf("# bench_substrate  (events=%llu)\n",
               static_cast<unsigned long long>(events));
@@ -367,6 +389,12 @@ int Main(int argc, char** argv) {
     std::printf("%-24s %14llu %12.2f %12.2f %16.6f\n", r.name.c_str(),
                 static_cast<unsigned long long>(r.events), r.events_per_sec() / 1e6,
                 r.ns_per_event(), r.allocs_per_event());
+  }
+  for (const BenchResult& r : rows) {
+    if (r.run_state_bytes_per_instr >= 0) {
+      std::printf("%-24s %.2f run-state bytes/instr\n", r.name.c_str(),
+                  r.run_state_bytes_per_instr);
+    }
   }
   std::printf("speedup_vs_legacy = %.2fx\n", speedup);
   WriteJson(out, rows, speedup, events);

@@ -10,7 +10,11 @@ robust to runner speed:
   - per-row allocation ceilings (allocs/event) for the component streams,
     the whole machine and the code generator: memctrl_stream <= 0.01,
     noc_stream <= 0.01, machine_swim <= 0.05, machine_offload <= 0.05,
-    lower_fig04 <= 0.05 (allocs per emitted instruction).
+    lower_fig04 <= 0.05 and lower_fig04_alg2 <= 0.005 (allocs per emitted
+    instruction);
+  - a run-state footprint ceiling: machine_swim <= 48 bytes of machine run
+    state per trace instruction. The figure is computed from container
+    sizes, not RSS, so it is identical on every runner.
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
@@ -21,7 +25,8 @@ import json
 import sys
 
 ROW_CEILINGS = {"memctrl_stream": 0.01, "noc_stream": 0.01, "machine_swim": 0.05,
-                "machine_offload": 0.05, "lower_fig04": 0.05}
+                "machine_offload": 0.05, "lower_fig04": 0.05, "lower_fig04_alg2": 0.005}
+FOOTPRINT_CEILINGS = {"machine_swim": 48.0}  # run-state bytes per instruction
 
 
 def main(argv):
@@ -84,6 +89,19 @@ def main(argv):
             ok = False
         else:
             print(f"ok   {name} allocs/event = {row_allocs:.6f} (ceiling {ceiling})")
+
+    for name, ceiling in sorted(FOOTPRINT_CEILINGS.items()):
+        footprint = benches.get(name, {}).get("run_state_bytes_per_instr")
+        if footprint is None:
+            print(f"check_substrate_perf: report lacks {name} run_state_bytes_per_instr",
+                  file=sys.stderr)
+            return 2
+        if footprint > ceiling:
+            print(f"FAIL {name} run-state bytes/instr = {footprint:.2f} > ceiling {ceiling}",
+                  file=sys.stderr)
+            ok = False
+        else:
+            print(f"ok   {name} run-state bytes/instr = {footprint:.2f} (ceiling {ceiling})")
 
     for row in report.get("benches", []):
         print(f"     {row['name']:<24} {row['events_per_sec'] / 1e6:8.2f} Mev/s "

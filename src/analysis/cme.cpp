@@ -222,7 +222,9 @@ bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntV
   const ir::Stmt& stmt = nest_->body[static_cast<std::size_t>(stmt_idx)];
   const ir::Operand& op = SelectOperand(stmt, sel);
   // Cold-face test: did the reuse-source iteration exist?
-  ir::IntVec prev = ir::VecSub(iter, st.reuse_l1.reuse_vector);
+  ir::IntVec& prev = prev_;
+  prev.resize(iter.size());
+  for (std::size_t d = 0; d < iter.size(); ++d) prev[d] = iter[d] - st.reuse_l1.reuse_vector[d];
   for (int d = 0; d < nest_->depth(); ++d) {
     if (prev[static_cast<std::size_t>(d)] < nest_->LoEffective(d, prev) ||
         prev[static_cast<std::size_t>(d)] > nest_->HiEffective(d, prev)) {

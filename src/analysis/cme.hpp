@@ -38,6 +38,9 @@ const ir::Operand& SelectOperand(const ir::Stmt& stmt, OperandSel sel);
 /// and cross-thread interleavings are not modeled (the paper reports the
 /// same limitation) — and handles non-affine (indirect) references
 /// pessimistically.
+///
+/// Predictions reuse one scratch iteration vector, so a predictor serves one
+/// thread at a time (every caller builds its own per nest).
 class CmePredictor {
  public:
   /// `warm_arrays`: arrays already streamed by earlier nests of the same
@@ -93,6 +96,9 @@ class CmePredictor {
   std::vector<ir::Int> avg_trips_;  // average trip count per loop level
   double footprint_lines_per_iter_ = 0.0;
   std::vector<std::array<RefState, 3>> states_;  // per stmt x {rhs0, rhs1, lhs}
+  /// PredictMissLevel's reuse-source iteration, reused so that a
+  /// prediction allocates nothing.
+  mutable ir::IntVec prev_;
 };
 
 /// Linear Diophantine helper: number of t in [0, range) with

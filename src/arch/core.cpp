@@ -8,8 +8,8 @@ namespace ndc::arch {
 Core::Core(sim::NodeId id, const ArchConfig& cfg, sim::EventQueue& eq, MemoryPort& port)
     : id_(id), cfg_(&cfg), eq_(&eq), port_(port) {}
 
-void Core::SetTrace(Trace trace) {
-  trace_ = std::move(trace);
+void Core::SetTrace(std::span<const Instr> trace) {
+  trace_ = trace;
   done_.assign(trace_.size(), sim::kNeverCycle);
   external_.assign(trace_.size(), false);
   waiters_.assign(trace_.size(), WaitLinks{});
@@ -23,6 +23,12 @@ void Core::SetTrace(Trace trace) {
   if (stall_tracking_) dispatch_cycle_.assign(trace_.size(), sim::kNeverCycle);
   stall_mem_ = 0;
   busy_compute_ = 0;
+}
+
+std::size_t Core::RunStateBytes() const {
+  return done_.capacity() * sizeof(sim::Cycle) + (external_.capacity() + 7) / 8 +
+         waiters_.capacity() * sizeof(WaitLinks) +
+         dispatch_cycle_.capacity() * sizeof(sim::Cycle);
 }
 
 void Core::Start() {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -25,10 +27,11 @@ class Core {
 
   sim::NodeId id() const { return id_; }
 
-  /// Installs the trace and resets execution state.
-  void SetTrace(Trace trace);
+  /// Installs the trace and resets execution state. The core borrows the
+  /// instructions: they must stay alive and unmodified while it runs.
+  void SetTrace(std::span<const Instr> trace);
 
-  const Trace& trace() const { return trace_; }
+  std::span<const Instr> trace() const { return trace_; }
 
   /// Begins execution (schedules the first dispatch event).
   void Start();
@@ -59,6 +62,10 @@ class Core {
   /// ALU-busy cycles of on-core computes (compute_latency each).
   std::uint64_t busy_compute_cycles() const { return busy_compute_; }
 
+  /// Bytes held in per-slot execution state (element size times element
+  /// count of each per-slot container; the borrowed trace is not counted).
+  std::size_t RunStateBytes() const;
+
   /// Counter view, materialized lazily from raw per-dispatch counters (the
   /// dispatch loop is the hottest counter path in the simulator; it must
   /// never hash a string per instruction).
@@ -84,7 +91,7 @@ class Core {
   sim::EventQueue* eq_;
   MemoryPort& port_;
 
-  Trace trace_;
+  std::span<const Instr> trace_;
   std::vector<sim::Cycle> done_;
   std::vector<bool> external_;
   /// Dependency waiters as intrusive FIFO lists, one per slot. A list entry

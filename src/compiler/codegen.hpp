@@ -32,8 +32,8 @@ int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_c
 ///    as NDC candidates (for the hardware-policy studies of Section 4).
 /// Lowering allocates only per (core, nest) — iteration lists, dependence
 /// tables and each trace reserved once from a counted bound — never per
-/// iteration or per emitted instruction. (The CME gate above may allocate
-/// per prediction on NDC-annotated statements with a reuse vector.)
+/// iteration or per emitted instruction; the CME gate above builds one
+/// predictor per nest and allocates nothing per prediction.
 CodegenResult Lower(const ir::Program& prog, int num_cores,
                     const arch::ArchConfig* cfg = nullptr);
 

@@ -1,6 +1,7 @@
 #include "harness/cell.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "compiler/pipeline.hpp"
 #include "noc/geometry.hpp"
@@ -251,9 +252,17 @@ std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec) {
 
 CellResult RunCell(const CellSpec& spec) { return RunCell(spec, MakeProfile(spec)); }
 
+void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in) {
+  fault::ConservationReport rep = fault::CheckConservation(in);
+  if (rep.ok) return;
+  throw std::runtime_error("cell " + spec.Key() + " (" + spec.workload + ", " +
+                           spec.SchemeLabel() + "): " + rep.ToString());
+}
+
 CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile) {
   metrics::Experiment exp(std::move(profile));
   metrics::SchemeResult r = RunSpec(exp, spec);
+  CheckCellConservation(spec, exp.last_conservation());
 
   CellResult out;
   out.makespan = r.run.makespan;

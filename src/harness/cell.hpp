@@ -15,6 +15,7 @@
 #include <string>
 
 #include "arch/config.hpp"
+#include "fault/conservation.hpp"
 #include "harness/json.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/bottleneck.hpp"
@@ -117,11 +118,17 @@ struct CellResult {
 /// scale, seed and configuration.
 std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec);
 
+/// Throws std::runtime_error naming the cell (its key, workload and scheme)
+/// and the report when `in` violates request conservation
+/// (fault::CheckConservation).
+void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in);
+
 /// Executes the cell against `profile`, which must come from MakeProfile of
 /// a spec with the same ProfileKey(): the scheme's run, plus the baseline
 /// and observation runs if the profile does not hold them yet. Thread-safe
 /// with respect to other cells, including cells sharing the profile — the
-/// simulator has no global mutable state.
+/// simulator has no global mutable state. The measured run must conserve
+/// requests (CheckCellConservation), else RunCell throws.
 CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile);
 
 /// Executes the cell against a private profile of its own.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -23,10 +24,11 @@ void RunPlan(int jobs, const std::vector<PlanTask>& plan) {
       dependents[d].push_back(i);
     }
   }
-  std::mutex mu;  // guards waiting, started and first
+  std::mutex mu;  // guards waiting, started, first and error
   std::condition_variable cv;
   std::vector<bool> started(n, false);
   std::size_t first = 0;  // every task before `first` has started
+  std::exception_ptr error;  // the first task exception; stops scheduling
 
   // The first task in plan order that has not started and whose
   // dependencies have finished, or n if there is none. Needs `mu`.
@@ -44,14 +46,29 @@ void RunPlan(int jobs, const std::vector<PlanTask>& plan) {
       // ones (every earlier task has started), so a finish wakes us.
       std::size_t pick = n;
       cv.wait(lock, [&] {
+        if (error) return true;
         pick = next_ready();
         return pick < n || first == n;
       });
-      if (pick == n) return;  // all started; the rest finish on other workers
+      // Stop when a task failed, or when all have started (the rest finish
+      // on other workers).
+      if (error || pick == n) return;
       started[pick] = true;
       lock.unlock();
-      plan[pick].run();
+      std::exception_ptr failed;
+      try {
+        plan[pick].run();
+      } catch (...) {
+        failed = std::current_exception();
+      }
       lock.lock();
+      if (failed) {
+        // The failed task's dependents never become ready: wake every idle
+        // worker so it stops instead of waiting on them.
+        if (!error) error = failed;
+        cv.notify_all();
+        return;
+      }
       for (std::size_t d : dependents[pick]) --waiting[d];
       if (!dependents[pick].empty()) cv.notify_all();
     }
@@ -62,6 +79,7 @@ void RunPlan(int jobs, const std::vector<PlanTask>& plan) {
   workers.reserve(num);
   for (std::size_t w = 0; w < num; ++w) workers.emplace_back(worker);
   for (std::thread& t : workers) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn) {

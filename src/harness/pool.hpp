@@ -28,6 +28,11 @@ struct PlanTask {
 /// min(jobs, plan.size()) workers share them as described above. Tasks may
 /// run on any worker; callers needing a deterministic result order index
 /// into a pre-sized output.
+///
+/// If a task throws, no further task starts: tasks already running finish,
+/// the workers are joined, and the first exception is rethrown on the
+/// caller. Tasks that never started (the failed task's dependents among
+/// them) are skipped.
 void RunPlan(int jobs, const std::vector<PlanTask>& plan);
 
 /// Runs fn(0..n-1) as a plan of n independent tasks.

@@ -36,15 +36,15 @@ double ImprovementPct(sim::Cycle base, sim::Cycle t) {
 namespace {
 
 /// Simulates `traces` on `cfg`: the one place every run of this module goes
-/// through. The machine takes the traces by value, so a caller done with
-/// its traces moves them in instead of copying. `conservation`, when
-/// non-null, receives the run's request conservation inputs.
-runtime::RunResult Simulate(const arch::ArchConfig& cfg, std::vector<arch::Trace> traces,
+/// through. The machine borrows the traces for the run, so nothing is
+/// copied. `conservation`, when non-null, receives the run's request
+/// conservation inputs.
+runtime::RunResult Simulate(const arch::ArchConfig& cfg, const std::vector<arch::Trace>& traces,
                             const runtime::MachineOptions& opts,
                             fault::ConservationInputs* conservation = nullptr) {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
   runtime::Machine m(cfg, opts);
-  m.LoadProgram(std::move(traces));
+  m.LoadProgram(traces);
   runtime::RunResult r = m.Run();
   if (conservation != nullptr) *conservation = m.GatherConservation();
   if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddSimEvents(r.events);
@@ -95,10 +95,10 @@ Experiment::Experiment(std::string workload, workloads::Scale scale, arch::ArchC
 Experiment::Experiment(std::shared_ptr<Profile> profile) : profile_(std::move(profile)) {}
 
 runtime::RunResult Experiment::RunMeasured(const arch::ArchConfig& cfg,
-                                           std::vector<arch::Trace> traces,
+                                           const std::vector<arch::Trace>& traces,
                                            runtime::MachineOptions opts) {
   opts.obs = obs_;
-  return Simulate(cfg, std::move(traces), opts, &last_conservation_);
+  return Simulate(cfg, traces, opts, &last_conservation_);
 }
 
 SchemeResult Experiment::Run(Scheme scheme) {
@@ -187,8 +187,7 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
     out.compile_report = compiler::Compile(prog, ad, opt);
     traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
   }
-  // The traces are used once: move them into the machine.
-  out.run = RunMeasured(cfg, std::move(traces), {});
+  out.run = RunMeasured(cfg, traces, {});
   out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
   return out;
 }

@@ -126,10 +126,10 @@ class Experiment {
 
  private:
   /// One measured run: `opts` plus this Experiment's obs bundle. Records
-  /// the run's conservation inputs. Takes `traces` by value: pass an rvalue
-  /// to hand them to the machine without a copy.
+  /// the run's conservation inputs. The machine borrows `traces` for the
+  /// run; nothing is copied.
   runtime::RunResult RunMeasured(const arch::ArchConfig& cfg,
-                                 std::vector<arch::Trace> traces,
+                                 const std::vector<arch::Trace>& traces,
                                  runtime::MachineOptions opts);
 
   std::shared_ptr<Profile> profile_;

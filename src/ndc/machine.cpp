@@ -61,7 +61,6 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   for (int i = 0; i < n; ++i) {
     cores_.push_back(std::make_unique<arch::Core>(i, cfg_, eq_, *this));
   }
-  site_to_uid_.resize(static_cast<std::size_t>(n));
   active_offloads_.assign(static_cast<std::size_t>(n), 0);
   if (opts_.observe) records_ = std::make_shared<RunRecord>(n);
   if (ObsOn()) {
@@ -85,23 +84,27 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
 
 Machine::~Machine() = default;
 
-void Machine::LoadProgram(std::vector<arch::Trace> traces) {
+void Machine::LoadProgram(std::vector<arch::Trace>&& traces) {
+  owned_traces_ = std::move(traces);
+  LoadProgram(owned_traces_);
+}
+
+void Machine::LoadProgram(const std::vector<arch::Trace>& traces) {
   int n = cfg_.num_nodes();
   if (traces.size() > static_cast<std::size_t>(n)) {
     throw std::invalid_argument("Machine::LoadProgram: " + std::to_string(traces.size()) +
                                 " traces for " + std::to_string(n) + " cores");
   }
-  traces.resize(static_cast<std::size_t>(n));
   load_to_cand_.assign(static_cast<std::size_t>(n), {});
   cands_.assign(static_cast<std::size_t>(n), {});
   future_reuse_.assign(static_cast<std::size_t>(n), {});
   future_reuse_l2_.assign(static_cast<std::size_t>(n), {});
   for (int c = 0; c < n; ++c) {
-    const arch::Trace& t = traces[static_cast<std::size_t>(c)];
+    std::span<const arch::Instr> t;
+    if (static_cast<std::size_t>(c) < traces.size()) t = traces[static_cast<std::size_t>(c)];
     auto& l2c = load_to_cand_[static_cast<std::size_t>(c)];
     auto& cands = cands_[static_cast<std::size_t>(c)];
     l2c.assign(t.size(), -1);
-    site_to_uid_[static_cast<std::size_t>(c)].assign(t.size(), 0);
     for (std::uint32_t i = 0; i < t.size(); ++i) {
       const arch::Instr& in = t[i];
       bool site = (in.kind() == arch::Instr::Kind::kCompute && in.ndc_candidate()) ||
@@ -113,7 +116,7 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
         continue;
       if (l2c[d0] != -1 || l2c[d1] != -1) continue;  // a load feeds one site only
       auto cand_id = static_cast<std::int32_t>(cands.size());
-      cands.push_back(CandInfo{i, {d0, d1}, in.kind() == arch::Instr::Kind::kPreCompute});
+      cands.push_back(CandInfo{i, 0});
       l2c[d0] = cand_id * 2;
       l2c[d1] = cand_id * 2 + 1;
     }
@@ -121,7 +124,7 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
       future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
       future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
     }
-    cores_[static_cast<std::size_t>(c)]->SetTrace(std::move(traces[static_cast<std::size_t>(c)]));
+    cores_[static_cast<std::size_t>(c)]->SetTrace(t);
   }
 }
 
@@ -193,38 +196,24 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   int operand = -1;
   std::int32_t lc = load_to_cand_[c][idx];
   if (lc >= 0) {
-    const CandInfo& cand = cands_[c][static_cast<std::size_t>(lc) / 2];
+    CandInfo& cand = cands_[c][static_cast<std::size_t>(lc) / 2];
     operand = lc % 2;
-    inst = FindInstance(core, cand.site_idx);
+    inst = InstanceByUid(cand.uid);
     if (inst == nullptr) {
       // First operand load of this site: create the dynamic instance.
-      Instance& ni = NewInstance();
-      ni.core = core;
-      ni.site_idx = cand.site_idx;
-      const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
-      ni.pc = site.pc();
-      ni.site = site.site();
-      ni.op = site.op();
-      ni.load_idx = cand.load_idx;
-      ni.addr = {cores_[c]->trace()[cand.load_idx[0]].addr(),
-                 cores_[c]->trace()[cand.load_idx[1]].addr()};
-      ni.is_precompute = cand.is_precompute;
-      assert(ni.uid <= UINT32_MAX && "site_to_uid_ holds 32-bit uids");
-      site_to_uid_[c][cand.site_idx] = static_cast<std::uint32_t>(ni.uid);
-      inst = &ni;
+      inst = &NewInstance();
+      inst->core = core;
+      inst->site_idx = cand.site_idx;
+      cand.uid = inst->uid;
     }
     // Second operand load issued? (the other load slot is already past the
     // in-order issue pointer, or it is this very slot when both deps alias).
-    std::uint32_t other = inst->load_idx[operand == 0 ? 1 : 0];
-    if (other == idx || cores_[c]->issued(other)) {
-      OnSecondLoadIssued(core, cands_[c][static_cast<std::size_t>(lc) / 2], inst->addr[0],
-                         inst->addr[1]);
-      inst = InstanceByUid(site_to_uid_[c][cands_[c][static_cast<std::size_t>(lc) / 2].site_idx]);
-    }
+    std::uint32_t other = LoadIdx(*inst, operand == 0 ? 1 : 0);
+    if (other == idx || cores_[c]->issued(other)) OnSecondLoadIssued(*inst);
   }
 
-  if (inst != nullptr && operand >= 0 && rtok != 0) {
-    inst->obs_tok[static_cast<std::size_t>(operand)] = rtok;
+  if (inst != nullptr && rtok != 0) {
+    obs_tok_[inst->uid - 1][static_cast<std::size_t>(operand)] = rtok;
   }
   bool hit = l1_[c]->Access(addr);
   if (hit) {
@@ -379,12 +368,12 @@ void Machine::McDataReady(sim::McId mc, const sim::Payload& msg, std::uint64_t t
         RecordObs(*inst, operand, Loc::kMemCtrl, mc_node, eq_.now());
         RecordObs(*inst, operand, Loc::kMemBank, mc_node, eq_.now());
       }
-      if (inst->offloaded &&
-          (inst->planned == Loc::kMemCtrl || inst->planned == Loc::kMemBank)) {
-        int key = inst->planned == Loc::kMemCtrl ? static_cast<int>(mc)
-                                                 : static_cast<int>(mc) * 64 + bank;
+      Loc planned = inst->offloaded() ? OffloadOf(*inst).planned : Loc::kCacheCtrl;
+      if (planned == Loc::kMemCtrl || planned == Loc::kMemBank) {
+        int key = planned == Loc::kMemCtrl ? static_cast<int>(mc)
+                                           : static_cast<int>(mc) * 64 + bank;
         HeldResponse held{HeldResponse::Leg::kMcToHome, mc, msg, tag, rtok};
-        if (OnOperandAtLoc(*inst, operand, inst->planned, mc_node, key, held)) return;
+        if (OnOperandAtLoc(*inst, operand, planned, mc_node, key, held)) return;
       }
     }
   }
@@ -395,8 +384,11 @@ void Machine::ForwardToHome(sim::McId mc, const sim::Payload& msg, std::uint64_t
                             std::uint64_t rtok) {
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
   noc::RouteId route = noc::kXyRoute;
-  if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
-    route = inst->route_mc_to_home[static_cast<std::size_t>(TagOperand(tag))];
+  if (inst != nullptr && inst->offloaded()) {
+    const Offload& off = OffloadOf(*inst);
+    if (off.planned == Loc::kLinkBuffer) {
+      route = off.route_mc_to_home[static_cast<std::size_t>(TagOperand(tag))];
+    }
   }
   SendLocal(mc_nodes_[static_cast<std::size_t>(mc)], msg.home, 256, route, tag,
             kRespToHome, msg, rtok);
@@ -411,15 +403,15 @@ void Machine::L2DataReady(const sim::Payload& msg, std::uint64_t tag, std::uint6
         // Residency check: if the partner operand arrived earlier, is its
         // line still resident now? (Paper: "x is replaced from the L2
         // cache before y reaches there".)
-        LocObs& obs = inst->obs[static_cast<std::size_t>(Loc::kCacheCtrl)];
+        LocObs& obs = obs_[inst->uid - 1].locs[static_cast<std::size_t>(Loc::kCacheCtrl)];
         int other = operand == 0 ? 1 : 0;
         sim::Cycle t_other = other == 0 ? obs.t_a : obs.t_b;
         if (obs.feasible && t_other != sim::kNeverCycle) {
-          sim::Addr other_addr = inst->addr[static_cast<std::size_t>(other)];
+          sim::Addr other_addr = OperandAddr(*inst, other);
           if (!l2_[static_cast<std::size_t>(msg.home)]->Contains(other_addr)) obs.meet_ok = false;
         }
       }
-      if (inst->offloaded && inst->planned == Loc::kCacheCtrl) {
+      if (inst->offloaded() && OffloadOf(*inst).planned == Loc::kCacheCtrl) {
         HeldResponse held{HeldResponse::Leg::kHomeToCore, 0, msg, tag, rtok};
         if (OnOperandAtLoc(*inst, operand, Loc::kCacheCtrl, msg.home, msg.home, held)) return;
       }
@@ -432,8 +424,11 @@ void Machine::SendResponseToCore(const sim::Payload& msg, std::uint64_t tag,
                                  std::uint64_t rtok) {
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
   noc::RouteId route = noc::kXyRoute;
-  if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
-    route = inst->route_home_to_core[static_cast<std::size_t>(TagOperand(tag))];
+  if (inst != nullptr && inst->offloaded()) {
+    const Offload& off = OffloadOf(*inst);
+    if (off.planned == Loc::kLinkBuffer) {
+      route = off.route_home_to_core[static_cast<std::size_t>(TagOperand(tag))];
+    }
   }
   SendLocal(msg.home, msg.core, 64, route, tag, kRespToCore, msg, rtok);
 }
@@ -454,37 +449,36 @@ void Machine::DeliverToCore(const sim::Payload& msg, std::uint64_t tag, std::uin
 // NDC engine
 // ---------------------------------------------------------------------------
 
-void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Addr a,
-                                 sim::Addr b) {
-  Instance* inst = FindInstance(core, cand.site_idx);
-  assert(inst != nullptr);
-  if (inst->state != InstState::kPending || inst->feasible_mask != 0 || inst->local_l1 ||
-      inst->offloaded) {
+void Machine::OnSecondLoadIssued(Instance& inst) {
+  if (inst.state != InstState::kPending || inst.feasible_mask != 0 || inst.local_l1 ||
+      inst.offloaded()) {
     return;  // already decided (defensive)
   }
   candidates_.Add();
 
+  sim::NodeId core = inst.core;
   auto c = static_cast<std::size_t>(core);
+  sim::Addr a = OperandAddr(inst, 0), b = OperandAddr(inst, 1);
   // LD/ST-unit local-cache probe (Section 2): if an operand is already in
   // the local L1, perform the computation in the core.
   if (l1_[c]->Contains(a) || l1_[c]->Contains(b)) {
-    inst->local_l1 = true;
-    inst->state = InstState::kConventional;
+    inst.local_l1 = true;
+    inst.state = InstState::kConventional;
     local_l1_skips_.Add();
-    RecordDecision(*inst, obs::DecisionKind::kLocalL1Skip, -1);
+    RecordDecision(inst, obs::DecisionKind::kLocalL1Skip, -1);
     return;
   }
 
-  inst->feasible_mask = ComputeFeasibility(*inst);
+  inst.feasible_mask = ComputeFeasibility(inst);
 
   if (opts_.observe) {
-    PlanRoutes(*inst);  // XY-based shared links for link observations
-    inst->state = InstState::kConventional;
+    ObsState& o = obs_[inst.uid - 1];
+    o.link = PlanRoutes(inst, nullptr);  // XY-based shared links for link observations
+    inst.state = InstState::kConventional;
     for (int l = 0; l < arch::kNumLocs; ++l) {
-      inst->obs[static_cast<std::size_t>(l)].feasible =
-          (inst->feasible_mask >> l) & 1;
+      o.locs[static_cast<std::size_t>(l)].feasible = (inst.feasible_mask >> l) & 1;
     }
-    RecordDecision(*inst, obs::DecisionKind::kDeclined, -1);
+    RecordDecision(inst, obs::DecisionKind::kDeclined, -1);
     return;
   }
 
@@ -493,9 +487,10 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   // conventionally (the last gate that flipped the decision).
   obs::DecisionKind why = obs::DecisionKind::kDeclined;
   std::int8_t why_loc = -1;
-  if (cand.is_precompute && opts_.honor_precompute) {
-    const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
-    std::uint8_t allowed = inst->feasible_mask & cfg_.control_register;
+  const arch::Instr& site = SiteInstr(inst);
+  bool is_precompute = site.kind() == arch::Instr::Kind::kPreCompute;
+  if (is_precompute && opts_.honor_precompute) {
+    std::uint8_t allowed = inst.feasible_mask & cfg_.control_register;
     if (allowed & arch::LocBit(site.planned_loc())) {
       d.offload = true;
       d.loc = site.planned_loc();
@@ -506,10 +501,10 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
       why_loc = static_cast<std::int8_t>(site.planned_loc());
     }
   } else if (opts_.policy != nullptr) {
-    d = opts_.policy->Decide(core, cand.site_idx, inst->pc, a, b, inst->feasible_mask);
+    d = opts_.policy->Decide(core, inst.site_idx, site.pc(), a, b, inst.feasible_mask);
   }
 
-  if (cfg_.restrict_ops_to_addsub && !arch::IsAddSub(inst->op)) {
+  if (cfg_.restrict_ops_to_addsub && !arch::IsAddSub(site.op())) {
     if (d.offload) {
       why = obs::DecisionKind::kOpRestricted;
       why_loc = static_cast<std::int8_t>(d.loc);
@@ -526,23 +521,24 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   }
 
   if (!d.offload) {
-    inst->state = InstState::kConventional;
-    RecordDecision(*inst, why, why_loc);
+    inst.state = InstState::kConventional;
+    RecordDecision(inst, why, why_loc);
     return;
   }
-  inst->offloaded = true;
-  inst->planned = d.loc;
-  inst->timeout = std::max<sim::Cycle>(1, d.timeout);
+  Offload& off = offload_slab_.Append();
+  inst.off = static_cast<std::uint32_t>(offload_slab_.size());
+  off.planned = d.loc;
+  off.timeout = std::max<sim::Cycle>(1, d.timeout);
   ++active_offloads_[c];
   offloads_.Add();
-  RecordDecision(*inst, obs::DecisionKind::kOffload, static_cast<std::int8_t>(d.loc));
-  PlanRoutes(*inst);
-  if (!cand.is_precompute) cores_[c]->MarkExternal(cand.site_idx);
+  RecordDecision(inst, obs::DecisionKind::kOffload, static_cast<std::int8_t>(d.loc));
+  off.obs_link = PlanRoutes(inst, &off);
+  if (!is_precompute) cores_[c]->MarkExternal(inst.site_idx);
 }
 
-std::uint8_t Machine::ComputeFeasibility(Instance& inst) {
+std::uint8_t Machine::ComputeFeasibility(const Instance& inst) {
   std::uint8_t mask = 0;
-  sim::Addr a = inst.addr[0], b = inst.addr[1];
+  sim::Addr a = OperandAddr(inst, 0), b = OperandAddr(inst, 1);
   sim::NodeId ha = amap_.HomeBank(a), hb = amap_.HomeBank(b);
   sim::McId ma = amap_.Mc(a), mb = amap_.Mc(b);
   if (ha == hb) mask |= arch::LocBit(Loc::kCacheCtrl);
@@ -550,7 +546,7 @@ std::uint8_t Machine::ComputeFeasibility(Instance& inst) {
     mask |= arch::LocBit(Loc::kMemCtrl);
     if (amap_.DramBank(a) == amap_.DramBank(b)) mask |= arch::LocBit(Loc::kMemBank);
   }
-  bool reroute = inst.is_precompute && cfg_.allow_reroute && !opts_.observe;
+  bool reroute = IsPrecompute(inst) && cfg_.allow_reroute && !opts_.observe;
   const noc::RouteIdPair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
   bool link = p1.shared_links > 0;
   if (!link) {
@@ -574,34 +570,27 @@ const noc::RouteIdPair& Machine::OverlapFor(sim::NodeId a_src, sim::NodeId a_dst
   return route_pairs_.emplace(key, p).first->second;
 }
 
-void Machine::PlanRoutes(Instance& inst) {
-  bool reroute = inst.is_precompute && cfg_.allow_reroute && !opts_.observe;
-  sim::NodeId ha = amap_.HomeBank(inst.addr[0]), hb = amap_.HomeBank(inst.addr[1]);
-  sim::McId ma = amap_.Mc(inst.addr[0]), mb = amap_.Mc(inst.addr[1]);
+sim::LinkId Machine::PlanRoutes(const Instance& inst, Offload* off) {
+  bool reroute = IsPrecompute(inst) && cfg_.allow_reroute && !opts_.observe;
+  sim::Addr a = OperandAddr(inst, 0), b = OperandAddr(inst, 1);
+  sim::NodeId ha = amap_.HomeBank(a), hb = amap_.HomeBank(b);
+  sim::McId ma = amap_.Mc(a), mb = amap_.Mc(b);
   sim::NodeId mna = mc_nodes_[static_cast<std::size_t>(ma)];
   sim::NodeId mnb = mc_nodes_[static_cast<std::size_t>(mb)];
   const noc::RouteIdPair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
   const noc::RouteIdPair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
-  inst.route_home_to_core = {p1.a, p1.b};
-  inst.route_mc_to_home = {p2.a, p2.b};
-  // Observation timing link: the first shared link along operand A's
-  // home->core route, falling back to the MC segment.
+  if (off != nullptr) {
+    off->route_home_to_core = {p1.a, p1.b};
+    off->route_mc_to_home = {p2.a, p2.b};
+  }
   const noc::RouteTable& routes = net_->routes();
-  inst.obs_link = sim::kNoLink;
   for (sim::LinkId l : routes.Links(p1.a)) {
-    if (p1.shared.Test(l)) {
-      inst.obs_link = l;
-      break;
-    }
+    if (p1.shared.Test(l)) return l;
   }
-  if (inst.obs_link == sim::kNoLink) {
-    for (sim::LinkId l : routes.Links(p2.a)) {
-      if (p2.shared.Test(l)) {
-        inst.obs_link = l;
-        break;
-      }
-    }
+  for (sim::LinkId l : routes.Links(p2.a)) {
+    if (p2.shared.Test(l)) return l;
   }
+  return sim::kNoLink;
 }
 
 noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) {
@@ -612,27 +601,29 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
   int operand = TagOperand(p.tag);
 
   if (opts_.observe) {
-    if (link == inst->obs_link) {
+    if (link == obs_[inst->uid - 1].link) {
       RecordObs(*inst, operand, Loc::kLinkBuffer, mesh_.LinkSource(link), now);
     }
     return noc::HopAction::kContinue;
   }
 
-  if (!inst->offloaded || inst->planned != Loc::kLinkBuffer) return noc::HopAction::kContinue;
+  if (!inst->offloaded()) return noc::HopAction::kContinue;
+  Offload& off = OffloadOf(*inst);
+  if (off.planned != Loc::kLinkBuffer) return noc::HopAction::kContinue;
   // A single designated meeting link per package avoids hold races where
   // each operand waits at a different shared link.
-  if (link != inst->obs_link) return noc::HopAction::kContinue;
+  if (link != off.obs_link) return noc::HopAction::kContinue;
 
-  if (inst->at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
-    inst->at_planned[static_cast<std::size_t>(operand)] = now;
+  if (off.at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
+    off.at_planned[static_cast<std::size_t>(operand)] = now;
     ReportWindow(*inst);
   }
 
   int other = operand == 0 ? 1 : 0;
   switch (inst->state) {
     case InstState::kWaiting:
-      if (inst->waiting_op == other && inst->held_link == link) {
-        std::uint64_t held = inst->held_packet;
+      if (off.waiting_op == other && off.held_link == link) {
+        std::uint64_t held = off.held_packet;
         MeetAndCompute(*inst, Loc::kLinkBuffer, mesh_.LinkSource(link));
         net_->Squash(held);
         return noc::HopAction::kSquash;
@@ -651,10 +642,10 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
         return noc::HopAction::kContinue;
       }
       inst->state = InstState::kWaiting;
-      inst->waiting_op = operand;
-      inst->held_link = link;
-      inst->held_packet = p.id;
-      inst->service_key = link;
+      off.waiting_op = operand;
+      off.held_link = link;
+      off.held_packet = p.id;
+      off.service_key = link;
       ArmWaitTimeout(*inst);
       return noc::HopAction::kHold;
     }
@@ -665,17 +656,18 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
 
 bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node,
                              int service_key, const HeldResponse& resume) {
-  if (inst.at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
-    inst.at_planned[static_cast<std::size_t>(operand)] = eq_.now();
+  Offload& off = OffloadOf(inst);
+  if (off.at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
+    off.at_planned[static_cast<std::size_t>(operand)] = eq_.now();
     ReportWindow(inst);
   }
   int other = operand == 0 ? 1 : 0;
   switch (inst.state) {
     case InstState::kWaiting:
-      if (inst.waiting_op == other) {
+      if (off.waiting_op == other) {
         // The waiting operand's held response is discarded: its data was
         // consumed by the near-data computation.
-        inst.resume.leg = HeldResponse::Leg::kNone;
+        off.resume.leg = HeldResponse::Leg::kNone;
         MeetAndCompute(inst, loc, node);
         return true;
       }
@@ -693,9 +685,9 @@ bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId n
         return false;
       }
       inst.state = InstState::kWaiting;
-      inst.waiting_op = operand;
-      inst.resume = resume;
-      inst.service_key = service_key;
+      off.waiting_op = operand;
+      off.resume = resume;
+      off.service_key = service_key;
       ArmWaitTimeout(inst);
       return true;
     }
@@ -705,20 +697,22 @@ bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId n
 }
 
 void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
-  ServiceTableRelease(loc, inst.service_key);
+  Offload& off = OffloadOf(inst);
+  ServiceTableRelease(loc, off.service_key);
   if (active_offloads_[static_cast<std::size_t>(inst.core)] > 0) {
     --active_offloads_[static_cast<std::size_t>(inst.core)];
   }
   inst.state = InstState::kComputed;
-  inst.waiting_op = -1;
+  off.waiting_op = -1;
   sim::Cycle now = eq_.now();
   success_.Add();
   ++ndc_at_loc_[static_cast<std::size_t>(loc)];
   if (ObsOn()) {
     // Both operands end their lifetime here: their data never reaches the
     // core (the packets were squashed / the responses absorbed).
-    opts_.obs->tracer.Finish(inst.obs_tok[0], obs::Stage::kNdcConsumed, now);
-    opts_.obs->tracer.Finish(inst.obs_tok[1], obs::Stage::kNdcConsumed, now);
+    const std::array<std::uint64_t, 2>& tok = obs_tok_[inst.uid - 1];
+    opts_.obs->tracer.Finish(tok[0], obs::Stage::kNdcConsumed, now);
+    opts_.obs->tracer.Finish(tok[1], obs::Stage::kNdcConsumed, now);
     opts_.obs->sink.Instant("ndc.meet", now, inst.core, inst.uid, "loc",
                             static_cast<std::uint64_t>(loc));
     ResolveDecision(inst, obs::Outcome::kNdcSuccess, static_cast<std::int8_t>(loc));
@@ -728,8 +722,8 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
   }
   // Both operand loads are consumed by the near-data computation.
   auto c = static_cast<std::size_t>(inst.core);
-  cores_[c]->Complete(inst.load_idx[0], now);
-  cores_[c]->Complete(inst.load_idx[1], now);
+  cores_[c]->Complete(LoadIdx(inst, 0), now);
+  cores_[c]->Complete(LoadIdx(inst, 1), now);
   ReportWindow(inst);
   // CPU-feed: the 8-byte result travels back to the core after the op.
   sim::NodeId core = inst.core;
@@ -740,21 +734,23 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
 }
 
 void Machine::ArmWaitTimeout(Instance& inst) {
+  Offload& off = OffloadOf(inst);
   std::uint64_t token = next_wait_token_++;
-  inst.wait_token = token;
+  off.wait_token = token;
   std::uint64_t uid = inst.uid;
-  eq_.ScheduleAfter(inst.timeout, [this, uid, token] {
+  eq_.ScheduleAfter(off.timeout, [this, uid, token] {
     Instance* i2 = InstanceByUid(uid);
-    if (i2 != nullptr && i2->state == InstState::kWaiting && i2->wait_token == token) {
+    if (i2 != nullptr && i2->state == InstState::kWaiting && OffloadOf(*i2).wait_token == token) {
       AbortWait(*i2, AbortReason::kTimeout);
     }
   });
 }
 
 void Machine::AbortWait(Instance& inst, AbortReason reason) {
-  ServiceTableRelease(inst.planned, inst.service_key);
+  Offload& off = OffloadOf(inst);
+  ServiceTableRelease(off.planned, off.service_key);
   inst.state = InstState::kAborted;
-  inst.waiting_op = -1;
+  off.waiting_op = -1;
   obs::Outcome outcome = obs::Outcome::kFallbackTimeout;
   switch (reason) {
     case AbortReason::kTimeout:
@@ -769,12 +765,12 @@ void Machine::AbortWait(Instance& inst, AbortReason reason) {
     opts_.obs->sink.Instant("ndc.abort", eq_.now(), inst.core, inst.uid);
     ResolveDecision(inst, outcome, -1);
   }
-  if (inst.held_packet != 0 && net_->IsHeld(inst.held_packet)) {
-    net_->Release(inst.held_packet);
-    inst.held_packet = 0;
-  } else if (inst.resume.leg != HeldResponse::Leg::kNone) {
-    HeldResponse r = inst.resume;
-    inst.resume.leg = HeldResponse::Leg::kNone;
+  if (off.held_packet != 0 && net_->IsHeld(off.held_packet)) {
+    net_->Release(off.held_packet);
+    off.held_packet = 0;
+  } else if (off.resume.leg != HeldResponse::Leg::kNone) {
+    HeldResponse r = off.resume;
+    off.resume.leg = HeldResponse::Leg::kNone;
     if (r.leg == HeldResponse::Leg::kMcToHome) {
       ForwardToHome(r.mc, r.msg, r.tag, r.rtok);
     } else {
@@ -786,7 +782,7 @@ void Machine::AbortWait(Instance& inst, AbortReason reason) {
 void Machine::OnOperandAtCore(Instance& inst, int operand, sim::Cycle when) {
   inst.at_core[static_cast<std::size_t>(operand)] = when;
   int other = operand == 0 ? 1 : 0;
-  if (inst.state == InstState::kWaiting && inst.waiting_op == other) {
+  if (inst.state == InstState::kWaiting && OffloadOf(inst).waiting_op == other) {
     // The partner operand finished conventionally: the planned meeting can
     // no longer happen (offload-table feedback aborts the wait).
     AbortWait(inst, AbortReason::kPartnerDone);
@@ -796,13 +792,13 @@ void Machine::OnOperandAtCore(Instance& inst, int operand, sim::Cycle when) {
 
 void Machine::MaybeFallback(Instance& inst) {
   if (inst.fallback_done || inst.state == InstState::kComputed) return;
-  if (!inst.offloaded && !inst.is_precompute) return;  // core handles it
+  if (!inst.offloaded() && !IsPrecompute(inst)) return;  // core handles it
   if (inst.at_core[0] == sim::kNeverCycle || inst.at_core[1] == sim::kNeverCycle) return;
   inst.fallback_done = true;
   sim::Cycle done = std::max(inst.at_core[0], inst.at_core[1]);
   done = std::max(done, eq_.now()) + cfg_.compute_latency;
   cores_[static_cast<std::size_t>(inst.core)]->Complete(inst.site_idx, done);
-  if (inst.offloaded) {
+  if (inst.offloaded()) {
     fallbacks_.Add();
     if (ObsOn()) {
       opts_.obs->sink.Instant("ndc.fallback", eq_.now(), inst.core, inst.uid);
@@ -817,21 +813,23 @@ void Machine::MaybeFallback(Instance& inst) {
   }
 }
 
-void Machine::RecordObs(Instance& inst, int operand, Loc loc, sim::NodeId node, sim::Cycle t) {
-  LocObs& obs = inst.obs[static_cast<std::size_t>(loc)];
+void Machine::RecordObs(const Instance& inst, int operand, Loc loc, sim::NodeId node,
+                        sim::Cycle t) {
+  LocObs& obs = obs_[inst.uid - 1].locs[static_cast<std::size_t>(loc)];
   sim::Cycle& slot = operand == 0 ? obs.t_a : obs.t_b;
   if (slot == sim::kNeverCycle) slot = t;
   obs.node = node;
 }
 
 void Machine::ReportWindow(Instance& inst) {
-  if (inst.window_reported || opts_.policy == nullptr || inst.is_precompute) return;
-  if (inst.at_planned[0] == sim::kNeverCycle || inst.at_planned[1] == sim::kNeverCycle) return;
-  inst.window_reported = true;
-  sim::Cycle w = inst.at_planned[0] > inst.at_planned[1]
-                     ? inst.at_planned[0] - inst.at_planned[1]
-                     : inst.at_planned[1] - inst.at_planned[0];
-  opts_.policy->ObserveWindow(inst.core, inst.pc, w);
+  if (opts_.policy == nullptr) return;
+  Offload& off = OffloadOf(inst);
+  if (off.window_reported || IsPrecompute(inst)) return;
+  if (off.at_planned[0] == sim::kNeverCycle || off.at_planned[1] == sim::kNeverCycle) return;
+  off.window_reported = true;
+  sim::Cycle w = off.at_planned[0] > off.at_planned[1] ? off.at_planned[0] - off.at_planned[1]
+                                                       : off.at_planned[1] - off.at_planned[0];
+  opts_.policy->ObserveWindow(inst.core, SiteInstr(inst).pc(), w);
 }
 
 bool Machine::ServiceTableReserve(Loc loc, int key) {
@@ -848,24 +846,22 @@ void Machine::ServiceTableRelease(Loc loc, int key) {
 }
 
 Machine::Instance* Machine::FindInstance(sim::NodeId core, std::uint32_t site_idx) {
-  return InstanceByUid(site_to_uid_[static_cast<std::size_t>(core)][site_idx]);
-}
-
-Machine::Instance* Machine::InstanceByUid(std::uint64_t uid) {
-  if (uid == 0 || uid >= next_uid_) return nullptr;
-  std::uint64_t slot = uid - 1;
-  return &instance_chunks_[slot / kInstancesPerChunk][slot % kInstancesPerChunk];
+  // A site's first dep is one of its operand loads, which maps back to it.
+  auto c = static_cast<std::size_t>(core);
+  std::int32_t dep = cores_[c]->trace()[site_idx].dep0();
+  if (dep < 0) return nullptr;
+  std::int32_t lc = load_to_cand_[c][static_cast<std::size_t>(dep)];
+  if (lc < 0) return nullptr;
+  const CandInfo& cand = cands_[c][static_cast<std::size_t>(lc) / 2];
+  return cand.site_idx == site_idx ? InstanceByUid(cand.uid) : nullptr;
 }
 
 Machine::Instance& Machine::NewInstance() {
-  static_assert(sizeof(Instance) * kInstancesPerChunk < 128 * 1024,
-                "an instance chunk must stay below glibc's initial mmap threshold");
-  std::uint64_t slot = next_uid_ - 1;
-  if (slot % kInstancesPerChunk == 0) {
-    instance_chunks_.push_back(std::make_unique<Instance[]>(kInstancesPerChunk));
-  }
-  Instance& inst = instance_chunks_[slot / kInstancesPerChunk][slot % kInstancesPerChunk];
-  inst.uid = next_uid_++;
+  assert(instances_.size() < UINT32_MAX && "instance uids are 32-bit");
+  Instance& inst = instances_.Append();
+  inst.uid = static_cast<std::uint32_t>(instances_.size());
+  if (opts_.observe) obs_.Append();
+  if (ObsOn()) obs_tok_.Append();
   return inst;
 }
 
@@ -928,6 +924,19 @@ void Machine::MirrorRegistry(const RunResult& r) {
   }
 }
 
+std::size_t Machine::RunStateBytes() const {
+  std::size_t bytes = instances_.Bytes() + offload_slab_.Bytes() + obs_.Bytes() + obs_tok_.Bytes();
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    bytes += cores_[c]->RunStateBytes();
+    if (c < load_to_cand_.size()) {
+      bytes += load_to_cand_[c].capacity() * sizeof(std::int32_t) +
+               cands_[c].capacity() * sizeof(CandInfo) +
+               (future_reuse_[c].capacity() + future_reuse_l2_[c].capacity() + 7) / 8;
+    }
+  }
+  return bytes;
+}
+
 fault::ConservationInputs Machine::GatherConservation() const {
   fault::ConservationInputs in;
   in.offloads = offloads_.v;
@@ -948,18 +957,19 @@ fault::ConservationInputs Machine::GatherConservation() const {
 
 void Machine::FinalizeRecords(RunResult& result) {
   (void)result;
-  for (std::uint64_t uid = 1; uid < next_uid_; ++uid) {
-    const Instance& inst = *InstanceByUid(uid);
+  for (std::size_t i = 0; i < instances_.size(); ++i) {
+    const Instance& inst = instances_[i];
     auto c = static_cast<std::size_t>(inst.core);
+    const arch::Instr& site = SiteInstr(inst);
     InstanceRecord& rec = records_->Get(inst.core, inst.site_idx);
     rec.core = inst.core;
     rec.compute_idx = inst.site_idx;
-    rec.pc = inst.pc;
-    rec.site = inst.site;
-    rec.a = inst.addr[0];
-    rec.b = inst.addr[1];
+    rec.pc = site.pc();
+    rec.site = site.site();
+    rec.a = OperandAddr(inst, 0);
+    rec.b = OperandAddr(inst, 1);
     rec.local_l1 = inst.local_l1;
-    rec.locs = inst.obs;
+    rec.locs = obs_[i].locs;
     rec.a_at_core = inst.at_core[0];
     rec.b_at_core = inst.at_core[1];
     // Conventional completion: when both operands' data reached the core
@@ -973,6 +983,7 @@ void Machine::FinalizeRecords(RunResult& result) {
     rec.operand_reused_later = future_reuse_[c][inst.site_idx];
     rec.operand_reused_later_l2 = future_reuse_l2_[c][inst.site_idx];
   }
+  obs_.Clear();  // handed over to the RunRecord
 }
 
 }  // namespace ndc::runtime

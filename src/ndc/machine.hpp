@@ -83,7 +83,14 @@ class Machine final : public arch::MemoryPort {
 
   /// Installs one trace per core (missing cores idle). Throws
   /// std::invalid_argument when there are more traces than cores.
-  void LoadProgram(std::vector<arch::Trace> traces);
+  ///
+  /// This overload borrows: the cores read the caller's instructions in
+  /// place, so the caller keeps `traces` alive and unmodified until Run()
+  /// returns. Nothing is copied.
+  void LoadProgram(const std::vector<arch::Trace>& traces);
+  /// This overload owns: it moves `traces` (never copies them) into the
+  /// machine, which then borrows from its own vector, so a temporary is safe.
+  void LoadProgram(std::vector<arch::Trace>&& traces);
 
   /// Runs to completion (or `limit`) and returns aggregate results.
   /// Per the EventQueue clock contract, eq().now() == `limit` afterwards
@@ -113,15 +120,53 @@ class Machine final : public arch::MemoryPort {
   /// request lost.
   fault::ConservationInputs GatherConservation() const;
 
+  /// Bytes of per-run state held in per-slot and per-candidate containers
+  /// (the machine's and its cores'): element size times element count,
+  /// where a slab counts every element of its allocated chunks. The traces
+  /// themselves are not counted. Deterministic for a given program and
+  /// options, unlike RSS.
+  std::size_t RunStateBytes() const;
+
+  /// sizeof the record every NDC candidate gets (offloaded or not).
+  static constexpr std::size_t CandidateRecordBytes();
+
  private:
-  // Identification of the two operand loads feeding a candidate/precompute.
-  struct CandInfo {
-    std::uint32_t site_idx = 0;  ///< trace slot of the Compute/PreCompute
-    std::array<std::uint32_t, 2> load_idx{};
-    bool is_precompute = false;
+  /// Append-only storage in fixed chunks that are never freed or moved
+  /// during a run, so references stay valid. A chunk stays below glibc's
+  /// 128 KiB initial mmap threshold: a larger block would be mmapped and,
+  /// once freed, raise the dynamic threshold and with it the heap's peak RSS.
+  template <typename T, std::size_t kPerChunk>
+  class Slab {
+   public:
+    static_assert(sizeof(T) * kPerChunk < 128 * 1024,
+                  "a slab chunk must stay below glibc's initial mmap threshold");
+    std::size_t size() const { return size_; }
+    T& operator[](std::size_t i) { return chunks_[i / kPerChunk][i % kPerChunk]; }
+    const T& operator[](std::size_t i) const { return chunks_[i / kPerChunk][i % kPerChunk]; }
+    T& Append() {
+      if (size_ % kPerChunk == 0) chunks_.push_back(std::make_unique<T[]>(kPerChunk));
+      return (*this)[size_++];
+    }
+    void Clear() {
+      chunks_.clear();
+      size_ = 0;
+    }
+    std::size_t Bytes() const { return chunks_.size() * kPerChunk * sizeof(T); }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::size_t size_ = 0;
   };
 
-  enum class InstState { kPending, kWaiting, kComputed, kAborted, kConventional };
+  // A candidate site of a core's trace: a Compute/PreCompute whose two deps
+  // are loads feeding no other site. Its identity (pc, site, op, operand
+  // slots and addresses, pre-compute or not) is read from the trace.
+  struct CandInfo {
+    std::uint32_t site_idx = 0;  ///< trace slot of the Compute/PreCompute
+    std::uint32_t uid = 0;       ///< its instance (0 = none yet)
+  };
+
+  enum class InstState : std::uint8_t { kPending, kWaiting, kComputed, kAborted, kConventional };
 
   /// A response held at a non-link NDC location, as a plain record of the
   /// forward it was about to take: MC -> home L2 bank, or home -> core. An
@@ -136,48 +181,48 @@ class Machine final : public arch::MemoryPort {
     std::uint64_t rtok = 0;
   };
 
-  // One dynamic NDC candidate in flight.
+  // One dynamic NDC candidate: what every candidate needs, offloaded or not.
   struct Instance {
-    std::uint64_t uid = 0;
+    std::array<sim::Cycle, 2> at_core{sim::kNeverCycle, sim::kNeverCycle};
+    std::uint32_t uid = 0;
     sim::NodeId core = sim::kNoNode;
     std::uint32_t site_idx = 0;
-    std::uint32_t pc = 0, site = 0;
-    arch::Op op = arch::Op::kAdd;
-    std::array<std::uint32_t, 2> load_idx{};
-    std::array<sim::Addr, 2> addr{};
-    bool is_precompute = false;
-    bool offloaded = false;
-    Loc planned = Loc::kCacheCtrl;
-    sim::Cycle timeout = 0;
+    std::uint32_t off = 0;  ///< 1 + its index in the offload slab; 0 = not offloaded
     InstState state = InstState::kPending;
     std::uint8_t feasible_mask = 0;
+    bool fallback_done = false;
+    bool local_l1 = false;  ///< an operand was in the local L1 (NDC skipped)
 
+    bool offloaded() const { return off != 0; }
+  };
+
+  // The state of an offloaded candidate, created where the engine decides
+  // to offload. Only offloaded instances (and the wait states only they
+  // reach) read it.
+  struct Offload {
+    Loc planned = Loc::kCacheCtrl;
+    bool window_reported = false;
+    int waiting_op = -1;
+    int service_key = -1;
+    sim::Cycle timeout = 0;
     // Routing plan (responses toward the core / L2), as ids in the
     // network's route table.
     std::array<noc::RouteId, 2> route_home_to_core{noc::kXyRoute, noc::kXyRoute};
     std::array<noc::RouteId, 2> route_mc_to_home{noc::kXyRoute, noc::kXyRoute};
-    sim::LinkId obs_link = sim::kNoLink;  ///< link used for observation timing
-    bool fallback_done = false;
-
-    // Waiting state.
-    int waiting_op = -1;
+    sim::LinkId obs_link = sim::kNoLink;  ///< the designated meeting link
     sim::LinkId held_link = sim::kNoLink;
     std::uint64_t held_packet = 0;
-    HeldResponse resume;  // held response (non-link locs)
     std::uint64_t wait_token = 0;
-    int service_key = -1;
-
-    // Progress bookkeeping.
-    std::array<sim::Cycle, 2> at_core{sim::kNeverCycle, sim::kNeverCycle};
     std::array<sim::Cycle, 2> at_planned{sim::kNeverCycle, sim::kNeverCycle};
-    bool window_reported = false;
+    HeldResponse resume;  // held response (non-link locs)
+  };
 
-    // Observation (observe mode).
-    std::array<LocObs, arch::kNumLocs> obs{};
-    bool local_l1 = false;
-
-    // Request-trace tokens of the two operand loads (0 = untraced).
-    std::array<std::uint64_t, 2> obs_tok{};
+  // Per-candidate observation (observe mode only): operand arrival times at
+  // every location, and the shared link whose timing stands for the link
+  // buffer.
+  struct ObsState {
+    std::array<LocObs, arch::kNumLocs> locs{};
+    sim::LinkId link = sim::kNoLink;
   };
 
   enum class AbortReason { kTimeout, kPartnerDone };
@@ -205,9 +250,28 @@ class Machine final : public arch::MemoryPort {
   void OnDeliver(const noc::Packet& p);
 
   // -- NDC engine --
-  void OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Addr a, sim::Addr b);
-  std::uint8_t ComputeFeasibility(Instance& inst);
-  void PlanRoutes(Instance& inst);
+  // A candidate's identity, read from its core's trace.
+  const arch::Instr& SiteInstr(const Instance& inst) const {
+    return cores_[static_cast<std::size_t>(inst.core)]->trace()[inst.site_idx];
+  }
+  std::uint32_t LoadIdx(const Instance& inst, int operand) const {
+    const arch::Instr& s = SiteInstr(inst);
+    return static_cast<std::uint32_t>(operand == 0 ? s.dep0() : s.dep1());
+  }
+  sim::Addr OperandAddr(const Instance& inst, int operand) const {
+    return cores_[static_cast<std::size_t>(inst.core)]->trace()[LoadIdx(inst, operand)].addr();
+  }
+  bool IsPrecompute(const Instance& inst) const {
+    return SiteInstr(inst).kind() == arch::Instr::Kind::kPreCompute;
+  }
+  Offload& OffloadOf(const Instance& inst) { return offload_slab_[inst.off - 1]; }
+
+  void OnSecondLoadIssued(Instance& inst);
+  std::uint8_t ComputeFeasibility(const Instance& inst);
+  /// Plans the candidate's response routes into `off` (when non-null) and
+  /// returns the link whose timing stands for the link buffer: the first
+  /// shared link along operand A's home->core route, else the MC segment's.
+  sim::LinkId PlanRoutes(const Instance& inst, Offload* off);
   noc::HopAction OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now);
   /// Operand data became available at a non-link location. Returns true if
   /// the machine should NOT forward the data onward (held or consumed).
@@ -220,14 +284,19 @@ class Machine final : public arch::MemoryPort {
   void AbortWait(Instance& inst, AbortReason reason);
   void OnOperandAtCore(Instance& inst, int operand, sim::Cycle when);
   void MaybeFallback(Instance& inst);
-  void RecordObs(Instance& inst, int operand, Loc loc, sim::NodeId node, sim::Cycle t);
+  void RecordObs(const Instance& inst, int operand, Loc loc, sim::NodeId node, sim::Cycle t);
   void ReportWindow(Instance& inst);
   bool ServiceTableReserve(Loc loc, int key);
   void ServiceTableRelease(Loc loc, int key);
 
+  /// The instance of the candidate whose site is trace slot `site_idx`, or
+  /// null (not a candidate site, or no operand load issued yet).
   Instance* FindInstance(sim::NodeId core, std::uint32_t site_idx);
-  Instance* InstanceByUid(std::uint64_t uid);
-  /// Appends a fresh instance to the slab and assigns it the next uid.
+  Instance* InstanceByUid(std::uint64_t uid) {
+    return uid == 0 || uid > instances_.size() ? nullptr : &instances_[uid - 1];
+  }
+  /// Appends a fresh instance (and its observe-only side entries) and
+  /// assigns it the next uid.
   Instance& NewInstance();
 
   void FinalizeRecords(RunResult& result);
@@ -254,24 +323,24 @@ class Machine final : public arch::MemoryPort {
   std::vector<sim::NodeId> mc_nodes_;
   std::vector<std::unique_ptr<arch::Core>> cores_;
 
+  // The traces a LoadProgram(&&) handed over; the cores borrow from them.
+  std::vector<arch::Trace> owned_traces_;
+
   // Trace preprocessing: per core, map load slot -> (candidate, operand).
   std::vector<std::vector<std::int32_t>> load_to_cand_;  // cand*2 + operand, -1 none
   std::vector<std::vector<CandInfo>> cands_;
   std::vector<std::vector<bool>> future_reuse_;     // per core/slot, L1-line grain
   std::vector<std::vector<bool>> future_reuse_l2_;  // per core/slot, L2-line grain
 
-  // Instances live in a slab indexed by uid - 1, in fixed chunks that are
-  // never freed or moved during a run (pointers stay valid). A chunk stays
-  // below glibc's 128 KiB initial mmap threshold: a larger block would be
-  // mmapped and, once freed, raise the dynamic threshold and with it the
-  // heap's peak RSS.
-  static constexpr std::size_t kInstancesPerChunk = 128;
-  std::vector<std::unique_ptr<Instance[]>> instance_chunks_;
-  // Per core, site trace slot -> uid of its instance (0 = none yet). Uids
-  // are stored in 32 bits, so a run may create at most 2^32 - 1 instances
-  // (asserted where a uid is stored).
-  std::vector<std::vector<std::uint32_t>> site_to_uid_;
-  std::uint64_t next_uid_ = 1;
+  // Instances are indexed by uid - 1. Uids are stored in 32 bits, so a run
+  // may create at most 2^32 - 1 instances (asserted in NewInstance).
+  Slab<Instance, 1024> instances_;
+  Slab<Offload, 512> offload_slab_;
+  // Side arrays indexed by uid - 1, filled only in runs that read them:
+  // obs_ in observe mode, obs_tok_ (request-trace tokens of the two operand
+  // loads, 0 = untraced) when ObsOn().
+  Slab<ObsState, 512> obs_;
+  Slab<std::array<std::uint64_t, 2>, 4096> obs_tok_;
   std::uint64_t next_wait_token_ = 1;
 
   // Memoized route-pair overlap results, keyed by (srcA,dstA,srcB,dstB).
@@ -291,5 +360,9 @@ class Machine final : public arch::MemoryPort {
   sim::StatSet stats_;
   std::array<std::uint64_t, arch::kNumLocs> ndc_at_loc_{};
 };
+
+constexpr std::size_t Machine::CandidateRecordBytes() { return sizeof(Instance); }
+static_assert(Machine::CandidateRecordBytes() <= 48,
+              "the per-candidate record grew: every NDC candidate pays for it");
 
 }  // namespace ndc::runtime

@@ -21,7 +21,8 @@ Cycle ResultReturnLatency(const noc::Mesh& mesh, const noc::NetworkParams& np, N
   return np.router_pipeline + static_cast<sim::Cycle>(hops) * (np.router_pipeline + ser);
 }
 
-std::vector<bool> ComputeFutureReuse(const arch::Trace& trace, std::uint64_t l1_line_bytes) {
+std::vector<bool> ComputeFutureReuse(std::span<const arch::Instr> trace,
+                                     std::uint64_t l1_line_bytes) {
   std::vector<bool> reused(trace.size(), false);
   // Last trace index at which each L1 line is accessed by a Load or Store.
   std::unordered_map<sim::Addr, std::uint32_t> last_access;

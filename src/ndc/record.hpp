@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -109,6 +110,7 @@ Cycle ResultReturnLatency(const noc::Mesh& mesh, const noc::NetworkParams& np, N
 /// Scans a trace and marks, for every NDC-candidate computation, whether
 /// either operand's L1 line is accessed again later in the same trace
 /// (the data-reuse signal used by the oracle and by Algorithm 2's gating).
-std::vector<bool> ComputeFutureReuse(const arch::Trace& trace, std::uint64_t l1_line_bytes);
+std::vector<bool> ComputeFutureReuse(std::span<const arch::Instr> trace,
+                                     std::uint64_t l1_line_bytes);
 
 }  // namespace ndc::runtime

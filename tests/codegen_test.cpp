@@ -14,6 +14,7 @@
 #include "compiler/codegen.hpp"
 #include "compiler/pipeline.hpp"
 #include "ir/program.hpp"
+#include "ndc/machine.hpp"
 #include "workloads/sharded.hpp"
 #include "workloads/workloads.hpp"
 
@@ -297,6 +298,9 @@ TEST(Codegen, DeterministicOutput) {
 
 // A lowered trace stores one Instr per slot, so its size bounds trace memory.
 static_assert(sizeof(Instr) == 24, "arch::Instr grew: lowered traces cost more memory");
+// Every NDC candidate of a run gets one record, offloaded or not.
+static_assert(runtime::Machine::CandidateRecordBytes() <= 48,
+              "the machine's per-candidate record grew: run state costs more memory");
 
 constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
 constexpr std::int32_t kMaxDep = std::numeric_limits<std::int32_t>::max();

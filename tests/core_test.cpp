@@ -51,11 +51,13 @@ struct CoreFixture : public ::testing::Test {
   sim::EventQueue eq;
   FakePort port{eq};
   std::unique_ptr<Core> core;
+  Trace trace;  // the core borrows it
 
   void Run(Trace t) {
+    trace = std::move(t);
     core = std::make_unique<Core>(0, cfg, eq, port);
     port.core = core.get();
-    core->SetTrace(std::move(t));
+    core->SetTrace(trace);
     core->Start();
     eq.RunUntilEmpty();
   }
@@ -180,7 +182,7 @@ TEST_F(CoreFixture, PreComputeDispatchesWithoutWaitingForLoads) {
   t.push_back(MakePreCompute(Op::kAdd, 0, 1, Loc::kCacheCtrl, 10));
   core = std::make_unique<Core>(0, cfg, eq, port);
   port.core = core.get();
-  core->SetTrace(std::move(t));
+  core->SetTrace(t);
   core->Start();
   eq.RunUntilEmpty();
   // The pre-compute dispatched even though the loads never completed.
@@ -203,7 +205,7 @@ TEST_F(CoreFixture, ExternalComputeIsNotSelfCompleted) {
   t.push_back(MakeCompute(Op::kAdd, 0, 1, true));
   core = std::make_unique<Core>(0, cfg, eq, port);
   port.core = core.get();
-  core->SetTrace(std::move(t));
+  core->SetTrace(t);
   core->MarkExternal(2);
   core->Start();
   eq.RunUntilEmpty();
@@ -220,7 +222,7 @@ TEST_F(CoreFixture, CompleteIsIdempotent) {
   core = std::make_unique<Core>(0, cfg, eq, port);
   port.core = core.get();
   port.auto_complete = false;
-  core->SetTrace(std::move(t));
+  core->SetTrace(t);
   core->Start();
   eq.RunUntilEmpty();
   core->Complete(0, eq.now());
@@ -239,7 +241,7 @@ TEST_F(CoreFixture, EarlyCompletionBeforeDispatchIsHonored) {
   t.push_back(MakeCompute(Op::kAdd, 39, -1, false));  // 40
   core = std::make_unique<Core>(0, cfg, eq, port);
   port.core = core.get();
-  core->SetTrace(std::move(t));
+  core->SetTrace(t);
   core->MarkExternal(40);
   core->Start();
   core->Complete(40, 1);  // completes long before dispatch reaches slot 40

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -227,6 +228,27 @@ TEST(ResultCache, CorruptLinesAreCountedAndSkipped) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(CellConservation, ViolationThrowsWithCellKeyAndReport) {
+  CellSpec spec;
+  spec.workload = "md";
+  spec.scale = workloads::Scale::kTest;
+  spec.scheme = metrics::Scheme::kDefault;
+  fault::ConservationInputs in;
+  in.offloads = 3;
+  in.ndc_success = 1;
+  in.fallbacks = 1;  // one offload never resolved
+  try {
+    CheckCellConservation(spec, in);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find(spec.Key()), std::string::npos) << what;
+    EXPECT_NE(what.find(fault::CheckConservation(in).ToString()), std::string::npos) << what;
+  }
+  in.fallbacks = 2;
+  EXPECT_NO_THROW(CheckCellConservation(spec, in));
+}
+
 // ----------------------------------------------------------- scheduler ---
 
 TEST(Scheduler, RunsEveryTaskExactlyOnce) {
@@ -284,6 +306,37 @@ TEST(Scheduler, SingleJobRunsTasksInPlanOrder) {
   RunPlan(1, plan);
   ASSERT_EQ(order.size(), plan.size());
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+// A throwing task stops the plan: nothing depending on it runs, no worker
+// waits forever on its dependents, and the caller receives the exception.
+TEST(Scheduler, TaskExceptionStopsSchedulingAndIsRethrown) {
+  constexpr std::size_t kTasks = 40;
+  constexpr std::size_t kFailing = 5;
+  for (int jobs : {1, 2, 8}) {
+    std::vector<std::atomic<int>> ran(kTasks);
+    for (auto& r : ran) r = 0;
+    std::vector<PlanTask> plan(kTasks);
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      plan[i].run = [&ran, i] {
+        if (i == kFailing) throw std::runtime_error("task 5 failed");
+        ran[i].fetch_add(1);
+      };
+      if (i > kFailing && i % 2 == 0) plan[i].deps = {kFailing};
+    }
+    try {
+      RunPlan(jobs, plan);
+      ADD_FAILURE() << "no exception, jobs=" << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 5 failed") << "jobs=" << jobs;
+    }
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      if (!plan[i].deps.empty()) {
+        EXPECT_EQ(ran[i].load(), 0) << "dependent " << i << " ran, jobs=" << jobs;
+      }
+      EXPECT_LE(ran[i].load(), 1);
+    }
+  }
 }
 
 TEST(Scheduler, ParallelForCoversTheFullIndexRange) {

@@ -22,12 +22,25 @@ TEST(EndToEnd, BaselineRunsToCompletionOnAllBenchmarks) {
   }
 }
 
+// Observation records arrival times and never perturbs the run: on every
+// benchmark the observe run matches the baseline in timing, event count,
+// cache behaviour, candidate accounting and every merged counter.
 TEST(EndToEnd, ObserveModePreservesBaselineTiming) {
-  for (const char* name : {"md", "swim", "fft"}) {
+  for (const std::string& name : workloads::BenchmarkNames()) {
     arch::ArchConfig cfg;
     Experiment exp(name, Scale::kTest, cfg);
-    EXPECT_EQ(exp.Observe().makespan, exp.Baseline().makespan) << name;
-    EXPECT_GT(exp.Observe().records->TotalInstances(), 0u) << name;
+    const runtime::RunResult& base = exp.Baseline();
+    const runtime::RunResult& obs = exp.Observe();
+    EXPECT_EQ(obs.makespan, base.makespan) << name;
+    EXPECT_EQ(obs.events, base.events) << name;
+    EXPECT_EQ(obs.l1_hits, base.l1_hits) << name;
+    EXPECT_EQ(obs.l1_misses, base.l1_misses) << name;
+    EXPECT_EQ(obs.l2_hits, base.l2_hits) << name;
+    EXPECT_EQ(obs.l2_misses, base.l2_misses) << name;
+    EXPECT_EQ(obs.candidates, base.candidates) << name;
+    EXPECT_EQ(obs.local_l1_skips, base.local_l1_skips) << name;
+    EXPECT_EQ(obs.stats.all(), base.stats.all()) << name;
+    EXPECT_GT(obs.records->TotalInstances(), 0u) << name;
   }
 }
 

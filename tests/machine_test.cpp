@@ -206,6 +206,50 @@ TEST(Machine, LoadProgramIdlesMissingCores) {
   EXPECT_TRUE(m.core(24).trace().empty());
 }
 
+TEST(Machine, LoadProgramBorrowsAnLvalueWithoutCopying) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  std::vector<Trace> traces = {Trace{MakeLoad(kAddrA)}, Trace{MakeLoad(kAddrB)}};
+  m.LoadProgram(traces);
+  EXPECT_EQ(m.core(0).trace().data(), traces[0].data());
+  EXPECT_EQ(m.core(1).trace().data(), traces[1].data());
+  EXPECT_EQ(m.Run().l1_misses, 2u);
+}
+
+TEST(Machine, LoadProgramOwnsAnRvalueBeyondTheCallersVector) {
+  ArchConfig cfg;
+  MachineOptions opts;
+  AlwaysWaitPolicy policy(cfg);
+  opts.policy = &policy;
+  Machine m(cfg, opts);
+  {
+    Trace t{MakeLoad(kAddrA), MakeLoad(kAddrB), MakeCompute(Op::kAdd, 0, 1, true)};
+    std::vector<Trace> traces = Program(6, std::move(t));
+    const Instr* moved = traces[6].data();
+    m.LoadProgram(std::move(traces));
+    EXPECT_EQ(m.core(6).trace().data(), moved);  // moved, not copied
+    traces.clear();
+    traces.shrink_to_fit();
+  }
+  RunResult r = m.Run();
+  EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
+  EXPECT_EQ(r.candidates, 1u);
+  EXPECT_EQ(r.offloads, 1u);
+  EXPECT_EQ(r.ndc_success, 1u);
+}
+
+TEST(Machine, RunStateBytesCountsSlotsAndCandidates) {
+  ArchConfig cfg;
+  Machine m(cfg);
+  Trace t{MakeLoad(kAddrA), MakeLoad(kAddrB), MakeCompute(Op::kAdd, 0, 1, true)};
+  m.LoadProgram(Program(6, std::move(t)));
+  std::size_t loaded = m.RunStateBytes();
+  EXPECT_GT(loaded, 0u);
+  m.Run();
+  // The run created one candidate record: its chunk is now counted too.
+  EXPECT_GE(m.RunStateBytes(), loaded + Machine::CandidateRecordBytes());
+}
+
 TEST(Machine, StoreGeneratesWriteTraffic) {
   ArchConfig cfg;
   Machine m(cfg);
