@@ -5,10 +5,13 @@ Three checks, all fatal:
   - coverage: every subsystem directory under src/ is mentioned in
     DESIGN.md (as `src/<dir>`), so a new subsystem cannot land without
     design documentation;
-  - existence: every `scripts/...` path and every `build/tools/...` /
-    `build/bench/...` binary referenced from a tracked markdown file maps
-    to a real file in the repo (scripts/<name>, tools/<stem>.cpp with
-    `-` spelled `_`, bench/<stem>.cpp);
+  - existence: every `scripts/...` path and every `tools/...` /
+    `bench/...` reference (bare or as a `build*/` binary) in a tracked
+    markdown file maps to a real file in the repo: scripts/<name>, a
+    tracked tools/<stem> or bench/<stem>, or <stem>.cpp there (with `-`
+    spelled `_`). These apply to REFERENCE_DOCS and to every doc below
+    the top level; other top-level docs are logs, plans and paper context
+    that name deleted, future or foreign files by design;
   - links: every relative markdown link target in a tracked *.md file
     resolves to an existing file or directory (http(s), mailto and
     pure-#anchor links are skipped).
@@ -27,14 +30,24 @@ import sys
 # truly has no design surface.
 COVERAGE_EXEMPT = set()
 
+# Top-level docs that describe the current tree. The existence checks
+# apply to these and to every doc below the top level (tool and benchmark
+# notes); the other top-level docs (change log, plans, paper context) name
+# deleted, future or foreign files by design, so only links are checked.
+REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SCRIPT_RE = re.compile(r"\bscripts/([A-Za-z0-9_.-]+)")
-BINARY_RE = re.compile(r"\bbuild[-a-z]*/(tools|bench)/([A-Za-z0-9_-]+)")
+# A `tools/` or `bench/` path, under a `build*/` tree (./build/tools/...)
+# or bare. A bare path nested in another directory (perfbench/..., another
+# repo's bench/...) is not ours and is skipped.
+BINARY_RE = re.compile(
+    r"(?:(?<![\w-])(build[-a-z]*/)|(?<![\w./-]))(tools|bench)/([A-Za-z0-9_.-]+)")
 
 
-def tracked_markdown(root):
+def tracked_files(root, *patterns):
     out = subprocess.run(
-        ["git", "-C", root, "ls-files", "*.md"],
+        ["git", "-C", root, "ls-files", *patterns],
         check=True, capture_output=True, text=True,
     ).stdout
     return [line for line in out.splitlines() if line]
@@ -56,7 +69,7 @@ def check_coverage(root, findings):
             )
 
 
-def check_file(root, md, findings):
+def check_file(root, md, tracked, findings):
     text = open(os.path.join(root, md), encoding="utf-8").read()
     md_dir = os.path.dirname(os.path.join(root, md))
 
@@ -70,19 +83,20 @@ def check_file(root, md, findings):
         if not os.path.exists(resolved):
             findings.append(f"{md}: dead relative link -> {target}")
 
+    if "/" not in md and md not in REFERENCE_DOCS:
+        return
+
     for name in SCRIPT_RE.findall(text):
         if not os.path.exists(os.path.join(root, "scripts", name)):
             findings.append(f"{md}: references missing scripts/{name}")
 
-    for kind, stem in BINARY_RE.findall(text):
-        srcdir = "tools" if kind == "tools" else "bench"
-        candidates = [stem + ".cpp", stem.replace("-", "_") + ".cpp"]
-        if not any(
-            os.path.exists(os.path.join(root, srcdir, c)) for c in candidates
-        ):
+    for build, srcdir, stem in BINARY_RE.findall(text):
+        stem = stem.rstrip(".")
+        candidates = [stem, stem + ".cpp", stem.replace("-", "_") + ".cpp"]
+        if not any(f"{srcdir}/{c}" in tracked for c in candidates):
             findings.append(
-                f"{md}: references build/{kind}/{stem} but no "
-                f"{srcdir}/{candidates[-1]} exists"
+                f"{md}: references {build}{srcdir}/{stem} but no tracked "
+                f"{srcdir}/ file matches it"
             )
 
 
@@ -98,9 +112,10 @@ def main(argv):
 
     findings = []
     check_coverage(root, findings)
-    docs = tracked_markdown(root)
+    docs = tracked_files(root, "*.md")
+    tracked = set(tracked_files(root, "tools", "bench"))
     for md in docs:
-        check_file(root, md, findings)
+        check_file(root, md, tracked, findings)
 
     if findings:
         for f in findings:

@@ -1,20 +1,17 @@
 #!/usr/bin/env bash
-# Bit-identity gate for the simulation substrate: every figure/table binary
-# must print byte-for-byte the stdout recorded in tests/goldens/ (captured
-# from the pre-calendar-queue seed tree at --scale=test). Any diff means a
-# substrate change altered simulated behaviour, not just its speed.
+# Bit-identity gate for the simulation substrate: every figure and table
+# (ndc-sweep --figure=NAME) must print byte-for-byte the stdout recorded in
+# tests/goldens/ (captured from the pre-calendar-queue seed tree at
+# --scale=test). Any diff means a substrate change altered simulated
+# behaviour, not just its speed.
 #
 # Usage: check_figure_goldens.sh NDC_SWEEP [GOLDEN_DIR] [JOBS]
-# Env:   NDC_SWEEP_EXTRA_ARGS — extra flags appended to every ndc-sweep
-#        invocation (e.g. "--classify"); the goldens must still match, which
-#        is exactly how CI proves classification never touches stdout.
 # Exit:  0 all identical, 1 at least one diff, 2 usage errors.
 set -u
 
 NDC_SWEEP="${1:?usage: check_figure_goldens.sh NDC_SWEEP [GOLDEN_DIR] [JOBS]}"
 GOLDEN_DIR="${2:-$(dirname "$0")/../tests/goldens}"
 JOBS="${3:-$(nproc)}"
-EXTRA_ARGS="${NDC_SWEEP_EXTRA_ARGS:-}"
 
 [ -x "$NDC_SWEEP" ] || { echo "check_figure_goldens: $NDC_SWEEP not executable" >&2; exit 2; }
 [ -d "$GOLDEN_DIR" ] || { echo "check_figure_goldens: $GOLDEN_DIR not a directory" >&2; exit 2; }
@@ -33,10 +30,8 @@ for f in $FIGURES; do
     continue
   fi
   # --jobs only parallelizes within a figure; cell order (and thus stdout)
-  # is spec-order regardless of worker count. $EXTRA_ARGS is word-split on
-  # purpose (it carries whole flags).
-  # shellcheck disable=SC2086
-  if ! "$NDC_SWEEP" --figure="$f" --scale=test --jobs="$JOBS" --no-cache $EXTRA_ARGS \
+  # is spec-order regardless of worker count.
+  if ! "$NDC_SWEEP" --figure="$f" --scale=test --jobs="$JOBS" --no-cache \
       > "$tmp/$f.stdout" 2>/dev/null; then
     echo "FAIL  $f: ndc-sweep exited non-zero" >&2
     fail=1

@@ -5,14 +5,8 @@
 # minimum of N timed runs per binary to suppress scheduler noise.
 #
 # The runtime-off path includes every hot-path branch observability has
-# grown — request tracing, the NDC decision log, the phase-window
-# sampler's disabled check, and the gated core stall breakdown — so the
-# budget re-proves itself as instrumentation accrues. A second, purely
-# informational measurement times the same sweep with --classify (sampler
-# enabled at the default window) so CI logs always show what turning the
-# taxonomy on actually costs; that number is reported, not gated. Expect
-# roughly 2x there: --classify re-simulates every cell with the bundle
-# attached, exactly like --export-obs, to keep stdout golden-identical.
+# grown — request tracing, the NDC decision log and the metrics registry —
+# so the budget re-proves itself as instrumentation accrues.
 #
 # Usage: check_obs_overhead.sh SWEEP_ON SWEEP_OFF [RUNS] [THRESHOLD_PCT]
 # Exit:  0 within budget, 1 over budget, 2 usage/build errors.
@@ -27,13 +21,12 @@ THRESHOLD_PCT="${4:-2}"
 [ -x "$SWEEP_OFF" ] || { echo "check_obs_overhead: $SWEEP_OFF not executable" >&2; exit 2; }
 
 # Min-of-N wall-clock (ms) for one binary, cache disabled so every run
-# simulates the full grid. Extra flags (e.g. --classify) ride in "$2...".
+# simulates the full grid.
 min_ms() {
   local bin="$1" best= i t0 t1 ms
-  shift
   for i in $(seq 1 "$RUNS"); do
     t0=$(date +%s%N)
-    "$bin" --figure=smoke --scale=test --jobs=1 --no-cache "$@" >/dev/null 2>&1 || {
+    "$bin" --figure=smoke --scale=test --jobs=1 --no-cache >/dev/null 2>&1 || {
       echo "check_obs_overhead: $bin failed" >&2; exit 2; }
     t1=$(date +%s%N)
     ms=$(( (t1 - t0) / 1000000 ))
@@ -44,7 +37,6 @@ min_ms() {
 
 on_ms=$(min_ms "$SWEEP_ON") || exit 2
 off_ms=$(min_ms "$SWEEP_OFF") || exit 2
-classify_ms=$(min_ms "$SWEEP_ON" --classify) || exit 2
 
 if [ "$off_ms" -eq 0 ]; then
   echo "check_obs_overhead: off-build run too fast to measure; passing" >&2
@@ -53,11 +45,8 @@ fi
 
 # Integer percent overhead, rounded up so a borderline regression fails.
 overhead_pct=$(( (on_ms - off_ms) * 100 / off_ms ))
-classify_pct=$(( (classify_ms - off_ms) * 100 / off_ms ))
 echo "check_obs_overhead: obs-on(runtime-off)=${on_ms}ms obs-off-build=${off_ms}ms" \
      "overhead=${overhead_pct}% (budget ${THRESHOLD_PCT}%, min of ${RUNS} runs)"
-echo "check_obs_overhead: info: obs-on(--classify)=${classify_ms}ms" \
-     "(${classify_pct}% vs obs-off; sampler + classification enabled, not gated)"
 
 if [ "$overhead_pct" -gt "$THRESHOLD_PCT" ]; then
   echo "check_obs_overhead: FAIL: overhead exceeds ${THRESHOLD_PCT}% budget" >&2

@@ -20,15 +20,11 @@ void Core::SetTrace(std::span<const Instr> trace) {
   issued_this_cycle_ = 0;
   finish_cycle_ = 0;
   retry_scheduled_ = false;
-  if (stall_tracking_) dispatch_cycle_.assign(trace_.size(), sim::kNeverCycle);
-  stall_mem_ = 0;
-  busy_compute_ = 0;
 }
 
 std::size_t Core::RunStateBytes() const {
   return done_.capacity() * sizeof(sim::Cycle) + (external_.capacity() + 7) / 8 +
-         waiters_.capacity() * sizeof(WaitLinks) +
-         dispatch_cycle_.capacity() * sizeof(sim::Cycle);
+         waiters_.capacity() * sizeof(WaitLinks);
 }
 
 void Core::Start() {
@@ -42,20 +38,6 @@ void Core::Complete(std::uint32_t idx, sim::Cycle when) {
   if (done_[idx] != sim::kNeverCycle) return;  // idempotent (squash + fallback races)
   done_[idx] = when;
   ++completed_;
-  if (stall_tracking_ && idx < dispatch_cycle_.size() &&
-      dispatch_cycle_[idx] != sim::kNeverCycle) {
-    sim::Cycle d = dispatch_cycle_[idx];
-    std::uint64_t exposure = when > d ? when - d : 0;
-    switch (trace_[idx].kind()) {
-      case Instr::Kind::kLoad: stall_mem_ += exposure; break;
-      case Instr::Kind::kCompute:
-        // Off-core (external) computes are the NDC engine's busy time, not
-        // the host ALU's; they are attributed via ndc.success instead.
-        if (!external_[idx]) busy_compute_ += cfg_->compute_latency;
-        break;
-      default: break;
-    }
-  }
   if (trace_[idx].kind() == Instr::Kind::kLoad) --outstanding_loads_;
   finish_cycle_ = std::max(finish_cycle_, when);
   // Wake dependents that were dispatched while waiting on this slot, in the
@@ -166,7 +148,6 @@ void Core::TryDispatch() {
 
 void Core::DispatchSlot(std::uint32_t idx) {
   const Instr& in = trace_[idx];
-  if (stall_tracking_ && idx < dispatch_cycle_.size()) dispatch_cycle_[idx] = eq_->now();
   issued_ctr_.Add();
   sim::Cycle ready;
   switch (in.kind()) {

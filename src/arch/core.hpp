@@ -50,18 +50,6 @@ class Core {
   sim::Cycle done_cycle(std::uint32_t idx) const { return done_[idx]; }
   bool issued(std::uint32_t idx) const { return idx < next_; }
 
-  /// Enables the per-kind stall breakdown (dispatch-to-completion cycles,
-  /// attributed mem/compute). Off by default: untracked runs record
-  /// nothing, and the breakdown never reaches the merged StatSet unless the
-  /// machine explicitly sums it — golden key sets stay frozen.
-  void set_stall_tracking(bool on) { stall_tracking_ = on; }
-  bool stall_tracking() const { return stall_tracking_; }
-
-  /// Dispatch-to-completion cycles of loads (memory stall exposure).
-  std::uint64_t stall_mem_cycles() const { return stall_mem_; }
-  /// ALU-busy cycles of on-core computes (compute_latency each).
-  std::uint64_t busy_compute_cycles() const { return busy_compute_; }
-
   /// Bytes held in per-slot execution state (element size times element
   /// count of each per-slot container; the borrowed trace is not counted).
   std::size_t RunStateBytes() const;
@@ -112,10 +100,6 @@ class Core {
   sim::Cycle finish_cycle_ = 0;
   bool retry_scheduled_ = false;
   sim::Cycle retry_cycle_ = 0;
-  bool stall_tracking_ = false;
-  std::vector<sim::Cycle> dispatch_cycle_;  ///< only filled when tracking
-  std::uint64_t stall_mem_ = 0;
-  std::uint64_t busy_compute_ = 0;
   sim::RawCounter issued_ctr_, loads_ctr_, stores_ctr_, computes_ctr_, precomputes_ctr_;
   sim::StatSet stats_;
 };

@@ -3,8 +3,8 @@
 // Persistent on-disk result cache: one JSONL file (results.jsonl) under a
 // cache directory, one line per measured cell, keyed by the cell's content
 // hash (workload + scheme + scale + full ArchConfig + kCacheVersion). A
-// second bench binary — or a re-run — that needs an already-measured cell
-// reads it back instead of re-invoking the simulator.
+// second figure — or a re-run — that needs an already-measured cell reads
+// it back instead of re-invoking the simulator.
 //
 // Invalidation: the key bakes in kCacheVersion (src/harness/cell.hpp); bump
 // it when simulator semantics change, or simply delete the cache directory.

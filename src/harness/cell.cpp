@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "compiler/pipeline.hpp"
-#include "noc/geometry.hpp"
 #include "obs/obs.hpp"
 
 namespace ndc::harness {
@@ -287,100 +286,7 @@ CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profi
   return out;
 }
 
-obs::UtilizationSignals ComputeRunSignals(const sim::StatSet& stats,
-                                          std::uint64_t makespan,
-                                          const arch::ArchConfig& cfg,
-                                          const obs::Registry* reg) {
-  obs::MachineShape shape;
-  shape.num_cores = static_cast<std::uint64_t>(cfg.num_nodes());
-  shape.num_mcs = static_cast<std::uint64_t>(cfg.num_mcs);
-  // Directed in-mesh links only; the Mesh's 4-per-node slot table pads the
-  // boundary with links no route can use, which would deflate utilization.
-  std::uint64_t w = static_cast<std::uint64_t>(cfg.mesh_width);
-  std::uint64_t h = static_cast<std::uint64_t>(cfg.mesh_height);
-  shape.num_links = 2 * (w * (h - 1) + h * (w - 1));
-  shape.dram_data_beat = cfg.dram.data_beat;
-  shape.compute_latency = cfg.compute_latency;
-  obs::UtilizationSignals sig = obs::ComputeSignals(stats, makespan, shape);
-  if (reg != nullptr) {
-    std::uint64_t max_busy = 0;
-    static constexpr const char kSuffix[] = "/busy_cycles";
-    constexpr std::size_t kSuffixLen = sizeof(kSuffix) - 1;
-    for (const auto& [path, value] : reg->ScalarSnapshot()) {
-      if (path.rfind("noc.link.", 0) == 0 && path.size() > kSuffixLen &&
-          path.compare(path.size() - kSuffixLen, kSuffixLen, kSuffix) == 0) {
-        if (value > max_busy) max_busy = value;
-      }
-    }
-    obs::RefineMaxLinkBusy(sig, max_busy);
-  }
-  return sig;
-}
-
-json::Value ClassificationJson(const obs::UtilizationSignals& sig,
-                               const obs::WindowSampler& sampler) {
-  json::Value c = json::Value::Object();
-  c.obj["label"] = json::Value::Str(obs::LabelName(obs::Classify(sig)));
-
-  json::Value raw = json::Value::Object();
-  auto ri = [&](const char* k, std::uint64_t x) { raw.obj[k] = json::Value::Int(x); };
-  ri("makespan", sig.makespan);
-  ri("mc_reads", sig.mc_reads);
-  ri("mc_writes", sig.mc_writes);
-  ri("mc_queue_wait_cycles", sig.mc_queue_wait_cycles);
-  ri("mc_row_hits", sig.mc_row_hits);
-  ri("mc_row_misses", sig.mc_row_misses);
-  ri("noc_link_busy_cycles", sig.noc_link_busy_cycles);
-  ri("noc_contention_cycles", sig.noc_contention_cycles);
-  ri("ndc_success", sig.ndc_success);
-  ri("core_stall_mem", sig.core_stall_mem);
-  ri("core_busy_compute", sig.core_busy_compute);
-  ri("num_cores", sig.shape.num_cores);
-  ri("num_mcs", sig.shape.num_mcs);
-  ri("num_links", sig.shape.num_links);
-  ri("dram_data_beat", sig.shape.dram_data_beat);
-  ri("compute_latency", sig.shape.compute_latency);
-  c.obj["raw"] = std::move(raw);
-
-  json::Value der = json::Value::Object();
-  auto rd = [&](const char* k, double x) {
-    der.obj[k] = json::Value::Str(obs::FormatFrac(x));
-  };
-  rd("dram_bw_frac", sig.dram_bw_frac);
-  rd("mc_queue_occ", sig.mc_queue_occ);
-  rd("avg_queue_wait", sig.avg_queue_wait);
-  rd("row_miss_ratio", sig.row_miss_ratio);
-  rd("noc_util", sig.noc_util);
-  rd("noc_max_link_util", sig.noc_max_link_util);
-  rd("ndc_busy_frac", sig.ndc_busy_frac);
-  rd("compute_frac", sig.compute_frac);
-  rd("mem_stall_frac", sig.mem_stall_frac);
-  c.obj["derived"] = std::move(der);
-
-  obs::ClassifierThresholds t;
-  json::Value th = json::Value::Object();
-  th.obj["dram_bw"] = json::Value::Str(obs::FormatFrac(t.dram_bw));
-  th.obj["dram_queue_wait"] = json::Value::Str(obs::FormatFrac(t.dram_queue_wait));
-  th.obj["noc"] = json::Value::Str(obs::FormatFrac(t.noc));
-  th.obj["compute"] = json::Value::Str(obs::FormatFrac(t.compute));
-  c.obj["thresholds"] = std::move(th);
-
-  c.obj["window_cycles"] = json::Value::Int(sampler.window_cycles());
-  json::Value wins = json::Value::Array();
-  for (std::size_t w = 0; w < sampler.num_windows(); ++w) {
-    json::Value e = json::Value::Object();
-    for (int s = 0; s < obs::kNumSignals; ++s) {
-      auto sg = static_cast<obs::Signal>(s);
-      e.obj[obs::SignalName(sg)] = json::Value::Int(sampler.At(sg, w));
-    }
-    wins.arr.push_back(std::move(e));
-  }
-  c.obj["windows"] = std::move(wins);
-  return c;
-}
-
-json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
-                              std::uint64_t classify_window) {
+json::Value RunCellObsSummary(const CellSpec& spec) {
   json::Value v = json::Value::Object();
   v.obj["workload"] = json::Value::Str(spec.workload);
   v.obj["scheme"] = json::Value::Str(spec.SchemeLabel());
@@ -389,9 +295,7 @@ json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
   if constexpr (!obs::kObsEnabled) return v;
 
   obs::ObsOptions oo;
-  oo.sample_period = sample_period;
   oo.emit_stage_events = false;  // aggregate summary only; no timeline
-  oo.window_cycles = classify_window;
   obs::Observability ob(oo);
   metrics::Experiment exp(MakeProfile(spec));
   exp.set_obs(&ob);
@@ -430,12 +334,6 @@ json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
     outcomes.obj[obs::OutcomeName(o)] = json::Value::Int(ob.decisions.outcome_count(o));
   }
   v.obj["outcomes"] = std::move(outcomes);
-
-  if (classify_window > 0) {
-    obs::UtilizationSignals sig =
-        ComputeRunSignals(r.run.stats, r.run.makespan, spec.cfg, &ob.registry);
-    v.obj["classification"] = ClassificationJson(sig, ob.sampler);
-  }
   return v;
 }
 

@@ -18,17 +18,9 @@
 #include "fault/conservation.hpp"
 #include "harness/json.hpp"
 #include "metrics/experiment.hpp"
-#include "obs/bottleneck.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::harness {
-
-/// Phase-window width (cycles) used by --classify when none is given:
-/// coarse enough that test-scale runs still land several windows, fine
-/// enough that full-scale phase changes stay visible.
-inline constexpr std::uint64_t kDefaultClassifyWindow = 4096;
 
 /// Folded into every cache key. Bump whenever simulator, compiler, or
 /// workload-generator semantics change in a way that alters measured
@@ -138,32 +130,7 @@ CellResult RunCell(const CellSpec& spec);
 /// JSON summary: per-stage latency aggregates, request counts, and the NDC
 /// decision/outcome tallies. Used by `ndc-sweep --export-obs`. With
 /// NDC_OBS=OFF the summary only records that observation is compiled out.
-///
-/// `classify_window` > 0 additionally enables the phase-window sampler at
-/// that width and appends a "classification" object: bottleneck label, the
-/// full raw + derived signal vector, the thresholds classified under, and
-/// the per-window signal series. 0 (the default) leaves the sampler off and
-/// the summary byte-identical to pre-classification output.
-json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period = 1,
-                              std::uint64_t classify_window = 0);
-
-/// Derives the utilization-signal vector of a finished run: fills an
-/// obs::MachineShape from `cfg` (normalizing by the directed in-mesh link
-/// count, not the edge-padded slot count), reads the touched-only counters
-/// out of `stats`, and — when `reg` is non-null — refines the hottest-link
-/// utilization from the registry's per-link "noc.link.<i>/busy_cycles"
-/// counters.
-obs::UtilizationSignals ComputeRunSignals(const sim::StatSet& stats,
-                                          std::uint64_t makespan,
-                                          const arch::ArchConfig& cfg,
-                                          const obs::Registry* reg);
-
-/// Renders the classification report shared by every surface that publishes
-/// a label (--export-obs cells, ndc-classify): label + thresholds + raw and
-/// derived signals + the sampler's per-window series. Byte-stable: derived
-/// fractions are fixed-precision strings, never free-form doubles.
-json::Value ClassificationJson(const obs::UtilizationSignals& sig,
-                               const obs::WindowSampler& sampler);
+json::Value RunCellObsSummary(const CellSpec& spec);
 
 /// FNV-1a 64-bit (stable across platforms/runs; used for cache keys).
 std::uint64_t Fnv1a(const std::string& s);

@@ -521,56 +521,29 @@ const FigureEntry kFigures[] = {
      &RenderSmoke, nullptr},
 };
 
-/// `--export-obs` / `--classify`: re-runs every grid cell with an
-/// observation bundle and writes one stage-latency/decision summary JSON per
-/// cell (when `dir` is non-empty) and/or one classification JSONL line per
-/// cell to stderr (when `classify_window` > 0). Deliberately outside the
-/// cached sweep — traced runs must never populate (or read) the scalar
-/// result cache. One re-simulation per cell serves both surfaces.
-void ExportObsSummaries(const SweepSpec& spec, const std::string& dir,
-                        std::uint64_t classify_window, int jobs) {
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "ndc-harness: cannot create %s: %s\n", dir.c_str(),
-                   ec.message().c_str());
-      return;
-    }
+/// `--export-obs`: re-runs every grid cell with an observation bundle and
+/// writes one stage-latency/decision summary JSON per cell into `dir`.
+/// Deliberately outside the cached sweep — traced runs must never populate
+/// (or read) the scalar result cache.
+void ExportObsSummaries(const SweepSpec& spec, const std::string& dir, int jobs) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "ndc-harness: cannot create %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+    return;
   }
   // Re-simulate cells in parallel (each is self-contained, same contract as
-  // the cached sweep), but buffer every cell's rendered output and emit it
-  // serially in cell order afterwards: the classification JSONL stream and
-  // the summary files are byte-identical for any --jobs value.
+  // the cached sweep), but buffer every cell's summary and write the files
+  // serially in cell order afterwards: they are byte-identical for any
+  // --jobs value.
   const std::size_t n = spec.cells.size();
   std::vector<std::string> summaries(n);
-  std::vector<std::string> lines(n);
   ParallelFor(jobs, n, [&](std::size_t i) {
-    const CellSpec& c = spec.cells[i];
-    json::Value v = RunCellObsSummary(c, 1, classify_window);
-    if (classify_window > 0) {
-      // Compact stderr line: label + derived fractions only (the window
-      // series lives in the --export-obs files); stdout stays golden.
-      json::Value line = json::Value::Object();
-      line.obj["figure"] = json::Value::Str(spec.figure);
-      line.obj["workload"] = json::Value::Str(c.workload);
-      line.obj["scheme"] = json::Value::Str(c.SchemeLabel());
-      if (!c.variant.empty()) line.obj["variant"] = json::Value::Str(c.variant);
-      const json::Value* cl = v.Find("classification");
-      if (cl != nullptr) {
-        if (const json::Value* label = cl->Find("label")) line.obj["label"] = *label;
-        if (const json::Value* der = cl->Find("derived")) line.obj["signals"] = *der;
-      } else {
-        line.obj["obs_enabled"] = json::Value::Bool(obs::kObsEnabled);
-      }
-      lines[i] = json::Dump(line);
-    }
-    if (!dir.empty()) summaries[i] = json::Dump(v);
+    summaries[i] = json::Dump(RunCellObsSummary(spec.cells[i]));
   });
   for (std::size_t i = 0; i < n; ++i) {
     const CellSpec& c = spec.cells[i];
-    if (classify_window > 0) std::fprintf(stderr, "%s\n", lines[i].c_str());
-    if (dir.empty()) continue;
     char idx[24];  // wide enough for any 64-bit index, silencing -Wformat-truncation
     std::snprintf(idx, sizeof(idx), "%03zu", i);
     std::string path = dir + "/" + spec.figure + "_" + idx + "_" + c.workload + "_" +
@@ -634,9 +607,7 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
         std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_csv.c_str());
         rc = 2;
       }
-      if (!opt.export_obs.empty() || opt.classify_window > 0) {
-        ExportObsSummaries(spec, opt.export_obs, opt.classify_window, opt.jobs);
-      }
+      if (!opt.export_obs.empty()) ExportObsSummaries(spec, opt.export_obs, opt.jobs);
       s = res.summary;
     } else {
       s = e.record(opt);

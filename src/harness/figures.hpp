@@ -1,11 +1,10 @@
 #pragma once
 
-// The figure registry: every paper figure/table grid the bench binaries
-// regenerate, expressed as a declarative SweepSpec builder plus a stdout
-// renderer. RunFigure() is the single entry point shared by the bench
-// binaries and the ndc-sweep tool — it sweeps the grid (parallel, cached)
-// and renders a table bit-compatible with the pre-harness binaries at
-// default settings.
+// The figure registry: every paper figure/table grid, expressed as a
+// declarative SweepSpec builder plus a stdout renderer. RunFigure() is the
+// single entry point, behind `ndc-sweep --figure=NAME` — it sweeps the
+// grid (parallel, cached) and renders a table bit-compatible with the
+// pre-harness figure binaries at default settings.
 //
 // Two figure flavors:
 //  - grid figures (fig04, fig06, fig13..fig17, abl, diag_congestion,
@@ -35,14 +34,6 @@ struct FigureOptions {
   /// are re-simulated with tracing attached (never cached) and one JSON file
   /// per cell is written: <figure>_<idx>_<workload>_<scheme>.json.
   std::string export_obs;
-  /// Phase-window width for bottleneck classification (0 = off). When set,
-  /// grid cells are re-simulated with the sampler attached — outside the
-  /// result cache, same contract as export_obs — and one classification
-  /// JSONL line per cell (label + derived signal vector) goes to stderr;
-  /// stdout tables stay byte-identical to unclassified runs. With
-  /// export_obs also set, the per-cell summary files carry the full
-  /// "classification" object (one re-simulation serves both).
-  std::uint64_t classify_window = 0;
 };
 
 struct FigureInfo {

@@ -121,10 +121,6 @@ void MemCtrl::IssueTo(int bank_idx, Request req) {
     if (m_queue_wait_total_ != nullptr) {
       m_queue_wait_total_->Add(eq_->now() - req.enqueued_at);
     }
-    if (sampler_ != nullptr) {
-      sampler_->Note(obs::Signal::kDramAccess, eq_->now(), 1);
-      sampler_->Note(obs::Signal::kMcQueueWait, eq_->now(), eq_->now() - req.enqueued_at);
-    }
     if (tracer_ != nullptr && req.obs_token != 0) {
       tracer_->Stamp(req.obs_token, obs::Stage::kMcIssue, eq_->now());
       tracer_->NoteRowHit(req.obs_token, row_hit);

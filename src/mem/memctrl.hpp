@@ -9,7 +9,6 @@
 #include "mem/dram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
-#include "obs/sampler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -96,10 +95,6 @@ class MemCtrl {
   /// Traced reads stamp FR-FCFS issue and DRAM-ready on `tracer` (may be null).
   void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
 
-  /// Phase-window sampler for access/queue-wait deltas (may be null).
-  /// Passive: a disabled or absent sampler leaves scheduling untouched.
-  void set_sampler(obs::WindowSampler* sampler) { sampler_ = sampler; }
-
   /// Registers this controller's counters ("mc.<id>/reads", ...), its
   /// queue-wait histogram, and the queue-wait running total under `reg`;
   /// handles are pre-resolved.
@@ -153,7 +148,6 @@ class MemCtrl {
   QueueHook on_enqueue_;
   QueueHook on_ready_;
   obs::RequestTracer* tracer_ = nullptr;
-  obs::WindowSampler* sampler_ = nullptr;
   obs::Counter* m_reads_ = nullptr;
   obs::Counter* m_row_hits_ = nullptr;
   obs::Histogram* m_queue_wait_ = nullptr;

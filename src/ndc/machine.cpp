@@ -70,15 +70,6 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
       m->set_request_tracer(&opts_.obs->tracer);
       m->RegisterMetrics(opts_.obs->registry);
     }
-    if (opts_.obs->sampler.enabled()) {
-      // Phase-windowed signal collection (classification runs only): the
-      // sampler is passive and the stall breakdown is gated here, so runs
-      // without windows keep their StatSet key set bit-identical.
-      obs::WindowSampler* smp = &opts_.obs->sampler;
-      net_->set_sampler(smp);
-      for (auto& m : mcs_) m->set_sampler(smp);
-      for (auto& c : cores_) c->set_stall_tracking(true);
-    }
   }
 }
 
@@ -166,18 +157,6 @@ RunResult Machine::Run(sim::Cycle limit) {
     r.records = records_;
   }
   if (ObsOn()) {
-    if (opts_.obs->sampler.enabled()) {
-      // Core stall breakdown reaches the merged StatSet only on
-      // classification runs — the keys are gated with the sampler, so the
-      // default-run golden key set never changes.
-      std::uint64_t stall_mem = 0, busy_compute = 0;
-      for (auto& c : cores_) {
-        stall_mem += c->stall_mem_cycles();
-        busy_compute += c->busy_compute_cycles();
-      }
-      r.stats.Add("core.stall.mem", stall_mem);
-      r.stats.Add("core.busy.compute", busy_compute);
-    }
     opts_.obs->EndRun(eq_.now());
     MirrorRegistry(r);
   }
@@ -716,9 +695,6 @@ void Machine::MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node) {
     opts_.obs->sink.Instant("ndc.meet", now, inst.core, inst.uid, "loc",
                             static_cast<std::uint64_t>(loc));
     ResolveDecision(inst, obs::Outcome::kNdcSuccess, static_cast<std::int8_t>(loc));
-    // NDC engine busy time: one op's worth per successful meeting, noted at
-    // the meet cycle (sums to ndc.success * compute_latency).
-    opts_.obs->sampler.Note(obs::Signal::kNdcBusy, now, cfg_.compute_latency);
   }
   // Both operand loads are consumed by the near-data computation.
   auto c = static_cast<std::size_t>(inst.core);

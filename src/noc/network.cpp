@@ -114,9 +114,6 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
       link_traversals_[static_cast<std::size_t>(link)]->Add();
       link_busy_[static_cast<std::size_t>(link)]->Add(ser);
     }
-    if (sampler_ != nullptr) {
-      sampler_->Note(obs::Signal::kNocBusy, depart, ser);
-    }
   }
   p.hop++;
   eq_.ScheduleAt(arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });

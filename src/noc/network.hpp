@@ -9,7 +9,6 @@
 #include "noc/routing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
-#include "obs/sampler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 
@@ -99,10 +98,6 @@ class Network {
   /// Traced packets report each link traversal to `tracer` (may be null).
   void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
 
-  /// Phase-window sampler for link-busy deltas (may be null). Passive: a
-  /// disabled or absent sampler leaves traversal timing untouched.
-  void set_sampler(obs::WindowSampler* sampler) { sampler_ = sampler; }
-
   /// Registers per-link traversal and busy-cycle counters
   /// ("noc.link.<id>/traversals", "noc.link.<id>/busy_cycles") and
   /// network-wide counters under `reg`. Handles are resolved once here; the
@@ -166,7 +161,6 @@ class Network {
   HopHook hop_hook_;
   DeliverHook deliver_hook_;
   obs::RequestTracer* tracer_ = nullptr;
-  obs::WindowSampler* sampler_ = nullptr;
   std::vector<obs::Counter*> link_traversals_;  ///< per-link registry handles
   std::vector<obs::Counter*> link_busy_;        ///< per-link busy-cycle handles
   std::vector<sim::Cycle> link_busy_until_;

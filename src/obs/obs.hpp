@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/request_trace.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace ndc::obs {
@@ -26,9 +25,6 @@ struct ObsOptions {
   std::size_t max_requests = 1u << 20;
   bool emit_stage_events = true;
   bool emit_hop_events = false;
-  /// Phase-window width for the signal sampler; 0 (default) leaves the
-  /// sampler off, so obs-attached runs without it stay byte-identical.
-  std::uint64_t window_cycles = 0;
 };
 
 /// Per-machine observation bundle. Construction wires the tracer to the
@@ -40,9 +36,7 @@ class Observability {
       : options(opt),
         sink(opt.max_trace_events),
         tracer(&sink, {opt.sample_period, opt.max_requests, opt.emit_stage_events,
-                       opt.emit_hop_events}) {
-    sampler.Configure(opt.window_cycles);
-  }
+                       opt.emit_hop_events}) {}
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
@@ -58,7 +52,6 @@ class Observability {
   RequestTracer tracer;
   DecisionLog decisions;
   Registry registry;
-  WindowSampler sampler;
 };
 
 }  // namespace ndc::obs

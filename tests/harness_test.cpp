@@ -595,16 +595,14 @@ std::map<std::string, std::string> SlurpDir(const std::string& dir) {
   return out;
 }
 
-// --classify/--export-obs under --jobs=N: cells re-simulate in parallel but
-// their classification JSONL stream (stderr) and per-cell summary files are
-// buffered and emitted in canonical cell order — byte-identical for any job
-// count, run after run.
-TEST(Figures, ClassifyExportIsByteStableAcrossJobs) {
+// --export-obs under --jobs=N: cells re-simulate in parallel but their
+// per-cell summary files are buffered and written in canonical cell order —
+// byte-identical for any job count, run after run.
+TEST(Figures, ExportObsIsByteStableAcrossJobs) {
   FigureOptions opt;
   opt.scale = workloads::Scale::kTest;
   opt.only = "md";
   opt.use_cache = false;
-  opt.classify_window = kDefaultClassifyWindow;
 
   auto run = [&](int jobs, const char* tag) {
     std::string dir = UniqueCacheDir(tag);
@@ -612,24 +610,20 @@ TEST(Figures, ClassifyExportIsByteStableAcrossJobs) {
     opt.jobs = jobs;
     opt.export_obs = dir;
     testing::internal::CaptureStdout();
-    testing::internal::CaptureStderr();
     int rc = RunFigure("fig04", opt);
     std::string out = testing::internal::GetCapturedStdout();
-    std::string err = testing::internal::GetCapturedStderr();
     EXPECT_EQ(rc, 0);
-    return std::make_tuple(out, err, SlurpDir(dir));
+    return std::make_tuple(out, SlurpDir(dir));
   };
 
-  auto [out1, err1, files1] = run(1, "obs-j1");
-  auto [out8a, err8a, files8a] = run(8, "obs-j8a");
-  auto [out8b, err8b, files8b] = run(8, "obs-j8b");
+  auto [out1, files1] = run(1, "obs-j1");
+  auto [out8a, files8a] = run(8, "obs-j8a");
+  auto [out8b, files8b] = run(8, "obs-j8b");
 
-  EXPECT_FALSE(err1.empty());
   EXPECT_FALSE(files1.empty());
   EXPECT_EQ(out1, out8a);
-  EXPECT_EQ(err1, err8a) << "classification stream must not depend on --jobs";
   EXPECT_EQ(files1, files8a) << "obs summaries must not depend on --jobs";
-  EXPECT_EQ(err8a, err8b) << "double run at --jobs=8 must be byte-identical";
+  EXPECT_EQ(out8a, out8b) << "double run at --jobs=8 must be byte-identical";
   EXPECT_EQ(files8a, files8b);
 }
 

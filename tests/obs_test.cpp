@@ -234,6 +234,71 @@ TEST(PhaseProfiler, SnapshotDeltaReportsOnlyActivePhases) {
   EXPECT_EQ(delta.at("simulate"), 7u);
 }
 
+// ------------------------------------------- unit: histogram percentiles ---
+
+TEST(HistogramPercentile, EmptyHistogramReportsZero) {
+  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
+  EXPECT_EQ(h.Percentile(50), 0u);
+  EXPECT_EQ(h.Percentile(100), 0u);
+}
+
+TEST(HistogramPercentile, SingleBucketAnswersThatBucketEdge) {
+  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
+  h.Add(5);
+  h.Add(7);
+  h.Add(3);  // all in the (1, 10] bucket
+  EXPECT_EQ(h.Percentile(1), 10u);
+  EXPECT_EQ(h.Percentile(50), 10u);
+  EXPECT_EQ(h.Percentile(100), 10u);
+}
+
+TEST(HistogramPercentile, OverflowBucketReportsAboveLastEdge) {
+  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
+  h.Add(5);
+  h.Add(1000);  // above every edge
+  EXPECT_EQ(h.Percentile(50), 10u);   // first sample covers half
+  EXPECT_EQ(h.Percentile(100), 501u);  // the "500+" marker
+}
+
+TEST(HistogramPercentile, OutOfRangePercentilesClamp) {
+  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
+  h.Add(5);
+  EXPECT_EQ(h.Percentile(-5), h.Percentile(0));
+  EXPECT_EQ(h.Percentile(150), h.Percentile(100));
+}
+
+TEST(HistogramPercentile, MergeFromAddsMatchingBuckets) {
+  ndc::obs::Histogram a({1, 10, 20, 50, 100, 500});
+  ndc::obs::Histogram b({1, 10, 20, 50, 100, 500});
+  a.Add(5);
+  b.Add(1000);
+  a.MergeFrom(b);
+  EXPECT_EQ(a.hist().total(), 2u);
+  EXPECT_EQ(a.Percentile(50), 10u);
+  EXPECT_EQ(a.Percentile(100), 501u);
+}
+
+// -------------------------------------------- unit: decision-log priors ---
+
+TEST(DecisionLogPrior, ZeroPriorOmittedNonzeroEmitted) {
+  ndc::obs::DecisionLog log;
+  log.Record(1, 0, 0, ndc::obs::DecisionKind::kLocalL1Skip, -1, 10);      // default 0
+  log.Record(2, 0, 1, ndc::obs::DecisionKind::kOffload, 2, 11, 3);        // 3 feasible locs
+  std::string jsonl = log.ToJsonl();
+  std::size_t nl = jsonl.find('\n');
+  ASSERT_NE(nl, std::string::npos);
+  std::string first = jsonl.substr(0, nl);
+  std::string second = jsonl.substr(nl + 1, jsonl.find('\n', nl + 1) - nl - 1);
+
+  Value v;
+  std::string err;
+  ASSERT_TRUE(Parse(first, &v, &err)) << err;
+  EXPECT_EQ(v.Find("prior"), nullptr);  // advisory field absent when 0
+  ASSERT_TRUE(Parse(second, &v, &err)) << err;
+  ASSERT_NE(v.Find("prior"), nullptr);
+  EXPECT_EQ(v.Find("prior")->AsU64(), 3u);
+}
+
 // ------------------------------------------------- end-to-end (obs only) ---
 
 class ObsEndToEnd : public ::testing::Test {

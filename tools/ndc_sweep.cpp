@@ -2,8 +2,8 @@
 //
 // Fans the figure's (workload x scheme x config) grid across worker
 // threads that share one baseline profile per configuration, consults the
-// persistent on-disk result cache (.ndc-cache/), and renders the same
-// stdout table the corresponding bench binary prints.
+// persistent on-disk result cache (.ndc-cache/), and renders the figure's
+// stdout table. This is the one way to run a figure.
 // A warm re-run of an already-measured grid performs zero simulator
 // invocations; --require-all-hits turns that into an enforced exit status
 // for CI cache verification.
@@ -13,20 +13,11 @@
 // that cannot be written, 3 when --require-all-hits is set and any cell had
 // to be simulated.
 //
-// --classify re-simulates every grid cell with the phase-window sampler
-// attached (outside the result cache — cache keys are untouched) and emits
-// one bottleneck-classification JSONL line per cell to stderr: label plus
-// the derived signal vector. Combined with --export-obs the per-cell
-// summary files carry the full classification object (raw + derived
-// signals, thresholds, per-window series). stdout tables stay byte-identical
-// to unclassified runs. --classify-window overrides the window width.
-//
 // Usage:
 //   ndc-sweep --figure=NAME|all [--scale=test|small|full] [--bench=NAME]
 //             [--jobs=N] [--no-cache] [--cache-dir=DIR]
 //             [--progress]
 //             [--export-jsonl=FILE] [--export-csv=FILE] [--export-obs=DIR]
-//             [--classify] [--classify-window=CYCLES]
 //             [--summary=FILE] [--require-all-hits]
 //   ndc-sweep --list
 
@@ -59,8 +50,7 @@ struct SweepArgs {
                "usage: ndc-sweep --figure=NAME|all [--scale=test|small|full]\n"
                "         [--bench=NAME] [--jobs=N] [--no-cache] [--cache-dir=DIR]\n"
                "         [--progress] [--export-jsonl=FILE] [--export-csv=FILE]\n"
-               "         [--export-obs=DIR] [--classify] [--classify-window=CYCLES]\n"
-               "         [--summary=FILE] [--require-all-hits]\n"
+               "         [--export-obs=DIR] [--summary=FILE] [--require-all-hits]\n"
                "       ndc-sweep --list\n");
   std::exit(2);
 }
@@ -107,20 +97,6 @@ SweepArgs Parse(int argc, char** argv) {
       a.opt.export_csv = arg + 13;
     } else if (std::strncmp(arg, "--export-obs=", 13) == 0) {
       a.opt.export_obs = arg + 13;
-    } else if (std::strcmp(arg, "--classify") == 0) {
-      if (a.opt.classify_window == 0) {
-        a.opt.classify_window = ndc::harness::kDefaultClassifyWindow;
-      }
-    } else if (std::strncmp(arg, "--classify-window=", 18) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 18, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr,
-                     "ndc-sweep: --classify-window expects a positive cycle count, got '%s'\n",
-                     arg + 18);
-        UsageAndExit();
-      }
-      a.opt.classify_window = static_cast<std::uint64_t>(n);
     } else if (std::strncmp(arg, "--summary=", 10) == 0) {
       a.summary_path = arg + 10;
     } else if (std::strcmp(arg, "--require-all-hits") == 0) {
