@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-lint: keep the top-level docs anchored to the code they describe.
 
-Three checks, all fatal:
+Four checks, all fatal:
   - coverage: every subsystem directory under src/ is mentioned in
     DESIGN.md (as `src/<dir>`), so a new subsystem cannot land without
     design documentation;
@@ -12,6 +12,11 @@ Three checks, all fatal:
     spelled `_`). These apply to REFERENCE_DOCS and to every doc below
     the top level; other top-level docs are logs, plans and paper context
     that name deleted, future or foreign files by design;
+  - source paths: every `src/...` path in REFERENCE_DOCS, brace forms
+    like `src/workloads/foo.{hpp,cpp}` and `.*` globs included, resolves
+    to a tracked file, a directory of tracked files, or a tracked file's
+    stem (`src/analysis/dependence`). Docs below the top level are not
+    checked for these;
   - links: every relative markdown link target in a tracked *.md file
     resolves to an existing file or directory (http(s), mailto and
     pure-#anchor links are skipped).
@@ -43,6 +48,9 @@ SCRIPT_RE = re.compile(r"\bscripts/([A-Za-z0-9_.-]+)")
 # repo's bench/...) is not ours and is skipped.
 BINARY_RE = re.compile(
     r"(?:(?<![\w-])(build[-a-z]*/)|(?<![\w./-]))(tools|bench)/([A-Za-z0-9_.-]+)")
+# A `src/` path: segments of path characters and `{a,b}` brace groups.
+SRC_RE = re.compile(r"(?<![\w./-])src/(?:[A-Za-z0-9_.*/-]|\{[A-Za-z0-9_.,-]*\})+")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
 
 
 def tracked_files(root, *patterns):
@@ -100,6 +108,37 @@ def check_file(root, md, tracked, findings):
             )
 
 
+def expand_braces(path):
+    m = BRACE_RE.search(path)
+    if not m:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out += expand_braces(path[:m.start()] + alt + path[m.end():])
+    return out
+
+
+def src_path_exists(path, tracked_src):
+    path = path.rstrip("/")
+    if path.endswith(".*"):
+        path = path[:-2]
+    for f in tracked_src:
+        if f == path or f.startswith(path + "/") or os.path.splitext(f)[0] == path:
+            return True
+    return False
+
+
+def check_src_paths(root, md, tracked_src, findings):
+    text = open(os.path.join(root, md), encoding="utf-8").read()
+    for token in sorted(set(SRC_RE.findall(text))):
+        for path in expand_braces(token.rstrip(".")):
+            if not src_path_exists(path, tracked_src):
+                findings.append(
+                    f"{md}: references {path} but no tracked src/ file, "
+                    f"directory or file stem matches it"
+                )
+
+
 def main(argv):
     if len(argv) > 2:
         print(__doc__, file=sys.stderr)
@@ -116,6 +155,9 @@ def main(argv):
     tracked = set(tracked_files(root, "tools", "bench"))
     for md in docs:
         check_file(root, md, tracked, findings)
+    tracked_src = tracked_files(root, "src")
+    for md in sorted(REFERENCE_DOCS):
+        check_src_paths(root, md, tracked_src, findings)
 
     if findings:
         for f in findings:

@@ -24,8 +24,8 @@ enum class RefSlot : int { kLhs = 0, kRhs0 = 1, kRhs1 = 2 };
 /// One reference pair the analysis could not resolve: either an indirect
 /// reference is involved (never refutable statically) or the affine pair
 /// escaped both the uniform solve and the GCD-independence test. Recorded so
-/// downstream proof engines (src/analysis/parallelism.hpp) can retry with a
-/// stronger test (array-section disjointness) and discharge the unknown.
+/// RefinedUnknownArrays can retry the pair with a stronger test
+/// (array-section disjointness) and discharge the unknown.
 struct UnknownRefPair {
   int from_stmt = 0;
   int to_stmt = 0;
@@ -58,6 +58,24 @@ struct DependenceSet {
 /// distance via exact integer solve; GCD-style existence for the rest).
 /// Indirect references produce `has_unknown`.
 DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& nest);
+
+/// Array-section disjointness for two affine references to the *same*
+/// array: true when the element sets they touch over the whole iteration
+/// space of `nest` provably never intersect. Two tests, either suffices:
+///  - interval: the linearized footprints [min,max] do not overlap;
+///  - stride residue: both footprints are contained in arithmetic
+///    progressions of a common modulus g with different residues.
+/// Conservative: false means "may overlap".
+bool SectionsDisjoint(const ir::Program& prog, const ir::LoopNest& nest,
+                      const ir::AffineAccess& a, const ir::AffineAccess& b);
+
+/// The arrays of `deps.unknown_pairs` that stay unanalyzable after each
+/// affine pair is retried with SectionsDisjoint (a DawnCC-style
+/// pointer-range check). An array leaves the set only when every pair that
+/// put it there is refuted; indirect pairs are never refuted. Sorted,
+/// unique.
+std::vector<int> RefinedUnknownArrays(const ir::Program& prog, const ir::LoopNest& nest,
+                                      const DependenceSet& deps);
 
 /// Smallest lexicographically-positive integer kernel vector of F among the
 /// unit vectors and pairwise differences (used for self-temporal reuse).

@@ -334,10 +334,8 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
           rep.legality_failures += 3;
           // Last resort (array case of Section 5.2.1): look for a legal
           // loop transformation T mapping y's access iteration next to x's.
-          // Annotated-parallel nests are off limits: a transform reorders
-          // the levels, and the annotation's proof names a specific one.
           if (!deps.has_unknown && nest.depth() >= 2 && !nest.transform.has_value() &&
-              nest.parallel.level < 0 && want != 0) {
+              want != 0) {
             ir::IntMat D = deps.DependenceMatrix(nest.depth());
             ir::IntMat T = xform::FindTransform(D, nest.depth(), [&](const ir::IntMat& cand) {
               // Prefer transforms that bring the reuse pair closer in the

@@ -94,13 +94,7 @@ std::string Program::ToString() const {
      << " nests\n";
   for (std::size_t n = 0; n < nests.size(); ++n) {
     const LoopNest& nest = nests[n];
-    os << "  nest " << n << " depth=" << nest.depth();
-    if (nest.parallel.level >= 0) {
-      os << " parallel(level=" << nest.parallel.level
-         << (nest.parallel.reduction_ok ? ", reduction" : "")
-         << (nest.parallel.privatized_ok ? ", privatized" : "") << ")";
-    }
-    os << "\n";
+    os << "  nest " << n << " depth=" << nest.depth() << "\n";
     for (const Stmt& s : nest.body) {
       os << "    S" << s.id << ": " << OperandString(*this, s.lhs) << " = "
          << OperandString(*this, s.rhs0) << " " << arch::OpName(s.op) << " "

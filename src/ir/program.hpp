@@ -114,20 +114,6 @@ struct Stmt {
   NdcAnnotation ndc;
 };
 
-/// Parallelization assertion attached to a nest by its producer (a workload
-/// generator or an auto-parallelization pass): "level `level` may be split
-/// across cores". The assertion is *checked*, not trusted — the P4xx verify
-/// pass (src/verify/parallelism_check.hpp) re-derives the classification
-/// from dependences and rejects an annotation the proof engine cannot
-/// discharge. `reduction_ok` / `privatized_ok` record which proof
-/// obligations the producer claims to have handled (per-shard accumulators
-/// with a combine step; private copies of temporaries).
-struct ParallelAnnotation {
-  int level = -1;            ///< asserted-parallel loop level (-1 = none)
-  bool reduction_ok = false; ///< producer combines per-shard reduction partials
-  bool privatized_ok = false;///< producer privatized the flagged temporaries
-};
-
 /// One loop of a nest. Bounds are inclusive and may depend linearly on a
 /// single outer iterator (triangular nests, e.g. LU / Cholesky):
 ///   lo_effective = lo + lo_coef * I[lo_dep]   (when lo_dep >= 0)
@@ -149,7 +135,6 @@ struct LoopNest {
   std::vector<Loop> loops;
   std::vector<Stmt> body;
   std::optional<IntMat> transform;
-  ParallelAnnotation parallel;
 
   int depth() const { return static_cast<int>(loops.size()); }
 

@@ -6,7 +6,6 @@
 
 #include "compiler/codegen.hpp"
 #include "obs/phase.hpp"
-#include "workloads/sharded.hpp"
 
 namespace ndc::metrics {
 
@@ -57,11 +56,7 @@ Profile::Profile(std::string workload, workloads::Scale scale, arch::ArchConfig 
                  std::uint64_t seed)
     : workload_(std::move(workload)), cfg_(cfg) {
   obs::ScopedPhase phase(obs::Phase::kBuildWorkload);
-  // shard.* scenarios are sized by the machine itself (one shard per core)
-  // and pass through the sharded generator's classifier gate.
-  program_ = workloads::IsShardedScenario(workload_)
-                 ? workloads::BuildShardedWorkload(workload_, scale, cfg_.num_nodes(), seed)
-                 : workloads::BuildWorkload(workload_, scale, seed);
+  program_ = workloads::BuildWorkload(workload_, scale, seed);
 }
 
 const std::vector<arch::Trace>& Profile::Traces() {

@@ -37,26 +37,15 @@ const char* CodeName(Code c) {
     case Code::kLeadOnUnknownArray: return "lead-on-unknown-array";
     case Code::kParallelCarriedDependence: return "parallel-carried-dependence";
     case Code::kParallelUnknownDependence: return "parallel-unknown-dependence";
-    case Code::kAnnotatedCarriedFlow: return "annotated-carried-flow";
-    case Code::kAnnotatedCarriedAntiOutput: return "annotated-carried-anti-output";
-    case Code::kAnnotatedUnknownDeps: return "annotated-unknown-deps";
-    case Code::kAnnotationNeedsReduction: return "annotation-needs-reduction";
-    case Code::kAnnotationNeedsPrivatization: return "annotation-needs-privatization";
-    case Code::kAnnotationBadLevel: return "annotation-bad-level";
-    case Code::kAnnotationUnusedObligation: return "annotation-unused-obligation";
   }
   return "?";
 }
 
 std::string CodeId(Code c) {
   // Code prefix mirrors the pass that owns the range: V1xx structural
-  // (validator), L2xx legality (auditor), R3xx races (detector),
-  // P4xx parallel-annotation proofs.
+  // (validator), L2xx legality (auditor), R3xx races (detector).
   int num = static_cast<int>(c);
-  char prefix = num >= 400 ? 'P'
-              : num >= 300 ? 'R'
-              : num >= 200 ? 'L'
-                           : 'V';
+  char prefix = num >= 300 ? 'R' : num >= 200 ? 'L' : 'V';
   return prefix + std::to_string(num);
 }
 

@@ -17,8 +17,7 @@ enum class Severity { kNote, kWarning, kError };
 const char* SeverityName(Severity s);
 
 /// Stable diagnostic codes. V1xx = IR structural validation,
-/// L2xx = legality audit, R3xx = parallel-loop race detection,
-/// P4xx = parallel-annotation proof audit.
+/// L2xx = legality audit, R3xx = parallel-loop race detection.
 enum class Code : int {
   // --- IR validator ---
   kBadArrayRef = 101,             ///< operand references an invalid array id
@@ -43,19 +42,11 @@ enum class Code : int {
   // --- race detector ---
   kParallelCarriedDependence = 301,  ///< dependence carried by the parallel loop
   kParallelUnknownDependence = 302,  ///< unanalyzable dependence in parallel nest
-  // --- parallel-annotation proof audit ---
-  kAnnotatedCarriedFlow = 401,       ///< annotated level carries a flow dependence
-  kAnnotatedCarriedAntiOutput = 402, ///< annotated level carries an anti/output dep
-  kAnnotatedUnknownDeps = 403,       ///< annotated nest has unanalyzable references
-  kAnnotationNeedsReduction = 404,   ///< proof requires a reduction combine
-  kAnnotationNeedsPrivatization = 405,///< proof requires privatized arrays
-  kAnnotationBadLevel = 406,         ///< annotated level outside the nest depth
-  kAnnotationUnusedObligation = 407, ///< annotation enables an unneeded obligation
 };
 
 const char* CodeName(Code c);
 
-/// Prefixed stable identifier, e.g. "V101", "L201", "R301", "P401".
+/// Prefixed stable identifier, e.g. "V101", "L201", "R301".
 std::string CodeId(Code c);
 
 /// One finding, with enough location to pinpoint the offending construct:

@@ -164,8 +164,8 @@ void CheckOperand(const OperandContext& cx, const ir::Operand& op,
   }
 }
 
-void CheckAnnotation(const OperandContext& cx, const ir::Stmt& st, const VerifyOptions& opts,
-                     Report* report) {
+void CheckNdcAnnotation(const OperandContext& cx, const ir::Stmt& st,
+                        const VerifyOptions& opts, Report* report) {
   if (!st.ndc.offload) return;
   if (!st.rhs0.IsMemory() || !st.rhs1.IsMemory()) {
     report->Add(Severity::kError, Code::kOffloadNeedsTwoLoads,
@@ -259,7 +259,7 @@ void ValidateIr(const ir::Program& prog, const VerifyOptions& opts, Report* repo
       CheckOperand(cx, st.rhs0, &reported_index_arrays, report);
       cx.role = "rhs1";
       CheckOperand(cx, st.rhs1, &reported_index_arrays, report);
-      CheckAnnotation(cx, st, opts, report);
+      CheckNdcAnnotation(cx, st, opts, report);
     }
   }
 }

@@ -14,12 +14,8 @@ namespace ndc::verify {
 /// severity: the timing simulator tolerates them, but the parallelization
 /// is not semantics-preserving for the affected arrays.
 ///
-/// The detector consults the parallelism classifier
-/// (analysis/parallelism.hpp) rather than raw dependence output: unknown
-/// pairs refuted by array-section disjointness produce no warning, and
-/// carried dependences discharged by an obligation the nest's
-/// ParallelAnnotation accepts (reduction combine, privatization) are safe
-/// by construction.
+/// Unknown pairs refuted by array-section disjointness
+/// (analysis::RefinedUnknownArrays) produce no warning.
 void DetectRaces(const ir::Program& prog, const VerifyOptions& opts, Report* report);
 
 }  // namespace ndc::verify

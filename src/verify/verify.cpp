@@ -7,7 +7,6 @@ Report VerifyProgram(const ir::Program& prog, const VerifyOptions& opts) {
   if (opts.check_structure) ValidateIr(prog, opts, &report);
   if (opts.check_legality) AuditLegality(prog, opts, &report);
   if (opts.check_races) DetectRaces(prog, opts, &report);
-  if (opts.check_parallelism) CheckParallelism(prog, opts, &report);
   report.Sort();  // pass order never leaks into the report
   return report;
 }

@@ -4,7 +4,6 @@
 #include "verify/diagnostics.hpp"
 #include "verify/ir_validator.hpp"
 #include "verify/legality_audit.hpp"
-#include "verify/parallelism_check.hpp"
 #include "verify/race_detector.hpp"
 #include "verify/verify_options.hpp"
 

@@ -17,7 +17,6 @@ struct VerifyOptions {
   bool check_structure = true;    ///< run the IR validator
   bool check_legality = true;     ///< run the legality auditor
   bool check_races = true;        ///< run the parallel-loop race detector
-  bool check_parallelism = true;  ///< run the parallel-annotation proof audit (P4xx)
 };
 
 }  // namespace ndc::verify

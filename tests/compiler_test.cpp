@@ -1,9 +1,11 @@
 // Tests for the NDC compilation pipeline (Algorithms 1 and 2): chain
-// gating, target selection, access-movement legality, reuse-aware skipping,
+// gating, target selection, access-movement legality (strategies (b)-(d)
+// and the transformation last resort), reuse-aware skipping,
 // control-register restriction, coarse-grain mode, and report consistency.
 
 #include <gtest/gtest.h>
 
+#include "analysis/dependence.hpp"
 #include "compiler/arch_desc.hpp"
 #include "compiler/pipeline.hpp"
 #include "ir/program.hpp"
@@ -207,6 +209,116 @@ TEST(Pipeline, DependenceLimitedChainFallsBackOrSkips) {
     EXPECT_EQ(p.nests[0].body[0].ndc.lead1, 0);
   }
   (void)rep;
+}
+
+// --- Section 5.2.1 movement strategies (c), (d) and the last resort --------
+// The chain z(i,j) = x(i,8j) + y(i,8j) over 32x16, one 64-byte line per
+// element, with a store x(i-d0, 8(j-d1)) or y(i-d0, 8(j-d1)) per Carried
+// entry: the store rewrites the element the chain read d0 rows and d1
+// iterations earlier, an anti dependence of linearized distance
+// 16*d0 + d1 that blocks hoisting that operand by more. The stores also
+// shape the gap estimate, so each nest below was chosen by the strategy it
+// reaches; the assertions check the strategy, not the cost model's numbers.
+
+constexpr int kX = 0, kY = 1;
+constexpr Int kRows = 32, kCols = 16;
+
+struct Carried {
+  int array;
+  Int d0, d1;
+};
+
+Operand Row8(int array, Int f0, Int f1) {
+  AffineAccess a;
+  a.array = array;
+  a.F = IntMat(2, 2, {1, 0, 0, 8});
+  a.f = {f0, f1};
+  return Operand::Affine(a);
+}
+
+Program CarriedStreamProgram(std::initializer_list<Carried> stores) {
+  Program p;
+  p.AddArray("x", {kRows, kCols * 8});
+  p.AddArray("y", {kRows, kCols * 8});
+  int z = p.AddArray("z", {kRows * kCols});
+  LoopNest nest;
+  nest.loops = {{0, kRows - 1, -1, 0, -1, 0}, {0, kCols - 1, -1, 0, -1, 0}};
+  Stmt s;
+  s.id = p.NextStmtId();
+  s.lhs = Aff(z, {kCols, 1}, 0);
+  s.rhs0 = Row8(kX, 0, 0);
+  s.rhs1 = Row8(kY, 0, 0);
+  nest.body.push_back(s);
+  for (const Carried& c : stores) {
+    Stmt w;
+    w.id = p.NextStmtId();
+    w.lhs = Row8(c.array, -c.d0, -8 * c.d1);
+    w.rhs0 = Operand::Scalar();
+    w.rhs1 = Operand::Scalar();
+    nest.body.push_back(w);
+  }
+  p.nests.push_back(std::move(nest));
+  return p;
+}
+
+TEST(Pipeline, StrategyCKeepsYAndMovesX) {
+  // y carries distance 2: hoisting y by the wanted lead is unsafe, so
+  // strategy (b) fails and (c) delays x by the whole lead instead.
+  Program p = CarriedStreamProgram({{kY, 0, 2}});
+  ArchDescription ad{arch::ArchConfig{}};
+  CompileOptions opt;
+  CompileReport rep = Compile(p, ad, opt);
+  const ir::NdcAnnotation& a = p.nests[0].body[0].ndc;
+  ASSERT_TRUE(a.offload);
+  EXPECT_EQ(rep.legality_failures, 1u);
+  EXPECT_EQ(rep.transforms, 0u);
+  EXPECT_EQ(rep.verify.ErrorCount(), 0) << rep.verify.ToText();
+  Int want = -a.lead0;  // leads are (-want, 0)
+  EXPECT_NE(want, 0);
+  EXPECT_EQ(a.lead1, 0);
+  analysis::DependenceSet deps = analysis::AnalyzeDependences(p, p.nests[0]);
+  EXPECT_FALSE(deps.ReadHoistIsSafe(kY, want, kCols));
+  EXPECT_TRUE(deps.ReadHoistIsSafe(kX, -want, kCols));
+}
+
+TEST(Pipeline, StrategyDSplitsTheLeadAcrossBothOperands) {
+  // x carries distance 16, y distance 24: neither operand can move by the
+  // whole lead, but each can move by half of it, so strategy (d) splits it.
+  Program p = CarriedStreamProgram({{kX, 1, 0}, {kY, 1, 8}});
+  ArchDescription ad{arch::ArchConfig{}};
+  CompileOptions opt;
+  CompileReport rep = Compile(p, ad, opt);
+  const ir::NdcAnnotation& a = p.nests[0].body[0].ndc;
+  ASSERT_TRUE(a.offload);
+  EXPECT_EQ(rep.legality_failures, 1u);
+  EXPECT_EQ(rep.transforms, 0u);
+  EXPECT_EQ(rep.verify.ErrorCount(), 0) << rep.verify.ToText();
+  Int want = a.lead1 - a.lead0;  // leads are (-(want - want/2), want/2)
+  EXPECT_NE(a.lead0, 0);
+  EXPECT_EQ(a.lead1, want / 2);
+  analysis::DependenceSet deps = analysis::AnalyzeDependences(p, p.nests[0]);
+  EXPECT_FALSE(deps.ReadHoistIsSafe(kY, want, kCols));
+  EXPECT_FALSE(deps.ReadHoistIsSafe(kX, -want, kCols));
+  EXPECT_TRUE(deps.ReadHoistIsSafe(kY, a.lead1, kCols));
+  EXPECT_TRUE(deps.ReadHoistIsSafe(kX, a.lead0, kCols));
+}
+
+TEST(Pipeline, LastResortSearchKeepsTheIdentitySchedule) {
+  // x carries distance 2 and y distance 24: (b), (c) and (d) all fail and
+  // the pass searches for a loop transformation. Its objective scores a
+  // candidate T by T * (0, want), which the identity ties or beats for
+  // every unimodular T, so the search keeps the identity: no transform is
+  // attached and the chain is not planned at this target.
+  Program p = CarriedStreamProgram({{kX, 0, 2}, {kY, 1, 8}});
+  ArchDescription ad{arch::ArchConfig{}};
+  CompileOptions opt;
+  CompileReport rep = Compile(p, ad, opt);
+  EXPECT_EQ(rep.legality_failures, 3u);
+  EXPECT_EQ(rep.transforms, 0u);
+  EXPECT_EQ(rep.planned, 0u);
+  EXPECT_FALSE(p.nests[0].transform.has_value());
+  EXPECT_FALSE(p.nests[0].body[0].ndc.offload);
+  EXPECT_EQ(rep.verify.ErrorCount(), 0) << rep.verify.ToText();
 }
 
 TEST(Pipeline, CoarseGrainUsesWholeNestMapping) {

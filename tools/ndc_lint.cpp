@@ -3,14 +3,9 @@
 // Builds every workload (or a named one), runs the compiler pipeline in
 // every mode (or a named one), and audits the annotated program with the
 // independent verifier (src/verify): IR structural validation, transform /
-// access-movement legality re-derivation, parallel-loop race detection,
-// and the P4xx parallel-annotation proof audit. The lint set covers the 20
-// paper stand-ins plus the shard.* scenario family.
-//
-// --parallelism additionally prints, per workload, the classifier's
-// per-nest/per-level verdict table (DOALL/DOACROSS/UNKNOWN with witness
-// distances and proof obligations). --sarif=FILE writes every finding of
-// the run as one SARIF 2.1.0 log.
+// access-movement legality re-derivation and parallel-loop race detection.
+// The lint set is the 20 paper stand-ins. --sarif=FILE writes every finding
+// of the run as one SARIF 2.1.0 log.
 //
 // Exit status: 0 when no error-level finding was produced (warnings and
 // notes are reported but tolerated; pass --fail-on=warning to tighten),
@@ -19,8 +14,7 @@
 // Usage:
 //   ndc-lint [--scale=test|small|full] [--mode=MODE|all] [--workload=NAME]
 //            [--json] [--quiet] [--verbose] [--fail-on=error|warning]
-//            [--max-lead=N] [--control-register=MASK] [--parallelism]
-//            [--sarif=FILE]
+//            [--max-lead=N] [--control-register=MASK] [--sarif=FILE]
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,11 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/parallelism.hpp"
 #include "compiler/pipeline.hpp"
 #include "verify/sarif.hpp"
 #include "verify/verify.hpp"
-#include "workloads/sharded.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -47,7 +39,6 @@ struct LintArgs {
   bool quiet = false;
   bool verbose = false;
   bool fail_on_warning = false;
-  bool parallelism = false;   ///< print per-nest/per-level classification
   std::string sarif_path;     ///< write a SARIF 2.1.0 log here (empty = off)
   ndc::ir::Int max_lead = 64;
   int control_register = ndc::arch::kAllLocs;
@@ -58,8 +49,7 @@ void PrintUsage(std::FILE* out) {
                "usage: ndc-lint [--scale=test|small|full] [--mode=MODE|all]\n"
                "                [--workload=NAME] [--json] [--quiet] [--verbose]\n"
                "                [--fail-on=error|warning] [--max-lead=N]\n"
-               "                [--control-register=MASK] [--parallelism]\n"
-               "                [--sarif=FILE]\n"
+               "                [--control-register=MASK] [--sarif=FILE]\n"
                "modes: baseline algorithm-1 algorithm-2 coarse-grain all\n");
 }
 
@@ -85,8 +75,6 @@ bool ParseArgs(int argc, char** argv, LintArgs* a) {
       a->quiet = true;
     } else if (std::strcmp(arg, "--verbose") == 0 || std::strcmp(arg, "-v") == 0) {
       a->verbose = true;
-    } else if (std::strcmp(arg, "--parallelism") == 0) {
-      a->parallelism = true;
     } else if (std::strncmp(arg, "--sarif=", 8) == 0) {
       a->sarif_path = arg + 8;
     } else if (std::strcmp(arg, "--fail-on=warning") == 0) {
@@ -147,46 +135,10 @@ int main(int argc, char** argv) {
   bool first_json = true;
   ndc::verify::Report sarif_report;  // accumulated across every run
   if (args.json) std::printf("[");
-  std::vector<std::string> names = ndc::workloads::BenchmarkNames();
-  for (const std::string& s : ndc::workloads::ShardedNames()) names.push_back(s);
-  for (const std::string& name : names) {
+  for (const std::string& name : ndc::workloads::BenchmarkNames()) {
     if (!args.workload.empty() && name != args.workload) continue;
-    bool printed_table = false;
     for (Mode mode : modes) {
-      ndc::ir::Program prog =
-          ndc::workloads::IsShardedScenario(name)
-              ? ndc::workloads::BuildShardedWorkload(name, args.scale,
-                                                     cfg.num_nodes())
-              : ndc::workloads::BuildWorkload(name, args.scale);
-      if (args.parallelism && !printed_table && !args.json) {
-        // Classification is a property of the source nests, not the NDC
-        // annotations, so one table per workload covers every mode.
-        std::printf("== %s: parallelism classification ==\n", name.c_str());
-        for (std::size_t n = 0; n < prog.nests.size(); ++n) {
-          ndc::analysis::Classification cls =
-              ndc::analysis::ClassifyNest(prog, prog.nests[n]);
-          std::printf(" nest %zu:\n", n);
-          std::string table = cls.ToString();
-          std::size_t pos = 0;
-          while (pos < table.size()) {
-            std::size_t nl = table.find('\n', pos);
-            if (nl == std::string::npos) nl = table.size();
-            std::printf("   %s\n", table.substr(pos, nl - pos).c_str());
-            pos = nl + 1;
-          }
-          if (!cls.privatizable.empty()) {
-            std::printf("   privatizable:");
-            for (int a : cls.privatizable)
-              std::printf(" %s", prog.array(a).name.c_str());
-            std::printf("\n");
-          }
-          for (const ndc::analysis::Reduction& r : cls.reductions) {
-            std::printf("   reduction: stmt %d on %s (%s)\n", r.stmt,
-                        prog.array(r.array).name.c_str(), ndc::arch::OpName(r.op));
-          }
-        }
-        printed_table = true;
-      }
+      ndc::ir::Program prog = ndc::workloads::BuildWorkload(name, args.scale);
       ndc::compiler::CompileOptions opt;
       opt.mode = mode;
       opt.max_lead = args.max_lead;

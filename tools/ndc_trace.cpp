@@ -27,7 +27,6 @@
 #include "compiler/pipeline.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/obs.hpp"
-#include "workloads/sharded.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -138,10 +137,6 @@ TraceArgs Parse(int argc, char** argv) {
 
 bool KnownWorkload(const std::string& name) {
   for (const std::string& w : ndc::workloads::BenchmarkNames()) {
-    if (w == name) return true;
-  }
-  // Experiment routes the sharded (shard.*) names like any benchmark.
-  for (const std::string& w : ndc::workloads::ShardedNames()) {
     if (w == name) return true;
   }
   return false;
