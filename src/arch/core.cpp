@@ -148,16 +148,16 @@ void Core::TryDispatch() {
 
 void Core::DispatchSlot(std::uint32_t idx) {
   const Instr& in = trace_[idx];
-  issued_ctr_.Add();
+  ++issued_;
   sim::Cycle ready;
   switch (in.kind()) {
     case Instr::Kind::kLoad:
       ++outstanding_loads_;
-      loads_ctr_.Add();
+      ++loads_;
       port_.IssueLoad(id_, idx, in.addr());
       break;
     case Instr::Kind::kStore:
-      stores_ctr_.Add();
+      ++stores_;
       if (DepsDone(in, &ready)) {
         port_.IssueStore(id_, idx, in.addr());
         Complete(idx, ready + 1);
@@ -166,7 +166,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
       }
       break;
     case Instr::Kind::kCompute:
-      computes_ctr_.Add();
+      ++computes_;
       if (external_[idx]) break;  // machine completes it
       if (DepsDone(in, &ready)) {
         Complete(idx, ready + cfg_->compute_latency);
@@ -175,19 +175,20 @@ void Core::DispatchSlot(std::uint32_t idx) {
       }
       break;
     case Instr::Kind::kPreCompute:
-      precomputes_ctr_.Add();
+      ++precomputes_;
       port_.IssuePreCompute(id_, idx, in);
       break;
   }
 }
 
-void Core::MaterializeStats() {
-  stats_.Clear();
-  issued_ctr_.MaterializeInto(stats_, "core.issued");
-  loads_ctr_.MaterializeInto(stats_, "core.loads");
-  stores_ctr_.MaterializeInto(stats_, "core.stores");
-  computes_ctr_.MaterializeInto(stats_, "core.computes");
-  precomputes_ctr_.MaterializeInto(stats_, "core.precomputes");
+sim::StatSet Core::stats() const {
+  sim::StatSet s;
+  s.Add("core.issued", issued_);
+  s.Add("core.loads", loads_);
+  s.Add("core.stores", stores_);
+  s.Add("core.computes", computes_);
+  s.Add("core.precomputes", precomputes_);
+  return s;
 }
 
 }  // namespace ndc::arch

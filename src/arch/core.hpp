@@ -54,17 +54,12 @@ class Core {
   /// count of each per-slot container; the borrowed trace is not counted).
   std::size_t RunStateBytes() const;
 
-  /// Counter view, materialized lazily from raw per-dispatch counters (the
-  /// dispatch loop is the hottest counter path in the simulator; it must
-  /// never hash a string per instruction).
-  sim::StatSet& stats() {
-    MaterializeStats();
-    return stats_;
-  }
+  /// Counters by name ("core.issued", "core.loads", ...). The dispatch loop
+  /// bumps plain integers; names are built only here.
+  sim::StatSet stats() const;
 
  private:
   void TryDispatch();
-  void MaterializeStats();
   /// Called once all deps of a dispatched, dep-waiting slot are complete.
   void ResolveWaiter(std::uint32_t idx);
   /// Dispatch-time handling once the slot's turn comes.
@@ -100,8 +95,7 @@ class Core {
   sim::Cycle finish_cycle_ = 0;
   bool retry_scheduled_ = false;
   sim::Cycle retry_cycle_ = 0;
-  sim::RawCounter issued_ctr_, loads_ctr_, stores_ctr_, computes_ctr_, precomputes_ctr_;
-  sim::StatSet stats_;
+  std::uint64_t issued_ = 0, loads_ = 0, stores_ = 0, computes_ = 0, precomputes_ = 0;
 };
 
 }  // namespace ndc::arch

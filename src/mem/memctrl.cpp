@@ -16,15 +16,6 @@ MemCtrl::MemCtrl(sim::McId id, const AddressMap& amap, const DramParams& dram_pa
   in_service_.resize(banks_.size());
 }
 
-void MemCtrl::RegisterMetrics(obs::Registry& reg) {
-  if constexpr (!obs::kObsEnabled) return;
-  const std::string prefix = "mc." + std::to_string(id_) + "/";
-  m_reads_ = reg.counter(prefix + "reads");
-  m_row_hits_ = reg.counter(prefix + "row_hits");
-  m_queue_wait_ = reg.histogram(prefix + "queue_wait_cycles");
-  m_queue_wait_total_ = reg.counter(prefix + "queue_wait_total");
-}
-
 void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, const sim::Payload& payload,
                           std::uint64_t obs_token) {
   Request r;
@@ -51,10 +42,7 @@ void MemCtrl::AdmitRead(Request r) {
   r.row = amap_->DramRow(r.addr);
   r.is_write = false;
   r.enqueued_at = eq_->now();
-  reads_.Add();
-  if constexpr (obs::kObsEnabled) {
-    if (m_reads_ != nullptr) m_reads_->Add();
-  }
+  ++reads_;
   if (on_enqueue_) on_enqueue_(r.tag, r.addr, eq_->now());
   Enqueue(std::move(r));
 }
@@ -75,7 +63,7 @@ void MemCtrl::EnqueueWrite(sim::Addr addr) {
   r.row = amap_->DramRow(addr);
   r.is_write = true;
   r.enqueued_at = eq_->now();
-  writes_.Add();
+  ++writes_;
   if (on_enqueue_) on_enqueue_(kWriteSentinelTag, addr, eq_->now());
   Enqueue(std::move(r));
 }
@@ -112,15 +100,10 @@ void MemCtrl::IssueTo(int bank_idx, Request req) {
   auto b = static_cast<std::size_t>(bank_idx);
   bank_in_flight_[b] = true;
   bool row_hit = banks_[b].IsRowOpen(req.row);
-  (row_hit ? row_hits_ : row_misses_).Add();
+  ++(row_hit ? row_hits_ : row_misses_);
   sim::Cycle done_at = banks_[b].Access(eq_->now(), req.row);
-  queue_wait_cycles_.Add(eq_->now() - req.enqueued_at);
+  queue_wait_cycles_ += eq_->now() - req.enqueued_at;
   if constexpr (obs::kObsEnabled) {
-    if (m_row_hits_ != nullptr && row_hit) m_row_hits_->Add();
-    if (m_queue_wait_ != nullptr) m_queue_wait_->Add(eq_->now() - req.enqueued_at);
-    if (m_queue_wait_total_ != nullptr) {
-      m_queue_wait_total_->Add(eq_->now() - req.enqueued_at);
-    }
     if (tracer_ != nullptr && req.obs_token != 0) {
       tracer_->Stamp(req.obs_token, obs::Stage::kMcIssue, eq_->now());
       tracer_->NoteRowHit(req.obs_token, row_hit);
@@ -156,13 +139,14 @@ void MemCtrl::Complete(int bank_idx) {
   TrySchedule();
 }
 
-void MemCtrl::MaterializeStats() const {
-  stats_.Clear();
-  reads_.MaterializeInto(stats_, "mc.reads");
-  writes_.MaterializeInto(stats_, "mc.writes");
-  row_hits_.MaterializeInto(stats_, "mc.row_hits");
-  row_misses_.MaterializeInto(stats_, "mc.row_misses");
-  queue_wait_cycles_.MaterializeInto(stats_, "mc.queue_wait_cycles");
+sim::StatSet MemCtrl::stats() const {
+  sim::StatSet s;
+  s.Add("mc.reads", reads_);
+  s.Add("mc.writes", writes_);
+  s.Add("mc.row_hits", row_hits_);
+  s.Add("mc.row_misses", row_misses_);
+  s.Add("mc.queue_wait_cycles", queue_wait_cycles_);
+  return s;
 }
 
 void MemCtrl::Reset() {
@@ -171,13 +155,7 @@ void MemCtrl::Reset() {
   for (auto& q : bank_queues_) q.clear();
   for (Request& r : in_service_) r = Request{};
   queued_ = 0;
-  reads_.Reset();
-  writes_.Reset();
-  row_hits_.Reset();
-  row_misses_.Reset();
-  queue_wait_cycles_.Reset();
-  reads_done_ = 0;
-  stats_.Clear();
+  reads_ = writes_ = row_hits_ = row_misses_ = queue_wait_cycles_ = reads_done_ = 0;
 }
 
 }  // namespace ndc::mem

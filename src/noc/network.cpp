@@ -12,16 +12,6 @@ Network::Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params)
   link_hold_count_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
 }
 
-void Network::RegisterMetrics(obs::Registry& reg) {
-  if constexpr (!obs::kObsEnabled) return;
-  link_traversals_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), nullptr);
-  link_busy_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), nullptr);
-  for (std::size_t i = 0; i < link_traversals_.size(); ++i) {
-    link_traversals_[i] = reg.counter("noc.link." + std::to_string(i) + "/traversals");
-    link_busy_[i] = reg.counter("noc.link." + std::to_string(i) + "/busy_cycles");
-  }
-}
-
 Network::Flight* Network::AcquireFlight() {
   if (free_flights_.empty()) {
     flight_arena_.emplace_back();
@@ -40,8 +30,8 @@ void Network::ReleaseFlight(Flight* f) {
 std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
   p.id = ++next_seq_;
   p.hop = 0;
-  packets_.Add();
-  bytes_.Add(static_cast<std::uint64_t>(p.size_bytes));
+  ++packets_;
+  bytes_ += static_cast<std::uint64_t>(p.size_bytes);
   std::uint64_t id = p.id;
   if (p.route == kXyRoute) p.route = routes_.Xy(p.src, p.dst);
   Flight* f = AcquireFlight();
@@ -75,13 +65,13 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
       case HopAction::kContinue:
         break;
       case HopAction::kHold:
-        holds_.Add();
+        ++holds_;
         ++link_hold_count_[static_cast<std::size_t>(link)];
         f->held_link = link;
         held_.push_back(f);
         return;
       case HopAction::kSquash:
-        squashes_.Add();
+        ++squashes_;
         ReleaseFlight(f);
         return;
     }
@@ -97,23 +87,17 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
   // traffic, delaying it proportionally.
   int held_here = link_hold_count_[static_cast<std::size_t>(link)];
   if (held_here > 0) {
-    hol_blocked_.Add();
+    ++hol_blocked_;
     ready += static_cast<sim::Cycle>(held_here) * kHoldPenalty;
   }
   sim::Cycle depart = std::max(ready, link_busy_until_[static_cast<std::size_t>(link)]);
   sim::Cycle ser = SerializationCycles(p.size_bytes);
   link_busy_until_[static_cast<std::size_t>(link)] = depart + ser;
-  link_busy_cycles_.Add(ser);
-  if (depart > ready) contention_cycles_.Add(depart - ready);
+  link_busy_cycles_ += ser;
+  contention_cycles_ += depart - ready;
   sim::Cycle arrive = depart + ser;
   if constexpr (obs::kObsEnabled) {
-    if (tracer_ != nullptr && p.obs_token != 0) {
-      tracer_->Hop(p.obs_token, link, depart, arrive);
-    }
-    if (!link_traversals_.empty()) {
-      link_traversals_[static_cast<std::size_t>(link)]->Add();
-      link_busy_[static_cast<std::size_t>(link)]->Add(ser);
-    }
+    if (tracer_ != nullptr && p.obs_token != 0) tracer_->Hop(p.obs_token, link, depart, arrive);
   }
   p.hop++;
   eq_.ScheduleAt(arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });
@@ -136,7 +120,7 @@ Network::Flight* Network::Unhold(std::size_t i) {
 void Network::Release(std::uint64_t packet_id) {
   std::size_t i = FindHeld(packet_id);
   if (i == held_.size()) return;
-  releases_.Add();
+  ++releases_;
   Flight* f = Unhold(i);
   Traverse(f, f->held_link);
 }
@@ -144,20 +128,21 @@ void Network::Release(std::uint64_t packet_id) {
 void Network::Squash(std::uint64_t packet_id) {
   std::size_t i = FindHeld(packet_id);
   if (i == held_.size()) return;
-  squashes_.Add();
+  ++squashes_;
   ReleaseFlight(Unhold(i));
 }
 
-void Network::MaterializeStats() const {
-  stats_.Clear();
-  packets_.MaterializeInto(stats_, "noc.packets");
-  bytes_.MaterializeInto(stats_, "noc.bytes");
-  holds_.MaterializeInto(stats_, "noc.holds");
-  squashes_.MaterializeInto(stats_, "noc.squashes");
-  releases_.MaterializeInto(stats_, "noc.releases");
-  hol_blocked_.MaterializeInto(stats_, "noc.hol_blocked");
-  link_busy_cycles_.MaterializeInto(stats_, "noc.link_busy_cycles");
-  contention_cycles_.MaterializeInto(stats_, "noc.contention_cycles");
+sim::StatSet Network::stats() const {
+  sim::StatSet s;
+  s.Add("noc.packets", packets_);
+  s.Add("noc.bytes", bytes_);
+  s.Add("noc.holds", holds_);
+  s.Add("noc.squashes", squashes_);
+  s.Add("noc.releases", releases_);
+  s.Add("noc.hol_blocked", hol_blocked_);
+  s.Add("noc.link_busy_cycles", link_busy_cycles_);
+  s.Add("noc.contention_cycles", contention_cycles_);
+  return s;
 }
 
 }  // namespace ndc::noc

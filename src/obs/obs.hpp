@@ -1,18 +1,17 @@
 #pragma once
 
 // Umbrella for the observability subsystem: one Observability object bundles
-// the trace sink, request tracer, decision log, and metrics registry for a
-// single simulated machine. The simulator takes a raw `Observability*`
-// (nullptr = observation off, the default); the owner — a tool like
-// ndc-trace, a test, or the harness obs-export path — constructs it, runs,
-// then reads the pieces out. See DESIGN.md §9.
+// the trace sink, request tracer and decision log for a single simulated
+// machine. The simulator takes a raw `Observability*` (nullptr = observation
+// off, the default); the owner — a tool like ndc-trace, a test, or the
+// harness obs-export path — constructs it, runs, then reads the pieces out.
+// See DESIGN.md §9.
 
 #include <cstdint>
 #include <memory>
 
 #include "obs/decision_log.hpp"
 #include "obs/enabled.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
@@ -28,8 +27,8 @@ struct ObsOptions {
 };
 
 /// Per-machine observation bundle. Construction wires the tracer to the
-/// sink; the machine under observation additionally registers its component
-/// metrics into `registry` and stamps through `tracer` / `decisions`.
+/// sink; the machine under observation stamps through `tracer` /
+/// `decisions`.
 class Observability {
  public:
   explicit Observability(ObsOptions opt = {})
@@ -51,7 +50,6 @@ class Observability {
   TraceSink sink;
   RequestTracer tracer;
   DecisionLog decisions;
-  Registry registry;
 };
 
 }  // namespace ndc::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace ndc::sim {
 
@@ -51,30 +50,6 @@ void BucketHistogram::MergeFrom(const BucketHistogram& other) {
 std::uint64_t StatSet::Get(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
-}
-
-std::string StatSet::ToString() const {
-  // Deterministic output is a documented contract (goldens diff this):
-  // sort explicitly instead of leaning on the backing container's order.
-  std::vector<const std::pair<const std::string, std::uint64_t>*> rows;
-  rows.reserve(counters_.size());
-  for (const auto& kv : counters_) rows.push_back(&kv);
-  std::sort(rows.begin(), rows.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  std::ostringstream os;
-  for (const auto* kv : rows) os << kv->first << " = " << kv->second << "\n";
-  return os.str();
-}
-
-void Accumulator::Add(double v) {
-  if (n_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  sum_ += v;
-  ++n_;
 }
 
 double GeometricMean(const std::vector<double>& values, double floor) {

@@ -209,20 +209,6 @@ TEST(DecisionLog, JsonlHasOneValidObjectPerEntry) {
   EXPECT_EQ(lines, log.entries().size());
 }
 
-// -------------------------------------------------------- unit: registry ---
-
-TEST(Registry, HandlesAreStableAndKindMismatchIsNull) {
-  ndc::obs::Registry reg;
-  ndc::obs::Counter* c = reg.counter("noc.link.0/traversals");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(reg.counter("noc.link.0/traversals"), c);  // get-or-create
-  EXPECT_EQ(reg.gauge("noc.link.0/traversals"), nullptr);      // kind mismatch
-  EXPECT_EQ(reg.histogram("noc.link.0/traversals"), nullptr);  // kind mismatch
-  c->Add(3);
-  auto snap = reg.ScalarSnapshot();
-  EXPECT_EQ(snap.at("noc.link.0/traversals"), 3u);
-}
-
 // ----------------------------------------------------------- unit: phase ---
 
 TEST(PhaseProfiler, SnapshotDeltaReportsOnlyActivePhases) {
@@ -232,50 +218,6 @@ TEST(PhaseProfiler, SnapshotDeltaReportsOnlyActivePhases) {
   auto delta = prof.Take().DeltaMsSince(base);
   ASSERT_EQ(delta.size(), 1u);
   EXPECT_EQ(delta.at("simulate"), 7u);
-}
-
-// ------------------------------------------- unit: histogram percentiles ---
-
-TEST(HistogramPercentile, EmptyHistogramReportsZero) {
-  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
-  EXPECT_EQ(h.Percentile(50), 0u);
-  EXPECT_EQ(h.Percentile(100), 0u);
-}
-
-TEST(HistogramPercentile, SingleBucketAnswersThatBucketEdge) {
-  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
-  h.Add(5);
-  h.Add(7);
-  h.Add(3);  // all in the (1, 10] bucket
-  EXPECT_EQ(h.Percentile(1), 10u);
-  EXPECT_EQ(h.Percentile(50), 10u);
-  EXPECT_EQ(h.Percentile(100), 10u);
-}
-
-TEST(HistogramPercentile, OverflowBucketReportsAboveLastEdge) {
-  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
-  h.Add(5);
-  h.Add(1000);  // above every edge
-  EXPECT_EQ(h.Percentile(50), 10u);   // first sample covers half
-  EXPECT_EQ(h.Percentile(100), 501u);  // the "500+" marker
-}
-
-TEST(HistogramPercentile, OutOfRangePercentilesClamp) {
-  ndc::obs::Histogram h({1, 10, 20, 50, 100, 500});
-  h.Add(5);
-  EXPECT_EQ(h.Percentile(-5), h.Percentile(0));
-  EXPECT_EQ(h.Percentile(150), h.Percentile(100));
-}
-
-TEST(HistogramPercentile, MergeFromAddsMatchingBuckets) {
-  ndc::obs::Histogram a({1, 10, 20, 50, 100, 500});
-  ndc::obs::Histogram b({1, 10, 20, 50, 100, 500});
-  a.Add(5);
-  b.Add(1000);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.hist().total(), 2u);
-  EXPECT_EQ(a.Percentile(50), 10u);
-  EXPECT_EQ(a.Percentile(100), 501u);
 }
 
 // -------------------------------------------- unit: decision-log priors ---
