@@ -5,8 +5,8 @@
 # minimum of N timed runs per binary to suppress scheduler noise.
 #
 # The runtime-off path includes every hot-path branch observability has
-# grown — request tracing, the NDC decision log and the metrics registry —
-# so the budget re-proves itself as instrumentation accrues.
+# grown — request tracing and the NDC decision log — so the budget
+# re-proves itself as instrumentation accrues.
 #
 # Usage: check_obs_overhead.sh SWEEP_ON SWEEP_OFF [RUNS] [THRESHOLD_PCT]
 # Exit:  0 within budget, 1 over budget, 2 usage/build errors.

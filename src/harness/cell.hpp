@@ -26,7 +26,7 @@ namespace ndc::harness {
 /// workload-generator semantics change in a way that alters measured
 /// numbers: entries keyed with the old version then miss (and are
 /// re-measured) instead of silently serving stale results.
-inline constexpr const char* kCacheVersion = "ndc-harness-1";
+inline constexpr const char* kCacheVersion = "ndc-harness-2";
 
 const char* ScaleName(workloads::Scale s);
 

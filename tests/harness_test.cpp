@@ -90,7 +90,7 @@ TEST(CellSpec, DefaultKeyIsStable) {
   a.workload = "swim";
   a.scale = workloads::Scale::kSmall;
   a.scheme = metrics::Scheme::kOracle;
-  EXPECT_EQ(a.Key(), "c692371c58525ce3");
+  EXPECT_EQ(a.Key(), "c692381c58525e96");
 }
 
 // Cells share a profile exactly when their baseline and observation runs

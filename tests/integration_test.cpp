@@ -19,6 +19,9 @@ TEST(EndToEnd, BaselineRunsToCompletionOnAllBenchmarks) {
     EXPECT_GT(r.makespan, 0u) << name;
     EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u) << name;
     EXPECT_GT(r.candidates, 0u) << name;
+    for (const auto& [key, value] : r.stats.all()) {
+      EXPECT_NE(value, 0u) << name << ": a stats key exists only while non-zero: " << key;
+    }
   }
 }
 

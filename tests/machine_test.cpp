@@ -9,9 +9,13 @@
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
+#include "compiler/arch_desc.hpp"
+#include "compiler/codegen.hpp"
+#include "compiler/pipeline.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 #include "noc/geometry.hpp"
+#include "workloads/workloads.hpp"
 
 namespace ndc::runtime {
 namespace {
@@ -489,6 +493,42 @@ TEST(Machine, AllCoresFinish) {
   RunResult r = m.Run();
   EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
   EXPECT_EQ(r.candidates, 500u);
+}
+
+// Every core's counters reach RunResult::stats: on an Algorithm-1 lowering
+// of md, the issue, load, store and compute counts equal the instruction
+// counts of the traces.
+TEST(Machine, RunStatsCarryCoreCounters) {
+  ArchConfig cfg;
+  ir::Program prog = workloads::BuildWorkload("md", workloads::Scale::kTest);
+  compiler::Compile(prog, compiler::ArchDescription(cfg), compiler::CompileOptions{});
+  std::vector<Trace> traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
+  std::uint64_t total = 0, loads = 0, stores = 0, computes = 0, precomputes = 0;
+  for (const Trace& t : traces) {
+    total += t.size();
+    for (const Instr& in : t) {
+      switch (in.kind()) {
+        case Instr::Kind::kLoad: ++loads; break;
+        case Instr::Kind::kStore: ++stores; break;
+        case Instr::Kind::kCompute: ++computes; break;
+        case Instr::Kind::kPreCompute: ++precomputes; break;
+      }
+    }
+  }
+  ASSERT_GT(precomputes, 0u);
+
+  AlwaysWaitPolicy policy(cfg);
+  MachineOptions opts;
+  opts.policy = &policy;
+  Machine m(cfg, opts);
+  m.LoadProgram(traces);
+  RunResult r = m.Run();
+  EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
+  EXPECT_EQ(r.stats.Get("core.issued"), total);
+  EXPECT_EQ(r.stats.Get("core.loads"), loads);
+  EXPECT_EQ(r.stats.Get("core.stores"), stores);
+  EXPECT_EQ(r.stats.Get("core.computes") + r.stats.Get("core.precomputes"),
+            computes + precomputes);
 }
 
 }  // namespace
