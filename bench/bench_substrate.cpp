@@ -18,8 +18,10 @@
 // always-wait policy, so the layer table ends with the ns/event and
 // allocs/event of the assembled simulator with and without NDC traffic.
 // Both machine rows also report the machine's run state per trace
-// instruction (Machine::RunStateBytes over the instruction count): a size
-// computed from container sizes, not RSS, so it is the same on every host.
+// instruction (Machine::RunStateBytes over the instruction count) and the
+// trace storage per instruction (each trace's capacity times
+// sizeof(arch::Instr), so a trace that over-reserves shows): sizes computed
+// from containers, not RSS, so they are the same on every host.
 // Two last rows time the code generator: "lower_fig04" lowers the 20 fig04
 // benchmarks at small scale and "lower_fig04_alg2" lowers them after
 // Algorithm-2 compilation (the CME gate runs per pre-compute), with events
@@ -90,6 +92,7 @@ struct BenchResult {
   double seconds = 0.0;
   std::uint64_t allocs = 0;
   double run_state_bytes_per_instr = -1;  ///< machine rows only
+  double trace_bytes_per_instr = -1;      ///< machine rows only
 
   double events_per_sec() const { return seconds > 0 ? static_cast<double>(events) / seconds : 0; }
   double ns_per_event() const {
@@ -279,9 +282,14 @@ BenchResult MachineBench(const char* name, bool offload) {
   std::uint64_t events = 0;
   BenchResult r = Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
   std::size_t instrs = 0;
-  for (const arch::Trace& t : traces) instrs += t.size();
+  std::size_t trace_bytes = 0;
+  for (const arch::Trace& t : traces) {
+    instrs += t.size();
+    trace_bytes += t.capacity() * sizeof(arch::Instr);
+  }
   r.run_state_bytes_per_instr =
       static_cast<double>(m.RunStateBytes()) / static_cast<double>(instrs);
+  r.trace_bytes_per_instr = static_cast<double>(trace_bytes) / static_cast<double>(instrs);
   return r;
 }
 
@@ -337,7 +345,8 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
                  r.events_per_sec(), r.ns_per_event(),
                  static_cast<unsigned long long>(r.allocs), r.allocs_per_event());
     if (r.run_state_bytes_per_instr >= 0) {
-      std::fprintf(f, ", \"run_state_bytes_per_instr\": %.2f", r.run_state_bytes_per_instr);
+      std::fprintf(f, ", \"run_state_bytes_per_instr\": %.2f, \"trace_bytes_per_instr\": %.2f",
+                   r.run_state_bytes_per_instr, r.trace_bytes_per_instr);
     }
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -392,8 +401,8 @@ int Main(int argc, char** argv) {
   }
   for (const BenchResult& r : rows) {
     if (r.run_state_bytes_per_instr >= 0) {
-      std::printf("%-24s %.2f run-state bytes/instr\n", r.name.c_str(),
-                  r.run_state_bytes_per_instr);
+      std::printf("%-24s %.2f run-state bytes/instr, %.2f trace bytes/instr\n",
+                  r.name.c_str(), r.run_state_bytes_per_instr, r.trace_bytes_per_instr);
     }
   }
   std::printf("speedup_vs_legacy = %.2fx\n", speedup);

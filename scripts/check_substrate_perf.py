@@ -12,9 +12,12 @@ robust to runner speed:
     noc_stream <= 0.01, machine_swim <= 0.05, machine_offload <= 0.05,
     lower_fig04 <= 0.05 and lower_fig04_alg2 <= 0.005 (allocs per emitted
     instruction);
-  - a run-state footprint ceiling: machine_swim <= 48 bytes of machine run
-    state per trace instruction. The figure is computed from container
-    sizes, not RSS, so it is identical on every runner.
+  - footprint ceilings per trace instruction: machine_swim <= 48 bytes of
+    machine run state, and machine_swim and machine_offload <= 16 bytes of
+    trace storage (capacity, not size, so an over-reserving trace fails
+    where a sizeof(arch::Instr) assert cannot see it). The figures are
+    computed from container sizes, not RSS, so they are identical on every
+    runner.
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
@@ -26,7 +29,10 @@ import sys
 
 ROW_CEILINGS = {"memctrl_stream": 0.01, "noc_stream": 0.01, "machine_swim": 0.05,
                 "machine_offload": 0.05, "lower_fig04": 0.05, "lower_fig04_alg2": 0.005}
-FOOTPRINT_CEILINGS = {"machine_swim": 48.0}  # run-state bytes per instruction
+# (row, field): bytes per trace instruction
+FOOTPRINT_CEILINGS = {("machine_swim", "run_state_bytes_per_instr"): 48.0,
+                      ("machine_swim", "trace_bytes_per_instr"): 16.0,
+                      ("machine_offload", "trace_bytes_per_instr"): 16.0}
 
 
 def main(argv):
@@ -90,18 +96,17 @@ def main(argv):
         else:
             print(f"ok   {name} allocs/event = {row_allocs:.6f} (ceiling {ceiling})")
 
-    for name, ceiling in sorted(FOOTPRINT_CEILINGS.items()):
-        footprint = benches.get(name, {}).get("run_state_bytes_per_instr")
+    for (name, field), ceiling in sorted(FOOTPRINT_CEILINGS.items()):
+        footprint = benches.get(name, {}).get(field)
         if footprint is None:
-            print(f"check_substrate_perf: report lacks {name} run_state_bytes_per_instr",
-                  file=sys.stderr)
+            print(f"check_substrate_perf: report lacks {name} {field}", file=sys.stderr)
             return 2
         if footprint > ceiling:
-            print(f"FAIL {name} run-state bytes/instr = {footprint:.2f} > ceiling {ceiling}",
+            print(f"FAIL {name} {field} = {footprint:.2f} > ceiling {ceiling}",
                   file=sys.stderr)
             ok = False
         else:
-            print(f"ok   {name} run-state bytes/instr = {footprint:.2f} (ceiling {ceiling})")
+            print(f"ok   {name} {field} = {footprint:.2f} (ceiling {ceiling})")
 
     for row in report.get("benches", []):
         print(f"     {row['name']:<24} {row['events_per_sec'] / 1e6:8.2f} Mev/s "

@@ -94,6 +94,12 @@ void Machine::LoadProgram(const std::vector<arch::Trace>& traces) {
     l2c.assign(t.size(), -1);
     for (std::uint32_t i = 0; i < t.size(); ++i) {
       const arch::Instr& in = t[i];
+      const auto self = static_cast<std::int32_t>(i);
+      if (in.dep0() >= self || in.dep1() >= self) {
+        throw std::invalid_argument("Machine::LoadProgram: core " + std::to_string(c) +
+                                    " slot " + std::to_string(i) +
+                                    " depends on a slot at or after itself");
+      }
       bool site = (in.kind() == arch::Instr::Kind::kCompute && in.ndc_candidate()) ||
                   in.kind() == arch::Instr::Kind::kPreCompute;
       if (!site || in.dep0() < 0 || in.dep1() < 0) continue;

@@ -82,7 +82,8 @@ class Machine final : public arch::MemoryPort {
   Machine& operator=(const Machine&) = delete;
 
   /// Installs one trace per core (missing cores idle). Throws
-  /// std::invalid_argument when there are more traces than cores.
+  /// std::invalid_argument when there are more traces than cores, or when
+  /// a dep does not name an earlier slot of its own trace.
   ///
   /// This overload borrows: the cores read the caller's instructions in
   /// place, so the caller keeps `traces` alive and unmodified until Run()

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "arch/config.hpp"
 #include "compiler/arch_desc.hpp"
@@ -295,21 +297,25 @@ TEST(Codegen, DeterministicOutput) {
 // moves the digest; a lowering rewrite must keep it.
 
 // A lowered trace stores one Instr per slot, so its size bounds trace memory.
-static_assert(sizeof(Instr) == 24, "arch::Instr grew: lowered traces cost more memory");
+static_assert(sizeof(Instr) == 16, "arch::Instr grew: lowered traces cost more memory");
 // Every NDC candidate of a run gets one record, offloaded or not.
 static_assert(runtime::Machine::CandidateRecordBytes() <= 48,
               "the machine's per-candidate record grew: run state costs more memory");
 
-constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
-constexpr std::int32_t kMaxDep = std::numeric_limits<std::int32_t>::max();
-constexpr std::uint32_t kMaxPc = std::numeric_limits<std::uint32_t>::max();
+constexpr sim::Addr kMaxAddr = (std::uint64_t{1} << 48) - 1;
+constexpr std::int32_t kMaxDep = (1 << 24) - 2;  // all-ones is the "no dep" code
+constexpr std::uint32_t kMaxPc = (1u << 24) - 1;
 constexpr std::uint32_t kMaxSite = (1u << 24) - 1;
+constexpr sim::Cycle kMaxTimeout = (1u << 24) - 1;
+static_assert(Instr::kMaxAddr == kMaxAddr && Instr::kMaxDep == kMaxDep &&
+              Instr::kMaxPc == kMaxPc && Instr::kMaxSite == kMaxSite &&
+              Instr::kMaxTimeout == kMaxTimeout);
 
 // Every Make* constructor returns each field it was given, at the extremes
 // of every packed field; a field a kind does not use reads its default.
 TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
   for (std::int32_t dep : {-1, 0, kMaxDep}) {
-    for (sim::Addr a : {sim::Addr{0}, kMax64}) {
+    for (sim::Addr a : {sim::Addr{0}, kMaxAddr}) {
       Instr ld = arch::MakeLoad(a, dep, kMaxPc);
       EXPECT_EQ(ld.kind(), Instr::Kind::kLoad);
       EXPECT_EQ(ld.addr(), a);
@@ -350,7 +356,7 @@ TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
     }
     for (int l = 0; l < arch::kNumLocs; ++l) {
       const auto loc = static_cast<arch::Loc>(l);
-      for (sim::Cycle timeout : {sim::Cycle{0}, kMax64}) {
+      for (sim::Cycle timeout : {sim::Cycle{0}, kMaxTimeout}) {
         Instr pre = arch::MakePreCompute(op, -1, kMaxDep, loc, timeout, kMaxPc, kMaxSite);
         EXPECT_EQ(pre.kind(), Instr::Kind::kPreCompute);
         EXPECT_EQ(pre.op(), op);
@@ -370,7 +376,51 @@ TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
   EXPECT_EQ(def.op(), arch::Op::kAdd);
   EXPECT_EQ(def.dep0(), -1);
   EXPECT_EQ(def.dep1(), -1);
+  EXPECT_EQ(def.pc(), 0u);
+  EXPECT_EQ(def.site(), 0u);
+  EXPECT_EQ(def.addr(), 0u);
+  EXPECT_EQ(def.timeout(), 0u);
+  EXPECT_FALSE(def.ndc_candidate());
   EXPECT_EQ(def.planned_loc(), arch::Loc::kCacheCtrl);
+}
+
+// Expects `make` to throw std::out_of_range with a message naming `field`.
+template <typename F>
+void ExpectOutOfRange(F make, const std::string& field) {
+  try {
+    make();
+    ADD_FAILURE() << field << ": no exception";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(InstrLayout, FieldBeyondItsWidthThrows) {
+  using arch::Loc;
+  using arch::Op;
+  const sim::Addr addr = kMaxAddr + 1;
+  const std::uint32_t pc = kMaxPc + 1;
+  const std::int32_t dep = kMaxDep + 1;
+  ExpectOutOfRange([&] { return arch::MakeLoad(addr); }, "address");
+  ExpectOutOfRange([&] { return arch::MakeStore(addr); }, "address");
+  ExpectOutOfRange([&] { return arch::MakeLoad(0, -1, pc); }, "pc");
+  ExpectOutOfRange([&] { return arch::MakeStore(0, -1, -1, pc); }, "pc");
+  ExpectOutOfRange([&] { return arch::MakeCompute(Op::kAdd, 0, 1, true, pc); }, "pc");
+  ExpectOutOfRange([&] { return arch::MakePreCompute(Op::kAdd, 0, 1, Loc::kMemBank, 5, pc); },
+                   "pc");
+  ExpectOutOfRange([&] { return arch::MakeLoad(0, dep); }, "dep0");
+  ExpectOutOfRange([&] { return arch::MakeStore(0, dep); }, "dep0");
+  ExpectOutOfRange([&] { return arch::MakeStore(0, 0, dep); }, "dep1");
+  ExpectOutOfRange([&] { return arch::MakeCompute(Op::kAdd, dep, 1, true); }, "dep0");
+  ExpectOutOfRange([&] { return arch::MakeCompute(Op::kAdd, 0, dep, true); }, "dep1");
+  ExpectOutOfRange([&] { return arch::MakePreCompute(Op::kAdd, dep, 1, Loc::kMemBank, 5); },
+                   "dep0");
+  ExpectOutOfRange([&] { return arch::MakePreCompute(Op::kAdd, 0, dep, Loc::kMemBank, 5); },
+                   "dep1");
+  ExpectOutOfRange([&] { return arch::MakeCompute(Op::kAdd, -2, 1, true); }, "dep0");
+  ExpectOutOfRange(
+      [&] { return arch::MakePreCompute(Op::kAdd, 0, 1, Loc::kMemBank, kMaxTimeout + 1); },
+      "timeout");
 }
 
 TEST(InstrLayout, SiteBeyondTwentyFourBitsThrows) {
@@ -412,24 +462,68 @@ void HashLowered(Fnv1a& fnv, const CodegenResult& r) {
   }
 }
 
-TEST(Codegen, LoweredTracesMatchFrozenDigest) {
+// Lowers the 20 benchmarks at `scale` as baseline, Algorithm-1 and
+// Algorithm-2 programs, in that order per benchmark, and hands each result
+// to `use`.
+template <typename F>
+void LowerAllModes(workloads::Scale scale, F use) {
   const arch::ArchConfig cfg;
   const int cores = cfg.num_nodes();
   const ArchDescription ad(cfg);
-  Fnv1a fnv;
   for (const std::string& name : workloads::BenchmarkNames()) {
-    const Program built = workloads::BuildWorkload(name, workloads::Scale::kTest);
-    HashLowered(fnv, Lower(built, cores, &cfg));
+    const Program built = workloads::BuildWorkload(name, scale);
+    use(Lower(built, cores, &cfg));
     for (Mode mode : {Mode::kAlgorithm1, Mode::kAlgorithm2}) {
       Program p = built;
       CompileOptions opt;
       opt.mode = mode;
       Compile(p, ad, opt);
-      HashLowered(fnv, Lower(p, cores, &cfg));
+      use(Lower(p, cores, &cfg));
     }
   }
+}
+
+TEST(Codegen, LoweredTracesMatchFrozenDigest) {
+  Fnv1a fnv;
+  LowerAllModes(workloads::Scale::kTest, [&](const CodegenResult& r) { HashLowered(fnv, r); });
   EXPECT_GT(fnv.precomputes, 0u);
   EXPECT_EQ(fnv.h, 0x55ddda4eb0953213ull) << std::hex << "digest 0x" << fnv.h;
+}
+
+// The largest value each packed field takes over a set of lowered traces.
+struct FieldMaxima {
+  sim::Addr addr = 0;
+  std::uint32_t pc = 0;
+  std::uint32_t site = 0;
+  sim::Cycle timeout = 0;
+  std::int32_t dep = -1;
+
+  void Add(const CodegenResult& r) {
+    for (const arch::Trace& t : r.traces) {
+      for (const Instr& i : t) {
+        addr = std::max(addr, i.addr());
+        pc = std::max(pc, i.pc());
+        site = std::max(site, i.site());
+        timeout = std::max(timeout, i.timeout());
+        dep = std::max({dep, i.dep0(), i.dep1()});
+      }
+    }
+  }
+};
+
+// The paper-sized inputs lower into traces that fit the 16-byte Instr with
+// room to spare: lowering would throw on a field that does not fit, and each
+// field's largest value stays within 1/64 of its limit, so a workload that
+// eats into the headroom fails here before it reaches the limit.
+TEST(Codegen, FullScaleTracesFitTheInstrLayout) {
+  FieldMaxima max;
+  LowerAllModes(workloads::Scale::kFull, [&](const CodegenResult& r) { max.Add(r); });
+  EXPECT_GT(max.timeout, 0u);
+  EXPECT_LE(max.addr, kMaxAddr / 64) << std::hex << "address 0x" << max.addr;
+  EXPECT_LE(max.pc, kMaxPc / 64);
+  EXPECT_LE(max.site, kMaxSite / 64);
+  EXPECT_LE(max.timeout, kMaxTimeout / 64);
+  EXPECT_LE(max.dep, kMaxDep / 64);
 }
 
 }  // namespace

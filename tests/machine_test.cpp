@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
@@ -197,6 +198,31 @@ TEST(Machine, LoadProgramRejectsMoreTracesThanCores) {
   std::vector<Trace> p(static_cast<std::size_t>(cfg.num_nodes()) + 1);
   p.back() = {MakeLoad(kAddrA)};
   EXPECT_THROW(m.LoadProgram(std::move(p)), std::invalid_argument);
+}
+
+// A dep names an earlier slot of the same trace; a self, forward or
+// past-the-end dep is rejected before the core could index past its trace.
+TEST(Machine, LoadProgramRejectsForwardDeps) {
+  ArchConfig cfg;
+  const std::vector<Trace> bad = {
+      {MakeLoad(kAddrA), MakeCompute(Op::kAdd, 0, 1, true)},        // self
+      {MakeLoad(kAddrA), MakeStore(kAddrB, 0, 2), MakeLoad(kAddrB)},  // forward
+      {MakeLoad(kAddrA), MakeLoad(kAddrB, 7)},                        // past the end
+      {MakeLoad(kAddrA, 0)},                                          // self at slot 0
+  };
+  for (const Trace& t : bad) {
+    Machine m(cfg);
+    try {
+      m.LoadProgram(Program(3, t));
+      ADD_FAILURE() << "accepted a trace with a forward dep";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("core 3 slot "), std::string::npos) << e.what();
+    }
+  }
+  Machine ok(cfg);
+  ok.LoadProgram(Program(3, {MakeLoad(kAddrA), MakeLoad(kAddrB, 0),
+                             MakeCompute(Op::kAdd, 0, 1, true)}));
+  EXPECT_EQ(ok.Run().stats.Get("run.incomplete_cores"), 0u);
 }
 
 TEST(Machine, LoadProgramIdlesMissingCores) {
