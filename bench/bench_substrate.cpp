@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <new>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/pipeline.hpp"
+#include "json/json.hpp"
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
@@ -325,33 +327,32 @@ BenchResult LowerBench(const char* name, bool algorithm2) {
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
                double speedup, std::uint64_t events_target) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  using json::Value;
+  Value benches = Value::Array();
+  for (const BenchResult& r : rows) {
+    Value row = Value::Object({{"name", Value::Str(r.name)},
+                               {"events", Value::Int(r.events)},
+                               {"seconds", Value::Double(r.seconds)},
+                               {"events_per_sec", Value::Double(r.events_per_sec())},
+                               {"ns_per_event", Value::Double(r.ns_per_event())},
+                               {"allocs", Value::Int(r.allocs)},
+                               {"allocs_per_event", Value::Double(r.allocs_per_event())}});
+    if (r.run_state_bytes_per_instr >= 0) {
+      row.obj["run_state_bytes_per_instr"] = Value::Double(r.run_state_bytes_per_instr);
+      row.obj["trace_bytes_per_instr"] = Value::Double(r.trace_bytes_per_instr);
+    }
+    benches.arr.push_back(std::move(row));
+  }
+  Value report = Value::Object({{"benchmark", Value::Str("bench_substrate")},
+                                {"events_target", Value::Int(events_target)},
+                                {"speedup_vs_legacy", Value::Double(speedup)},
+                                {"benches", std::move(benches)}});
+  std::ofstream f(path);
+  f << json::Dump(report) << "\n";
+  if (!f) {
     std::fprintf(stderr, "bench_substrate: cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_substrate\",\n");
-  std::fprintf(f, "  \"events_target\": %llu,\n",
-               static_cast<unsigned long long>(events_target));
-  std::fprintf(f, "  \"speedup_vs_legacy\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"benches\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchResult& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"events\": %llu, \"seconds\": %.6f, "
-                 "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f, "
-                 "\"allocs\": %llu, \"allocs_per_event\": %.6f",
-                 r.name.c_str(), static_cast<unsigned long long>(r.events), r.seconds,
-                 r.events_per_sec(), r.ns_per_event(),
-                 static_cast<unsigned long long>(r.allocs), r.allocs_per_event());
-    if (r.run_state_bytes_per_instr >= 0) {
-      std::fprintf(f, ", \"run_state_bytes_per_instr\": %.2f, \"trace_bytes_per_instr\": %.2f",
-                   r.run_state_bytes_per_instr, r.trace_bytes_per_instr);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 int Main(int argc, char** argv) {

@@ -143,29 +143,49 @@ std::uint64_t CellResult::Stat(const std::string& name) const {
   return it == stats.end() ? 0 : it->second;
 }
 
+namespace {
+
+/// The scalar counters of a CellResult and the names they are cached
+/// under; ToJson, FromJson and operator== all walk this one list.
+struct CounterField {
+  const char* name;
+  std::uint64_t CellResult::*member;
+};
+constexpr CounterField kCounterFields[] = {
+    {"makespan", &CellResult::makespan},
+    {"baseline_makespan", &CellResult::baseline_makespan},
+    {"l1_hits", &CellResult::l1_hits},
+    {"l1_misses", &CellResult::l1_misses},
+    {"l2_hits", &CellResult::l2_hits},
+    {"l2_misses", &CellResult::l2_misses},
+    {"candidates", &CellResult::candidates},
+    {"local_l1_skips", &CellResult::local_l1_skips},
+    {"offloads", &CellResult::offloads},
+    {"ndc_success", &CellResult::ndc_success},
+    {"fallbacks", &CellResult::fallbacks},
+    {"chains", &CellResult::chains},
+    {"planned", &CellResult::planned},
+    {"reuse_skips", &CellResult::reuse_skips},
+    {"legality_failures", &CellResult::legality_failures},
+    {"gating_failures", &CellResult::gating_failures},
+    {"transforms", &CellResult::transforms},
+};
+
+/// Reads one counter; false unless `v` is present and an integer.
+bool ReadCounter(const json::Value* v, std::uint64_t* dst) {
+  if (v == nullptr || v->kind != json::Value::Kind::kInt) return false;
+  *dst = v->u64;
+  return true;
+}
+
+}  // namespace
+
 json::Value CellResult::ToJson() const {
   json::Value v = json::Value::Object();
-  auto put = [&](const char* k, std::uint64_t x) { v.obj[k] = json::Value::Int(x); };
-  put("makespan", makespan);
-  put("baseline_makespan", baseline_makespan);
-  put("l1_hits", l1_hits);
-  put("l1_misses", l1_misses);
-  put("l2_hits", l2_hits);
-  put("l2_misses", l2_misses);
-  put("candidates", candidates);
-  put("local_l1_skips", local_l1_skips);
-  put("offloads", offloads);
-  put("ndc_success", ndc_success);
-  put("fallbacks", fallbacks);
+  for (const CounterField& f : kCounterFields) v.obj[f.name] = json::Value::Int(this->*f.member);
   json::Value locs = json::Value::Array();
   for (std::uint64_t x : ndc_at_loc) locs.arr.push_back(json::Value::Int(x));
   v.obj["ndc_at_loc"] = std::move(locs);
-  put("chains", chains);
-  put("planned", planned);
-  put("reuse_skips", reuse_skips);
-  put("legality_failures", legality_failures);
-  put("gating_failures", gating_failures);
-  put("transforms", transforms);
   json::Value st = json::Value::Object();
   for (const auto& [k, x] : stats) st.obj[k] = json::Value::Int(x);
   v.obj["stats"] = std::move(st);
@@ -175,55 +195,30 @@ json::Value CellResult::ToJson() const {
 bool CellResult::FromJson(const json::Value& v, CellResult* out) {
   if (!v.is_object()) return false;
   CellResult r;
-  auto get = [&](const char* k, std::uint64_t* dst) {
-    const json::Value* f = v.Find(k);
-    if (f == nullptr) return false;
-    *dst = f->AsU64();
-    return true;
-  };
-  bool ok = true;
-  ok &= get("makespan", &r.makespan);
-  ok &= get("baseline_makespan", &r.baseline_makespan);
-  ok &= get("l1_hits", &r.l1_hits);
-  ok &= get("l1_misses", &r.l1_misses);
-  ok &= get("l2_hits", &r.l2_hits);
-  ok &= get("l2_misses", &r.l2_misses);
-  ok &= get("candidates", &r.candidates);
-  ok &= get("local_l1_skips", &r.local_l1_skips);
-  ok &= get("offloads", &r.offloads);
-  ok &= get("ndc_success", &r.ndc_success);
-  ok &= get("fallbacks", &r.fallbacks);
-  ok &= get("chains", &r.chains);
-  ok &= get("planned", &r.planned);
-  ok &= get("reuse_skips", &r.reuse_skips);
-  ok &= get("legality_failures", &r.legality_failures);
-  ok &= get("gating_failures", &r.gating_failures);
-  ok &= get("transforms", &r.transforms);
+  for (const CounterField& f : kCounterFields) {
+    if (!ReadCounter(v.Find(f.name), &(r.*f.member))) return false;
+  }
   const json::Value* locs = v.Find("ndc_at_loc");
   if (locs == nullptr || !locs->is_array() || locs->arr.size() != r.ndc_at_loc.size()) {
     return false;
   }
   for (std::size_t i = 0; i < r.ndc_at_loc.size(); ++i) {
-    r.ndc_at_loc[i] = locs->arr[i].AsU64();
+    if (!ReadCounter(&locs->arr[i], &r.ndc_at_loc[i])) return false;
   }
   const json::Value* st = v.Find("stats");
   if (st == nullptr || !st->is_object()) return false;
-  for (const auto& [k, x] : st->obj) r.stats[k] = x.AsU64();
-  if (!ok) return false;
+  for (const auto& [k, x] : st->obj) {
+    if (!ReadCounter(&x, &r.stats[k])) return false;
+  }
   *out = r;
   return true;
 }
 
 bool CellResult::operator==(const CellResult& o) const {
-  return makespan == o.makespan && baseline_makespan == o.baseline_makespan &&
-         l1_hits == o.l1_hits && l1_misses == o.l1_misses && l2_hits == o.l2_hits &&
-         l2_misses == o.l2_misses && candidates == o.candidates &&
-         local_l1_skips == o.local_l1_skips && offloads == o.offloads &&
-         ndc_success == o.ndc_success && fallbacks == o.fallbacks &&
-         ndc_at_loc == o.ndc_at_loc && chains == o.chains && planned == o.planned &&
-         reuse_skips == o.reuse_skips && legality_failures == o.legality_failures &&
-         gating_failures == o.gating_failures && transforms == o.transforms &&
-         stats == o.stats;
+  for (const CounterField& f : kCounterFields) {
+    if (this->*f.member != o.*f.member) return false;
+  }
+  return ndc_at_loc == o.ndc_at_loc && stats == o.stats;
 }
 
 namespace {

@@ -16,7 +16,7 @@
 
 #include "arch/config.hpp"
 #include "fault/conservation.hpp"
-#include "harness/json.hpp"
+#include "json/json.hpp"
 #include "metrics/experiment.hpp"
 #include "workloads/workloads.hpp"
 
@@ -72,7 +72,9 @@ struct CellSpec {
 
 /// The scalar results of one cell — the subset of runtime::RunResult and
 /// compiler::CompileReport every figure renders from, in a form that
-/// round-trips through the JSONL cache.
+/// round-trips through the JSONL cache. A scalar counter added here must
+/// also be named in kCounterFields (cell.cpp), which drives ToJson,
+/// FromJson and operator==.
 struct CellResult {
   std::uint64_t makespan = 0;
   std::uint64_t baseline_makespan = 0;  ///< same workload/cfg, conventional

@@ -71,8 +71,8 @@ SweepSummary RunFig02(const FigureOptions& opt) {
   std::vector<std::array<sim::BucketHistogram, 4>> hists(names.size());
   ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     arch::ArchConfig cfg;
-    metrics::Experiment exp(names[b], opt.scale, cfg, opt.seed);
-    const auto& obs = exp.Observe();
+    metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
+    const auto& obs = profile.Observe();
     std::array<sim::BucketHistogram, 4> h;
     obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
       if (rec.local_l1) return;
@@ -123,8 +123,8 @@ SweepSummary RunFig03(const FigureOptions& opt) {
   std::vector<std::string> names = FilteredWorkloads(opt);
   std::vector<PerWorkload> parts(names.size());
   ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
-    metrics::Experiment exp(names[b], opt.scale, cfg, opt.seed);
-    const auto& obs = exp.Observe();
+    metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
+    const auto& obs = profile.Observe();
     PerWorkload& p = parts[b];
     obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
       if (rec.local_l1) return;
@@ -182,8 +182,8 @@ namespace {
 std::vector<sim::Cycle> WindowTrace(const std::string& name, workloads::Scale scale,
                                     std::uint64_t seed, int want) {
   arch::ArchConfig cfg;
-  metrics::Experiment exp(name, scale, cfg, seed);
-  const auto& obs = exp.Observe();
+  metrics::Profile profile(name, scale, cfg, seed);
+  const auto& obs = profile.Observe();
 
   // (core, pc) -> sorted (compute_idx, window) samples
   std::map<std::pair<sim::NodeId, std::uint32_t>,

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "json/json.hpp"
+
 namespace ndc::obs {
 
 const char* DecisionKindName(DecisionKind k) {
@@ -102,25 +104,21 @@ std::string DecisionLog::Summary() const {
 }
 
 std::string DecisionLog::ToJsonl() const {
+  using json::Value;
   std::string out;
-  char line[256];
   for (const DecisionEntry& e : entries_) {
-    // `prior` is emitted only when computed: decision JSONL without it
-    // stays byte-identical to the historical format.
-    char prior[32] = "";
-    if (e.prior != 0) {
-      std::snprintf(prior, sizeof(prior), ",\"prior\":%u", e.prior);
-    }
-    std::snprintf(line, sizeof(line),
-                  "{\"uid\":%llu,\"core\":%d,\"site\":%u,\"kind\":\"%s\","
-                  "\"planned_loc\":%d,\"decided_at\":%llu,\"outcome\":\"%s\","
-                  "\"met_loc\":%d,\"resolved_at\":%llu%s}\n",
-                  static_cast<unsigned long long>(e.uid), static_cast<int>(e.core),
-                  e.site, DecisionKindName(e.kind), static_cast<int>(e.planned_loc),
-                  static_cast<unsigned long long>(e.decided_at), OutcomeName(e.outcome),
-                  static_cast<int>(e.met_loc),
-                  static_cast<unsigned long long>(e.resolved_at), prior);
-    out += line;
+    Value v = Value::Object({{"uid", Value::Int(e.uid)},
+                             {"core", Value::Signed(e.core)},
+                             {"site", Value::Int(e.site)},
+                             {"kind", Value::Str(DecisionKindName(e.kind))},
+                             {"planned_loc", Value::Signed(e.planned_loc)},
+                             {"decided_at", Value::Int(e.decided_at)},
+                             {"outcome", Value::Str(OutcomeName(e.outcome))},
+                             {"met_loc", Value::Signed(e.met_loc)},
+                             {"resolved_at", Value::Int(e.resolved_at)}});
+    if (e.prior != 0) v.obj["prior"] = Value::Int(e.prior);  // 0 = not computed
+    out += json::Dump(v);
+    out += '\n';
   }
   return out;
 }

@@ -1,81 +1,44 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <fstream>
+
+#include "json/json.hpp"
 
 namespace ndc::obs {
 namespace {
 
-void AppendU64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// Event names are static strings chosen by the instrumentation (no user
-// input), but escape defensively so the output is always valid JSON.
-void AppendEscaped(std::string& out, const char* s) {
-  out += '"';
-  for (; *s != '\0'; ++s) {
-    unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += static_cast<char>(c);
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
+json::Value EventJson(const TraceEvent& e) {
+  using json::Value;
+  Value v = Value::Object({{"ph", Value::Str(std::string(1, e.ph))},
+                           {"ts", Value::Int(e.ts)},
+                           {"pid", Value::Signed(e.pid)},
+                           {"tid", Value::Signed(e.tid)},
+                           {"name", Value::Str(e.name)}});
+  if (e.ph == 'X') v.obj["dur"] = Value::Int(e.dur);
+  if (e.ph == 'i') v.obj["s"] = Value::Str("t");  // instant scope: thread
+  if (e.token != 0 || e.arg_name != nullptr) {
+    Value args = Value::Object();
+    if (e.token != 0) args.obj["token"] = Value::Int(e.token);
+    if (e.arg_name != nullptr) args.obj[e.arg_name] = Value::Int(e.arg);
+    v.obj["args"] = std::move(args);
   }
-  out += '"';
+  return v;
 }
 
 }  // namespace
 
 std::string TraceSink::ToJson() const {
-  std::string out;
-  out.reserve(events_.size() * 96 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& e : events_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"";
-    out += e.ph;
-    out += "\",\"ts\":";
-    AppendU64(out, e.ts);
-    if (e.ph == 'X') {
-      out += ",\"dur\":";
-      AppendU64(out, e.dur);
-    }
-    out += ",\"pid\":";
-    AppendU64(out, static_cast<std::uint64_t>(e.pid));
-    out += ",\"tid\":";
-    AppendU64(out, static_cast<std::uint64_t>(e.tid));
-    out += ",\"name\":";
-    AppendEscaped(out, e.name);
-    if (e.ph == 'i') out += ",\"s\":\"t\"";  // instant scope: thread
-    if (e.token != 0 || e.arg_name != nullptr) {
-      out += ",\"args\":{";
-      bool comma = false;
-      if (e.token != 0) {
-        out += "\"token\":";
-        AppendU64(out, e.token);
-        comma = true;
-      }
-      if (e.arg_name != nullptr) {
-        if (comma) out += ',';
-        AppendEscaped(out, e.arg_name);
-        out += ':';
-        AppendU64(out, e.arg);
-      }
-      out += '}';
-    }
-    out += '}';
+  // One Dump per event: a whole-document Value would hold every event as a
+  // tree of maps. "traceEvents" sorts last, so the document's Dump ends in
+  // its empty array's "]}" and the events go in front of it.
+  std::string out = json::Dump(json::Value::Object(
+      {{"displayTimeUnit", json::Value::Str("ns")}, {"traceEvents", json::Value::Array()}}));
+  out.resize(out.size() - 2);
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    if (i != 0) out += ',';
+    out += json::Dump(EventJson(events_[i]));
   }
-  out += "],\"displayTimeUnit\":\"ns\"}";
+  out += "]}";
   return out;
 }
 

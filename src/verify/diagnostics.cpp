@@ -1,7 +1,6 @@
 #include "verify/diagnostics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace ndc::verify {
@@ -102,52 +101,20 @@ std::string Report::ToText() const {
   return os.str();
 }
 
-// Control characters get named escapes where JSON defines one and \u00xx
-// otherwise (the snprintf argument must be widened through unsigned char: a
-// raw signed char would sign-extend and print \uffxx). Bytes >= 0x80 —
-// UTF-8 continuation and lead bytes — pass through untouched: the document
-// is UTF-8, and escaping them as \u00xx would re-encode each byte as a
-// separate Latin-1 code point, corrupting every multi-byte rune on the
-// first decode.
-void JsonEscape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
+json::Value Report::ToJson() const {
+  using json::Value;
+  Value out = Value::Array();
+  for (const Diagnostic& d : diags) {
+    out.arr.push_back(Value::Object({{"severity", Value::Str(SeverityName(d.severity))},
+                                     {"code", Value::Int(static_cast<std::uint64_t>(d.code))},
+                                     {"name", Value::Str(CodeName(d.code))},
+                                     {"nest", Value::Signed(d.nest)},
+                                     {"stmt", Value::Signed(d.stmt)},
+                                     {"stmt_id", Value::Int(d.stmt_id)},
+                                     {"array", Value::Signed(d.array)},
+                                     {"message", Value::Str(d.message)}}));
   }
-}
-
-std::string Report::ToJson() const {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    if (i != 0) os << ",";
-    os << "\n  {\"severity\": \"" << SeverityName(d.severity) << "\", \"code\": "
-       << static_cast<int>(d.code) << ", \"name\": \"" << CodeName(d.code)
-       << "\", \"nest\": " << d.nest << ", \"stmt\": " << d.stmt
-       << ", \"stmt_id\": " << d.stmt_id << ", \"array\": " << d.array
-       << ", \"message\": \"";
-    JsonEscape(os, d.message);
-    os << "\"}";
-  }
-  os << (diags.empty() ? "]" : "\n]");
-  return os.str();
+  return out;
 }
 
 }  // namespace ndc::verify

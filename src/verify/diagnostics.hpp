@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "json/json.hpp"
 
 namespace ndc::verify {
 
@@ -86,12 +87,9 @@ struct Report {
 
   /// Human-readable rendering, one finding per line.
   std::string ToText() const;
-  /// Machine-readable rendering (a JSON array of finding objects).
-  std::string ToJson() const;
+  /// Machine-readable rendering: an array of finding objects (severity,
+  /// code, name, nest, stmt, stmt_id, array, message).
+  json::Value ToJson() const;
 };
-
-/// Writes `s` as the body of a JSON string (no surrounding quotes): the one
-/// escaper behind ToJson and the SARIF exporter.
-void JsonEscape(std::ostream& os, const std::string& s);
 
 }  // namespace ndc::verify

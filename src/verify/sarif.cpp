@@ -1,7 +1,7 @@
 #include "verify/sarif.hpp"
 
+#include <cstdint>
 #include <map>
-#include <sstream>
 
 namespace ndc::verify {
 namespace {
@@ -19,63 +19,49 @@ const char* SarifLevel(Severity s) {
 
 std::string ToSarif(const Report& report, const std::string& tool_name,
                     const std::string& tool_version) {
+  using json::Value;
   // Rules: one per distinct code, ordered by numeric code so the table is
   // deterministic regardless of finding order.
   std::map<int, Code> codes;
   for (const Diagnostic& d : report.diags) codes[static_cast<int>(d.code)] = d.code;
-  std::map<int, int> rule_index;
-  int next = 0;
-  for (const auto& [num, code] : codes) rule_index[num] = next++;
-
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-     << "  \"version\": \"2.1.0\",\n"
-     << "  \"runs\": [\n"
-     << "    {\n"
-     << "      \"tool\": {\n"
-     << "        \"driver\": {\n"
-     << "          \"name\": \"";
-  JsonEscape(os, tool_name);
-  os << "\",\n"
-     << "          \"version\": \"";
-  JsonEscape(os, tool_version);
-  os << "\",\n"
-     << "          \"informationUri\": \"https://example.invalid/ndc\",\n"
-     << "          \"rules\": [";
-  bool first = true;
+  std::map<int, std::uint64_t> rule_index;
+  Value rules = Value::Array();
   for (const auto& [num, code] : codes) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "            {\"id\": \"" << CodeId(code) << "\", \"name\": \""
-       << CodeName(code) << "\", \"shortDescription\": {\"text\": \"" << CodeName(code)
-       << "\"}}";
+    rule_index[num] = rules.arr.size();
+    rules.arr.push_back(Value::Object(
+        {{"id", Value::Str(CodeId(code))},
+         {"name", Value::Str(CodeName(code))},
+         {"shortDescription", Value::Object({{"text", Value::Str(CodeName(code))}})}}));
   }
-  os << (codes.empty() ? "]" : "\n          ]") << "\n"
-     << "        }\n"
-     << "      },\n"
-     << "      \"results\": [";
-  first = true;
+
+  Value results = Value::Array();
   for (const Diagnostic& d : report.diags) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "        {\"ruleId\": \"" << CodeId(d.code)
-       << "\", \"ruleIndex\": " << rule_index[static_cast<int>(d.code)]
-       << ", \"level\": \"" << SarifLevel(d.severity) << "\", \"message\": {\"text\": \"";
-    JsonEscape(os, d.message);
-    os << "\"}, \"locations\": [{\"logicalLocations\": [{\"fullyQualifiedName\": \"";
-    std::ostringstream loc;
-    loc << "nest" << d.nest;
-    if (d.stmt >= 0) loc << "/stmt" << d.stmt;
-    JsonEscape(os, loc.str());
-    os << "\", \"kind\": \"function\"}]}], \"properties\": {\"nest\": " << d.nest
-       << ", \"stmt\": " << d.stmt << ", \"array\": " << d.array << "}}";
+    std::string loc = "nest" + std::to_string(d.nest);
+    if (d.stmt >= 0) loc += "/stmt" + std::to_string(d.stmt);
+    Value logical = Value::Object(
+        {{"fullyQualifiedName", Value::Str(loc)}, {"kind", Value::Str("function")}});
+    results.arr.push_back(Value::Object(
+        {{"ruleId", Value::Str(CodeId(d.code))},
+         {"ruleIndex", Value::Int(rule_index[static_cast<int>(d.code)])},
+         {"level", Value::Str(SarifLevel(d.severity))},
+         {"message", Value::Object({{"text", Value::Str(d.message)}})},
+         {"locations", Value::Array({Value::Object(
+                           {{"logicalLocations", Value::Array({std::move(logical)})}})})},
+         {"properties", Value::Object({{"nest", Value::Signed(d.nest)},
+                                       {"stmt", Value::Signed(d.stmt)},
+                                       {"array", Value::Signed(d.array)}})}}));
   }
-  os << (report.diags.empty() ? "]" : "\n      ]") << "\n"
-     << "    }\n"
-     << "  ]\n"
-     << "}\n";
-  return os.str();
+
+  Value driver = Value::Object({{"name", Value::Str(tool_name)},
+                                {"version", Value::Str(tool_version)},
+                                {"informationUri", Value::Str("https://example.invalid/ndc")},
+                                {"rules", std::move(rules)}});
+  Value run = Value::Object({{"tool", Value::Object({{"driver", std::move(driver)}})},
+                             {"results", std::move(results)}});
+  Value log = Value::Object({{"$schema", Value::Str("https://json.schemastore.org/sarif-2.1.0.json")},
+                             {"version", Value::Str("2.1.0")},
+                             {"runs", Value::Array({std::move(run)})}});
+  return json::Dump(log) + "\n";
 }
 
 }  // namespace ndc::verify

@@ -1,7 +1,8 @@
-// src/harness unit tests: the JSON codec, cache-key semantics, CellResult
-// round-tripping, the on-disk result cache, the plan scheduler, the
-// warm-sweep zero-simulation guarantee, and the equivalence of a sweep that
-// shares profiles with standalone RunCell calls.
+// src/harness unit tests: cache-key semantics, CellResult round-tripping,
+// the on-disk result cache, the plan scheduler, the warm-sweep
+// zero-simulation guarantee, the equivalence of a sweep that shares
+// profiles with standalone RunCell calls, and the sweep exports parsing as
+// JSON.
 
 #include <gtest/gtest.h>
 
@@ -24,40 +25,6 @@
 
 namespace ndc::harness {
 namespace {
-
-// --------------------------------------------------------------- json ---
-
-TEST(Json, DumpIsDeterministicAndParsesBack) {
-  json::Value v = json::Value::Object();
-  v.obj["b"] = json::Value::Int(42);
-  v.obj["a"] = json::Value::Str("x\"y\n");
-  v.obj["c"] = json::Value::Array();
-  v.obj["c"].arr.push_back(json::Value::Bool(true));
-  v.obj["c"].arr.push_back(json::Value::Double(1.5));
-  v.obj["c"].arr.push_back(json::Value::Null());
-
-  std::string s = json::Dump(v);
-  EXPECT_EQ(s, "{\"a\":\"x\\\"y\\n\",\"b\":42,\"c\":[true,1.5,null]}");
-
-  json::Value back;
-  ASSERT_TRUE(json::Parse(s, &back));
-  EXPECT_EQ(json::Dump(back), s);
-}
-
-TEST(Json, RejectsMalformedInput) {
-  json::Value v;
-  EXPECT_FALSE(json::Parse("{\"a\":}", &v));
-  EXPECT_FALSE(json::Parse("[1,2", &v));
-  EXPECT_FALSE(json::Parse("{} trailing", &v));
-  EXPECT_FALSE(json::Parse("", &v));
-}
-
-TEST(Json, RoundTripsLargeIntegersExactly) {
-  json::Value v = json::Value::Int(18446744073709551615ull);
-  json::Value back;
-  ASSERT_TRUE(json::Parse(json::Dump(v), &back));
-  EXPECT_EQ(back.AsU64(), 18446744073709551615ull);
-}
 
 // --------------------------------------------------------------- keys ---
 
@@ -168,6 +135,42 @@ TEST(CellResult, JsonRoundTripPreservesEveryField) {
   EXPECT_TRUE(r == back);
   EXPECT_EQ(back.Stat("noc.contention_cycles"), 777u);
   EXPECT_EQ(back.Stat("missing.counter"), 0u);
+}
+
+TEST(CellResult, FromJsonRejectsANonIntegerCounter) {
+  const json::Value good = SampleResult().ToJson();
+  CellResult out;
+  ASSERT_TRUE(CellResult::FromJson(good, &out));
+  json::Value v = good;
+  v.obj["makespan"] = json::Value::Double(123456.5);
+  EXPECT_FALSE(CellResult::FromJson(v, &out));
+  v = good;
+  v.obj["offloads"] = json::Value::Str("42");
+  EXPECT_FALSE(CellResult::FromJson(v, &out));
+  v = good;
+  v.obj["ndc_at_loc"].arr[2] = json::Value::Signed(-2);
+  EXPECT_FALSE(CellResult::FromJson(v, &out));
+  v = good;
+  v.obj["stats"].obj["core.computes"] = json::Value::Double(1234.0);
+  EXPECT_FALSE(CellResult::FromJson(v, &out));
+}
+
+// ToJson, FromJson and operator== walk one field list: a change to any
+// serialized scalar counter survives the round trip and breaks equality.
+TEST(CellResult, EverySerializedCounterTakesPartInEquality) {
+  const CellResult base = SampleResult();
+  const json::Value good = base.ToJson();
+  int scalars = 0;
+  for (const auto& [key, field] : good.obj) {
+    if (field.kind != json::Value::Kind::kInt) continue;
+    ++scalars;
+    json::Value v = good;
+    v.obj[key] = json::Value::Int(field.u64 + 1);
+    CellResult changed;
+    ASSERT_TRUE(CellResult::FromJson(v, &changed)) << key;
+    EXPECT_FALSE(changed == base) << key;
+  }
+  EXPECT_EQ(scalars, 17);
 }
 
 TEST(CellResult, ImprovementPctHandlesZeroBaseline) {
@@ -593,6 +596,60 @@ std::map<std::string, std::string> SlurpDir(const std::string& dir) {
     out[e.path().filename().string()] = ss.str();
   }
   return out;
+}
+
+// Every sweep export is JSON that json::Parse reads back: each line of
+// --export-jsonl, each --export-obs file, and the --summary line.
+TEST(Figures, ExportsParseAsJson) {
+  const std::string dir = UniqueCacheDir("exports");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.only = "md";
+  opt.use_cache = false;
+  opt.export_jsonl = dir + "/cells.jsonl";
+  opt.export_obs = dir + "/obs";
+  SweepSummary summary;
+  testing::internal::CaptureStdout();
+  int rc = RunFigure("fig04", opt, &summary);
+  testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0);
+  ASSERT_TRUE(AppendSummary(summary, dir + "/summary.jsonl"));
+
+  std::ifstream cells(opt.export_jsonl);
+  std::string line;
+  std::uint64_t cell_lines = 0, summary_lines = 0;
+  while (std::getline(cells, line)) {
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::Parse(line, &v, &err)) << err << "\n" << line;
+    if (v.Find("summary") != nullptr) {
+      ++summary_lines;
+      continue;
+    }
+    ++cell_lines;
+    CellResult r;
+    ASSERT_NE(v.Find("result"), nullptr);
+    EXPECT_TRUE(CellResult::FromJson(*v.Find("result"), &r)) << line;
+  }
+  EXPECT_EQ(cell_lines, summary.cells);
+  EXPECT_EQ(summary_lines, 1u);
+
+  std::map<std::string, std::string> obs = SlurpDir(opt.export_obs);
+  EXPECT_EQ(obs.size(), summary.cells);
+  for (const auto& [name, text] : obs) {
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::Parse(text, &v, &err)) << name << ": " << err;
+    EXPECT_EQ(v.Find("workload")->str, "md") << name;
+  }
+
+  std::ifstream summary_file(dir + "/summary.jsonl");
+  ASSERT_TRUE(std::getline(summary_file, line));
+  json::Value v;
+  ASSERT_TRUE(json::Parse(line, &v)) << line;
+  EXPECT_EQ(v.Find("cells")->AsU64(), summary.cells);
 }
 
 // --export-obs under --jobs=N: cells re-simulate in parallel but their

@@ -28,12 +28,11 @@ TEST(EndToEnd, BaselineRunsToCompletionOnAllBenchmarks) {
 // Observation records arrival times and never perturbs the run: on every
 // benchmark the observe run matches the baseline in timing, event count,
 // cache behaviour, candidate accounting and every merged counter.
-TEST(EndToEnd, ObserveModePreservesBaselineTiming) {
+void ExpectObserveMatchesBaseline(Scale scale) {
   for (const std::string& name : workloads::BenchmarkNames()) {
-    arch::ArchConfig cfg;
-    Experiment exp(name, Scale::kTest, cfg);
-    const runtime::RunResult& base = exp.Baseline();
-    const runtime::RunResult& obs = exp.Observe();
+    Profile profile(name, scale, arch::ArchConfig{});
+    const runtime::RunResult& base = profile.Baseline();
+    const runtime::RunResult& obs = profile.Observe();
     EXPECT_EQ(obs.makespan, base.makespan) << name;
     EXPECT_EQ(obs.events, base.events) << name;
     EXPECT_EQ(obs.l1_hits, base.l1_hits) << name;
@@ -45,6 +44,16 @@ TEST(EndToEnd, ObserveModePreservesBaselineTiming) {
     EXPECT_EQ(obs.stats.all(), base.stats.all()) << name;
     EXPECT_GT(obs.records->TotalInstances(), 0u) << name;
   }
+}
+
+TEST(EndToEnd, ObserveModePreservesBaselineTiming) {
+  ExpectObserveMatchesBaseline(Scale::kTest);
+}
+
+// The same check at the scale the figures run at, where the baseline could
+// be taken from the observe run.
+TEST(EndToEnd, ObserveModePreservesBaselineTimingAtSmallScale) {
+  ExpectObserveMatchesBaseline(Scale::kSmall);
 }
 
 TEST(EndToEnd, SchemesRunToCompletion) {

@@ -14,14 +14,14 @@
 #include <vector>
 
 #include "harness/cell.hpp"
-#include "harness/json.hpp"
+#include "json/json.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/obs.hpp"
 
 namespace {
 
-using ndc::harness::json::Parse;
-using ndc::harness::json::Value;
+using ndc::json::Parse;
+using ndc::json::Value;
 using ndc::metrics::Experiment;
 using ndc::metrics::Scheme;
 using ndc::obs::DecisionEntry;

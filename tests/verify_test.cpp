@@ -8,7 +8,7 @@
 #include <map>
 
 #include "compiler/pipeline.hpp"
-#include "harness/json.hpp"
+#include "json/json.hpp"
 #include "verify/sarif.hpp"
 #include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
@@ -131,17 +131,41 @@ TEST(Diagnostics, TextRenderingCarriesLocationAndCode) {
   EXPECT_NE(text.find("bad T"), std::string::npos);
 }
 
+// `obj[key]`, failing the test (and yielding null) when the key is absent.
+const json::Value& Member(const json::Value& obj, const char* key) {
+  static const json::Value kMissing;
+  const json::Value* v = obj.Find(key);
+  if (v == nullptr) ADD_FAILURE() << "missing key " << key;
+  return v != nullptr ? *v : kMissing;
+}
+
 TEST(Diagnostics, JsonRenderingIsWellFormed) {
   Report r;
-  EXPECT_EQ(r.ToJson(), "[]");
-  r.Add(Severity::kWarning, Code::kSubscriptOutOfBounds, "quote \" and \\ backslash\rcr",
-        0, 2, 9, 1);
+  EXPECT_EQ(json::Dump(r.ToJson()), "[]");
+  const std::string msg = "quote \" and \\ backslash\rcr";
+  r.Add(Severity::kWarning, Code::kSubscriptOutOfBounds, msg, 0, 2, 9, 1);
   r.Add(Severity::kError, Code::kUnsafeLead, "second", 1);
-  std::string js = r.ToJson();
-  EXPECT_EQ(js.front(), '[');
-  EXPECT_EQ(js.back(), ']');
-  EXPECT_NE(js.find("\"code\": 105"), std::string::npos);
-  EXPECT_NE(js.find("\"code\": 203"), std::string::npos);
+  std::string js = json::Dump(r.ToJson());
+  json::Value v;
+  std::string err;
+  ASSERT_TRUE(json::Parse(js, &v, &err)) << err << "\n" << js;
+  ASSERT_TRUE(v.is_array());
+  ASSERT_EQ(v.arr.size(), 2u);  // one object per finding, in report order
+  const json::Value& a = v.arr[0];
+  EXPECT_EQ(Member(a, "severity").str, "warning");
+  EXPECT_EQ(Member(a, "code").AsU64(), 105u);
+  EXPECT_EQ(Member(a, "name").str, "subscript-out-of-bounds");
+  EXPECT_EQ(Member(a, "nest").AsDouble(), 0.0);
+  EXPECT_EQ(Member(a, "stmt").AsDouble(), 2.0);
+  EXPECT_EQ(Member(a, "stmt_id").AsU64(), 9u);
+  EXPECT_EQ(Member(a, "array").AsDouble(), 1.0);
+  EXPECT_EQ(Member(a, "message").str, msg);
+  const json::Value& b = v.arr[1];
+  EXPECT_EQ(Member(b, "severity").str, "error");
+  EXPECT_EQ(Member(b, "code").AsU64(), 203u);
+  EXPECT_EQ(Member(b, "nest").AsDouble(), 1.0);
+  EXPECT_EQ(Member(b, "stmt").AsDouble(), -1.0);  // "none" stays -1
+  EXPECT_EQ(Member(b, "message").str, "second");
   EXPECT_NE(js.find("\\\""), std::string::npos);   // escaped quote
   EXPECT_NE(js.find("\\\\"), std::string::npos);   // escaped backslash
   EXPECT_NE(js.find("backslash\\rcr"), std::string::npos);  // named \r escape
@@ -544,13 +568,28 @@ TEST(ReportOrdering, VerifyProgramOutputIsByteStable) {
   EXPECT_EQ(VerifyProgram(p1).ToText(), VerifyProgram(p2).ToText());
 }
 
+// The one run of a SARIF log, after checking the log's envelope.
+const json::Value& SarifRun(const json::Value& log) {
+  static const json::Value kMissing;
+  EXPECT_EQ(Member(log, "version").str, "2.1.0");
+  const json::Value& runs = Member(log, "runs");
+  EXPECT_TRUE(runs.is_array() && runs.arr.size() == 1u);
+  return runs.arr.empty() ? kMissing : runs.arr[0];
+}
+
 TEST(Sarif, EmptyReportIsAValidSkeleton) {
   Report r;
   std::string s = ToSarif(r);
-  EXPECT_NE(s.find("\"2.1.0\""), std::string::npos);
-  EXPECT_NE(s.find("\"runs\""), std::string::npos);
-  EXPECT_NE(s.find("\"results\": []"), std::string::npos);
-  EXPECT_NE(s.find("\"rules\": []"), std::string::npos);
+  json::Value log;
+  std::string err;
+  ASSERT_TRUE(json::Parse(s, &log, &err)) << err << "\n" << s;
+  const json::Value& run = SarifRun(log);
+  const json::Value& results = Member(run, "results");
+  EXPECT_TRUE(results.is_array());
+  EXPECT_TRUE(results.arr.empty());
+  const json::Value& rules = Member(Member(Member(run, "tool"), "driver"), "rules");
+  EXPECT_TRUE(rules.is_array());
+  EXPECT_TRUE(rules.arr.empty());
 }
 
 TEST(Sarif, FindingsCarryRuleIdsLevelsAndEscapedText) {
@@ -558,15 +597,36 @@ TEST(Sarif, FindingsCarryRuleIdsLevelsAndEscapedText) {
   r.Add(Severity::kWarning, Code::kParallelCarriedDependence, "carried", 0, 0);
   r.Add(Severity::kError, Code::kIllegalTransform, "dist \"(1,0)\"", 2, 1, 0, 3);
   std::string s = ToSarif(r);
-  EXPECT_NE(s.find("\"ruleId\": \"L201\""), std::string::npos) << s;
-  EXPECT_NE(s.find("\"ruleId\": \"R301\""), std::string::npos) << s;
-  EXPECT_NE(s.find("\"level\": \"error\""), std::string::npos);
-  EXPECT_NE(s.find("\"level\": \"warning\""), std::string::npos);
+  json::Value log;
+  std::string err;
+  ASSERT_TRUE(json::Parse(s, &log, &err)) << err << "\n" << s;
+  const json::Value& run = SarifRun(log);
+  const json::Value& results = Member(run, "results");
+  ASSERT_TRUE(results.is_array());
+  ASSERT_EQ(results.arr.size(), 2u);  // in report order
+  const json::Value& carried = results.arr[0];
+  EXPECT_EQ(Member(carried, "ruleId").str, "R301");
+  EXPECT_EQ(Member(carried, "level").str, "warning");
+  const json::Value& illegal = results.arr[1];
+  EXPECT_EQ(Member(illegal, "ruleId").str, "L201");
+  EXPECT_EQ(Member(illegal, "level").str, "error");
+  EXPECT_EQ(Member(Member(illegal, "message"), "text").str, "dist \"(1,0)\"");
   EXPECT_NE(s.find("dist \\\"(1,0)\\\""), std::string::npos) << s;
-  EXPECT_NE(s.find("illegal-transform"), std::string::npos);
-  EXPECT_NE(s.find("nest2/stmt1"), std::string::npos);
-  // Rules are listed once per distinct code, ordered by numeric code.
-  EXPECT_LT(s.find("\"id\": \"L201\""), s.find("\"id\": \"R301\""));
+  const json::Value& locations = Member(illegal, "locations");
+  ASSERT_TRUE(locations.is_array() && !locations.arr.empty());
+  const json::Value& logical = Member(locations.arr[0], "logicalLocations");
+  ASSERT_TRUE(logical.is_array() && !logical.arr.empty());
+  EXPECT_EQ(Member(logical.arr[0], "fullyQualifiedName").str, "nest2/stmt1");
+  // Rules are listed once per distinct code, ordered by numeric code, and
+  // each result points at its rule.
+  const json::Value& rules = Member(Member(Member(run, "tool"), "driver"), "rules");
+  ASSERT_TRUE(rules.is_array());
+  ASSERT_EQ(rules.arr.size(), 2u);
+  EXPECT_EQ(Member(rules.arr[0], "id").str, "L201");
+  EXPECT_EQ(Member(rules.arr[0], "name").str, "illegal-transform");
+  EXPECT_EQ(Member(rules.arr[1], "id").str, "R301");
+  EXPECT_EQ(Member(illegal, "ruleIndex").AsU64(), 0u);
+  EXPECT_EQ(Member(carried, "ruleIndex").AsU64(), 1u);
 }
 
 TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
@@ -581,19 +641,13 @@ TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
   rep.Add(Severity::kError, Code::kIllegalTransform, msg, 1, 2);
   std::string s = ToSarif(rep);
 
-  harness::json::Value v;
+  json::Value log;
   std::string err;
-  ASSERT_TRUE(harness::json::Parse(s, &v, &err)) << err << "\n" << s;
-  const harness::json::Value* runs = v.Find("runs");
-  ASSERT_TRUE(runs != nullptr && runs->is_array() && !runs->arr.empty());
-  const harness::json::Value* results = runs->arr[0].Find("results");
-  ASSERT_TRUE(results != nullptr && results->is_array() && !results->arr.empty());
-  const harness::json::Value* message = results->arr[0].Find("message");
-  ASSERT_TRUE(message != nullptr);
-  const harness::json::Value* text = message->Find("text");
-  ASSERT_TRUE(text != nullptr);
-  EXPECT_EQ(text->str, msg);  // byte-identical round trip
-  EXPECT_NE(s.find("\"ruleId\": \"L201\""), std::string::npos) << s;
+  ASSERT_TRUE(json::Parse(s, &log, &err)) << err << "\n" << s;
+  const json::Value& results = Member(SarifRun(log), "results");
+  ASSERT_TRUE(results.is_array() && !results.arr.empty());
+  EXPECT_EQ(Member(Member(results.arr[0], "message"), "text").str, msg);  // byte-identical
+  EXPECT_EQ(Member(results.arr[0], "ruleId").str, "L201");
   EXPECT_NE(s.find("\xE2\x86\x92"), std::string::npos);  // rune stayed raw
   EXPECT_EQ(s.find('\r'), std::string::npos);  // no raw control bytes leak
   EXPECT_EQ(s.find('\x01'), std::string::npos);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "compiler/pipeline.hpp"
+#include "json/json.hpp"
 #include "verify/sarif.hpp"
 #include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
@@ -132,9 +133,8 @@ int main(int argc, char** argv) {
   ndc::compiler::ArchDescription ad(cfg);
 
   int total_errors = 0, total_warnings = 0, total_notes = 0, runs = 0;
-  bool first_json = true;
+  ndc::json::Value json_runs = ndc::json::Value::Array();
   ndc::verify::Report sarif_report;  // accumulated across every run
-  if (args.json) std::printf("[");
   for (const std::string& name : ndc::workloads::BenchmarkNames()) {
     if (!args.workload.empty() && name != args.workload) continue;
     for (Mode mode : modes) {
@@ -162,11 +162,13 @@ int main(int argc, char** argv) {
         }
       }
       if (args.json) {
-        std::printf("%s\n {\"workload\": \"%s\", \"mode\": \"%s\", \"errors\": %d, "
-                    "\"warnings\": %d, \"diagnostics\": %s}",
-                    first_json ? "" : ",", name.c_str(), ndc::compiler::ModeName(mode),
-                    rep.ErrorCount(), rep.WarningCount(), rep.ToJson().c_str());
-        first_json = false;
+        using ndc::json::Value;
+        json_runs.arr.push_back(Value::Object(
+            {{"workload", Value::Str(name)},
+             {"mode", Value::Str(ndc::compiler::ModeName(mode))},
+             {"errors", Value::Int(static_cast<std::uint64_t>(rep.ErrorCount()))},
+             {"warnings", Value::Int(static_cast<std::uint64_t>(rep.WarningCount()))},
+             {"diagnostics", rep.ToJson()}}));
       } else {
         if (!args.quiet || rep.ErrorCount() > 0) {
           std::printf("%-12s %-12s  %d error(s), %d warning(s), %d note(s)\n",
@@ -183,7 +185,7 @@ int main(int argc, char** argv) {
     }
   }
   if (args.json) {
-    std::printf("%s]\n", first_json ? "" : "\n");
+    std::printf("%s\n", ndc::json::Dump(json_runs).c_str());
   } else {
     std::printf("ndc-lint: %d run(s), %d error(s), %d warning(s), %d note(s)\n", runs,
                 total_errors, total_warnings, total_notes);

@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
     int rc = ndc::harness::RunFigure(names[i], args.opt, &summary);
     if (rc != 0) return rc;
     total_sims += summary.sim_invocations;
-    std::fprintf(stderr, "%s\n", ndc::harness::json::Dump(summary.ToJson()).c_str());
+    std::fprintf(stderr, "%s\n", ndc::json::Dump(summary.ToJson()).c_str());
     if (!args.summary_path.empty() &&
         !ndc::harness::AppendSummary(summary, args.summary_path)) {
       std::fprintf(stderr, "ndc-sweep: cannot append to %s\n", args.summary_path.c_str());
