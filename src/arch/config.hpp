@@ -93,6 +93,8 @@ struct ArchConfig {
     a.banks_per_mc = 16;
     return a;
   }
+
+  friend bool operator==(const ArchConfig&, const ArchConfig&) = default;
 };
 
 }  // namespace ndc::arch

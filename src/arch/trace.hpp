@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -106,6 +107,8 @@ class Instr {
   sim::Cycle timeout() const {
     return kind() == Kind::kPreCompute ? w0_ >> (kPayloadShift + kSiteBits) : 0;
   }
+  /// The two packed words: equal words mean equal instructions.
+  std::array<std::uint64_t, 2> words() const { return {w0_, w1_}; }
 
   friend Instr MakeLoad(sim::Addr a, std::int32_t dep, std::uint32_t pc);
   friend Instr MakeStore(sim::Addr a, std::int32_t dep0, std::int32_t dep1, std::uint32_t pc);

@@ -29,6 +29,8 @@ struct ConservationInputs {
   // Memory-controller accounting.
   std::uint64_t mc_reads = 0;
   std::uint64_t mc_reads_done = 0;
+
+  friend bool operator==(const ConservationInputs&, const ConservationInputs&) = default;
 };
 
 /// Result of a conservation check: ok iff every invariant held; violations

@@ -101,17 +101,13 @@ std::string CellSpec::ProfileKey() const {
   return base.CanonicalString();
 }
 
-namespace {
-
-bool IsCompiled(const CellSpec& spec) {
-  return spec.coarse_grain || spec.scheme == metrics::Scheme::kAlgorithm1 ||
-         spec.scheme == metrics::Scheme::kAlgorithm2;
+bool CellSpec::IsCompiled() const {
+  return coarse_grain || scheme == metrics::Scheme::kAlgorithm1 ||
+         scheme == metrics::Scheme::kAlgorithm2;
 }
 
-}  // namespace
-
 bool CellSpec::NeedsObserve() const {
-  if (IsCompiled(*this)) return false;
+  if (IsCompiled()) return false;
   switch (scheme) {
     case metrics::Scheme::kOracle:
     case metrics::Scheme::kWait5:
@@ -225,7 +221,7 @@ namespace {
 
 /// The compiled-vs-policy dispatch shared by RunCell and RunCellObsSummary.
 metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
-  if (IsCompiled(spec)) {
+  if (spec.IsCompiled()) {
     compiler::CompileOptions opt;
     opt.mode = spec.coarse_grain ? compiler::Mode::kCoarseGrain
                : spec.scheme == metrics::Scheme::kAlgorithm2
@@ -240,11 +236,14 @@ metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
 
 }  // namespace
 
-std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec) {
-  return std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed);
+std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe) {
+  return std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed,
+                                            observe);
 }
 
-CellResult RunCell(const CellSpec& spec) { return RunCell(spec, MakeProfile(spec)); }
+CellResult RunCell(const CellSpec& spec) {
+  return RunCell(spec, MakeProfile(spec, spec.NeedsObserve()));
+}
 
 void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in) {
   fault::ConservationReport rep = fault::CheckConservation(in);
@@ -292,7 +291,7 @@ json::Value RunCellObsSummary(const CellSpec& spec) {
   obs::ObsOptions oo;
   oo.emit_stage_events = false;  // aggregate summary only; no timeline
   obs::Observability ob(oo);
-  metrics::Experiment exp(MakeProfile(spec));
+  metrics::Experiment exp(MakeProfile(spec, spec.NeedsObserve()));
   exp.set_obs(&ob);
   metrics::SchemeResult r = RunSpec(exp, spec);
 

@@ -2,7 +2,7 @@
 
 // One sweep cell = one (workload, scheme, scale, configuration) simulation.
 // A cell's result depends only on its spec: its runs are measured against a
-// metrics::Profile (program, baseline traces, baseline and observation runs)
+// metrics::Profile (program, baseline traces, profile and compiled runs)
 // that is itself a pure function of the spec's ProfileKey(). RunCell builds
 // a private profile; RunSweep shares one profile among all cells with the
 // same key. Either way cells can run on any thread in any order and produce
@@ -68,6 +68,10 @@ struct CellSpec {
   /// Whether the measured run decides from the observation profile (the
   /// Oracle and Wait(x%) policies).
   bool NeedsObserve() const;
+
+  /// Whether the cell runs a compiled program (Algorithm 1 or 2, or the
+  /// coarse-grain mapping) instead of a hardware policy.
+  bool IsCompiled() const;
 };
 
 /// The scalar results of one cell — the subset of runtime::RunResult and
@@ -109,8 +113,9 @@ struct CellResult {
 };
 
 /// The (not yet simulated) profile for `spec`: its workload built at its
-/// scale, seed and configuration.
-std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec);
+/// scale, seed and configuration. `observe`: some cell run over the profile
+/// reads its observation run, which then also serves as its baseline.
+std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe);
 
 /// Throws std::runtime_error naming the cell (its key, workload and scheme)
 /// and the report when `in` violates request conservation
@@ -125,7 +130,8 @@ void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs
 /// requests (CheckCellConservation), else RunCell throws.
 CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile);
 
-/// Executes the cell against a private profile of its own.
+/// Executes the cell against a private profile of its own
+/// (MakeProfile(spec, spec.NeedsObserve())).
 CellResult RunCell(const CellSpec& spec);
 
 /// Re-simulates the cell with an observation bundle attached and returns a

@@ -4,8 +4,8 @@
 // transient set of worker threads. Each idle worker takes the first task in
 // plan order that has not started and whose dependencies have all finished,
 // so the plan order is also the priority order. A sweep plans a profile's
-// lowering, baseline and observation runs ahead of the cells that read them
-// (RunSweep), and a plain index loop is the no-dependency case
+// lowering and profile run ahead of the cells that read them (RunSweep),
+// and a plain index loop is the no-dependency case
 // (ParallelFor). Tasks are coarse (milliseconds to seconds), so one mutex
 // guards all scheduling state.
 

@@ -26,6 +26,8 @@ json::Value SweepSummary::ToJson() const {
   v.obj["cache_hits"] = json::Value::Int(cache_hits);
   v.obj["sim_invocations"] = json::Value::Int(sim_invocations);
   v.obj["cache_load_errors"] = json::Value::Int(cache_load_errors);
+  v.obj["machine_runs"] = json::Value::Int(machine_runs);
+  v.obj["runs_reused"] = json::Value::Int(runs_reused);
   v.obj["elapsed_ms"] = json::Value::Int(elapsed_ms);
   if (!phase_ms.empty()) {
     json::Value ph = json::Value::Object();
@@ -129,16 +131,21 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
   out.summary.sim_invocations = misses.size();
 
   // Group the misses by profile key, in order of first miss. Each group
-  // plans one lowering, one baseline run, one observation run if some cell
-  // needs it, then its cells; the scheduler's plan-order priority finishes
-  // one group's cells before it starts lowering later groups whenever it
-  // can, and each profile is dropped after its last cell, so only about
-  // `jobs` profiles are alive at once.
+  // plans one lowering, then one profile run: the observation run if some
+  // cell reads it (the baseline is then taken from it, as the two are
+  // timing-identical), else the baseline run. Its cells follow, each
+  // compiled cell after the group's previous compiled cell, so that a
+  // compile lowering to a program the group already ran finds that run
+  // (metrics::Profile::RunCompiled) instead of racing it. The scheduler's
+  // plan-order priority finishes one group's cells before it starts
+  // lowering later groups whenever it can, and each profile is dropped
+  // after its last cell, so only about `jobs` profiles are alive at once.
   struct Group {
     std::vector<std::size_t> cells;  // indices into spec.cells
     bool observe = false;
     std::shared_ptr<metrics::Profile> profile;
     std::atomic<std::size_t> cells_left{0};
+    metrics::RunCounts runs;  // the profile's, taken when it is dropped
   };
   std::deque<Group> groups;  // a deque: Group is not movable
   {
@@ -163,25 +170,26 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
     for (Group& group : groups) {
       std::size_t lower = plan.size();
       plan.push_back({[&group, &spec] {
-                        group.profile = MakeProfile(spec.cells[group.cells.front()]);
+                        group.profile =
+                            MakeProfile(spec.cells[group.cells.front()], group.observe);
                         group.profile->Traces();
                       },
                       {}});
-      std::size_t baseline = plan.size();
+      std::size_t profile_run = plan.size();
       plan.push_back({[&group] { group.profile->Baseline(); }, {lower}});
-      std::size_t observe = baseline;
-      if (group.observe) {
-        observe = plan.size();
-        plan.push_back({[&group] { group.profile->Observe(); }, {lower}});
-      }
+      std::size_t last_compiled = profile_run;
       for (std::size_t i : group.cells) {
-        std::vector<std::size_t> deps = {baseline};
-        if (spec.cells[i].NeedsObserve()) deps.push_back(observe);
+        std::vector<std::size_t> deps = {profile_run};
+        if (spec.cells[i].IsCompiled()) {
+          if (last_compiled != profile_run) deps.push_back(last_compiled);
+          last_compiled = plan.size();
+        }
         plan.push_back({[&, i] {
                           CellResult r = RunCell(spec.cells[i], group.profile);
                           if (cache != nullptr) cache->Insert(spec.cells[i], r);
                           out.cells[i] = std::move(r);
                           if (group.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                            group.runs = group.profile->run_counts();
                             group.profile.reset();
                           }
                           if (progress != nullptr) progress->CellDone();
@@ -190,6 +198,10 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
       }
     }
     RunPlan(opt.jobs, plan);
+  }
+  for (const Group& group : groups) {
+    out.summary.machine_runs += group.runs.machine_runs;
+    out.summary.runs_reused += group.runs.runs_reused;
   }
 
   out.summary.elapsed_ms = static_cast<std::uint64_t>(

@@ -3,11 +3,12 @@
 // The sweep engine: consults the persistent result cache for each cell of a
 // declarative SweepSpec (a list of fully resolved cells), then simulates the
 // misses on `jobs` workers, sharing one metrics::Profile (program, baseline
-// traces, baseline and observation runs) among the misses with the same
-// CellSpec::ProfileKey(). It plans, per key, a lowering, a baseline run, an
-// observation run if some cell needs it, then the cells (harness::RunPlan),
-// and drops each profile after its last cell. Results come back in spec
-// order, and each equals a standalone RunCell — so a parallel sweep is
+// traces, profile runs and compiled runs) among the misses with the same
+// CellSpec::ProfileKey(). It plans, per key, a lowering, one profile run
+// (the observation run if some cell needs it, which also serves as the
+// baseline, else the baseline run), then the cells (harness::RunPlan), and
+// drops each profile after its last cell. Results come back in spec order,
+// and each equals a standalone RunCell — so a parallel sweep is
 // cell-for-cell identical to a serial one.
 
 #include <cstdint>
@@ -41,6 +42,13 @@ struct SweepSummary {
   /// re-run of an already-measured grid reports 0 here.
   std::uint64_t sim_invocations = 0;
   std::uint64_t cache_load_errors = 0;
+  /// Machine runs simulated for the cells this sweep simulated: profile
+  /// runs plus measured runs.
+  std::uint64_t machine_runs = 0;
+  /// Runs taken from an earlier identical run instead of simulated: a
+  /// baseline taken from the observation run, and a compiled program that
+  /// its profile already ran (metrics::Profile::RunCompiled).
+  std::uint64_t runs_reused = 0;
   std::uint64_t elapsed_ms = 0;
   /// Host wall-clock per phase (ms) accrued during this sweep, keyed by
   /// obs::PhaseName. Empty when NDC_OBS=OFF or nothing was simulated; the

@@ -16,6 +16,8 @@ struct CacheParams {
   std::uint64_t line_bytes = 64;
   std::uint32_t ways = 2;
   sim::Cycle access_latency = 2;
+
+  friend bool operator==(const CacheParams&, const CacheParams&) = default;
 };
 
 /// A set-associative, true-LRU cache directory (tags only — the simulator

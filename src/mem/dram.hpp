@@ -15,6 +15,8 @@ struct DramParams {
   sim::Cycle row_miss_latency = 120;  ///< precharge + activate + CAS
   sim::Cycle data_beat = 4;           ///< per-request data transfer occupancy
   std::uint64_t num_rows = 16384;
+
+  friend bool operator==(const DramParams&, const DramParams&) = default;
 };
 
 /// One DRAM bank with an open-row (row-buffer) policy. Requests are serviced

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,16 +41,27 @@ struct SchemeResult {
   compiler::CompileReport compile_report;  ///< compiler modes only
 };
 
+/// How many machine runs a Profile and the Experiments over it made, and
+/// how many runs they took from an earlier identical run instead.
+struct RunCounts {
+  std::uint64_t machine_runs = 0;
+  std::uint64_t runs_reused = 0;
+};
+
 /// The untraced state that every scheme run of one workload
-/// reuses: the built program, its lowered baseline traces, and the baseline
-/// and observation runs over those traces. Each piece is computed on first
-/// use, exactly once even under concurrent callers, and is never modified
-/// afterwards, so one Profile may back any number of Experiments on any
-/// threads (harness::RunSweep shares one per profile key).
+/// reuses: the built program, its lowered baseline traces, the baseline
+/// and observation runs over those traces, and the policy-free runs of each
+/// distinct compiled program. Each piece is computed on first use and never
+/// modified afterwards (the baseline and observation runs exactly once even
+/// under concurrent callers), so one Profile may back any number of
+/// Experiments on any threads (harness::RunSweep shares one per profile key).
 class Profile {
  public:
+  /// `baseline_from_observe`: some run over this profile reads Observe(),
+  /// so Baseline() is taken from the observation run instead of simulating
+  /// the same traces a second time (the two runs are timing-identical).
   Profile(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
-          std::uint64_t seed = 1);
+          std::uint64_t seed = 1, bool baseline_from_observe = false);
 
   Profile(const Profile&) = delete;
   Profile& operator=(const Profile&) = delete;
@@ -61,7 +74,7 @@ class Profile {
 
   /// The traces of the original program (baseline schedule).
   const std::vector<arch::Trace>& Traces();
-  /// Baseline (conventional) run.
+  /// Baseline (conventional) run. Never carries records.
   const runtime::RunResult& Baseline();
   /// The request-conservation inputs the baseline run ended with.
   const fault::ConservationInputs& BaselineConservation() {
@@ -72,15 +85,52 @@ class Profile {
   /// Timing-identical to the baseline.
   const runtime::RunResult& Observe();
 
+  /// The policy-free, untraced run of compiled `traces` on `cfg`. The first
+  /// call for a given `cfg` and program simulates; later calls return a copy
+  /// of that run. The program is recognised by each core's trace length and
+  /// a 128-bit hash of its instruction words, so no trace is kept.
+  /// `conservation` receives the run's conservation inputs.
+  runtime::RunResult RunCompiled(const arch::ArchConfig& cfg,
+                                 const std::vector<arch::Trace>& traces,
+                                 fault::ConservationInputs* conservation);
+
+  /// Runs made so far by this profile and by the Experiments over it.
+  RunCounts run_counts() const { return {machine_runs_.load(), runs_reused_.load()}; }
+
+  /// Simulates `traces` on `cfg`, counted in run_counts(). The machine
+  /// borrows the traces for the run, so nothing is copied. `conservation`,
+  /// when non-null, receives the run's request conservation inputs.
+  runtime::RunResult Simulate(const arch::ArchConfig& cfg, const std::vector<arch::Trace>& traces,
+                              const runtime::MachineOptions& opts,
+                              fault::ConservationInputs* conservation = nullptr);
+
  private:
+  /// Each core's trace length and a 128-bit hash of all instruction words.
+  struct ProgramDigest {
+    std::vector<std::size_t> lengths;
+    std::array<std::uint64_t, 2> hash{};
+    friend bool operator==(const ProgramDigest&, const ProgramDigest&) = default;
+  };
+  struct CompiledRun {
+    arch::ArchConfig cfg;
+    ProgramDigest digest;
+    runtime::RunResult run;
+    fault::ConservationInputs conservation;
+  };
+  static ProgramDigest Digest(const std::vector<arch::Trace>& traces);
+
   std::string workload_;
   arch::ArchConfig cfg_;
+  bool baseline_from_observe_;
   ir::Program program_;
   std::once_flag traces_once_, baseline_once_, observe_once_;
   std::vector<arch::Trace> traces_;
   runtime::RunResult baseline_;
   fault::ConservationInputs baseline_conservation_;
   runtime::RunResult observe_;
+  std::mutex compiled_mu_;
+  std::vector<CompiledRun> compiled_;  // guarded by compiled_mu_
+  std::atomic<std::uint64_t> machine_runs_{0}, runs_reused_{0};
 };
 
 /// A workload prepared for experiments: scheme runs measured against a
@@ -108,7 +158,9 @@ class Experiment {
   /// Runs one scheme and reports improvement vs the baseline.
   SchemeResult Run(Scheme scheme);
 
-  /// Compiles with `opt` and runs the transformed program.
+  /// Compiles with `opt` and runs the transformed program. Untraced, the
+  /// run is the profile's (Profile::RunCompiled), so a program another
+  /// compile already lowered to identical traces is not simulated again.
   SchemeResult RunCompiled(compiler::CompileOptions opt);
 
   /// The traces of the original program (baseline schedule).

@@ -917,7 +917,23 @@ fault::ConservationInputs Machine::GatherConservation() const {
 
 void Machine::FinalizeRecords(RunResult& result) {
   (void)result;
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
+  // Visit the instances core by core in slot order, so each record is
+  // appended to its core's vector, reserved to its final size up front.
+  std::vector<std::uint32_t> order(instances_.size());
+  std::vector<std::size_t> per_core(cores_.size(), 0);
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+    ++per_core[static_cast<std::size_t>(instances_[i].core)];
+  }
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    records_->Reserve(static_cast<sim::NodeId>(c), per_core[c]);
+  }
+  std::sort(order.begin(), order.end(), [this](std::uint32_t x, std::uint32_t y) {
+    const Instance& a = instances_[x];
+    const Instance& b = instances_[y];
+    return a.core != b.core ? a.core < b.core : a.site_idx < b.site_idx;
+  });
+  for (std::uint32_t i : order) {
     const Instance& inst = instances_[i];
     auto c = static_cast<std::size_t>(inst.core);
     const arch::Instr& site = SiteInstr(inst);

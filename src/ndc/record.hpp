@@ -1,9 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -60,37 +60,54 @@ struct InstanceRecord {
 };
 
 /// Observation output of a whole profiling run, keyed by (core, trace slot),
-/// which is stable across passes over the same traces.
+/// which is stable across passes over the same traces. Each core's records
+/// sit in one vector sorted by compute_idx.
 class RunRecord {
  public:
   explicit RunRecord(int num_cores = 0) : per_core_(static_cast<std::size_t>(num_cores)) {}
 
+  /// Room for `n` records of `core`, so that appending them does not
+  /// reallocate.
+  void Reserve(NodeId core, std::size_t n) { per_core_[static_cast<std::size_t>(core)].reserve(n); }
+
+  /// The record of (core, compute_idx), inserted in order (with those two
+  /// fields set) if absent. Appending in compute_idx order is O(1); any
+  /// insert invalidates references to the core's other records.
   InstanceRecord& Get(NodeId core, std::uint32_t compute_idx) {
-    return per_core_[static_cast<std::size_t>(core)][compute_idx];
+    auto& v = per_core_[static_cast<std::size_t>(core)];
+    auto it = v.end();
+    if (!v.empty() && v.back().compute_idx >= compute_idx) {
+      it = std::ranges::lower_bound(v, compute_idx, {}, &InstanceRecord::compute_idx);
+      if (it != v.end() && it->compute_idx == compute_idx) return *it;
+    }
+    it = v.insert(it, InstanceRecord{});
+    it->core = core;
+    it->compute_idx = compute_idx;
+    return *it;
   }
   const InstanceRecord* Find(NodeId core, std::uint32_t compute_idx) const {
-    const auto& m = per_core_[static_cast<std::size_t>(core)];
-    auto it = m.find(compute_idx);
-    return it == m.end() ? nullptr : &it->second;
+    const auto& v = per_core_[static_cast<std::size_t>(core)];
+    auto it = std::ranges::lower_bound(v, compute_idx, {}, &InstanceRecord::compute_idx);
+    return it == v.end() || it->compute_idx != compute_idx ? nullptr : &*it;
   }
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& m : per_core_) {
-      for (const auto& [idx, rec] : m) fn(rec);
+    for (const auto& v : per_core_) {
+      for (const InstanceRecord& rec : v) fn(rec);
     }
   }
 
   std::size_t TotalInstances() const {
     std::size_t n = 0;
-    for (const auto& m : per_core_) n += m.size();
+    for (const auto& v : per_core_) n += v.size();
     return n;
   }
 
   int num_cores() const { return static_cast<int>(per_core_.size()); }
 
  private:
-  std::vector<std::unordered_map<std::uint32_t, InstanceRecord>> per_core_;
+  std::vector<std::vector<InstanceRecord>> per_core_;
 };
 
 /// The paper's *breakeven point* (Section 4.1) for one observed instance and

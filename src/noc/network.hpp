@@ -18,6 +18,8 @@ namespace ndc::noc {
 struct NetworkParams {
   sim::Cycle router_pipeline = 3;  ///< per-hop router latency
   int link_bytes = 16;             ///< link width (bytes transferred per cycle)
+
+  friend bool operator==(const NetworkParams&, const NetworkParams&) = default;
 };
 
 /// A message traversing the NoC. `route` is fixed at injection time: an id

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <string>
 #include <thread>
 
+#include "compiler/codegen.hpp"
 #include "harness/cache.hpp"
 #include "harness/figures.hpp"
 #include "harness/pool.hpp"
@@ -443,17 +446,47 @@ SweepSpec EquivalenceGrid() {
 
 std::uint64_t SimEventsSoFar() { return obs::GlobalPhases().Take().sim_events; }
 
+// The configuration and lowered traces (as instruction words) a compiled
+// cell runs, built the way metrics::Experiment::RunCompiled builds them.
+using CompiledProgram =
+    std::pair<arch::ArchConfig, std::vector<std::vector<std::array<std::uint64_t, 2>>>>;
+CompiledProgram LowerCompiledCell(const CellSpec& c) {
+  compiler::CompileOptions opt;
+  opt.mode = c.coarse_grain ? compiler::Mode::kCoarseGrain
+             : c.scheme == metrics::Scheme::kAlgorithm2 ? compiler::Mode::kAlgorithm2
+                                                         : compiler::Mode::kAlgorithm1;
+  opt.allow_reroute = c.allow_reroute;
+  opt.control_register = c.control_register;
+  CompiledProgram out{c.cfg, {}};
+  out.first.allow_reroute = c.allow_reroute;
+  out.first.control_register = c.control_register;
+  ir::Program prog = workloads::BuildWorkload(c.workload, c.scale, c.seed);
+  compiler::Compile(prog, compiler::ArchDescription(out.first), opt);
+  for (const arch::Trace& t : compiler::Lower(prog, out.first.num_nodes(), &out.first).traces) {
+    auto& words = out.second.emplace_back();
+    for (const arch::Instr& in : t) words.push_back(in.words());
+  }
+  return out;
+}
+
 // A sweep that shares one profile per key produces, cell for cell, what
 // standalone RunCell calls produce, at any job count and with part of the
-// grid served from the cache. With observability compiled in it also
-// simulates exactly one baseline per key, one observation run per key that
-// needs it and one measured run per simulated cell (a Baseline
-// cell's measured run is the profile's baseline itself).
+// grid served from the cache. It makes exactly one profile run per missed
+// key (the observation run when a cell needs it, which also serves as the
+// baseline), one measured run per missed policy cell, and one run per
+// distinct compiled program (configuration and lowered traces) among the
+// missed compiled cells; a Baseline cell's measured run is the profile's
+// baseline itself. Each run's events are what the same run costs standalone.
 TEST(Sweep, SharedProfilesMatchStandaloneCells) {
   SweepSpec spec = EquivalenceGrid();
   const std::size_t n = spec.cells.size();
   std::vector<CellResult> standalone(n);
-  for (std::size_t i = 0; i < n; ++i) standalone[i] = RunCell(spec.cells[i]);
+  std::vector<std::uint64_t> standalone_events(n);  // profile run + measured run
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t before = SimEventsSoFar();
+    standalone[i] = RunCell(spec.cells[i]);
+    standalone_events[i] = SimEventsSoFar() - before;
+  }
 
   // Warm: two md cells, and every cell of the half-L2 profile, which then
   // has no misses and must plan no profile runs.
@@ -463,29 +496,40 @@ TEST(Sweep, SharedProfilesMatchStandaloneCells) {
            spec.cells[i].variant == "half-l2";
   };
 
-  // Expected simulated events: the profile runs each missed key needs, plus
-  // each missed cell's measured run over an already filled profile.
-  std::map<std::string, std::shared_ptr<metrics::Profile>> profiles;
+  std::map<std::string, std::uint64_t> profile_run_events;  // per missed key
   std::map<std::string, bool> needs_observe;
-  std::uint64_t expected_events = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (warm(i)) continue;
     std::string key = spec.cells[i].ProfileKey();
-    auto& p = profiles[key];
-    if (p == nullptr) p = MakeProfile(spec.cells[i]);
+    if (!profile_run_events.contains(key)) {
+      profile_run_events[key] = MakeProfile(spec.cells[i], false)->Baseline().events;
+    }
     needs_observe[key] = needs_observe[key] || spec.cells[i].NeedsObserve();
   }
-  for (const auto& [key, p] : profiles) {
-    expected_events += p->Baseline().events;
-    if (needs_observe[key]) expected_events += p->Observe().events;
+  std::uint64_t expected_events = 0, expected_runs = 0, expected_reused = 0;
+  for (const auto& [key, events] : profile_run_events) {
+    expected_events += events;
+    ++expected_runs;
+    if (needs_observe[key]) ++expected_reused;  // the baseline
   }
+  std::vector<CompiledProgram> programs;
   for (std::size_t i = 0; i < n; ++i) {
-    if (warm(i)) continue;
-    std::uint64_t before = SimEventsSoFar();
-    CellResult r = RunCell(spec.cells[i], profiles[spec.cells[i].ProfileKey()]);
-    expected_events += SimEventsSoFar() - before;
-    EXPECT_TRUE(r == standalone[i]) << i;
+    const CellSpec& c = spec.cells[i];
+    if (warm(i) || c.scheme == metrics::Scheme::kBaseline) continue;
+    if (c.IsCompiled()) {
+      CompiledProgram p = LowerCompiledCell(c);
+      if (std::find(programs.begin(), programs.end(), p) != programs.end()) {
+        ++expected_reused;
+        continue;
+      }
+      programs.push_back(std::move(p));
+    }
+    expected_events += standalone_events[i] - profile_run_events[c.ProfileKey()];
+    ++expected_runs;
   }
+  // md's Algorithm-1 and Algorithm-2 programs coincide at test scale, so the
+  // grid exercises a reused compiled run.
+  EXPECT_GT(expected_reused, profile_run_events.size());
 
   for (int jobs : {1, 3, 8}) {
     std::string dir = UniqueCacheDir(("shared-j" + std::to_string(jobs)).c_str());
@@ -513,6 +557,8 @@ TEST(Sweep, SharedProfilesMatchStandaloneCells) {
           << "jobs=" << jobs << " cell " << i << " " << spec.cells[i].workload << "/"
           << spec.cells[i].SchemeLabel();
     }
+    EXPECT_EQ(res.summary.machine_runs, expected_runs) << "jobs=" << jobs;
+    EXPECT_EQ(res.summary.runs_reused, expected_reused) << "jobs=" << jobs;
     if constexpr (obs::kObsEnabled) {
       EXPECT_EQ(res.summary.sim_events, expected_events) << "jobs=" << jobs;
     }

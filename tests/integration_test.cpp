@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/experiment.hpp"
+#include "obs/phase.hpp"
 
 namespace ndc::metrics {
 namespace {
@@ -25,24 +26,39 @@ TEST(EndToEnd, BaselineRunsToCompletionOnAllBenchmarks) {
   }
 }
 
+// Every field of two runs but their observation records.
+void ExpectSameRun(const runtime::RunResult& a, const runtime::RunResult& b,
+                   const std::string& what) {
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.l1_hits, b.l1_hits) << what;
+  EXPECT_EQ(a.l1_misses, b.l1_misses) << what;
+  EXPECT_EQ(a.l2_hits, b.l2_hits) << what;
+  EXPECT_EQ(a.l2_misses, b.l2_misses) << what;
+  EXPECT_EQ(a.candidates, b.candidates) << what;
+  EXPECT_EQ(a.local_l1_skips, b.local_l1_skips) << what;
+  EXPECT_EQ(a.offloads, b.offloads) << what;
+  EXPECT_EQ(a.ndc_success, b.ndc_success) << what;
+  EXPECT_EQ(a.fallbacks, b.fallbacks) << what;
+  EXPECT_EQ(a.ndc_at_loc, b.ndc_at_loc) << what;
+  EXPECT_EQ(a.stats.all(), b.stats.all()) << what;
+}
+
 // Observation records arrival times and never perturbs the run: on every
-// benchmark the observe run matches the baseline in timing, event count,
-// cache behaviour, candidate accounting and every merged counter.
+// benchmark the observe run matches a separately simulated baseline in
+// every result field and in the request-conservation inputs. This is what
+// lets a profile that observes take its baseline from the observe run.
 void ExpectObserveMatchesBaseline(Scale scale) {
   for (const std::string& name : workloads::BenchmarkNames()) {
-    Profile profile(name, scale, arch::ArchConfig{});
-    const runtime::RunResult& base = profile.Baseline();
-    const runtime::RunResult& obs = profile.Observe();
-    EXPECT_EQ(obs.makespan, base.makespan) << name;
-    EXPECT_EQ(obs.events, base.events) << name;
-    EXPECT_EQ(obs.l1_hits, base.l1_hits) << name;
-    EXPECT_EQ(obs.l1_misses, base.l1_misses) << name;
-    EXPECT_EQ(obs.l2_hits, base.l2_hits) << name;
-    EXPECT_EQ(obs.l2_misses, base.l2_misses) << name;
-    EXPECT_EQ(obs.candidates, base.candidates) << name;
-    EXPECT_EQ(obs.local_l1_skips, base.local_l1_skips) << name;
-    EXPECT_EQ(obs.stats.all(), base.stats.all()) << name;
+    Profile plain(name, scale, arch::ArchConfig{});
+    Profile observed(name, scale, arch::ArchConfig{}, 1, /*baseline_from_observe=*/true);
+    const runtime::RunResult& obs = observed.Observe();
+    ExpectSameRun(obs, plain.Baseline(), name);
+    EXPECT_EQ(observed.BaselineConservation(), plain.BaselineConservation()) << name;
     EXPECT_GT(obs.records->TotalInstances(), 0u) << name;
+    ExpectSameRun(observed.Baseline(), plain.Baseline(), name);
+    EXPECT_EQ(observed.Baseline().records, nullptr) << name;
+    EXPECT_EQ(observed.run_counts().machine_runs, 1u) << name;
   }
 }
 
@@ -54,6 +70,51 @@ TEST(EndToEnd, ObserveModePreservesBaselineTiming) {
 // be taken from the observe run.
 TEST(EndToEnd, ObserveModePreservesBaselineTimingAtSmallScale) {
   ExpectObserveMatchesBaseline(Scale::kSmall);
+}
+
+// A profile runs each compiled program once per configuration. At small
+// scale Algorithms 1 and 2 lower md to identical traces, so Algorithm 2's
+// run is Algorithm 1's and simulates nothing; swim's programs differ, so
+// both simulate. A traced Experiment always simulates its own run.
+TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
+  auto options = [](compiler::Mode mode) {
+    compiler::CompileOptions opt;
+    opt.mode = mode;
+    return opt;
+  };
+  auto sim_events = [] { return obs::GlobalPhases().Take().sim_events; };
+  for (const std::string name : {"md", "swim"}) {
+    const bool identical = name == "md";
+    auto profile = std::make_shared<Profile>(name, Scale::kSmall, arch::ArchConfig{});
+    Experiment exp(profile);
+    SchemeResult a1 = exp.RunCompiled(options(compiler::Mode::kAlgorithm1));
+    RunCounts before = profile->run_counts();
+    std::uint64_t events_before = sim_events();
+    SchemeResult a2 = exp.RunCompiled(options(compiler::Mode::kAlgorithm2));
+    RunCounts after = profile->run_counts();
+    EXPECT_EQ(after.machine_runs - before.machine_runs, identical ? 0u : 1u) << name;
+    EXPECT_EQ(after.runs_reused - before.runs_reused, identical ? 1u : 0u) << name;
+    if constexpr (obs::kObsEnabled) {
+      EXPECT_EQ(sim_events() - events_before, identical ? 0u : a2.run.events) << name;
+    }
+
+    Experiment fresh(name, Scale::kSmall, arch::ArchConfig{});
+    SchemeResult f2 = fresh.RunCompiled(options(compiler::Mode::kAlgorithm2));
+    ExpectSameRun(a2.run, f2.run, name);
+    EXPECT_EQ(exp.last_conservation(), fresh.last_conservation()) << name;
+    EXPECT_EQ(a2.improvement_pct, f2.improvement_pct) << name;
+    if (identical) ExpectSameRun(a1.run, a2.run, name);
+
+    obs::Observability ob;
+    Experiment traced(profile);
+    traced.set_obs(&ob);
+    before = profile->run_counts();
+    SchemeResult t2 = traced.RunCompiled(options(compiler::Mode::kAlgorithm2));
+    after = profile->run_counts();
+    EXPECT_EQ(after.machine_runs - before.machine_runs, 1u) << name;
+    EXPECT_EQ(after.runs_reused, before.runs_reused) << name;
+    ExpectSameRun(t2.run, f2.run, name);
+  }
 }
 
 TEST(EndToEnd, SchemesRunToCompletion) {
