@@ -8,8 +8,8 @@
 //   - allocs_per_event ~= 0 on the pure scheduling benches (the hot
 //     ScheduleAfter(small delay) path must not touch the heap)
 //
-// Allocation counts come from an instrumented global operator new/delete in
-// this translation unit, sampled after a warmup pass so one-time pool/bucket
+// Allocation counts come from an instrumented global operator new/delete
+// (alloc_count.cpp), sampled after a warmup pass so one-time pool/bucket
 // growth is excluded (steady-state behaviour is what the floor is about).
 //
 // The report also carries two whole-machine rows: "machine_swim", a full
@@ -29,16 +29,15 @@
 //
 // Usage: bench_substrate [--events=N] [--out=FILE]
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "arch/config.hpp"
 #include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
@@ -56,32 +55,6 @@
 #include "sim/legacy_event_queue.hpp"
 #include "sim/rng.hpp"
 #include "workloads/workloads.hpp"
-
-// ---------------------------------------------------------------------------
-// Instrumented allocator: every heap allocation in the process bumps a
-// counter. Single global, relaxed atomics (the benches are single-threaded;
-// atomics just keep the operators formally thread-safe).
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace ndc {
 namespace {
@@ -112,12 +85,12 @@ BenchResult Measure(const char* name, RunFn&& run, ExecutedFn&& executed) {
   BenchResult r;
   r.name = name;
   std::uint64_t e0 = executed();
-  std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t a0 = bench::AllocCount();
   auto t0 = Clock::now();
   run();
   auto t1 = Clock::now();
   r.events = executed() - e0;
-  r.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+  r.allocs = bench::AllocCount() - a0;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;
 }

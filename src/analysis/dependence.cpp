@@ -11,16 +11,15 @@ struct Ref {
   int stmt = 0;
   const ir::Operand* op = nullptr;
   bool is_write = false;
-  RefSlot slot = RefSlot::kLhs;
 };
 
 std::vector<Ref> CollectRefs(const ir::LoopNest& nest) {
   std::vector<Ref> refs;
   for (int s = 0; s < static_cast<int>(nest.body.size()); ++s) {
     const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];
-    if (st.lhs.IsMemory()) refs.push_back({s, &st.lhs, true, RefSlot::kLhs});
-    if (st.rhs0.IsMemory()) refs.push_back({s, &st.rhs0, false, RefSlot::kRhs0});
-    if (st.rhs1.IsMemory()) refs.push_back({s, &st.rhs1, false, RefSlot::kRhs1});
+    if (st.lhs.IsMemory()) refs.push_back({s, &st.lhs, true});
+    if (st.rhs0.IsMemory()) refs.push_back({s, &st.rhs0, false});
+    if (st.rhs1.IsMemory()) refs.push_back({s, &st.rhs1, false});
   }
   return refs;
 }
@@ -157,12 +156,7 @@ DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& ne
   DependenceSet out;
   int depth = nest.depth();
   std::vector<Ref> refs = CollectRefs(nest);
-  auto note_unknown = [&out](const Ref& src, const Ref& dst, bool indirect) {
-    out.has_unknown = true;
-    out.unknown_arrays.push_back(RefArray(src));
-    out.unknown_pairs.push_back(
-        {src.stmt, dst.stmt, RefArray(src), src.slot, dst.slot, indirect});
-  };
+  auto note_unknown = [&out](const Ref& src) { out.unknown_arrays.push_back(RefArray(src)); };
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t j = 0; j < refs.size(); ++j) {
       const Ref& src = refs[i];
@@ -178,14 +172,14 @@ DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& ne
             out.deps.push_back({src.stmt, dst.stmt, RefArray(src), true, k, false});
           }
         } else if (src.op->kind == ir::Operand::Kind::kIndirect) {
-          note_unknown(src, dst, /*indirect=*/true);
+          note_unknown(src);
         }
         continue;
       }
       // Indirect references: conservative unknown dependence.
       if (src.op->kind == ir::Operand::Kind::kIndirect ||
           dst.op->kind == ir::Operand::Kind::kIndirect) {
-        note_unknown(src, dst, /*indirect=*/true);
+        note_unknown(src);
         continue;
       }
       const ir::AffineAccess& fa = src.op->access;
@@ -206,12 +200,12 @@ DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& ne
           // sound existence test there.
           bool square_exact = fa.F.rows() == fa.F.cols() && fa.F.Rank() == fa.F.cols();
           if (!square_exact && GcdMayDepend(fa, fb)) {
-            note_unknown(src, dst, /*indirect=*/false);
+            note_unknown(src);
           }
           continue;
         }
         if (ir::IsZero(d)) {
-          // Loop-independent: ordered by body position, no constraint on T.
+          // Loop-independent: ordered by body position.
           if (src.stmt == dst.stmt) continue;
           out.deps.push_back({std::min(src.stmt, dst.stmt), std::max(src.stmt, dst.stmt),
                               RefArray(src), true, d, src.is_write});
@@ -221,7 +215,7 @@ DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& ne
         out.deps.push_back({src.stmt, dst.stmt, RefArray(src), true, d, src.is_write});
       } else {
         if (GcdMayDepend(fa, fb)) {
-          note_unknown(src, dst, /*indirect=*/false);
+          note_unknown(src);
         }
       }
     }
@@ -239,145 +233,10 @@ DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& ne
                                       a.array == b.array && a.distance == b.distance;
                              }),
                  out.deps.end());
+  std::sort(out.unknown_arrays.begin(), out.unknown_arrays.end());
+  out.unknown_arrays.erase(std::unique(out.unknown_arrays.begin(), out.unknown_arrays.end()),
+                           out.unknown_arrays.end());
   return out;
-}
-
-ir::IntMat DependenceSet::DependenceMatrix(int depth) const {
-  std::vector<ir::IntVec> cols;
-  for (const Dependence& d : deps) {
-    if (d.distance_known && !ir::IsZero(d.distance)) cols.push_back(d.distance);
-  }
-  ir::IntMat m(depth, static_cast<int>(cols.size()));
-  for (int c = 0; c < static_cast<int>(cols.size()); ++c) {
-    for (int r = 0; r < depth; ++r) {
-      m.at(r, c) = cols[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
-    }
-  }
-  return m;
-}
-
-namespace {
-
-/// Conservative per-level iterator ranges [lo_min, hi_max], outermost-in.
-/// Bounds may depend linearly on one outer iterator (the validator rejects
-/// anything else); a dependent bound is widened over the outer range.
-std::vector<std::pair<ir::Int, ir::Int>> IterRanges(const ir::LoopNest& nest) {
-  std::vector<std::pair<ir::Int, ir::Int>> r;
-  r.reserve(static_cast<std::size_t>(nest.depth()));
-  for (int k = 0; k < nest.depth(); ++k) {
-    const ir::Loop& l = nest.loops[static_cast<std::size_t>(k)];
-    ir::Int lo = l.lo, hi = l.hi;
-    if (l.lo_dep >= 0 && l.lo_dep < k) {
-      auto [olo, ohi] = r[static_cast<std::size_t>(l.lo_dep)];
-      lo += l.lo_coef >= 0 ? l.lo_coef * olo : l.lo_coef * ohi;
-    }
-    if (l.hi_dep >= 0 && l.hi_dep < k) {
-      auto [olo, ohi] = r[static_cast<std::size_t>(l.hi_dep)];
-      hi += l.hi_coef >= 0 ? l.hi_coef * ohi : l.hi_coef * olo;
-    }
-    if (hi < lo) hi = lo;
-    r.push_back({lo, hi});
-  }
-  return r;
-}
-
-/// Row-major linearized footprint of an affine access: element index as an
-/// affine function c·I + c0 of the iteration vector.
-struct LinFootprint {
-  ir::IntVec c;
-  ir::Int c0 = 0;
-};
-
-bool Linearize(const ir::Array& arr, const ir::AffineAccess& acc, int depth,
-               LinFootprint* out) {
-  int rank = static_cast<int>(arr.dims.size());
-  if (acc.F.rows() != rank || acc.F.cols() != depth ||
-      static_cast<int>(acc.f.size()) != rank) {
-    return false;  // malformed shape — the IR validator owns that diagnosis
-  }
-  std::vector<ir::Int> stride(static_cast<std::size_t>(rank), 1);
-  for (int d = rank - 2; d >= 0; --d) {
-    stride[static_cast<std::size_t>(d)] =
-        stride[static_cast<std::size_t>(d + 1)] * arr.dims[static_cast<std::size_t>(d + 1)];
-  }
-  out->c.assign(static_cast<std::size_t>(depth), 0);
-  out->c0 = 0;
-  for (int d = 0; d < rank; ++d) {
-    for (int k = 0; k < depth; ++k) {
-      out->c[static_cast<std::size_t>(k)] += stride[static_cast<std::size_t>(d)] * acc.F.at(d, k);
-    }
-    out->c0 += stride[static_cast<std::size_t>(d)] * acc.f[static_cast<std::size_t>(d)];
-  }
-  return true;
-}
-
-std::pair<ir::Int, ir::Int> FootprintSpan(
-    const LinFootprint& f, const std::vector<std::pair<ir::Int, ir::Int>>& ranges) {
-  ir::Int mn = f.c0, mx = f.c0;
-  for (std::size_t k = 0; k < f.c.size(); ++k) {
-    ir::Int c = f.c[k];
-    if (c >= 0) {
-      mn += c * ranges[k].first;
-      mx += c * ranges[k].second;
-    } else {
-      mn += c * ranges[k].second;
-      mx += c * ranges[k].first;
-    }
-  }
-  return {mn, mx};
-}
-
-const ir::Operand& SlotOperand(const ir::LoopNest& nest, int stmt, RefSlot slot) {
-  const ir::Stmt& st = nest.body[static_cast<std::size_t>(stmt)];
-  switch (slot) {
-    case RefSlot::kLhs: return st.lhs;
-    case RefSlot::kRhs0: return st.rhs0;
-    case RefSlot::kRhs1: return st.rhs1;
-  }
-  return st.lhs;
-}
-
-}  // namespace
-
-bool SectionsDisjoint(const ir::Program& prog, const ir::LoopNest& nest,
-                      const ir::AffineAccess& a, const ir::AffineAccess& b) {
-  if (a.array != b.array) return true;  // different arrays never alias here
-  if (a.array < 0 || a.array >= static_cast<int>(prog.arrays.size())) return false;
-  const ir::Array& arr = prog.array(a.array);
-  int depth = nest.depth();
-  LinFootprint fa, fb;
-  if (!Linearize(arr, a, depth, &fa) || !Linearize(arr, b, depth, &fb)) return false;
-  std::vector<std::pair<ir::Int, ir::Int>> ranges = IterRanges(nest);
-
-  // Interval test: the linearized footprints never meet.
-  auto [min_a, max_a] = FootprintSpan(fa, ranges);
-  auto [min_b, max_b] = FootprintSpan(fb, ranges);
-  if (max_a < min_b || max_b < min_a) return true;
-
-  // Stride-residue test: both footprints live in c0 + g·Z for the combined
-  // coefficient gcd g; different residues mod g can never collide.
-  ir::Int g = 0;
-  for (ir::Int c : fa.c) g = std::gcd(g, std::abs(c));
-  for (ir::Int c : fb.c) g = std::gcd(g, std::abs(c));
-  if (g > 1 && (fa.c0 - fb.c0) % g != 0) return true;
-
-  return false;
-}
-
-std::vector<int> RefinedUnknownArrays(const ir::Program& prog, const ir::LoopNest& nest,
-                                      const DependenceSet& deps) {
-  std::vector<int> unknown;
-  for (const UnknownRefPair& p : deps.unknown_pairs) {
-    const ir::Operand& from = SlotOperand(nest, p.from_stmt, p.from_slot);
-    const ir::Operand& to = SlotOperand(nest, p.to_stmt, p.to_slot);
-    bool refuted = !p.indirect && from.kind == ir::Operand::Kind::kAffine &&
-                   to.kind == ir::Operand::Kind::kAffine &&
-                   SectionsDisjoint(prog, nest, from.access, to.access);
-    if (!refuted) unknown.push_back(p.array);
-  }
-  std::sort(unknown.begin(), unknown.end());
-  unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
-  return unknown;
 }
 
 bool DependenceSet::ReadHoistIsSafe(int array, ir::Int lead_linear, ir::Int inner_trip) const {

@@ -18,34 +18,11 @@ struct Dependence {
   bool is_flow = false;  ///< write -> read (true) vs anti/output
 };
 
-/// Which operand slot of a statement a reference came from.
-enum class RefSlot : int { kLhs = 0, kRhs0 = 1, kRhs1 = 2 };
-
-/// One reference pair the analysis could not resolve: either an indirect
-/// reference is involved (never refutable statically) or the affine pair
-/// escaped both the uniform solve and the GCD-independence test. Recorded so
-/// RefinedUnknownArrays can retry the pair with a stronger test
-/// (array-section disjointness) and discharge the unknown.
-struct UnknownRefPair {
-  int from_stmt = 0;
-  int to_stmt = 0;
-  int array = -1;
-  RefSlot from_slot = RefSlot::kLhs;
-  RefSlot to_slot = RefSlot::kLhs;
-  bool indirect = false;  ///< involves an indirect reference
-};
-
-/// All dependences of a nest, plus a conservative flag when non-affine or
-/// shape-mismatched references force us to assume unknown dependences.
+/// All dependences of a nest, plus the arrays whose non-affine or
+/// unresolvable references force us to assume unknown dependences.
 struct DependenceSet {
   std::vector<Dependence> deps;
-  bool has_unknown = false;          ///< any unknown dependence (blocks transforms)
-  std::vector<int> unknown_arrays;   ///< arrays with unanalyzable dependences
-  std::vector<UnknownRefPair> unknown_pairs;  ///< the pairs behind unknown_arrays
-
-  /// The dependence matrix D (Section 5.2.1): columns are the known,
-  /// lexicographically positive distance vectors.
-  ir::IntMat DependenceMatrix(int depth) const;
+  std::vector<int> unknown_arrays;  ///< arrays with unanalyzable dependences; sorted, unique
 
   /// True if hoisting a read of `array` earlier by `lead` iterations (in
   /// lexicographic linearized order of the innermost loop) cannot cross a
@@ -56,26 +33,8 @@ struct DependenceSet {
 
 /// Classic pairwise dependence analysis over affine references (uniform
 /// distance via exact integer solve; GCD-style existence for the rest).
-/// Indirect references produce `has_unknown`.
+/// Indirect references put their array in `unknown_arrays`.
 DependenceSet AnalyzeDependences(const ir::Program& prog, const ir::LoopNest& nest);
-
-/// Array-section disjointness for two affine references to the *same*
-/// array: true when the element sets they touch over the whole iteration
-/// space of `nest` provably never intersect. Two tests, either suffices:
-///  - interval: the linearized footprints [min,max] do not overlap;
-///  - stride residue: both footprints are contained in arithmetic
-///    progressions of a common modulus g with different residues.
-/// Conservative: false means "may overlap".
-bool SectionsDisjoint(const ir::Program& prog, const ir::LoopNest& nest,
-                      const ir::AffineAccess& a, const ir::AffineAccess& b);
-
-/// The arrays of `deps.unknown_pairs` that stay unanalyzable after each
-/// affine pair is retried with SectionsDisjoint (a DawnCC-style
-/// pointer-range check). An array leaves the set only when every pair that
-/// put it there is refuted; indirect pairs are never refuted. Sorted,
-/// unique.
-std::vector<int> RefinedUnknownArrays(const ir::Program& prog, const ir::LoopNest& nest,
-                                      const DependenceSet& deps);
 
 /// Smallest lexicographically-positive integer kernel vector of F among the
 /// unit vectors and pairwise differences (used for self-temporal reuse).

@@ -86,9 +86,6 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
   // Scratch reused across nests and cores, so lowering allocates per
   // (core, nest) at most, never per iteration or instruction.
   std::vector<std::vector<ir::Int>> per_core(cores);  // depth Ints per iteration
-  std::vector<ir::Int> keys;                          // T*I per iteration
-  std::vector<std::size_t> perm;
-  std::vector<ir::Int> permuted;
   std::vector<Emission> generated;
   std::vector<Emission> emissions;
   std::vector<ir::Int> slot_cursor;
@@ -134,36 +131,7 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
     for (int core = 0; core < num_cores; ++core) {
       const ir::Int m = cnt[core];
       if (m == 0) continue;
-      std::vector<ir::Int>& its = per_core[static_cast<std::size_t>(core)];
-      if (nest.transform.has_value()) {
-        // Execute in lexicographic order of T*I: compute each key once,
-        // stable-sort a permutation, then gather the iterations.
-        const ir::IntMat& T = *nest.transform;
-        const auto rows = static_cast<std::size_t>(T.rows());
-        keys.resize(static_cast<std::size_t>(m) * rows);
-        for (std::size_t j = 0; j < static_cast<std::size_t>(m); ++j) {
-          for (std::size_t r = 0; r < rows; ++r) {
-            ir::Int k = 0;
-            for (std::size_t c = 0; c < depth; ++c) {
-              k += T.at(static_cast<int>(r), static_cast<int>(c)) * its[j * depth + c];
-            }
-            keys[j * rows + r] = k;
-          }
-        }
-        perm.resize(static_cast<std::size_t>(m));
-        std::iota(perm.begin(), perm.end(), std::size_t{0});
-        std::stable_sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-          const ir::Int* ka = keys.data() + a * rows;
-          const ir::Int* kb = keys.data() + b * rows;
-          return std::lexicographical_compare(ka, ka + rows, kb, kb + rows);
-        });
-        permuted.resize(its.size());
-        for (std::size_t k = 0; k < perm.size(); ++k) {
-          std::copy_n(its.begin() + static_cast<std::ptrdiff_t>(perm[k] * depth), depth,
-                      permuted.begin() + static_cast<std::ptrdiff_t>(k * depth));
-        }
-        its.swap(permuted);
-      }
+      const std::vector<ir::Int>& its = per_core[static_cast<std::size_t>(core)];
       auto clamp_slot = [m](ir::Int s) { return std::clamp<ir::Int>(s, 0, m - 1); };
 
       // Emissions are generated in (j, stmt, phase) order; a stable

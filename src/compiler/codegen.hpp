@@ -20,10 +20,8 @@ struct CodegenResult {
 /// Figure 7 runs before the NDC algorithms and is preserved by them).
 int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_cores);
 
-/// Lowers a (possibly NDC-annotated and schedule-transformed) program to
-/// per-core traces:
-///  - each core's iterations execute in lexicographic order of T*I
-///    (T = identity when no transform was found);
+/// Lowers a (possibly NDC-annotated) program to per-core traces:
+///  - each core's iterations execute in original (lexicographic) order;
 ///  - NDC-annotated statements emit their operand loads shifted by the
 ///    planned iteration leads (the access movements of Figures 8-9) and a
 ///    `pre-compute` instruction placed right after the second access;

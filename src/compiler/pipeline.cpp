@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <set>
 
 #include "analysis/cme.hpp"
@@ -11,7 +10,6 @@
 #include "analysis/use_use.hpp"
 #include "compiler/codegen.hpp"
 #include "verify/verify.hpp"
-#include "xform/transform.hpp"
 
 namespace ndc::compiler {
 namespace {
@@ -317,44 +315,23 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
 
         int ax = OperandArray(stmt.rhs0);
         int ay = OperandArray(stmt.rhs1);
-        std::optional<std::pair<ir::Int, ir::Int>> leads;  // (lead0, lead1)
+        std::pair<ir::Int, ir::Int> leads;  // (lead0, lead1)
         // Strategy (b): keep x, move y (Figure 8b).
         if (deps.ReadHoistIsSafe(ay, want, inner_trip)) {
-          leads = {{0, want}};
+          leads = {0, want};
         } else if (deps.ReadHoistIsSafe(ax, -want, inner_trip)) {
           // Strategy (c): keep y, move x (Figure 8c).
-          leads = {{-want, 0}};
+          leads = {-want, 0};
           ++rep.legality_failures;  // strategy (b) was rejected
         } else if (deps.ReadHoistIsSafe(ay, want / 2, inner_trip) &&
                    deps.ReadHoistIsSafe(ax, -(want - want / 2), inner_trip)) {
           // Strategy (d): move both (Figure 8d).
-          leads = {{-(want - want / 2), want / 2}};
+          leads = {-(want - want / 2), want / 2};
           ++rep.legality_failures;
         } else {
+          // No strategy keeps both reads legal: try the next component.
           rep.legality_failures += 3;
-          // Last resort (array case of Section 5.2.1): look for a legal
-          // loop transformation T mapping y's access iteration next to x's.
-          if (!deps.has_unknown && nest.depth() >= 2 && !nest.transform.has_value() &&
-              want != 0) {
-            ir::IntMat D = deps.DependenceMatrix(nest.depth());
-            ir::IntMat T = xform::FindTransform(D, nest.depth(), [&](const ir::IntMat& cand) {
-              // Prefer transforms that bring the reuse pair closer in the
-              // new schedule: approximate by the schedule distance of the
-              // desired shift vector.
-              ir::IntVec shift(static_cast<std::size_t>(nest.depth()), 0);
-              shift.back() = want;
-              ir::IntVec mapped = cand.Apply(shift);
-              double d = 0;
-              for (ir::Int v : mapped) d = d * 1000.0 + std::llabs(v);
-              return d;
-            });
-            if (!(T == ir::IntMat::Identity(nest.depth()))) {
-              nest.transform = T;
-              ++rep.transforms;
-              leads = {{0, 0}};
-            }
-          }
-          if (!leads.has_value()) continue;
+          continue;
         }
 
         stmt.ndc.offload = true;
@@ -369,8 +346,8 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
         stmt.ndc.timeout = opt.mode == Mode::kCoarseGrain
                                ? ad.cfg().default_timeout
                                : (predictable ? gap.breakeven * 2 + 32 : gap.breakeven);
-        stmt.ndc.lead0 = leads->first;
-        stmt.ndc.lead1 = leads->second;
+        stmt.ndc.lead0 = leads.first;
+        stmt.ndc.lead1 = leads.second;
         ++rep.planned;
         ++rep.planned_at_loc[static_cast<std::size_t>(loc)];
         ++nest_loc_votes[static_cast<std::size_t>(loc)];

@@ -39,8 +39,8 @@ struct CompileOptions {
   int samples_per_chain = 32;          ///< iteration samples for the cost model
   /// Run the independent verifier (src/verify) over the annotated program
   /// after the pass and attach its findings to the report. On by default:
-  /// a pipeline bug that emits an illegal transform or an unsafe access
-  /// movement is a correctness error everywhere, not just in tests.
+  /// a pipeline bug that emits an unsafe access movement is a correctness
+  /// error everywhere, not just in tests.
   bool verify_after = true;
 };
 
@@ -51,7 +51,6 @@ struct CompileReport {
   std::uint64_t reuse_skips = 0;       ///< chains skipped by Algorithm 2's gate
   std::uint64_t legality_failures = 0; ///< movements rejected by dependences
   std::uint64_t gating_failures = 0;   ///< rejected by CME / feasibility
-  std::uint64_t transforms = 0;        ///< nests given a schedule transform
   std::array<std::uint64_t, arch::kNumLocs> planned_at_loc{};
   /// Post-pass audit findings (populated when CompileOptions::verify_after).
   verify::Report verify;
@@ -62,7 +61,7 @@ struct CompileReport {
 };
 
 /// Runs the selected NDC pass over the program in place (annotating
-/// statements and possibly attaching schedule transforms), mirroring
+/// statements), mirroring
 /// Algorithm 1 / Algorithm 2 of the paper.
 CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const CompileOptions& opt);
 

@@ -275,7 +275,6 @@ CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profi
   out.reuse_skips = r.compile_report.reuse_skips;
   out.legality_failures = r.compile_report.legality_failures;
   out.gating_failures = r.compile_report.gating_failures;
-  out.transforms = r.compile_report.transforms;
   out.stats = r.run.stats.all();
   return out;
 }

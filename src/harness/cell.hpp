@@ -92,7 +92,10 @@ struct CellResult {
 
   // Compiler report (compiled schemes; zero otherwise).
   std::uint64_t chains = 0, planned = 0, reuse_skips = 0;
-  std::uint64_t legality_failures = 0, gating_failures = 0, transforms = 0;
+  std::uint64_t legality_failures = 0, gating_failures = 0;
+  /// Always 0: the compiler attaches no loop transformations. Kept so cache
+  /// entries, CSV exports and the perfbench digest keep their layout.
+  std::uint64_t transforms = 0;
 
   /// Full merged component counters (sim::StatSet contents).
   std::map<std::string, std::uint64_t> stats;

@@ -7,12 +7,6 @@
 
 namespace ndc::ir {
 
-IntMat IntMat::Identity(int n) {
-  IntMat m(n, n);
-  for (int i = 0; i < n; ++i) m.at(i, i) = 1;
-  return m;
-}
-
 IntVec IntMat::Apply(const IntVec& v) const {
   assert(static_cast<int>(v.size()) == cols_);
   IntVec out(static_cast<std::size_t>(rows_), 0);
@@ -22,60 +16,6 @@ IntVec IntMat::Apply(const IntVec& v) const {
     out[static_cast<std::size_t>(r)] = s;
   }
   return out;
-}
-
-IntMat IntMat::Multiply(const IntMat& other) const {
-  assert(cols_ == other.rows_);
-  IntMat out(rows_, other.cols_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < other.cols_; ++c) {
-      Int s = 0;
-      for (int k = 0; k < cols_; ++k) s += at(r, k) * other.at(k, c);
-      out.at(r, c) = s;
-    }
-  }
-  return out;
-}
-
-IntMat IntMat::Transpose() const {
-  IntMat out(cols_, rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) out.at(c, r) = at(r, c);
-  }
-  return out;
-}
-
-Int IntMat::Determinant() const {
-  assert(rows_ == cols_);
-  int n = rows_;
-  if (n == 0) return 1;
-  // Bareiss fraction-free elimination on a copy.
-  std::vector<Int> m(a_);
-  auto e = [&](int r, int c) -> Int& { return m[static_cast<std::size_t>(r * n + c)]; };
-  Int sign = 1;
-  Int prev = 1;
-  for (int k = 0; k < n - 1; ++k) {
-    if (e(k, k) == 0) {
-      int p = -1;
-      for (int r = k + 1; r < n; ++r) {
-        if (e(r, k) != 0) {
-          p = r;
-          break;
-        }
-      }
-      if (p < 0) return 0;
-      for (int c = 0; c < n; ++c) std::swap(e(k, c), e(p, c));
-      sign = -sign;
-    }
-    for (int i = k + 1; i < n; ++i) {
-      for (int j = k + 1; j < n; ++j) {
-        e(i, j) = (e(i, j) * e(k, k) - e(i, k) * e(k, j)) / prev;
-      }
-      e(i, k) = 0;
-    }
-    prev = e(k, k);
-  }
-  return sign * e(n - 1, n - 1);
 }
 
 int IntMat::Rank() const {
@@ -103,12 +43,6 @@ int IntMat::Rank() const {
     ++rank;
   }
   return rank;
-}
-
-bool IntMat::IsUnimodular() const {
-  if (rows_ != cols_) return false;
-  Int d = Determinant();
-  return d == 1 || d == -1;
 }
 
 bool IntMat::SolveInteger(const IntVec& b, IntVec* x) const {
@@ -188,21 +122,6 @@ bool IntMat::SolveInteger(const IntVec& b, IntVec* x) const {
     sol[static_cast<std::size_t>(c)] = num / den;
   }
   *x = std::move(sol);
-  return true;
-}
-
-bool IntMat::InverseUnimodular(IntMat* out) const {
-  if (!IsUnimodular()) return false;
-  int n = rows_;
-  IntMat inv(n, n);
-  for (int c = 0; c < n; ++c) {
-    IntVec e(static_cast<std::size_t>(n), 0);
-    e[static_cast<std::size_t>(c)] = 1;
-    IntVec x;
-    if (!SolveInteger(e, &x)) return false;
-    for (int r = 0; r < n; ++r) inv.at(r, c) = x[static_cast<std::size_t>(r)];
-  }
-  *out = std::move(inv);
   return true;
 }
 

@@ -11,9 +11,8 @@ using Int = std::int64_t;
 using IntVec = std::vector<Int>;
 
 /// A small dense integer matrix (row-major). Used for affine access
-/// functions F (subscript = F*I + f), loop transformation matrices T, and
-/// dependence matrices D. Sizes are tiny (loop depths <= 4), so all
-/// operations are simple dense algorithms.
+/// functions F (subscript = F*I + f). Sizes are tiny (loop depths <= 4), so
+/// all operations are simple dense algorithms.
 class IntMat {
  public:
   IntMat() = default;
@@ -22,33 +21,20 @@ class IntMat {
     assert(static_cast<int>(a_.size()) == rows * cols);
   }
 
-  static IntMat Identity(int n);
-
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
   Int& at(int r, int c) { return a_[static_cast<std::size_t>(r * cols_ + c)]; }
   Int at(int r, int c) const { return a_[static_cast<std::size_t>(r * cols_ + c)]; }
 
-  IntVec Apply(const IntVec& v) const;          ///< this * v
-  IntMat Multiply(const IntMat& other) const;   ///< this * other
-  IntMat Transpose() const;
-
-  /// Determinant via fraction-free Gaussian elimination (Bareiss).
-  Int Determinant() const;
+  IntVec Apply(const IntVec& v) const;  ///< this * v
 
   /// Rank over the rationals.
   int Rank() const;
 
-  /// True iff square with |det| == 1 (a bijection on the integer lattice).
-  bool IsUnimodular() const;
-
   /// Solves this * x = b exactly over the integers. Returns false if the
   /// system has no integral solution (or is singular/inconsistent).
   bool SolveInteger(const IntVec& b, IntVec* x) const;
-
-  /// Inverse of a unimodular matrix (integral by definition).
-  bool InverseUnimodular(IntMat* out) const;
 
   friend bool operator==(const IntMat&, const IntMat&) = default;
 

@@ -129,12 +129,10 @@ struct Loop {
 
 /// A (perfect) loop nest with a statement body. The outermost loop is the
 /// parallel loop: its iterations are block-distributed across cores by the
-/// code generator. An optional unimodular schedule transform T reorders each
-/// core's iterations (applied as: execute in lexicographic order of T*I).
+/// code generator.
 struct LoopNest {
   std::vector<Loop> loops;
   std::vector<Stmt> body;
-  std::optional<IntMat> transform;
 
   int depth() const { return static_cast<int>(loops.size()); }
 

@@ -22,7 +22,6 @@ const char* CodeName(Code c) {
     case Code::kSubscriptNeverInBounds: return "subscript-never-in-bounds";
     case Code::kSubscriptOutOfBounds: return "subscript-out-of-bounds";
     case Code::kBadLoopBound: return "bad-loop-bound";
-    case Code::kBadTransform: return "bad-transform";
     case Code::kLeadExceedsMax: return "lead-exceeds-max";
     case Code::kLocNotEnabled: return "loc-not-enabled";
     case Code::kMissingIndexData: return "missing-index-data";
@@ -30,8 +29,6 @@ const char* CodeName(Code c) {
     case Code::kDuplicateStmtId: return "duplicate-stmt-id";
     case Code::kIndexValueOutOfRange: return "index-value-out-of-range";
     case Code::kOffloadNeedsTwoLoads: return "offload-needs-two-loads";
-    case Code::kIllegalTransform: return "illegal-transform";
-    case Code::kTransformWithUnknownDeps: return "transform-with-unknown-deps";
     case Code::kUnsafeLead: return "unsafe-lead";
     case Code::kLeadOnUnknownArray: return "lead-on-unknown-array";
     case Code::kParallelCarriedDependence: return "parallel-carried-dependence";

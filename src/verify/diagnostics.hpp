@@ -9,7 +9,7 @@
 namespace ndc::verify {
 
 /// Severity of a finding. Errors indicate programs the compiler must never
-/// emit (illegal transforms, unsafe access movements, malformed IR);
+/// emit (unsafe access movements, malformed IR);
 /// warnings indicate suspicious-but-tolerated constructs (boundary
 /// subscripts the code generator skips, potential cross-core races);
 /// notes are informational.
@@ -27,7 +27,6 @@ enum class Code : int {
   kSubscriptNeverInBounds = 104,  ///< access can never resolve in bounds
   kSubscriptOutOfBounds = 105,    ///< out of bounds at loop extremes (skipped)
   kBadLoopBound = 106,            ///< bound depends on a non-outer iterator
-  kBadTransform = 107,            ///< transform shape wrong or not unimodular
   kLeadExceedsMax = 108,          ///< |lead| above the configured max_lead
   kLocNotEnabled = 109,           ///< planned loc outside the control register
   kMissingIndexData = 110,        ///< indirect access without index contents
@@ -36,8 +35,6 @@ enum class Code : int {
   kIndexValueOutOfRange = 113,    ///< index-array entry outside target array
   kOffloadNeedsTwoLoads = 114,    ///< NDC annotation on a non use-use chain
   // --- legality auditor ---
-  kIllegalTransform = 201,        ///< T*D has a lex-non-positive column
-  kTransformWithUnknownDeps = 202,///< transform attached despite unknown deps
   kUnsafeLead = 203,              ///< lead crosses a conflicting write
   kLeadOnUnknownArray = 204,      ///< lead on an array with unknown deps
   // --- race detector ---

@@ -227,21 +227,6 @@ void ValidateIr(const ir::Program& prog, const VerifyOptions& opts, Report* repo
     }
     std::vector<Interval> iters = IteratorRanges(nest, report, n);
 
-    if (nest.transform.has_value()) {
-      const ir::IntMat& T = *nest.transform;
-      if (T.rows() != nest.depth() || T.cols() != nest.depth()) {
-        std::ostringstream os;
-        os << "transform is " << T.rows() << "x" << T.cols() << " on a depth-"
-           << nest.depth() << " nest";
-        report->Add(Severity::kError, Code::kBadTransform, os.str(), n);
-      } else if (!T.IsUnimodular()) {
-        report->Add(Severity::kError, Code::kBadTransform,
-                    "transform is not unimodular: it does not enumerate the iteration "
-                    "space bijectively",
-                    n);
-      }
-    }
-
     std::set<std::uint32_t> ids;
     std::set<int> reported_index_arrays;
     for (int s = 0; s < static_cast<int>(nest.body.size()); ++s) {

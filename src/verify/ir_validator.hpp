@@ -9,8 +9,7 @@ namespace ndc::verify {
 /// Structural IR validation: array references and access-function shapes,
 /// subscript ranges at the loop extremes (interval propagation over the
 /// iteration box, so triangular bounds are handled conservatively), loop
-/// bound dependences, transform shape/unimodularity, and NDC annotation
-/// sanity (lead magnitudes vs `max_lead`, planned location vs the control
+/// bound dependences, and NDC annotation sanity (lead magnitudes vs `max_lead`, planned location vs the control
 /// register, use-use chain shape).
 ///
 /// Subscripts that *partially* escape the array at the extremes are

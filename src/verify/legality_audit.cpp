@@ -4,7 +4,6 @@
 #include <string>
 
 #include "analysis/dependence.hpp"
-#include "xform/transform.hpp"
 
 namespace ndc::verify {
 namespace {
@@ -32,24 +31,6 @@ void AuditLegality(const ir::Program& prog, const VerifyOptions& opts, Report* r
     ir::Int inner_trip = 1;
     const ir::Loop& inner = nest.loops.back();
     inner_trip = std::max<ir::Int>(1, inner.hi - inner.lo + 1);
-
-    if (nest.transform.has_value() &&
-        nest.transform->rows() == nest.depth() && nest.transform->cols() == nest.depth()) {
-      if (deps.has_unknown) {
-        report->Add(Severity::kError, Code::kTransformWithUnknownDeps,
-                    "schedule transform attached to a nest with unanalyzable "
-                    "dependences — legality cannot be established",
-                    n);
-      } else {
-        ir::IntMat D = deps.DependenceMatrix(nest.depth());
-        if (!xform::IsLegalTransform(*nest.transform, D)) {
-          report->Add(Severity::kError, Code::kIllegalTransform,
-                      "schedule transform maps a dependence distance to a "
-                      "lexicographically non-positive vector (T*D test failed)",
-                      n);
-        }
-      }
-    }
 
     for (int s = 0; s < static_cast<int>(nest.body.size()); ++s) {
       const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];

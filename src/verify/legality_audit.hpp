@@ -7,12 +7,9 @@
 namespace ndc::verify {
 
 /// Independent legality audit of a compiled program: re-derives each nest's
-/// dependence set with `analysis::AnalyzeDependences`, then re-checks
-///  - every attached schedule transform with `xform::IsLegalTransform`
-///    (T*D columns lexicographically positive, Section 5.2.1), and
-///  - every NDC access-movement lead with
-///    `analysis::DependenceSet::ReadHoistIsSafe` (a moved read must not
-///    cross a conflicting write, Figures 8-9).
+/// dependence set with `analysis::AnalyzeDependences`, then re-checks every
+/// NDC access-movement lead with `analysis::DependenceSet::ReadHoistIsSafe`
+/// (a moved read must not cross a conflicting write, Figures 8-9).
 /// Any violation is an annotation the compiler should never have emitted
 /// and is reported at error severity.
 void AuditLegality(const ir::Program& prog, const VerifyOptions& opts, Report* report);

@@ -14,11 +14,8 @@ void DetectRaces(const ir::Program& prog, const VerifyOptions& opts, Report* rep
     if (nest.depth() == 0 || nest.body.empty()) continue;
     analysis::DependenceSet deps = analysis::AnalyzeDependences(prog, nest);
 
-    // Unknown dependences: RefinedUnknownArrays retries every unresolved
-    // pair with the array-section disjointness test, so arrays whose
-    // conflicts are provably disjoint never reach this loop — the R302
-    // warnings below are residual, not heuristic.
-    for (int a : analysis::RefinedUnknownArrays(prog, nest, deps)) {
+    // Unknown dependences: one warning per array (the set is sorted, unique).
+    for (int a : deps.unknown_arrays) {
       std::string name = a >= 0 && a < static_cast<int>(prog.arrays.size())
                              ? prog.array(a).name
                              : std::to_string(a);

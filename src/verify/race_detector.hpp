@@ -13,9 +13,6 @@ namespace ndc::verify {
 /// dependences, which could be carried anywhere — are reported at warning
 /// severity: the timing simulator tolerates them, but the parallelization
 /// is not semantics-preserving for the affected arrays.
-///
-/// Unknown pairs refuted by array-section disjointness
-/// (analysis::RefinedUnknownArrays) produce no warning.
 void DetectRaces(const ir::Program& prog, const VerifyOptions& opts, Report* report);
 
 }  // namespace ndc::verify

@@ -12,8 +12,8 @@ namespace ndc::verify {
 /// Runs every enabled verification pass over `prog` and returns the merged
 /// report. The passes are independent of the pipeline that produced the
 /// program: they re-derive dependences and re-check every annotation from
-/// scratch, so a pipeline bug that emits an illegal transform or an unsafe
-/// access movement surfaces here instead of silently corrupting results.
+/// scratch, so a pipeline bug that emits an unsafe access movement surfaces
+/// here instead of silently corrupting results.
 Report VerifyProgram(const ir::Program& prog, const VerifyOptions& opts = {});
 
 }  // namespace ndc::verify

@@ -1,5 +1,5 @@
 // Tests for the compiler analyses: dependence analysis (uniform distances,
-// bounded delinearization, hoist legality, array-section disjointness),
+// bounded delinearization, hoist legality),
 // reuse analysis, use-use chains, and the Cache Miss Equations estimator.
 
 #include <gtest/gtest.h>
@@ -226,7 +226,7 @@ TEST(Dependence, IndependentArraysProduceNothing) {
   t.Add(Aff(c, {8, 1}, 0), Aff(t.arr, {8, 1}, 0), Aff(b, {8, 1}, 0));
   DependenceSet deps = AnalyzeDependences(t.p, *t.nest);
   EXPECT_TRUE(deps.deps.empty());
-  EXPECT_FALSE(deps.has_unknown);
+  EXPECT_TRUE(deps.unknown_arrays.empty());
 }
 
 TEST(Dependence, IndirectMarksArrayUnknown) {
@@ -241,7 +241,8 @@ TEST(Dependence, IndirectMarksArrayUnknown) {
   // write through indirection + read of the same target array
   t.Add(Operand::Indirect(ia, tgt), Aff(tgt, {8, 1}, 0), Aff(t.arr, {8, 1}, 0));
   DependenceSet deps = AnalyzeDependences(t.p, *t.nest);
-  EXPECT_TRUE(deps.has_unknown);
+  // Several unresolved pairs touch T; it is listed once.
+  EXPECT_EQ(deps.unknown_arrays, std::vector<int>{tgt});
   EXPECT_FALSE(deps.ReadHoistIsSafe(tgt, 4, 8));
   // The unrelated array A is still hoistable.
   EXPECT_TRUE(deps.ReadHoistIsSafe(t.arr, 4, 8));
@@ -263,61 +264,6 @@ TEST(Dependence, ReadOnlyArrayAlwaysHoistable) {
   t.Add(Aff(b, {16, 1}, 0), Aff(t.arr, {16, 1}, 0), Aff(t.arr, {16, 1}, 7));
   DependenceSet deps = AnalyzeDependences(t.p, *t.nest);
   EXPECT_TRUE(deps.ReadHoistIsSafe(t.arr, 100, 16));
-}
-
-TEST(Dependence, MatrixColumnsAreLexPositive) {
-  Int M = 34;
-  TestNest t(32, 32, M * M + 2 * M);
-  t.Add(Aff(t.arr, {M, 1}, M + 1), Aff(t.arr, {M, 1}, 1), Aff(t.arr, {M, 1}, M));
-  DependenceSet deps = AnalyzeDependences(t.p, *t.nest);
-  IntMat D = deps.DependenceMatrix(2);
-  for (int c = 0; c < D.cols(); ++c) {
-    IntVec col{D.at(0, c), D.at(1, c)};
-    EXPECT_TRUE(ir::LexPositive(col));
-  }
-}
-
-// --- array-section disjointness ---------------------------------------------
-
-TEST(SectionsDisjoint, IntervalAndStrideResidueTests) {
-  TestNest t(4, 8, 64);
-  int x = t.arr;
-  auto acc = [&](IntVec coefs, Int off) {
-    AffineAccess a;
-    a.array = x;
-    a.F = IntMat(1, 2);
-    a.F.at(0, 0) = coefs[0];
-    a.F.at(0, 1) = coefs[1];
-    a.f = {off};
-    return a;
-  };
-  // Interval: [0,31] vs [32,63].
-  EXPECT_TRUE(SectionsDisjoint(t.p, *t.nest, acc({8, 1}, 0), acc({8, 1}, 32)));
-  // Overlap: [0,31] vs [16,47].
-  EXPECT_FALSE(SectionsDisjoint(t.p, *t.nest, acc({8, 1}, 0), acc({8, 1}, 16)));
-  // Stride residue: even cells vs odd cells, intervals interleave.
-  EXPECT_TRUE(SectionsDisjoint(t.p, *t.nest, acc({16, 2}, 0), acc({16, 2}, 1)));
-  // Same residue class: not disjoint.
-  EXPECT_FALSE(SectionsDisjoint(t.p, *t.nest, acc({16, 2}, 0), acc({16, 2}, 2)));
-}
-
-TEST(SectionsDisjoint, TriangularBoundsUseConservativeRanges) {
-  // j in [0, i]: the footprint of x[8i+j] is still bounded by the widest
-  // range, so a far-offset access remains provably disjoint.
-  Program p;
-  int x = p.AddArray("x", {128});
-  LoopNest ln;
-  ln.loops = {{0, 3, -1, 0, -1, 0}, {0, 0, -1, 0, 0, 1}};
-  p.nests.push_back(ln);
-  AffineAccess a, b;
-  a.array = b.array = x;
-  a.F = IntMat(1, 2, {8, 1});
-  a.f = {0};
-  b.F = a.F;
-  b.f = {64};
-  EXPECT_TRUE(SectionsDisjoint(p, p.nests[0], a, b));
-  b.f = {10};  // inside the conservative [0, 27] span envelope
-  EXPECT_FALSE(SectionsDisjoint(p, p.nests[0], a, b));
 }
 
 // --- reuse analysis ---------------------------------------------------------

@@ -1,7 +1,6 @@
 // Tests for code generation: lowering loop nests to per-core traces,
 // dependence wiring, NDC candidate marking, pre-compute emission with the
-// per-iteration CME gate, access-movement leads, schedule transforms, and
-// block distribution.
+// per-iteration CME gate, access-movement leads, and block distribution.
 
 #include <gtest/gtest.h>
 
@@ -195,46 +194,6 @@ TEST(Codegen, NegativeLeadDelaysComputation) {
     EXPECT_LT(static_cast<std::size_t>(t[i].dep0()), i);
     EXPECT_LT(static_cast<std::size_t>(t[i].dep1()), i);
   }
-}
-
-TEST(Codegen, TransformReordersIterations) {
-  Program p = StreamProgram(4, 4);
-  // Interchange: traversal becomes column-major.
-  p.nests[0].transform = IntMat(2, 2, {0, 1, 1, 0});
-  arch::Trace t = Lower(p, 1).traces[0];
-  // First two loads belong to iteration (0,0); the next x-load should be
-  // x(1,0) = offset (1*4+0)*8 elements *8B under interchange.
-  std::vector<sim::Addr> x_addrs;
-  sim::Addr x_base = p.array(0).base;
-  sim::Addr x_end = x_base + 4 * 4 * 8 * 8;
-  for (const Instr& in : t) {
-    if (in.kind() == Instr::Kind::kLoad && in.addr() >= x_base && in.addr() < x_end) {
-      x_addrs.push_back(in.addr() - x_base);
-    }
-  }
-  ASSERT_GE(x_addrs.size(), 2u);
-  EXPECT_EQ(x_addrs[0], 0u);
-  EXPECT_EQ(x_addrs[1], 4u * 8 * 8);  // iteration (1,0), not (0,1)
-}
-
-TEST(Codegen, TransformSortIsStableOnTiedKeys) {
-  Program p = StreamProgram(4, 4);
-  // A 1x2 T maps (i,j) to the anti-diagonal i+j, so keys tie; tied
-  // iterations keep their original (row-major) order.
-  p.nests[0].transform = IntMat(1, 2, {1, 1});
-  arch::Trace t = Lower(p, 1).traces[0];
-  std::vector<sim::Addr> want;
-  for (Int diag = 0; diag <= 6; ++diag) {
-    for (Int i = 0; i < 4; ++i) {
-      Int j = diag - i;
-      if (j >= 0 && j < 4) want.push_back(p.array(2).base + static_cast<sim::Addr>(i * 4 + j) * 8);
-    }
-  }
-  std::vector<sim::Addr> stores;
-  for (const Instr& in : t) {
-    if (in.kind() == Instr::Kind::kStore) stores.push_back(in.addr());
-  }
-  EXPECT_EQ(stores, want);
 }
 
 TEST(Codegen, IndirectOperandEmitsIndexLoadFirst) {

@@ -2,7 +2,7 @@
 //
 // Builds every workload (or a named one), runs the compiler pipeline in
 // every mode (or a named one), and audits the annotated program with the
-// independent verifier (src/verify): IR structural validation, transform /
+// independent verifier (src/verify): IR structural validation,
 // access-movement legality re-derivation and parallel-loop race detection.
 // The lint set is the 20 paper stand-ins. --sarif=FILE writes every finding
 // of the run as one SARIF 2.1.0 log.
