@@ -27,18 +27,18 @@
 // Algorithm-2 compilation (the CME gate runs per pre-compute), with events
 // = emitted instructions, so they read ns/instr and allocs/instr.
 //
-// Usage: bench_substrate [--events=N] [--out=FILE]
+// Run with --help for the flags.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "alloc_count.hpp"
 #include "arch/config.hpp"
+#include "cli.hpp"
 #include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/pipeline.hpp"
@@ -331,21 +331,10 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
 int Main(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
   std::string out = "BENCH_substrate.json";
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--events=", 9) == 0) {
-      events = std::strtoull(arg + 9, nullptr, 10);
-      if (events == 0) {
-        std::fprintf(stderr, "bench_substrate: --events expects a positive integer\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else {
-      std::fprintf(stderr, "usage: %s [--events=N] [--out=FILE]\n", argv[0]);
-      return 2;
-    }
-  }
+  cli::Parser("bench_substrate")
+      .Unsigned("events", &events, "events per queue row; the MC and NoC rows run N/4 and N/8", 1)
+      .String("out", &out, "FILE", "write the JSON report here (default BENCH_substrate.json)")
+      .Parse(argc, argv);
 
   std::vector<BenchResult> rows;
   rows.push_back(ChainBench<sim::EventQueue>("calendar_chain", events));

@@ -17,6 +17,10 @@ namespace {
 using analysis::CmePredictor;
 using analysis::OperandSel;
 
+constexpr double kFeasibilityThreshold = 0.5;  ///< min fraction of iterations feasible
+constexpr double kMissGate = 0.5;              ///< min CME miss probability to offload
+constexpr int kSamplesPerChain = 32;           ///< iteration samples for the cost model
+
 // The component trial order of Section 5.2.1: network router (L1-miss
 // responses), L2 bank, network router again (L2-miss responses), memory
 // queue, memory bank. The two router attempts both plan Loc::kLinkBuffer
@@ -240,8 +244,7 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
         }
       }
 
-      SampleSet samples =
-          CollectSamples(prog, nest, stmt, num_cores, opt.samples_per_chain);
+      SampleSet samples = CollectSamples(prog, nest, stmt, num_cores, kSamplesPerChain);
       if (samples.iters.empty()) {
         ++rep.gating_failures;
         continue;
@@ -258,7 +261,7 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
       // CME predicts L2-resident, the data path is L2 bank -> routers; for
       // predicted L2 misses the data appears at the memory queue and bank
       // first, then the L2-miss-path routers, then the L2 bank.
-      bool both_l2_miss = miss_l2_x >= opt.miss_gate && miss_l2_y >= opt.miss_gate;
+      bool both_l2_miss = miss_l2_x >= kMissGate && miss_l2_y >= kMissGate;
       std::array<Target, 5> order =
           both_l2_miss ? std::array<Target, 5>{Target::kMemBank, Target::kMemQueue,
                                                Target::kRouter2, Target::kL2Bank,
@@ -276,10 +279,10 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
         // L1-miss-path routers additionally need the data to be L2-resident,
         // while the L2-miss-path router, memory queue, and memory bank need
         // predicted L2 misses.
-        if (miss_l1_x < opt.miss_gate || miss_l1_y < opt.miss_gate) break;
+        if (miss_l1_x < kMissGate || miss_l1_y < kMissGate) break;
         bool needs_l2_miss = target == Target::kRouter2 || target == Target::kMemQueue ||
                              target == Target::kMemBank;
-        if (needs_l2_miss && (miss_l2_x < opt.miss_gate || miss_l2_y < opt.miss_gate)) {
+        if (needs_l2_miss && (miss_l2_x < kMissGate || miss_l2_y < kMissGate)) {
           continue;
         }
         // Memory-side meets consume the data before the L2 fill: never plan
@@ -292,13 +295,12 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
           }
         }
 
-        if (FeasibleFraction(ad, samples, target, opt.allow_reroute) <
-            opt.feasibility_threshold) {
+        if (FeasibleFraction(ad, samples, target, opt.allow_reroute) < kFeasibilityThreshold) {
           continue;
         }
 
-        bool l2mx = needs_l2_miss || miss_l2_x >= opt.miss_gate;
-        bool l2my = needs_l2_miss || miss_l2_y >= opt.miss_gate;
+        bool l2mx = needs_l2_miss || miss_l2_x >= kMissGate;
+        bool l2my = needs_l2_miss || miss_l2_y >= kMissGate;
         GapEstimate gap = EstimateGap(ad, samples, loc, l2mx, l2my);
 
         // Desired movement in iterations: positive lead hoists the access.

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "compiler/arch_desc.hpp"
 #include "ir/program.hpp"
@@ -18,12 +19,17 @@ enum class Mode {
   kCoarseGrain, ///< whole-nest mapping ablation (Section 5.4, last paragraph)
 };
 
+/// The name of each mode: ModeName prints it, ndc-lint parses it.
+inline constexpr std::pair<Mode, const char*> kModeNames[] = {
+    {Mode::kBaseline, "baseline"},
+    {Mode::kAlgorithm1, "algorithm-1"},
+    {Mode::kAlgorithm2, "algorithm-2"},
+    {Mode::kCoarseGrain, "coarse-grain"},
+};
+
 inline const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kBaseline: return "baseline";
-    case Mode::kAlgorithm1: return "algorithm-1";
-    case Mode::kAlgorithm2: return "algorithm-2";
-    case Mode::kCoarseGrain: return "coarse-grain";
+  for (const auto& [mode, name] : kModeNames) {
+    if (mode == m) return name;
   }
   return "?";
 }
@@ -33,10 +39,7 @@ struct CompileOptions {
   int reuse_k = 0;           ///< Algorithm 2's k (paper default: 0)
   bool allow_reroute = true; ///< NoC signature co-selection (Section 5.2.1)
   std::uint8_t control_register = arch::kAllLocs;  ///< target NDC locations
-  double feasibility_threshold = 0.5;  ///< min fraction of iterations feasible
-  double miss_gate = 0.5;              ///< min CME miss probability to offload
-  ir::Int max_lead = 64;               ///< cap on access movement (iterations)
-  int samples_per_chain = 32;          ///< iteration samples for the cost model
+  ir::Int max_lead = 64;     ///< cap on access movement (iterations)
   /// Run the independent verifier (src/verify) over the annotated program
   /// after the pass and attach its findings to the report. On by default:
   /// a pipeline bug that emits an unsafe access movement is a correctness

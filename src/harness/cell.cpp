@@ -9,10 +9,8 @@
 namespace ndc::harness {
 
 const char* ScaleName(workloads::Scale s) {
-  switch (s) {
-    case workloads::Scale::kTest: return "test";
-    case workloads::Scale::kSmall: return "small";
-    case workloads::Scale::kFull: return "full";
+  for (const auto& [scale, name] : kScaleNames) {
+    if (scale == s) return name;
   }
   return "?";
 }
@@ -219,7 +217,7 @@ bool CellResult::operator==(const CellResult& o) const {
 
 namespace {
 
-/// The compiled-vs-policy dispatch shared by RunCell and RunCellObsSummary.
+/// The compiled-vs-policy dispatch shared by RunCell and RunCellTraced.
 metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
   if (spec.IsCompiled()) {
     compiler::CompileOptions opt;
@@ -279,6 +277,14 @@ CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profi
   return out;
 }
 
+metrics::SchemeResult RunCellTraced(const CellSpec& spec, obs::Observability& ob) {
+  metrics::Experiment exp(MakeProfile(spec, spec.NeedsObserve()));
+  exp.set_obs(&ob);
+  metrics::SchemeResult r = RunSpec(exp, spec);
+  CheckCellConservation(spec, exp.last_conservation());
+  return r;
+}
+
 json::Value RunCellObsSummary(const CellSpec& spec) {
   json::Value v = json::Value::Object();
   v.obj["workload"] = json::Value::Str(spec.workload);
@@ -290,9 +296,7 @@ json::Value RunCellObsSummary(const CellSpec& spec) {
   obs::ObsOptions oo;
   oo.emit_stage_events = false;  // aggregate summary only; no timeline
   obs::Observability ob(oo);
-  metrics::Experiment exp(MakeProfile(spec, spec.NeedsObserve()));
-  exp.set_obs(&ob);
-  metrics::SchemeResult r = RunSpec(exp, spec);
+  metrics::SchemeResult r = RunCellTraced(spec, ob);
 
   v.obj["makespan"] = json::Value::Int(r.run.makespan);
   v.obj["sample_period"] = json::Value::Int(ob.tracer.sample_period());

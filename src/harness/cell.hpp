@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "arch/config.hpp"
 #include "fault/conservation.hpp"
@@ -27,6 +28,13 @@ namespace ndc::harness {
 /// numbers: entries keyed with the old version then miss (and are
 /// re-measured) instead of silently serving stale results.
 inline constexpr const char* kCacheVersion = "ndc-harness-2";
+
+/// The name of each input scale: ScaleName prints it, the tools parse it.
+inline constexpr std::pair<workloads::Scale, const char*> kScaleNames[] = {
+    {workloads::Scale::kTest, "test"},
+    {workloads::Scale::kSmall, "small"},
+    {workloads::Scale::kFull, "full"},
+};
 
 const char* ScaleName(workloads::Scale s);
 
@@ -136,6 +144,11 @@ CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profi
 /// Executes the cell against a private profile of its own
 /// (MakeProfile(spec, spec.NeedsObserve())).
 CellResult RunCell(const CellSpec& spec);
+
+/// Executes the cell against a private profile with `ob` attached to the
+/// measured run, which must conserve requests (CheckCellConservation). The
+/// one way a cell runs traced, for `ndc-trace` and RunCellObsSummary.
+metrics::SchemeResult RunCellTraced(const CellSpec& spec, obs::Observability& ob);
 
 /// Re-simulates the cell with an observation bundle attached and returns a
 /// JSON summary: per-stage latency aggregates, request counts, and the NDC

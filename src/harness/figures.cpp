@@ -11,7 +11,6 @@
 #include "sim/stats.hpp"
 
 namespace ndc::harness {
-namespace {
 
 std::vector<std::string> FilteredWorkloads(const FigureOptions& opt) {
   std::vector<std::string> out;
@@ -21,6 +20,12 @@ std::vector<std::string> FilteredWorkloads(const FigureOptions& opt) {
   return out;
 }
 
+void PrintHeader(const char* what, const FigureOptions& opt) {
+  std::printf("# %s  (scale=%s, Table-1 configuration)\n", what, ScaleName(opt.scale));
+}
+
+namespace {
+
 CellSpec MakeCell(const FigureOptions& opt, const std::string& w, metrics::Scheme s) {
   CellSpec c;
   c.workload = w;
@@ -28,10 +33,6 @@ CellSpec MakeCell(const FigureOptions& opt, const std::string& w, metrics::Schem
   c.seed = opt.seed;
   c.scheme = s;
   return c;
-}
-
-void PrintHeader(const char* what, const FigureOptions& opt) {
-  std::printf("# %s  (scale=%s, Table-1 configuration)\n", what, ScaleName(opt.scale));
 }
 
 /// Baseline-to-scheme speedup ratio, as the pre-harness binaries computed it.

@@ -56,6 +56,11 @@ bool HasFigure(const std::string& name);
 int RunFigure(const std::string& name, const FigureOptions& opt,
               SweepSummary* summary = nullptr);
 
+/// The benchmarks a figure runs: all of them, or just `opt.only`.
+std::vector<std::string> FilteredWorkloads(const FigureOptions& opt);
+/// Prints a figure's title line with its scale.
+void PrintHeader(const char* what, const FigureOptions& opt);
+
 // Record figures (implemented in figures_records.cpp).
 SweepSummary RunFig02(const FigureOptions& opt);
 SweepSummary RunFig03(const FigureOptions& opt);

@@ -27,18 +27,6 @@
 namespace ndc::harness {
 namespace {
 
-std::vector<std::string> FilteredWorkloads(const FigureOptions& opt) {
-  std::vector<std::string> out;
-  for (const std::string& name : workloads::BenchmarkNames()) {
-    if (opt.only.empty() || name == opt.only) out.push_back(name);
-  }
-  return out;
-}
-
-void PrintHeader(const char* what, const FigureOptions& opt) {
-  std::printf("# %s  (scale=%s, Table-1 configuration)\n", what, ScaleName(opt.scale));
-}
-
 SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
                                std::size_t cells,
                                std::chrono::steady_clock::time_point start) {

@@ -11,18 +11,8 @@
 namespace ndc::metrics {
 
 const char* SchemeName(Scheme s) {
-  switch (s) {
-    case Scheme::kBaseline: return "Baseline";
-    case Scheme::kDefault: return "Default";
-    case Scheme::kOracle: return "Oracle";
-    case Scheme::kWait5: return "Wait(5%)";
-    case Scheme::kWait10: return "Wait(10%)";
-    case Scheme::kWait25: return "Wait(25%)";
-    case Scheme::kWait50: return "Wait(50%)";
-    case Scheme::kLastWait: return "LastWait";
-    case Scheme::kMarkov: return "Markov";
-    case Scheme::kAlgorithm1: return "Algorithm-1";
-    case Scheme::kAlgorithm2: return "Algorithm-2";
+  for (const auto& [scheme, name] : kSchemeNames) {
+    if (scheme == s) return name;
   }
   return "?";
 }

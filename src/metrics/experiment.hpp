@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/pipeline.hpp"
@@ -29,6 +30,19 @@ enum class Scheme {
   kMarkov,     ///< Markov-chain arrival-window predictor (Section 4.4 text)
   kAlgorithm1, ///< compiler scheme 1 (Section 5.2)
   kAlgorithm2, ///< compiler scheme 2 (Section 5.3)
+};
+
+/// The display name of each scheme, then the aliases the tools also accept
+/// (they match names ignoring case and punctuation, so "wait5" is
+/// "Wait(5%)"). SchemeName prints a scheme's first entry.
+inline constexpr std::pair<Scheme, const char*> kSchemeNames[] = {
+    {Scheme::kBaseline, "Baseline"},     {Scheme::kDefault, "Default"},
+    {Scheme::kOracle, "Oracle"},         {Scheme::kWait5, "Wait(5%)"},
+    {Scheme::kWait10, "Wait(10%)"},      {Scheme::kWait25, "Wait(25%)"},
+    {Scheme::kWait50, "Wait(50%)"},      {Scheme::kLastWait, "LastWait"},
+    {Scheme::kMarkov, "Markov"},         {Scheme::kAlgorithm1, "Algorithm-1"},
+    {Scheme::kAlgorithm2, "Algorithm-2"}, {Scheme::kAlgorithm1, "alg1"},
+    {Scheme::kAlgorithm2, "alg2"},
 };
 
 const char* SchemeName(Scheme s);

@@ -468,7 +468,7 @@ void Machine::OnSecondLoadIssued(Instance& inst) {
   std::int8_t why_loc = -1;
   const arch::Instr& site = SiteInstr(inst);
   bool is_precompute = site.kind() == arch::Instr::Kind::kPreCompute;
-  if (is_precompute && opts_.honor_precompute) {
+  if (is_precompute) {
     std::uint8_t allowed = inst.feasible_mask & cfg_.control_register;
     if (allowed & arch::LocBit(site.planned_loc())) {
       d.offload = true;

@@ -31,9 +31,6 @@ struct MachineOptions {
   /// Hardware-side waiting policy applied to NDC candidates (Section 4.4
   /// strategies). Null = candidates run conventionally.
   Policy* policy = nullptr;
-  /// Execute compiler-inserted PreCompute offloads (Section 5). When false
-  /// they fall back to conventional execution (used for baselines).
-  bool honor_precompute = true;
   /// Observation bundle (request tracer, decision log, trace sink).
   /// Null (the default) means no observation: with NDC_OBS=OFF every hook
   /// compiles out entirely, and even with NDC_OBS=ON a null pointer reduces

@@ -23,7 +23,6 @@ struct ObsOptions {
   std::size_t max_trace_events = 1u << 20;
   std::size_t max_requests = 1u << 20;
   bool emit_stage_events = true;
-  bool emit_hop_events = false;
 };
 
 /// Per-machine observation bundle. Construction wires the tracer to the
@@ -34,8 +33,7 @@ class Observability {
   explicit Observability(ObsOptions opt = {})
       : options(opt),
         sink(opt.max_trace_events),
-        tracer(&sink, {opt.sample_period, opt.max_requests, opt.emit_stage_events,
-                       opt.emit_hop_events}) {}
+        tracer(&sink, {opt.sample_period, opt.max_requests, opt.emit_stage_events}) {}
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;

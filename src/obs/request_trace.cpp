@@ -53,15 +53,10 @@ void RequestTracer::NoteRowHit(std::uint64_t token, bool row_hit) {
   r->row_hit = row_hit;
 }
 
-void RequestTracer::Hop(std::uint64_t token, sim::LinkId link, sim::Cycle depart,
-                        sim::Cycle arrive) {
+void RequestTracer::Hop(std::uint64_t token) {
   RequestRecord* r = Find(token);
   if (r == nullptr || r->finished) return;
   ++r->hops;
-  if (opt_.emit_hop_events && sink_ != nullptr) {
-    sink_->Complete("noc.hop", depart, arrive - depart, r->core, token, "link",
-                    static_cast<std::uint64_t>(link));
-  }
 }
 
 void RequestTracer::Finish(std::uint64_t token, Stage final_stage, sim::Cycle now) {

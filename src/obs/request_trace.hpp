@@ -74,7 +74,6 @@ class RequestTracer {
     std::uint64_t sample_period = 1;    ///< trace every Nth load (1 = all)
     std::size_t max_requests = 1u << 20;  ///< records kept; excess loads untraced
     bool emit_stage_events = true;  ///< 'X' slices per stage into the sink
-    bool emit_hop_events = false;   ///< 'X' slice per NoC link traversal
   };
 
   explicit RequestTracer(TraceSink* sink) : RequestTracer(sink, Options()) {}
@@ -92,8 +91,8 @@ class RequestTracer {
   /// Marks the DRAM row-buffer outcome of the request's bank access.
   void NoteRowHit(std::uint64_t token, bool row_hit);
 
-  /// One NoC link traversal (serialization window [depart, arrive]).
-  void Hop(std::uint64_t token, sim::LinkId link, sim::Cycle depart, sim::Cycle arrive);
+  /// Counts one NoC link traversal.
+  void Hop(std::uint64_t token);
 
   /// Terminal stamp: aggregates the record's stage deltas and (optionally)
   /// emits its timeline slices. Idempotent — later Finish calls on the same

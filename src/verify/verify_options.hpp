@@ -14,9 +14,6 @@ namespace ndc::verify {
 struct VerifyOptions {
   ir::Int max_lead = 64;                           ///< cap on access movement
   std::uint8_t control_register = arch::kAllLocs;  ///< allowed NDC locations
-  bool check_structure = true;    ///< run the IR validator
-  bool check_legality = true;     ///< run the legality auditor
-  bool check_races = true;        ///< run the parallel-loop race detector
 };
 
 }  // namespace ndc::verify

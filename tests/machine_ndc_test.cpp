@@ -149,20 +149,6 @@ TEST(MachineNdc, RegisterOperandPairsWithSameAddress) {
   EXPECT_EQ(r.candidates, 1u);
 }
 
-TEST(MachineNdc, HonorPreComputeOffDisablesOffloads) {
-  ArchConfig cfg;
-  MachineOptions opts;
-  opts.honor_precompute = false;
-  Machine m(cfg, opts);
-  Trace t{MakeLoad(kA), MakeLoad(kB), MakePreCompute(Op::kAdd, 0, 1, Loc::kCacheCtrl, 4000)};
-  m.LoadProgram(Program1(6, std::move(t)));
-  RunResult r = m.Run();
-  EXPECT_EQ(r.offloads, 0u);
-  EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);  // still completes
-  // Conventional execution filled the caches.
-  EXPECT_TRUE(m.l1(6).Contains(kA));
-}
-
 TEST(MachineNdc, HeldPacketDelaysPassingTraffic) {
   // Two cores: core 6 offloads with a long timeout so one operand holds in
   // a link buffer; core 7 streams packets across the same region and must

@@ -121,7 +121,7 @@ TEST(RequestTracer, FinishIsIdempotent) {
 
 TEST(RequestTracer, SamplePeriodAdmitsEveryNth) {
   TraceSink sink;
-  ndc::obs::RequestTracer tracer(&sink, {/*sample_period=*/3, 1u << 20, false, false});
+  ndc::obs::RequestTracer tracer(&sink, {/*sample_period=*/3, 1u << 20, false});
   int admitted = 0;
   for (int i = 0; i < 9; ++i) {
     if (tracer.Begin(0, static_cast<std::uint32_t>(i), 0, 0) != 0) ++admitted;

@@ -401,15 +401,6 @@ TEST(RaceDetector, InnerCarriedDependenceIsNotARace) {
   EXPECT_EQ(CountCode(r, Code::kParallelCarriedDependence), 0) << r.ToText();
 }
 
-TEST(RaceDetector, CanBeDisabled) {
-  ir::Program p = FlowDepProgram();
-  p.nests[0].body[0].lhs.access.f = {1, 0};
-  VerifyOptions opts;
-  opts.check_races = false;
-  Report r = VerifyProgram(p, opts);
-  EXPECT_EQ(CountCode(r, Code::kParallelCarriedDependence), 0) << r.ToText();
-}
-
 // x[2i+2j] vs x[2i+2j+2]: the distance is ambiguous ((1,0) and (0,1) both
 // fit), so the pair is an unknown dependence on x.
 TEST(RaceDetector, AmbiguousOverlappingPairStaysUnknown) {
