@@ -46,7 +46,7 @@
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
-#include "metrics/experiment.hpp"
+#include "metrics/profile.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 #include "noc/geometry.hpp"
@@ -247,8 +247,8 @@ BenchResult NocBench(std::uint64_t packets) {
 
 BenchResult MachineBench(const char* name, bool offload) {
   arch::ArchConfig cfg;
-  metrics::Experiment e("swim", workloads::Scale::kSmall, cfg, 1);
-  const std::vector<arch::Trace>& traces = e.BaselineTraces();
+  metrics::Profile profile("swim", workloads::Scale::kSmall, cfg, 1);
+  const std::vector<arch::Trace>& traces = profile.Traces();
   runtime::AlwaysWaitPolicy policy(cfg);
   runtime::MachineOptions opts;
   if (offload) opts.policy = &policy;

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "metrics/experiment.hpp"
+#include "metrics/profile.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 
@@ -49,14 +49,14 @@ int main() {
   std::printf("%-10s %12s %12s %10s %10s %10s\n", "benchmark", "baseline", "custom",
               "improve", "ndc-done", "fallbacks");
   for (const char* name : {"mgrid", "water", "md", "cholesky"}) {
-    metrics::Experiment exp(name, workloads::Scale::kTest, cfg);
-    const runtime::RunResult& base = exp.Baseline();
+    metrics::Profile profile(name, workloads::Scale::kTest, cfg);
+    const runtime::RunResult& base = profile.Baseline();
 
     MemorySideOnlyPolicy policy(/*timeout=*/64);
     runtime::MachineOptions opts;
     opts.policy = &policy;
     runtime::Machine m(cfg, opts);
-    m.LoadProgram(exp.BaselineTraces());
+    m.LoadProgram(profile.Traces());
     runtime::RunResult r = m.Run();
 
     std::printf("%-10s %12llu %12llu %+9.1f%% %10llu %10llu\n", name,

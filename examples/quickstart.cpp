@@ -9,8 +9,8 @@
 #include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/pipeline.hpp"
+#include "harness/cell.hpp"
 #include "ir/program.hpp"
-#include "metrics/experiment.hpp"
 #include "ndc/machine.hpp"
 
 using namespace ndc;
@@ -100,8 +100,12 @@ int main() {
   }
 
   // 3. The oracle upper bound from the quantification framework (Section 4).
-  metrics::Experiment exp("swim", workloads::Scale::kTest, cfg);
-  metrics::SchemeResult oracle = exp.Run(metrics::Scheme::kOracle);
+  harness::CellSpec swim;
+  swim.workload = "swim";
+  swim.scale = workloads::Scale::kTest;
+  swim.scheme = metrics::Scheme::kOracle;
+  swim.cfg = cfg;
+  metrics::SchemeResult oracle = harness::RunScheme(swim);
   std::printf("\nswim (stand-in) oracle improvement: %+.1f%% (NDC at cache=%llu "
               "network=%llu MC=%llu memory=%llu)\n",
               oracle.improvement_pct,

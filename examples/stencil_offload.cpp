@@ -8,8 +8,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
-#include "metrics/experiment.hpp"
+#include "harness/cell.hpp"
 
 using namespace ndc;
 
@@ -17,11 +18,13 @@ int main(int argc, char** argv) {
   workloads::Scale scale = workloads::Scale::kSmall;
   if (argc > 1 && std::strcmp(argv[1], "test") == 0) scale = workloads::Scale::kTest;
 
-  arch::ArchConfig cfg;
-  metrics::Experiment exp("swim", scale, cfg);
+  harness::CellSpec spec;
+  spec.workload = "swim";
+  spec.scale = scale;
+  std::shared_ptr<metrics::Profile> profile = harness::MakeProfile(spec, false);
 
   std::printf("== swim stand-in: shallow-water stencils with p-group reuse ==\n\n");
-  const runtime::RunResult& base = exp.Baseline();
+  const runtime::RunResult& base = profile->Baseline();
   std::printf("%-14s %10s %8s %8s %9s %9s %9s\n", "scheme", "cycles", "L1miss", "L2miss",
               "offloads", "ndc-done", "improve");
   std::printf("%-14s %10llu %7.1f%% %7.1f%% %9s %9s %9s\n", "baseline",
@@ -29,7 +32,8 @@ int main(int argc, char** argv) {
               base.L2MissRate() * 100, "-", "-", "-");
 
   for (metrics::Scheme s : {metrics::Scheme::kAlgorithm1, metrics::Scheme::kAlgorithm2}) {
-    metrics::SchemeResult r = exp.Run(s);
+    spec.scheme = s;
+    metrics::SchemeResult r = harness::RunScheme(spec, *profile);
     std::printf("%-14s %10llu %7.1f%% %7.1f%% %9llu %9llu %+8.1f%%\n", metrics::SchemeName(s),
                 static_cast<unsigned long long>(r.run.makespan), r.run.L1MissRate() * 100,
                 r.run.L2MissRate() * 100, static_cast<unsigned long long>(r.run.offloads),

@@ -4,7 +4,7 @@
 // unit of work must be accounted for as completed or fallen back to the host
 // core — never silently vanished. The checker is a pure function over
 // counter snapshots; the NDC layer gathers the snapshot (src/fault cannot
-// depend on src/ndc), metrics::Experiment records it after every measured
+// depend on src/ndc), harness::RunScheme checks it after every measured
 // run, and tests assert it.
 
 #include <cstdint>

@@ -1,10 +1,11 @@
 #include "harness/cell.hpp"
 
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 
-#include "compiler/pipeline.hpp"
-#include "obs/obs.hpp"
+#include "compiler/codegen.hpp"
+#include "ndc/policy.hpp"
 
 namespace ndc::harness {
 
@@ -215,32 +216,9 @@ bool CellResult::operator==(const CellResult& o) const {
   return ndc_at_loc == o.ndc_at_loc && stats == o.stats;
 }
 
-namespace {
-
-/// The compiled-vs-policy dispatch shared by RunCell and RunCellTraced.
-metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
-  if (spec.IsCompiled()) {
-    compiler::CompileOptions opt;
-    opt.mode = spec.coarse_grain ? compiler::Mode::kCoarseGrain
-               : spec.scheme == metrics::Scheme::kAlgorithm2
-                   ? compiler::Mode::kAlgorithm2
-                   : compiler::Mode::kAlgorithm1;
-    opt.allow_reroute = spec.allow_reroute;
-    opt.control_register = spec.control_register;
-    return exp.RunCompiled(opt);
-  }
-  return exp.Run(spec.scheme);
-}
-
-}  // namespace
-
 std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe) {
   return std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed,
                                             observe);
-}
-
-CellResult RunCell(const CellSpec& spec) {
-  return RunCell(spec, MakeProfile(spec, spec.NeedsObserve()));
 }
 
 void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in) {
@@ -250,14 +228,94 @@ void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs
                            spec.SchemeLabel() + "): " + rep.ToString());
 }
 
+compiler::CompileOptions CellCompileOptions(const CellSpec& spec) {
+  compiler::CompileOptions opt;
+  opt.mode = spec.coarse_grain                              ? compiler::Mode::kCoarseGrain
+             : spec.scheme == metrics::Scheme::kAlgorithm2 ? compiler::Mode::kAlgorithm2
+                                                           : compiler::Mode::kAlgorithm1;
+  opt.allow_reroute = spec.allow_reroute;
+  opt.control_register = spec.control_register;
+  return opt;
+}
+
+namespace {
+
+/// The hardware waiting policy of a policy scheme (Section 4.4); null for
+/// the Baseline. The Oracle and Wait(x%) read the profile's observation run.
+std::unique_ptr<runtime::Policy> MakePolicy(metrics::Scheme scheme, metrics::Profile& profile) {
+  using metrics::Scheme;
+  const arch::ArchConfig& cfg = profile.cfg();
+  auto wait = [&](double fraction) {
+    return std::make_unique<runtime::FractionWaitPolicy>(cfg, *profile.Observe().records,
+                                                         fraction);
+  };
+  switch (scheme) {
+    case Scheme::kDefault: return std::make_unique<runtime::AlwaysWaitPolicy>(cfg);
+    case Scheme::kOracle:
+      return std::make_unique<runtime::OraclePolicy>(cfg, *profile.Observe().records);
+    case Scheme::kWait5: return wait(0.05);
+    case Scheme::kWait10: return wait(0.10);
+    case Scheme::kWait25: return wait(0.25);
+    case Scheme::kWait50: return wait(0.50);
+    case Scheme::kLastWait: return std::make_unique<runtime::LastWaitPolicy>(cfg);
+    case Scheme::kMarkov: return std::make_unique<runtime::MarkovWaitPolicy>(cfg);
+    default: return nullptr;
+  }
+}
+
+}  // namespace
+
+metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
+                                obs::Observability* ob) {
+  metrics::SchemeResult out;
+  const runtime::RunResult& base = profile.Baseline();
+  runtime::MachineOptions opts;
+  opts.obs = ob;
+  if (spec.IsCompiled()) {
+    // Compile mutates its input program, so copy the profile's build instead
+    // of regenerating the workload from scratch.
+    compiler::CompileOptions opt = CellCompileOptions(spec);
+    ir::Program prog = profile.program();
+    arch::ArchConfig cfg = profile.cfg();
+    cfg.allow_reroute = opt.allow_reroute;
+    cfg.control_register = opt.control_register;
+    std::vector<arch::Trace> traces;
+    {
+      obs::ScopedPhase phase(obs::Phase::kCompile);
+      out.compile_report = compiler::Compile(prog, compiler::ArchDescription(cfg), opt);
+      traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
+    }
+    out.run = ob != nullptr ? profile.Simulate(cfg, traces, opts, &out.conservation)
+                            : profile.RunCompiled(cfg, traces, &out.conservation);
+  } else if (spec.scheme == metrics::Scheme::kBaseline && ob == nullptr) {
+    out.run = base;
+    out.conservation = profile.BaselineConservation();
+  } else {
+    // A traced Baseline re-simulates: the profile's baseline carries no
+    // observation data.
+    std::unique_ptr<runtime::Policy> policy = MakePolicy(spec.scheme, profile);
+    opts.policy = policy.get();
+    out.run = profile.Simulate(profile.cfg(), profile.Traces(), opts, &out.conservation);
+  }
+  out.improvement_pct = metrics::ImprovementPct(base.makespan, out.run.makespan);
+  CheckCellConservation(spec, out.conservation);
+  return out;
+}
+
+metrics::SchemeResult RunScheme(const CellSpec& spec, obs::Observability* ob) {
+  return RunScheme(spec, *MakeProfile(spec, spec.NeedsObserve()), ob);
+}
+
+CellResult RunCell(const CellSpec& spec) {
+  return RunCell(spec, MakeProfile(spec, spec.NeedsObserve()));
+}
+
 CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile) {
-  metrics::Experiment exp(std::move(profile));
-  metrics::SchemeResult r = RunSpec(exp, spec);
-  CheckCellConservation(spec, exp.last_conservation());
+  metrics::SchemeResult r = RunScheme(spec, *profile);
 
   CellResult out;
   out.makespan = r.run.makespan;
-  out.baseline_makespan = exp.Baseline().makespan;
+  out.baseline_makespan = profile->Baseline().makespan;
   out.l1_hits = r.run.l1_hits;
   out.l1_misses = r.run.l1_misses;
   out.l2_hits = r.run.l2_hits;
@@ -277,26 +335,16 @@ CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profi
   return out;
 }
 
-metrics::SchemeResult RunCellTraced(const CellSpec& spec, obs::Observability& ob) {
-  metrics::Experiment exp(MakeProfile(spec, spec.NeedsObserve()));
-  exp.set_obs(&ob);
-  metrics::SchemeResult r = RunSpec(exp, spec);
-  CheckCellConservation(spec, exp.last_conservation());
-  return r;
-}
-
 json::Value RunCellObsSummary(const CellSpec& spec) {
   json::Value v = json::Value::Object();
   v.obj["workload"] = json::Value::Str(spec.workload);
   v.obj["scheme"] = json::Value::Str(spec.SchemeLabel());
   v.obj["scale"] = json::Value::Str(ScaleName(spec.scale));
-  v.obj["obs_enabled"] = json::Value::Bool(obs::kObsEnabled);
-  if constexpr (!obs::kObsEnabled) return v;
 
   obs::ObsOptions oo;
   oo.emit_stage_events = false;  // aggregate summary only; no timeline
   obs::Observability ob(oo);
-  metrics::SchemeResult r = RunCellTraced(spec, ob);
+  metrics::SchemeResult r = RunScheme(spec, &ob);
 
   v.obj["makespan"] = json::Value::Int(r.run.makespan);
   v.obj["sample_period"] = json::Value::Int(ob.tracer.sample_period());

@@ -3,10 +3,12 @@
 // One sweep cell = one (workload, scheme, scale, configuration) simulation.
 // A cell's result depends only on its spec: its runs are measured against a
 // metrics::Profile (program, baseline traces, profile and compiled runs)
-// that is itself a pure function of the spec's ProfileKey(). RunCell builds
-// a private profile; RunSweep shares one profile among all cells with the
-// same key. Either way cells can run on any thread in any order and produce
-// results byte-identical to a serial run.
+// that is itself a pure function of the spec's ProfileKey(). RunScheme is
+// the one function that runs a cell's scheme, traced or not; RunCell is
+// RunScheme plus the scalar copy the cache and the figures read. RunCell
+// builds a private profile; RunSweep shares one profile among all cells
+// with the same key. Either way cells can run on any thread in any order
+// and produce results byte-identical to a serial run.
 
 #include <array>
 #include <cstdint>
@@ -16,9 +18,11 @@
 #include <utility>
 
 #include "arch/config.hpp"
+#include "compiler/pipeline.hpp"
 #include "fault/conservation.hpp"
 #include "json/json.hpp"
-#include "metrics/experiment.hpp"
+#include "metrics/profile.hpp"
+#include "obs/obs.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::harness {
@@ -133,27 +137,41 @@ std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe
 /// (fault::CheckConservation).
 void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in);
 
-/// Executes the cell against `profile`, which must come from MakeProfile of
-/// a spec with the same ProfileKey(): the scheme's run, plus the baseline
-/// and observation runs if the profile does not hold them yet. Thread-safe
-/// with respect to other cells, including cells sharing the profile — the
+/// The options a compiled cell (IsCompiled()) compiles with: its mode
+/// (coarse-grain, else the scheme's algorithm), reroute flag and control
+/// register. Its measured run's configuration takes the last two as well.
+compiler::CompileOptions CellCompileOptions(const CellSpec& spec);
+
+/// Runs the cell's scheme against `profile`, which must come from
+/// MakeProfile of a spec with the same ProfileKey(), with `ob` (when
+/// non-null) attached to the measured run. A policy scheme simulates the
+/// baseline traces under its policy; a compiled scheme compiles a copy of
+/// the profile's program and simulates the lowered traces. Untraced, the
+/// Baseline scheme's run is the profile's baseline and a compiled run is
+/// the profile's (metrics::Profile::RunCompiled), so a program another cell
+/// already lowered to identical traces is not simulated again; traced,
+/// every scheme simulates its own run. The baseline and observation runs
+/// are made first if the profile does not hold them yet. Thread-safe with
+/// respect to other cells, including cells sharing the profile — the
 /// simulator has no global mutable state. The measured run must conserve
-/// requests (CheckCellConservation), else RunCell throws.
+/// requests (CheckCellConservation), else RunScheme throws.
+metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
+                                obs::Observability* ob = nullptr);
+
+/// RunScheme against a private profile of its own
+/// (MakeProfile(spec, spec.NeedsObserve())).
+metrics::SchemeResult RunScheme(const CellSpec& spec, obs::Observability* ob = nullptr);
+
+/// RunScheme against `profile`, reduced to the cell's scalar results.
 CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile);
 
-/// Executes the cell against a private profile of its own
+/// RunCell against a private profile of its own
 /// (MakeProfile(spec, spec.NeedsObserve())).
 CellResult RunCell(const CellSpec& spec);
 
-/// Executes the cell against a private profile with `ob` attached to the
-/// measured run, which must conserve requests (CheckCellConservation). The
-/// one way a cell runs traced, for `ndc-trace` and RunCellObsSummary.
-metrics::SchemeResult RunCellTraced(const CellSpec& spec, obs::Observability& ob);
-
 /// Re-simulates the cell with an observation bundle attached and returns a
 /// JSON summary: per-stage latency aggregates, request counts, and the NDC
-/// decision/outcome tallies. Used by `ndc-sweep --export-obs`. With
-/// NDC_OBS=OFF the summary only records that observation is compiled out.
+/// decision/outcome tallies. Used by `ndc-sweep --export-obs`.
 json::Value RunCellObsSummary(const CellSpec& spec);
 
 /// FNV-1a 64-bit (stable across platforms/runs; used for cache keys).

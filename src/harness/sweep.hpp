@@ -51,14 +51,12 @@ struct SweepSummary {
   std::uint64_t runs_reused = 0;
   std::uint64_t elapsed_ms = 0;
   /// Host wall-clock per phase (ms) accrued during this sweep, keyed by
-  /// obs::PhaseName. Empty when NDC_OBS=OFF or nothing was simulated; the
-  /// summary JSON omits the "phases" key in that case (byte-stable with
-  /// pre-observability output).
+  /// obs::PhaseName. Empty when nothing was built, compiled or simulated;
+  /// the summary JSON then omits the "phases" key.
   std::map<std::string, std::uint64_t> phase_ms;
   /// Simulated events retired during this sweep and the substrate's
-  /// end-to-end throughput over the kSimulate wall clock. Zero when
-  /// NDC_OBS=OFF or every cell was a cache hit; the summary JSON omits both
-  /// keys in that case (byte-stable with pre-observability output).
+  /// end-to-end throughput over the kSimulate wall clock. Zero when every
+  /// cell was a cache hit; the summary JSON then omits both keys.
   std::uint64_t sim_events = 0;
   double sim_events_per_sec = 0.0;
 

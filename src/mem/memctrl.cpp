@@ -103,11 +103,9 @@ void MemCtrl::IssueTo(int bank_idx, Request req) {
   ++(row_hit ? row_hits_ : row_misses_);
   sim::Cycle done_at = banks_[b].Access(eq_->now(), req.row);
   queue_wait_cycles_ += eq_->now() - req.enqueued_at;
-  if constexpr (obs::kObsEnabled) {
-    if (tracer_ != nullptr && req.obs_token != 0) {
-      tracer_->Stamp(req.obs_token, obs::Stage::kMcIssue, eq_->now());
-      tracer_->NoteRowHit(req.obs_token, row_hit);
-    }
+  if (tracer_ != nullptr && req.obs_token != 0) {
+    tracer_->Stamp(req.obs_token, obs::Stage::kMcIssue, eq_->now());
+    tracer_->NoteRowHit(req.obs_token, row_hit);
   }
   in_service_[b] = std::move(req);
   eq_->ScheduleAt(done_at, [this, bank_idx] { Complete(bank_idx); });
@@ -121,10 +119,8 @@ void MemCtrl::Complete(int bank_idx) {
   bank_in_flight_[b] = false;
   if (!req.is_write) {
     assert(req.tag != kWriteSentinelTag && "read completed with the write sentinel tag");
-    if constexpr (obs::kObsEnabled) {
-      if (tracer_ != nullptr && req.obs_token != 0) {
-        tracer_->Stamp(req.obs_token, obs::Stage::kDramReady, eq_->now());
-      }
+    if (tracer_ != nullptr && req.obs_token != 0) {
+      tracer_->Stamp(req.obs_token, obs::Stage::kDramReady, eq_->now());
     }
     ++reads_done_;
     if (on_ready_) on_ready_(req.tag, req.addr, eq_->now());

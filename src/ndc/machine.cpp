@@ -253,8 +253,6 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::RouteI
       p.payload = msg;
       OnDeliver(p);
     };
-    static_assert(sizeof(deliver) <= sim::SmallCallback::kInlineBytes,
-                  "a same-node message must fit an event's inline buffer");
     eq_.ScheduleAfter(cfg_.noc.router_pipeline, deliver);
     return;
   }

@@ -32,9 +32,8 @@ struct MachineOptions {
   /// strategies). Null = candidates run conventionally.
   Policy* policy = nullptr;
   /// Observation bundle (request tracer, decision log, trace sink).
-  /// Null (the default) means no observation: with NDC_OBS=OFF every hook
-  /// compiles out entirely, and even with NDC_OBS=ON a null pointer reduces
-  /// each hook to one predictable branch. Never affects simulated timing.
+  /// Null (the default) means no observation, which reduces each hook to
+  /// one predictable branch. Never affects simulated timing.
   obs::Observability* obs = nullptr;
 };
 
@@ -304,9 +303,8 @@ class Machine final : public arch::MemoryPort {
 
   void FinalizeRecords(RunResult& result);
 
-  /// True when this run observes itself. Folds to `false` at compile time
-  /// under NDC_OBS=OFF, removing every instrumentation block it guards.
-  bool ObsOn() const { return obs::kObsEnabled && opts_.obs != nullptr; }
+  /// True when this run observes itself.
+  bool ObsOn() const { return opts_.obs != nullptr; }
   /// Records the one-and-only audit entry for a candidate decision.
   void RecordDecision(const Instance& inst, obs::DecisionKind kind, std::int8_t planned_loc);
   void ResolveDecision(const Instance& inst, obs::Outcome outcome, std::int8_t met_loc);

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/enabled.hpp"
 #include "sim/types.hpp"
 
 namespace ndc::obs {

@@ -11,19 +11,11 @@
 #include <memory>
 
 #include "obs/decision_log.hpp"
-#include "obs/enabled.hpp"
 #include "obs/phase.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
 
 namespace ndc::obs {
-
-struct ObsOptions {
-  std::uint64_t sample_period = 1;      ///< trace every Nth load
-  std::size_t max_trace_events = 1u << 20;
-  std::size_t max_requests = 1u << 20;
-  bool emit_stage_events = true;
-};
 
 /// Per-machine observation bundle. Construction wires the tracer to the
 /// sink; the machine under observation stamps through `tracer` /
@@ -31,9 +23,7 @@ struct ObsOptions {
 class Observability {
  public:
   explicit Observability(ObsOptions opt = {})
-      : options(opt),
-        sink(opt.max_trace_events),
-        tracer(&sink, {opt.sample_period, opt.max_requests, opt.emit_stage_events}) {}
+      : sink(opt.max_trace_events), tracer(&sink, opt) {}
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
@@ -44,7 +34,6 @@ class Observability {
     decisions.EndRun(now);
   }
 
-  ObsOptions options;
   TraceSink sink;
   RequestTracer tracer;
   DecisionLog decisions;

@@ -10,8 +10,6 @@ const char* PhaseName(Phase p) {
     case Phase::kLowerTraces: return "lower_traces";
     case Phase::kCompile: return "compile";
     case Phase::kSimulate: return "simulate";
-    case Phase::kRender: return "render";
-    case Phase::kOther: return "other";
   }
   return "?";
 }

@@ -2,22 +2,16 @@
 
 // Host-side phase profiling: wall-clock breakdown of where an experiment
 // spends real time (building workloads, lowering traces, compiling plans,
-// simulating, rendering). Scopes accumulate into a process-global profiler
+// simulating). Scopes accumulate into a process-global profiler
 // so the sweep harness can report a phase table across all worker threads
 // without threading a handle through every layer; counters are atomic for
 // exactly that reason.
-//
-// With NDC_OBS=OFF, ScopedPhase compiles to an empty object and the clock
-// reads disappear — host profiling obeys the same compile-out switch as the
-// simulated-side instrumentation.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
-
-#include "obs/enabled.hpp"
 
 namespace ndc::obs {
 
@@ -26,10 +20,8 @@ enum class Phase : std::uint8_t {
   kLowerTraces,        ///< lowering traces to machine programs
   kCompile,            ///< compiler passes (plans, policies)
   kSimulate,           ///< cycle-level simulation proper
-  kRender,             ///< figure rendering / export
-  kOther,
 };
-inline constexpr int kNumPhases = 6;
+inline constexpr int kNumPhases = 4;
 
 const char* PhaseName(Phase p);
 
@@ -40,9 +32,9 @@ class PhaseProfiler {
     slots_[static_cast<int>(p)].count.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Simulated events retired inside kSimulate scopes (reported by the
-  /// experiment layer after each Machine::Run). Together with the kSimulate
-  /// wall clock this yields the substrate's end-to-end events/sec.
+  /// Simulated events retired inside kSimulate scopes (reported by
+  /// metrics::Profile::Simulate after each Machine::Run). Together with the
+  /// kSimulate wall clock this yields the substrate's end-to-end events/sec.
   void AddSimEvents(std::uint64_t n) {
     sim_events_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -76,14 +68,6 @@ class PhaseProfiler {
     return s;
   }
 
-  void Reset() {
-    for (Slot& s : slots_) {
-      s.ns.store(0, std::memory_order_relaxed);
-      s.count.store(0, std::memory_order_relaxed);
-    }
-    sim_events_.store(0, std::memory_order_relaxed);
-  }
-
   /// "phase  ms  scopes" table over all phases with activity.
   std::string ToText() const;
 
@@ -99,7 +83,6 @@ class PhaseProfiler {
 /// The process-wide profiler every ScopedPhase reports into.
 PhaseProfiler& GlobalPhases();
 
-#ifndef NDC_OBS_DISABLED
 class ScopedPhase {
  public:
   explicit ScopedPhase(Phase p) : phase_(p), start_(std::chrono::steady_clock::now()) {}
@@ -116,13 +99,5 @@ class ScopedPhase {
   Phase phase_;
   std::chrono::steady_clock::time_point start_;
 };
-#else
-class ScopedPhase {
- public:
-  explicit ScopedPhase(Phase) {}
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-};
-#endif
 
 }  // namespace ndc::obs

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/enabled.hpp"
 #include "obs/trace.hpp"
 #include "sim/types.hpp"
 
@@ -68,16 +67,18 @@ struct RequestRecord {
   sim::Cycle EndToEnd() const { return last_cycle() - issue_cycle(); }
 };
 
+/// How much one observed run records. Observability sizes its sink from
+/// max_trace_events; the RequestTracer reads the other three.
+struct ObsOptions {
+  std::uint64_t sample_period = 1;          ///< trace every Nth load (1 = all)
+  std::size_t max_trace_events = 1u << 20;  ///< timeline events kept; excess dropped
+  std::size_t max_requests = 1u << 20;      ///< records kept; excess loads untraced
+  bool emit_stage_events = true;            ///< 'X' slices per stage into the sink
+};
+
 class RequestTracer {
  public:
-  struct Options {
-    std::uint64_t sample_period = 1;    ///< trace every Nth load (1 = all)
-    std::size_t max_requests = 1u << 20;  ///< records kept; excess loads untraced
-    bool emit_stage_events = true;  ///< 'X' slices per stage into the sink
-  };
-
-  explicit RequestTracer(TraceSink* sink) : RequestTracer(sink, Options()) {}
-  RequestTracer(TraceSink* sink, Options opt) : sink_(sink), opt_(opt) {
+  explicit RequestTracer(TraceSink* sink, ObsOptions opt = {}) : sink_(sink), opt_(opt) {
     if (opt_.sample_period == 0) opt_.sample_period = 1;
   }
 
@@ -132,7 +133,7 @@ class RequestTracer {
   }
 
   TraceSink* sink_;
-  Options opt_;
+  ObsOptions opt_;
   std::vector<RequestRecord> records_;  ///< token i+1 lives at records_[i]
   std::uint64_t seen_ = 0;
   std::uint64_t finished_ = 0;

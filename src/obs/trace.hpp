@@ -14,13 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "obs/enabled.hpp"
 #include "sim/types.hpp"
 
 namespace ndc::obs {
 
 /// One Chrome trace_event. Only the fields the viewers require (ph, ts,
-/// pid, tid, name) plus a duration and up to two numeric args.
+/// pid, tid, name) plus a duration, the request token and, on instants, one
+/// more numeric arg.
 struct TraceEvent {
   char ph = 'X';             ///< 'X' complete slice, 'i' instant
   sim::Cycle ts = 0;         ///< start, simulated cycles
@@ -29,7 +29,7 @@ struct TraceEvent {
   std::int32_t tid = 0;      ///< mesh node (core) the event belongs to
   const char* name = "";     ///< static string
   std::uint64_t token = 0;   ///< request token (args.token; 0 = omitted)
-  const char* arg_name = nullptr;  ///< optional extra arg key (static string)
+  const char* arg_name = nullptr;  ///< optional extra arg key ('i' only; static string)
   std::uint64_t arg = 0;           ///< extra arg value
 };
 
@@ -40,8 +40,8 @@ class TraceSink {
   explicit TraceSink(std::size_t max_events = 1u << 20) : max_events_(max_events) {}
 
   void Complete(const char* name, sim::Cycle ts, sim::Cycle dur, std::int32_t tid,
-                std::uint64_t token, const char* arg_name = nullptr, std::uint64_t arg = 0) {
-    Push({'X', ts, dur, 1, tid, name, token, arg_name, arg});
+                std::uint64_t token) {
+    Push({'X', ts, dur, 1, tid, name, token});
   }
 
   void Instant(const char* name, sim::Cycle ts, std::int32_t tid, std::uint64_t token,

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -43,13 +42,9 @@ namespace ndc::sim {
 ///    `now` is monotonic, so once a cycle is inside the wheel window it can
 ///    never be scheduled into the overflow again — which keeps the FIFO
 ///    tie-break exact across the two levels;
-///  - small captures live inline in the node's SmallCallback, large ones in
-///    a pooled arena block.
+///  - every callback lives inline in its node's SmallCallback.
 class EventQueue {
  public:
-  /// Historical alias; any callable convertible to `void()` is accepted.
-  using Callback = std::function<void()>;
-
   EventQueue() : wheel_(kWheelSize), occupied_(kWheelSize / 64, 0) {}
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -60,7 +55,7 @@ class EventQueue {
   void ScheduleAt(Cycle when, F&& cb) {
     assert(when >= now_ && "cannot schedule an event in the past");
     std::uint32_t n = AcquireNode();
-    NodeAt(n).cb.Emplace(arena_, std::forward<F>(cb));
+    NodeAt(n).cb.Emplace(std::forward<F>(cb));
     ++pending_;
     if (when - now_ < kWheelSize) {
       auto b = static_cast<std::size_t>(when) & kWheelMask;
@@ -156,9 +151,6 @@ class EventQueue {
   /// Executes the head of the draining bucket in place.
   void ExecuteOne();
 
-  // The arena must outlive every stored SmallCallback (their destructors
-  // return pooled blocks to it), so it is declared first.
-  CallbackArena arena_;
   std::vector<std::unique_ptr<Node[]>> chunks_;  ///< the node slab
   std::uint32_t slab_size_ = 0;                  ///< nodes ever handed out
   std::uint32_t free_ = kNil;                    ///< LIFO free-node list

@@ -13,7 +13,7 @@
 
 #include "compiler/pipeline.hpp"
 #include "harness/cell.hpp"
-#include "metrics/experiment.hpp"
+#include "metrics/profile.hpp"
 
 namespace {
 

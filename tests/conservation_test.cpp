@@ -7,7 +7,7 @@
 #include <string>
 
 #include "fault/conservation.hpp"
-#include "metrics/experiment.hpp"
+#include "test_support.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::fault {
@@ -42,17 +42,18 @@ TEST(Conservation, EachLostRequestIsNamed) {
 
 // Every scheme of Figure 4, plus the baseline it is normalized to, loses no
 // request: each offload resolves, each packet lands, each read completes.
+// (harness::RunScheme also throws on a violation; this names the run.)
 class ConservationPerBenchmark : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConservationPerBenchmark, HoldsAfterEveryFig04SchemeRun) {
   using metrics::Scheme;
   const std::string& name = GetParam();
-  metrics::Experiment exp(name, workloads::Scale::kTest, arch::ArchConfig{});
+  auto profile = harness::MakeProfile(harness::TestCell(name, Scheme::kOracle), true);
   for (Scheme s : {Scheme::kBaseline, Scheme::kDefault, Scheme::kOracle, Scheme::kWait5,
                    Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
                    Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
-    metrics::SchemeResult r = exp.Run(s);
-    const ConservationInputs& in = exp.last_conservation();
+    metrics::SchemeResult r = harness::RunScheme(harness::TestCell(name, s), *profile);
+    const ConservationInputs& in = r.conservation;
     ConservationReport rep = CheckConservation(in);
     EXPECT_TRUE(rep.ok) << name << " " << metrics::SchemeName(s) << "\n" << rep.ToString();
     EXPECT_GT(in.packets_sent, 0u) << name << " " << metrics::SchemeName(s);

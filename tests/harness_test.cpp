@@ -447,19 +447,14 @@ SweepSpec EquivalenceGrid() {
 std::uint64_t SimEventsSoFar() { return obs::GlobalPhases().Take().sim_events; }
 
 // The configuration and lowered traces (as instruction words) a compiled
-// cell runs, built the way metrics::Experiment::RunCompiled builds them.
+// cell runs, built from the options RunScheme compiles it with.
 using CompiledProgram =
     std::pair<arch::ArchConfig, std::vector<std::vector<std::array<std::uint64_t, 2>>>>;
 CompiledProgram LowerCompiledCell(const CellSpec& c) {
-  compiler::CompileOptions opt;
-  opt.mode = c.coarse_grain ? compiler::Mode::kCoarseGrain
-             : c.scheme == metrics::Scheme::kAlgorithm2 ? compiler::Mode::kAlgorithm2
-                                                         : compiler::Mode::kAlgorithm1;
-  opt.allow_reroute = c.allow_reroute;
-  opt.control_register = c.control_register;
+  compiler::CompileOptions opt = CellCompileOptions(c);
   CompiledProgram out{c.cfg, {}};
-  out.first.allow_reroute = c.allow_reroute;
-  out.first.control_register = c.control_register;
+  out.first.allow_reroute = opt.allow_reroute;
+  out.first.control_register = opt.control_register;
   ir::Program prog = workloads::BuildWorkload(c.workload, c.scale, c.seed);
   compiler::Compile(prog, compiler::ArchDescription(out.first), opt);
   for (const arch::Trace& t : compiler::Lower(prog, out.first.num_nodes(), &out.first).traces) {
@@ -559,9 +554,7 @@ TEST(Sweep, SharedProfilesMatchStandaloneCells) {
     }
     EXPECT_EQ(res.summary.machine_runs, expected_runs) << "jobs=" << jobs;
     EXPECT_EQ(res.summary.runs_reused, expected_reused) << "jobs=" << jobs;
-    if constexpr (obs::kObsEnabled) {
-      EXPECT_EQ(res.summary.sim_events, expected_events) << "jobs=" << jobs;
-    }
+    EXPECT_EQ(res.summary.sim_events, expected_events) << "jobs=" << jobs;
   }
 }
 

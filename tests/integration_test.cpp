@@ -4,19 +4,23 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/experiment.hpp"
-#include "obs/phase.hpp"
+#include "metrics/profile.hpp"
+#include "obs/obs.hpp"
+#include "test_support.hpp"
 
 namespace ndc::metrics {
 namespace {
 
+using harness::CellSpec;
+using harness::ExpectSameRun;
+using harness::RunScheme;
+using harness::TestCell;
 using workloads::Scale;
 
 TEST(EndToEnd, BaselineRunsToCompletionOnAllBenchmarks) {
   for (const std::string& name : workloads::BenchmarkNames()) {
-    arch::ArchConfig cfg;
-    Experiment exp(name, Scale::kTest, cfg);
-    const runtime::RunResult& r = exp.Baseline();
+    Profile profile(name, Scale::kTest, arch::ArchConfig{});
+    const runtime::RunResult& r = profile.Baseline();
     EXPECT_GT(r.makespan, 0u) << name;
     EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u) << name;
     EXPECT_GT(r.candidates, 0u) << name;
@@ -24,24 +28,6 @@ TEST(EndToEnd, BaselineRunsToCompletionOnAllBenchmarks) {
       EXPECT_NE(value, 0u) << name << ": a stats key exists only while non-zero: " << key;
     }
   }
-}
-
-// Every field of two runs but their observation records.
-void ExpectSameRun(const runtime::RunResult& a, const runtime::RunResult& b,
-                   const std::string& what) {
-  EXPECT_EQ(a.makespan, b.makespan) << what;
-  EXPECT_EQ(a.events, b.events) << what;
-  EXPECT_EQ(a.l1_hits, b.l1_hits) << what;
-  EXPECT_EQ(a.l1_misses, b.l1_misses) << what;
-  EXPECT_EQ(a.l2_hits, b.l2_hits) << what;
-  EXPECT_EQ(a.l2_misses, b.l2_misses) << what;
-  EXPECT_EQ(a.candidates, b.candidates) << what;
-  EXPECT_EQ(a.local_l1_skips, b.local_l1_skips) << what;
-  EXPECT_EQ(a.offloads, b.offloads) << what;
-  EXPECT_EQ(a.ndc_success, b.ndc_success) << what;
-  EXPECT_EQ(a.fallbacks, b.fallbacks) << what;
-  EXPECT_EQ(a.ndc_at_loc, b.ndc_at_loc) << what;
-  EXPECT_EQ(a.stats.all(), b.stats.all()) << what;
 }
 
 // Observation records arrival times and never perturbs the run: on every
@@ -75,41 +61,32 @@ TEST(EndToEnd, ObserveModePreservesBaselineTimingAtSmallScale) {
 // A profile runs each compiled program once per configuration. At small
 // scale Algorithms 1 and 2 lower md to identical traces, so Algorithm 2's
 // run is Algorithm 1's and simulates nothing; swim's programs differ, so
-// both simulate. A traced Experiment always simulates its own run.
+// both simulate. A traced run always simulates its own run.
 TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
-  auto options = [](compiler::Mode mode) {
-    compiler::CompileOptions opt;
-    opt.mode = mode;
-    return opt;
-  };
   auto sim_events = [] { return obs::GlobalPhases().Take().sim_events; };
   for (const std::string name : {"md", "swim"}) {
     const bool identical = name == "md";
-    auto profile = std::make_shared<Profile>(name, Scale::kSmall, arch::ArchConfig{});
-    Experiment exp(profile);
-    SchemeResult a1 = exp.RunCompiled(options(compiler::Mode::kAlgorithm1));
+    CellSpec alg1 = TestCell(name, Scheme::kAlgorithm1, Scale::kSmall);
+    CellSpec alg2 = TestCell(name, Scheme::kAlgorithm2, Scale::kSmall);
+    auto profile = harness::MakeProfile(alg1, false);
+    SchemeResult a1 = RunScheme(alg1, *profile);
     RunCounts before = profile->run_counts();
     std::uint64_t events_before = sim_events();
-    SchemeResult a2 = exp.RunCompiled(options(compiler::Mode::kAlgorithm2));
+    SchemeResult a2 = RunScheme(alg2, *profile);
     RunCounts after = profile->run_counts();
     EXPECT_EQ(after.machine_runs - before.machine_runs, identical ? 0u : 1u) << name;
     EXPECT_EQ(after.runs_reused - before.runs_reused, identical ? 1u : 0u) << name;
-    if constexpr (obs::kObsEnabled) {
-      EXPECT_EQ(sim_events() - events_before, identical ? 0u : a2.run.events) << name;
-    }
+    EXPECT_EQ(sim_events() - events_before, identical ? 0u : a2.run.events) << name;
 
-    Experiment fresh(name, Scale::kSmall, arch::ArchConfig{});
-    SchemeResult f2 = fresh.RunCompiled(options(compiler::Mode::kAlgorithm2));
+    SchemeResult f2 = RunScheme(alg2);
     ExpectSameRun(a2.run, f2.run, name);
-    EXPECT_EQ(exp.last_conservation(), fresh.last_conservation()) << name;
+    EXPECT_EQ(a2.conservation, f2.conservation) << name;
     EXPECT_EQ(a2.improvement_pct, f2.improvement_pct) << name;
     if (identical) ExpectSameRun(a1.run, a2.run, name);
 
     obs::Observability ob;
-    Experiment traced(profile);
-    traced.set_obs(&ob);
     before = profile->run_counts();
-    SchemeResult t2 = traced.RunCompiled(options(compiler::Mode::kAlgorithm2));
+    SchemeResult t2 = RunScheme(alg2, *profile, &ob);
     after = profile->run_counts();
     EXPECT_EQ(after.machine_runs - before.machine_runs, 1u) << name;
     EXPECT_EQ(after.runs_reused, before.runs_reused) << name;
@@ -118,21 +95,18 @@ TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
 }
 
 TEST(EndToEnd, SchemesRunToCompletion) {
-  arch::ArchConfig cfg;
-  Experiment exp("md", Scale::kTest, cfg);
+  auto profile = harness::MakeProfile(TestCell("md", Scheme::kOracle), true);
   for (Scheme s : {Scheme::kDefault, Scheme::kOracle, Scheme::kWait10, Scheme::kLastWait,
                    Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
-    SchemeResult r = exp.Run(s);
+    SchemeResult r = RunScheme(TestCell("md", s), *profile);
     EXPECT_GT(r.run.makespan, 0u) << SchemeName(s);
     EXPECT_EQ(r.run.stats.Get("run.incomplete_cores"), 0u) << SchemeName(s);
   }
 }
 
 TEST(EndToEnd, CompilerSchemesOffloadOnNdcFriendlyWorkloads) {
-  arch::ArchConfig cfg;
   for (const char* name : {"md", "nab", "applu"}) {
-    Experiment exp(name, Scale::kTest, cfg);
-    SchemeResult r = exp.Run(Scheme::kAlgorithm1);
+    SchemeResult r = RunScheme(TestCell(name, Scheme::kAlgorithm1));
     EXPECT_GT(r.compile_report.planned, 0u) << name;
     EXPECT_GT(r.run.offloads, 0u) << name;
     EXPECT_GT(r.run.ndc_success, 0u) << name;
@@ -142,18 +116,16 @@ TEST(EndToEnd, CompilerSchemesOffloadOnNdcFriendlyWorkloads) {
 TEST(EndToEnd, Algorithm2SkipsReuseOnWater) {
   // water's xm operand is reused K times: Algorithm 2 must bypass that
   // chain (the Figure 15 mechanism).
-  arch::ArchConfig cfg;
-  Experiment exp("water", Scale::kTest, cfg);
-  SchemeResult a2 = exp.Run(Scheme::kAlgorithm2);
+  SchemeResult a2 = RunScheme(TestCell("water", Scheme::kAlgorithm2));
   EXPECT_GT(a2.compile_report.reuse_skips, 0u);
 }
 
 TEST(EndToEnd, Algorithm2NoWorseThanAlgorithm1OnSwim) {
   // The stencil's group reuse punishes Algorithm 1's extra offloads.
-  arch::ArchConfig cfg;
-  Experiment exp("swim", Scale::kTest, cfg);
-  SchemeResult a1 = exp.Run(Scheme::kAlgorithm1);
-  SchemeResult a2 = exp.Run(Scheme::kAlgorithm2);
+  CellSpec alg1 = TestCell("swim", Scheme::kAlgorithm1);
+  auto profile = harness::MakeProfile(alg1, false);
+  SchemeResult a1 = RunScheme(alg1, *profile);
+  SchemeResult a2 = RunScheme(TestCell("swim", Scheme::kAlgorithm2), *profile);
   EXPECT_GE(a2.improvement_pct + 1.0, a1.improvement_pct);  // 1pp tolerance
 }
 
@@ -161,17 +133,13 @@ TEST(EndToEnd, OracleNeverCollapses) {
   // The oracle may drift slightly from its profile but must never produce
   // the pathological slowdowns of the naive waiting schemes.
   for (const char* name : {"md", "radiosity", "mgrid", "water"}) {
-    arch::ArchConfig cfg;
-    Experiment exp(name, Scale::kTest, cfg);
-    SchemeResult r = exp.Run(Scheme::kOracle);
+    SchemeResult r = RunScheme(TestCell(name, Scheme::kOracle));
     EXPECT_GT(r.improvement_pct, -8.0) << name;
   }
 }
 
 TEST(EndToEnd, NdcBreakdownSumsToSuccesses) {
-  arch::ArchConfig cfg;
-  Experiment exp("md", Scale::kTest, cfg);
-  SchemeResult r = exp.Run(Scheme::kAlgorithm1);
+  SchemeResult r = RunScheme(TestCell("md", Scheme::kAlgorithm1));
   std::uint64_t sum = 0;
   for (std::uint64_t v : r.run.ndc_at_loc) sum += v;
   EXPECT_EQ(sum, r.run.ndc_success);
@@ -180,21 +148,21 @@ TEST(EndToEnd, NdcBreakdownSumsToSuccesses) {
 }
 
 TEST(EndToEnd, ExperimentsAreDeterministic) {
-  arch::ArchConfig cfg;
-  Experiment a("barnes", Scale::kTest, cfg);
-  Experiment b("barnes", Scale::kTest, cfg);
-  EXPECT_EQ(a.Baseline().makespan, b.Baseline().makespan);
-  EXPECT_EQ(a.Run(Scheme::kAlgorithm2).run.makespan, b.Run(Scheme::kAlgorithm2).run.makespan);
-  EXPECT_EQ(a.Run(Scheme::kDefault).run.makespan, b.Run(Scheme::kDefault).run.makespan);
+  CellSpec alg2 = TestCell("barnes", Scheme::kAlgorithm2);
+  CellSpec def = TestCell("barnes", Scheme::kDefault);
+  auto a = harness::MakeProfile(alg2, false);
+  auto b = harness::MakeProfile(alg2, false);
+  EXPECT_EQ(a->Baseline().makespan, b->Baseline().makespan);
+  EXPECT_EQ(RunScheme(alg2, *a).run.makespan, RunScheme(alg2, *b).run.makespan);
+  EXPECT_EQ(RunScheme(def, *a).run.makespan, RunScheme(def, *b).run.makespan);
 }
 
 TEST(Sensitivity, MeshSizesRunEndToEnd) {
   for (int dim : {4, 6}) {
-    arch::ArchConfig cfg;
-    cfg.mesh_width = dim;
-    cfg.mesh_height = dim;
-    Experiment exp("md", Scale::kTest, cfg);
-    SchemeResult r = exp.Run(Scheme::kAlgorithm1);
+    CellSpec spec = TestCell("md", Scheme::kAlgorithm1);
+    spec.cfg.mesh_width = dim;
+    spec.cfg.mesh_height = dim;
+    SchemeResult r = RunScheme(spec);
     EXPECT_GT(r.run.makespan, 0u);
     EXPECT_EQ(r.run.stats.Get("run.incomplete_cores"), 0u);
   }
@@ -202,47 +170,39 @@ TEST(Sensitivity, MeshSizesRunEndToEnd) {
 
 TEST(Sensitivity, L2CapacityVariantsRun) {
   for (std::uint64_t kb : {256, 1024}) {
-    arch::ArchConfig cfg;
-    cfg.l2.size_bytes = kb * 1024;
-    Experiment exp("ocean", Scale::kTest, cfg);
-    EXPECT_GT(exp.Run(Scheme::kAlgorithm1).run.makespan, 0u);
+    CellSpec spec = TestCell("ocean", Scheme::kAlgorithm1);
+    spec.cfg.l2.size_bytes = kb * 1024;
+    EXPECT_GT(RunScheme(spec).run.makespan, 0u);
   }
 }
 
 TEST(Sensitivity, AddSubRestrictionReducesOffloads) {
-  arch::ArchConfig cfg;
-  Experiment full("bt", Scale::kTest, cfg);  // bt has a kMul chain
-  SchemeResult rf = full.Run(Scheme::kDefault);
-  arch::ArchConfig cfg2;
-  cfg2.restrict_ops_to_addsub = true;
-  Experiment restricted("bt", Scale::kTest, cfg2);
-  SchemeResult rr = restricted.Run(Scheme::kDefault);
+  CellSpec full = TestCell("bt", Scheme::kDefault);  // bt has a kMul chain
+  SchemeResult rf = RunScheme(full);
+  CellSpec restricted = full;
+  restricted.cfg.restrict_ops_to_addsub = true;
+  SchemeResult rr = RunScheme(restricted);
   EXPECT_LE(rr.run.offloads, rf.run.offloads);
 }
 
 TEST(Ablation, RerouteIncreasesRouterNdc) {
-  arch::ArchConfig cfg;
-  Experiment exp("nab", Scale::kTest, cfg);
-  compiler::CompileOptions with;
-  with.mode = compiler::Mode::kAlgorithm1;
-  compiler::CompileOptions without = with;
+  CellSpec with = TestCell("nab", Scheme::kAlgorithm1);
+  CellSpec without = with;
   without.allow_reroute = false;
-  std::uint64_t net_with = exp.RunCompiled(with).run.ndc_at_loc[static_cast<std::size_t>(
-      arch::Loc::kLinkBuffer)];
-  std::uint64_t net_without = exp.RunCompiled(without)
-                                  .run.ndc_at_loc[static_cast<std::size_t>(arch::Loc::kLinkBuffer)];
+  auto profile = harness::MakeProfile(with, false);
+  constexpr auto kLink = static_cast<std::size_t>(arch::Loc::kLinkBuffer);
+  std::uint64_t net_with = RunScheme(with, *profile).run.ndc_at_loc[kLink];
+  std::uint64_t net_without = RunScheme(without, *profile).run.ndc_at_loc[kLink];
   EXPECT_GE(net_with + 2, net_without);  // reroute never loses more than noise
 }
 
 TEST(Ablation, CoarseGrainUnderperformsFineGrain) {
-  arch::ArchConfig cfg;
-  Experiment exp("md", Scale::kTest, cfg);
-  compiler::CompileOptions fine;
-  fine.mode = compiler::Mode::kAlgorithm1;
-  compiler::CompileOptions coarse;
-  coarse.mode = compiler::Mode::kCoarseGrain;
-  SchemeResult rf = exp.RunCompiled(fine);
-  SchemeResult rc = exp.RunCompiled(coarse);
+  CellSpec fine = TestCell("md", Scheme::kAlgorithm1);
+  CellSpec coarse = fine;
+  coarse.coarse_grain = true;
+  auto profile = harness::MakeProfile(fine, false);
+  SchemeResult rf = RunScheme(fine, *profile);
+  SchemeResult rc = RunScheme(coarse, *profile);
   EXPECT_GE(rf.improvement_pct + 3.0, rc.improvement_pct);
 }
 
@@ -250,7 +210,6 @@ TEST(Metrics, ImprovementMathAndFormatting) {
   EXPECT_DOUBLE_EQ(ImprovementPct(200, 150), 25.0);
   EXPECT_DOUBLE_EQ(ImprovementPct(100, 120), -20.0);
   EXPECT_DOUBLE_EQ(ImprovementPct(0, 50), 0.0);
-  EXPECT_NE(FormatRow({"a", "b"}).find("| "), std::string::npos);
   for (Scheme s : {Scheme::kBaseline, Scheme::kDefault, Scheme::kOracle, Scheme::kWait5,
                    Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
                    Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {

@@ -1,9 +1,6 @@
 // Tests for the observability subsystem (src/obs): trace-event JSON
 // round-trip, the telescoping stage-latency invariant, sampling consistency,
-// timing neutrality, and NDC decision-audit completeness. Structural unit
-// tests run in every build; end-to-end assertions that need live
-// instrumentation skip themselves when observability is compiled out
-// (NDC_OBS=OFF).
+// timing neutrality, and NDC decision-audit completeness.
 
 #include <gtest/gtest.h>
 
@@ -13,16 +10,14 @@
 #include <tuple>
 #include <vector>
 
-#include "harness/cell.hpp"
 #include "json/json.hpp"
-#include "metrics/experiment.hpp"
 #include "obs/obs.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using ndc::json::Parse;
 using ndc::json::Value;
-using ndc::metrics::Experiment;
 using ndc::metrics::Scheme;
 using ndc::obs::DecisionEntry;
 using ndc::obs::DecisionKind;
@@ -39,7 +34,7 @@ using ndc::obs::TraceSink;
 TEST(TraceSink, JsonRoundTripsThroughHarnessParser) {
   TraceSink sink;
   sink.Complete("l1.lookup", 10, 5, 3, 42);
-  sink.Complete("noc.hop", 15, 7, 3, 42, "link", 9);
+  sink.Complete("noc.hop", 15, 7, 3, 42);
   sink.Instant("ndc.meet", 30, 2, 7, "loc", 1);
 
   Value v;
@@ -121,7 +116,10 @@ TEST(RequestTracer, FinishIsIdempotent) {
 
 TEST(RequestTracer, SamplePeriodAdmitsEveryNth) {
   TraceSink sink;
-  ndc::obs::RequestTracer tracer(&sink, {/*sample_period=*/3, 1u << 20, false});
+  ObsOptions opt;
+  opt.sample_period = 3;
+  opt.emit_stage_events = false;
+  ndc::obs::RequestTracer tracer(&sink, opt);
   int admitted = 0;
   for (int i = 0; i < 9; ++i) {
     if (tracer.Begin(0, static_cast<std::uint32_t>(i), 0, 0) != 0) ++admitted;
@@ -241,26 +239,15 @@ TEST(DecisionLogPrior, ZeroPriorOmittedNonzeroEmitted) {
   EXPECT_EQ(v.Find("prior")->AsU64(), 3u);
 }
 
-// ------------------------------------------------- end-to-end (obs only) ---
+// ------------------------------------------------------------ end-to-end ---
 
-class ObsEndToEnd : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!ndc::obs::kObsEnabled) {
-      GTEST_SKIP() << "observability compiled out (NDC_OBS=OFF)";
-    }
-  }
+/// Runs (workload, scheme) at test scale with `ob` attached.
+ndc::metrics::SchemeResult RunWith(Observability* ob, const std::string& workload,
+                                   Scheme scheme) {
+  return ndc::harness::RunScheme(ndc::harness::TestCell(workload, scheme), ob);
+}
 
-  /// Runs (workload, scheme) at test scale with `ob` attached.
-  static ndc::metrics::SchemeResult RunWith(Observability* ob, const std::string& workload,
-                                            Scheme scheme) {
-    Experiment exp(workload, ndc::workloads::Scale::kTest, ndc::arch::ArchConfig{});
-    exp.set_obs(ob);
-    return exp.Run(scheme);
-  }
-};
-
-TEST_F(ObsEndToEnd, StageLatenciesTelescopeToEndToEndPerRequestAndAggregate) {
+TEST(ObsEndToEnd, StageLatenciesTelescopeToEndToEndPerRequestAndAggregate) {
   Observability ob;
   RunWith(&ob, "md", Scheme::kOracle);
 
@@ -281,7 +268,7 @@ TEST_F(ObsEndToEnd, StageLatenciesTelescopeToEndToEndPerRequestAndAggregate) {
   EXPECT_EQ(agg, ob.tracer.total_end_to_end());
 }
 
-TEST_F(ObsEndToEnd, TraceJsonFromRealRunIsValidChromeTraceEvent) {
+TEST(ObsEndToEnd, TraceJsonFromRealRunIsValidChromeTraceEvent) {
   Observability ob;
   RunWith(&ob, "md", Scheme::kOracle);
   ASSERT_GT(ob.sink.size(), 0u);
@@ -302,7 +289,7 @@ TEST_F(ObsEndToEnd, TraceJsonFromRealRunIsValidChromeTraceEvent) {
   }
 }
 
-TEST_F(ObsEndToEnd, SampledRecordsAreExactSubsetOfFullTrace) {
+TEST(ObsEndToEnd, SampledRecordsAreExactSubsetOfFullTrace) {
   Observability full;
   RunWith(&full, "md", Scheme::kOracle);
 
@@ -334,16 +321,33 @@ TEST_F(ObsEndToEnd, SampledRecordsAreExactSubsetOfFullTrace) {
   }
 }
 
-TEST_F(ObsEndToEnd, TracingIsTimingNeutral) {
-  Experiment plain("md", ndc::workloads::Scale::kTest, ndc::arch::ArchConfig{});
-  ndc::sim::Cycle off = plain.Run(Scheme::kOracle).run.makespan;
+// Attaching observation never perturbs a run: on md, every Figure 4 scheme,
+// the Baseline and the coarse-grain mapping produce the same result in every
+// field traced and untraced.
+TEST(ObsEndToEnd, TracingIsTimingNeutral) {
+  using ndc::harness::CellSpec;
+  using ndc::harness::TestCell;
+  std::vector<CellSpec> cells;
+  for (Scheme s : {Scheme::kBaseline, Scheme::kDefault, Scheme::kOracle, Scheme::kWait5,
+                   Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
+                   Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
+    cells.push_back(TestCell("md", s));
+  }
+  cells.push_back(TestCell("md", Scheme::kAlgorithm1));
+  cells.back().coarse_grain = true;
 
-  Observability ob;
-  ndc::sim::Cycle on = RunWith(&ob, "md", Scheme::kOracle).run.makespan;
-  EXPECT_EQ(on, off) << "attaching observation must not perturb simulated time";
+  auto profile = ndc::harness::MakeProfile(cells.front(), true);
+  for (const CellSpec& c : cells) {
+    ndc::metrics::SchemeResult off = ndc::harness::RunScheme(c, *profile);
+    Observability ob;
+    ndc::metrics::SchemeResult on = ndc::harness::RunScheme(c, *profile, &ob);
+    ASSERT_GT(ob.tracer.traced(), 0u) << c.SchemeLabel();
+    ndc::harness::ExpectSameRun(on.run, off.run, c.SchemeLabel());
+    EXPECT_EQ(on.conservation, off.conservation) << c.SchemeLabel();
+  }
 }
 
-TEST_F(ObsEndToEnd, OracleDecisionAuditAccountsForEveryCandidate) {
+TEST(ObsEndToEnd, OracleDecisionAuditAccountsForEveryCandidate) {
   Observability ob;
   ndc::metrics::SchemeResult r = RunWith(&ob, "md", Scheme::kOracle);
 
@@ -375,25 +379,20 @@ TEST_F(ObsEndToEnd, OracleDecisionAuditAccountsForEveryCandidate) {
   EXPECT_EQ(ob.decisions.outcome_count(Outcome::kNdcSuccess), r.run.ndc_success);
 }
 
-TEST_F(ObsEndToEnd, CompiledSchemeAuditsDecisionsToo) {
+TEST(ObsEndToEnd, CompiledSchemeAuditsDecisionsToo) {
   Observability ob;
-  Experiment exp("md", ndc::workloads::Scale::kTest, ndc::arch::ArchConfig{});
-  exp.set_obs(&ob);
-  ndc::compiler::CompileOptions copt;
-  copt.mode = ndc::compiler::Mode::kAlgorithm1;
-  ndc::metrics::SchemeResult r = exp.RunCompiled(copt);
+  ndc::metrics::SchemeResult r = RunWith(&ob, "md", Scheme::kAlgorithm1);
   EXPECT_EQ(ob.decisions.entries().size(), r.run.candidates);
   EXPECT_EQ(ob.decisions.unresolved(), 0u);
 }
 
-TEST_F(ObsEndToEnd, RunCellObsSummaryStagesSumToTotalEndToEnd) {
+TEST(ObsEndToEnd, RunCellObsSummaryStagesSumToTotalEndToEnd) {
   ndc::harness::CellSpec spec;
   spec.workload = "md";
   spec.scale = ndc::workloads::Scale::kTest;
   spec.scheme = Scheme::kOracle;
   Value v = ndc::harness::RunCellObsSummary(spec);
 
-  ASSERT_TRUE(v.Find("obs_enabled")->b);
   const Value* stages = v.Find("stages");
   ASSERT_NE(stages, nullptr);
   std::uint64_t sum = 0;

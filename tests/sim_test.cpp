@@ -174,20 +174,18 @@ TEST(EventQueue, PromotedOverflowRunsBeforeBucketAndSameCycleAppends) {
 }
 
 TEST(EventQueue, CallbacksOfAllStorageClassesExecute) {
-  // Covers the three SmallCallback homes: inline buffer (<= 64 B), pooled
-  // arena block (<= 256 B), and the plain-heap fallback.
+  // Every callback is stored inline in its node's SmallCallback (a callable
+  // over 64 bytes does not compile); one that fills the buffer with its
+  // by-value captures runs intact.
   EventQueue eq;
   std::uint64_t sum = 0;
   std::array<std::uint64_t, 4> small{1, 2, 3, 4};
-  std::array<std::uint64_t, 16> medium{};
-  medium[0] = 5;
-  std::array<std::uint64_t, 64> large{};
-  large[0] = 6;
+  std::array<std::uint64_t, 7> full{5, 6};
   eq.ScheduleAt(1, [&sum, small] {
     for (auto v : small) sum += v;
   });
-  eq.ScheduleAt(2, [&sum, medium] { sum += medium[0]; });
-  eq.ScheduleAt(3, [&sum, large] { sum += large[0]; });
+  eq.ScheduleAt(2, [&sum, full] { sum += full[0] + full[1]; });
+  static_assert(sizeof(full) + sizeof(&sum) == SmallCallback::kInlineBytes);
   eq.RunUntilEmpty();
   EXPECT_EQ(sum, 21u);
 }

@@ -1,0 +1,43 @@
+#pragma once
+
+// Helpers shared by the test binaries that run whole cells: the cell most
+// tests run, and a field-by-field comparison of two runs.
+
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "harness/cell.hpp"
+
+namespace ndc::harness {
+
+/// One workload and scheme on the Table-1 configuration, at test scale
+/// unless given.
+inline CellSpec TestCell(const std::string& workload, metrics::Scheme scheme,
+                         workloads::Scale scale = workloads::Scale::kTest) {
+  CellSpec c;
+  c.workload = workload;
+  c.scale = scale;
+  c.scheme = scheme;
+  return c;
+}
+
+/// Every field of two runs but their observation records.
+inline void ExpectSameRun(const runtime::RunResult& a, const runtime::RunResult& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.l1_hits, b.l1_hits) << what;
+  EXPECT_EQ(a.l1_misses, b.l1_misses) << what;
+  EXPECT_EQ(a.l2_hits, b.l2_hits) << what;
+  EXPECT_EQ(a.l2_misses, b.l2_misses) << what;
+  EXPECT_EQ(a.candidates, b.candidates) << what;
+  EXPECT_EQ(a.local_l1_skips, b.local_l1_skips) << what;
+  EXPECT_EQ(a.offloads, b.offloads) << what;
+  EXPECT_EQ(a.ndc_success, b.ndc_success) << what;
+  EXPECT_EQ(a.fallbacks, b.fallbacks) << what;
+  EXPECT_EQ(a.ndc_at_loc, b.ndc_at_loc) << what;
+  EXPECT_EQ(a.stats.all(), b.stats.all()) << what;
+}
+
+}  // namespace ndc::harness

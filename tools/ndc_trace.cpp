@@ -10,8 +10,7 @@
 //     optionally the full decision log as JSONL (--decisions=FILE),
 //   - the host-side phase profile (where wall-clock went).
 //
-// Exit status: 0 on success, 1 when observability is compiled out
-// (NDC_OBS=OFF), 2 on usage errors.
+// Exit status: 0 on success, 2 on usage errors or an unwritable file.
 //
 // Run with --help for the flags.
 
@@ -44,15 +43,8 @@ int main(int argc, char** argv) {
   if (spec.workload.empty() || !scheme) cli.Fail("--workload and --scheme are required");
   spec.scheme = *scheme;
 
-  if (!ndc::obs::kObsEnabled) {
-    std::fprintf(stderr,
-                 "ndc-trace: observability is compiled out (NDC_OBS=OFF); rebuild with "
-                 "-DNDC_OBS=ON\n");
-    return 1;
-  }
-
   ndc::obs::Observability ob(oo);
-  ndc::metrics::SchemeResult r = ndc::harness::RunCellTraced(spec, ob);
+  ndc::metrics::SchemeResult r = ndc::harness::RunScheme(spec, &ob);
 
   std::printf("# ndc-trace: %s / %s (scale=%s, seed=%llu, sample=1/%llu)\n",
               spec.workload.c_str(), spec.SchemeLabel().c_str(),
