@@ -23,8 +23,6 @@ class MemorySideOnlyPolicy final : public runtime::Policy {
  public:
   explicit MemorySideOnlyPolicy(sim::Cycle timeout) : timeout_(timeout) {}
 
-  std::string name() const override { return "memory-side-only"; }
-
   runtime::Decision Decide(sim::NodeId, std::uint32_t, std::uint32_t, sim::Addr, sim::Addr,
                            std::uint8_t feasible_mask) override {
     runtime::Decision d;

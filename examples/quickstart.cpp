@@ -5,6 +5,7 @@
 //   $ ./examples/quickstart
 
 #include <cstdio>
+#include <memory>
 
 #include "compiler/arch_desc.hpp"
 #include "compiler/codegen.hpp"
@@ -105,10 +106,12 @@ int main() {
   swim.scale = workloads::Scale::kTest;
   swim.scheme = metrics::Scheme::kOracle;
   swim.cfg = cfg;
-  metrics::SchemeResult oracle = harness::RunScheme(swim);
+  // The oracle reads the profile's observation run, which is also its baseline.
+  std::shared_ptr<metrics::Profile> profile = harness::MakeProfile(swim, swim.NeedsObserve());
+  metrics::SchemeResult oracle = harness::RunScheme(swim, *profile);
   std::printf("\nswim (stand-in) oracle improvement: %+.1f%% (NDC at cache=%llu "
               "network=%llu MC=%llu memory=%llu)\n",
-              oracle.improvement_pct,
+              metrics::ImprovementPct(profile->Baseline().makespan, oracle.run.makespan),
               static_cast<unsigned long long>(oracle.run.ndc_at_loc[1]),
               static_cast<unsigned long long>(oracle.run.ndc_at_loc[0]),
               static_cast<unsigned long long>(oracle.run.ndc_at_loc[2]),

@@ -8,6 +8,7 @@
 //   $ ./examples/route_planning
 
 #include <cstdio>
+#include <span>
 
 #include "noc/geometry.hpp"
 #include "noc/routing.hpp"
@@ -17,7 +18,8 @@ using namespace ndc;
 
 namespace {
 
-void DrawRoutes(const noc::Mesh& mesh, const noc::Route& a, const noc::Route& b) {
+void DrawRoutes(const noc::Mesh& mesh, std::span<const sim::LinkId> a,
+                std::span<const sim::LinkId> b) {
   // ASCII mesh: mark links used by A (a), B (b), both (*).
   noc::Signature sa = noc::Signature::FromRoute(a);
   noc::Signature sb = noc::Signature::FromRoute(b);
@@ -60,22 +62,21 @@ int main() {
   sim::NodeId a_src = mesh.NodeAt({0, 1}), a_dst = mesh.NodeAt({4, 4});
   sim::NodeId b_src = mesh.NodeAt({1, 0}), b_dst = mesh.NodeAt({4, 5});
 
-  noc::Route xy_a = noc::XyRoute(mesh, a_src, a_dst);
-  noc::Route xy_b = noc::XyRoute(mesh, b_src, b_dst);
-  int xy_common = noc::Signature::FromRoute(xy_a)
-                      .Intersect(noc::Signature::FromRoute(xy_b))
-                      .Popcount();
-  std::printf("== default X-Y routing: %d common links ==\n", xy_common);
-  DrawRoutes(mesh, xy_a, xy_b);
+  // The route table the simulated network uses: every X-Y route, plus the
+  // minimal-route candidates of each pair an overlap query names.
+  noc::RouteTable routes(mesh);
+  noc::RouteIdPair xy = routes.XyPair(a_src, a_dst, b_src, b_dst);
+  std::printf("== default X-Y routing: %d common links ==\n", xy.shared_links);
+  DrawRoutes(mesh, routes.Links(xy.a), routes.Links(xy.b));
 
-  noc::RoutePair best = noc::MaxOverlapRoutes(mesh, a_src, a_dst, b_src, b_dst);
+  noc::RouteIdPair best = routes.MaxOverlapPair(a_src, a_dst, b_src, b_dst);
   std::printf("\n== signature co-selection: %d common links (each one an NDC "
               "opportunity) ==\n",
               best.shared_links);
-  DrawRoutes(mesh, best.a, best.b);
+  DrawRoutes(mesh, routes.Links(best.a), routes.Links(best.b));
 
   std::printf("\nshared signature S_a ∩ S_b = %s\n", best.shared.ToString().c_str());
-  std::printf("Both routes remain minimal: |A| = %zu, |B| = %zu hops.\n", best.a.size(),
-              best.b.size());
+  std::printf("Both routes remain minimal: |A| = %zu, |B| = %zu hops.\n",
+              routes.Links(best.a).size(), routes.Links(best.b).size());
   return 0;
 }

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
     std::printf("%-14s %10llu %7.1f%% %7.1f%% %9llu %9llu %+8.1f%%\n", metrics::SchemeName(s),
                 static_cast<unsigned long long>(r.run.makespan), r.run.L1MissRate() * 100,
                 r.run.L2MissRate() * 100, static_cast<unsigned long long>(r.run.offloads),
-                static_cast<unsigned long long>(r.run.ndc_success), r.improvement_pct);
+                static_cast<unsigned long long>(r.run.ndc_success),
+                metrics::ImprovementPct(base.makespan, r.run.makespan));
     if (s == metrics::Scheme::kAlgorithm2) {
       std::printf("\nAlgorithm 2 skipped %llu of %llu chains for data-locality reasons\n",
                   static_cast<unsigned long long>(r.compile_report.reuse_skips),

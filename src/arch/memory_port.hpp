@@ -12,8 +12,6 @@ namespace ndc::arch {
 /// offloaded Computes is signalled back through Core::Complete().
 class MemoryPort {
  public:
-  virtual ~MemoryPort() = default;
-
   /// A load issued at `core` for trace slot `idx`. The port completes the
   /// slot when the value is available (data at core, or squashed into an
   /// NDC computation).
@@ -26,6 +24,10 @@ class MemoryPort {
   /// when the NDC result arrives at the core (or the fallback core
   /// computation finishes).
   virtual void IssuePreCompute(sim::NodeId core, std::uint32_t idx, const Instr& instr) = 0;
+
+ protected:
+  /// Nothing is owned or deleted through the interface.
+  ~MemoryPort() = default;
 };
 
 }  // namespace ndc::arch

@@ -64,11 +64,20 @@ SampleSet CollectSamples(const ir::Program& prog, const ir::LoopNest& nest,
   return s;
 }
 
-// Fraction of samples where `target` is address-feasible.
-double FeasibleFraction(const ArchDescription& ad, const SampleSet& s, Target target,
-                        bool allow_reroute) {
+// Fraction of samples where `target` is address-feasible. A router target
+// needs the two operands' routes to share a link: their X-Y routes, or with
+// `allow_reroute` the minimal routes `routes` co-selects for the most
+// shared links (Section 5.2.1, challenge 3).
+double FeasibleFraction(const ArchDescription& ad, noc::RouteTable& routes, const SampleSet& s,
+                        Target target, bool allow_reroute) {
   if (s.iters.empty()) return 0.0;
   const mem::AddressMap& amap = ad.amap();
+  auto share_a_link = [&](sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
+                          sim::NodeId b_dst) {
+    noc::RouteIdPair p = allow_reroute ? routes.MaxOverlapPair(a_src, a_dst, b_src, b_dst)
+                                       : routes.XyPair(a_src, a_dst, b_src, b_dst);
+    return p.shared_links > 0;
+  };
   int ok = 0;
   for (std::size_t i = 0; i < s.iters.size(); ++i) {
     sim::Addr a = s.a[i], b = s.b[i];
@@ -84,34 +93,12 @@ double FeasibleFraction(const ArchDescription& ad, const SampleSet& s, Target ta
         break;
       case Target::kRouter1: {
         sim::NodeId core = s.cores[i];
-        sim::NodeId ha = amap.HomeBank(a), hb = amap.HomeBank(b);
-        noc::RoutePair p = allow_reroute
-                               ? noc::MaxOverlapRoutes(ad.mesh(), ha, core, hb, core)
-                               : noc::RoutePair{noc::XyRoute(ad.mesh(), ha, core),
-                                                noc::XyRoute(ad.mesh(), hb, core),
-                                                noc::Signature{}, 0};
-        if (!allow_reroute) {
-          p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
-          p.shared_links = p.shared.Popcount();
-        }
-        ok += p.shared_links > 0;
+        ok += share_a_link(amap.HomeBank(a), core, amap.HomeBank(b), core);
         break;
       }
-      case Target::kRouter2: {
-        sim::NodeId ha = amap.HomeBank(a), hb = amap.HomeBank(b);
-        sim::NodeId ma = ad.McNode(a), mb = ad.McNode(b);
-        noc::RoutePair p = allow_reroute
-                               ? noc::MaxOverlapRoutes(ad.mesh(), ma, ha, mb, hb)
-                               : noc::RoutePair{noc::XyRoute(ad.mesh(), ma, ha),
-                                                noc::XyRoute(ad.mesh(), mb, hb),
-                                                noc::Signature{}, 0};
-        if (!allow_reroute) {
-          p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
-          p.shared_links = p.shared.Popcount();
-        }
-        ok += p.shared_links > 0;
+      case Target::kRouter2:
+        ok += share_a_link(ad.McNode(a), amap.HomeBank(a), ad.McNode(b), amap.HomeBank(b));
         break;
-      }
     }
   }
   return static_cast<double>(ok) / static_cast<double>(s.iters.size());
@@ -190,6 +177,7 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
     return rep;
   }
   int num_cores = ad.cfg().num_nodes();
+  noc::RouteTable routes(ad.mesh());
   analysis::CacheSpec l1 = analysis::CacheSpec::From(ad.cfg().l1);
   analysis::CacheSpec l2 = analysis::CacheSpec::From(ad.cfg().l2);
 
@@ -295,7 +283,8 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
           }
         }
 
-        if (FeasibleFraction(ad, samples, target, opt.allow_reroute) < kFeasibilityThreshold) {
+        if (FeasibleFraction(ad, routes, samples, target, opt.allow_reroute) <
+            kFeasibilityThreshold) {
           continue;
         }
 

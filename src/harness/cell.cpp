@@ -268,7 +268,6 @@ std::unique_ptr<runtime::Policy> MakePolicy(metrics::Scheme scheme, metrics::Pro
 metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
                                 obs::Observability* ob) {
   metrics::SchemeResult out;
-  const runtime::RunResult& base = profile.Baseline();
   runtime::MachineOptions opts;
   opts.obs = ob;
   if (spec.IsCompiled()) {
@@ -288,7 +287,7 @@ metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
     out.run = ob != nullptr ? profile.Simulate(cfg, traces, opts, &out.conservation)
                             : profile.RunCompiled(cfg, traces, &out.conservation);
   } else if (spec.scheme == metrics::Scheme::kBaseline && ob == nullptr) {
-    out.run = base;
+    out.run = profile.Baseline();
     out.conservation = profile.BaselineConservation();
   } else {
     // A traced Baseline re-simulates: the profile's baseline carries no
@@ -297,7 +296,6 @@ metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
     opts.policy = policy.get();
     out.run = profile.Simulate(profile.cfg(), profile.Traces(), opts, &out.conservation);
   }
-  out.improvement_pct = metrics::ImprovementPct(base.makespan, out.run.makespan);
   CheckCellConservation(spec, out.conservation);
   return out;
 }

@@ -150,8 +150,9 @@ compiler::CompileOptions CellCompileOptions(const CellSpec& spec);
 /// Baseline scheme's run is the profile's baseline and a compiled run is
 /// the profile's (metrics::Profile::RunCompiled), so a program another cell
 /// already lowered to identical traces is not simulated again; traced,
-/// every scheme simulates its own run. The baseline and observation runs
-/// are made first if the profile does not hold them yet. Thread-safe with
+/// every scheme simulates its own run. Only the untraced Baseline reads the
+/// profile's baseline run, and only the Oracle and Wait(x%) its observation
+/// run; each is made on first use. Thread-safe with
 /// respect to other cells, including cells sharing the profile — the
 /// simulator has no global mutable state. The measured run must conserve
 /// requests (CheckCellConservation), else RunScheme throws.

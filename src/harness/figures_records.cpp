@@ -13,10 +13,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/cme.hpp"
 #include "compiler/codegen.hpp"
+#include "fault/conservation.hpp"
 #include "harness/figures.hpp"
 #include "harness/pool.hpp"
 #include "mem/address_map.hpp"
@@ -42,6 +45,19 @@ SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
   return s;
 }
 
+// The profile's observation run, which must conserve requests as every
+// grid cell's measured run must (RunScheme); throws std::runtime_error
+// naming the figure, the workload and the report otherwise.
+const runtime::RunResult& CheckedObserve(metrics::Profile& profile, const char* figure) {
+  const runtime::RunResult& obs = profile.Observe();
+  fault::ConservationReport rep = fault::CheckConservation(profile.ObserveConservation());
+  if (!rep.ok) {
+    throw std::runtime_error(std::string(figure) + " observation run (" + profile.workload() +
+                             "): " + rep.ToString());
+  }
+  return obs;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- fig02 ---
@@ -60,7 +76,7 @@ SweepSummary RunFig02(const FigureOptions& opt) {
   ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     arch::ArchConfig cfg;
     metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
-    const auto& obs = profile.Observe();
+    const auto& obs = CheckedObserve(profile, "fig02");
     std::array<sim::BucketHistogram, 4> h;
     obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
       if (rec.local_l1) return;
@@ -112,7 +128,7 @@ SweepSummary RunFig03(const FigureOptions& opt) {
   std::vector<PerWorkload> parts(names.size());
   ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
-    const auto& obs = profile.Observe();
+    const auto& obs = CheckedObserve(profile, "fig03");
     PerWorkload& p = parts[b];
     obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
       if (rec.local_l1) return;
@@ -171,7 +187,7 @@ std::vector<sim::Cycle> WindowTrace(const std::string& name, workloads::Scale sc
                                     std::uint64_t seed, int want) {
   arch::ArchConfig cfg;
   metrics::Profile profile(name, scale, cfg, seed);
-  const auto& obs = profile.Observe();
+  const auto& obs = CheckedObserve(profile, "fig05");
 
   // (core, pc) -> sorted (compute_idx, window) samples
   std::map<std::pair<sim::NodeId, std::uint32_t>,

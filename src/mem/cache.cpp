@@ -67,21 +67,4 @@ std::optional<sim::Addr> Cache::Fill(sim::Addr addr) {
   return evicted;
 }
 
-void Cache::Invalidate(sim::Addr addr) {
-  std::uint64_t set = SetIndex(addr);
-  sim::Addr tag = Tag(addr);
-  Way* base = &ways_[set * params_.ways];
-  for (std::uint32_t w = 0; w < params_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].valid = false;
-      return;
-    }
-  }
-}
-
-void Cache::Clear() {
-  for (Way& w : ways_) w = Way{};
-  tick_ = 0;
-}
-
 }  // namespace ndc::mem

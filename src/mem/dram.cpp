@@ -9,20 +9,12 @@ sim::Cycle DramBank::Access(sim::Cycle now, std::uint64_t row) {
   sim::Cycle latency;
   if (IsRowOpen(row)) {
     latency = params_->row_hit_latency;
-    ++row_hits_;
   } else {
     latency = params_->row_miss_latency;
-    ++row_misses_;
     open_row_ = static_cast<std::int64_t>(row);
   }
   busy_until_ = start + latency + params_->data_beat;
   return start + latency;
-}
-
-void DramBank::Reset() {
-  open_row_ = -1;
-  busy_until_ = 0;
-  row_hits_ = row_misses_ = 0;
 }
 
 }  // namespace ndc::mem

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "sim/stats.hpp"
 #include "sim/types.hpp"
 
 namespace ndc::mem {
@@ -20,7 +18,8 @@ struct DramParams {
 };
 
 /// One DRAM bank with an open-row (row-buffer) policy. Requests are serviced
-/// serially; `busy_until` models the bank occupancy.
+/// serially; `busy_until_` models the bank occupancy. The row-hit and
+/// row-miss counters live in the MemCtrl that issues to the bank.
 class DramBank {
  public:
   explicit DramBank(const DramParams& params) : params_(&params) {}
@@ -28,23 +27,14 @@ class DramBank {
   /// True if `row` currently sits in the row buffer (an FR-FCFS "row hit").
   bool IsRowOpen(std::uint64_t row) const { return open_row_ == static_cast<std::int64_t>(row); }
 
-  sim::Cycle busy_until() const { return busy_until_; }
-
-  /// Services a read/write of `row` starting no earlier than `now`;
+  /// Services a read of `row` starting no earlier than `now`;
   /// returns the completion cycle and updates bank state.
   sim::Cycle Access(sim::Cycle now, std::uint64_t row);
-
-  std::uint64_t row_hits() const { return row_hits_; }
-  std::uint64_t row_misses() const { return row_misses_; }
-
-  void Reset();
 
  private:
   const DramParams* params_;
   std::int64_t open_row_ = -1;
   sim::Cycle busy_until_ = 0;
-  std::uint64_t row_hits_ = 0;
-  std::uint64_t row_misses_ = 0;
 };
 
 }  // namespace ndc::mem

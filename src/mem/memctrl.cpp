@@ -1,7 +1,5 @@
 #include "mem/memctrl.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <string>
 
 namespace ndc::mem {
@@ -23,7 +21,7 @@ void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, const sim::Payload&
   r.addr = addr;
   r.obs_token = obs_token;
   r.payload = payload;
-  AdmitRead(std::move(r));
+  Enqueue(std::move(r));
 }
 
 void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
@@ -33,44 +31,15 @@ void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
   r.addr = addr;
   r.obs_token = obs_token;
   r.done = std::move(done);
-  AdmitRead(std::move(r));
-}
-
-void MemCtrl::AdmitRead(Request r) {
-  assert(r.tag != kWriteSentinelTag && "kWriteSentinelTag is reserved for writes");
-  r.bank = amap_->DramBank(r.addr);
-  r.row = amap_->DramRow(r.addr);
-  r.is_write = false;
-  r.enqueued_at = eq_->now();
-  ++reads_;
-  if (on_enqueue_) on_enqueue_(r.tag, r.addr, eq_->now());
-  Enqueue(std::move(r));
-}
-
-bool MemCtrl::HasPendingAddr(sim::Addr addr) const {
-  auto b = static_cast<std::size_t>(amap_->DramBank(addr));
-  auto is_read_of = [addr](const Request& r) { return !r.is_write && r.addr == addr; };
-  if (bank_in_flight_[b] && is_read_of(in_service_[b])) return true;
-  const std::vector<Request>& q = bank_queues_[b];
-  return std::any_of(q.begin(), q.end(), is_read_of);
-}
-
-void MemCtrl::EnqueueWrite(sim::Addr addr) {
-  Request r;
-  r.tag = kWriteSentinelTag;
-  r.addr = addr;
-  r.bank = amap_->DramBank(addr);
-  r.row = amap_->DramRow(addr);
-  r.is_write = true;
-  r.enqueued_at = eq_->now();
-  ++writes_;
-  if (on_enqueue_) on_enqueue_(kWriteSentinelTag, addr, eq_->now());
   Enqueue(std::move(r));
 }
 
 void MemCtrl::Enqueue(Request r) {
+  r.bank = amap_->DramBank(r.addr);
+  r.row = amap_->DramRow(r.addr);
+  r.enqueued_at = eq_->now();
+  ++reads_;
   bank_queues_[static_cast<std::size_t>(r.bank)].push_back(std::move(r));
-  ++queued_;
   TrySchedule();
 }
 
@@ -91,7 +60,6 @@ void MemCtrl::TrySchedule() {
     }
     Request req = std::move(q[pick]);
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
-    --queued_;
     IssueTo(static_cast<int>(b), std::move(req));
   }
 }
@@ -117,20 +85,14 @@ void MemCtrl::Complete(int bank_idx) {
   // re-enter EnqueueRead and issue straight to this bank's slot.
   Request req = std::move(in_service_[b]);
   bank_in_flight_[b] = false;
-  if (!req.is_write) {
-    assert(req.tag != kWriteSentinelTag && "read completed with the write sentinel tag");
-    if (tracer_ != nullptr && req.obs_token != 0) {
-      tracer_->Stamp(req.obs_token, obs::Stage::kDramReady, eq_->now());
-    }
-    ++reads_done_;
-    if (on_ready_) on_ready_(req.tag, req.addr, eq_->now());
-    if (req.done) {
-      req.done(req.tag, eq_->now());
-    } else if (on_done_) {
-      on_done_(req.tag, req.addr, req.payload, req.obs_token);
-    }
-  } else {
-    assert(req.tag == kWriteSentinelTag && "write completed without the sentinel tag");
+  if (tracer_ != nullptr && req.obs_token != 0) {
+    tracer_->Stamp(req.obs_token, obs::Stage::kDramReady, eq_->now());
+  }
+  ++reads_done_;
+  if (req.done) {
+    req.done(req.tag, eq_->now());
+  } else if (on_done_) {
+    on_done_(req.tag, req.addr, req.payload, req.obs_token);
   }
   TrySchedule();
 }
@@ -138,20 +100,10 @@ void MemCtrl::Complete(int bank_idx) {
 sim::StatSet MemCtrl::stats() const {
   sim::StatSet s;
   s.Add("mc.reads", reads_);
-  s.Add("mc.writes", writes_);
   s.Add("mc.row_hits", row_hits_);
   s.Add("mc.row_misses", row_misses_);
   s.Add("mc.queue_wait_cycles", queue_wait_cycles_);
   return s;
-}
-
-void MemCtrl::Reset() {
-  for (DramBank& b : banks_) b.Reset();
-  std::fill(bank_in_flight_.begin(), bank_in_flight_.end(), false);
-  for (auto& q : bank_queues_) q.clear();
-  for (Request& r : in_service_) r = Request{};
-  queued_ = 0;
-  reads_ = writes_ = row_hits_ = row_misses_ = queue_wait_cycles_ = reads_done_ = 0;
 }
 
 }  // namespace ndc::mem

@@ -53,9 +53,9 @@ const std::vector<arch::Trace>& Profile::Traces() {
 const runtime::RunResult& Profile::Baseline() {
   std::call_once(baseline_once_, [this] {
     if (baseline_from_observe_) {
-      // Observe() filled baseline_conservation_ too.
       baseline_ = Observe();
       baseline_.records.reset();
+      baseline_conservation_ = observe_conservation_;
       ++runs_reused_;
     } else {
       baseline_ = Simulate(cfg_, Traces(), {}, &baseline_conservation_);
@@ -68,8 +68,7 @@ const runtime::RunResult& Profile::Observe() {
   std::call_once(observe_once_, [this] {
     runtime::MachineOptions opts;
     opts.observe = true;
-    observe_ = Simulate(cfg_, Traces(), opts,
-                        baseline_from_observe_ ? &baseline_conservation_ : nullptr);
+    observe_ = Simulate(cfg_, Traces(), opts, &observe_conservation_);
   });
   return observe_;
 }

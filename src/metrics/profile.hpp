@@ -47,7 +47,6 @@ const char* SchemeName(Scheme s);
 /// Everything measured for one (workload, scheme) run.
 struct SchemeResult {
   runtime::RunResult run;
-  double improvement_pct = 0.0;  ///< vs baseline makespan (positive = faster)
   compiler::CompileReport compile_report;  ///< compiler modes only
   /// The run's request-conservation inputs; fault::CheckConservation
   /// reports ok on every result harness::RunScheme returns.
@@ -98,6 +97,11 @@ class Profile {
   /// Observation run over the original program (Section 4 quantification).
   /// Timing-identical to the baseline.
   const runtime::RunResult& Observe();
+  /// The request-conservation inputs the observation run ended with.
+  const fault::ConservationInputs& ObserveConservation() {
+    Observe();
+    return observe_conservation_;
+  }
 
   /// The policy-free, untraced run of compiled `traces` on `cfg`. The first
   /// call for a given `cfg` and program simulates; later calls return a copy
@@ -142,6 +146,7 @@ class Profile {
   runtime::RunResult baseline_;
   fault::ConservationInputs baseline_conservation_;
   runtime::RunResult observe_;
+  fault::ConservationInputs observe_conservation_;
   std::mutex compiled_mu_;
   std::vector<CompiledRun> compiled_;  // guarded by compiled_mu_
   std::atomic<std::uint64_t> machine_runs_{0}, runs_reused_{0};

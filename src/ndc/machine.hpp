@@ -72,7 +72,7 @@ struct RunResult {
 class Machine final : public arch::MemoryPort {
  public:
   explicit Machine(const arch::ArchConfig& cfg, MachineOptions opts = {});
-  ~Machine() override;
+  ~Machine();
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;

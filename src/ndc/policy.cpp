@@ -1,7 +1,6 @@
 #include "ndc/policy.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ndc::runtime {
 
@@ -30,12 +29,6 @@ Decision AlwaysWaitPolicy::Decide(NodeId, std::uint32_t, std::uint32_t, Addr, Ad
 FractionWaitPolicy::FractionWaitPolicy(const arch::ArchConfig& cfg, const RunRecord& profile,
                                        double fraction)
     : cfg_(&cfg), profile_(&profile), fraction_(fraction) {}
-
-std::string FractionWaitPolicy::name() const {
-  std::ostringstream os;
-  os << "wait(" << static_cast<int>(fraction_ * 100.0 + 0.5) << "%)";
-  return os.str();
-}
 
 Decision FractionWaitPolicy::Decide(NodeId core, std::uint32_t compute_idx, std::uint32_t,
                                     Addr, Addr, std::uint8_t feasible_mask) {

@@ -38,8 +38,6 @@ bool FirstFeasibleLoc(std::uint8_t feasible_mask, std::uint8_t control_mask, Loc
 class Policy {
  public:
   virtual ~Policy() = default;
-  virtual std::string name() const = 0;
-
   /// Called when both operand loads of a candidate have issued and both
   /// missed the local L1. `feasible_mask` has a bit per Loc that is
   /// address-feasible for this instance.
@@ -51,21 +49,11 @@ class Policy {
   virtual void ObserveWindow(NodeId /*core*/, std::uint32_t /*pc*/, Cycle /*window*/) {}
 };
 
-/// Never offloads (the conventional baseline).
-class NoNdcPolicy final : public Policy {
- public:
-  std::string name() const override { return "baseline"; }
-  Decision Decide(NodeId, std::uint32_t, std::uint32_t, Addr, Addr, std::uint8_t) override {
-    return {};
-  }
-};
-
 /// The paper's "Default" bar (Figure 4): always offload at the first
 /// feasible location and wait until the second operand arrives.
 class AlwaysWaitPolicy final : public Policy {
  public:
   explicit AlwaysWaitPolicy(const arch::ArchConfig& cfg) : cfg_(&cfg) {}
-  std::string name() const override { return "default-wait-forever"; }
   Decision Decide(NodeId, std::uint32_t, std::uint32_t, Addr, Addr,
                   std::uint8_t feasible_mask) override;
 
@@ -80,7 +68,6 @@ class AlwaysWaitPolicy final : public Policy {
 class FractionWaitPolicy final : public Policy {
  public:
   FractionWaitPolicy(const arch::ArchConfig& cfg, const RunRecord& profile, double fraction);
-  std::string name() const override;
   Decision Decide(NodeId core, std::uint32_t compute_idx, std::uint32_t, Addr, Addr,
                   std::uint8_t feasible_mask) override;
 
@@ -96,7 +83,6 @@ class LastWaitPolicy final : public Policy {
  public:
   explicit LastWaitPolicy(const arch::ArchConfig& cfg, Cycle first_guess = 50)
       : cfg_(&cfg), first_guess_(first_guess) {}
-  std::string name() const override { return "last-wait"; }
   Decision Decide(NodeId core, std::uint32_t, std::uint32_t pc, Addr, Addr,
                   std::uint8_t feasible_mask) override;
   void ObserveWindow(NodeId core, std::uint32_t pc, Cycle window) override;
@@ -112,7 +98,6 @@ class LastWaitPolicy final : public Policy {
 class MarkovWaitPolicy final : public Policy {
  public:
   explicit MarkovWaitPolicy(const arch::ArchConfig& cfg) : cfg_(&cfg) {}
-  std::string name() const override { return "markov-wait"; }
   Decision Decide(NodeId core, std::uint32_t, std::uint32_t pc, Addr, Addr,
                   std::uint8_t feasible_mask) override;
   void ObserveWindow(NodeId core, std::uint32_t pc, Cycle window) override;
@@ -137,7 +122,6 @@ class OraclePolicy final : public Policy {
  public:
   OraclePolicy(const arch::ArchConfig& cfg, const RunRecord& profile,
                bool reuse_aware = true);
-  std::string name() const override { return "oracle"; }
   Decision Decide(NodeId core, std::uint32_t compute_idx, std::uint32_t, Addr, Addr,
                   std::uint8_t feasible_mask) override;
 

@@ -14,7 +14,6 @@ using sim::NodeId;
 struct Coord {
   int x = 0;
   int y = 0;
-  friend bool operator==(const Coord&, const Coord&) = default;
 };
 
 /// Link direction leaving a router.

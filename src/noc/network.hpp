@@ -103,12 +103,6 @@ class Network {
     return static_cast<sim::Cycle>((size_bytes + params_.link_bytes - 1) / params_.link_bytes);
   }
 
-  /// Uncontended latency of a full route (used by breakeven estimation).
-  sim::Cycle UncontendedLatency(int hops, int size_bytes) const {
-    if (hops == 0) return params_.router_pipeline;
-    return static_cast<sim::Cycle>(hops) * (params_.router_pipeline + SerializationCycles(size_bytes));
-  }
-
   /// Counters by name ("noc.packets", "noc.bytes", ...). The per-event
   /// path bumps plain integers; names are built only here.
   sim::StatSet stats() const;

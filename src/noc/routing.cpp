@@ -1,7 +1,6 @@
 #include "noc/routing.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ndc::noc {
 namespace {
@@ -32,7 +31,9 @@ void AppendXy(const Mesh& mesh, sim::NodeId src, sim::NodeId dst, Route& out) {
   AppendYRun(mesh, cur, d.y, out);
 }
 
-// Appends the staircase route s -> (pivot_x) -> (pivot_y) -> d.
+// Appends the staircase route s -> (pivot_x) -> (pivot_y) -> d: x-run,
+// y-run, x-run, y-run. With pivots inside the bounding box of s..d it is a
+// minimal route.
 void AppendStaircase(const Mesh& mesh, Coord s, Coord d, int pivot_x, int pivot_y,
                      Route& out) {
   Coord cur = s;
@@ -41,63 +42,6 @@ void AppendStaircase(const Mesh& mesh, Coord s, Coord d, int pivot_x, int pivot_
   AppendXRun(mesh, cur, d.x, out);
   AppendYRun(mesh, cur, d.y, out);
 }
-
-void EnumerateRec(const Mesh& mesh, Coord cur, Coord dst, Route& prefix,
-                  std::vector<Route>& out) {
-  if (cur == dst) {
-    out.push_back(prefix);
-    return;
-  }
-  if (cur.x != dst.x) {
-    Dir d = dst.x > cur.x ? Dir::East : Dir::West;
-    prefix.push_back(mesh.LinkFrom(mesh.NodeAt(cur), d));
-    EnumerateRec(mesh, Mesh::Neighbor(cur, d), dst, prefix, out);
-    prefix.pop_back();
-  }
-  if (cur.y != dst.y) {
-    Dir d = dst.y > cur.y ? Dir::South : Dir::North;
-    prefix.push_back(mesh.LinkFrom(mesh.NodeAt(cur), d));
-    EnumerateRec(mesh, Mesh::Neighbor(cur, d), dst, prefix, out);
-    prefix.pop_back();
-  }
-}
-
-}  // namespace
-
-Route XyRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst) {
-  Route r;
-  AppendXy(mesh, src, dst, r);
-  return r;
-}
-
-Route YxRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst) {
-  Route r;
-  Coord cur = mesh.CoordOf(src);
-  Coord d = mesh.CoordOf(dst);
-  AppendYRun(mesh, cur, d.y, r);
-  AppendXRun(mesh, cur, d.x, r);
-  return r;
-}
-
-Route StaircaseRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst, int pivot_x,
-                     int pivot_y) {
-  Coord s = mesh.CoordOf(src);
-  Coord d = mesh.CoordOf(dst);
-  assert(pivot_x >= std::min(s.x, d.x) && pivot_x <= std::max(s.x, d.x));
-  assert(pivot_y >= std::min(s.y, d.y) && pivot_y <= std::max(s.y, d.y));
-  Route r;
-  AppendStaircase(mesh, s, d, pivot_x, pivot_y, r);
-  return r;
-}
-
-std::vector<Route> EnumerateMinimalRoutes(const Mesh& mesh, sim::NodeId src, sim::NodeId dst) {
-  std::vector<Route> out;
-  Route prefix;
-  EnumerateRec(mesh, mesh.CoordOf(src), mesh.CoordOf(dst), prefix, out);
-  return out;
-}
-
-namespace {
 
 // All single/double-pivot staircase routes for one src/dst pair. This family
 // contains XY, YX, and every "x-run / y-run / x-run / y-run" shape, which is
@@ -167,42 +111,12 @@ Best BestOf(std::span<const Signature> as, std::span<const Signature> bs) {
   return best;
 }
 
-std::vector<Signature> SignaturesOf(const std::vector<Route>& routes) {
-  std::vector<Signature> sigs;
-  sigs.reserve(routes.size());
-  for (const Route& r : routes) sigs.push_back(Signature::FromRoute(r));
-  return sigs;
-}
-
 }  // namespace
 
-RoutePair MaxOverlapRoutes(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
-                           sim::NodeId b_src, sim::NodeId b_dst) {
-  std::vector<sim::LinkId> links;
-  std::size_t na = AppendCandidates(mesh, a_src, a_dst, links);
-  std::size_t a_len = static_cast<std::size_t>(mesh.Distance(a_src, a_dst));
-  std::size_t nb = AppendCandidates(mesh, b_src, b_dst, links);
-  std::size_t b_len = static_cast<std::size_t>(mesh.Distance(b_src, b_dst));
-  std::span<const sim::LinkId> all(links);
-  auto a_route = [&](std::size_t k) { return all.subspan(k * a_len, a_len); };
-  auto b_route = [&](std::size_t k) { return all.subspan(na * a_len + k * b_len, b_len); };
-  std::vector<Signature> sigs;
-  sigs.reserve(na + nb);
-  for (std::size_t k = 0; k < na; ++k) sigs.push_back(Signature::FromRoute(a_route(k)));
-  for (std::size_t k = 0; k < nb; ++k) sigs.push_back(Signature::FromRoute(b_route(k)));
-  std::span<const Signature> all_sigs(sigs);
-  Best best = BestOf(all_sigs.first(na), all_sigs.subspan(na));
-  std::span<const sim::LinkId> ra = a_route(best.a), rb = b_route(best.b);
-  return RoutePair{Route(ra.begin(), ra.end()), Route(rb.begin(), rb.end()), best.shared,
-                   best.shared_links};
-}
-
-RoutePair MaxOverlapRoutesBruteForce(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
-                                     sim::NodeId b_src, sim::NodeId b_dst) {
-  std::vector<Route> as = EnumerateMinimalRoutes(mesh, a_src, a_dst);
-  std::vector<Route> bs = EnumerateMinimalRoutes(mesh, b_src, b_dst);
-  Best best = BestOf(SignaturesOf(as), SignaturesOf(bs));
-  return RoutePair{as[best.a], bs[best.b], best.shared, best.shared_links};
+Route XyRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst) {
+  Route r;
+  AppendXy(mesh, src, dst, r);
+  return r;
 }
 
 RouteTable::RouteTable(const Mesh& mesh) : mesh_(mesh) {
@@ -259,22 +173,6 @@ RouteIdPair RouteTable::MaxOverlapPair(sim::NodeId a_src, sim::NodeId a_dst, sim
   Best best = BestOf(sigs.subspan(ca.first, ca.count), sigs.subspan(cb.first, cb.count));
   return RouteIdPair{cand_ids_[ca.first + best.a], cand_ids_[cb.first + best.b], best.shared,
                      best.shared_links};
-}
-
-bool IsValidRoute(const Mesh& mesh, const Route& route, sim::NodeId src, sim::NodeId dst) {
-  sim::NodeId cur = src;
-  for (sim::LinkId l : route) {
-    if (mesh.LinkSource(l) != cur) return false;
-    Coord next = Mesh::Neighbor(mesh.CoordOf(cur), mesh.LinkDir(l));
-    if (!mesh.Contains(next)) return false;
-    cur = mesh.NodeAt(next);
-  }
-  return cur == dst;
-}
-
-bool IsMinimalRoute(const Mesh& mesh, const Route& route, sim::NodeId src, sim::NodeId dst) {
-  return IsValidRoute(mesh, route, src, dst) &&
-         static_cast<int>(route.size()) == mesh.Distance(src, dst);
 }
 
 }  // namespace ndc::noc

@@ -13,39 +13,8 @@ namespace ndc::noc {
 /// to destination. Empty when src == dst.
 using Route = std::vector<sim::LinkId>;
 
-/// Deterministic dimension-ordered routes (the mesh's default is X-Y,
-/// per Table 1).
+/// The mesh's default dimension-ordered route (X then Y, per Table 1).
 Route XyRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst);
-Route YxRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst);
-
-/// A minimal "staircase" route that travels in x until column `pivot_x`,
-/// then in y until row `pivot_y`, then finishes x then y. `pivot_x` /
-/// `pivot_y` must lie within the bounding box of src..dst; the result is
-/// always a minimal route.
-Route StaircaseRoute(const Mesh& mesh, sim::NodeId src, sim::NodeId dst, int pivot_x,
-                     int pivot_y);
-
-/// Every minimal route from src to dst (there are C(dx+dy, dx) of them).
-/// Intended for tests and exhaustive searches on small meshes.
-std::vector<Route> EnumerateMinimalRoutes(const Mesh& mesh, sim::NodeId src, sim::NodeId dst);
-
-/// Result of the signature co-selection of Section 5.2.1 (challenge 3):
-/// minimal routes for two independent accesses chosen to maximize
-/// popcount(S_a ∩ S_b), i.e. the number of physical links the two accesses
-/// share (each shared link is an NDC opportunity at its router).
-struct RoutePair {
-  Route a;
-  Route b;
-  Signature shared;  // S_a ∩ S_b
-  int shared_links = 0;
-};
-
-/// Chooses minimal routes for (a_src -> a_dst) and (b_src -> b_dst)
-/// maximizing the number of common links. Uses the closed-form staircase
-/// construction (exact for monotone minimal paths; verified against
-/// exhaustive enumeration in tests).
-RoutePair MaxOverlapRoutes(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
-                           sim::NodeId b_src, sim::NodeId b_dst);
 
 /// Identifies a route stored in a RouteTable.
 using RouteId = std::uint32_t;
@@ -54,7 +23,10 @@ using RouteId = std::uint32_t;
 /// from its src to its dst.
 inline constexpr RouteId kXyRoute = ~RouteId{0};
 
-/// MaxOverlapRoutes' result as plain data: the chosen routes by id.
+/// Two routes chosen together, by id, and the links they share: the
+/// signature co-selection of Section 5.2.1 (challenge 3) picks minimal
+/// routes for two independent accesses that maximize popcount(S_a ∩ S_b),
+/// and each shared link is an NDC opportunity at its router.
 struct RouteIdPair {
   RouteId a = 0;
   RouteId b = 0;
@@ -67,12 +39,13 @@ struct RouteIdPair {
 /// of a link vector.
 ///
 /// The X-Y route of every (src, dst) pair is built at construction: its id
-/// is src * num_nodes + dst. The staircase candidates of a pair (the route
-/// family MaxOverlapRoutes searches) are added, with their signatures, the
-/// first time an overlap query names that pair, and kept for the table's
-/// lifetime. Adding routes moves the link storage, so a span from Links()
-/// is valid only until the next MaxOverlapPair call. Not thread-safe: each
-/// Network owns its own table.
+/// is src * num_nodes + dst. The staircase candidates of a pair (every
+/// "x-run / y-run / x-run / y-run" minimal route, which includes X-Y and
+/// Y-X) are added, with their signatures, the first time an overlap query
+/// names that pair, and kept for the table's lifetime. Adding routes moves
+/// the link storage, so a span from Links() is valid only until the next
+/// MaxOverlapPair call. Not thread-safe: each Network and each
+/// compiler::Compile call owns its own table.
 class RouteTable {
  public:
   explicit RouteTable(const Mesh& mesh);
@@ -93,8 +66,11 @@ class RouteTable {
   RouteIdPair XyPair(sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
                      sim::NodeId b_dst) const;
 
-  /// The pair MaxOverlapRoutes chooses for the same arguments (the same
-  /// routes link for link, not just the same overlap count), as ids.
+  /// Minimal routes for (a_src -> a_dst) and (b_src -> b_dst) that share
+  /// the most links: the first such pair in sorted candidate order. The
+  /// staircase family is exact for monotone minimal paths (tests check it
+  /// against exhaustive enumeration), and the choice is deterministic link
+  /// for link, because the chosen links set packet timing.
   RouteIdPair MaxOverlapPair(sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
                              sim::NodeId b_dst);
 
@@ -115,17 +91,5 @@ class RouteTable {
   std::vector<RouteId> cand_ids_;
   std::vector<Signature> cand_sigs_;
 };
-
-/// Exhaustive-search reference implementation of MaxOverlapRoutes (small
-/// meshes only; O(#paths^2)).
-RoutePair MaxOverlapRoutesBruteForce(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
-                                     sim::NodeId b_src, sim::NodeId b_dst);
-
-/// True if `route` is a valid route: consecutive links connect, starts at
-/// src, ends at dst.
-bool IsValidRoute(const Mesh& mesh, const Route& route, sim::NodeId src, sim::NodeId dst);
-
-/// True if `route` has minimal (Manhattan) length.
-bool IsMinimalRoute(const Mesh& mesh, const Route& route, sim::NodeId src, sim::NodeId dst);
 
 }  // namespace ndc::noc

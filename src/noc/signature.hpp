@@ -27,16 +27,11 @@ class Signature {
   /// Bitwise-and (the paper's S_x ∩ S_y).
   Signature Intersect(const Signature& o) const;
 
-  /// Bitwise-or.
-  Signature Union(const Signature& o) const;
-
   /// Number of set bits ("number of 1s").
   int Popcount() const;
 
   /// Links present in the signature, ascending.
   std::vector<sim::LinkId> Links() const;
-
-  bool Empty() const;
 
   friend bool operator==(const Signature&, const Signature&) = default;
 

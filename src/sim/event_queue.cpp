@@ -67,26 +67,12 @@ void EventQueue::ExecuteOne() {
   }
 }
 
-bool EventQueue::Step() {
-  if (!draining_) {
-    if (pending_ == 0) return false;
-    StartDrain(NextEventCycle());
-  }
-  ExecuteOne();
-  return true;
-}
-
 std::uint64_t EventQueue::RunUntilEmpty(Cycle limit) {
   std::uint64_t n = 0;
-  for (;;) {
-    if (!draining_) {
-      if (pending_ == 0) break;
-      Cycle c = NextEventCycle();
-      if (c > limit) break;
-      StartDrain(c);
-    } else if (now_ > limit) {
-      break;  // mid-drain entries (via Step) beyond the window stay pending
-    }
+  while (pending_ != 0) {
+    Cycle c = NextEventCycle();
+    if (c > limit) break;
+    StartDrain(c);
     while (draining_) {
       ExecuteOne();
       ++n;

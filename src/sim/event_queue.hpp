@@ -83,9 +83,6 @@ class EventQueue {
   /// After an unbounded run, now() is the cycle of the last executed event.
   std::uint64_t RunUntilEmpty(Cycle limit = kNeverCycle);
 
-  /// Runs at most one event; returns false if the queue was empty.
-  bool Step();
-
   /// Current simulated time.
   Cycle now() const { return now_; }
 

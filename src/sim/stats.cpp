@@ -30,17 +30,6 @@ double BucketHistogram::CumulativeFraction(std::size_t i) const {
   return static_cast<double>(c) / static_cast<double>(total_);
 }
 
-double BucketHistogram::FractionAtEdge(std::uint64_t edge) const {
-  assert(std::binary_search(edges_.begin(), edges_.end(), edge) &&
-         "FractionAtEdge requires an exact bucket edge");
-  if (total_ == 0) return 0.0;
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i] <= edge) c += counts_[i];
-  }
-  return static_cast<double>(c) / static_cast<double>(total_);
-}
-
 void BucketHistogram::MergeFrom(const BucketHistogram& other) {
   assert(edges_ == other.edges_);
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];

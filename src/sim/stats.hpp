@@ -32,13 +32,6 @@ class BucketHistogram {
   /// Cumulative fraction of samples <= edges[i].
   double CumulativeFraction(std::size_t i) const;
 
-  /// Fraction of samples <= `edge`, where `edge` must be one of edges().
-  /// The histogram keeps no raw samples, so the answer is only exact at a
-  /// bucket boundary; a non-edge value is a caller bug and asserts in debug
-  /// builds. In release builds a non-edge value degrades to the fraction at
-  /// the largest edge <= `edge` (a documented floor, never an over-count).
-  double FractionAtEdge(std::uint64_t edge) const;
-
   void MergeFrom(const BucketHistogram& other);
 
  private:

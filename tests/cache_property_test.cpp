@@ -1,17 +1,22 @@
 // Property test: the set-associative cache matches a straightforward
-// reference model (per-set LRU lists) under randomized access/fill/
-// invalidate sequences; plus DRAM/MC edge behaviours not covered elsewhere.
+// reference model (per-set LRU lists) under randomized access/fill
+// sequences, at a small geometry and at the two the machine builds (the L1
+// and an L2 bank of arch/config.hpp); plus DRAM edge behaviours not covered
+// elsewhere.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "arch/config.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
-#include "mem/memctrl.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
 namespace ndc::mem {
@@ -35,7 +40,8 @@ class RefCache {
     }
     return false;
   }
-  void Fill(sim::Addr a) {
+  /// Returns the line-aligned address of the evicted line, if any.
+  std::optional<sim::Addr> Fill(sim::Addr a) {
     auto [set, tag] = Key(a);
     auto& l = lists_[set];
     for (auto it = l.begin(); it != l.end(); ++it) {
@@ -45,7 +51,10 @@ class RefCache {
       }
     }
     l.push_front(tag);
-    if (l.size() > ways_) l.pop_back();
+    if (l.size() <= ways_) return std::nullopt;
+    sim::Addr victim = (l.back() * sets_ + set) * line_;
+    l.pop_back();
+    return victim;
   }
   bool Contains(sim::Addr a) const {
     auto [set, tag] = Key(a);
@@ -55,16 +64,6 @@ class RefCache {
       if (t == tag) return true;
     }
     return false;
-  }
-  void Invalidate(sim::Addr a) {
-    auto [set, tag] = Key(a);
-    auto& l = lists_[set];
-    for (auto it = l.begin(); it != l.end(); ++it) {
-      if (*it == tag) {
-        l.erase(it);
-        return;
-      }
-    }
   }
 
  private:
@@ -78,45 +77,82 @@ class RefCache {
   std::map<std::uint64_t, std::list<sim::Addr>> lists_;
 };
 
-class CacheVsReference : public ::testing::TestWithParam<std::uint64_t> {};
+struct CacheCase {
+  std::string geometry;
+  CacheParams params;
+  std::uint64_t seed = 0;
+};
+
+// A case prints as its seed; the instantiation and case names carry the
+// geometry.
+void PrintTo(const CacheCase& c, std::ostream* os) { *os << c.seed; }
+
+class CacheVsReference : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(CacheVsReference, RandomOpsAgree) {
-  CacheParams p;
-  p.size_bytes = 2048;  // 32 lines
-  p.line_bytes = 64;
-  p.ways = 4;           // 8 sets
+  const CacheParams& p = GetParam().params;
   Cache cache(p);
   RefCache ref(cache.num_sets(), p.ways, p.line_bytes);
-  sim::Rng rng(GetParam());
-  for (int i = 0; i < 5000; ++i) {
-    sim::Addr a = rng.NextBelow(1 << 14);  // 4x capacity: plenty of evictions
-    switch (rng.NextBelow(4)) {
+  sim::Rng rng(GetParam().seed);
+  // Addresses span 8x the capacity, so every set sees several times its
+  // ways in distinct lines and evicts; at least 16 operations per line let
+  // the 64-way L2 bank fill its sets well past their ways.
+  const std::uint64_t lines = p.size_bytes / p.line_bytes;
+  const std::uint64_t range = 8 * p.size_bytes;
+  const std::uint64_t ops = std::max<std::uint64_t>(5000, 16 * lines);
+  std::uint64_t evictions = 0;
+  // Fills both; true if they evicted the same line (or neither evicted).
+  auto fill = [&](sim::Addr a) {
+    std::optional<sim::Addr> got = cache.Fill(a);
+    evictions += got.has_value();
+    return got == ref.Fill(a);
+  };
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    sim::Addr a = rng.NextBelow(range);
+    switch (rng.NextBelow(3)) {
       case 0: {
         bool hit = cache.Access(a);
         bool ref_hit = ref.Access(a);
         ASSERT_EQ(hit, ref_hit) << "op " << i << " addr " << a;
         if (!hit) {
-          cache.Fill(a);
-          ref.Fill(a);
+          ASSERT_TRUE(fill(a)) << "op " << i << " addr " << a;
         }
         break;
       }
       case 1:
-        cache.Fill(a);
-        ref.Fill(a);
+        ASSERT_TRUE(fill(a)) << "op " << i << " addr " << a;
         break;
       case 2:
         ASSERT_EQ(cache.Contains(a), ref.Contains(a)) << "op " << i;
         break;
-      case 3:
-        cache.Invalidate(a);
-        ref.Invalidate(a);
-        break;
     }
   }
+  EXPECT_GT(evictions, 0u) << "the victim rule went unexercised";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheVsReference, ::testing::Values(1, 7, 13, 29, 57));
+std::vector<CacheCase> SeedsOf(const std::string& geometry, CacheParams p) {
+  std::vector<CacheCase> out;
+  for (std::uint64_t seed : {1, 7, 13, 29, 57}) out.push_back({geometry, p, seed});
+  return out;
+}
+
+// Small: 32 lines, 4 ways (8 sets).
+INSTANTIATE_TEST_SUITE_P(Seeds, CacheVsReference,
+                         ::testing::ValuesIn(SeedsOf("small", CacheParams{2048, 64, 4, 2})));
+
+// The private L1 (32 KiB, 64-B lines, 2-way) and one L2 bank (512 KiB,
+// 256-B lines, 64-way) at their Table-1 geometry.
+std::vector<CacheCase> Table1Cases() {
+  arch::ArchConfig cfg;
+  std::vector<CacheCase> out = SeedsOf("L1", cfg.l1);
+  for (CacheCase& c : SeedsOf("L2Bank", cfg.l2)) out.push_back(c);
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, CacheVsReference, ::testing::ValuesIn(Table1Cases()),
+                         [](const ::testing::TestParamInfo<CacheCase>& info) {
+                           return info.param.geometry + "_" + std::to_string(info.param.seed);
+                         });
 
 TEST(CacheEdge, EvictionReturnsTheDisplacedLine) {
   CacheParams p;
@@ -149,37 +185,6 @@ TEST(DramEdge, RowBufferStateSurvivesAcrossAccesses) {
   b.Access(1000, 8);
   EXPECT_TRUE(b.IsRowOpen(8));
   EXPECT_FALSE(b.IsRowOpen(7));
-  b.Reset();
-  EXPECT_FALSE(b.IsRowOpen(8));
-  EXPECT_EQ(b.row_hits(), 0u);
-}
-
-TEST(McEdge, WritesOccupyBanksButDoNotCallDone) {
-  AddressMap amap;
-  DramParams dram;
-  sim::EventQueue eq;
-  MemCtrl mc(0, amap, dram, eq);
-  mc.EnqueueWrite(0);
-  sim::Cycle read_done = 0;
-  mc.EnqueueRead(1, 64, [&](std::uint64_t, sim::Cycle t) { read_done = t; });
-  eq.RunUntilEmpty();
-  // The read (same bank, same row as the write) had to wait behind it but
-  // enjoyed a row hit.
-  EXPECT_GT(read_done, dram.row_miss_latency);
-  EXPECT_EQ(mc.stats().Get("mc.row_hits"), 1u);
-  EXPECT_EQ(mc.stats().Get("mc.writes"), 1u);
-}
-
-TEST(McEdge, ResetClearsQueueAndBanks) {
-  AddressMap amap;
-  DramParams dram;
-  sim::EventQueue eq;
-  MemCtrl mc(0, amap, dram, eq);
-  mc.EnqueueRead(1, 0, [](std::uint64_t, sim::Cycle) {});
-  mc.Reset();
-  EXPECT_EQ(mc.queue_depth(), 0u);
-  EXPECT_FALSE(mc.HasPendingAddr(0));
-  EXPECT_EQ(mc.stats().Get("mc.reads"), 0u);
 }
 
 }  // namespace

@@ -103,20 +103,20 @@ TEST_P(FuzzSeeds, AllPoliciesRunToCompletion) {
   std::vector<Trace> program = RandomProgram(GetParam(), 25, 120);
 
   // Baseline + observe + every hardware policy.
-  std::vector<std::unique_ptr<Policy>> policies;
-  policies.push_back(nullptr);
-  policies.push_back(std::make_unique<AlwaysWaitPolicy>(cfg));
-  policies.push_back(std::make_unique<LastWaitPolicy>(cfg));
-  policies.push_back(std::make_unique<MarkovWaitPolicy>(cfg));
+  std::vector<std::pair<const char*, std::unique_ptr<Policy>>> policies;
+  policies.emplace_back("none", nullptr);
+  policies.emplace_back("default", std::make_unique<AlwaysWaitPolicy>(cfg));
+  policies.emplace_back("last-wait", std::make_unique<LastWaitPolicy>(cfg));
+  policies.emplace_back("markov", std::make_unique<MarkovWaitPolicy>(cfg));
 
-  for (auto& pol : policies) {
+  for (auto& [name, pol] : policies) {
     MachineOptions opts;
     opts.policy = pol.get();
     Machine m(cfg, opts);
     m.LoadProgram(program);
     RunResult r = m.Run(/*limit=*/50'000'000);
     EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u)
-        << "seed " << GetParam() << " policy " << (pol ? pol->name() : "none");
+        << "seed " << GetParam() << " policy " << name;
   }
 
   // Observation mode.

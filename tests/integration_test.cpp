@@ -81,7 +81,6 @@ TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
     SchemeResult f2 = RunScheme(alg2);
     ExpectSameRun(a2.run, f2.run, name);
     EXPECT_EQ(a2.conservation, f2.conservation) << name;
-    EXPECT_EQ(a2.improvement_pct, f2.improvement_pct) << name;
     if (identical) ExpectSameRun(a1.run, a2.run, name);
 
     obs::Observability ob;
@@ -126,15 +125,19 @@ TEST(EndToEnd, Algorithm2NoWorseThanAlgorithm1OnSwim) {
   auto profile = harness::MakeProfile(alg1, false);
   SchemeResult a1 = RunScheme(alg1, *profile);
   SchemeResult a2 = RunScheme(TestCell("swim", Scheme::kAlgorithm2), *profile);
-  EXPECT_GE(a2.improvement_pct + 1.0, a1.improvement_pct);  // 1pp tolerance
+  sim::Cycle base = profile->Baseline().makespan;
+  EXPECT_GE(ImprovementPct(base, a2.run.makespan) + 1.0,
+            ImprovementPct(base, a1.run.makespan));  // 1pp tolerance
 }
 
 TEST(EndToEnd, OracleNeverCollapses) {
   // The oracle may drift slightly from its profile but must never produce
   // the pathological slowdowns of the naive waiting schemes.
   for (const char* name : {"md", "radiosity", "mgrid", "water"}) {
-    SchemeResult r = RunScheme(TestCell(name, Scheme::kOracle));
-    EXPECT_GT(r.improvement_pct, -8.0) << name;
+    CellSpec spec = TestCell(name, Scheme::kOracle);
+    auto profile = harness::MakeProfile(spec, spec.NeedsObserve());
+    SchemeResult r = RunScheme(spec, *profile);
+    EXPECT_GT(ImprovementPct(profile->Baseline().makespan, r.run.makespan), -8.0) << name;
   }
 }
 
@@ -203,7 +206,8 @@ TEST(Ablation, CoarseGrainUnderperformsFineGrain) {
   auto profile = harness::MakeProfile(fine, false);
   SchemeResult rf = RunScheme(fine, *profile);
   SchemeResult rc = RunScheme(coarse, *profile);
-  EXPECT_GE(rf.improvement_pct + 3.0, rc.improvement_pct);
+  sim::Cycle base = profile->Baseline().makespan;
+  EXPECT_GE(ImprovementPct(base, rf.run.makespan) + 3.0, ImprovementPct(base, rc.run.makespan));
 }
 
 TEST(Metrics, ImprovementMathAndFormatting) {

@@ -112,7 +112,6 @@ TEST(FractionWait, UsesProfiledWindow) {
   // Unknown instance: falls back to 25% of the 500-cycle cap.
   Decision d2 = p.Decide(3, 99, 0, 0, 0, arch::LocBit(Loc::kLinkBuffer));
   EXPECT_EQ(d2.timeout, 125u);
-  EXPECT_EQ(p.name(), "wait(25%)");
 }
 
 TEST(LastWait, LearnsFromObservedWindows) {
@@ -207,11 +206,6 @@ TEST(OracleTest, UnknownInstanceStaysConventional) {
   RunRecord profile(25);
   OraclePolicy p(cfg, profile);
   EXPECT_FALSE(p.Decide(0, 123, 0, 0, 0, kAll).offload);
-}
-
-TEST(NoNdc, NeverOffloads) {
-  NoNdcPolicy p;
-  EXPECT_FALSE(p.Decide(0, 0, 0, 0, 0, kAll).offload);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/conservation.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/profile.hpp"
+#include "obs/obs.hpp"
 #include "test_support.hpp"
 
 namespace ndc::metrics {
@@ -30,6 +32,19 @@ TEST(Profile, ObserveIsComputedOnceAndCached) {
   EXPECT_EQ(&a, &b);
   // Observation mode must not distort timing (Section 4's design point).
   EXPECT_EQ(a.makespan, profile.Baseline().makespan);
+}
+
+// The observation run records request conservation whether or not it also
+// serves as the baseline, and conserves like the baseline does.
+TEST(Profile, ObserveRunConservesRequests) {
+  for (bool baseline_from_observe : {false, true}) {
+    Profile profile("md", Scale::kTest, arch::ArchConfig{}, 1, baseline_from_observe);
+    const fault::ConservationInputs& obs = profile.ObserveConservation();
+    EXPECT_TRUE(fault::CheckConservation(obs).ok) << fault::CheckConservation(obs).ToString();
+    EXPECT_GT(obs.packets_sent, 0u);
+    EXPECT_GT(obs.mc_reads, 0u);
+    EXPECT_EQ(obs, profile.BaselineConservation()) << baseline_from_observe;
+  }
 }
 
 TEST(ImprovementPct, ZeroBaselineYieldsZeroNotDivisionByZero) {
@@ -58,6 +73,18 @@ TEST(RunScheme, CompiledRunMatchesFreshProfile) {
   EXPECT_EQ(a.run.ndc_success, b.run.ndc_success);
   EXPECT_EQ(a.compile_report.planned, b.compile_report.planned);
   EXPECT_EQ(a.compile_report.chains, b.compile_report.chains);
+}
+
+// A traced policy cell simulates its own run and nothing else: it reads
+// neither the profile's baseline nor its observation run.
+TEST(RunScheme, TracedPolicyCellSimulatesOnlyItsOwnRun) {
+  harness::CellSpec spec = TestCell("md", Scheme::kDefault);
+  auto profile = harness::MakeProfile(spec, spec.NeedsObserve());
+  obs::Observability ob;
+  SchemeResult traced = harness::RunScheme(spec, *profile, &ob);
+  EXPECT_EQ(profile->run_counts().machine_runs, 1u);
+  EXPECT_EQ(profile->run_counts().runs_reused, 0u);
+  EXPECT_GT(traced.run.offloads, 0u);
 }
 
 // Consecutive compiled runs on one profile see the same pristine program

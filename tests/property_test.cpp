@@ -10,6 +10,7 @@
 #include "mem/address_map.hpp"
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
+#include "route_reference.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
@@ -59,17 +60,21 @@ TEST(NetworkProperty, DeliveryRespectsManhattanLowerBound) {
 TEST(RoutingProperty, RandomOverlapMatchesBruteForce) {
   sim::Rng rng(31);
   noc::Mesh mesh(4, 4);  // keep brute force cheap
+  noc::RouteTable table(mesh);
   for (int trial = 0; trial < 60; ++trial) {
     auto a_src = static_cast<sim::NodeId>(rng.NextBelow(16));
     auto a_dst = static_cast<sim::NodeId>(rng.NextBelow(16));
     auto b_src = static_cast<sim::NodeId>(rng.NextBelow(16));
     auto b_dst = static_cast<sim::NodeId>(rng.NextBelow(16));
-    noc::RoutePair fast = noc::MaxOverlapRoutes(mesh, a_src, a_dst, b_src, b_dst);
-    noc::RoutePair brute = noc::MaxOverlapRoutesBruteForce(mesh, a_src, a_dst, b_src, b_dst);
+    noc::RouteIdPair fast = table.MaxOverlapPair(a_src, a_dst, b_src, b_dst);
+    noc::reference::RoutePair brute =
+        noc::reference::MaxOverlapRoutesBruteForce(mesh, a_src, a_dst, b_src, b_dst);
     EXPECT_EQ(fast.shared_links, brute.shared_links)
         << a_src << "->" << a_dst << " vs " << b_src << "->" << b_dst;
-    EXPECT_TRUE(noc::IsMinimalRoute(mesh, fast.a, a_src, a_dst));
-    EXPECT_TRUE(noc::IsMinimalRoute(mesh, fast.b, b_src, b_dst));
+    EXPECT_TRUE(noc::reference::IsMinimalRoute(mesh, noc::reference::RouteOf(table, fast.a),
+                                               a_src, a_dst));
+    EXPECT_TRUE(noc::reference::IsMinimalRoute(mesh, noc::reference::RouteOf(table, fast.b),
+                                               b_src, b_dst));
     EXPECT_EQ(fast.shared.Popcount(), fast.shared_links);
   }
 }

@@ -61,14 +61,6 @@ TEST(EventQueue, RunUntilLimitStopsEarly) {
   EXPECT_EQ(eq.pending(), 1u);
 }
 
-TEST(EventQueue, StepReturnsFalseWhenEmpty) {
-  EventQueue eq;
-  EXPECT_FALSE(eq.Step());
-  eq.ScheduleAt(1, [] {});
-  EXPECT_TRUE(eq.Step());
-  EXPECT_FALSE(eq.Step());
-}
-
 TEST(EventQueue, BoundedRunAdvancesClockToLimit) {
   // Regression: RunUntilEmpty(limit) used to leave now() at the last
   // *executed* event, so code that kept scheduling relative to now() after a
@@ -254,34 +246,8 @@ TEST(BucketHistogram, CumulativeFractions) {
   for (int i = 0; i < 50; ++i) h.Add(5);    // bucket 1
   for (int i = 0; i < 50; ++i) h.Add(1000);  // overflow
   EXPECT_DOUBLE_EQ(h.CumulativeFraction(1), 0.5);
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(10), 0.5);
   EXPECT_DOUBLE_EQ(h.CumulativeFraction(6), 1.0);
 }
-
-TEST(BucketHistogram, FractionAtEdgeIsExactAtEveryBucketEdge) {
-  BucketHistogram h;  // edges 1, 10, 20, 50, 100, 500
-  h.Add(1);
-  h.Add(10);
-  h.Add(20);
-  h.Add(50);
-  h.Add(100);
-  h.Add(500);
-  h.Add(501);  // overflow bucket; never below any edge
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(1), 1.0 / 7.0);
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(10), 2.0 / 7.0);
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(20), 3.0 / 7.0);
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(50), 4.0 / 7.0);
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(100), 5.0 / 7.0);
-  EXPECT_DOUBLE_EQ(h.FractionAtEdge(500), 6.0 / 7.0);
-}
-
-#ifndef NDEBUG
-TEST(BucketHistogramDeathTest, FractionAtNonEdgeAssertsInDebugBuilds) {
-  BucketHistogram h;
-  h.Add(5);
-  EXPECT_DEATH((void)h.FractionAtEdge(15), "exact bucket edge");
-}
-#endif
 
 TEST(BucketHistogram, MergePreservesTotals) {
   BucketHistogram a, b;
