@@ -20,8 +20,11 @@
 // Both machine rows also report the machine's run state per trace
 // instruction (Machine::RunStateBytes over the instruction count) and the
 // trace storage per instruction (each trace's capacity times
-// sizeof(arch::Instr), so a trace that over-reserves shows): sizes computed
-// from containers, not RSS, so they are the same on every host.
+// sizeof(arch::Instr), so a trace that over-reserves shows), plus the
+// largest core window in slots. The swim row also reports the bytes per
+// candidate of an observe run's records (an extra run off the clock). All
+// are sizes computed from containers, not RSS, so they are the same on
+// every host.
 // Two last rows time the code generator: "lower_fig04" lowers the 20 fig04
 // benchmarks at small scale and "lower_fig04_alg2" lowers them after
 // Algorithm-2 compilation (the CME gate runs per pre-compute), with events
@@ -29,10 +32,12 @@
 //
 // Run with --help for the flags.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,6 +73,8 @@ struct BenchResult {
   std::uint64_t allocs = 0;
   double run_state_bytes_per_instr = -1;  ///< machine rows only
   double trace_bytes_per_instr = -1;      ///< machine rows only
+  double window_slots = -1;               ///< machine rows only: largest core ring
+  double record_bytes_per_candidate = -1; ///< machine_swim only: observe-run records
 
   double events_per_sec() const { return seconds > 0 ? static_cast<double>(events) / seconds : 0; }
   double ns_per_event() const {
@@ -265,6 +272,18 @@ BenchResult MachineBench(const char* name, bool offload) {
   r.run_state_bytes_per_instr =
       static_cast<double>(m.RunStateBytes()) / static_cast<double>(instrs);
   r.trace_bytes_per_instr = static_cast<double>(trace_bytes) / static_cast<double>(instrs);
+  std::size_t window = 0;
+  for (int n = 0; n < cfg.num_nodes(); ++n) window = std::max(window, m.core(n).window_slots());
+  r.window_slots = static_cast<double>(window);
+  if (!offload) {
+    runtime::MachineOptions observe;
+    observe.observe = true;
+    runtime::Machine om(cfg, observe);
+    om.LoadProgram(traces);
+    std::shared_ptr<runtime::RunRecord> records = om.Run().records;
+    r.record_bytes_per_candidate = static_cast<double>(records->Bytes()) /
+                                   static_cast<double>(records->TotalInstances());
+  }
   return r;
 }
 
@@ -313,6 +332,10 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
     if (r.run_state_bytes_per_instr >= 0) {
       row.obj["run_state_bytes_per_instr"] = Value::Double(r.run_state_bytes_per_instr);
       row.obj["trace_bytes_per_instr"] = Value::Double(r.trace_bytes_per_instr);
+      row.obj["window_slots"] = Value::Double(r.window_slots);
+    }
+    if (r.record_bytes_per_candidate >= 0) {
+      row.obj["record_bytes_per_candidate"] = Value::Double(r.record_bytes_per_candidate);
     }
     benches.arr.push_back(std::move(row));
   }
@@ -364,8 +387,13 @@ int Main(int argc, char** argv) {
   }
   for (const BenchResult& r : rows) {
     if (r.run_state_bytes_per_instr >= 0) {
-      std::printf("%-24s %.2f run-state bytes/instr, %.2f trace bytes/instr\n",
-                  r.name.c_str(), r.run_state_bytes_per_instr, r.trace_bytes_per_instr);
+      std::printf("%-24s %.2f run-state bytes/instr, %.2f trace bytes/instr, %.0f-slot window\n",
+                  r.name.c_str(), r.run_state_bytes_per_instr, r.trace_bytes_per_instr,
+                  r.window_slots);
+    }
+    if (r.record_bytes_per_candidate >= 0) {
+      std::printf("%-24s %.2f observe-record bytes/candidate\n", r.name.c_str(),
+                  r.record_bytes_per_candidate);
     }
   }
   std::printf("speedup_vs_legacy = %.2fx\n", speedup);

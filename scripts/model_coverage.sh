@@ -52,14 +52,11 @@ import collections, glob, gzip, json, os, re, sys
 ALLOW = [
     (r"^arch/trace\.hpp: ndc::arch::Instr::Throw(Dep|Width)\(",
      "error throws: a trace that overflows the instruction layout"),
-    (r"^arch/core\.hpp: ndc::arch::Core::done_cycle\(",
-     "Machine::FinalizeRecords reads it only when an operand's arrival at "
-     "the core went unrecorded, which no observe run hits"),
     (r"^arch/trace\.hpp: ndc::arch::OpName\(",
      "ir::Program::ToString names ops (examples/inspect_compile, tests)"),
     (r"^(arch/core|ndc/machine)\.cpp: ndc::\w+::\w+::RunStateBytes\(",
      "bench_substrate's bytes-per-instruction cap reads it"),
-    (r"^ndc/machine\.hpp: .*Slab<.*>::Bytes\(",
+    (r"^ndc/(slab\.hpp: .*Slab<.*>|record\.hpp: ndc::runtime::RunRecord)::Bytes\(",
      "RunStateBytes sums it (bench_substrate)"),
     (r"^mem/memctrl\.cpp: ndc::mem::MemCtrl::EnqueueRead\(.*std::function<",
      "the closure overload perfbench and bench_substrate drive the MC with"),

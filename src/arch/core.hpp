@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -21,6 +22,14 @@ namespace ndc::arch {
 /// Memory-level parallelism is bounded by `max_outstanding_loads` in-flight
 /// loads. Memory operations are delegated to a MemoryPort (the machine),
 /// which signals completion via Complete().
+///
+/// Per-slot state lives in a power-of-two ring over the core's window: from
+/// the oldest slot not yet retired to the highest slot dispatched, completed
+/// or marked external. A dispatched slot retires once it has completed at or
+/// before now; every later read of it sees "done long ago", which is what
+/// its completion cycle would give. When a long wait pins the oldest slot,
+/// the ring doubles instead of stalling dispatch, so timing never depends
+/// on the ring's size.
 class Core {
  public:
   Core(sim::NodeId id, const ArchConfig& cfg, sim::EventQueue& eq, MemoryPort& port);
@@ -28,7 +37,9 @@ class Core {
   sim::NodeId id() const { return id_; }
 
   /// Installs the trace and resets execution state. The core borrows the
-  /// instructions: they must stay alive and unmodified while it runs.
+  /// instructions: they must stay alive and unmodified while it runs. The
+  /// ring starts at four times the trace's longest dependence, and never
+  /// larger than the trace.
   void SetTrace(std::span<const Instr> trace);
 
   std::span<const Instr> trace() const { return trace_; }
@@ -42,13 +53,23 @@ class Core {
   void MarkExternal(std::uint32_t idx);
 
   /// Signals that slot `idx`'s result is available at cycle `when`
-  /// (must be >= now). Safe to call before the slot has dispatched.
+  /// (must be >= now). Safe to call before the slot has dispatched; a no-op
+  /// on a slot that already completed, retired or not.
   void Complete(std::uint32_t idx, sim::Cycle when);
 
   bool finished() const { return completed_ == trace_.size(); }
   sim::Cycle finish_cycle() const { return finish_cycle_; }
-  sim::Cycle done_cycle(std::uint32_t idx) const { return done_[idx]; }
+  /// Completion cycle of slot `idx` (kNeverCycle while pending). Valid only
+  /// while the slot is in the window, which a retired slot has left: its
+  /// cell may already hold a later slot, so reading it asserts.
+  sim::Cycle done_cycle(std::uint32_t idx) const {
+    assert(idx >= head_ && idx - head_ <= mask_ && "slot outside the core's window");
+    return done_[Cell(idx)];
+  }
   bool issued(std::uint32_t idx) const { return idx < next_; }
+
+  /// Slots in the ring (a power of two).
+  std::size_t window_slots() const { return done_.size(); }
 
   /// Bytes held in per-slot execution state (element size times element
   /// count of each per-slot container; the borrowed trace is not counted).
@@ -69,15 +90,33 @@ class Core {
   void WaitOnPendingDeps(std::uint32_t idx);
   void ScheduleRetry(sim::Cycle at);
 
+  /// The ring cell of slot `idx`, which must be in the window.
+  std::size_t Cell(std::uint32_t idx) const { return idx & mask_; }
+  /// Completion cycle of slot `idx` as the dispatch logic reads it: a
+  /// retired slot completed at or before now, so it reads as cycle 0.
+  sim::Cycle DoneAt(std::uint32_t idx) const {
+    return idx < head_ ? 0 : done_[Cell(idx)];
+  }
+  /// Brings slot `idx` (>= the oldest live slot) into the window: retires
+  /// the dispatched slots that completed at or before now, then doubles the
+  /// ring until it spans `idx`.
+  void Cover(std::uint32_t idx) {
+    if (idx - head_ > mask_) Widen(idx);
+  }
+  void Widen(std::uint32_t idx);
+
   sim::NodeId id_;
   const ArchConfig* cfg_;
   sim::EventQueue* eq_;
   MemoryPort& port_;
 
   std::span<const Instr> trace_;
+  // The ring: slot i of the window lives in cell i & mask_.
+  std::uint32_t head_ = 0;  // oldest slot not yet retired
+  std::uint32_t mask_ = 0;  // ring size - 1
   std::vector<sim::Cycle> done_;
   std::vector<bool> external_;
-  /// Dependency waiters as intrusive FIFO lists, one per slot. A list entry
+  /// Dependency waiters as intrusive FIFO lists, one per cell. A list entry
   /// is `waiter * 2 + k`, meaning `waiter` waits on its k-th dep (dep0 or
   /// dep1): `head`/`tail` delimit the entries waiting on this slot, and
   /// `next[k]` links this slot's k-th entry within its dep's list.

@@ -62,7 +62,7 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
     cores_.push_back(std::make_unique<arch::Core>(i, cfg_, eq_, *this));
   }
   active_offloads_.assign(static_cast<std::size_t>(n), 0);
-  if (opts_.observe) records_ = std::make_shared<RunRecord>(n);
+  if (opts_.observe) records_ = std::make_shared<RunRecord>();
   if (ObsOn()) {
     net_->set_request_tracer(&opts_.obs->tracer);
     for (auto& m : mcs_) m->set_request_tracer(&opts_.obs->tracer);
@@ -156,7 +156,7 @@ RunResult Machine::Run(sim::Cycle limit) {
   for (auto& m : mcs_) merge(m->stats());
   for (auto& c : cores_) merge(c->stats());
   if (opts_.observe) {
-    FinalizeRecords(r);
+    FinalizeRecords();
     r.records = records_;
   }
   if (ObsOn()) opts_.obs->EndRun(eq_.now());
@@ -180,9 +180,7 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
     inst = InstanceByUid(cand.uid);
     if (inst == nullptr) {
       // First operand load of this site: create the dynamic instance.
-      inst = &NewInstance();
-      inst->core = core;
-      inst->site_idx = cand.site_idx;
+      inst = &NewInstance(core, cand.site_idx);
       cand.uid = inst->uid;
     }
     // Second operand load issued? (the other load slot is already past the
@@ -380,7 +378,7 @@ void Machine::L2DataReady(const sim::Payload& msg, std::uint64_t tag, std::uint6
         // Residency check: if the partner operand arrived earlier, is its
         // line still resident now? (Paper: "x is replaced from the L2
         // cache before y reaches there".)
-        LocObs& obs = obs_[inst->uid - 1].locs[static_cast<std::size_t>(Loc::kCacheCtrl)];
+        LocObs& obs = (*records_)[inst->uid - 1].at(Loc::kCacheCtrl);
         int other = operand == 0 ? 1 : 0;
         sim::Cycle t_other = other == 0 ? obs.t_a : obs.t_b;
         if (obs.feasible && t_other != sim::kNeverCycle) {
@@ -446,14 +444,23 @@ void Machine::OnSecondLoadIssued(Instance& inst) {
     return;
   }
 
+  const arch::Instr& site = SiteInstr(inst);
+  bool is_precompute = site.kind() == arch::Instr::Kind::kPreCompute;
+  if (!is_precompute && opts_.policy == nullptr && !opts_.observe && !ObsOn()) {
+    // Nothing can offload it and nothing reads its feasible mask: skip the
+    // route planning.
+    inst.state = InstState::kConventional;
+    return;
+  }
+
   inst.feasible_mask = ComputeFeasibility(inst);
 
   if (opts_.observe) {
-    ObsState& o = obs_[inst.uid - 1];
-    o.link = PlanRoutes(inst, nullptr);  // XY-based shared links for link observations
+    obs_link_[inst.uid - 1] = PlanRoutes(inst, nullptr);  // XY-based shared links
     inst.state = InstState::kConventional;
+    InstanceRecord& rec = (*records_)[inst.uid - 1];
     for (int l = 0; l < arch::kNumLocs; ++l) {
-      o.locs[static_cast<std::size_t>(l)].feasible = (inst.feasible_mask >> l) & 1;
+      rec.locs[static_cast<std::size_t>(l)].feasible = (inst.feasible_mask >> l) & 1;
     }
     RecordDecision(inst, obs::DecisionKind::kDeclined, -1);
     return;
@@ -464,8 +471,6 @@ void Machine::OnSecondLoadIssued(Instance& inst) {
   // conventionally (the last gate that flipped the decision).
   obs::DecisionKind why = obs::DecisionKind::kDeclined;
   std::int8_t why_loc = -1;
-  const arch::Instr& site = SiteInstr(inst);
-  bool is_precompute = site.kind() == arch::Instr::Kind::kPreCompute;
   if (is_precompute) {
     std::uint8_t allowed = inst.feasible_mask & cfg_.control_register;
     if (allowed & arch::LocBit(site.planned_loc())) {
@@ -578,7 +583,7 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
   int operand = TagOperand(p.tag);
 
   if (opts_.observe) {
-    if (link == obs_[inst->uid - 1].link) {
+    if (link == obs_link_[inst->uid - 1]) {
       RecordObs(*inst, operand, Loc::kLinkBuffer, mesh_.LinkSource(link), now);
     }
     return noc::HopAction::kContinue;
@@ -789,7 +794,7 @@ void Machine::MaybeFallback(Instance& inst) {
 
 void Machine::RecordObs(const Instance& inst, int operand, Loc loc, sim::NodeId node,
                         sim::Cycle t) {
-  LocObs& obs = obs_[inst.uid - 1].locs[static_cast<std::size_t>(loc)];
+  LocObs& obs = (*records_)[inst.uid - 1].at(loc);
   sim::Cycle& slot = operand == 0 ? obs.t_a : obs.t_b;
   if (slot == sim::kNeverCycle) slot = t;
   obs.node = node;
@@ -830,11 +835,16 @@ Machine::Instance* Machine::FindInstance(sim::NodeId core, std::uint32_t site_id
   return cand.site_idx == site_idx ? InstanceByUid(cand.uid) : nullptr;
 }
 
-Machine::Instance& Machine::NewInstance() {
+Machine::Instance& Machine::NewInstance(sim::NodeId core, std::uint32_t site_idx) {
   assert(instances_.size() < UINT32_MAX && "instance uids are 32-bit");
   Instance& inst = instances_.Append();
   inst.uid = static_cast<std::uint32_t>(instances_.size());
-  if (opts_.observe) obs_.Append();
+  inst.core = core;
+  inst.site_idx = site_idx;
+  if (opts_.observe) {
+    records_->Append(core, site_idx);
+    obs_link_.Append() = sim::kNoLink;  // set when its second load issues
+  }
   if (ObsOn()) obs_tok_.Append();
   return inst;
 }
@@ -883,7 +893,8 @@ sim::StatSet Machine::stats() const {
 }
 
 std::size_t Machine::RunStateBytes() const {
-  std::size_t bytes = instances_.Bytes() + offload_slab_.Bytes() + obs_.Bytes() + obs_tok_.Bytes();
+  std::size_t bytes = instances_.Bytes() + offload_slab_.Bytes() + obs_link_.Bytes() +
+                      obs_tok_.Bytes() + (records_ ? records_->Bytes() : 0);
   for (std::size_t c = 0; c < cores_.size(); ++c) {
     bytes += cores_[c]->RunStateBytes();
     if (c < load_to_cand_.size()) {
@@ -913,51 +924,27 @@ fault::ConservationInputs Machine::GatherConservation() const {
   return in;
 }
 
-void Machine::FinalizeRecords(RunResult& result) {
-  (void)result;
-  // Visit the instances core by core in slot order, so each record is
-  // appended to its core's vector, reserved to its final size up front.
-  std::vector<std::uint32_t> order(instances_.size());
-  std::vector<std::size_t> per_core(cores_.size(), 0);
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-    ++per_core[static_cast<std::size_t>(instances_[i].core)];
-  }
-  for (std::size_t c = 0; c < per_core.size(); ++c) {
-    records_->Reserve(static_cast<sim::NodeId>(c), per_core[c]);
-  }
-  std::sort(order.begin(), order.end(), [this](std::uint32_t x, std::uint32_t y) {
-    const Instance& a = instances_[x];
-    const Instance& b = instances_[y];
-    return a.core != b.core ? a.core < b.core : a.site_idx < b.site_idx;
-  });
-  for (std::uint32_t i : order) {
+void Machine::FinalizeRecords() {
+  // Records were appended in uid order, so record uid - 1 is instance uid's.
+  for (std::size_t i = 0; i < instances_.size(); ++i) {
     const Instance& inst = instances_[i];
     auto c = static_cast<std::size_t>(inst.core);
-    const arch::Instr& site = SiteInstr(inst);
-    InstanceRecord& rec = records_->Get(inst.core, inst.site_idx);
-    rec.core = inst.core;
-    rec.compute_idx = inst.site_idx;
-    rec.pc = site.pc();
-    rec.site = site.site();
-    rec.a = OperandAddr(inst, 0);
-    rec.b = OperandAddr(inst, 1);
+    InstanceRecord& rec = (*records_)[i];
+    rec.pc = SiteInstr(inst).pc();
     rec.local_l1 = inst.local_l1;
-    rec.locs = obs_[i].locs;
-    rec.a_at_core = inst.at_core[0];
-    rec.b_at_core = inst.at_core[1];
     // Conventional completion: when both operands' data reached the core
     // plus the op latency (issue-width stalls of the consuming instruction
-    // are not NDC-addressable and would inflate breakevens).
+    // are not NDC-addressable and would inflate breakevens). An arrival
+    // goes unrecorded only when Run(limit) stopped the run first; the site
+    // then has not completed either.
     if (inst.at_core[0] != sim::kNeverCycle && inst.at_core[1] != sim::kNeverCycle) {
       rec.conv_done = std::max(inst.at_core[0], inst.at_core[1]) + cfg_.compute_latency;
-    } else {
-      rec.conv_done = cores_[c]->done_cycle(inst.site_idx);
     }
     rec.operand_reused_later = future_reuse_[c][inst.site_idx];
     rec.operand_reused_later_l2 = future_reuse_l2_[c][inst.site_idx];
   }
-  obs_.Clear();  // handed over to the RunRecord
+  records_->Sort();
+  obs_link_.Clear();
 }
 
 }  // namespace ndc::runtime

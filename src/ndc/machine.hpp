@@ -16,6 +16,7 @@
 #include "mem/memctrl.hpp"
 #include "ndc/policy.hpp"
 #include "ndc/record.hpp"
+#include "ndc/slab.hpp"
 #include "obs/obs.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
@@ -133,33 +134,6 @@ class Machine final : public arch::MemoryPort {
   static constexpr std::size_t CandidateRecordBytes();
 
  private:
-  /// Append-only storage in fixed chunks that are never freed or moved
-  /// during a run, so references stay valid. A chunk stays below glibc's
-  /// 128 KiB initial mmap threshold: a larger block would be mmapped and,
-  /// once freed, raise the dynamic threshold and with it the heap's peak RSS.
-  template <typename T, std::size_t kPerChunk>
-  class Slab {
-   public:
-    static_assert(sizeof(T) * kPerChunk < 128 * 1024,
-                  "a slab chunk must stay below glibc's initial mmap threshold");
-    std::size_t size() const { return size_; }
-    T& operator[](std::size_t i) { return chunks_[i / kPerChunk][i % kPerChunk]; }
-    const T& operator[](std::size_t i) const { return chunks_[i / kPerChunk][i % kPerChunk]; }
-    T& Append() {
-      if (size_ % kPerChunk == 0) chunks_.push_back(std::make_unique<T[]>(kPerChunk));
-      return (*this)[size_++];
-    }
-    void Clear() {
-      chunks_.clear();
-      size_ = 0;
-    }
-    std::size_t Bytes() const { return chunks_.size() * kPerChunk * sizeof(T); }
-
-   private:
-    std::vector<std::unique_ptr<T[]>> chunks_;
-    std::size_t size_ = 0;
-  };
-
   // A candidate site of a core's trace: a Compute/PreCompute whose two deps
   // are loads feeding no other site. Its identity (pc, site, op, operand
   // slots and addresses, pre-compute or not) is read from the trace.
@@ -217,14 +191,6 @@ class Machine final : public arch::MemoryPort {
     std::uint64_t wait_token = 0;
     std::array<sim::Cycle, 2> at_planned{sim::kNeverCycle, sim::kNeverCycle};
     HeldResponse resume;  // held response (non-link locs)
-  };
-
-  // Per-candidate observation (observe mode only): operand arrival times at
-  // every location, and the shared link whose timing stands for the link
-  // buffer.
-  struct ObsState {
-    std::array<LocObs, arch::kNumLocs> locs{};
-    sim::LinkId link = sim::kNoLink;
   };
 
   enum class AbortReason { kTimeout, kPartnerDone };
@@ -297,11 +263,12 @@ class Machine final : public arch::MemoryPort {
   Instance* InstanceByUid(std::uint64_t uid) {
     return uid == 0 || uid > instances_.size() ? nullptr : &instances_[uid - 1];
   }
-  /// Appends a fresh instance (and its observe-only side entries) and
+  /// Appends a fresh instance of the site at `site_idx` (and its
+  /// observation record and side entries, in runs that keep them) and
   /// assigns it the next uid.
-  Instance& NewInstance();
+  Instance& NewInstance(sim::NodeId core, std::uint32_t site_idx);
 
-  void FinalizeRecords(RunResult& result);
+  void FinalizeRecords();
 
   /// True when this run observes itself.
   bool ObsOn() const { return opts_.obs != nullptr; }
@@ -336,9 +303,11 @@ class Machine final : public arch::MemoryPort {
   Slab<Instance, 1024> instances_;
   Slab<Offload, 512> offload_slab_;
   // Side arrays indexed by uid - 1, filled only in runs that read them:
-  // obs_ in observe mode, obs_tok_ (request-trace tokens of the two operand
+  // obs_link_ in observe mode (the shared link whose timing stands for the
+  // link buffer; the candidate's observations go straight into its record,
+  // records_[uid - 1]), obs_tok_ (request-trace tokens of the two operand
   // loads, 0 = untraced) when ObsOn().
-  Slab<ObsState, 512> obs_;
+  Slab<sim::LinkId, 8192> obs_link_;
   Slab<std::array<std::uint64_t, 2>, 4096> obs_tok_;
   std::uint64_t next_wait_token_ = 1;
 
@@ -351,6 +320,8 @@ class Machine final : public arch::MemoryPort {
   std::array<std::map<int, int>, arch::kNumLocs> service_tables_;
   std::vector<int> active_offloads_;  // per-core offload-table occupancy
 
+  // Observe mode: one record per candidate, in uid order until
+  // FinalizeRecords sorts them.
   std::shared_ptr<RunRecord> records_;
   // Counters (plain bumps; string keys only in stats()).
   std::uint64_t candidates_ = 0, local_l1_skips_ = 0, offloads_ = 0, success_ = 0,
@@ -363,5 +334,7 @@ class Machine final : public arch::MemoryPort {
 constexpr std::size_t Machine::CandidateRecordBytes() { return sizeof(Instance); }
 static_assert(Machine::CandidateRecordBytes() <= 48,
               "the per-candidate record grew: every NDC candidate pays for it");
+static_assert(sizeof(InstanceRecord) <= 120,
+              "the observation record grew: every candidate of an observe run keeps one");
 
 }  // namespace ndc::runtime

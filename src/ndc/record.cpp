@@ -1,8 +1,31 @@
 #include "ndc/record.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 namespace ndc::runtime {
+
+void RunRecord::Sort() {
+  // Sort a permutation, then apply it in place cycle by cycle: a 120-B
+  // record moves once instead of once per swap.
+  std::vector<std::uint32_t> from(recs_.size());
+  std::iota(from.begin(), from.end(), 0u);
+  std::ranges::sort(from, {}, [this](std::uint32_t i) { return KeyOf(recs_[i]); });
+  for (std::uint32_t k = 0; k < from.size(); ++k) {
+    if (from[k] == k) continue;
+    InstanceRecord held = recs_[k];
+    std::uint32_t j = k;
+    while (from[j] != k) {
+      recs_[j] = recs_[from[j]];
+      std::uint32_t next = from[j];
+      from[j] = j;
+      j = next;
+    }
+    recs_[j] = held;
+    from[j] = j;
+  }
+}
 
 Cycle BreakevenPoint(const InstanceRecord& rec, Loc loc, Cycle op_latency,
                      Cycle return_latency) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -8,6 +7,7 @@
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
+#include "ndc/slab.hpp"
 #include "sim/types.hpp"
 
 namespace ndc::runtime {
@@ -20,11 +20,11 @@ using sim::NodeId;
 /// Observation of one (computation, location) pair from a profiling pass:
 /// when each operand's data was present at the location.
 struct LocObs {
-  bool feasible = false;       ///< statically address-feasible (homes/MCs/banks/links)
-  bool meet_ok = true;         ///< false if residency was lost before the partner arrived
   Cycle t_a = sim::kNeverCycle;  ///< operand A data present at the location
   Cycle t_b = sim::kNeverCycle;  ///< operand B data present at the location
   NodeId node = sim::kNoNode;  ///< mesh node hosting the component
+  bool feasible = false;       ///< statically address-feasible (homes/MCs/banks/links)
+  bool meet_ok = true;         ///< false if residency was lost before the partner arrived
 
   bool BothArrived() const { return t_a != sim::kNeverCycle && t_b != sim::kNeverCycle; }
 
@@ -40,19 +40,16 @@ struct LocObs {
 };
 
 /// Everything recorded for one dynamic NDC candidate (a computation c with
-/// operands A and B) during an observation pass.
+/// operands A and B) during an observation pass. Its operands' slots and
+/// addresses are read from the trace, through (core, compute_idx).
 struct InstanceRecord {
   NodeId core = sim::kNoNode;
   std::uint32_t compute_idx = 0;  ///< trace slot of the computation
   std::uint32_t pc = 0;
-  std::uint32_t site = 0;
-  Addr a = 0, b = 0;
   bool local_l1 = false;  ///< an operand hit the local L1 (NDC skipped)
-  Cycle a_at_core = sim::kNeverCycle;
-  Cycle b_at_core = sim::kNeverCycle;
-  Cycle conv_done = sim::kNeverCycle;  ///< conventional completion of c
   bool operand_reused_later = false;     ///< later access reuses A or B (L1-line grain)
   bool operand_reused_later_l2 = false;  ///< same, at L2-line (256 B) granularity
+  Cycle conv_done = sim::kNeverCycle;  ///< conventional completion of c
   std::array<LocObs, arch::kNumLocs> locs{};
 
   const LocObs& at(Loc l) const { return locs[static_cast<std::size_t>(l)]; }
@@ -60,54 +57,57 @@ struct InstanceRecord {
 };
 
 /// Observation output of a whole profiling run, keyed by (core, trace slot),
-/// which is stable across passes over the same traces. Each core's records
-/// sit in one vector sorted by compute_idx.
+/// which is stable across passes over the same traces. The records sit in a
+/// slab: appended in any order while a run observes, then sorted once by
+/// (core, compute_idx), after which Find and ForEach read them.
 class RunRecord {
  public:
-  explicit RunRecord(int num_cores = 0) : per_core_(static_cast<std::size_t>(num_cores)) {}
-
-  /// Room for `n` records of `core`, so that appending them does not
-  /// reallocate.
-  void Reserve(NodeId core, std::size_t n) { per_core_[static_cast<std::size_t>(core)].reserve(n); }
-
-  /// The record of (core, compute_idx), inserted in order (with those two
-  /// fields set) if absent. Appending in compute_idx order is O(1); any
-  /// insert invalidates references to the core's other records.
-  InstanceRecord& Get(NodeId core, std::uint32_t compute_idx) {
-    auto& v = per_core_[static_cast<std::size_t>(core)];
-    auto it = v.end();
-    if (!v.empty() && v.back().compute_idx >= compute_idx) {
-      it = std::ranges::lower_bound(v, compute_idx, {}, &InstanceRecord::compute_idx);
-      if (it != v.end() && it->compute_idx == compute_idx) return *it;
-    }
-    it = v.insert(it, InstanceRecord{});
-    it->core = core;
-    it->compute_idx = compute_idx;
-    return *it;
+  /// Appends the record of (core, compute_idx), with those two fields set.
+  /// References to earlier records stay valid.
+  InstanceRecord& Append(NodeId core, std::uint32_t compute_idx) {
+    InstanceRecord& rec = recs_.Append();
+    rec.core = core;
+    rec.compute_idx = compute_idx;
+    return rec;
   }
+  /// The `i`-th record in append order (until Sort()).
+  InstanceRecord& operator[](std::size_t i) { return recs_[i]; }
+
+  /// Orders the records by (core, compute_idx), moving each one once.
+  void Sort();
+
+  /// The record of (core, compute_idx), or null. Requires sorted records.
   const InstanceRecord* Find(NodeId core, std::uint32_t compute_idx) const {
-    const auto& v = per_core_[static_cast<std::size_t>(core)];
-    auto it = std::ranges::lower_bound(v, compute_idx, {}, &InstanceRecord::compute_idx);
-    return it == v.end() || it->compute_idx != compute_idx ? nullptr : &*it;
+    std::uint64_t key = Key(core, compute_idx);
+    std::size_t lo = 0, hi = recs_.size();
+    while (lo < hi) {
+      std::size_t mid = lo + (hi - lo) / 2;
+      if (KeyOf(recs_[mid]) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo < recs_.size() && KeyOf(recs_[lo]) == key ? &recs_[lo] : nullptr;
   }
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& v : per_core_) {
-      for (const InstanceRecord& rec : v) fn(rec);
-    }
+    for (std::size_t i = 0; i < recs_.size(); ++i) fn(recs_[i]);
   }
 
-  std::size_t TotalInstances() const {
-    std::size_t n = 0;
-    for (const auto& v : per_core_) n += v.size();
-    return n;
-  }
+  std::size_t TotalInstances() const { return recs_.size(); }
 
-  int num_cores() const { return static_cast<int>(per_core_.size()); }
+  /// Bytes the records hold, counting every slot of the slab's chunks.
+  std::size_t Bytes() const { return recs_.Bytes(); }
 
  private:
-  std::vector<std::vector<InstanceRecord>> per_core_;
+  static std::uint64_t Key(NodeId core, std::uint32_t compute_idx) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(core)) << 32) | compute_idx;
+  }
+  static std::uint64_t KeyOf(const InstanceRecord& rec) { return Key(rec.core, rec.compute_idx); }
+
+  Slab<InstanceRecord, 1024> recs_;
 };
 
 /// The paper's *breakeven point* (Section 4.1) for one observed instance and

@@ -259,6 +259,64 @@ TEST_F(CoreFixture, FinishCycleIsMaxCompletion) {
   EXPECT_EQ(core->finish_cycle(), core->done_cycle(1));
 }
 
+TEST_F(CoreFixture, RingGrowsWhileALongWaitPinsTheOldestSlot) {
+  // Load 0 returns 50,000 cycles late and compute 1 waits on it, while
+  // 10,000 independent computes dispatch: the oldest slot cannot retire, so
+  // the ring (8 slots: four times the longest dependence plus one) doubles
+  // eleven times to span all 10,002 slots, without stalling dispatch.
+  port.per_addr_latency[0] = 50'000;
+  Trace t;
+  t.push_back(MakeLoad(0));                          // 0
+  t.push_back(MakeCompute(Op::kAdd, 0, -1, false));  // 1 waits on the load
+  for (int i = 0; i < 10'000; ++i) t.push_back(MakeCompute(Op::kAdd, -1, -1, false));
+  Run(std::move(t));
+  EXPECT_TRUE(core->finished());
+  EXPECT_EQ(core->window_slots(), 16'384u);
+  EXPECT_EQ(core->done_cycle(0), 50'000u);
+  EXPECT_EQ(core->done_cycle(1), 50'000u + cfg.compute_latency);
+  // Two slots dispatch per cycle: slot i at cycle i / 2.
+  for (std::uint32_t i = 2; i < 10'002; ++i) {
+    ASSERT_EQ(core->done_cycle(i), i / 2 + cfg.compute_latency) << i;
+  }
+  EXPECT_EQ(core->finish_cycle(), 50'000u + cfg.compute_latency);
+}
+
+TEST_F(CoreFixture, SlotsRetireOnceCompletedAndACompleteOnOneIsANoOp) {
+  // 64 independent computes: no dependence, so a 4-slot ring, and every
+  // slot completes one cycle after it dispatches. The ring wraps as the
+  // oldest slots retire, and never grows.
+  Trace t;
+  for (int i = 0; i < 64; ++i) t.push_back(MakeCompute(Op::kAdd, -1, -1, false));
+  Run(std::move(t));
+  EXPECT_TRUE(core->finished());
+  EXPECT_EQ(core->window_slots(), 4u);
+  EXPECT_EQ(core->finish_cycle(), 31u + cfg.compute_latency);
+  EXPECT_EQ(core->done_cycle(63), core->finish_cycle());
+  core->Complete(0, eq.now() + 1000);  // slot 0 retired long ago
+  eq.RunUntilEmpty();
+  EXPECT_TRUE(core->finished());  // not counted twice
+  EXPECT_EQ(core->finish_cycle(), 31u + cfg.compute_latency);
+  // A retired slot's cell now holds a later slot: reading it asserts.
+  EXPECT_DEBUG_DEATH((void)core->done_cycle(0), "outside the core's window");
+}
+
+TEST_F(CoreFixture, DependenceOnARetiredSlotReadsAsDone) {
+  // Longest dependence 15: a 64-slot ring. Dispatching slot 64 (cycle 32)
+  // fills it, so slots 0..63, all completed by cycle 32, retire. Store 65
+  // then reads its value's slot 50 as done long ago and issues in its own
+  // dispatch cycle, as it would have from slot 50's completion at cycle 26.
+  Trace t;
+  for (int i = 0; i < 65; ++i) t.push_back(MakeCompute(Op::kAdd, -1, -1, false));
+  t.push_back(MakeStore(8192, 50));  // 65
+  for (int i = 0; i < 14; ++i) t.push_back(MakeCompute(Op::kAdd, -1, -1, false));
+  Run(std::move(t));
+  EXPECT_TRUE(core->finished());
+  EXPECT_EQ(core->window_slots(), 64u);
+  ASSERT_EQ(port.issued_stores.size(), 1u);
+  EXPECT_EQ(port.issued_stores[0].first, 32u);
+  EXPECT_EQ(core->done_cycle(65), 33u);
+}
+
 TEST_F(CoreFixture, EmptyTraceFinishesImmediately) {
   Run({});
   EXPECT_TRUE(core->finished());

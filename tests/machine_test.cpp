@@ -426,16 +426,45 @@ TEST(Machine, ObserveModeRecordsArrivalWindows) {
   EXPECT_EQ(r.records->TotalInstances(), 1u);
   const InstanceRecord* rec = r.records->Find(6, 2);
   ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->a, kAddrA);
-  EXPECT_EQ(rec->b, kAddrB);
+  // The record names its site; the operands are read from the trace.
+  std::span<const Instr> trace = m.core(6).trace();
+  const Instr& site = trace[rec->compute_idx];
+  EXPECT_EQ(trace[static_cast<std::size_t>(site.dep0())].addr(), kAddrA);
+  EXPECT_EQ(trace[static_cast<std::size_t>(site.dep1())].addr(), kAddrB);
+  EXPECT_EQ(rec->pc, site.pc());
   EXPECT_FALSE(rec->local_l1);
   EXPECT_TRUE(rec->at(Loc::kCacheCtrl).feasible);
   EXPECT_NE(rec->at(Loc::kCacheCtrl).Window(), sim::kNeverCycle);
-  EXPECT_NE(rec->conv_done, sim::kNeverCycle);
-  EXPECT_NE(rec->a_at_core, sim::kNeverCycle);
+  // Conventional completion: the later operand's arrival at the core (its
+  // load's completion) plus the op.
+  sim::Cycle arrived = std::max(m.core(6).done_cycle(0), m.core(6).done_cycle(1));
+  ASSERT_NE(arrived, sim::kNeverCycle);
+  EXPECT_EQ(rec->conv_done, arrived + cfg.compute_latency);
   // Observation must not change behaviour: no offloads happened.
   EXPECT_EQ(r.offloads, 0u);
   EXPECT_EQ(r.ndc_success, 0u);
+}
+
+TEST(Machine, ObserveRunCutShortLeavesConventionalCompletionUnknown) {
+  // Run(limit) stops the run after both operand loads issued but before
+  // either miss returns: the candidate has a record, but no operand reached
+  // the core and the site never completed.
+  ArchConfig cfg;
+  MachineOptions opts;
+  opts.observe = true;
+  Machine m(cfg, opts);
+  Trace t{MakeLoad(kAddrA), MakeLoad(kAddrB), MakeCompute(Op::kAdd, 0, 1, true)};
+  m.LoadProgram(Program(6, std::move(t)));
+  RunResult r = m.Run(/*limit=*/10);
+  EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 1u);
+  EXPECT_EQ(m.core(6).done_cycle(0), sim::kNeverCycle);
+  EXPECT_EQ(m.core(6).done_cycle(2), sim::kNeverCycle);
+  ASSERT_EQ(r.records->TotalInstances(), 1u);
+  const InstanceRecord* rec = r.records->Find(6, 2);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->conv_done, sim::kNeverCycle);
+  EXPECT_TRUE(rec->at(Loc::kCacheCtrl).feasible);
+  EXPECT_FALSE(rec->at(Loc::kCacheCtrl).BothArrived());
 }
 
 TEST(Machine, ObserveModeMatchesBaselineTiming) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ndc/policy.hpp"
 #include "ndc/record.hpp"
 
@@ -100,8 +103,8 @@ TEST(AlwaysWait, OffloadsWithHugeTimeout) {
 
 TEST(FractionWait, UsesProfiledWindow) {
   arch::ArchConfig cfg;
-  RunRecord profile(25);
-  InstanceRecord& rec = profile.Get(3, 17);
+  RunRecord profile;
+  InstanceRecord& rec = profile.Append(3, 17);
   rec.at(Loc::kLinkBuffer).feasible = true;
   rec.at(Loc::kLinkBuffer).t_a = 100;
   rec.at(Loc::kLinkBuffer).t_b = 300;  // window 200
@@ -144,8 +147,8 @@ TEST(Markov, PredictsFromTransitions) {
 
 TEST(OracleTest, AcceptsOnlyWithinBreakeven) {
   arch::ArchConfig cfg;
-  RunRecord profile(25);
-  InstanceRecord& rec = profile.Get(2, 10);
+  RunRecord profile;
+  InstanceRecord& rec = profile.Append(2, 10);
   rec.conv_done = 400;
   LocObs& o = rec.at(Loc::kCacheCtrl);
   o.feasible = true;
@@ -165,8 +168,8 @@ TEST(OracleTest, AcceptsOnlyWithinBreakeven) {
 
 TEST(OracleTest, ReuseGateFavorsLocality) {
   arch::ArchConfig cfg;
-  RunRecord profile(25);
-  InstanceRecord& rec = profile.Get(0, 1);
+  RunRecord profile;
+  InstanceRecord& rec = profile.Append(0, 1);
   rec.conv_done = 500;
   rec.operand_reused_later = true;
   LocObs& o = rec.at(Loc::kLinkBuffer);
@@ -182,8 +185,8 @@ TEST(OracleTest, ReuseGateFavorsLocality) {
 
 TEST(OracleTest, L2LineReuseGatesMemorySideOnly) {
   arch::ArchConfig cfg;
-  RunRecord profile(25);
-  InstanceRecord& rec = profile.Get(0, 1);
+  RunRecord profile;
+  InstanceRecord& rec = profile.Append(0, 1);
   rec.conv_done = 500;
   rec.operand_reused_later = false;
   rec.operand_reused_later_l2 = true;  // 256B-line reuse only
@@ -201,9 +204,30 @@ TEST(OracleTest, L2LineReuseGatesMemorySideOnly) {
   EXPECT_TRUE(d2.offload);  // link meet leaves L2 intact
 }
 
+TEST(RunRecordTest, SortOrdersByCoreThenSlot) {
+  // Records arrive in candidate order, which interleaves cores and need not
+  // follow slot order; Sort() leaves them ordered by (core, compute_idx).
+  RunRecord profile;
+  const std::pair<NodeId, std::uint32_t> appended[] = {{3, 9}, {0, 40}, {3, 2}, {1, 7},
+                                                       {0, 5}, {24, 0}, {1, 6}};
+  for (const auto& [core, idx] : appended) profile.Append(core, idx).pc = idx * 10;
+  profile.Sort();
+  std::vector<std::pair<NodeId, std::uint32_t>> order;
+  profile.ForEach([&](const InstanceRecord& rec) {
+    EXPECT_EQ(rec.pc, rec.compute_idx * 10);  // each record moved whole
+    order.push_back({rec.core, rec.compute_idx});
+  });
+  EXPECT_EQ(order, (std::vector<std::pair<NodeId, std::uint32_t>>{
+                       {0, 5}, {0, 40}, {1, 6}, {1, 7}, {3, 2}, {3, 9}, {24, 0}}));
+  ASSERT_NE(profile.Find(1, 7), nullptr);
+  EXPECT_EQ(profile.Find(1, 7)->pc, 70u);
+  EXPECT_EQ(profile.Find(1, 8), nullptr);
+  EXPECT_EQ(profile.Find(2, 7), nullptr);
+}
+
 TEST(OracleTest, UnknownInstanceStaysConventional) {
   arch::ArchConfig cfg;
-  RunRecord profile(25);
+  RunRecord profile;
   OraclePolicy p(cfg, profile);
   EXPECT_FALSE(p.Decide(0, 123, 0, 0, 0, kAll).offload);
 }
