@@ -90,6 +90,7 @@ CmePredictor::CmePredictor(const ir::Program& prog, const ir::LoopNest& nest, Ca
       if (!st.memory) continue;
       st.indirect = op.kind == ir::Operand::Kind::kIndirect;
       st.array = st.indirect ? op.target_array : op.access.array;
+      st.addr = prog.Prepare(op);
       if (st.indirect) continue;
       {
         const ir::Array& arr = prog.array(op.access.array);
@@ -219,8 +220,6 @@ bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntV
     if (level2) cap *= static_cast<double>(num_cores_);  // all banks
     return !(warm_arrays_.count(st.array) != 0 && st.lines_per_core <= cap);
   }
-  const ir::Stmt& stmt = nest_->body[static_cast<std::size_t>(stmt_idx)];
-  const ir::Operand& op = SelectOperand(stmt, sel);
   // Cold-face test: did the reuse-source iteration exist?
   ir::IntVec& prev = prev_;
   prev.resize(iter.size());
@@ -238,8 +237,8 @@ bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntV
     }
   }
   // Spatial reuse must stay on the same line.
-  auto cur_addr = prog_->ResolveAddr(op, iter);
-  auto prev_addr = prog_->ResolveAddr(op, prev);
+  auto cur_addr = st.addr.Resolve(iter);
+  auto prev_addr = st.addr.Resolve(prev);
   const CacheSpec& spec = level2 ? l2_ : l1_;
   if (cur_addr && prev_addr &&
       (*cur_addr / spec.line_bytes) != (*prev_addr / spec.line_bytes)) {
@@ -260,22 +259,15 @@ bool CmePredictor::PredictMissL2(int stmt_idx, OperandSel sel, const ir::IntVec&
 }
 
 double CmePredictor::SampleMissProb(int stmt_idx, OperandSel sel, bool level2) const {
-  // Sample evenly spaced iterations with an odd stride so the samples do
-  // not alias with power-of-two cache-line periods.
-  std::vector<ir::IntVec> samples;
-  ir::Int total = nest_->NumIterations();
-  ir::Int step = std::max<ir::Int>(1, total / 256) | 1;
-  ir::Int n = 0;
-  nest_->ForEachIteration([&](const ir::IntVec& iter) {
-    if (n % step == 0) samples.push_back(iter);
-    ++n;
-  });
-  if (samples.empty()) return 1.0;
+  // The nest's sample iterations, taken once for every reference and level
+  // (an empty nest takes none, at the cost of an empty walk per call).
+  if (samples_.empty()) samples_ = nest_->SampleIterations(256);
+  if (samples_.empty()) return 1.0;
   int misses = 0;
-  for (const ir::IntVec& it : samples) {
+  for (const ir::IntVec& it : samples_) {
     if (PredictMissLevel(stmt_idx, sel, it, level2)) ++misses;
   }
-  return static_cast<double>(misses) / static_cast<double>(samples.size());
+  return static_cast<double>(misses) / static_cast<double>(samples_.size());
 }
 
 double CmePredictor::MissProbL1(int stmt_idx, OperandSel sel) const {

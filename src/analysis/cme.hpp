@@ -39,8 +39,9 @@ const ir::Operand& SelectOperand(const ir::Stmt& stmt, OperandSel sel);
 /// same limitation) — and handles non-affine (indirect) references
 /// pessimistically.
 ///
-/// Predictions reuse one scratch iteration vector, so a predictor serves one
-/// thread at a time (every caller builds its own per nest).
+/// Predictions reuse one scratch iteration vector and the miss
+/// probabilities one sample set, taken on first use, so a predictor serves
+/// one thread at a time (every caller builds its own per nest).
 class CmePredictor {
  public:
   /// `warm_arrays`: arrays already streamed by earlier nests of the same
@@ -73,6 +74,7 @@ class CmePredictor {
     bool fits_l1 = false;
     bool fits_l2 = false;
     int array = -1;
+    ir::OperandAddr addr;  ///< the reference's address rules
     double lines_per_core = 0.0;  ///< per-core footprint of this reference
     /// Another load earlier in program order touches the same cache line at
     /// the same iteration (e.g. x(2g) and x(2g+1)): always an L1 hit.
@@ -99,6 +101,8 @@ class CmePredictor {
   /// PredictMissLevel's reuse-source iteration, reused so that a
   /// prediction allocates nothing.
   mutable ir::IntVec prev_;
+  /// The miss-probability sample iterations, taken on first use.
+  mutable std::vector<ir::IntVec> samples_;
 };
 
 /// Linear Diophantine helper: number of t in [0, range) with

@@ -38,29 +38,30 @@ arch::Loc TargetLoc(Target t) {
   return arch::Loc::kCacheCtrl;
 }
 
+// The sample iterations where both operands of a statement resolve, with
+// the executing core and the two addresses.
 struct SampleSet {
-  std::vector<ir::IntVec> iters;
   std::vector<int> cores;
   std::vector<sim::Addr> a, b;
+
+  bool empty() const { return cores.empty(); }
+  std::size_t size() const { return cores.size(); }
 };
 
 SampleSet CollectSamples(const ir::Program& prog, const ir::LoopNest& nest,
-                         const ir::Stmt& stmt, int num_cores, int want) {
+                         const ir::Stmt& stmt, int num_cores,
+                         const std::vector<ir::IntVec>& iters) {
   SampleSet s;
-  ir::Int total = nest.NumIterations();
-  // Odd stride: avoid aliasing with cache-line / bank power-of-two periods.
-  ir::Int step = std::max<ir::Int>(1, total / std::max(1, want)) | 1;
-  ir::Int n = 0;
-  nest.ForEachIteration([&](const ir::IntVec& iter) {
-    if (n++ % step != 0) return;
-    auto a = prog.ResolveAddr(stmt.rhs0, iter);
-    auto b = prog.ResolveAddr(stmt.rhs1, iter);
-    if (!a || !b) return;
-    s.iters.push_back(iter);
+  const ir::OperandAddr x = prog.Prepare(stmt.rhs0);
+  const ir::OperandAddr y = prog.Prepare(stmt.rhs1);
+  for (const ir::IntVec& iter : iters) {
+    auto a = x.Resolve(iter);
+    auto b = y.Resolve(iter);
+    if (!a || !b) continue;
     s.cores.push_back(CoreForIteration(nest, iter, num_cores));
     s.a.push_back(*a);
     s.b.push_back(*b);
-  });
+  }
   return s;
 }
 
@@ -70,7 +71,7 @@ SampleSet CollectSamples(const ir::Program& prog, const ir::LoopNest& nest,
 // shared links (Section 5.2.1, challenge 3).
 double FeasibleFraction(const ArchDescription& ad, noc::RouteTable& routes, const SampleSet& s,
                         Target target, bool allow_reroute) {
-  if (s.iters.empty()) return 0.0;
+  if (s.empty()) return 0.0;
   const mem::AddressMap& amap = ad.amap();
   auto share_a_link = [&](sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
                           sim::NodeId b_dst) {
@@ -79,7 +80,7 @@ double FeasibleFraction(const ArchDescription& ad, noc::RouteTable& routes, cons
     return p.shared_links > 0;
   };
   int ok = 0;
-  for (std::size_t i = 0; i < s.iters.size(); ++i) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
     sim::Addr a = s.a[i], b = s.b[i];
     switch (target) {
       case Target::kL2Bank:
@@ -101,7 +102,7 @@ double FeasibleFraction(const ArchDescription& ad, noc::RouteTable& routes, cons
         break;
     }
   }
-  return static_cast<double>(ok) / static_cast<double>(s.iters.size());
+  return static_cast<double>(ok) / static_cast<double>(s.size());
 }
 
 struct GapEstimate {
@@ -112,11 +113,11 @@ struct GapEstimate {
 GapEstimate EstimateGap(const ArchDescription& ad, const SampleSet& s, arch::Loc loc,
                         bool l2_miss_x, bool l2_miss_y) {
   GapEstimate g;
-  if (s.iters.empty()) return g;
+  if (s.empty()) return g;
   double sum_gap = 0.0;
   double sum_breakeven = 0.0;
   int n = 0;
-  for (std::size_t i = 0; i < s.iters.size(); ++i) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
     sim::NodeId core = s.cores[i];
     sim::Cycle lx = ad.EstDataAtLoc(core, s.a[i], loc, l2_miss_x);
     sim::Cycle ly = ad.EstDataAtLoc(core, s.b[i], loc, l2_miss_y);
@@ -210,6 +211,8 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
     double iter_cycles = InstrsPerIteration(nest) * ad.cpi();
 
     std::array<int, arch::kNumLocs> nest_loc_votes{};
+    // The cost model's sample iterations, taken once per nest.
+    std::vector<ir::IntVec> nest_samples;
 
     for (const analysis::UseUseChain& chain : chains) {
       ir::Stmt& stmt = nest.body[static_cast<std::size_t>(chain.stmt_idx)];
@@ -232,8 +235,9 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
         }
       }
 
-      SampleSet samples = CollectSamples(prog, nest, stmt, num_cores, kSamplesPerChain);
-      if (samples.iters.empty()) {
+      if (nest_samples.empty()) nest_samples = nest.SampleIterations(kSamplesPerChain);
+      SampleSet samples = CollectSamples(prog, nest, stmt, num_cores, nest_samples);
+      if (samples.empty()) {
         ++rep.gating_failures;
         continue;
       }

@@ -26,6 +26,8 @@ class IntMat {
 
   Int& at(int r, int c) { return a_[static_cast<std::size_t>(r * cols_ + c)]; }
   Int at(int r, int c) const { return a_[static_cast<std::size_t>(r * cols_ + c)]; }
+  /// The entries, row-major (rows() * cols() of them).
+  const Int* data() const { return a_.data(); }
 
   IntVec Apply(const IntVec& v) const;  ///< this * v
 

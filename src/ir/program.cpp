@@ -1,5 +1,6 @@
 #include "ir/program.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -29,10 +30,38 @@ Int LoopNest::HiEffective(int level, const IntVec& iter) const {
   return hi;
 }
 
-Int LoopNest::NumIterations() const {
+Int LoopNest::NumIterationsInOuterRange(Int begin, Int end, IntVec& iter) const {
+  if (depth() <= 1) {
+    if (depth() == 0) return begin <= 0 && 0 < end ? 1 : 0;
+    return std::max<Int>(0, end - begin);
+  }
+  const int inner = depth() - 1;
   Int n = 0;
-  ForEachIteration([&](const IntVec&) { ++n; });
+  auto add_inner_trip = [&](const IntVec& it) {
+    n += std::max<Int>(0, HiEffective(inner, it) - LoEffective(inner, it) + 1);
+  };
+  iter.assign(static_cast<std::size_t>(depth()), 0);
+  for (Int v = begin; v < end; ++v) {
+    iter[0] = v;
+    ForEachIterationFrom(1, inner, iter, add_inner_trip);
+  }
   return n;
+}
+
+Int LoopNest::NumIterations() const {
+  if (depth() == 0) return 1;
+  IntVec iter;
+  return NumIterationsInOuterRange(loops.front().lo, loops.front().hi + 1, iter);
+}
+
+std::vector<IntVec> LoopNest::SampleIterations(Int want) const {
+  const Int step = std::max<Int>(1, NumIterations() / std::max<Int>(1, want)) | 1;
+  std::vector<IntVec> out;
+  Int n = 0;
+  ForEachIteration([&](const IntVec& iter) {
+    if (n++ % step == 0) out.push_back(iter);
+  });
+  return out;
 }
 
 int Program::AddArray(const std::string& aname, std::vector<Int> dims, int elem_bytes) {
@@ -54,24 +83,29 @@ int Program::AddArray(const std::string& aname, std::vector<Int> dims, int elem_
 
 std::uint32_t Program::NextStmtId() { return next_stmt_id_++; }
 
-std::optional<sim::Addr> Program::ResolveAddr(const Operand& op, const IntVec& iter) const {
-  if (!op.IsMemory()) return std::nullopt;
-  const Array& idx_arr = array(op.access.array);
-  std::optional<Int> flat = op.access.ElementIndex(idx_arr, iter);
-  if (!flat.has_value()) return std::nullopt;
-  if (op.kind == Operand::Kind::kAffine) {
-    return idx_arr.base +
-           static_cast<sim::Addr>(*flat) * static_cast<sim::Addr>(idx_arr.elem_bytes);
+OperandAddr Program::Prepare(const Operand& op) const {
+  OperandAddr a;
+  if (!op.IsMemory()) return a;
+  const Array& arr = array(op.access.array);
+  a.kind_ = op.kind;
+  a.coef_ = op.access.F.data();
+  a.off_ = op.access.f.data();
+  a.extent_ = arr.dims.data();
+  a.rows_ = op.access.F.rows();
+  a.cols_ = op.access.F.cols();
+  a.base_ = arr.base;
+  a.elem_bytes_ = static_cast<sim::Addr>(arr.elem_bytes);
+  if (op.kind == Operand::Kind::kIndirect) {
+    if (auto it = index_data.find(op.access.array); it != index_data.end()) {
+      a.values_ = it->second.data();
+      a.num_values_ = static_cast<Int>(it->second.size());
+    }
+    const Array& tgt = array(op.target_array);
+    a.target_base_ = tgt.base;
+    a.target_elem_bytes_ = static_cast<sim::Addr>(tgt.elem_bytes);
+    a.target_elems_ = tgt.NumElems();
   }
-  // Indirect: read the index value, then address the target array (1-D).
-  auto it = index_data.find(op.access.array);
-  if (it == index_data.end()) return std::nullopt;
-  if (*flat >= static_cast<Int>(it->second.size())) return std::nullopt;
-  Int target_idx = it->second[static_cast<std::size_t>(*flat)];
-  const Array& tgt = array(op.target_array);
-  if (target_idx < 0 || target_idx >= tgt.NumElems()) return std::nullopt;
-  return tgt.base +
-         static_cast<sim::Addr>(target_idx) * static_cast<sim::Addr>(tgt.elem_bytes);
+  return a;
 }
 
 namespace {

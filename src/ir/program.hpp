@@ -30,6 +30,24 @@ struct Array {
   sim::Addr AddrOf(const IntVec& subscript) const;
 };
 
+/// The subscript rule every operand address goes through: the row-major
+/// element index of the subscripts coef * iter + off (`rows` subscripts over
+/// `cols` loop levels, `coef` row-major) in an array of the given extents,
+/// or nullopt when any subscript is out of bounds. Evaluates the subscripts
+/// row by row, so it never allocates.
+inline std::optional<Int> FlatElementIndex(const Int* coef, const Int* off, const Int* extent,
+                                           int rows, int cols, const IntVec& iter) {
+  Int idx = 0;
+  for (int d = 0; d < rows; ++d) {
+    Int s = 0;
+    for (int c = 0; c < cols; ++c) s += coef[d * cols + c] * iter[static_cast<std::size_t>(c)];
+    s += off[d];
+    if (s < 0 || s >= extent[d]) return std::nullopt;
+    idx = idx * extent[d] + s;
+  }
+  return idx;
+}
+
 /// An affine array access X(F*I + f) where I is the iteration vector.
 struct AffineAccess {
   int array = -1;
@@ -37,22 +55,6 @@ struct AffineAccess {
   IntVec f;   ///< dims(X) offsets
 
   IntVec Subscript(const IntVec& iter) const { return VecAdd(F.Apply(iter), f); }
-
-  /// Row-major element index of Subscript(iter) in `arr` (the accessed
-  /// array), or nullopt when any subscript is out of bounds. Evaluates the
-  /// subscripts row by row, so it never allocates.
-  std::optional<Int> ElementIndex(const Array& arr, const IntVec& iter) const {
-    Int idx = 0;
-    for (int d = 0; d < F.rows(); ++d) {
-      Int s = 0;
-      for (int c = 0; c < F.cols(); ++c) s += F.at(d, c) * iter[static_cast<std::size_t>(c)];
-      s += f[static_cast<std::size_t>(d)];
-      const Int extent = arr.dims[static_cast<std::size_t>(d)];
-      if (s < 0 || s >= extent) return std::nullopt;
-      idx = idx * extent + s;
-    }
-    return idx;
-  }
 };
 
 /// One operand (or store target) of a statement.
@@ -88,6 +90,61 @@ struct Operand {
     o.kind = Kind::kScalar;
     return o;
   }
+};
+
+/// An operand's address rules with every lookup done once: the subscript
+/// function and extents of the array it indexes (for an indirect operand,
+/// the index array), and for an indirect operand the index values and the
+/// target array. Program::Prepare builds it, and Program::ResolveAddr is
+/// Prepare(op).Resolve(iter), so both apply one set of bounds and
+/// indirection rules. It points into the program, which must outlive it and
+/// stay unchanged.
+class OperandAddr {
+ public:
+  /// A non-memory operand: Resolve always gives nullopt.
+  OperandAddr() = default;
+
+  bool IsMemory() const { return kind_ == Operand::Kind::kAffine || indirect(); }
+  bool indirect() const { return kind_ == Operand::Kind::kIndirect; }
+
+  /// Byte address the operand accesses at iteration `iter`, or nullopt for a
+  /// non-memory operand, an out-of-bounds subscript, an index array without
+  /// values, or an index value outside the target array. For an indirect
+  /// operand that resolves, `*index_addr` (when given) receives the address
+  /// of the index element read.
+  std::optional<sim::Addr> Resolve(const IntVec& iter, sim::Addr* index_addr = nullptr) const {
+    if (!IsMemory()) return std::nullopt;
+    std::optional<Int> flat = FlatElementIndex(coef_, off_, extent_, rows_, cols_, iter);
+    if (!flat.has_value()) return std::nullopt;
+    const sim::Addr addr = base_ + static_cast<sim::Addr>(*flat) * elem_bytes_;
+    if (!indirect()) return addr;
+    // Indirect: read the index value, then address the target array (1-D).
+    if (*flat >= num_values_) return std::nullopt;
+    const Int target_idx = values_[*flat];
+    if (target_idx < 0 || target_idx >= target_elems_) return std::nullopt;
+    if (index_addr != nullptr) *index_addr = addr;
+    return target_base_ + static_cast<sim::Addr>(target_idx) * target_elem_bytes_;
+  }
+
+ private:
+  friend struct Program;
+
+  Operand::Kind kind_ = Operand::Kind::kNone;
+  // The affine part, over the accessed array (affine) or the index array.
+  const Int* coef_ = nullptr;
+  const Int* off_ = nullptr;
+  const Int* extent_ = nullptr;
+  int rows_ = 0;
+  int cols_ = 0;
+  sim::Addr base_ = 0;
+  sim::Addr elem_bytes_ = 0;
+  // Indirect only: the index values (none when the program has no data for
+  // the index array) and the 1-D target array.
+  const Int* values_ = nullptr;
+  Int num_values_ = 0;
+  sim::Addr target_base_ = 0;
+  sim::Addr target_elem_bytes_ = 0;
+  Int target_elems_ = 0;
 };
 
 /// NDC offload annotation attached to a statement by the compiler
@@ -144,23 +201,53 @@ struct LoopNest {
   template <typename Fn>
   void ForEachIteration(Fn&& fn) const {
     IntVec iter(static_cast<std::size_t>(depth()), 0);
-    ForEachIterationFrom(0, iter, fn);
+    ForEachIterationFrom(0, depth(), iter, fn);
   }
+
+  /// Calls fn(I) for every iteration whose outermost value lies in
+  /// [begin, end), in program order, through the caller's scratch vector
+  /// `iter`. With ForEachIteration this assumes each loop's bounds depend
+  /// only on enclosing levels (the IR validator's rule). A depth-0 nest's one
+  /// iteration has outermost value 0.
+  template <typename Fn>
+  void ForEachIterationInOuterRange(Int begin, Int end, IntVec& iter, Fn&& fn) const {
+    iter.assign(static_cast<std::size_t>(depth()), 0);
+    if (depth() == 0) {
+      if (begin <= 0 && 0 < end) fn(static_cast<const IntVec&>(iter));
+      return;
+    }
+    for (Int v = begin; v < end; ++v) {
+      iter[0] = v;
+      ForEachIterationFrom(1, depth(), iter, fn);
+    }
+  }
+
+  /// Number of iterations whose outermost value lies in [begin, end). Walks
+  /// every level but the innermost, whose trip count it adds, through the
+  /// caller's scratch vector `iter`.
+  Int NumIterationsInOuterRange(Int begin, Int end, IntVec& iter) const;
 
   /// Total iteration count.
   Int NumIterations() const;
 
+  /// Evenly spaced sample iterations for compile-time estimates: every
+  /// step-th iteration in program order from the first, with step =
+  /// max(1, NumIterations() / want) | 1 odd, so that samples do not alias
+  /// with power-of-two cache-line or bank periods.
+  std::vector<IntVec> SampleIterations(Int want) const;
+
  private:
+  // Walks levels [level, stop) in order and calls fn at each point of them.
   template <typename Fn>
-  void ForEachIterationFrom(int level, IntVec& iter, Fn& fn) const {
-    if (level == depth()) {
+  void ForEachIterationFrom(int level, int stop, IntVec& iter, Fn& fn) const {
+    if (level == stop) {
       fn(static_cast<const IntVec&>(iter));
       return;
     }
     const Int hi = HiEffective(level, iter);
     for (Int v = LoEffective(level, iter); v <= hi; ++v) {
       iter[static_cast<std::size_t>(level)] = v;
-      ForEachIterationFrom(level + 1, iter, fn);
+      ForEachIterationFrom(level + 1, stop, iter, fn);
     }
   }
 };
@@ -183,10 +270,16 @@ struct Program {
   /// Fresh statement id.
   std::uint32_t NextStmtId();
 
+  /// `op`'s address rules with its arrays and index values looked up, to
+  /// resolve many iterations without a lookup per address.
+  OperandAddr Prepare(const Operand& op) const;
+
   /// Byte address accessed by an operand at iteration `iter` (resolving
-  /// indirection through index_data). Returns nullopt for non-memory
-  /// operands or out-of-bounds subscripts.
-  std::optional<sim::Addr> ResolveAddr(const Operand& op, const IntVec& iter) const;
+  /// indirection through index_data): Prepare(op).Resolve(iter). Returns
+  /// nullopt for non-memory operands or out-of-bounds subscripts.
+  std::optional<sim::Addr> ResolveAddr(const Operand& op, const IntVec& iter) const {
+    return Prepare(op).Resolve(iter);
+  }
 
   std::string ToString() const;
 

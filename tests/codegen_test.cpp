@@ -16,6 +16,8 @@
 #include "compiler/pipeline.hpp"
 #include "ir/program.hpp"
 #include "ndc/machine.hpp"
+#include "sim/rng.hpp"
+#include "lower_reference.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::compiler {
@@ -123,6 +125,35 @@ TEST(Codegen, CoreForIterationIsBalancedAndMonotonic) {
     ++count[static_cast<std::size_t>(c)];
   }
   for (int c : count) EXPECT_EQ(c, 4);
+
+  // Every outer value lies in exactly one core's CoreBlock, the one
+  // CoreForIteration names, and the blocks tile the outer range in core
+  // order (spans empty, below, off and on multiples of the core count).
+  for (Int span : {0, 1, 3, 24, 25, 26, 100, 101}) {
+    for (int cores : {1, 3, 25}) {
+      LoopNest n;
+      n.loops = {{-3, -3 + span - 1, -1, 0, -1, 0}};
+      Int next = -3;
+      for (int c = 0; c < cores; ++c) {
+        const OuterBlock b = CoreBlock(n, c, cores);
+        EXPECT_EQ(b.begin, next) << "span " << span << " cores " << cores << " core " << c;
+        EXPECT_LE(b.begin, b.end);
+        next = b.end;
+      }
+      EXPECT_EQ(next, -3 + span) << "span " << span << " cores " << cores;
+      for (Int v = -3; v < -3 + span; ++v) {
+        int owners = 0;
+        for (int c = 0; c < cores; ++c) {
+          const OuterBlock b = CoreBlock(n, c, cores);
+          if (b.begin <= v && v < b.end) {
+            ++owners;
+            EXPECT_EQ(c, CoreForIteration(n, {v}, cores)) << "span " << span << " v " << v;
+          }
+        }
+        EXPECT_EQ(owners, 1) << "span " << span << " cores " << cores << " v " << v;
+      }
+    }
+  }
 }
 
 TEST(Codegen, PreComputeEmittedForOffloadedChains) {
@@ -421,25 +452,34 @@ void HashLowered(Fnv1a& fnv, const CodegenResult& r) {
   }
 }
 
-// Lowers the 20 benchmarks at `scale` as baseline, Algorithm-1 and
-// Algorithm-2 programs, in that order per benchmark, and hands each result
-// to `use`.
+// Hands `use` the 20 benchmarks at `scale` as baseline, Algorithm-1 and
+// Algorithm-2 programs, in that order per benchmark, with the machine
+// configuration to lower them for.
 template <typename F>
-void LowerAllModes(workloads::Scale scale, F use) {
+void ForAllModes(workloads::Scale scale, F use) {
   const arch::ArchConfig cfg;
-  const int cores = cfg.num_nodes();
   const ArchDescription ad(cfg);
   for (const std::string& name : workloads::BenchmarkNames()) {
     const Program built = workloads::BuildWorkload(name, scale);
-    use(Lower(built, cores, &cfg));
+    use(built, cfg);
     for (Mode mode : {Mode::kAlgorithm1, Mode::kAlgorithm2}) {
       Program p = built;
       CompileOptions opt;
       opt.mode = mode;
       Compile(p, ad, opt);
-      use(Lower(p, cores, &cfg));
+      use(p, cfg);
     }
   }
+}
+
+// Lowers the 20 benchmarks at `scale` as baseline, Algorithm-1 and
+// Algorithm-2 programs, in that order per benchmark, and hands each result
+// to `use`.
+template <typename F>
+void LowerAllModes(workloads::Scale scale, F use) {
+  ForAllModes(scale, [&](const Program& p, const arch::ArchConfig& cfg) {
+    use(Lower(p, cfg.num_nodes(), &cfg));
+  });
 }
 
 TEST(Codegen, LoweredTracesMatchFrozenDigest) {
@@ -447,6 +487,154 @@ TEST(Codegen, LoweredTracesMatchFrozenDigest) {
   LowerAllModes(workloads::Scale::kTest, [&](const CodegenResult& r) { HashLowered(fnv, r); });
   EXPECT_GT(fnv.precomputes, 0u);
   EXPECT_EQ(fnv.h, 0x55ddda4eb0953213ull) << std::hex << "digest 0x" << fnv.h;
+}
+
+// --- Lower against its reference model ------------------------------------
+// tests/lower_reference.hpp keeps the code generator as first written
+// (per-iteration core lookup, every emission counting-sorted by slot);
+// Lower must give the same instruction words, trace capacities and counts.
+
+void ExpectSameLowering(const CodegenResult& got, const CodegenResult& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.total_instrs, want.total_instrs) << what;
+  EXPECT_EQ(got.precomputes, want.precomputes) << what;
+  ASSERT_EQ(got.traces.size(), want.traces.size()) << what;
+  for (std::size_t c = 0; c < want.traces.size(); ++c) {
+    const arch::Trace& g = got.traces[c];
+    const arch::Trace& w = want.traces[c];
+    EXPECT_EQ(g.capacity(), w.capacity()) << what << " core " << c;
+    ASSERT_EQ(g.size(), w.size()) << what << " core " << c;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(g[i].words(), w[i].words()) << what << " core " << c << " instr " << i;
+    }
+  }
+}
+
+// An affine access to `array` over a depth-`depth` nest with small random
+// coefficients and offsets, so that some subscripts fall out of bounds.
+AffineAccess RandomAccess(sim::Rng& rng, const Program& p, int array, int depth) {
+  AffineAccess a;
+  a.array = array;
+  const int rank = static_cast<int>(p.array(array).dims.size());
+  a.F = IntMat(rank, depth);
+  for (int r = 0; r < rank; ++r) {
+    for (int c = 0; c < depth; ++c) a.F.at(r, c) = rng.NextInRange(-1, 2);
+    a.f.push_back(rng.NextInRange(-1, 3));
+  }
+  return a;
+}
+
+// A random operand: absent, a register, affine, or indirect through an
+// index array whose values run past the target array.
+Operand RandomOperand(sim::Rng& rng, const Program& p, int depth, const std::vector<int>& data,
+                      int idx, int tgt) {
+  switch (rng.NextBelow(5)) {
+    case 0: return Operand::None();
+    case 1: return Operand::Scalar();
+    case 2: return Operand::Indirect(RandomAccess(rng, p, idx, depth), tgt);
+    default:
+      return Operand::Affine(RandomAccess(
+          rng, p, data[static_cast<std::size_t>(rng.NextBelow(data.size()))], depth));
+  }
+}
+
+// A program of 1-3 nests of depth 1-3 with rectangular or triangular
+// bounds, outer spans of 0, below, off and on multiples of `cores`, and
+// statements annotated with leads of up to 5 iterations either way.
+Program RandomProgram(sim::Rng& rng, int cores) {
+  Program p;
+  std::vector<int> data = {p.AddArray("a", {rng.NextInRange(1, 40)}),
+                           p.AddArray("b", {rng.NextInRange(1, 8), rng.NextInRange(1, 8)})};
+  const int idx = p.AddArray("idx", {rng.NextInRange(1, 24)});
+  const int tgt = p.AddArray("t", {rng.NextInRange(1, 16)});
+  if (!rng.NextBool(0.1)) {  // sometimes the index array has no values
+    std::vector<Int>& values = p.index_data[idx];
+    const Int n = p.array(idx).NumElems() - (rng.NextBool(0.3) ? 2 : 0);
+    for (Int k = 0; k < n; ++k) values.push_back(rng.NextInRange(-2, p.array(tgt).NumElems() + 1));
+  }
+  const int num_nests = 1 + static_cast<int>(rng.NextBelow(3));
+  for (int n = 0; n < num_nests; ++n) {
+    LoopNest nest;
+    const int depth = 1 + static_cast<int>(rng.NextBelow(3));
+    const Int k = rng.NextInRange(1, 3);
+    const Int spans[] = {0, std::max<Int>(0, cores - 1), k * cores + rng.NextInRange(1, 4),
+                         k * cores, rng.NextInRange(1, 12)};
+    const Int span = spans[rng.NextBelow(5)];
+    const Int lo = rng.NextInRange(-2, 3);
+    nest.loops.push_back({lo, lo + span - 1, -1, 0, -1, 0});
+    for (int level = 1; level < depth; ++level) {
+      ir::Loop l{rng.NextInRange(-1, 1), rng.NextInRange(0, 4), -1, 0, -1, 0};
+      if (rng.NextBool(0.4)) {  // triangular: hi follows an enclosing iterator
+        l.hi_dep = static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(level)));
+        l.hi_coef = rng.NextInRange(-1, 1);
+      }
+      if (rng.NextBool(0.3)) {
+        l.lo_dep = static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(level)));
+        l.lo_coef = rng.NextInRange(-1, 1);
+      }
+      nest.loops.push_back(l);
+    }
+    const int stmts = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int s = 0; s < stmts; ++s) {
+      Stmt st;
+      st.id = p.NextStmtId();
+      st.op = static_cast<arch::Op>(rng.NextBelow(static_cast<std::uint64_t>(arch::Op::kXor) + 1));
+      st.lhs = RandomOperand(rng, p, depth, data, idx, tgt);
+      st.rhs0 = RandomOperand(rng, p, depth, data, idx, tgt);
+      st.rhs1 = RandomOperand(rng, p, depth, data, idx, tgt);
+      if (rng.NextBool(0.5)) {
+        st.ndc.offload = true;
+        st.ndc.planned = static_cast<arch::Loc>(rng.NextBelow(arch::kNumLocs));
+        st.ndc.timeout = rng.NextBelow(100);
+        if (rng.NextBool(0.7)) {
+          st.ndc.lead0 = rng.NextInRange(-5, 5);
+          st.ndc.lead1 = rng.NextInRange(-5, 5);
+        }
+      }
+      nest.body.push_back(st);
+    }
+    p.nests.push_back(std::move(nest));
+  }
+  return p;
+}
+
+// Seeded property: on random nests, Lower matches the reference model word
+// for word, on 1, 3 and 25 cores, with and without a machine configuration.
+TEST(Codegen, LowerMatchesReferenceOnRandomNests) {
+  sim::Rng rng(20261019);
+  const arch::ArchConfig cfg;
+  std::uint64_t instrs = 0, precomputes = 0, with_lead = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    for (int cores : {1, 3, 25}) {
+      const Program p = RandomProgram(rng, cores);
+      for (const ir::LoopNest& nest : p.nests) {
+        for (const Stmt& st : nest.body) with_lead += st.ndc.offload && st.ndc.lead0 != 0;
+      }
+      const arch::ArchConfig* c = rng.NextBool(0.5) ? &cfg : nullptr;
+      const CodegenResult want = reference::Lower(p, cores, c);
+      ExpectSameLowering(Lower(p, cores, c), want,
+                         "trial " + std::to_string(trial) + " cores " + std::to_string(cores));
+      if (HasFailure()) return;
+      instrs += want.total_instrs;
+      precomputes += want.precomputes;
+    }
+  }
+  // The programs exercise what the property is about.
+  EXPECT_GT(instrs, 500000u);
+  EXPECT_GT(precomputes, 300u);
+  EXPECT_GT(with_lead, 500u);
+}
+
+// The 20 benchmarks at small scale as baseline, Algorithm-1 and Algorithm-2
+// programs lower exactly as the reference model lowers them.
+TEST(Codegen, LowerMatchesReferenceOnBenchmarks) {
+  int programs = 0;
+  ForAllModes(workloads::Scale::kSmall, [&](const Program& p, const arch::ArchConfig& cfg) {
+    ExpectSameLowering(Lower(p, cfg.num_nodes(), &cfg),
+                       reference::Lower(p, cfg.num_nodes(), &cfg),
+                       p.name + " #" + std::to_string(programs++));
+  });
+  EXPECT_EQ(programs, 60);
 }
 
 // The largest value each packed field takes over a set of lowered traces.
