@@ -16,17 +16,6 @@ const ir::Operand& SelectOperand(const ir::Stmt& stmt, OperandSel sel) {
   return stmt.rhs0;
 }
 
-std::uint64_t CountCongruentSolutions(ir::Int a, ir::Int b, ir::Int m, std::uint64_t range) {
-  if (m <= 0) return 0;
-  a = ((a % m) + m) % m;
-  b = ((b % m) + m) % m;
-  ir::Int g = std::gcd(a == 0 ? m : a, m);
-  if (b % g != 0) return 0;
-  // Solutions form a residue class modulo m/g: range/(m/g) of them (+/- 1).
-  std::uint64_t period = static_cast<std::uint64_t>(m / g);
-  return range / period + (range % period != 0 ? 1 : 0);
-}
-
 CmePredictor::CmePredictor(const ir::Program& prog, const ir::LoopNest& nest, CacheSpec l1,
                            CacheSpec l2, int num_cores, std::set<int> warm_arrays)
     : prog_(&prog),

@@ -105,8 +105,4 @@ class CmePredictor {
   mutable std::vector<ir::IntVec> samples_;
 };
 
-/// Linear Diophantine helper: number of t in [0, range) with
-/// a*t ≡ b (mod m). Exposed for tests.
-std::uint64_t CountCongruentSolutions(ir::Int a, ir::Int b, ir::Int m, std::uint64_t range);
-
 }  // namespace ndc::analysis

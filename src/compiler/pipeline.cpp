@@ -159,7 +159,7 @@ int OperandArray(const ir::Operand& op) {
 
 namespace {
 
-// Post-pass audit (CompileOptions::verify_after): re-checks the annotated
+// Post-pass audit (CompileReport::verify): re-checks the annotated
 // program with the independent verifier, mirroring the pipeline's own
 // annotation limits.
 void RunVerifier(const ir::Program& prog, const CompileOptions& opt, CompileReport* rep) {
@@ -174,7 +174,7 @@ void RunVerifier(const ir::Program& prog, const CompileOptions& opt, CompileRepo
 CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const CompileOptions& opt) {
   CompileReport rep;
   if (opt.mode == Mode::kBaseline) {
-    if (opt.verify_after) RunVerifier(prog, opt, &rep);
+    RunVerifier(prog, opt, &rep);
     return rep;
   }
   int num_cores = ad.cfg().num_nodes();
@@ -359,7 +359,7 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
       }
     }
   }
-  if (opt.verify_after) RunVerifier(prog, opt, &rep);
+  RunVerifier(prog, opt, &rep);
   return rep;
 }
 

@@ -40,11 +40,6 @@ struct CompileOptions {
   bool allow_reroute = true; ///< NoC signature co-selection (Section 5.2.1)
   std::uint8_t control_register = arch::kAllLocs;  ///< target NDC locations
   ir::Int max_lead = 64;     ///< cap on access movement (iterations)
-  /// Run the independent verifier (src/verify) over the annotated program
-  /// after the pass and attach its findings to the report. On by default:
-  /// a pipeline bug that emits an unsafe access movement is a correctness
-  /// error everywhere, not just in tests.
-  bool verify_after = true;
 };
 
 /// What the compiler did (for reports, tests, and Figure 15).
@@ -55,7 +50,10 @@ struct CompileReport {
   std::uint64_t legality_failures = 0; ///< movements rejected by dependences
   std::uint64_t gating_failures = 0;   ///< rejected by CME / feasibility
   std::array<std::uint64_t, arch::kNumLocs> planned_at_loc{};
-  /// Post-pass audit findings (populated when CompileOptions::verify_after).
+  /// Findings of the independent verifier (src/verify), which every
+  /// Compile runs over the annotated program with the options' limits: a
+  /// pipeline bug that emits an unsafe access movement is a correctness
+  /// error everywhere, not just in tests.
   verify::Report verify;
 
   double PlannedFraction() const {

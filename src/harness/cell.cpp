@@ -4,8 +4,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include "compiler/codegen.hpp"
 #include "ndc/policy.hpp"
+#include "obs/phase.hpp"
 
 namespace ndc::harness {
 
@@ -38,6 +38,16 @@ void AppendField(std::string& out, const char* name, std::uint64_t v) {
   out += buf;
 }
 
+/// `cfg` with the fields only a measured run reads (the control register
+/// and the reroute flag) at their defaults: the configuration of the
+/// profile that cells on `cfg` share.
+arch::ArchConfig ProfileConfig(arch::ArchConfig cfg) {
+  const arch::ArchConfig defaults;
+  cfg.control_register = defaults.control_register;
+  cfg.allow_reroute = defaults.allow_reroute;
+  return cfg;
+}
+
 }  // namespace
 
 std::string CellSpec::CanonicalString() const {
@@ -50,8 +60,6 @@ std::string CellSpec::CanonicalString() const {
   AppendField(out, "seed", seed);
   AppendField(out, "scheme", static_cast<std::uint64_t>(scheme));
   AppendField(out, "coarse", coarse_grain ? 1 : 0);
-  AppendField(out, "reroute", allow_reroute ? 1 : 0);
-  AppendField(out, "ctrl", control_register);
   // Every semantically relevant ArchConfig field. A field added to
   // ArchConfig must be serialized here (or kCacheVersion bumped) or cached
   // entries keyed before the change will silently collide with it.
@@ -95,8 +103,7 @@ std::string CellSpec::ProfileKey() const {
   CellSpec base = *this;
   base.scheme = metrics::Scheme::kBaseline;
   base.coarse_grain = false;
-  base.allow_reroute = true;
-  base.control_register = arch::kAllLocs;
+  base.cfg = ProfileConfig(cfg);
   return base.CanonicalString();
 }
 
@@ -217,8 +224,8 @@ bool CellResult::operator==(const CellResult& o) const {
 }
 
 std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe) {
-  return std::make_shared<metrics::Profile>(spec.workload, spec.scale, spec.cfg, spec.seed,
-                                            observe);
+  return std::make_shared<metrics::Profile>(spec.workload, spec.scale, ProfileConfig(spec.cfg),
+                                            spec.seed, observe);
 }
 
 void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in) {
@@ -233,18 +240,19 @@ compiler::CompileOptions CellCompileOptions(const CellSpec& spec) {
   opt.mode = spec.coarse_grain                              ? compiler::Mode::kCoarseGrain
              : spec.scheme == metrics::Scheme::kAlgorithm2 ? compiler::Mode::kAlgorithm2
                                                            : compiler::Mode::kAlgorithm1;
-  opt.allow_reroute = spec.allow_reroute;
-  opt.control_register = spec.control_register;
+  opt.allow_reroute = spec.cfg.allow_reroute;
+  opt.control_register = spec.cfg.control_register;
   return opt;
 }
 
 namespace {
 
-/// The hardware waiting policy of a policy scheme (Section 4.4); null for
-/// the Baseline. The Oracle and Wait(x%) read the profile's observation run.
-std::unique_ptr<runtime::Policy> MakePolicy(metrics::Scheme scheme, metrics::Profile& profile) {
+/// The hardware waiting policy of a policy scheme (Section 4.4) on `cfg`;
+/// null for the Baseline. The Oracle and Wait(x%) read the profile's
+/// observation run.
+std::unique_ptr<runtime::Policy> MakePolicy(metrics::Scheme scheme, const arch::ArchConfig& cfg,
+                                            metrics::Profile& profile) {
   using metrics::Scheme;
-  const arch::ArchConfig& cfg = profile.cfg();
   auto wait = [&](double fraction) {
     return std::make_unique<runtime::FractionWaitPolicy>(cfg, *profile.Observe().records,
                                                          fraction);
@@ -268,35 +276,28 @@ std::unique_ptr<runtime::Policy> MakePolicy(metrics::Scheme scheme, metrics::Pro
 metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
                                 obs::Observability* ob) {
   metrics::SchemeResult out;
-  runtime::MachineOptions opts;
-  opts.obs = ob;
   if (spec.IsCompiled()) {
     // Compile mutates its input program, so copy the profile's build instead
     // of regenerating the workload from scratch.
-    compiler::CompileOptions opt = CellCompileOptions(spec);
     ir::Program prog = profile.program();
-    arch::ArchConfig cfg = profile.cfg();
-    cfg.allow_reroute = opt.allow_reroute;
-    cfg.control_register = opt.control_register;
-    std::vector<arch::Trace> traces;
     {
       obs::ScopedPhase phase(obs::Phase::kCompile);
-      out.compile_report = compiler::Compile(prog, compiler::ArchDescription(cfg), opt);
-      traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
+      out.compile_report =
+          compiler::Compile(prog, compiler::ArchDescription(spec.cfg), CellCompileOptions(spec));
     }
-    out.run = ob != nullptr ? profile.Simulate(cfg, traces, opts, &out.conservation)
-                            : profile.RunCompiled(cfg, traces, &out.conservation);
+    out.run = profile.RunCompiled(spec.cfg, prog, ob);
   } else if (spec.scheme == metrics::Scheme::kBaseline && ob == nullptr) {
     out.run = profile.Baseline();
-    out.conservation = profile.BaselineConservation();
   } else {
     // A traced Baseline re-simulates: the profile's baseline carries no
     // observation data.
-    std::unique_ptr<runtime::Policy> policy = MakePolicy(spec.scheme, profile);
+    std::unique_ptr<runtime::Policy> policy = MakePolicy(spec.scheme, spec.cfg, profile);
+    runtime::MachineOptions opts;
     opts.policy = policy.get();
-    out.run = profile.Simulate(profile.cfg(), profile.Traces(), opts, &out.conservation);
+    opts.obs = ob;
+    out.run = profile.Simulate(spec.cfg, profile.Traces(), opts);
   }
-  CheckCellConservation(spec, out.conservation);
+  CheckCellConservation(spec, out.run.conservation);
   return out;
 }
 
@@ -350,6 +351,7 @@ json::Value RunCellObsSummary(const CellSpec& spec) {
   v.obj["requests_traced"] = json::Value::Int(ob.tracer.traced());
   v.obj["requests_finished"] = json::Value::Int(ob.tracer.finished());
   v.obj["requests_unfinished"] = json::Value::Int(ob.tracer.unfinished());
+  v.obj["requests_overflowed"] = json::Value::Int(ob.tracer.overflowed());
   v.obj["total_end_to_end_cycles"] = json::Value::Int(ob.tracer.total_end_to_end());
 
   json::Value stages = json::Value::Object();

@@ -31,7 +31,7 @@ namespace ndc::harness {
 /// workload-generator semantics change in a way that alters measured
 /// numbers: entries keyed with the old version then miss (and are
 /// re-measured) instead of silently serving stale results.
-inline constexpr const char* kCacheVersion = "ndc-harness-2";
+inline constexpr const char* kCacheVersion = "ndc-harness-3";
 
 /// The name of each input scale: ScaleName prints it, the tools parse it.
 inline constexpr std::pair<workloads::Scale, const char*> kScaleNames[] = {
@@ -50,10 +50,9 @@ struct CellSpec {
   /// Compile with Mode::kCoarseGrain instead of the scheme's mode
   /// (Section 5.4 mapping-granularity ablation).
   bool coarse_grain = false;
-  // Compiled schemes only (forwarded into CompileOptions):
-  bool allow_reroute = true;
-  std::uint8_t control_register = arch::kAllLocs;
   /// Fully resolved configuration (any figure variant already applied).
+  /// Its control register and reroute flag are the NDC hardware the
+  /// measured run has; a compiled scheme also compiles for them.
   arch::ArchConfig cfg;
   /// Display label for configuration variants ("" = Table-1 defaults).
   /// Deliberately NOT part of the cache key: two figures probing the same
@@ -71,10 +70,10 @@ struct CellSpec {
   std::string Key() const;
 
   /// CanonicalString() with the fields only the measured run reads
-  /// (scheme, coarse-grain, reroute, control register) cleared.
-  /// Everything the baseline and observation runs depend on stays: workload,
-  /// scale, seed and the full ArchConfig. Cells with equal keys
-  /// can share one metrics::Profile.
+  /// (scheme, coarse-grain, and cfg's control register and reroute flag)
+  /// reset to their defaults. Everything the baseline and observation runs
+  /// depend on stays: workload, scale, seed and the rest of the
+  /// ArchConfig. Cells with equal keys can share one metrics::Profile.
   std::string ProfileKey() const;
 
   /// Whether the measured run decides from the observation profile (the
@@ -128,8 +127,10 @@ struct CellResult {
 };
 
 /// The (not yet simulated) profile for `spec`: its workload built at its
-/// scale, seed and configuration. `observe`: some cell run over the profile
-/// reads its observation run, which then also serves as its baseline.
+/// scale, seed and configuration, with the control register and reroute
+/// flag at their defaults (ProfileKey). `observe`: some cell run over the
+/// profile reads its observation run, which then also serves as its
+/// baseline.
 std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe);
 
 /// Throws std::runtime_error naming the cell (its key, workload and scheme)
@@ -138,24 +139,24 @@ std::shared_ptr<metrics::Profile> MakeProfile(const CellSpec& spec, bool observe
 void CheckCellConservation(const CellSpec& spec, const fault::ConservationInputs& in);
 
 /// The options a compiled cell (IsCompiled()) compiles with: its mode
-/// (coarse-grain, else the scheme's algorithm), reroute flag and control
-/// register. Its measured run's configuration takes the last two as well.
+/// (coarse-grain, else the scheme's algorithm), and the reroute flag and
+/// control register of its cfg.
 compiler::CompileOptions CellCompileOptions(const CellSpec& spec);
 
 /// Runs the cell's scheme against `profile`, which must come from
 /// MakeProfile of a spec with the same ProfileKey(), with `ob` (when
-/// non-null) attached to the measured run. A policy scheme simulates the
-/// baseline traces under its policy; a compiled scheme compiles a copy of
-/// the profile's program and simulates the lowered traces. Untraced, the
-/// Baseline scheme's run is the profile's baseline and a compiled run is
-/// the profile's (metrics::Profile::RunCompiled), so a program another cell
-/// already lowered to identical traces is not simulated again; traced,
-/// every scheme simulates its own run. Only the untraced Baseline reads the
-/// profile's baseline run, and only the Oracle and Wait(x%) its observation
-/// run; each is made on first use. Thread-safe with
-/// respect to other cells, including cells sharing the profile — the
-/// simulator has no global mutable state. The measured run must conserve
-/// requests (CheckCellConservation), else RunScheme throws.
+/// non-null) attached to the measured run. Every measured run and policy
+/// is on spec.cfg. A policy scheme simulates the baseline traces under its
+/// policy; a compiled scheme compiles a copy of the profile's program and
+/// runs it through metrics::Profile::RunCompiled. Untraced, the Baseline
+/// scheme's run is the profile's baseline and a program whose annotations
+/// another cell's already had is neither lowered nor simulated again;
+/// traced, every scheme simulates its own run. Only the untraced Baseline
+/// reads the profile's baseline run, and only the Oracle and Wait(x%) its
+/// observation run; each is made on first use. Thread-safe with respect to
+/// other cells, including cells sharing the profile — the simulator has no
+/// global mutable state. The measured run must conserve requests
+/// (CheckCellConservation on run.conservation), else RunScheme throws.
 metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
                                 obs::Observability* ob = nullptr);
 

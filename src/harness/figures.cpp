@@ -197,7 +197,7 @@ SweepSpec BuildFig14(const FigureOptions& opt) {
   for (const std::string& w : FilteredWorkloads(opt)) {
     for (const MaskConfig& c : kFig14Configs) {
       CellSpec cell = MakeCell(opt, w, metrics::Scheme::kAlgorithm1);
-      cell.control_register = c.mask;
+      cell.cfg.control_register = c.mask;
       cell.variant = c.name;
       spec.cells.push_back(cell);
     }
@@ -374,7 +374,7 @@ SweepSpec BuildAbl(const FigureOptions& opt) {
     fine.variant = "fine";
     spec.cells.push_back(fine);
     CellSpec noreroute = MakeCell(opt, w, metrics::Scheme::kAlgorithm1);
-    noreroute.allow_reroute = false;
+    noreroute.cfg.allow_reroute = false;
     noreroute.variant = "no-reroute";
     spec.cells.push_back(noreroute);
     CellSpec coarse = MakeCell(opt, w, metrics::Scheme::kAlgorithm1);

@@ -50,7 +50,7 @@ SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
 // naming the figure, the workload and the report otherwise.
 const runtime::RunResult& CheckedObserve(metrics::Profile& profile, const char* figure) {
   const runtime::RunResult& obs = profile.Observe();
-  fault::ConservationReport rep = fault::CheckConservation(profile.ObserveConservation());
+  fault::ConservationReport rep = fault::CheckConservation(obs.conservation);
   if (!rep.ok) {
     throw std::runtime_error(std::string(figure) + " observation run (" + profile.workload() +
                              "): " + rep.ToString());

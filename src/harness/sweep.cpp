@@ -135,7 +135,7 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
   // cell reads it (the baseline is then taken from it, as the two are
   // timing-identical), else the baseline run. Its cells follow, each
   // compiled cell after the group's previous compiled cell, so that a
-  // compile lowering to a program the group already ran finds that run
+  // compiled program annotated as one the group already ran finds that run
   // (metrics::Profile::RunCompiled) instead of racing it. The scheduler's
   // plan-order priority finishes one group's cells before it starts
   // lowering later groups whenever it can, and each profile is dropped

@@ -158,6 +158,8 @@ struct NdcAnnotation {
   sim::Cycle timeout = 0;
   Int lead0 = 0;
   Int lead1 = 0;
+
+  friend bool operator==(const NdcAnnotation&, const NdcAnnotation&) = default;
 };
 
 /// A statement `lhs = rhs0 op rhs1`, executed at every iteration of its

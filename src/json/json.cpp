@@ -152,12 +152,6 @@ void DumpTo(const Value& v, std::string& out) {
 
 }  // namespace
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  EscapeTo(s, out);
-  return out;
-}
-
 std::string Dump(const Value& v) {
   std::string out;
   DumpTo(v, out);
@@ -264,7 +258,7 @@ class Parser {
               else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
               else return Fail("bad \\u escape");
             }
-            // Escape writes \u00xx only for control bytes and passes
+            // Dump writes \u00xx only for control bytes and passes
             // UTF-8 through raw; a larger code point would need UTF-8
             // encoding, which this reader does not do.
             if (code > 0x7F) return Fail("\\u escape above \\u007f");

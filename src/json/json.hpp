@@ -49,22 +49,19 @@ struct Value {
   double AsDouble(double fallback = 0.0) const;
 };
 
-/// The body of a JSON string (no surrounding quotes): `"` and `\` escaped,
-/// named escapes for \b \f \n \r \t, \u00xx for every other control byte.
-/// Bytes >= 0x80 pass through raw: the document is UTF-8, and escaping
-/// them one by one would re-encode each byte of a multi-byte rune as its
-/// own Latin-1 code point.
-std::string Escape(const std::string& s);
-
 /// Compact single-line serialization (object keys in map order, so the
-/// output is deterministic).
+/// output is deterministic). A string's body has `"` and `\` escaped,
+/// named escapes for \b \f \n \r \t, and \u00xx for every other control
+/// byte. Bytes >= 0x80 pass through raw: the document is UTF-8, and
+/// escaping them one by one would re-encode each byte of a multi-byte rune
+/// as its own Latin-1 code point.
 std::string Dump(const Value& v);
 
 /// Parses one JSON document. Returns false (and sets `err` when non-null)
 /// on malformed input or trailing garbage. A number must be
 /// -?digits(.digits)?([eE][+-]?digits)? and fit its type (a non-negative
 /// integer in 64 unsigned bits, anything else as a double short of
-/// overflow); a \u escape must name a code point below 0x80, since Escape
+/// overflow); a \u escape must name a code point below 0x80, since Dump
 /// never writes a larger one.
 bool Parse(const std::string& text, Value* out, std::string* err = nullptr);
 

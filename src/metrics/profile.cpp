@@ -1,6 +1,5 @@
 #include "metrics/profile.hpp"
 
-#include <bit>
 #include <utility>
 
 #include "compiler/codegen.hpp"
@@ -30,13 +29,11 @@ Profile::Profile(std::string workload, workloads::Scale scale, arch::ArchConfig 
 
 runtime::RunResult Profile::Simulate(const arch::ArchConfig& cfg,
                                      const std::vector<arch::Trace>& traces,
-                                     const runtime::MachineOptions& opts,
-                                     fault::ConservationInputs* conservation) {
+                                     const runtime::MachineOptions& opts) {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
   runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
   runtime::RunResult r = m.Run();
-  if (conservation != nullptr) *conservation = m.GatherConservation();
   ++machine_runs_;
   obs::GlobalPhases().AddSimEvents(r.events);
   return r;
@@ -55,10 +52,9 @@ const runtime::RunResult& Profile::Baseline() {
     if (baseline_from_observe_) {
       baseline_ = Observe();
       baseline_.records.reset();
-      baseline_conservation_ = observe_conservation_;
       ++runs_reused_;
     } else {
-      baseline_ = Simulate(cfg_, Traces(), {}, &baseline_conservation_);
+      baseline_ = Simulate(cfg_, Traces(), {});
     }
   });
   return baseline_;
@@ -68,41 +64,32 @@ const runtime::RunResult& Profile::Observe() {
   std::call_once(observe_once_, [this] {
     runtime::MachineOptions opts;
     opts.observe = true;
-    observe_ = Simulate(cfg_, Traces(), opts, &observe_conservation_);
+    observe_ = Simulate(cfg_, Traces(), opts);
   });
   return observe_;
 }
 
-Profile::ProgramDigest Profile::Digest(const std::vector<arch::Trace>& traces) {
-  // splitmix64's finalizer: a bijection, so distinct states stay distinct.
-  auto mix = [](std::uint64_t x) {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  // Two lanes that fold each word in differently.
-  ProgramDigest d;
-  std::uint64_t h0 = 0xcbf29ce484222325ull, h1 = 0x9e3779b97f4a7c15ull;
-  for (const arch::Trace& t : traces) {
-    d.lengths.push_back(t.size());
-    for (const arch::Instr& in : t) {
-      for (std::uint64_t w : in.words()) {
-        h0 = mix(h0 ^ w);
-        h1 = mix(std::rotl(h1, 29) + w * 0x9e3779b97f4a7c15ull);
-      }
+runtime::RunResult Profile::RunCompiled(const arch::ArchConfig& cfg, const ir::Program& compiled,
+                                        obs::Observability* ob) {
+  auto simulate = [&] {
+    std::vector<arch::Trace> traces;
+    {
+      obs::ScopedPhase phase(obs::Phase::kCompile);
+      traces = compiler::Lower(compiled, cfg.num_nodes(), &cfg).traces;
     }
-  }
-  d.hash = {h0, h1};
-  return d;
-}
+    runtime::MachineOptions opts;
+    opts.obs = ob;
+    return Simulate(cfg, traces, opts);
+  };
+  if (ob != nullptr) return simulate();
 
-runtime::RunResult Profile::RunCompiled(const arch::ArchConfig& cfg,
-                                        const std::vector<arch::Trace>& traces,
-                                        fault::ConservationInputs* conservation) {
-  CompiledRun c{cfg, Digest(traces), {}, {}};
+  CompiledRun c{cfg, {}, {}};
+  for (const ir::LoopNest& nest : compiled.nests) {
+    for (const ir::Stmt& st : nest.body) c.annotations.push_back(st.ndc);
+  }
   auto known = [&] {  // call with compiled_mu_ held
     for (const CompiledRun& e : compiled_) {
-      if (e.digest == c.digest && e.cfg == c.cfg) return &e;
+      if (e.annotations == c.annotations && e.cfg == c.cfg) return &e;
     }
     return static_cast<const CompiledRun*>(nullptr);
   };
@@ -110,14 +97,12 @@ runtime::RunResult Profile::RunCompiled(const arch::ArchConfig& cfg,
     std::lock_guard<std::mutex> lock(compiled_mu_);
     if (const CompiledRun* e = known()) {
       ++runs_reused_;
-      *conservation = e->conservation;
       return e->run;
     }
   }
   // Concurrent callers with the same program may both simulate; their runs
   // are identical, so the one that finishes second is not stored.
-  c.run = Simulate(cfg, traces, {}, &c.conservation);
-  *conservation = c.conservation;
+  c.run = simulate();
   runtime::RunResult out = c.run;
   std::lock_guard<std::mutex> lock(compiled_mu_);
   if (known() == nullptr) compiled_.push_back(std::move(c));

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <mutex>
 #include <string>
@@ -8,8 +7,8 @@
 #include <vector>
 
 #include "compiler/pipeline.hpp"
-#include "fault/conservation.hpp"
 #include "ndc/machine.hpp"
+#include "obs/obs.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::metrics {
@@ -46,11 +45,11 @@ const char* SchemeName(Scheme s);
 
 /// Everything measured for one (workload, scheme) run.
 struct SchemeResult {
+  /// The run, with its request-conservation inputs (run.conservation):
+  /// fault::CheckConservation reports ok on every result harness::RunScheme
+  /// returns.
   runtime::RunResult run;
   compiler::CompileReport compile_report;  ///< compiler modes only
-  /// The run's request-conservation inputs; fault::CheckConservation
-  /// reports ok on every result harness::RunScheme returns.
-  fault::ConservationInputs conservation;
 };
 
 /// How many machine runs a Profile made for the runs over it, and how many
@@ -80,7 +79,6 @@ class Profile {
   Profile& operator=(const Profile&) = delete;
 
   const std::string& workload() const { return workload_; }
-  const arch::ArchConfig& cfg() const { return cfg_; }
   /// The workload program as built (copy it before compiling: Compile
   /// mutates its input).
   const ir::Program& program() const { return program_; }
@@ -89,53 +87,35 @@ class Profile {
   const std::vector<arch::Trace>& Traces();
   /// Baseline (conventional) run. Never carries records.
   const runtime::RunResult& Baseline();
-  /// The request-conservation inputs the baseline run ended with.
-  const fault::ConservationInputs& BaselineConservation() {
-    Baseline();
-    return baseline_conservation_;
-  }
   /// Observation run over the original program (Section 4 quantification).
   /// Timing-identical to the baseline.
   const runtime::RunResult& Observe();
-  /// The request-conservation inputs the observation run ended with.
-  const fault::ConservationInputs& ObserveConservation() {
-    Observe();
-    return observe_conservation_;
-  }
 
-  /// The policy-free, untraced run of compiled `traces` on `cfg`. The first
-  /// call for a given `cfg` and program simulates; later calls return a copy
-  /// of that run. The program is recognised by each core's trace length and
-  /// a 128-bit hash of its instruction words, so no trace is kept.
-  /// `conservation` receives the run's conservation inputs.
-  runtime::RunResult RunCompiled(const arch::ArchConfig& cfg,
-                                 const std::vector<arch::Trace>& traces,
-                                 fault::ConservationInputs* conservation);
+  /// The policy-free run of `compiled` (a copy of program() that
+  /// compiler::Compile annotated) on `cfg`, lowered under the compile phase.
+  /// Untraced (`ob` null), the first call for a given `cfg` and set of
+  /// statement annotations lowers and simulates, and later calls return a
+  /// copy of that run without lowering: Compile writes nothing but
+  /// Stmt::ndc, and lowering is a pure function of the program and `cfg`,
+  /// so programs with equal annotations lower to identical traces. Traced,
+  /// every call lowers and simulates its own run with `ob` attached.
+  runtime::RunResult RunCompiled(const arch::ArchConfig& cfg, const ir::Program& compiled,
+                                 obs::Observability* ob = nullptr);
 
   /// Runs made so far by this profile and by the scheme runs over it.
   RunCounts run_counts() const { return {machine_runs_.load(), runs_reused_.load()}; }
 
   /// Simulates `traces` on `cfg`, counted in run_counts(). The machine
-  /// borrows the traces for the run, so nothing is copied. `conservation`,
-  /// when non-null, receives the run's request conservation inputs.
+  /// borrows the traces for the run, so nothing is copied.
   runtime::RunResult Simulate(const arch::ArchConfig& cfg, const std::vector<arch::Trace>& traces,
-                              const runtime::MachineOptions& opts,
-                              fault::ConservationInputs* conservation = nullptr);
+                              const runtime::MachineOptions& opts);
 
  private:
-  /// Each core's trace length and a 128-bit hash of all instruction words.
-  struct ProgramDigest {
-    std::vector<std::size_t> lengths;
-    std::array<std::uint64_t, 2> hash{};
-    friend bool operator==(const ProgramDigest&, const ProgramDigest&) = default;
-  };
   struct CompiledRun {
     arch::ArchConfig cfg;
-    ProgramDigest digest;
+    std::vector<ir::NdcAnnotation> annotations;  ///< every statement's, in program order
     runtime::RunResult run;
-    fault::ConservationInputs conservation;
   };
-  static ProgramDigest Digest(const std::vector<arch::Trace>& traces);
 
   std::string workload_;
   arch::ArchConfig cfg_;
@@ -144,9 +124,7 @@ class Profile {
   std::once_flag traces_once_, baseline_once_, observe_once_;
   std::vector<arch::Trace> traces_;
   runtime::RunResult baseline_;
-  fault::ConservationInputs baseline_conservation_;
   runtime::RunResult observe_;
-  fault::ConservationInputs observe_conservation_;
   std::mutex compiled_mu_;
   std::vector<CompiledRun> compiled_;  // guarded by compiled_mu_
   std::atomic<std::uint64_t> machine_runs_{0}, runs_reused_{0};

@@ -155,6 +155,7 @@ RunResult Machine::Run(sim::Cycle limit) {
   merge(net_->stats());
   for (auto& m : mcs_) merge(m->stats());
   for (auto& c : cores_) merge(c->stats());
+  r.conservation = GatherConservation();
   if (opts_.observe) {
     FinalizeRecords();
     r.records = records_;
@@ -852,15 +853,8 @@ Machine::Instance& Machine::NewInstance(sim::NodeId core, std::uint32_t site_idx
 void Machine::RecordDecision(const Instance& inst, obs::DecisionKind kind,
                              std::int8_t planned_loc) {
   if (!ObsOn()) return;
-  // Advisory NMPO-style prior: the candidate's placement freedom (number of
-  // feasible NDC locations). Written to the audit log, never read back —
-  // the decision itself is already made when this runs.
-  std::uint32_t prior = 0;
-  for (int l = 0; l < arch::kNumLocs; ++l) {
-    if (inst.feasible_mask & (1u << l)) ++prior;
-  }
   opts_.obs->decisions.Record(inst.uid, inst.core, inst.site_idx, kind, planned_loc,
-                              eq_.now(), prior);
+                              eq_.now());
   if (kind == obs::DecisionKind::kOffload) {
     opts_.obs->sink.Instant("ndc.offload", eq_.now(), inst.core, inst.uid, "loc",
                             static_cast<std::uint64_t>(planned_loc));

@@ -63,6 +63,9 @@ struct RunResult {
 
   sim::StatSet stats;  ///< merged counters: machine, network, MCs and cores
   std::shared_ptr<RunRecord> records;  ///< observation data (observe mode)
+  /// The run's request-conservation inputs (Machine::GatherConservation at
+  /// the end of the run); fault::CheckConservation must report ok on them.
+  fault::ConservationInputs conservation;
 };
 
 /// The simulated manycore machine of Section 2: a WxH mesh of

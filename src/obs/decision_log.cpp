@@ -32,8 +32,7 @@ const char* OutcomeName(Outcome o) {
 }
 
 void DecisionLog::Record(std::uint64_t uid, sim::NodeId core, std::uint32_t site,
-                         DecisionKind kind, std::int8_t planned_loc, sim::Cycle now,
-                         std::uint32_t prior) {
+                         DecisionKind kind, std::int8_t planned_loc, sim::Cycle now) {
   if (by_uid_.count(uid) != 0) return;
   by_uid_[uid] = entries_.size();
   DecisionEntry& e = entries_.emplace_back();
@@ -43,7 +42,6 @@ void DecisionLog::Record(std::uint64_t uid, sim::NodeId core, std::uint32_t site
   e.kind = kind;
   e.planned_loc = planned_loc;
   e.decided_at = now;
-  e.prior = prior;
   ++kind_counts_[static_cast<int>(kind)];
   if (kind == DecisionKind::kOffload) {
     e.outcome = Outcome::kUnresolved;
@@ -116,7 +114,6 @@ std::string DecisionLog::ToJsonl() const {
                              {"outcome", Value::Str(OutcomeName(e.outcome))},
                              {"met_loc", Value::Signed(e.met_loc)},
                              {"resolved_at", Value::Int(e.resolved_at)}});
-    if (e.prior != 0) v.obj["prior"] = Value::Int(e.prior);  // 0 = not computed
     out += json::Dump(v);
     out += '\n';
   }

@@ -55,11 +55,6 @@ struct DecisionEntry {
   Outcome outcome = Outcome::kUnresolved;
   std::int8_t met_loc = -1;      ///< arch::Loc where operands actually met
   sim::Cycle resolved_at = 0;
-  /// Advisory NMPO-style profiling prior: the number of feasible NDC
-  /// locations the planner saw for this candidate (popcount of the
-  /// feasibility mask). Audit-only — recorded, never read back by the
-  /// runtime, so it can never change a decision.
-  std::uint32_t prior = 0;
 };
 
 class DecisionLog {
@@ -67,9 +62,8 @@ class DecisionLog {
   /// Records one candidate decision. Non-offload kinds are terminal and
   /// resolve to kConventional immediately; kOffload stays kUnresolved until
   /// Resolve(). Duplicate uids are ignored (one decision per candidate).
-  /// `prior` is the advisory placement-freedom prior (0 = not computed).
   void Record(std::uint64_t uid, sim::NodeId core, std::uint32_t site, DecisionKind kind,
-              std::int8_t planned_loc, sim::Cycle now, std::uint32_t prior = 0);
+              std::int8_t planned_loc, sim::Cycle now);
 
   /// Terminally resolves an offloaded entry. First resolution wins; later
   /// calls for the same uid are ignored (an abort can race the catch-all

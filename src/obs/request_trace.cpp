@@ -28,7 +28,7 @@ std::uint64_t RequestTracer::Begin(sim::NodeId core, std::uint32_t slot, sim::Ad
                                    sim::Cycle now) {
   ++seen_;
   if ((seen_ - 1) % opt_.sample_period != 0) return 0;
-  if (records_.size() >= opt_.max_requests) {
+  if (records_.size() >= kMaxTracedRequests) {
     ++overflowed_;
     return 0;
   }
@@ -92,7 +92,7 @@ void RequestTracer::EndRun(sim::Cycle now) {
 
 std::string RequestTracer::BreakdownTable() const {
   std::string out;
-  char line[160];
+  char line[256];
   std::snprintf(line, sizeof(line), "%-16s %12s %14s %10s\n", "stage", "intervals",
                 "cycles", "avg");
   out += line;
@@ -113,11 +113,12 @@ std::string RequestTracer::BreakdownTable() const {
   out += line;
   std::snprintf(line, sizeof(line),
                 "requests: seen=%llu traced=%llu finished=%llu unfinished=%llu "
-                "(sample_period=%llu)\n",
+                "overflowed=%llu (sample_period=%llu)\n",
                 static_cast<unsigned long long>(seen_),
                 static_cast<unsigned long long>(records_.size()),
                 static_cast<unsigned long long>(finished_),
                 static_cast<unsigned long long>(unfinished_),
+                static_cast<unsigned long long>(overflowed_),
                 static_cast<unsigned long long>(opt_.sample_period));
   out += line;
   if (finished_ > 0) {

@@ -67,12 +67,15 @@ struct RequestRecord {
   sim::Cycle EndToEnd() const { return last_cycle() - issue_cycle(); }
 };
 
+/// Request records one RequestTracer keeps. A sampled load past the cap
+/// goes untraced and is counted in overflowed().
+inline constexpr std::size_t kMaxTracedRequests = 1u << 20;
+
 /// How much one observed run records. Observability sizes its sink from
-/// max_trace_events; the RequestTracer reads the other three.
+/// max_trace_events; the RequestTracer reads the other two.
 struct ObsOptions {
   std::uint64_t sample_period = 1;          ///< trace every Nth load (1 = all)
   std::size_t max_trace_events = 1u << 20;  ///< timeline events kept; excess dropped
-  std::size_t max_requests = 1u << 20;      ///< records kept; excess loads untraced
   bool emit_stage_events = true;            ///< 'X' slices per stage into the sink
 };
 
@@ -109,7 +112,7 @@ class RequestTracer {
   std::uint64_t traced() const { return records_.size(); }
   std::uint64_t finished() const { return finished_; }
   std::uint64_t unfinished() const { return unfinished_; }
-  std::uint64_t overflowed() const { return overflowed_; }  ///< lost to max_requests
+  std::uint64_t overflowed() const { return overflowed_; }  ///< lost to kMaxTracedRequests
   std::uint64_t sample_period() const { return opt_.sample_period; }
   const std::vector<RequestRecord>& records() const { return records_; }
 

@@ -338,24 +338,6 @@ TEST(UseUse, OnlyTwoMemoryOperandStatements) {
 
 // --- CME --------------------------------------------------------------------
 
-TEST(Cme, CongruenceCountMatchesBruteForce) {
-  sim::Rng rng(5);
-  for (int trial = 0; trial < 100; ++trial) {
-    Int a = rng.NextInRange(0, 40);
-    Int b = rng.NextInRange(0, 40);
-    Int m = rng.NextInRange(2, 32);
-    std::uint64_t range = rng.NextBelow(80) + 1;
-    std::uint64_t brute = 0;
-    for (std::uint64_t x = 0; x < range; ++x) {
-      if ((a * static_cast<Int>(x)) % m == ((b % m) + m) % m) ++brute;
-    }
-    std::uint64_t got = CountCongruentSolutions(a, b, m, range);
-    // The closed form over-counts by at most one partial period.
-    EXPECT_GE(got + 1, brute);
-    EXPECT_LE(got, brute + 1);
-  }
-}
-
 TEST(Cme, ColdFaceAndStreamPrediction) {
   // 64-byte-strided stream (no reuse): every access misses.
   TestNest t(16, 16, 100000);

@@ -53,7 +53,7 @@ TEST_P(ConservationPerBenchmark, HoldsAfterEveryFig04SchemeRun) {
                    Scheme::kWait10, Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait,
                    Scheme::kMarkov, Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
     metrics::SchemeResult r = harness::RunScheme(harness::TestCell(name, s), *profile);
-    const ConservationInputs& in = r.conservation;
+    const ConservationInputs& in = r.run.conservation;
     ConservationReport rep = CheckConservation(in);
     EXPECT_TRUE(rep.ok) << name << " " << metrics::SchemeName(s) << "\n" << rep.ToString();
     EXPECT_GT(in.packets_sent, 0u) << name << " " << metrics::SchemeName(s);

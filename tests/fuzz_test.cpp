@@ -253,9 +253,7 @@ TEST_P(FuzzIrSeeds, CompiledProgramsPassTheIndependentAuditor) {
     ir::Program prog = RandomIrProgram(GetParam());
     compiler::CompileOptions opt;
     opt.mode = mode;
-    opt.verify_after = false;  // verified explicitly below
-    compiler::Compile(prog, ad, opt);
-    verify::Report rep = verify::VerifyProgram(prog);
+    verify::Report rep = compiler::Compile(prog, ad, opt).verify;
     EXPECT_EQ(rep.ErrorCount(), 0)
         << "seed " << GetParam() << " mode " << compiler::ModeName(mode) << "\n"
         << prog.ToString() << rep.ToText();

@@ -60,7 +60,7 @@ TEST(CellSpec, DefaultKeyIsStable) {
   a.workload = "swim";
   a.scale = workloads::Scale::kSmall;
   a.scheme = metrics::Scheme::kOracle;
-  EXPECT_EQ(a.Key(), "c692381c58525e96");
+  EXPECT_EQ(a.Key(), "04183ee24a7c157f");
 }
 
 // Cells share a profile exactly when their baseline and observation runs
@@ -75,8 +75,8 @@ TEST(CellSpec, ProfileKeyKeepsEverythingTheBaselineDependsOn) {
   CellSpec b = a;
   b.scheme = metrics::Scheme::kAlgorithm2;
   b.coarse_grain = true;
-  b.allow_reroute = false;
-  b.control_register = 1;
+  b.cfg.allow_reroute = false;
+  b.cfg.control_register = 1;
   b.variant = "label";
   EXPECT_EQ(a.ProfileKey(), b.ProfileKey());
   EXPECT_NE(a.Key(), b.Key());
@@ -91,8 +91,8 @@ TEST(CellSpec, ProfileKeyKeepsEverythingTheBaselineDependsOn) {
   b.cfg.l2.size_bytes *= 2;
   EXPECT_NE(a.ProfileKey(), b.ProfileKey());
   b = a;
-  b.cfg.allow_reroute = false;  // an ArchConfig field, unlike CellSpec::allow_reroute
-  EXPECT_NE(a.ProfileKey(), b.ProfileKey());
+  b.cfg.allow_reroute = false;  // only the measured run reads it
+  EXPECT_EQ(a.ProfileKey(), b.ProfileKey());
 }
 
 // The variant display label is deliberately not hashed: two figures probing
@@ -430,7 +430,7 @@ SweepSpec EquivalenceGrid() {
   coarse.coarse_grain = true;
   spec.cells.push_back(coarse);
   CellSpec no_reroute = cell("md", Scheme::kAlgorithm2);
-  no_reroute.allow_reroute = false;
+  no_reroute.cfg.allow_reroute = false;
   spec.cells.push_back(no_reroute);
   for (Scheme s : {Scheme::kBaseline, Scheme::kWait25}) {
     spec.cells.push_back(cell("fft", s));
@@ -451,13 +451,10 @@ std::uint64_t SimEventsSoFar() { return obs::GlobalPhases().Take().sim_events; }
 using CompiledProgram =
     std::pair<arch::ArchConfig, std::vector<std::vector<std::array<std::uint64_t, 2>>>>;
 CompiledProgram LowerCompiledCell(const CellSpec& c) {
-  compiler::CompileOptions opt = CellCompileOptions(c);
   CompiledProgram out{c.cfg, {}};
-  out.first.allow_reroute = opt.allow_reroute;
-  out.first.control_register = opt.control_register;
   ir::Program prog = workloads::BuildWorkload(c.workload, c.scale, c.seed);
-  compiler::Compile(prog, compiler::ArchDescription(out.first), opt);
-  for (const arch::Trace& t : compiler::Lower(prog, out.first.num_nodes(), &out.first).traces) {
+  compiler::Compile(prog, compiler::ArchDescription(c.cfg), CellCompileOptions(c));
+  for (const arch::Trace& t : compiler::Lower(prog, c.cfg.num_nodes(), &c.cfg).traces) {
     auto& words = out.second.emplace_back();
     for (const arch::Instr& in : t) words.push_back(in.words());
   }

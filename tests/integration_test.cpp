@@ -40,7 +40,7 @@ void ExpectObserveMatchesBaseline(Scale scale) {
     Profile observed(name, scale, arch::ArchConfig{}, 1, /*baseline_from_observe=*/true);
     const runtime::RunResult& obs = observed.Observe();
     ExpectSameRun(obs, plain.Baseline(), name);
-    EXPECT_EQ(observed.BaselineConservation(), plain.BaselineConservation()) << name;
+    EXPECT_EQ(observed.Baseline().conservation, plain.Baseline().conservation) << name;
     EXPECT_GT(obs.records->TotalInstances(), 0u) << name;
     ExpectSameRun(observed.Baseline(), plain.Baseline(), name);
     EXPECT_EQ(observed.Baseline().records, nullptr) << name;
@@ -80,7 +80,7 @@ TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
 
     SchemeResult f2 = RunScheme(alg2);
     ExpectSameRun(a2.run, f2.run, name);
-    EXPECT_EQ(a2.conservation, f2.conservation) << name;
+    EXPECT_EQ(a2.run.conservation, f2.run.conservation) << name;
     if (identical) ExpectSameRun(a1.run, a2.run, name);
 
     obs::Observability ob;
@@ -191,7 +191,7 @@ TEST(Sensitivity, AddSubRestrictionReducesOffloads) {
 TEST(Ablation, RerouteIncreasesRouterNdc) {
   CellSpec with = TestCell("nab", Scheme::kAlgorithm1);
   CellSpec without = with;
-  without.allow_reroute = false;
+  without.cfg.allow_reroute = false;
   auto profile = harness::MakeProfile(with, false);
   constexpr auto kLink = static_cast<std::size_t>(arch::Loc::kLinkBuffer);
   std::uint64_t net_with = RunScheme(with, *profile).run.ndc_at_loc[kLink];

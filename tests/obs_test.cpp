@@ -133,6 +133,19 @@ TEST(RequestTracer, SamplePeriodAdmitsEveryNth) {
   EXPECT_EQ(tracer.records()[2].slot, 6u);
 }
 
+// The breakdown's request line accounts for every load offered: sampled
+// out, traced, or lost to the record cap (none here).
+TEST(RequestTracer, BreakdownReportsOverflow) {
+  TraceSink sink;
+  ndc::obs::RequestTracer tracer(&sink);
+  tracer.Finish(tracer.Begin(0, 0, 0x40, 0), Stage::kL1Hit, 2);
+  EXPECT_EQ(tracer.overflowed(), 0u);
+  EXPECT_NE(tracer.BreakdownTable().find("requests: seen=1 traced=1 finished=1 unfinished=0 "
+                                         "overflowed=0 (sample_period=1)"),
+            std::string::npos)
+      << tracer.BreakdownTable();
+}
+
 TEST(RequestTracer, EndRunClosesOpenRecordsAsUnfinished) {
   TraceSink sink;
   ndc::obs::RequestTracer tracer(&sink);
@@ -216,27 +229,6 @@ TEST(PhaseProfiler, SnapshotDeltaReportsOnlyActivePhases) {
   auto delta = prof.Take().DeltaMsSince(base);
   ASSERT_EQ(delta.size(), 1u);
   EXPECT_EQ(delta.at("simulate"), 7u);
-}
-
-// -------------------------------------------- unit: decision-log priors ---
-
-TEST(DecisionLogPrior, ZeroPriorOmittedNonzeroEmitted) {
-  ndc::obs::DecisionLog log;
-  log.Record(1, 0, 0, ndc::obs::DecisionKind::kLocalL1Skip, -1, 10);      // default 0
-  log.Record(2, 0, 1, ndc::obs::DecisionKind::kOffload, 2, 11, 3);        // 3 feasible locs
-  std::string jsonl = log.ToJsonl();
-  std::size_t nl = jsonl.find('\n');
-  ASSERT_NE(nl, std::string::npos);
-  std::string first = jsonl.substr(0, nl);
-  std::string second = jsonl.substr(nl + 1, jsonl.find('\n', nl + 1) - nl - 1);
-
-  Value v;
-  std::string err;
-  ASSERT_TRUE(Parse(first, &v, &err)) << err;
-  EXPECT_EQ(v.Find("prior"), nullptr);  // advisory field absent when 0
-  ASSERT_TRUE(Parse(second, &v, &err)) << err;
-  ASSERT_NE(v.Find("prior"), nullptr);
-  EXPECT_EQ(v.Find("prior")->AsU64(), 3u);
 }
 
 // ------------------------------------------------------------ end-to-end ---
@@ -343,7 +335,7 @@ TEST(ObsEndToEnd, TracingIsTimingNeutral) {
     ndc::metrics::SchemeResult on = ndc::harness::RunScheme(c, *profile, &ob);
     ASSERT_GT(ob.tracer.traced(), 0u) << c.SchemeLabel();
     ndc::harness::ExpectSameRun(on.run, off.run, c.SchemeLabel());
-    EXPECT_EQ(on.conservation, off.conservation) << c.SchemeLabel();
+    EXPECT_EQ(on.run.conservation, off.run.conservation) << c.SchemeLabel();
   }
 }
 
@@ -399,6 +391,9 @@ TEST(ObsEndToEnd, RunCellObsSummaryStagesSumToTotalEndToEnd) {
   for (const auto& [name, entry] : stages->obj) sum += entry.Find("cycles")->AsU64();
   EXPECT_EQ(sum, v.Find("total_end_to_end_cycles")->AsU64());
   EXPECT_GT(v.Find("requests_finished")->AsU64(), 0u);
+  // Every load is sampled, so each one is traced or counted as overflowed.
+  EXPECT_EQ(v.Find("requests_seen")->AsU64(),
+            v.Find("requests_traced")->AsU64() + v.Find("requests_overflowed")->AsU64());
   EXPECT_NE(v.Find("decisions"), nullptr);
 }
 

@@ -38,6 +38,7 @@ inline void ExpectSameRun(const runtime::RunResult& a, const runtime::RunResult&
   EXPECT_EQ(a.fallbacks, b.fallbacks) << what;
   EXPECT_EQ(a.ndc_at_loc, b.ndc_at_loc) << what;
   EXPECT_EQ(a.stats.all(), b.stats.all()) << what;
+  EXPECT_EQ(a.conservation, b.conservation) << what;
 }
 
 }  // namespace ndc::harness

@@ -1,7 +1,7 @@
 // Tests for the diagnostics subsystem (src/verify): the structured
 // diagnostics engine, the IR validator, the legality auditor (which must
 // flag deliberately injected unsafe leads), the
-// parallel-loop race detector, and the Compile() verify_after hook.
+// parallel-loop race detector, and the audit every Compile() runs.
 
 #include <gtest/gtest.h>
 
@@ -562,7 +562,6 @@ TEST(VerifyAfterCompile, ShippedPipelineIsCleanOnAllModes) {
       ir::Program prog = workloads::BuildWorkload(name, workloads::Scale::kTest);
       compiler::CompileOptions opt;
       opt.mode = mode;
-      ASSERT_TRUE(opt.verify_after);  // on by default
       compiler::CompileReport rep = compiler::Compile(prog, ad, opt);
       const Report& v = rep.verify;
       std::string where = name + " " + compiler::ModeName(mode) + "\n" + v.ToText();
@@ -576,16 +575,6 @@ TEST(VerifyAfterCompile, ShippedPipelineIsCleanOnAllModes) {
   }
   EXPECT_EQ(r301, 32);
   EXPECT_EQ(r302, 8);
-}
-
-TEST(VerifyAfterCompile, CanBeDisabled) {
-  arch::ArchConfig cfg;
-  compiler::ArchDescription ad(cfg);
-  ir::Program prog = workloads::BuildWorkload("swim", workloads::Scale::kTest);
-  compiler::CompileOptions opt;
-  opt.verify_after = false;
-  compiler::CompileReport rep = compiler::Compile(prog, ad, opt);
-  EXPECT_EQ(rep.verify.diags.size(), 0u);
 }
 
 TEST(VerifyAfterCompile, AuditHonorsRestrictedControlRegister) {

@@ -22,7 +22,6 @@
 #include "harness/cell.hpp"
 #include "json/json.hpp"
 #include "verify/sarif.hpp"
-#include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
 
 int main(int argc, char** argv) {
@@ -72,24 +71,12 @@ int main(int argc, char** argv) {
       opt.mode = mode;
       opt.max_lead = max_lead;
       opt.control_register = control_register;
-      opt.verify_after = false;  // we run the verifier ourselves below
-      ndc::compiler::Compile(prog, ad, opt);
-
-      ndc::verify::VerifyOptions vo;
-      vo.max_lead = opt.max_lead;
-      vo.control_register = opt.control_register;
-      ndc::verify::Report rep = ndc::verify::VerifyProgram(prog, vo);
+      ndc::verify::Report rep = ndc::compiler::Compile(prog, ad, opt).verify;
 
       ++runs;
       total_errors += rep.ErrorCount();
       total_warnings += rep.WarningCount();
       total_notes += rep.Count(ndc::verify::Severity::kNote);
-      if (!sarif_path.empty()) {
-        for (ndc::verify::Diagnostic d : rep.diags) {
-          d.message = name + "[" + ndc::compiler::ModeName(mode) + "]: " + d.message;
-          sarif_report.Add(std::move(d));
-        }
-      }
       if (as_json) {
         using ndc::json::Value;
         json_runs.arr.push_back(Value::Object(
@@ -110,6 +97,12 @@ int main(int argc, char** argv) {
             std::printf("  %s\n", d.ToString().c_str());
           }
         }
+      }
+      if (!sarif_path.empty()) {
+        for (ndc::verify::Diagnostic& d : rep.diags) {
+          d.message = name + "[" + ndc::compiler::ModeName(mode) + "]: " + d.message;
+        }
+        sarif_report.Merge(rep);
       }
     }
   }
