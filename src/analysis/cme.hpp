@@ -62,10 +62,6 @@ class CmePredictor {
   double MissProbL1(int stmt_idx, OperandSel sel) const;
   double MissProbL2(int stmt_idx, OperandSel sel) const;
 
-  /// Total predicted lines touched per iteration across the nest (the
-  /// reuse-distance footprint basis).
-  double FootprintLinesPerIter() const { return footprint_lines_per_iter_; }
-
  private:
   struct RefState {
     bool memory = false;

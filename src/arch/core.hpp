@@ -34,7 +34,6 @@ class Core {
  public:
   Core(sim::NodeId id, const ArchConfig& cfg, sim::EventQueue& eq, MemoryPort& port);
 
-  sim::NodeId id() const { return id_; }
 
   /// Installs the trace and resets execution state. The core borrows the
   /// instructions: they must stay alive and unmodified while it runs. The

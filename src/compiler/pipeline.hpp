@@ -55,10 +55,6 @@ struct CompileReport {
   /// pipeline bug that emits an unsafe access movement is a correctness
   /// error everywhere, not just in tests.
   verify::Report verify;
-
-  double PlannedFraction() const {
-    return chains == 0 ? 0.0 : static_cast<double>(planned) / static_cast<double>(chains);
-  }
 };
 
 /// Runs the selected NDC pass over the program in place (annotating

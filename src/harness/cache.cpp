@@ -8,9 +8,9 @@ namespace ndc::harness {
 ResultCache::ResultCache(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  path_ = dir + "/results.jsonl";
+  const std::string path = dir + "/results.jsonl";
 
-  std::ifstream in(path_);
+  std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -31,7 +31,7 @@ ResultCache::ResultCache(const std::string& dir) {
   // Append mode: single-line writes, flushed per insert. POSIX O_APPEND
   // keeps concurrent bench processes from interleaving mid-line for our
   // line sizes; a torn line is skipped (and re-measured) on the next load.
-  out_ = std::fopen(path_.c_str(), "a");
+  out_ = std::fopen(path.c_str(), "a");
 }
 
 ResultCache::~ResultCache() {

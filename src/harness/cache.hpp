@@ -24,15 +24,13 @@ class ResultCache {
  public:
   /// Opens (creating if needed) `dir`/results.jsonl and loads every valid
   /// entry. A cache that fails to open stays usable as a pure in-memory
-  /// map (ok() returns false; nothing persists).
+  /// map (nothing persists).
   explicit ResultCache(const std::string& dir);
   ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  bool ok() const { return out_ != nullptr; }
-  const std::string& path() const { return path_; }
   std::size_t size() const;
   std::size_t load_errors() const { return load_errors_; }
 
@@ -46,7 +44,6 @@ class ResultCache {
 
  private:
   mutable std::mutex mu_;
-  std::string path_;
   std::map<std::string, CellResult> entries_;
   std::size_t load_errors_ = 0;
   std::FILE* out_ = nullptr;

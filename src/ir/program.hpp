@@ -53,8 +53,6 @@ struct AffineAccess {
   int array = -1;
   IntMat F;   ///< dims(X) x depth
   IntVec f;   ///< dims(X) offsets
-
-  IntVec Subscript(const IntVec& iter) const { return VecAdd(F.Apply(iter), f); }
 };
 
 /// One operand (or store target) of a statement.
@@ -71,7 +69,6 @@ struct Operand {
 
   bool IsMemory() const { return kind == Kind::kAffine || kind == Kind::kIndirect; }
 
-  static Operand None() { return {}; }
   static Operand Affine(AffineAccess a) {
     Operand o;
     o.kind = Kind::kAffine;
@@ -83,11 +80,6 @@ struct Operand {
     o.kind = Kind::kIndirect;
     o.access = std::move(index_access);
     o.target_array = target;
-    return o;
-  }
-  static Operand Scalar() {
-    Operand o;
-    o.kind = Kind::kScalar;
     return o;
   }
 };

@@ -26,8 +26,6 @@ class Cache {
  public:
   explicit Cache(CacheParams params);
 
-  const CacheParams& params() const { return params_; }
-  std::uint64_t num_sets() const { return num_sets_; }
 
   /// Looks up `addr`. On a hit, updates LRU and returns true.
   bool Access(sim::Addr addr);

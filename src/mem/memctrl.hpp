@@ -39,7 +39,6 @@ class MemCtrl {
   MemCtrl(sim::McId id, const AddressMap& amap, const DramParams& dram_params,
           sim::EventQueue& eq);
 
-  sim::McId id() const { return id_; }
 
   /// Enqueues a read of `addr`; when the data is at the controller (before
   /// any NoC response hop) the done hook receives (tag, addr, payload,

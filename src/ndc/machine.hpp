@@ -106,15 +106,9 @@ class Machine final : public arch::MemoryPort {
   void IssueStore(sim::NodeId core, std::uint32_t idx, sim::Addr addr) override;
   void IssuePreCompute(sim::NodeId core, std::uint32_t idx, const arch::Instr& instr) override;
 
-  // --- component access (tests, benches) ---
-  const arch::ArchConfig& config() const { return cfg_; }
-  sim::EventQueue& eq() { return eq_; }
-  noc::Network& network() { return *net_; }
-  mem::Cache& l1(sim::NodeId n) { return *l1_[static_cast<std::size_t>(n)]; }
-  mem::Cache& l2(sim::NodeId n) { return *l2_[static_cast<std::size_t>(n)]; }
-  mem::MemCtrl& mc(sim::McId m) { return *mcs_[static_cast<std::size_t>(m)]; }
+  /// Core `n`: perfbench reads its counters, bench_substrate its window,
+  /// tests its slot timing.
   arch::Core& core(sim::NodeId n) { return *cores_[static_cast<std::size_t>(n)]; }
-  const mem::AddressMap& amap() const { return amap_; }
 
   /// Snapshot of the request-conservation counters (call after Run drains):
   /// fault::CheckConservation(GatherConservation()) must report ok — no
@@ -137,6 +131,9 @@ class Machine final : public arch::MemoryPort {
   static constexpr std::size_t CandidateRecordBytes();
 
  private:
+  // Tests read the caches after a run through it (tests/test_support.hpp).
+  friend struct MachinePeer;
+
   // A candidate site of a core's trace: a Compute/PreCompute whose two deps
   // are loads feeding no other site. Its identity (pc, site, op, operand
   // slots and addresses, pre-compute or not) is read from the trace.

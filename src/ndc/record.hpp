@@ -36,7 +36,6 @@ struct LocObs {
   }
 
   Cycle FirstArrival() const { return t_a < t_b ? t_a : t_b; }
-  Cycle SecondArrival() const { return t_a < t_b ? t_b : t_a; }
 };
 
 /// Everything recorded for one dynamic NDC candidate (a computation c with

@@ -52,12 +52,6 @@ class Mesh {
 
   /// Source node of a link.
   NodeId LinkSource(LinkId l) const { return static_cast<NodeId>(l / 4); }
-  Dir LinkDir(LinkId l) const { return static_cast<Dir>(l % 4); }
-
-  /// Destination node of a link.
-  NodeId LinkDest(LinkId l) const {
-    return NodeAt(Neighbor(CoordOf(LinkSource(l)), LinkDir(l)));
-  }
 
   static Coord Neighbor(Coord c, Dir d) {
     switch (d) {

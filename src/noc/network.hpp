@@ -62,9 +62,6 @@ class Network {
 
   Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params = {});
 
-  const Mesh& mesh() const { return mesh_; }
-  const NetworkParams& params() const { return params_; }
-
   /// The routes this network's packets take; senders pick non-default
   /// routes from it.
   RouteTable& routes() { return routes_; }

@@ -80,7 +80,6 @@ class DecisionLog {
   std::uint64_t outcome_count(Outcome o) const {
     return outcome_counts_[static_cast<int>(o)];
   }
-  std::uint64_t unresolved() const { return outcome_count(Outcome::kUnresolved); }
 
   /// Human-readable decision / outcome tallies (ndc-trace stdout).
   std::string Summary() const;

@@ -38,9 +38,6 @@ class PhaseProfiler {
   void AddSimEvents(std::uint64_t n) {
     sim_events_.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t sim_events() const {
-    return sim_events_.load(std::memory_order_relaxed);
-  }
 
   std::uint64_t ns(Phase p) const {
     return slots_[static_cast<int>(p)].ns.load(std::memory_order_relaxed);

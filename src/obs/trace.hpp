@@ -51,19 +51,12 @@ class TraceSink {
 
   std::size_t size() const { return events_.size(); }
   std::size_t dropped() const { return dropped_; }
-  std::size_t max_events() const { return max_events_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
 
   /// {"traceEvents":[...]} — loadable by chrome://tracing and Perfetto.
   std::string ToJson() const;
 
   /// Writes ToJson() to `path`; false when the file cannot be written.
   bool WriteFile(const std::string& path) const;
-
-  void Clear() {
-    events_.clear();
-    dropped_ = 0;
-  }
 
  private:
   void Push(TraceEvent e) {

@@ -48,8 +48,6 @@ class SmallCallback {
 
   ~SmallCallback() { Reset(); }
 
-  explicit operator bool() const { return ops_ != nullptr; }
-
   /// Destroys the stored callable, leaving this callback empty.
   void Reset() {
     if (ops_ == nullptr) return;

@@ -86,9 +86,6 @@ class EventQueue {
   /// Current simulated time.
   Cycle now() const { return now_; }
 
-  /// Number of pending events.
-  std::size_t pending() const { return pending_; }
-
   /// Total events executed so far.
   std::uint64_t executed() const { return executed_; }
 

@@ -1,21 +1,15 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace ndc::sim {
 
-BucketHistogram::BucketHistogram(std::vector<std::uint64_t> edges) : edges_(std::move(edges)) {
-  assert(std::is_sorted(edges_.begin(), edges_.end()));
-  counts_.assign(edges_.size() + 1, 0);
-}
-
-void BucketHistogram::Add(std::uint64_t value, std::uint64_t weight) {
+void BucketHistogram::Add(std::uint64_t value) {
   std::size_t i = 0;
-  while (i < edges_.size() && value > edges_[i]) ++i;
-  counts_[i] += weight;
-  total_ += weight;
+  while (i < kEdges.size() && value > kEdges[i]) ++i;
+  ++counts_[i];
+  ++total_;
 }
 
 double BucketHistogram::Fraction(std::size_t i) const {
@@ -31,7 +25,6 @@ double BucketHistogram::CumulativeFraction(std::size_t i) const {
 }
 
 void BucketHistogram::MergeFrom(const BucketHistogram& other) {
-  assert(edges_ == other.edges_);
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -9,34 +10,26 @@
 
 namespace ndc::sim {
 
-/// Bucketed histogram matching the paper's arrival-window buckets
-/// (1, 10, 20, 50, 100, 500, 500+). Bucket `i` counts samples
-/// v <= edges[i] (and > edges[i-1]); the final implicit bucket counts
-/// everything above the last edge (the paper's "500+", which also absorbs
+/// Histogram over the paper's arrival-window buckets (Figures 2 and 3):
+/// bucket `i` < 6 counts samples v <= kEdges[i] (and > kEdges[i-1]); bucket
+/// 6 counts everything above 500 (the paper's "500+", which also absorbs
 /// "never arrives" samples encoded as kNeverCycle).
 class BucketHistogram {
  public:
-  explicit BucketHistogram(std::vector<std::uint64_t> edges = {1, 10, 20, 50, 100, 500});
+  static constexpr std::array<std::uint64_t, 6> kEdges = {1, 10, 20, 50, 100, 500};
 
-  void Add(std::uint64_t value, std::uint64_t weight = 1);
-
-  /// Count in bucket i (i == edges().size() is the overflow bucket).
-  std::uint64_t count(std::size_t i) const { return counts_[i]; }
-  std::uint64_t total() const { return total_; }
-  const std::vector<std::uint64_t>& edges() const { return edges_; }
-  std::size_t num_buckets() const { return counts_.size(); }
+  void Add(std::uint64_t value);
 
   /// Fraction of samples in bucket i.
   double Fraction(std::size_t i) const;
 
-  /// Cumulative fraction of samples <= edges[i].
+  /// Fraction of samples in buckets 0..i (<= kEdges[i] for i < 6).
   double CumulativeFraction(std::size_t i) const;
 
   void MergeFrom(const BucketHistogram& other);
 
  private:
-  std::vector<std::uint64_t> edges_;
-  std::vector<std::uint64_t> counts_;  // edges_.size() + 1 entries
+  std::array<std::uint64_t, kEdges.size() + 1> counts_{};
   std::uint64_t total_ = 0;
 };
 

@@ -66,14 +66,12 @@ struct Diagnostic {
 struct Report {
   std::vector<Diagnostic> diags;
 
-  void Add(Diagnostic d) { diags.push_back(std::move(d)); }
   void Add(Severity sev, Code code, std::string message, int nest = -1, int stmt = -1,
            std::uint32_t stmt_id = 0, int array = -1);
 
   int Count(Severity s) const;
   int ErrorCount() const { return Count(Severity::kError); }
   int WarningCount() const { return Count(Severity::kWarning); }
-  bool Clean() const { return ErrorCount() == 0; }
 
   /// Merges another report's findings into this one.
   void Merge(const Report& other);

@@ -68,10 +68,7 @@ struct Builder {
   }
 
   Operand ind(int idx_array, IntVec coefs, Int off, int target) {
-    Operand o = aff(idx_array, std::move(coefs), off);
-    o.kind = Operand::Kind::kIndirect;
-    o.target_array = target;
-    return o;
+    return Operand::Indirect(aff(idx_array, std::move(coefs), off).access, target);
   }
 
   /// Replicates all nests built so far `passes`-1 more times (iterative

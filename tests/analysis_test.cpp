@@ -10,6 +10,7 @@
 #include "analysis/use_use.hpp"
 #include "ir/program.hpp"
 #include "sim/rng.hpp"
+#include "test_support.hpp"
 
 namespace ndc::analysis {
 namespace {
@@ -270,7 +271,7 @@ TEST(Dependence, ReadOnlyArrayAlwaysHoistable) {
 
 TEST(Reuse, SelfTemporalWhenLoopDropped) {
   TestNest t(8, 8);
-  t.Add(Operand::None(), Aff(t.arr, {1, 0}, 0), Aff(t.arr, {8, 1}, 0));
+  t.Add(Operand{}, Aff(t.arr, {1, 0}, 0), Aff(t.arr, {8, 1}, 0));
   const Stmt& s = t.nest->body[0];
   ReuseInfo r = AnalyzeReuse(t.p, *t.nest, s.rhs0, 64);
   EXPECT_TRUE(r.self_temporal);
@@ -280,7 +281,7 @@ TEST(Reuse, SelfTemporalWhenLoopDropped) {
 
 TEST(Reuse, SelfSpatialForDenseStride) {
   TestNest t(8, 8);
-  t.Add(Operand::None(), Aff(t.arr, {8, 1}, 0), Aff(t.arr, {64, 8}, 0));
+  t.Add(Operand{}, Aff(t.arr, {8, 1}, 0), Aff(t.arr, {64, 8}, 0));
   const Stmt& s = t.nest->body[0];
   EXPECT_TRUE(AnalyzeReuse(t.p, *t.nest, s.rhs0, 64).self_spatial);
   // 8-element (64-byte) stride: a new line every access.
@@ -290,7 +291,7 @@ TEST(Reuse, SelfSpatialForDenseStride) {
 TEST(Reuse, GroupReuseBetweenOffsetRefs) {
   Int M = 34;
   TestNest t(32, 32, 4 * M * M);
-  t.Add(Operand::None(), Aff(t.arr, {M, 1}, M), Aff(t.arr, {M, 1}, 1));
+  t.Add(Operand{}, Aff(t.arr, {M, 1}, M), Aff(t.arr, {M, 1}, 1));
   const Stmt& s = t.nest->body[0];
   ReuseInfo r = AnalyzeReuse(t.p, *t.nest, s.rhs0, 64);
   EXPECT_TRUE(r.group);
@@ -319,7 +320,7 @@ TEST(Reuse, IndirectOperandsReportZero) {
   ia.array = idx;
   ia.F = IntMat(1, 2, {8, 1});
   ia.f = {0};
-  t.Add(Operand::None(), Operand::Indirect(ia, tgt), Aff(t.arr, {8, 1}, 0));
+  t.Add(Operand{}, Operand::Indirect(ia, tgt), Aff(t.arr, {8, 1}, 0));
   const Stmt& s = t.nest->body[0];
   EXPECT_EQ(CountFutureReuses(t.p, *t.nest, s, s.rhs0), 0);
 }
@@ -328,9 +329,9 @@ TEST(Reuse, IndirectOperandsReportZero) {
 
 TEST(UseUse, OnlyTwoMemoryOperandStatements) {
   TestNest t(4, 4);
-  t.Add(Operand::None(), Aff(t.arr, {4, 1}, 0), Aff(t.arr, {4, 1}, 1));  // chain
-  t.Add(Operand::None(), Aff(t.arr, {4, 1}, 0), Operand::Scalar());     // not a chain
-  t.Add(Operand::None(), Operand::Scalar(), Operand::Scalar());         // not a chain
+  t.Add(Operand{}, Aff(t.arr, {4, 1}, 0), Aff(t.arr, {4, 1}, 1));  // chain
+  t.Add(Operand{}, Aff(t.arr, {4, 1}, 0), ir::ScalarOperand());  // not a chain
+  t.Add(Operand{}, ir::ScalarOperand(), ir::ScalarOperand());    // not a chain
   auto chains = ExtractUseUseChains(*t.nest);
   ASSERT_EQ(chains.size(), 1u);
   EXPECT_EQ(chains[0].stmt_idx, 0);
@@ -341,7 +342,7 @@ TEST(UseUse, OnlyTwoMemoryOperandStatements) {
 TEST(Cme, ColdFaceAndStreamPrediction) {
   // 64-byte-strided stream (no reuse): every access misses.
   TestNest t(16, 16, 100000);
-  t.Add(Operand::None(), Aff(t.arr, {16 * 8, 8}, 0), Aff(t.arr, {16 * 8, 8}, 4));
+  t.Add(Operand{}, Aff(t.arr, {16 * 8, 8}, 0), Aff(t.arr, {16 * 8, 8}, 4));
   CmePredictor cme(t.p, *t.nest, CacheSpec{}, CacheSpec{512 * 1024, 256, 64}, 25);
   EXPECT_GT(cme.MissProbL1(0, OperandSel::kRhs0), 0.9);
 }
@@ -349,7 +350,7 @@ TEST(Cme, ColdFaceAndStreamPrediction) {
 TEST(Cme, DenseStrideMostlyHits) {
   TestNest t(16, 64, 100000);
   int b = t.p.AddArray("B", {100000});
-  t.Add(Operand::None(), Aff(t.arr, {64, 1}, 0), Aff(b, {64, 1}, 0));
+  t.Add(Operand{}, Aff(t.arr, {64, 1}, 0), Aff(b, {64, 1}, 0));
   CmePredictor cme(t.p, *t.nest, CacheSpec{}, CacheSpec{512 * 1024, 256, 64}, 25);
   // 8-byte stride: roughly 1 miss per 8 accesses.
   EXPECT_LT(cme.MissProbL1(0, OperandSel::kRhs0), 0.4);
@@ -358,7 +359,7 @@ TEST(Cme, DenseStrideMostlyHits) {
 TEST(Cme, SameLinePartnerPredictsHit) {
   TestNest t(16, 16, 100000);
   // Two operands 8 bytes apart: the second rides the first's line fill.
-  t.Add(Operand::None(), Aff(t.arr, {16 * 8, 8}, 0), Aff(t.arr, {16 * 8, 8}, 1));
+  t.Add(Operand{}, Aff(t.arr, {16 * 8, 8}, 0), Aff(t.arr, {16 * 8, 8}, 1));
   CmePredictor cme(t.p, *t.nest, CacheSpec{}, CacheSpec{512 * 1024, 256, 64}, 25);
   EXPECT_GT(cme.MissProbL1(0, OperandSel::kRhs0), 0.9);
   EXPECT_LT(cme.MissProbL1(0, OperandSel::kRhs1), 0.1);
@@ -373,14 +374,14 @@ TEST(Cme, IndirectIsPessimistic) {
   ia.array = idx;
   ia.F = IntMat(1, 2, {8, 1});
   ia.f = {0};
-  t.Add(Operand::None(), Operand::Indirect(ia, tgt), Aff(t.arr, {8, 1}, 0));
+  t.Add(Operand{}, Operand::Indirect(ia, tgt), Aff(t.arr, {8, 1}, 0));
   CmePredictor cme(t.p, *t.nest, CacheSpec{}, CacheSpec{512 * 1024, 256, 64}, 25);
   EXPECT_DOUBLE_EQ(cme.MissProbL1(0, OperandSel::kRhs0), 1.0);
 }
 
 TEST(Cme, WarmArraysSuppressColdMisses) {
   TestNest t(4, 64, 100000);
-  t.Add(Operand::None(), Aff(t.arr, {64, 1}, 0), Aff(t.arr, {64, 1}, 1));
+  t.Add(Operand{}, Aff(t.arr, {64, 1}, 0), Aff(t.arr, {64, 1}, 1));
   CmePredictor cold(t.p, *t.nest, CacheSpec{}, CacheSpec{512 * 1024, 256, 64}, 25);
   CmePredictor warm(t.p, *t.nest, CacheSpec{}, CacheSpec{512 * 1024, 256, 64}, 25,
                     {t.arr});

@@ -92,7 +92,7 @@ class CacheVsReference : public ::testing::TestWithParam<CacheCase> {};
 TEST_P(CacheVsReference, RandomOpsAgree) {
   const CacheParams& p = GetParam().params;
   Cache cache(p);
-  RefCache ref(cache.num_sets(), p.ways, p.line_bytes);
+  RefCache ref(p.size_bytes / p.line_bytes / p.ways, p.ways, p.line_bytes);
   sim::Rng rng(GetParam().seed);
   // Addresses span 8x the capacity, so every set sees several times its
   // ways in distinct lines and evicts; at least 16 operations per line let

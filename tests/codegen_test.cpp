@@ -19,6 +19,7 @@
 #include "sim/rng.hpp"
 #include "lower_reference.hpp"
 #include "workloads/workloads.hpp"
+#include "test_support.hpp"
 
 namespace ndc::compiler {
 namespace {
@@ -529,8 +530,8 @@ AffineAccess RandomAccess(sim::Rng& rng, const Program& p, int array, int depth)
 Operand RandomOperand(sim::Rng& rng, const Program& p, int depth, const std::vector<int>& data,
                       int idx, int tgt) {
   switch (rng.NextBelow(5)) {
-    case 0: return Operand::None();
-    case 1: return Operand::Scalar();
+    case 0: return Operand{};
+    case 1: return ir::ScalarOperand();
     case 2: return Operand::Indirect(RandomAccess(rng, p, idx, depth), tgt);
     default:
       return Operand::Affine(RandomAccess(

@@ -13,6 +13,7 @@
 #include "ndc/policy.hpp"
 #include "sim/rng.hpp"
 #include "verify/verify.hpp"
+#include "test_support.hpp"
 
 namespace ndc::runtime {
 namespace {
@@ -234,7 +235,7 @@ ir::Program RandomIrProgram(std::uint64_t seed) {
         int aw = arrays[rng.NextBelow(arrays.size())];
         st.lhs = ir::Operand::Affine(random_affine(aw));
       } else {
-        st.lhs = ir::Operand::Scalar();
+        st.lhs = ir::ScalarOperand();
       }
       nest.body.push_back(std::move(st));
     }

@@ -6,6 +6,7 @@
 #include "ir/matrix.hpp"
 #include "ir/program.hpp"
 #include "sim/rng.hpp"
+#include "test_support.hpp"
 
 namespace ndc::ir {
 namespace {
@@ -189,7 +190,7 @@ TEST(Program, ResolveIndirectOutOfRangeIsNull) {
 }
 
 // Seeded property: the allocation-free ResolveAddr agrees with the
-// reference Array::AddrOf(access.Subscript(iter)) for random 1-4-D affine
+// reference Array::AddrOf(F * iter + f) for random 1-4-D affine
 // and indirect accesses, and gives nullopt exactly when a subscript, the
 // index data or the target index is out of range.
 TEST(Program, ResolveAddrMatchesSubscriptReference) {
@@ -225,7 +226,7 @@ TEST(Program, ResolveAddrMatchesSubscriptReference) {
     for (int sample = 0; sample < 8; ++sample) {
       IntVec iter;
       for (int c = 0; c < depth; ++c) iter.push_back(rng.NextInRange(-1, 4));
-      const IntVec sub = acc.Subscript(iter);
+      const IntVec sub = VecAdd(acc.F.Apply(iter), acc.f);
       bool ok = true;
       for (int d = 0; d < rank; ++d) ok &= sub[d] >= 0 && sub[d] < dims[d];
       std::optional<sim::Addr> want;
@@ -251,8 +252,8 @@ TEST(Program, ResolveAddrMatchesSubscriptReference) {
 
 TEST(Program, NonMemoryOperandsResolveToNull) {
   Program p;
-  EXPECT_FALSE(p.ResolveAddr(Operand::None(), {}).has_value());
-  EXPECT_FALSE(p.ResolveAddr(Operand::Scalar(), {}).has_value());
+  EXPECT_FALSE(p.ResolveAddr(Operand{}, {}).has_value());
+  EXPECT_FALSE(p.ResolveAddr(ScalarOperand(), {}).has_value());
 }
 
 TEST(Program, StmtIdsAreUnique) {

@@ -9,6 +9,7 @@
 #include "fault/conservation.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
+#include "test_support.hpp"
 
 namespace ndc::runtime {
 namespace {
@@ -47,14 +48,15 @@ TEST(MachineNdc, MemorySidePlannedPairMeetsAtMc) {
   EXPECT_EQ(r.ndc_success, 1u);
   EXPECT_EQ(r.ndc_at_loc[static_cast<std::size_t>(Loc::kMemCtrl)], 1u);
   // The squashed responses never filled the caches.
-  EXPECT_FALSE(m.l1(12).Contains(kPageA));
-  EXPECT_FALSE(m.l2(m.amap().HomeBank(kPageA)).Contains(kPageA));
+  EXPECT_FALSE(MachinePeer::InL1(m, 12, kPageA));
+  EXPECT_FALSE(MachinePeer::InL2(m, kPageA));
 }
 
 TEST(MachineNdc, MemoryBankPlannedPairMeetsAtBank) {
   ArchConfig cfg;
   Machine m(cfg);
-  ASSERT_EQ(m.amap().DramBank(kPageA), m.amap().DramBank(kPageB));
+  const mem::AddressMap amap = cfg.MakeAddressMap();
+  ASSERT_EQ(amap.DramBank(kPageA), amap.DramBank(kPageB));
   Trace t{MakeLoad(kPageA), MakeLoad(kPageB),
           MakePreCompute(Op::kAdd, 0, 1, Loc::kMemBank, 4000)};
   m.LoadProgram(Program1(12, std::move(t)));
@@ -85,9 +87,9 @@ TEST(MachineNdc, CacheMeetLeavesLinesInL2) {
   RunResult r = m.Run();
   ASSERT_EQ(r.ndc_success, 1u);
   // An L2-bank meeting consumes the responses but the lines stay cached.
-  EXPECT_TRUE(m.l2(0).Contains(kA));
-  EXPECT_TRUE(m.l2(0).Contains(kB));
-  EXPECT_FALSE(m.l1(6).Contains(kA));
+  EXPECT_TRUE(MachinePeer::InL2(m, kA));
+  EXPECT_TRUE(MachinePeer::InL2(m, kB));
+  EXPECT_FALSE(MachinePeer::InL1(m, 6, kA));
 }
 
 TEST(MachineNdc, OffloadTableCapacityBoundsConcurrentOffloads) {
@@ -214,7 +216,7 @@ TEST(MachineNdc, ControlRegisterZeroMeansConventional) {
   m.LoadProgram(Program1(6, std::move(t)));
   RunResult r = m.Run();
   EXPECT_EQ(r.offloads, 0u);
-  EXPECT_TRUE(m.l1(6).Contains(kA));
+  EXPECT_TRUE(MachinePeer::InL1(m, 6, kA));
 }
 
 // 300 pre-compute sites on one core: more instances than one slab chunk

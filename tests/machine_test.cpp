@@ -15,6 +15,7 @@
 #include "compiler/pipeline.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
+#include "test_support.hpp"
 #include "noc/geometry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -314,8 +315,8 @@ TEST(Machine, AlwaysWaitPolicyPerformsNdc) {
   EXPECT_EQ(r.fallbacks, 0u);
   // Responses were squashed before reaching the core: L1 must not contain
   // the operand lines afterwards (the locality cost of NDC).
-  EXPECT_FALSE(m.l1(6).Contains(kAddrA));
-  EXPECT_FALSE(m.l1(6).Contains(kAddrB));
+  EXPECT_FALSE(MachinePeer::InL1(m, 6, kAddrA));
+  EXPECT_FALSE(MachinePeer::InL1(m, 6, kAddrB));
 }
 
 TEST(Machine, ControlRegisterRestrictsLocation) {

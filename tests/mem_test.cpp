@@ -85,12 +85,24 @@ TEST(Cache, FullyAssociativeLruProperty) {
   for (sim::Addr a = 6; a < 10; ++a) EXPECT_TRUE(c.Contains(a * 64)) << a;
 }
 
+// True when ways + 1 lines `stride` bytes apart evict the first of them,
+// that is when they all fall in one set.
+bool StrideConflicts(const CacheParams& p, sim::Addr stride) {
+  Cache c(p);
+  for (std::uint32_t i = 0; i <= p.ways; ++i) c.Fill(i * stride);
+  return !c.Contains(0);
+}
+
 TEST(Cache, Table1Geometries) {
-  // L1: 32KB, 64B lines, 2 ways -> 256 sets. L2: 512KB, 256B, 64 ways -> 32 sets.
-  Cache l1(CacheParams{32 * 1024, 64, 2, 2});
-  EXPECT_EQ(l1.num_sets(), 256u);
-  Cache l2(CacheParams{512 * 1024, 256, 64, 20});
-  EXPECT_EQ(l2.num_sets(), 32u);
+  // L1: 32KB, 64B lines, 2 ways -> 256 sets. L2: 512KB, 256B, 64 ways -> 32
+  // sets. Lines one set count apart share a set; lines half of it apart
+  // alternate between two sets.
+  const CacheParams l1{32 * 1024, 64, 2, 2};
+  EXPECT_TRUE(StrideConflicts(l1, 256 * 64));
+  EXPECT_FALSE(StrideConflicts(l1, 128 * 64));
+  const CacheParams l2{512 * 1024, 256, 64, 20};
+  EXPECT_TRUE(StrideConflicts(l2, 32 * 256));
+  EXPECT_FALSE(StrideConflicts(l2, 16 * 256));
 }
 
 TEST(AddressMap, L2HomeIsLineInterleaved) {

@@ -32,9 +32,10 @@ TEST(Mesh, LinkEndpoints) {
   Mesh m(5, 5);
   sim::LinkId east = m.LinkFrom(0, Dir::East);
   EXPECT_EQ(m.LinkSource(east), 0);
-  EXPECT_EQ(m.LinkDest(east), 1);
+  // The one-hop routes to the east and south neighbours take these links.
+  EXPECT_EQ(XyRoute(m, 0, 1), Route{east});
   sim::LinkId south = m.LinkFrom(0, Dir::South);
-  EXPECT_EQ(m.LinkDest(south), 5);
+  EXPECT_EQ(XyRoute(m, 0, 5), Route{south});
 }
 
 TEST(Mesh, ManhattanDistance) {
@@ -57,11 +58,11 @@ TEST(Routing, XyRouteIsMinimalAndValid) {
 TEST(Routing, XyRouteGoesXFirst) {
   Mesh m(5, 5);
   Route r = XyRoute(m, m.NodeAt({0, 0}), m.NodeAt({2, 2}));
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_EQ(m.LinkDir(r[0]), Dir::East);
-  EXPECT_EQ(m.LinkDir(r[1]), Dir::East);
-  EXPECT_EQ(m.LinkDir(r[2]), Dir::South);
-  EXPECT_EQ(m.LinkDir(r[3]), Dir::South);
+  const Route want{m.LinkFrom(m.NodeAt({0, 0}), Dir::East),
+                   m.LinkFrom(m.NodeAt({1, 0}), Dir::East),
+                   m.LinkFrom(m.NodeAt({2, 0}), Dir::South),
+                   m.LinkFrom(m.NodeAt({2, 1}), Dir::South)};
+  EXPECT_EQ(r, want);
 }
 
 TEST(Routing, EnumerationCountsBinomially) {

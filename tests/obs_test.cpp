@@ -36,6 +36,15 @@ TEST(TraceSink, JsonRoundTripsThroughHarnessParser) {
   sink.Complete("l1.lookup", 10, 5, 3, 42);
   sink.Complete("noc.hop", 15, 7, 3, 42);
   sink.Instant("ndc.meet", 30, 2, 7, "loc", 1);
+  struct Want {
+    char ph;
+    std::uint64_t ts, dur, tid;
+    const char* name;
+    std::uint64_t token;
+  };
+  const Want want[] = {{'X', 10, 5, 3, "l1.lookup", 42},
+                       {'X', 15, 7, 3, "noc.hop", 42},
+                       {'i', 30, 0, 2, "ndc.meet", 7}};
 
   Value v;
   std::string err;
@@ -44,28 +53,27 @@ TEST(TraceSink, JsonRoundTripsThroughHarnessParser) {
   const Value* evs = v.Find("traceEvents");
   ASSERT_NE(evs, nullptr);
   ASSERT_TRUE(evs->is_array());
-  ASSERT_EQ(evs->arr.size(), sink.events().size());
+  ASSERT_EQ(evs->arr.size(), std::size(want));
 
   for (std::size_t i = 0; i < evs->arr.size(); ++i) {
     const Value& e = evs->arr[i];
-    const ndc::obs::TraceEvent& src = sink.events()[i];
+    const Want& src = want[i];
     ASSERT_TRUE(e.is_object());
     // Chrome trace-event required keys.
     for (const char* key : {"ph", "ts", "pid", "tid", "name"}) {
       EXPECT_NE(e.Find(key), nullptr) << "event " << i << " missing " << key;
     }
     EXPECT_EQ(e.Find("ts")->AsU64(), src.ts);
-    EXPECT_EQ(e.Find("tid")->AsU64(), static_cast<std::uint64_t>(src.tid));
+    EXPECT_EQ(e.Find("ph")->str, std::string(1, src.ph));
+    EXPECT_EQ(e.Find("tid")->AsU64(), src.tid);
     EXPECT_EQ(e.Find("name")->str, src.name);
     if (src.ph == 'X') {
       ASSERT_NE(e.Find("dur"), nullptr);
       EXPECT_EQ(e.Find("dur")->AsU64(), src.dur);
     }
-    if (src.token != 0) {
-      const Value* a = e.Find("args");
-      ASSERT_NE(a, nullptr);
-      EXPECT_EQ(a->Find("token")->AsU64(), src.token);
-    }
+    const Value* a = e.Find("args");
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->Find("token")->AsU64(), src.token);
   }
 }
 
@@ -167,13 +175,13 @@ TEST(DecisionLog, NonOffloadKindsResolveConventionalImmediately) {
   log.Record(2, 0, 1, DecisionKind::kDeclined, -1, 11);
   log.Record(3, 0, 2, DecisionKind::kPlanInfeasible, -1, 12);
   EXPECT_EQ(log.outcome_count(Outcome::kConventional), 3u);
-  EXPECT_EQ(log.unresolved(), 0u);
+  EXPECT_EQ(log.outcome_count(Outcome::kUnresolved), 0u);
 }
 
 TEST(DecisionLog, OffloadResolvesOnceFirstWins) {
   DecisionLog log;
   log.Record(7, 1, 0, DecisionKind::kOffload, 2, 10);
-  EXPECT_EQ(log.unresolved(), 1u);
+  EXPECT_EQ(log.outcome_count(Outcome::kUnresolved), 1u);
   log.Resolve(7, Outcome::kNdcSuccess, 2, 40);
   log.Resolve(7, Outcome::kFallbackTimeout, -1, 50);  // loses the race: ignored
   EXPECT_EQ(log.outcome_count(Outcome::kNdcSuccess), 1u);
@@ -195,7 +203,7 @@ TEST(DecisionLog, EndRunMarksUnresolvedAsNeverMet) {
   DecisionLog log;
   log.Record(1, 0, 0, DecisionKind::kOffload, 3, 5);
   log.EndRun(100);
-  EXPECT_EQ(log.unresolved(), 0u);
+  EXPECT_EQ(log.outcome_count(Outcome::kUnresolved), 0u);
   EXPECT_EQ(log.outcome_count(Outcome::kFallbackNeverMet), 1u);
 }
 
@@ -356,7 +364,7 @@ TEST(ObsEndToEnd, OracleDecisionAuditAccountsForEveryCandidate) {
 
   // Every entry is terminally resolved: offloads to success-or-fallback,
   // everything else to conventional.
-  EXPECT_EQ(ob.decisions.unresolved(), 0u);
+  EXPECT_EQ(ob.decisions.outcome_count(Outcome::kUnresolved), 0u);
   std::uint64_t offload_outcomes = 0;
   for (const DecisionEntry& e : ob.decisions.entries()) {
     if (e.kind == DecisionKind::kOffload) {
@@ -375,7 +383,7 @@ TEST(ObsEndToEnd, CompiledSchemeAuditsDecisionsToo) {
   Observability ob;
   ndc::metrics::SchemeResult r = RunWith(&ob, "md", Scheme::kAlgorithm1);
   EXPECT_EQ(ob.decisions.entries().size(), r.run.candidates);
-  EXPECT_EQ(ob.decisions.unresolved(), 0u);
+  EXPECT_EQ(ob.decisions.outcome_count(Outcome::kUnresolved), 0u);
 }
 
 TEST(ObsEndToEnd, RunCellObsSummaryStagesSumToTotalEndToEnd) {

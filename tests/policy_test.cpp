@@ -24,7 +24,6 @@ TEST(LocObsTest, WindowSemantics) {
   o.t_b = 140;
   EXPECT_EQ(o.Window(), 40u);
   EXPECT_EQ(o.FirstArrival(), 100u);
-  EXPECT_EQ(o.SecondArrival(), 140u);
   o.meet_ok = false;  // evicted before the partner arrived
   EXPECT_EQ(o.Window(), sim::kNeverCycle);
   o.meet_ok = true;

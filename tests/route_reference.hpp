@@ -150,6 +150,9 @@ inline RoutePair MaxOverlapRoutes(const Mesh& m, sim::NodeId as, sim::NodeId ad,
   return best;
 }
 
+/// The direction link `l` leaves its source in (LinkId = node * 4 + dir).
+inline Dir LinkDir(sim::LinkId l) { return static_cast<Dir>(l % 4); }
+
 /// True if `route` is a valid route: consecutive links connect, it starts
 /// at src and ends at dst.
 inline bool IsValidRoute(const Mesh& mesh, const Route& route, sim::NodeId src,
@@ -157,7 +160,7 @@ inline bool IsValidRoute(const Mesh& mesh, const Route& route, sim::NodeId src,
   sim::NodeId cur = src;
   for (sim::LinkId l : route) {
     if (mesh.LinkSource(l) != cur) return false;
-    Coord next = Mesh::Neighbor(mesh.CoordOf(cur), mesh.LinkDir(l));
+    Coord next = Mesh::Neighbor(mesh.CoordOf(cur), LinkDir(l));
     if (!mesh.Contains(next)) return false;
     cur = mesh.NodeAt(next);
   }

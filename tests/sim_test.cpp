@@ -58,7 +58,8 @@ TEST(EventQueue, RunUntilLimitStopsEarly) {
   eq.ScheduleAt(50, [&] { ++fired; });
   eq.RunUntilEmpty(10);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(eq.pending(), 1u);
+  EXPECT_EQ(eq.RunUntilEmpty(), 1u);  // the event at 50 was still pending
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, BoundedRunAdvancesClockToLimit) {
@@ -136,7 +137,7 @@ TEST(EventQueue, ScheduleAtNowFromLastCallbackOfABucketRunsThatCycle) {
   eq.RunUntilEmpty();
   std::vector<std::pair<int, Cycle>> want{{0, 7}, {1, 7}, {2, 7}, {3, 8}};
   EXPECT_EQ(order, want);
-  EXPECT_EQ(eq.pending(), 0u);
+  EXPECT_EQ(eq.RunUntilEmpty(), 0u);  // nothing left pending
 }
 
 TEST(EventQueue, PromotedOverflowRunsBeforeBucketAndSameCycleAppends) {
@@ -231,14 +232,14 @@ TEST(BucketHistogram, PaperBucketsClassifyCorrectly) {
   h.Add(500);
   h.Add(501);
   h.Add(kNeverCycle);  // "second operand never arrives" lands in 500+
-  EXPECT_EQ(h.count(0), 2u);  // <=1
-  EXPECT_EQ(h.count(1), 2u);  // (1,10]
-  EXPECT_EQ(h.count(2), 2u);  // (10,20]
-  EXPECT_EQ(h.count(3), 1u);  // (20,50]
-  EXPECT_EQ(h.count(4), 1u);  // (50,100]
-  EXPECT_EQ(h.count(5), 1u);  // (100,500]
-  EXPECT_EQ(h.count(6), 2u);  // 500+
-  EXPECT_EQ(h.total(), 11u);
+  // 11 samples: each bucket's share is its count over 11.
+  EXPECT_DOUBLE_EQ(h.Fraction(0), 2.0 / 11);  // <=1
+  EXPECT_DOUBLE_EQ(h.Fraction(1), 2.0 / 11);  // (1,10]
+  EXPECT_DOUBLE_EQ(h.Fraction(2), 2.0 / 11);  // (10,20]
+  EXPECT_DOUBLE_EQ(h.Fraction(3), 1.0 / 11);  // (20,50]
+  EXPECT_DOUBLE_EQ(h.Fraction(4), 1.0 / 11);  // (50,100]
+  EXPECT_DOUBLE_EQ(h.Fraction(5), 1.0 / 11);  // (100,500]
+  EXPECT_DOUBLE_EQ(h.Fraction(6), 2.0 / 11);  // 500+
 }
 
 TEST(BucketHistogram, CumulativeFractions) {
@@ -255,10 +256,11 @@ TEST(BucketHistogram, MergePreservesTotals) {
   b.Add(600);
   b.Add(15);
   a.MergeFrom(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.count(1), 1u);
-  EXPECT_EQ(a.count(2), 1u);
-  EXPECT_EQ(a.count(6), 1u);
+  // 3 samples after the merge, one in each of buckets 1, 2 and 6.
+  EXPECT_DOUBLE_EQ(a.Fraction(1), 1.0 / 3);
+  EXPECT_DOUBLE_EQ(a.Fraction(2), 1.0 / 3);
+  EXPECT_DOUBLE_EQ(a.Fraction(6), 1.0 / 3);
+  EXPECT_DOUBLE_EQ(a.CumulativeFraction(6), 1.0);
 }
 
 TEST(StatSet, AddAndGet) {

@@ -1,13 +1,43 @@
 #pragma once
 
-// Helpers shared by the test binaries that run whole cells: the cell most
-// tests run, and a field-by-field comparison of two runs.
+// Helpers shared by the test binaries: the cell most tests run, a
+// field-by-field comparison of two runs, a look into a machine's caches,
+// and the scalar operand the IR tests build.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "harness/cell.hpp"
+#include "ndc/machine.hpp"
+
+namespace ndc::runtime {
+
+/// Where a machine's run left the operand lines: the caches a test checks
+/// after Run (a meeting squashes its responses before they fill them).
+struct MachinePeer {
+  /// True if core `n`'s L1 holds the line of `addr`.
+  static bool InL1(const Machine& m, sim::NodeId n, sim::Addr addr) {
+    return m.l1_[static_cast<std::size_t>(n)]->Contains(addr);
+  }
+  /// True if the L2 bank at `addr`'s home node holds its line.
+  static bool InL2(const Machine& m, sim::Addr addr) {
+    return m.l2_[static_cast<std::size_t>(m.amap_.HomeBank(addr))]->Contains(addr);
+  }
+};
+
+}  // namespace ndc::runtime
+
+namespace ndc::ir {
+
+/// A register operand (no memory access), which no shipped workload has.
+inline Operand ScalarOperand() {
+  Operand o;
+  o.kind = Operand::Kind::kScalar;
+  return o;
+}
+
+}  // namespace ndc::ir
 
 namespace ndc::harness {
 

@@ -1,9 +1,12 @@
 // Tests for the 20 benchmark stand-ins: they build at every scale, resolve
-// every address in bounds, scale monotonically, and are deterministic.
+// every address in bounds, scale monotonically, are deterministic, and fit
+// in Figure 17's smallest L2 at small scale.
 
 #include <gtest/gtest.h>
 
+#include "arch/config.hpp"
 #include "compiler/codegen.hpp"
+#include "mem/cache.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::workloads {
@@ -103,6 +106,36 @@ INSTANTIATE_TEST_SUITE_P(All, PerBenchmark, ::testing::ValuesIn(BenchmarkNames()
                            }
                            return n;
                          });
+
+// Figure 17's L2 rows rest on this. At small scale every benchmark's
+// distinct L2 lines fit in the smallest L2 the figure runs (256 KB banks, x25),
+// and filling each line into its home bank never evicts one. So the L2 rows
+// cannot differ from the default configuration: capacity is not tested.
+TEST(Workloads, FootprintAgainstL2) {
+  arch::ArchConfig cfg;
+  cfg.l2.size_bytes = 256 * 1024;
+  const mem::AddressMap amap = cfg.MakeAddressMap();
+  const std::uint64_t capacity_lines =
+      cfg.l2.size_bytes / cfg.l2.line_bytes * static_cast<std::uint64_t>(cfg.num_nodes());
+  for (const std::string& name : BenchmarkNames()) {
+    ir::Program p = BuildWorkload(name, Scale::kSmall);
+    std::vector<mem::Cache> banks(static_cast<std::size_t>(cfg.num_nodes()), mem::Cache(cfg.l2));
+    std::uint64_t lines = 0;
+    std::uint64_t evictions = 0;
+    for (const arch::Trace& t : compiler::Lower(p, cfg.num_nodes(), &cfg).traces) {
+      for (const arch::Instr& in : t) {
+        if (in.kind() != arch::Instr::Kind::kLoad && in.kind() != arch::Instr::Kind::kStore) {
+          continue;
+        }
+        mem::Cache& bank = banks[static_cast<std::size_t>(amap.HomeBank(in.addr()))];
+        lines += !bank.Contains(in.addr());
+        evictions += bank.Fill(in.addr()).has_value();
+      }
+    }
+    EXPECT_LT(lines, capacity_lines) << name;
+    EXPECT_EQ(evictions, 0u) << name;
+  }
+}
 
 }  // namespace
 }  // namespace ndc::workloads
