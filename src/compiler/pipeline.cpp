@@ -127,8 +127,7 @@ GapEstimate EstimateGap(const ArchDescription& ad, const SampleSet& s, arch::Loc
                                ad.EstDataAtCore(core, s.b[i], true, l2_miss_y)) +
                       1;
     sim::NodeId loc_node = ad.LocNode(s.a[i], loc, core);
-    sim::Cycle ret = ad.HopLatency(ad.mesh().Distance(loc_node, core), 8) +
-                     ad.cfg().noc.router_pipeline;
+    sim::Cycle ret = noc::ResultReturnLatency(ad.mesh(), ad.cfg().noc, loc_node, core);
     sim::Cycle first = std::min(lx, ly);
     sim::Cycle ndc_base = first + 1 + ret;
     sum_breakeven += ndc_base < conv ? static_cast<double>(conv - ndc_base) : 0.0;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "ndc/policy.hpp"
-#include "obs/phase.hpp"
 
 namespace ndc::harness {
 
@@ -277,14 +276,8 @@ metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
                                 obs::Observability* ob) {
   metrics::SchemeResult out;
   if (spec.IsCompiled()) {
-    // Compile mutates its input program, so copy the profile's build instead
-    // of regenerating the workload from scratch.
-    ir::Program prog = profile.program();
-    {
-      obs::ScopedPhase phase(obs::Phase::kCompile);
-      out.compile_report =
-          compiler::Compile(prog, compiler::ArchDescription(spec.cfg), CellCompileOptions(spec));
-    }
+    ir::Program prog;
+    out.compile_report = profile.Compile(spec.cfg, CellCompileOptions(spec), &prog);
     out.run = profile.RunCompiled(spec.cfg, prog, ob);
   } else if (spec.scheme == metrics::Scheme::kBaseline && ob == nullptr) {
     out.run = profile.Baseline();

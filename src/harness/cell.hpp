@@ -147,8 +147,9 @@ compiler::CompileOptions CellCompileOptions(const CellSpec& spec);
 /// MakeProfile of a spec with the same ProfileKey(), with `ob` (when
 /// non-null) attached to the measured run. Every measured run and policy
 /// is on spec.cfg. A policy scheme simulates the baseline traces under its
-/// policy; a compiled scheme compiles a copy of the profile's program and
-/// runs it through metrics::Profile::RunCompiled. Untraced, the Baseline
+/// policy; a compiled scheme compiles a copy of the profile's program
+/// (metrics::Profile::Compile) and runs it through
+/// metrics::Profile::RunCompiled. Untraced, the Baseline
 /// scheme's run is the profile's baseline and a program whose annotations
 /// another cell's already had is neither lowered nor simulated again;
 /// traced, every scheme simulates its own run. Only the untraced Baseline

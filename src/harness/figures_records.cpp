@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,14 +31,19 @@
 namespace ndc::harness {
 namespace {
 
+/// `runs`: the counts of every profile the figure built.
 SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
                                std::size_t cells,
-                               std::chrono::steady_clock::time_point start) {
+                               std::chrono::steady_clock::time_point start,
+                               std::span<const metrics::RunCounts> runs) {
   SweepSummary s;
   s.figure = figure;
   s.jobs = opt.jobs;
   s.cells = cells;
   s.sim_invocations = cells;  // record figures bypass the scalar cache
+  metrics::RunCounts total;
+  for (const metrics::RunCounts& r : runs) total += r;
+  s.SetRunCounts(total);
   s.elapsed_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)
@@ -73,6 +79,7 @@ SweepSummary RunFig02(const FigureOptions& opt) {
 
   std::vector<std::string> names = FilteredWorkloads(opt);
   std::vector<std::array<sim::BucketHistogram, 4>> hists(names.size());
+  std::vector<metrics::RunCounts> runs(names.size());
   ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     arch::ArchConfig cfg;
     metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
@@ -87,6 +94,7 @@ SweepSummary RunFig02(const FigureOptions& opt) {
       }
     });
     hists[b] = std::move(h);
+    runs[b] = profile.run_counts();
   });
 
   for (std::size_t l = 0; l < locs.size(); ++l) {
@@ -106,7 +114,7 @@ SweepSummary RunFig02(const FigureOptions& opt) {
   std::printf("\npaper example: swim <=20cy at cache controller ~14.3%%, at MC ~7.7%%;\n"
               "applu <=20cy at cache ~26.7%% vs raytrace ~8.6%% — windows vary widely by\n"
               "benchmark and location.\n");
-  return MakeRecordSummary("fig02", opt, names.size(), start);
+  return MakeRecordSummary("fig02", opt, names.size(), start, runs);
 }
 
 // ---------------------------------------------------------------- fig03 ---
@@ -126,6 +134,7 @@ SweepSummary RunFig03(const FigureOptions& opt) {
   };
   std::vector<std::string> names = FilteredWorkloads(opt);
   std::vector<PerWorkload> parts(names.size());
+  std::vector<metrics::RunCounts> runs(names.size());
   ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
     metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
     const auto& obs = CheckedObserve(profile, "fig03");
@@ -136,10 +145,11 @@ SweepSummary RunFig03(const FigureOptions& opt) {
         const runtime::LocObs& o = rec.at(locs[l]);
         if (!o.feasible) continue;
         p.window[l].Add(o.Window());
-        sim::Cycle ret = runtime::ResultReturnLatency(mesh, cfg.noc, o.node, rec.core);
+        sim::Cycle ret = noc::ResultReturnLatency(mesh, cfg.noc, o.node, rec.core);
         p.breakeven[l].Add(runtime::BreakevenPoint(rec, locs[l], 1, ret));
       }
     });
+    runs[b] = profile.run_counts();
   });
   // Histogram counts commute, so merging per-workload parts in name order
   // reproduces the serial accumulation exactly.
@@ -174,7 +184,7 @@ SweepSummary RunFig03(const FigureOptions& opt) {
                 window_h[l].CumulativeFraction(2) * 100.0,
                 breakeven_h[l].CumulativeFraction(2) * 100.0);
   }
-  return MakeRecordSummary("fig03", opt, names.size(), start);
+  return MakeRecordSummary("fig03", opt, names.size(), start, runs);
 }
 
 // ---------------------------------------------------------------- fig05 ---
@@ -182,12 +192,13 @@ SweepSummary RunFig03(const FigureOptions& opt) {
 namespace {
 
 // Consecutive windows of the hottest (core, pc) pair at its first feasible
-// location.
+// location; `*runs` receives the counts of the profile it builds.
 std::vector<sim::Cycle> WindowTrace(const std::string& name, workloads::Scale scale,
-                                    std::uint64_t seed, int want) {
+                                    std::uint64_t seed, int want, metrics::RunCounts* runs) {
   arch::ArchConfig cfg;
   metrics::Profile profile(name, scale, cfg, seed);
   const auto& obs = CheckedObserve(profile, "fig05");
+  *runs = profile.run_counts();
 
   // (core, pc) -> sorted (compute_idx, window) samples
   std::map<std::pair<sim::NodeId, std::uint32_t>,
@@ -226,8 +237,9 @@ SweepSummary RunFig05(const FigureOptions& opt) {
 
   const std::array<const char*, 2> names = {"ocean", "radiosity"};
   std::array<std::vector<sim::Cycle>, 2> traces;
+  std::array<metrics::RunCounts, 2> runs;
   ParallelFor(opt.jobs, names.size(), [&](std::size_t i) {
-    traces[i] = WindowTrace(names[i], opt.scale, opt.seed, 30);
+    traces[i] = WindowTrace(names[i], opt.scale, opt.seed, 30, &runs[i]);
   });
 
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -258,7 +270,7 @@ SweepSummary RunFig05(const FigureOptions& opt) {
                 "unpredictably; Last-Wait mispredicts)\n",
                 n ? mean / n : 0.0, dn ? std::sqrt(var / dn) : 0.0);
   }
-  return MakeRecordSummary("fig05", opt, names.size(), start);
+  return MakeRecordSummary("fig05", opt, names.size(), start, runs);
 }
 
 // ---------------------------------------------------------------- tab02 ---
@@ -371,7 +383,7 @@ SweepSummary RunTab02(const FigureOptions& opt) {
   std::printf("\npaper averages: L1 81.1%%, L2 72.9%% (misses dominated by effects the\n"
               "static estimator cannot see: cross-thread interleaving at the shared L2,\n"
               "irregular indirection, and conflict-model approximations)\n");
-  return MakeRecordSummary("tab02", opt, names.size(), start);
+  return MakeRecordSummary("tab02", opt, names.size(), start, {});
 }
 
 }  // namespace ndc::harness

@@ -14,9 +14,21 @@
 #include <thread>
 
 #include "harness/pool.hpp"
-#include "obs/phase.hpp"
 
 namespace ndc::harness {
+
+void SweepSummary::SetRunCounts(const metrics::RunCounts& runs) {
+  machine_runs = runs.machine_runs;
+  runs_reused = runs.runs_reused;
+  sim_events = runs.sim_events;
+  phase_ms.clear();
+  for (std::size_t i = 0; i < runs.phase_ns.size(); ++i) {
+    if (runs.phase_ns[i] > 0) phase_ms[metrics::kPhaseNames[i]] = runs.phase_ns[i] / 1000000;
+  }
+  std::uint64_t sim_ns = runs.phase_ns[static_cast<std::size_t>(metrics::Phase::kSimulate)];
+  sim_events_per_sec =
+      sim_ns > 0 ? static_cast<double>(sim_events) * 1e9 / static_cast<double>(sim_ns) : 0.0;
+}
 
 json::Value SweepSummary::ToJson() const {
   json::Value v = json::Value::Object();
@@ -107,7 +119,6 @@ class ProgressReporter {
 
 SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
   auto start = std::chrono::steady_clock::now();
-  obs::PhaseProfiler::Snapshot phase_base = obs::GlobalPhases().Take();
   SweepResult out;
   out.cells.resize(spec.cells.size());
   out.summary.figure = spec.figure;
@@ -199,24 +210,14 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
     }
     RunPlan(opt.jobs, plan);
   }
-  for (const Group& group : groups) {
-    out.summary.machine_runs += group.runs.machine_runs;
-    out.summary.runs_reused += group.runs.runs_reused;
-  }
+  metrics::RunCounts runs;
+  for (const Group& group : groups) runs += group.runs;
+  out.summary.SetRunCounts(runs);
 
   out.summary.elapsed_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  obs::PhaseProfiler::Snapshot phase_now = obs::GlobalPhases().Take();
-  out.summary.phase_ms = phase_now.DeltaMsSince(phase_base);
-  out.summary.sim_events = phase_now.sim_events - phase_base.sim_events;
-  constexpr int kSim = static_cast<int>(obs::Phase::kSimulate);
-  std::uint64_t sim_ns = phase_now.ns[kSim] - phase_base.ns[kSim];
-  if (out.summary.sim_events > 0 && sim_ns > 0) {
-    out.summary.sim_events_per_sec =
-        static_cast<double>(out.summary.sim_events) * 1e9 / static_cast<double>(sim_ns);
-  }
   return out;
 }
 

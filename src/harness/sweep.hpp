@@ -50,15 +50,20 @@ struct SweepSummary {
   /// its profile already ran (metrics::Profile::RunCompiled).
   std::uint64_t runs_reused = 0;
   std::uint64_t elapsed_ms = 0;
-  /// Host wall-clock per phase (ms) accrued during this sweep, keyed by
-  /// obs::PhaseName. Empty when nothing was built, compiled or simulated;
-  /// the summary JSON then omits the "phases" key.
+  /// Host wall clock (ms) of each phase that ran in the profiles this sweep
+  /// built, keyed by metrics::kPhaseNames. Empty when nothing was built,
+  /// compiled or simulated; the summary JSON then omits the "phases" key.
   std::map<std::string, std::uint64_t> phase_ms;
-  /// Simulated events retired during this sweep and the substrate's
-  /// end-to-end throughput over the kSimulate wall clock. Zero when every
-  /// cell was a cache hit; the summary JSON then omits both keys.
+  /// Simulated events the profiles' machine runs retired, and the
+  /// substrate's end-to-end throughput over their simulate wall clock. Zero
+  /// when every cell was a cache hit; the summary JSON then omits both keys.
   std::uint64_t sim_events = 0;
   double sim_events_per_sec = 0.0;
+
+  /// Sets machine_runs, runs_reused, phase_ms, sim_events and
+  /// sim_events_per_sec from `runs`, the summed counts of every profile
+  /// this run built.
+  void SetRunCounts(const metrics::RunCounts& runs);
 
   json::Value ToJson() const;
 };

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -52,11 +55,27 @@ struct SchemeResult {
   compiler::CompileReport compile_report;  ///< compiler modes only
 };
 
-/// How many machine runs a Profile made for the runs over it, and how many
-/// runs it took from an earlier identical run instead.
+/// The host-side phases a Profile times, in kPhaseNames order.
+enum class Phase : std::uint8_t {
+  kBuildWorkload,  ///< building the workload program
+  kLowerTraces,    ///< lowering the program to its baseline traces
+  kCompile,        ///< compiler passes, and lowering the compiled programs
+  kSimulate,       ///< cycle-level simulation proper
+};
+inline constexpr const char* kPhaseNames[] = {"build_workload", "lower_traces", "compile",
+                                              "simulate"};
+
+/// What a Profile did for the runs over it: the machine runs it made and
+/// the simulated events they retired, the runs it took from an earlier
+/// identical run instead, and the host wall clock of each phase.
 struct RunCounts {
   std::uint64_t machine_runs = 0;
   std::uint64_t runs_reused = 0;
+  std::uint64_t sim_events = 0;
+  /// Nanoseconds per Phase; 0 for a phase that did not run.
+  std::array<std::uint64_t, std::size(kPhaseNames)> phase_ns{};
+
+  RunCounts& operator+=(const RunCounts& o);
 };
 
 /// The untraced state that every scheme run of one workload
@@ -66,7 +85,9 @@ struct RunCounts {
 /// modified afterwards (the baseline and observation runs exactly once even
 /// under concurrent callers), so one Profile may back any number of scheme
 /// runs (harness::RunScheme) on any threads; harness::RunSweep shares one
-/// per profile key.
+/// per profile key. Each piece is timed into its phase of run_counts():
+/// the constructor (build_workload), Traces() (lower_traces), Compile() and
+/// RunCompiled's lowering (compile), and Simulate() (simulate).
 class Profile {
  public:
   /// `baseline_from_observe`: some run over this profile reads Observe(),
@@ -79,9 +100,12 @@ class Profile {
   Profile& operator=(const Profile&) = delete;
 
   const std::string& workload() const { return workload_; }
-  /// The workload program as built (copy it before compiling: Compile
-  /// mutates its input).
-  const ir::Program& program() const { return program_; }
+
+  /// Sets `*compiled` to a copy of the workload program as built and
+  /// annotates it with compiler::Compile for `cfg` under `opt`; returns
+  /// Compile's report.
+  compiler::CompileReport Compile(const arch::ArchConfig& cfg, const compiler::CompileOptions& opt,
+                                  ir::Program* compiled);
 
   /// The traces of the original program (baseline schedule).
   const std::vector<arch::Trace>& Traces();
@@ -91,8 +115,8 @@ class Profile {
   /// Timing-identical to the baseline.
   const runtime::RunResult& Observe();
 
-  /// The policy-free run of `compiled` (a copy of program() that
-  /// compiler::Compile annotated) on `cfg`, lowered under the compile phase.
+  /// The policy-free run of `compiled` (a program Compile() returned) on
+  /// `cfg`, lowered under the compile phase.
   /// Untraced (`ob` null), the first call for a given `cfg` and set of
   /// statement annotations lowers and simulates, and later calls return a
   /// copy of that run without lowering: Compile writes nothing but
@@ -102,8 +126,9 @@ class Profile {
   runtime::RunResult RunCompiled(const arch::ArchConfig& cfg, const ir::Program& compiled,
                                  obs::Observability* ob = nullptr);
 
-  /// Runs made so far by this profile and by the scheme runs over it.
-  RunCounts run_counts() const { return {machine_runs_.load(), runs_reused_.load()}; }
+  /// Runs made and phases timed so far by this profile and by the scheme
+  /// runs over it.
+  RunCounts run_counts() const;
 
   /// Simulates `traces` on `cfg`, counted in run_counts(). The machine
   /// borrows the traces for the run, so nothing is copied.
@@ -127,7 +152,8 @@ class Profile {
   runtime::RunResult observe_;
   std::mutex compiled_mu_;
   std::vector<CompiledRun> compiled_;  // guarded by compiled_mu_
-  std::atomic<std::uint64_t> machine_runs_{0}, runs_reused_{0};
+  std::atomic<std::uint64_t> machine_runs_{0}, runs_reused_{0}, sim_events_{0};
+  std::array<std::atomic<std::uint64_t>, std::size(kPhaseNames)> phase_ns_{};
 };
 
 /// Percentage improvement of `t` over baseline `base` (positive = faster,

@@ -52,7 +52,7 @@ Decision LastWaitPolicy::Decide(NodeId core, std::uint32_t, std::uint32_t pc, Ad
   Loc loc;
   if (!FirstFeasibleLoc(feasible_mask, cfg_->control_register, &loc)) return d;
   auto it = last_.find({core, pc});
-  Cycle guess = it == last_.end() ? first_guess_ : it->second;
+  Cycle guess = it == last_.end() ? kFirstGuess : it->second;
   if (guess == sim::kNeverCycle) return d;  // last time they never met: skip NDC
   d.offload = true;
   d.loc = loc;
@@ -123,12 +123,8 @@ void MarkovWaitPolicy::ObserveWindow(NodeId core, std::uint32_t pc, Cycle window
   st.last_bucket = b;
 }
 
-OraclePolicy::OraclePolicy(const arch::ArchConfig& cfg, const RunRecord& profile,
-                           bool reuse_aware)
-    : cfg_(&cfg),
-      profile_(&profile),
-      reuse_aware_(reuse_aware),
-      mesh_(cfg.mesh_width, cfg.mesh_height) {}
+OraclePolicy::OraclePolicy(const arch::ArchConfig& cfg, const RunRecord& profile)
+    : cfg_(&cfg), profile_(&profile), mesh_(cfg.mesh_width, cfg.mesh_height) {}
 
 Decision OraclePolicy::Decide(NodeId core, std::uint32_t compute_idx, std::uint32_t, Addr,
                               Addr, std::uint8_t feasible_mask) {
@@ -137,7 +133,7 @@ Decision OraclePolicy::Decide(NodeId core, std::uint32_t compute_idx, std::uint3
   if (rec == nullptr) return d;
   // Favor data locality over NDC whenever an operand has a later reuse
   // (the paper's oracle uses a single reuse as the threshold, k = 0).
-  if (reuse_aware_ && rec->operand_reused_later) return d;
+  if (rec->operand_reused_later) return d;
   // The paper's rule: perform NDC iff the arrival window is within the
   // breakeven point; otherwise resort to conventional computing. Among
   // qualifying locations, pick the one with the largest slack.
@@ -146,14 +142,13 @@ Decision OraclePolicy::Decide(NodeId core, std::uint32_t compute_idx, std::uint3
     if (!(feasible_mask & cfg_->control_register & arch::LocBit(loc))) continue;
     // Memory-side computation also squashes the L2 fill: gate on L2-line
     // reuse for those locations.
-    if (reuse_aware_ && (loc == Loc::kMemCtrl || loc == Loc::kMemBank) &&
-        rec->operand_reused_later_l2) {
+    if ((loc == Loc::kMemCtrl || loc == Loc::kMemBank) && rec->operand_reused_later_l2) {
       continue;
     }
     const LocObs& obs = rec->at(loc);
     Cycle window = obs.Window();
     if (window == sim::kNeverCycle) continue;
-    Cycle ret = ResultReturnLatency(mesh_, cfg_->noc, obs.node, core);
+    Cycle ret = noc::ResultReturnLatency(mesh_, cfg_->noc, obs.node, core);
     Cycle breakeven = BreakevenPoint(*rec, loc, cfg_->compute_latency, ret);
     if (breakeven == 0 || window > breakeven) continue;  // past breakeven: skip NDC
     Cycle slack = breakeven - window;

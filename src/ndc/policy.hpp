@@ -78,18 +78,19 @@ class FractionWaitPolicy final : public Policy {
 };
 
 /// The paper's "Last Wait" predictor: assume the next arrival window of a
-/// given PC equals the last one observed (Section 4.4).
+/// given PC equals the last one observed (Section 4.4), and kFirstGuess
+/// cycles before the PC's first observation.
 class LastWaitPolicy final : public Policy {
  public:
-  explicit LastWaitPolicy(const arch::ArchConfig& cfg, Cycle first_guess = 50)
-      : cfg_(&cfg), first_guess_(first_guess) {}
+  static constexpr Cycle kFirstGuess = 50;
+
+  explicit LastWaitPolicy(const arch::ArchConfig& cfg) : cfg_(&cfg) {}
   Decision Decide(NodeId core, std::uint32_t, std::uint32_t pc, Addr, Addr,
                   std::uint8_t feasible_mask) override;
   void ObserveWindow(NodeId core, std::uint32_t pc, Cycle window) override;
 
  private:
   const arch::ArchConfig* cfg_;
-  Cycle first_guess_;
   std::map<std::pair<NodeId, std::uint32_t>, Cycle> last_;
 };
 
@@ -120,15 +121,13 @@ class MarkovWaitPolicy final : public Policy {
 /// one of the operands has a later reuse.
 class OraclePolicy final : public Policy {
  public:
-  OraclePolicy(const arch::ArchConfig& cfg, const RunRecord& profile,
-               bool reuse_aware = true);
+  OraclePolicy(const arch::ArchConfig& cfg, const RunRecord& profile);
   Decision Decide(NodeId core, std::uint32_t compute_idx, std::uint32_t, Addr, Addr,
                   std::uint8_t feasible_mask) override;
 
  private:
   const arch::ArchConfig* cfg_;
   const RunRecord* profile_;
-  bool reuse_aware_;
   noc::Mesh mesh_;
 };
 

@@ -36,14 +36,6 @@ Cycle BreakevenPoint(const InstanceRecord& rec, Loc loc, Cycle op_latency,
   return rec.conv_done - ndc_base;
 }
 
-Cycle ResultReturnLatency(const noc::Mesh& mesh, const noc::NetworkParams& np, NodeId from,
-                          NodeId to) {
-  if (from == sim::kNoNode || to == sim::kNoNode) return np.router_pipeline;
-  int hops = mesh.Distance(from, to);
-  sim::Cycle ser = static_cast<sim::Cycle>((8 + np.link_bytes - 1) / np.link_bytes);
-  return np.router_pipeline + static_cast<sim::Cycle>(hops) * (np.router_pipeline + ser);
-}
-
 std::vector<bool> ComputeFutureReuse(std::span<const arch::Instr> trace,
                                      std::uint64_t l1_line_bytes) {
   std::vector<bool> reused(trace.size(), false);

@@ -118,11 +118,6 @@ class RunRecord {
 Cycle BreakevenPoint(const InstanceRecord& rec, Loc loc, Cycle op_latency,
                      Cycle return_latency);
 
-/// Return-path latency estimate for an 8-byte NDC result from `from` to
-/// `to` on an uncontended mesh.
-Cycle ResultReturnLatency(const noc::Mesh& mesh, const noc::NetworkParams& np, NodeId from,
-                          NodeId to);
-
 /// Scans a trace and marks, for every NDC-candidate computation, whether
 /// either operand's L1 line is accessed again later in the same trace
 /// (the data-reuse signal used by the oracle and by Algorithm 2's gating).

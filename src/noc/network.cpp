@@ -6,6 +6,14 @@
 
 namespace ndc::noc {
 
+sim::Cycle ResultReturnLatency(const Mesh& mesh, const NetworkParams& np, sim::NodeId from,
+                               sim::NodeId to) {
+  if (from == sim::kNoNode || to == sim::kNoNode) return np.router_pipeline;
+  int hops = mesh.Distance(from, to);
+  sim::Cycle ser = static_cast<sim::Cycle>((8 + np.link_bytes - 1) / np.link_bytes);
+  return np.router_pipeline + static_cast<sim::Cycle>(hops) * (np.router_pipeline + ser);
+}
+
 Network::Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params)
     : mesh_(mesh), eq_(eq), params_(params), routes_(mesh) {
   link_busy_until_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);

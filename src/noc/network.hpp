@@ -22,6 +22,13 @@ struct NetworkParams {
   friend bool operator==(const NetworkParams&, const NetworkParams&) = default;
 };
 
+/// Return-path latency estimate for an 8-byte NDC result from `from` to
+/// `to` on an uncontended mesh: one router pipeline, plus a router pipeline
+/// and the serialization per hop. The oracle, the compiler's cost model and
+/// Figure 3 all charge this.
+sim::Cycle ResultReturnLatency(const Mesh& mesh, const NetworkParams& np, sim::NodeId from,
+                               sim::NodeId to);
+
 /// A message traversing the NoC. `route` is fixed at injection time: an id
 /// in the network's RouteTable (the compiler may have selected a
 /// non-default minimal route), or kXyRoute for the hardware default X-Y

@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "obs/decision_log.hpp"
-#include "obs/phase.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
 

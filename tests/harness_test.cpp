@@ -1,7 +1,8 @@
 // src/harness unit tests: cache-key semantics, CellResult round-tripping,
 // the on-disk result cache, the plan scheduler, the warm-sweep
 // zero-simulation guarantee, the equivalence of a sweep that shares
-// profiles with standalone RunCell calls, and the sweep exports parsing as
+// profiles with standalone RunCell calls, the run counts and phase times
+// each sweep and record figure reports, and the sweep exports parsing as
 // JSON.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,7 +26,6 @@
 #include "harness/figures.hpp"
 #include "harness/pool.hpp"
 #include "harness/sweep.hpp"
-#include "obs/phase.hpp"
 
 namespace ndc::harness {
 namespace {
@@ -369,6 +370,12 @@ SweepSpec SmallSpec() {
   return spec;
 }
 
+std::set<std::string> PhaseKeys(const SweepSummary& s) {
+  std::set<std::string> out;
+  for (const auto& [name, ms] : s.phase_ms) out.insert(name);
+  return out;
+}
+
 TEST(Sweep, WarmRerunPerformsZeroSimulatorInvocations) {
   std::string dir = UniqueCacheDir("warm");
   std::remove((dir + "/results.jsonl").c_str());
@@ -381,10 +388,19 @@ TEST(Sweep, WarmRerunPerformsZeroSimulatorInvocations) {
   SweepResult cold = RunSweep(spec, opt);
   EXPECT_EQ(cold.summary.sim_invocations, spec.cells.size());
   EXPECT_EQ(cold.summary.cache_hits, 0u);
+  // No cell compiles, so the compile phase has no key.
+  EXPECT_EQ(PhaseKeys(cold.summary),
+            (std::set<std::string>{"build_workload", "lower_traces", "simulate"}));
 
   SweepResult warm = RunSweep(spec, opt);
   EXPECT_EQ(warm.summary.sim_invocations, 0u);
   EXPECT_EQ(warm.summary.cache_hits, spec.cells.size());
+  EXPECT_EQ(warm.summary.machine_runs, 0u);
+  EXPECT_EQ(warm.summary.sim_events, 0u);
+  EXPECT_TRUE(warm.summary.phase_ms.empty());
+  json::Value warm_json = warm.summary.ToJson();
+  EXPECT_EQ(warm_json.Find("phases"), nullptr);
+  EXPECT_EQ(warm_json.Find("sim_events"), nullptr);
   ASSERT_EQ(warm.cells.size(), cold.cells.size());
   for (std::size_t i = 0; i < cold.cells.size(); ++i) {
     EXPECT_TRUE(warm.cells[i] == cold.cells[i]) << i;
@@ -403,6 +419,44 @@ TEST(Sweep, UncachedParallelMatchesSerial) {
   SweepResult b = RunSweep(spec, parallel);
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
     EXPECT_TRUE(a.cells[i] == b.cells[i]) << i;
+  }
+}
+
+// A sweep's counts are those of the profiles it built: two uncached sweeps
+// over different workloads, run at once on two threads, each report the
+// machine runs, simulated events and phases they report alone.
+TEST(Sweep, ConcurrentSweepsCountOnlyTheirOwnRuns) {
+  auto grid = [](const char* workload) {
+    SweepSpec spec;
+    spec.figure = workload;
+    for (metrics::Scheme s :
+         {metrics::Scheme::kBaseline, metrics::Scheme::kDefault, metrics::Scheme::kAlgorithm1}) {
+      CellSpec c;
+      c.workload = workload;
+      c.scale = workloads::Scale::kTest;
+      c.scheme = s;
+      spec.cells.push_back(c);
+    }
+    return spec;
+  };
+  const std::array<SweepSpec, 2> specs = {grid("swim"), grid("lu")};
+  SweepOptions opt;
+  opt.use_cache = false;
+  std::array<SweepSummary, 2> alone;
+  for (std::size_t i = 0; i < specs.size(); ++i) alone[i] = RunSweep(specs[i], opt).summary;
+  EXPECT_NE(alone[0].sim_events, alone[1].sim_events);
+
+  for (int rep = 0; rep < 20; ++rep) {
+    std::array<SweepSummary, 2> together;
+    std::thread other([&] { together[1] = RunSweep(specs[1], opt).summary; });
+    together[0] = RunSweep(specs[0], opt).summary;
+    other.join();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      std::string what = specs[i].figure + " rep " + std::to_string(rep);
+      EXPECT_EQ(together[i].machine_runs, alone[i].machine_runs) << what;
+      EXPECT_EQ(together[i].sim_events, alone[i].sim_events) << what;
+      EXPECT_EQ(PhaseKeys(together[i]), PhaseKeys(alone[i])) << what;
+    }
   }
 }
 
@@ -444,8 +498,6 @@ SweepSpec EquivalenceGrid() {
   return spec;
 }
 
-std::uint64_t SimEventsSoFar() { return obs::GlobalPhases().Take().sim_events; }
-
 // The configuration and lowered traces (as instruction words) a compiled
 // cell runs, built from the options RunScheme compiles it with.
 using CompiledProgram =
@@ -475,9 +527,9 @@ TEST(Sweep, SharedProfilesMatchStandaloneCells) {
   std::vector<CellResult> standalone(n);
   std::vector<std::uint64_t> standalone_events(n);  // profile run + measured run
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t before = SimEventsSoFar();
-    standalone[i] = RunCell(spec.cells[i]);
-    standalone_events[i] = SimEventsSoFar() - before;
+    auto profile = MakeProfile(spec.cells[i], spec.cells[i].NeedsObserve());
+    standalone[i] = RunCell(spec.cells[i], profile);
+    standalone_events[i] = profile->run_counts().sim_events;
   }
 
   // Warm: two md cells, and every cell of the half-L2 profile, which then
@@ -583,6 +635,38 @@ TEST(Figures, ParallelRunRendersTheSameTableAsSerial) {
 
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
+}
+
+// A record figure's summary counts the profiles it built: fig05 simulates
+// the observation runs of ocean and radiosity, fig02 one per benchmark, and
+// tab02 builds no profile.
+TEST(Figures, RecordFigureSummariesCountTheirProfiles) {
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.jobs = 2;
+  auto run = [&](const char* name) {
+    SweepSummary s;
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(RunFigure(name, opt, &s), 0) << name;
+    testing::internal::GetCapturedStdout();
+    return s;
+  };
+
+  SweepSummary fig05 = run("fig05");
+  std::uint64_t events = 0;
+  for (const char* w : {"ocean", "radiosity"}) {
+    events += metrics::Profile(w, opt.scale, arch::ArchConfig{}, opt.seed).Observe().events;
+  }
+  EXPECT_EQ(fig05.machine_runs, 2u);
+  EXPECT_EQ(fig05.sim_events, events);
+  EXPECT_TRUE(fig05.phase_ms.contains("simulate"));
+
+  EXPECT_EQ(run("fig02").machine_runs, workloads::BenchmarkNames().size());
+
+  SweepSummary tab02 = run("tab02");
+  EXPECT_EQ(tab02.machine_runs, 0u);
+  EXPECT_EQ(tab02.sim_events, 0u);
+  EXPECT_TRUE(tab02.phase_ms.empty());
 }
 
 TEST(Figures, UnknownFigureNameFails) {

@@ -63,7 +63,6 @@ TEST(EndToEnd, ObserveModePreservesBaselineTimingAtSmallScale) {
 // run is Algorithm 1's and simulates nothing; swim's programs differ, so
 // both simulate. A traced run always simulates its own run.
 TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
-  auto sim_events = [] { return obs::GlobalPhases().Take().sim_events; };
   for (const std::string name : {"md", "swim"}) {
     const bool identical = name == "md";
     CellSpec alg1 = TestCell(name, Scheme::kAlgorithm1, Scale::kSmall);
@@ -71,12 +70,11 @@ TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
     auto profile = harness::MakeProfile(alg1, false);
     SchemeResult a1 = RunScheme(alg1, *profile);
     RunCounts before = profile->run_counts();
-    std::uint64_t events_before = sim_events();
     SchemeResult a2 = RunScheme(alg2, *profile);
     RunCounts after = profile->run_counts();
     EXPECT_EQ(after.machine_runs - before.machine_runs, identical ? 0u : 1u) << name;
     EXPECT_EQ(after.runs_reused - before.runs_reused, identical ? 1u : 0u) << name;
-    EXPECT_EQ(sim_events() - events_before, identical ? 0u : a2.run.events) << name;
+    EXPECT_EQ(after.sim_events - before.sim_events, identical ? 0u : a2.run.events) << name;
 
     SchemeResult f2 = RunScheme(alg2);
     ExpectSameRun(a2.run, f2.run, name);

@@ -500,7 +500,7 @@ TEST(Machine, OraclePolicySkipsWhenOperandReused) {
   ASSERT_NE(rec, nullptr);
   EXPECT_TRUE(rec->operand_reused_later);
 
-  OraclePolicy oracle(cfg, *prof.records, /*reuse_aware=*/true);
+  OraclePolicy oracle(cfg, *prof.records);
   MachineOptions run_opts;
   run_opts.policy = &oracle;
   Machine m(cfg, run_opts);

@@ -228,17 +228,6 @@ TEST(DecisionLog, JsonlHasOneValidObjectPerEntry) {
   EXPECT_EQ(lines, log.entries().size());
 }
 
-// ----------------------------------------------------------- unit: phase ---
-
-TEST(PhaseProfiler, SnapshotDeltaReportsOnlyActivePhases) {
-  ndc::obs::PhaseProfiler prof;
-  auto base = prof.Take();
-  prof.Add(ndc::obs::Phase::kSimulate, 7'000'000);  // 7 ms
-  auto delta = prof.Take().DeltaMsSince(base);
-  ASSERT_EQ(delta.size(), 1u);
-  EXPECT_EQ(delta.at("simulate"), 7u);
-}
-
 // ------------------------------------------------------------ end-to-end ---
 
 /// Runs (workload, scheme) at test scale with `ob` attached.

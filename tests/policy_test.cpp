@@ -48,10 +48,10 @@ TEST(BreakevenTest, MatchesDefinition) {
 TEST(ReturnLatency, GrowsWithDistance) {
   noc::Mesh mesh(5, 5);
   noc::NetworkParams np;
-  sim::Cycle near = ResultReturnLatency(mesh, np, 0, 1);
-  sim::Cycle far = ResultReturnLatency(mesh, np, 0, 24);
+  sim::Cycle near = noc::ResultReturnLatency(mesh, np, 0, 1);
+  sim::Cycle far = noc::ResultReturnLatency(mesh, np, 0, 24);
   EXPECT_LT(near, far);
-  EXPECT_EQ(ResultReturnLatency(mesh, np, 3, 3), np.router_pipeline);
+  EXPECT_EQ(noc::ResultReturnLatency(mesh, np, 3, 3), np.router_pipeline);
 }
 
 TEST(FutureReuse, DetectsLaterLineAccess) {
@@ -118,7 +118,7 @@ TEST(FractionWait, UsesProfiledWindow) {
 
 TEST(LastWait, LearnsFromObservedWindows) {
   arch::ArchConfig cfg;
-  LastWaitPolicy p(cfg, /*first_guess=*/50);
+  LastWaitPolicy p(cfg);
   Decision d = p.Decide(1, 0, 7, 0, 0, kAll);
   EXPECT_EQ(d.timeout, 50u);  // cold guess
   p.ObserveWindow(1, 7, 120);
@@ -176,10 +176,11 @@ TEST(OracleTest, ReuseGateFavorsLocality) {
   o.node = 0;
   o.t_a = 10;
   o.t_b = 20;
-  OraclePolicy reuse_aware(cfg, profile, /*reuse_aware=*/true);
-  EXPECT_FALSE(reuse_aware.Decide(0, 1, 0, 0, 0, kAll).offload);
-  OraclePolicy greedy(cfg, profile, /*reuse_aware=*/false);
-  EXPECT_TRUE(greedy.Decide(0, 1, 0, 0, 0, kAll).offload);
+  OraclePolicy p(cfg, profile);
+  EXPECT_FALSE(p.Decide(0, 1, 0, 0, 0, kAll).offload);
+  // The same instance without the later reuse offloads.
+  rec.operand_reused_later = false;
+  EXPECT_TRUE(p.Decide(0, 1, 0, 0, 0, kAll).offload);
 }
 
 TEST(OracleTest, L2LineReuseGatesMemorySideOnly) {

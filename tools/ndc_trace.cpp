@@ -8,7 +8,7 @@
 //     telescope to exactly the summed end-to-end latency),
 //   - the NDC decision audit summary (every candidate accounted for), and
 //     optionally the full decision log as JSONL (--decisions=FILE),
-//   - the host-side phase profile (where wall-clock went).
+//   - the host wall clock of each phase the cell's profile ran.
 //
 // Exit status: 0 on success, 2 on usage errors or an unwritable file.
 //
@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   spec.scheme = *scheme;
 
   ndc::obs::Observability ob(oo);
-  ndc::metrics::SchemeResult r = ndc::harness::RunScheme(spec, &ob);
+  auto profile = ndc::harness::MakeProfile(spec, spec.NeedsObserve());
+  ndc::metrics::SchemeResult r = ndc::harness::RunScheme(spec, *profile, &ob);
 
   std::printf("# ndc-trace: %s / %s (scale=%s, seed=%llu, sample=1/%llu)\n",
               spec.workload.c_str(), spec.SchemeLabel().c_str(),
@@ -56,7 +57,13 @@ int main(int argc, char** argv) {
   std::printf("\n");
   std::fputs(ob.decisions.Summary().c_str(), stdout);
   std::printf("\n");
-  std::fputs(ndc::obs::GlobalPhases().ToText().c_str(), stdout);
+  const ndc::metrics::RunCounts runs = profile->run_counts();
+  std::printf("%-16s %10s\n", "phase", "ms");
+  for (std::size_t i = 0; i < runs.phase_ns.size(); ++i) {
+    if (runs.phase_ns[i] == 0) continue;
+    std::printf("%-16s %10.1f\n", ndc::metrics::kPhaseNames[i],
+                static_cast<double>(runs.phase_ns[i]) / 1e6);
+  }
 
   if (!trace_path.empty()) {
     if (!ob.sink.WriteFile(trace_path)) {
