@@ -48,9 +48,8 @@ inline const char* OpName(Op op) {
 ///   w0  bits  0..7   flags    kind:2 | op:3 | ndc_candidate:1 | planned_loc:2
 ///       bits  8..15  pc bits 16..23
 ///       bits 16..63  payload  Load/Store: address
-///                             Compute:    site (payload bits 0..23)
-///                             PreCompute: site (payload bits 0..23) |
-///                                         timeout (payload bits 24..47)
+///                             Compute:    unused (0)
+///                             PreCompute: timeout (payload bits 0..23)
 ///   w1  bits  0..23  dep0     all-ones means -1
 ///       bits 24..47  dep1     all-ones means -1
 ///       bits 48..63  pc bits 0..15
@@ -58,19 +57,17 @@ inline const char* OpName(Op op) {
 /// The hottest reads stay one operation: kind() masks the low bits of w0 and
 /// addr() shifts it. The fields fill all 128 bits, so one of them has to
 /// straddle the words; pc does, as the field read least often. The payload
-/// serves several fields because a Load or Store has neither site nor
-/// timeout and a Compute or PreCompute has no address. `addr()`, `site()`
-/// and `timeout()` return 0 for a kind that does not use them.
+/// serves two fields because a Load or Store has no timeout and a
+/// PreCompute has no address. `addr()` and `timeout()` return 0 for a kind
+/// that does not use them.
 ///
-/// Limits: address < 2^48, pc < 2^24, site < 2^24, timeout < 2^24 cycles and
+/// Limits: address < 2^48, pc < 2^24, timeout < 2^24 cycles and
 /// dep in [-1, 2^24 - 2] (16.7M instructions per core). A value outside its
 /// limit makes the constructors throw std::out_of_range naming the field.
 class Instr {
  public:
   enum class Kind : std::uint8_t { kLoad, kStore, kCompute, kPreCompute };
 
-  static constexpr std::uint32_t kSiteBits = 24;
-  static constexpr std::uint32_t kMaxSite = (1u << kSiteBits) - 1;
   static constexpr std::uint32_t kAddrBits = 48;
   static constexpr sim::Addr kMaxAddr = (std::uint64_t{1} << kAddrBits) - 1;
   static constexpr std::uint32_t kPcBits = 24;
@@ -81,7 +78,7 @@ class Instr {
   /// All-ones is the "no dep" code, so the largest index is one below it.
   static constexpr std::int32_t kMaxDep = (1 << kDepBits) - 2;
 
-  /// A Compute with no deps, op kAdd, pc 0, site 0, planned location kCacheCtrl.
+  /// A Compute with no deps, op kAdd, pc 0, planned location kCacheCtrl.
   Instr() = default;
 
   Kind kind() const { return static_cast<Kind>(w0_ & 0x3u); }
@@ -95,17 +92,13 @@ class Instr {
     return static_cast<std::uint32_t>(w1_ >> kPcLoShift |
                                       (w0_ >> kPcHiShift & 0xffu) << kPcLoBits);
   }
-  /// Static NDC site id (use-use chain id); 0 for Load/Store.
-  std::uint32_t site() const {
-    return IsMemory() ? 0 : static_cast<std::uint32_t>(w0_ >> kPayloadShift & kMaxSite);
-  }
   /// Compute only: eligible for hardware NDC.
   bool ndc_candidate() const { return (w0_ >> kCandidateShift) & 0x1u; }
   /// PreCompute: the target component the compiler chose.
   Loc planned_loc() const { return static_cast<Loc>((w0_ >> kLocShift) & 0x3u); }
   /// PreCompute: time-out register value (breakeven); 0 for other kinds.
   sim::Cycle timeout() const {
-    return kind() == Kind::kPreCompute ? w0_ >> (kPayloadShift + kSiteBits) : 0;
+    return kind() == Kind::kPreCompute ? w0_ >> kPayloadShift : 0;
   }
   /// The two packed words: equal words mean equal instructions.
   std::array<std::uint64_t, 2> words() const { return {w0_, w1_}; }
@@ -113,9 +106,9 @@ class Instr {
   friend Instr MakeLoad(sim::Addr a, std::int32_t dep, std::uint32_t pc);
   friend Instr MakeStore(sim::Addr a, std::int32_t dep0, std::int32_t dep1, std::uint32_t pc);
   friend Instr MakeCompute(Op op, std::int32_t dep0, std::int32_t dep1, bool candidate,
-                           std::uint32_t pc, std::uint32_t site);
+                           std::uint32_t pc);
   friend Instr MakePreCompute(Op op, std::int32_t load0, std::int32_t load1, Loc planned,
-                              sim::Cycle timeout, std::uint32_t pc, std::uint32_t site);
+                              sim::Cycle timeout, std::uint32_t pc);
 
  private:
   static constexpr std::uint32_t kOpShift = 2;
@@ -188,16 +181,13 @@ inline Instr MakeStore(sim::Addr a, std::int32_t dep0 = -1, std::int32_t dep1 = 
   return Instr(Instr::Kind::kStore, Op::kAdd, a, dep0, dep1, pc, false, Loc::kCacheCtrl);
 }
 inline Instr MakeCompute(Op op, std::int32_t dep0, std::int32_t dep1, bool candidate,
-                         std::uint32_t pc = 0, std::uint32_t site = 0) {
-  Instr::CheckWidth(site, Instr::kSiteBits, "site id");
-  return Instr(Instr::Kind::kCompute, op, site, dep0, dep1, pc, candidate, Loc::kCacheCtrl);
+                         std::uint32_t pc = 0) {
+  return Instr(Instr::Kind::kCompute, op, 0, dep0, dep1, pc, candidate, Loc::kCacheCtrl);
 }
 inline Instr MakePreCompute(Op op, std::int32_t load0, std::int32_t load1, Loc planned,
-                            sim::Cycle timeout, std::uint32_t pc = 0, std::uint32_t site = 0) {
-  Instr::CheckWidth(site, Instr::kSiteBits, "site id");
+                            sim::Cycle timeout, std::uint32_t pc = 0) {
   Instr::CheckWidth(timeout, Instr::kTimeoutBits, "timeout");
-  return Instr(Instr::Kind::kPreCompute, op, site | timeout << Instr::kSiteBits, load0, load1,
-               pc, false, planned);
+  return Instr(Instr::Kind::kPreCompute, op, timeout, load0, load1, pc, false, planned);
 }
 
 }  // namespace ndc::arch

@@ -129,11 +129,10 @@ class TraceWriter {
     const std::int32_t at = Next();
     if (offload_here) {
       trace_->push_back(arch::MakePreCompute(st.op, l0, l1, st.ndc.planned, st.ndc.timeout,
-                                            st.id * 16 + kComputeP, st.id));
+                                            st.id * 16 + kComputeP));
       ++precomputes_;
     } else {
-      trace_->push_back(
-          arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id));
+      trace_->push_back(arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP));
     }
     return at;
   }

@@ -20,6 +20,7 @@ using analysis::OperandSel;
 constexpr double kFeasibilityThreshold = 0.5;  ///< min fraction of iterations feasible
 constexpr double kMissGate = 0.5;              ///< min CME miss probability to offload
 constexpr int kSamplesPerChain = 32;           ///< iteration samples for the cost model
+constexpr int kReuseK = 0;                     ///< Algorithm 2's k (the paper's k = 0)
 
 // The component trial order of Section 5.2.1: network router (L1-miss
 // responses), L2 bank, network router again (L2-miss responses), memory
@@ -209,7 +210,6 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
     }
     double iter_cycles = InstrsPerIteration(nest) * ad.cpi();
 
-    std::array<int, arch::kNumLocs> nest_loc_votes{};
     // The cost model's sample iterations, taken once per nest.
     std::vector<ir::IntVec> nest_samples;
 
@@ -224,11 +224,11 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
         // offload squashes the L1 line fill, so a spatially-reused operand
         // also loses locality.
         auto reuses = [&](const ir::Operand& op) {
-          int n = analysis::CountFutureReuses(prog, nest, stmt, op, opt.reuse_k + 1);
+          int n = analysis::CountFutureReuses(prog, nest, stmt, op, kReuseK + 1);
           if (analysis::AnalyzeReuse(prog, nest, op, ad.cfg().l1.line_bytes).self_spatial) ++n;
           return n;
         };
-        if (reuses(stmt.rhs0) > opt.reuse_k || reuses(stmt.rhs1) > opt.reuse_k) {
+        if (reuses(stmt.rhs0) > kReuseK || reuses(stmt.rhs1) > kReuseK) {
           ++rep.reuse_skips;
           continue;
         }
@@ -344,7 +344,6 @@ CompileReport Compile(ir::Program& prog, const ArchDescription& ad, const Compil
         stmt.ndc.lead1 = leads.second;
         ++rep.planned;
         ++rep.planned_at_loc[static_cast<std::size_t>(loc)];
-        ++nest_loc_votes[static_cast<std::size_t>(loc)];
         planned = true;
         break;
       }

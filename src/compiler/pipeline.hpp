@@ -36,7 +36,6 @@ inline const char* ModeName(Mode m) {
 
 struct CompileOptions {
   Mode mode = Mode::kAlgorithm1;
-  int reuse_k = 0;           ///< Algorithm 2's k (paper default: 0)
   bool allow_reroute = true; ///< NoC signature co-selection (Section 5.2.1)
   std::uint8_t control_register = arch::kAllLocs;  ///< target NDC locations
   ir::Int max_lead = 64;     ///< cap on access movement (iterations)

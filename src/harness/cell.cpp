@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "ndc/policy.hpp"
@@ -294,16 +295,16 @@ metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
   return out;
 }
 
-metrics::SchemeResult RunScheme(const CellSpec& spec, obs::Observability* ob) {
-  return RunScheme(spec, *MakeProfile(spec, spec.NeedsObserve()), ob);
-}
-
 CellResult RunCell(const CellSpec& spec) {
   return RunCell(spec, MakeProfile(spec, spec.NeedsObserve()));
 }
 
-CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile) {
-  metrics::SchemeResult r = RunScheme(spec, *profile);
+CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile,
+                   json::Value* obs_summary) {
+  std::optional<obs::Observability> ob;
+  if (obs_summary != nullptr) ob.emplace(obs::ObsOptions{.max_trace_events = 0});
+  metrics::SchemeResult r = RunScheme(spec, *profile, ob ? &*ob : nullptr);
+  if (ob) *obs_summary = CellObsSummary(spec, r.run.makespan, *ob);
 
   CellResult out;
   out.makespan = r.run.makespan;
@@ -327,18 +328,13 @@ CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profi
   return out;
 }
 
-json::Value RunCellObsSummary(const CellSpec& spec) {
+json::Value CellObsSummary(const CellSpec& spec, std::uint64_t makespan,
+                           const obs::Observability& ob) {
   json::Value v = json::Value::Object();
   v.obj["workload"] = json::Value::Str(spec.workload);
   v.obj["scheme"] = json::Value::Str(spec.SchemeLabel());
   v.obj["scale"] = json::Value::Str(ScaleName(spec.scale));
-
-  obs::ObsOptions oo;
-  oo.emit_stage_events = false;  // aggregate summary only; no timeline
-  obs::Observability ob(oo);
-  metrics::SchemeResult r = RunScheme(spec, &ob);
-
-  v.obj["makespan"] = json::Value::Int(r.run.makespan);
+  v.obj["makespan"] = json::Value::Int(makespan);
   v.obj["sample_period"] = json::Value::Int(ob.tracer.sample_period());
   v.obj["requests_seen"] = json::Value::Int(ob.tracer.seen());
   v.obj["requests_traced"] = json::Value::Int(ob.tracer.traced());
@@ -361,15 +357,17 @@ json::Value RunCellObsSummary(const CellSpec& spec) {
   json::Value kinds = json::Value::Object();
   for (int i = 0; i < obs::kNumDecisionKinds; ++i) {
     auto k = static_cast<obs::DecisionKind>(i);
-    if (ob.decisions.kind_count(k) == 0) continue;
-    kinds.obj[obs::DecisionKindName(k)] = json::Value::Int(ob.decisions.kind_count(k));
+    if (std::uint64_t n = ob.decisions.kind_count(k); n != 0) {
+      kinds.obj[obs::DecisionKindName(k)] = json::Value::Int(n);
+    }
   }
   v.obj["decisions"] = std::move(kinds);
   json::Value outcomes = json::Value::Object();
   for (int i = 0; i < obs::kNumOutcomes; ++i) {
     auto o = static_cast<obs::Outcome>(i);
-    if (ob.decisions.outcome_count(o) == 0) continue;
-    outcomes.obj[obs::OutcomeName(o)] = json::Value::Int(ob.decisions.outcome_count(o));
+    if (std::uint64_t n = ob.decisions.outcome_count(o); n != 0) {
+      outcomes.obj[obs::OutcomeName(o)] = json::Value::Int(n);
+    }
   }
   v.obj["outcomes"] = std::move(outcomes);
   return v;

@@ -161,21 +161,21 @@ compiler::CompileOptions CellCompileOptions(const CellSpec& spec);
 metrics::SchemeResult RunScheme(const CellSpec& spec, metrics::Profile& profile,
                                 obs::Observability* ob = nullptr);
 
-/// RunScheme against a private profile of its own
-/// (MakeProfile(spec, spec.NeedsObserve())).
-metrics::SchemeResult RunScheme(const CellSpec& spec, obs::Observability* ob = nullptr);
-
-/// RunScheme against `profile`, reduced to the cell's scalar results.
-CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile);
+/// RunScheme against `profile`, reduced to the cell's scalar results. With
+/// `obs_summary` non-null, the measured run is traced (an Observability
+/// that keeps no timeline events) and its CellObsSummary is stored there.
+CellResult RunCell(const CellSpec& spec, std::shared_ptr<metrics::Profile> profile,
+                   json::Value* obs_summary = nullptr);
 
 /// RunCell against a private profile of its own
 /// (MakeProfile(spec, spec.NeedsObserve())).
 CellResult RunCell(const CellSpec& spec);
 
-/// Re-simulates the cell with an observation bundle attached and returns a
-/// JSON summary: per-stage latency aggregates, request counts, and the NDC
-/// decision/outcome tallies. Used by `ndc-sweep --export-obs`.
-json::Value RunCellObsSummary(const CellSpec& spec);
+/// The JSON summary of the cell's traced measured run, which made
+/// `makespan` and recorded into `ob`: per-stage latency aggregates, request
+/// counts, and the NDC decision/outcome tallies (`ndc-sweep --export-obs`).
+json::Value CellObsSummary(const CellSpec& spec, std::uint64_t makespan,
+                           const obs::Observability& ob);
 
 /// FNV-1a 64-bit (stable across platforms/runs; used for cache keys).
 std::uint64_t Fnv1a(const std::string& s);

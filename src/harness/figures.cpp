@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/pool.hpp"
 #include "sim/stats.hpp"
 
 namespace ndc::harness {
@@ -522,11 +521,10 @@ const FigureEntry kFigures[] = {
      &RenderSmoke, nullptr},
 };
 
-/// `--export-obs`: re-runs every grid cell with an observation bundle and
-/// writes one stage-latency/decision summary JSON per cell into `dir`.
-/// Deliberately outside the cached sweep — traced runs must never populate
-/// (or read) the scalar result cache.
-void ExportObsSummaries(const SweepSpec& spec, const std::string& dir, int jobs) {
+/// `--export-obs`: writes the summary of each cell's traced run (RunSweep's
+/// `obs_summaries`) into `dir`, one JSON file per cell in cell order.
+void ExportObsSummaries(const SweepSpec& spec, const std::vector<json::Value>& summaries,
+                        const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -534,16 +532,7 @@ void ExportObsSummaries(const SweepSpec& spec, const std::string& dir, int jobs)
                  ec.message().c_str());
     return;
   }
-  // Re-simulate cells in parallel (each is self-contained, same contract as
-  // the cached sweep), but buffer every cell's summary and write the files
-  // serially in cell order afterwards: they are byte-identical for any
-  // --jobs value.
-  const std::size_t n = spec.cells.size();
-  std::vector<std::string> summaries(n);
-  ParallelFor(jobs, n, [&](std::size_t i) {
-    summaries[i] = json::Dump(RunCellObsSummary(spec.cells[i]));
-  });
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
     const CellSpec& c = spec.cells[i];
     char idx[24];  // wide enough for any 64-bit index, silencing -Wformat-truncation
     std::snprintf(idx, sizeof(idx), "%03zu", i);
@@ -554,7 +543,7 @@ void ExportObsSummaries(const SweepSpec& spec, const std::string& dir, int jobs)
       std::fprintf(stderr, "ndc-harness: cannot write %s\n", path.c_str());
       return;
     }
-    f << summaries[i] << "\n";
+    f << json::Dump(summaries[i]) << "\n";
   }
 }
 
@@ -597,7 +586,8 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
       so.use_cache = opt.use_cache;
       so.cache_dir = opt.cache_dir;
       so.progress = opt.progress;
-      SweepResult res = RunSweep(spec, so);
+      std::vector<json::Value> obs;
+      SweepResult res = RunSweep(spec, so, opt.export_obs.empty() ? nullptr : &obs);
       e.render(opt, spec, res);
       std::fflush(stdout);
       if (!opt.export_jsonl.empty() && !ExportJsonl(spec, res, opt.export_jsonl)) {
@@ -608,7 +598,7 @@ int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* s
         std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_csv.c_str());
         rc = 2;
       }
-      if (!opt.export_obs.empty()) ExportObsSummaries(spec, opt.export_obs, opt.jobs);
+      if (!opt.export_obs.empty()) ExportObsSummaries(spec, obs, opt.export_obs);
       s = res.summary;
     } else {
       s = e.record(opt);

@@ -30,9 +30,10 @@ struct FigureOptions {
   std::uint64_t seed = 1;
   std::string export_jsonl;  ///< per-cell JSONL path ("" = off)
   std::string export_csv;    ///< per-cell CSV path ("" = off)
-  /// Directory for per-cell observability summaries ("" = off). Grid cells
-  /// are re-simulated with tracing attached (never cached) and one JSON file
-  /// per cell is written: <figure>_<idx>_<workload>_<scheme>.json.
+  /// Directory for per-cell observability summaries ("" = off). Each grid
+  /// cell's measured run is traced on the sweep's shared profile, and one
+  /// JSON file per cell is written: <figure>_<idx>_<workload>_<scheme>.json.
+  /// An exporting sweep neither reads nor writes the result cache.
   std::string export_obs;
 };
 

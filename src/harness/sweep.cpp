@@ -117,7 +117,8 @@ class ProgressReporter {
 
 }  // namespace
 
-SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
+SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt,
+                     std::vector<json::Value>* obs_summaries) {
   auto start = std::chrono::steady_clock::now();
   SweepResult out;
   out.cells.resize(spec.cells.size());
@@ -125,8 +126,10 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
   out.summary.jobs = opt.jobs;
   out.summary.cells = spec.cells.size();
 
+  if (obs_summaries != nullptr) obs_summaries->assign(spec.cells.size(), json::Value());
+  // A traced sweep bypasses the cache, so that every cell has a traced run.
   std::unique_ptr<ResultCache> cache;
-  if (opt.use_cache) {
+  if (opt.use_cache && obs_summaries == nullptr) {
     cache = std::make_unique<ResultCache>(opt.cache_dir);
     out.summary.cache_load_errors = cache->load_errors();
   }
@@ -196,7 +199,9 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
           last_compiled = plan.size();
         }
         plan.push_back({[&, i] {
-                          CellResult r = RunCell(spec.cells[i], group.profile);
+                          CellResult r = RunCell(
+                              spec.cells[i], group.profile,
+                              obs_summaries != nullptr ? &(*obs_summaries)[i] : nullptr);
                           if (cache != nullptr) cache->Insert(spec.cells[i], r);
                           out.cells[i] = std::move(r);
                           if (group.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {

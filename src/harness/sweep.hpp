@@ -73,7 +73,12 @@ struct SweepResult {
   SweepSummary summary;
 };
 
-SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt);
+/// With `obs_summaries` non-null, every cell's measured run is traced over
+/// its group's shared profile and the cell's CellObsSummary is stored at
+/// its spec index; such a sweep neither reads nor writes the result cache,
+/// so every cell is simulated.
+SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt,
+                     std::vector<json::Value>* obs_summaries = nullptr);
 
 /// One JSONL line per cell (spec fields + result + improvement), then a
 /// summary line. Returns false when the file cannot be written.

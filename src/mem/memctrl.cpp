@@ -73,7 +73,6 @@ void MemCtrl::IssueTo(int bank_idx, Request req) {
   queue_wait_cycles_ += eq_->now() - req.enqueued_at;
   if (tracer_ != nullptr && req.obs_token != 0) {
     tracer_->Stamp(req.obs_token, obs::Stage::kMcIssue, eq_->now());
-    tracer_->NoteRowHit(req.obs_token, row_hit);
   }
   in_service_[b] = std::move(req);
   eq_->ScheduleAt(done_at, [this, bank_idx] { Complete(bank_idx); });

@@ -61,7 +61,7 @@ class MemCtrl {
   std::uint64_t reads_done_count() const { return reads_done_; }
 
   /// Traced reads stamp FR-FCFS issue and DRAM-ready on `tracer` (may be null).
-  void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
+  void set_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
 
   /// Counters by name ("mc.reads", "mc.row_hits", ...).
   sim::StatSet stats() const;

@@ -64,8 +64,7 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   active_offloads_.assign(static_cast<std::size_t>(n), 0);
   if (opts_.observe) records_ = std::make_shared<RunRecord>();
   if (ObsOn()) {
-    net_->set_request_tracer(&opts_.obs->tracer);
-    for (auto& m : mcs_) m->set_request_tracer(&opts_.obs->tracer);
+    for (auto& m : mcs_) m->set_tracer(&opts_.obs->tracer);
   }
 }
 
@@ -428,7 +427,9 @@ void Machine::DeliverToCore(const sim::Payload& msg, std::uint64_t tag, std::uin
 void Machine::OnSecondLoadIssued(Instance& inst) {
   if (inst.state != InstState::kPending || inst.feasible_mask != 0 || inst.local_l1 ||
       inst.offloaded()) {
-    return;  // already decided (defensive)
+    // Already decided. Every path below that records a decision leaves
+    // this state, so the decision log sees each uid once.
+    return;
   }
   ++candidates_;
 

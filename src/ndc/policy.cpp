@@ -61,7 +61,7 @@ Decision LastWaitPolicy::Decide(NodeId core, std::uint32_t, std::uint32_t pc, Ad
 }
 
 void LastWaitPolicy::ObserveWindow(NodeId core, std::uint32_t pc, Cycle window) {
-  last_[{core, pc}] = window == sim::kNeverCycle ? sim::kNeverCycle : window;
+  last_[{core, pc}] = window;
 }
 
 int MarkovWaitPolicy::Bucket(Cycle w) {

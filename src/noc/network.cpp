@@ -104,7 +104,6 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
   link_busy_cycles_ += ser;
   contention_cycles_ += depart - ready;
   sim::Cycle arrive = depart + ser;
-  if (tracer_ != nullptr && p.obs_token != 0) tracer_->Hop(p.obs_token);
   p.hop++;
   eq_.ScheduleAt(arrive, [this, f] { ProcessHop(f, /*run_hook=*/true); });
 }

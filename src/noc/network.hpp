@@ -7,7 +7,6 @@
 
 #include "noc/geometry.hpp"
 #include "noc/routing.hpp"
-#include "obs/request_trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 
@@ -99,9 +98,6 @@ class Network {
   std::uint64_t sent_count() const { return packets_; }
   std::uint64_t squashed_count() const { return squashes_; }
 
-  /// Traced packets report each link traversal to `tracer` (may be null).
-  void set_request_tracer(obs::RequestTracer* tracer) { tracer_ = tracer; }
-
   /// Serialization latency of a packet on one link.
   sim::Cycle SerializationCycles(int size_bytes) const {
     return static_cast<sim::Cycle>((size_bytes + params_.link_bytes - 1) / params_.link_bytes);
@@ -143,7 +139,6 @@ class Network {
   RouteTable routes_;
   HopHook hop_hook_;
   DeliverHook deliver_hook_;
-  obs::RequestTracer* tracer_ = nullptr;
   std::vector<sim::Cycle> link_busy_until_;
   // Held packets occupy link-buffer slots; passing traffic pays a
   // per-held-packet delay (buffer pressure).

@@ -1,5 +1,7 @@
 #include "obs/decision_log.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 #include "json/json.hpp"
@@ -33,47 +35,49 @@ const char* OutcomeName(Outcome o) {
 
 void DecisionLog::Record(std::uint64_t uid, sim::NodeId core, std::uint32_t site,
                          DecisionKind kind, std::int8_t planned_loc, sim::Cycle now) {
-  if (by_uid_.count(uid) != 0) return;
-  by_uid_[uid] = entries_.size();
+  if (uid >= entry_of_uid_.size()) entry_of_uid_.resize(uid + 1, 0);
+  assert(entry_of_uid_[uid] == 0 && "one decision per candidate");
   DecisionEntry& e = entries_.emplace_back();
+  entry_of_uid_[uid] = entries_.size();
   e.uid = uid;
   e.core = core;
   e.site = site;
   e.kind = kind;
   e.planned_loc = planned_loc;
   e.decided_at = now;
-  ++kind_counts_[static_cast<int>(kind)];
-  if (kind == DecisionKind::kOffload) {
-    e.outcome = Outcome::kUnresolved;
-  } else {
+  if (kind != DecisionKind::kOffload) {
     e.outcome = Outcome::kConventional;
     e.resolved_at = now;
   }
-  ++outcome_counts_[static_cast<int>(e.outcome)];
 }
 
 void DecisionLog::Resolve(std::uint64_t uid, Outcome outcome, std::int8_t met_loc,
                           sim::Cycle now) {
-  auto it = by_uid_.find(uid);
-  if (it == by_uid_.end()) return;
-  DecisionEntry& e = entries_[it->second];
+  if (uid >= entry_of_uid_.size() || entry_of_uid_[uid] == 0) return;
+  DecisionEntry& e = entries_[entry_of_uid_[uid] - 1];
   if (e.outcome != Outcome::kUnresolved) return;  // first resolution wins
-  --outcome_counts_[static_cast<int>(Outcome::kUnresolved)];
   e.outcome = outcome;
   e.met_loc = met_loc;
   e.resolved_at = now;
-  ++outcome_counts_[static_cast<int>(outcome)];
 }
 
 void DecisionLog::EndRun(sim::Cycle now) {
   for (DecisionEntry& e : entries_) {
     if (e.outcome == Outcome::kUnresolved) {
-      --outcome_counts_[static_cast<int>(Outcome::kUnresolved)];
       e.outcome = Outcome::kFallbackNeverMet;
       e.resolved_at = now;
-      ++outcome_counts_[static_cast<int>(Outcome::kFallbackNeverMet)];
     }
   }
+}
+
+std::uint64_t DecisionLog::kind_count(DecisionKind k) const {
+  return static_cast<std::uint64_t>(std::count_if(
+      entries_.begin(), entries_.end(), [k](const DecisionEntry& e) { return e.kind == k; }));
+}
+
+std::uint64_t DecisionLog::outcome_count(Outcome o) const {
+  return static_cast<std::uint64_t>(std::count_if(
+      entries_.begin(), entries_.end(), [o](const DecisionEntry& e) { return e.outcome == o; }));
 }
 
 std::string DecisionLog::Summary() const {
@@ -84,18 +88,20 @@ std::string DecisionLog::Summary() const {
   out += line;
   out += "decisions:\n";
   for (int i = 0; i < kNumDecisionKinds; ++i) {
-    if (kind_counts_[i] == 0) continue;
-    std::snprintf(line, sizeof(line), "  %-28s %10llu\n",
-                  DecisionKindName(static_cast<DecisionKind>(i)),
-                  static_cast<unsigned long long>(kind_counts_[i]));
+    auto k = static_cast<DecisionKind>(i);
+    std::uint64_t n = kind_count(k);
+    if (n == 0) continue;
+    std::snprintf(line, sizeof(line), "  %-28s %10llu\n", DecisionKindName(k),
+                  static_cast<unsigned long long>(n));
     out += line;
   }
   out += "outcomes:\n";
   for (int i = 0; i < kNumOutcomes; ++i) {
-    if (outcome_counts_[i] == 0) continue;
-    std::snprintf(line, sizeof(line), "  %-28s %10llu\n",
-                  OutcomeName(static_cast<Outcome>(i)),
-                  static_cast<unsigned long long>(outcome_counts_[i]));
+    auto o = static_cast<Outcome>(i);
+    std::uint64_t n = outcome_count(o);
+    if (n == 0) continue;
+    std::snprintf(line, sizeof(line), "  %-28s %10llu\n", OutcomeName(o),
+                  static_cast<unsigned long long>(n));
     out += line;
   }
   return out;

@@ -11,7 +11,6 @@
 // reverse-engineering counter arithmetic.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -61,7 +60,8 @@ class DecisionLog {
  public:
   /// Records one candidate decision. Non-offload kinds are terminal and
   /// resolve to kConventional immediately; kOffload stays kUnresolved until
-  /// Resolve(). Duplicate uids are ignored (one decision per candidate).
+  /// Resolve(). One decision per candidate: a uid is recorded once
+  /// (asserted).
   void Record(std::uint64_t uid, sim::NodeId core, std::uint32_t site, DecisionKind kind,
               std::int8_t planned_loc, sim::Cycle now);
 
@@ -74,12 +74,9 @@ class DecisionLog {
   void EndRun(sim::Cycle now);
 
   const std::vector<DecisionEntry>& entries() const { return entries_; }
-  std::uint64_t kind_count(DecisionKind k) const {
-    return kind_counts_[static_cast<int>(k)];
-  }
-  std::uint64_t outcome_count(Outcome o) const {
-    return outcome_counts_[static_cast<int>(o)];
-  }
+  /// Entries of kind `k` / with outcome `o`, counted over entries().
+  std::uint64_t kind_count(DecisionKind k) const;
+  std::uint64_t outcome_count(Outcome o) const;
 
   /// Human-readable decision / outcome tallies (ndc-trace stdout).
   std::string Summary() const;
@@ -89,9 +86,9 @@ class DecisionLog {
 
  private:
   std::vector<DecisionEntry> entries_;
-  std::map<std::uint64_t, std::size_t> by_uid_;
-  std::uint64_t kind_counts_[kNumDecisionKinds] = {};
-  std::uint64_t outcome_counts_[kNumOutcomes] = {};
+  /// Indexed by uid (dense from 1): 1 + the index of its entry in
+  /// entries_, or 0 when the uid has none.
+  std::vector<std::size_t> entry_of_uid_;
 };
 
 }  // namespace ndc::obs

@@ -47,18 +47,6 @@ void RequestTracer::Stamp(std::uint64_t token, Stage stage, sim::Cycle now) {
   r->stamps.push_back({stage, now});
 }
 
-void RequestTracer::NoteRowHit(std::uint64_t token, bool row_hit) {
-  RequestRecord* r = Find(token);
-  if (r == nullptr || r->finished) return;
-  r->row_hit = row_hit;
-}
-
-void RequestTracer::Hop(std::uint64_t token) {
-  RequestRecord* r = Find(token);
-  if (r == nullptr || r->finished) return;
-  ++r->hops;
-}
-
 void RequestTracer::Finish(std::uint64_t token, Stage final_stage, sim::Cycle now) {
   RequestRecord* r = Find(token);
   if (r == nullptr || r->finished) return;
@@ -77,7 +65,7 @@ void RequestTracer::Finish(std::uint64_t token, Stage final_stage, sim::Cycle no
     StageAgg& a = agg_[static_cast<int>(cur.stage)];
     ++a.count;
     a.cycles += cur.at - prev.at;
-    if (opt_.emit_stage_events && sink_ != nullptr && cur.at > prev.at) {
+    if (sink_ != nullptr && cur.at > prev.at) {
       sink_->Complete(StageName(cur.stage), prev.at, cur.at - prev.at, r->core, token);
     }
   }

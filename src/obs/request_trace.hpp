@@ -58,8 +58,6 @@ struct RequestRecord {
   std::uint32_t slot = 0;  ///< trace slot of the load
   sim::Addr addr = 0;
   bool finished = false;
-  bool row_hit = false;   ///< DRAM row-buffer hit (requests that reached DRAM)
-  std::uint32_t hops = 0; ///< NoC link traversals over the whole lifetime
   std::vector<StageStamp> stamps;  ///< stamps[0] is always kIssue
 
   sim::Cycle issue_cycle() const { return stamps.empty() ? 0 : stamps.front().at; }
@@ -72,11 +70,10 @@ struct RequestRecord {
 inline constexpr std::size_t kMaxTracedRequests = 1u << 20;
 
 /// How much one observed run records. Observability sizes its sink from
-/// max_trace_events; the RequestTracer reads the other two.
+/// max_trace_events; the RequestTracer reads sample_period.
 struct ObsOptions {
   std::uint64_t sample_period = 1;          ///< trace every Nth load (1 = all)
   std::size_t max_trace_events = 1u << 20;  ///< timeline events kept; excess dropped
-  bool emit_stage_events = true;            ///< 'X' slices per stage into the sink
 };
 
 class RequestTracer {
@@ -92,15 +89,9 @@ class RequestTracer {
   /// Appends a lifecycle stamp. No-op for token 0 or finished requests.
   void Stamp(std::uint64_t token, Stage stage, sim::Cycle now);
 
-  /// Marks the DRAM row-buffer outcome of the request's bank access.
-  void NoteRowHit(std::uint64_t token, bool row_hit);
-
-  /// Counts one NoC link traversal.
-  void Hop(std::uint64_t token);
-
-  /// Terminal stamp: aggregates the record's stage deltas and (optionally)
-  /// emits its timeline slices. Idempotent — later Finish calls on the same
-  /// token are ignored (an NDC squash can race a conventional delivery).
+  /// Terminal stamp: aggregates the record's stage deltas and emits its
+  /// timeline slices into the sink. Idempotent — later Finish calls on the
+  /// same token are ignored (an NDC squash can race a conventional delivery).
   void Finish(std::uint64_t token, Stage final_stage, sim::Cycle now);
 
   /// Closes every still-open record as Stage::kUnfinished (end of run).

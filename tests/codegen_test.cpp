@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -296,11 +295,9 @@ static_assert(runtime::Machine::CandidateRecordBytes() <= 48,
 constexpr sim::Addr kMaxAddr = (std::uint64_t{1} << 48) - 1;
 constexpr std::int32_t kMaxDep = (1 << 24) - 2;  // all-ones is the "no dep" code
 constexpr std::uint32_t kMaxPc = (1u << 24) - 1;
-constexpr std::uint32_t kMaxSite = (1u << 24) - 1;
 constexpr sim::Cycle kMaxTimeout = (1u << 24) - 1;
 static_assert(Instr::kMaxAddr == kMaxAddr && Instr::kMaxDep == kMaxDep &&
-              Instr::kMaxPc == kMaxPc && Instr::kMaxSite == kMaxSite &&
-              Instr::kMaxTimeout == kMaxTimeout);
+              Instr::kMaxPc == kMaxPc && Instr::kMaxTimeout == kMaxTimeout);
 
 // Every Make* constructor returns each field it was given, at the extremes
 // of every packed field; a field a kind does not use reads its default.
@@ -314,7 +311,6 @@ TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
       EXPECT_EQ(ld.dep1(), -1);
       EXPECT_EQ(ld.pc(), kMaxPc);
       EXPECT_EQ(ld.timeout(), 0u);
-      EXPECT_EQ(ld.site(), 0u);
       EXPECT_FALSE(ld.ndc_candidate());
       EXPECT_EQ(ld.planned_loc(), arch::Loc::kCacheCtrl);
 
@@ -325,30 +321,26 @@ TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
       EXPECT_EQ(st.dep1(), kMaxDep);
       EXPECT_EQ(st.pc(), kMaxPc);
       EXPECT_EQ(st.timeout(), 0u);
-      EXPECT_EQ(st.site(), 0u);
     }
   }
   for (int o = 0; o <= static_cast<int>(arch::Op::kXor); ++o) {
     const auto op = static_cast<arch::Op>(o);
     for (bool cand : {false, true}) {
-      for (std::uint32_t site : {0u, kMaxSite}) {
-        Instr c = arch::MakeCompute(op, kMaxDep, -1, cand, kMaxPc, site);
-        EXPECT_EQ(c.kind(), Instr::Kind::kCompute);
-        EXPECT_EQ(c.op(), op);
-        EXPECT_EQ(c.dep0(), kMaxDep);
-        EXPECT_EQ(c.dep1(), -1);
-        EXPECT_EQ(c.ndc_candidate(), cand);
-        EXPECT_EQ(c.pc(), kMaxPc);
-        EXPECT_EQ(c.site(), site);
-        EXPECT_EQ(c.addr(), 0u);
-        EXPECT_EQ(c.timeout(), 0u);
-        EXPECT_EQ(c.planned_loc(), arch::Loc::kCacheCtrl);
-      }
+      Instr c = arch::MakeCompute(op, kMaxDep, -1, cand, kMaxPc);
+      EXPECT_EQ(c.kind(), Instr::Kind::kCompute);
+      EXPECT_EQ(c.op(), op);
+      EXPECT_EQ(c.dep0(), kMaxDep);
+      EXPECT_EQ(c.dep1(), -1);
+      EXPECT_EQ(c.ndc_candidate(), cand);
+      EXPECT_EQ(c.pc(), kMaxPc);
+      EXPECT_EQ(c.addr(), 0u);
+      EXPECT_EQ(c.timeout(), 0u);
+      EXPECT_EQ(c.planned_loc(), arch::Loc::kCacheCtrl);
     }
     for (int l = 0; l < arch::kNumLocs; ++l) {
       const auto loc = static_cast<arch::Loc>(l);
       for (sim::Cycle timeout : {sim::Cycle{0}, kMaxTimeout}) {
-        Instr pre = arch::MakePreCompute(op, -1, kMaxDep, loc, timeout, kMaxPc, kMaxSite);
+        Instr pre = arch::MakePreCompute(op, -1, kMaxDep, loc, timeout, kMaxPc);
         EXPECT_EQ(pre.kind(), Instr::Kind::kPreCompute);
         EXPECT_EQ(pre.op(), op);
         EXPECT_EQ(pre.dep0(), -1);
@@ -356,7 +348,6 @@ TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
         EXPECT_EQ(pre.planned_loc(), loc);
         EXPECT_EQ(pre.timeout(), timeout);
         EXPECT_EQ(pre.pc(), kMaxPc);
-        EXPECT_EQ(pre.site(), kMaxSite);
         EXPECT_EQ(pre.addr(), 0u);
         EXPECT_FALSE(pre.ndc_candidate());
       }
@@ -368,7 +359,6 @@ TEST(InstrLayout, MakeRoundTripsEveryFieldAtItsExtremes) {
   EXPECT_EQ(def.dep0(), -1);
   EXPECT_EQ(def.dep1(), -1);
   EXPECT_EQ(def.pc(), 0u);
-  EXPECT_EQ(def.site(), 0u);
   EXPECT_EQ(def.addr(), 0u);
   EXPECT_EQ(def.timeout(), 0u);
   EXPECT_FALSE(def.ndc_candidate());
@@ -414,13 +404,6 @@ TEST(InstrLayout, FieldBeyondItsWidthThrows) {
       "timeout");
 }
 
-TEST(InstrLayout, SiteBeyondTwentyFourBitsThrows) {
-  EXPECT_THROW(arch::MakeCompute(arch::Op::kAdd, 0, 1, true, 0, kMaxSite + 1), std::out_of_range);
-  EXPECT_THROW(arch::MakePreCompute(arch::Op::kAdd, 0, 1, arch::Loc::kMemBank, 5, 0,
-                                    std::numeric_limits<std::uint32_t>::max()),
-               std::out_of_range);
-}
-
 struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;
   std::uint64_t precomputes = 0;
@@ -445,7 +428,6 @@ void HashLowered(Fnv1a& fnv, const CodegenResult& r) {
       fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep0())));
       fnv.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(i.dep1())));
       fnv.Add(i.pc());
-      fnv.Add(i.site());
       fnv.Add(i.ndc_candidate() ? 1u : 0u);
       fnv.Add(static_cast<std::uint64_t>(i.planned_loc()));
       fnv.Add(i.timeout());
@@ -487,7 +469,7 @@ TEST(Codegen, LoweredTracesMatchFrozenDigest) {
   Fnv1a fnv;
   LowerAllModes(workloads::Scale::kTest, [&](const CodegenResult& r) { HashLowered(fnv, r); });
   EXPECT_GT(fnv.precomputes, 0u);
-  EXPECT_EQ(fnv.h, 0x55ddda4eb0953213ull) << std::hex << "digest 0x" << fnv.h;
+  EXPECT_EQ(fnv.h, 0x9bec531fb6e2c767ull) << std::hex << "digest 0x" << fnv.h;
 }
 
 // --- Lower against its reference model ------------------------------------
@@ -642,7 +624,6 @@ TEST(Codegen, LowerMatchesReferenceOnBenchmarks) {
 struct FieldMaxima {
   sim::Addr addr = 0;
   std::uint32_t pc = 0;
-  std::uint32_t site = 0;
   sim::Cycle timeout = 0;
   std::int32_t dep = -1;
 
@@ -651,7 +632,6 @@ struct FieldMaxima {
       for (const Instr& i : t) {
         addr = std::max(addr, i.addr());
         pc = std::max(pc, i.pc());
-        site = std::max(site, i.site());
         timeout = std::max(timeout, i.timeout());
         dep = std::max({dep, i.dep0(), i.dep1()});
       }
@@ -669,7 +649,6 @@ TEST(Codegen, FullScaleTracesFitTheInstrLayout) {
   EXPECT_GT(max.timeout, 0u);
   EXPECT_LE(max.addr, kMaxAddr / 64) << std::hex << "address 0x" << max.addr;
   EXPECT_LE(max.pc, kMaxPc / 64);
-  EXPECT_LE(max.site, kMaxSite / 64);
   EXPECT_LE(max.timeout, kMaxTimeout / 64);
   EXPECT_LE(max.dep, kMaxDep / 64);
 }

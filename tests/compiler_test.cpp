@@ -119,19 +119,6 @@ TEST(Pipeline, Algorithm2SkipsReusedOperands) {
   EXPECT_EQ(rep2.planned, 0u);
 }
 
-TEST(Pipeline, Algorithm2KParameterRelaxesGate) {
-  // With k large, even reused operands are offloaded (Section 5.3's "more
-  // than k reuses" generalization).
-  Program p = StreamProgram();
-  // Give rhs1 spatial reuse only; k = 4 tolerates it.
-  ArchDescription ad{arch::ArchConfig{}};
-  CompileOptions opt;
-  opt.mode = Mode::kAlgorithm2;
-  opt.reuse_k = 4;
-  CompileReport rep = Compile(p, ad, opt);
-  EXPECT_EQ(rep.reuse_skips, 0u);
-}
-
 TEST(Pipeline, ControlRegisterRestrictsTargets) {
   Program p = StreamProgram();
   ArchDescription ad{arch::ArchConfig{}};

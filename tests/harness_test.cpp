@@ -804,5 +804,62 @@ TEST(Figures, ExportObsIsByteStableAcrossJobs) {
   EXPECT_EQ(files8a, files8b);
 }
 
+// --export-obs traces the sweep's own measured run of each cell, so it is
+// counted: on md's ten Figure-4 cells, the observation run (which also
+// serves as the baseline) plus one traced run per cell, Algorithm 2's
+// included, which a traced cell cannot take from Algorithm 1's run.
+TEST(Figures, ExportObsCountsOneTracedRunPerCell) {
+  const std::string dir = UniqueCacheDir("obs-counts");
+  std::filesystem::remove_all(dir);
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.only = "md";
+  opt.use_cache = false;
+  opt.export_obs = dir;
+  SweepSummary summary;
+  testing::internal::CaptureStdout();
+  int rc = RunFigure("fig04", opt, &summary);
+  testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0);
+  EXPECT_EQ(summary.cells, 10u);
+  EXPECT_EQ(summary.machine_runs, 11u);
+  EXPECT_EQ(summary.runs_reused, 1u);
+  EXPECT_EQ(SlurpDir(dir).size(), summary.cells);
+}
+
+// An exporting sweep renders the same table as a plain one, and neither
+// reads nor writes the result cache: a warm cache file stays byte for byte
+// as it was, and no cell comes from it.
+TEST(Figures, ExportObsRendersTheSameTableAndLeavesTheCacheAlone) {
+  const std::string cache = UniqueCacheDir("obs-cache");
+  const std::string dir = UniqueCacheDir("obs-cache-export");
+  std::filesystem::remove_all(cache);
+  std::filesystem::remove_all(dir);
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.only = "md";
+  opt.cache_dir = cache;
+  auto run = [&](SweepSummary* summary) {
+    testing::internal::CaptureStdout();
+    int rc = RunFigure("fig04", opt, summary);
+    std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    return out;
+  };
+
+  SweepSummary plain;
+  const std::string plain_out = run(&plain);
+  EXPECT_EQ(plain.cache_hits, 0u);
+  const std::map<std::string, std::string> warm = SlurpDir(cache);
+  ASSERT_EQ(warm.count("results.jsonl"), 1u);
+
+  opt.export_obs = dir;
+  SweepSummary exported;
+  EXPECT_EQ(run(&exported), plain_out);
+  EXPECT_EQ(exported.cache_hits, 0u);
+  EXPECT_EQ(exported.sim_invocations, exported.cells);
+  EXPECT_EQ(SlurpDir(cache), warm);
+}
+
 }  // namespace
 }  // namespace ndc::harness

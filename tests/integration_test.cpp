@@ -76,7 +76,7 @@ TEST(EndToEnd, RunCompiledReusesIdenticalPrograms) {
     EXPECT_EQ(after.runs_reused - before.runs_reused, identical ? 1u : 0u) << name;
     EXPECT_EQ(after.sim_events - before.sim_events, identical ? 0u : a2.run.events) << name;
 
-    SchemeResult f2 = RunScheme(alg2);
+    SchemeResult f2 = RunSchemeAlone(alg2);
     ExpectSameRun(a2.run, f2.run, name);
     EXPECT_EQ(a2.run.conservation, f2.run.conservation) << name;
     if (identical) ExpectSameRun(a1.run, a2.run, name);
@@ -103,7 +103,7 @@ TEST(EndToEnd, SchemesRunToCompletion) {
 
 TEST(EndToEnd, CompilerSchemesOffloadOnNdcFriendlyWorkloads) {
   for (const char* name : {"md", "nab", "applu"}) {
-    SchemeResult r = RunScheme(TestCell(name, Scheme::kAlgorithm1));
+    SchemeResult r = RunSchemeAlone(TestCell(name, Scheme::kAlgorithm1));
     EXPECT_GT(r.compile_report.planned, 0u) << name;
     EXPECT_GT(r.run.offloads, 0u) << name;
     EXPECT_GT(r.run.ndc_success, 0u) << name;
@@ -113,7 +113,7 @@ TEST(EndToEnd, CompilerSchemesOffloadOnNdcFriendlyWorkloads) {
 TEST(EndToEnd, Algorithm2SkipsReuseOnWater) {
   // water's xm operand is reused K times: Algorithm 2 must bypass that
   // chain (the Figure 15 mechanism).
-  SchemeResult a2 = RunScheme(TestCell("water", Scheme::kAlgorithm2));
+  SchemeResult a2 = RunSchemeAlone(TestCell("water", Scheme::kAlgorithm2));
   EXPECT_GT(a2.compile_report.reuse_skips, 0u);
 }
 
@@ -140,7 +140,7 @@ TEST(EndToEnd, OracleNeverCollapses) {
 }
 
 TEST(EndToEnd, NdcBreakdownSumsToSuccesses) {
-  SchemeResult r = RunScheme(TestCell("md", Scheme::kAlgorithm1));
+  SchemeResult r = RunSchemeAlone(TestCell("md", Scheme::kAlgorithm1));
   std::uint64_t sum = 0;
   for (std::uint64_t v : r.run.ndc_at_loc) sum += v;
   EXPECT_EQ(sum, r.run.ndc_success);
@@ -163,7 +163,7 @@ TEST(Sensitivity, MeshSizesRunEndToEnd) {
     CellSpec spec = TestCell("md", Scheme::kAlgorithm1);
     spec.cfg.mesh_width = dim;
     spec.cfg.mesh_height = dim;
-    SchemeResult r = RunScheme(spec);
+    SchemeResult r = RunSchemeAlone(spec);
     EXPECT_GT(r.run.makespan, 0u);
     EXPECT_EQ(r.run.stats.Get("run.incomplete_cores"), 0u);
   }
@@ -173,16 +173,16 @@ TEST(Sensitivity, L2CapacityVariantsRun) {
   for (std::uint64_t kb : {256, 1024}) {
     CellSpec spec = TestCell("ocean", Scheme::kAlgorithm1);
     spec.cfg.l2.size_bytes = kb * 1024;
-    EXPECT_GT(RunScheme(spec).run.makespan, 0u);
+    EXPECT_GT(RunSchemeAlone(spec).run.makespan, 0u);
   }
 }
 
 TEST(Sensitivity, AddSubRestrictionReducesOffloads) {
   CellSpec full = TestCell("bt", Scheme::kDefault);  // bt has a kMul chain
-  SchemeResult rf = RunScheme(full);
+  SchemeResult rf = RunSchemeAlone(full);
   CellSpec restricted = full;
   restricted.cfg.restrict_ops_to_addsub = true;
-  SchemeResult rr = RunScheme(restricted);
+  SchemeResult rr = RunSchemeAlone(restricted);
   EXPECT_LE(rr.run.offloads, rf.run.offloads);
 }
 

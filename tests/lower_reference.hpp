@@ -254,10 +254,10 @@ inline CodegenResult Lower(const ir::Program& prog, int num_cores,
             }
             if (offload_here) {
               ci = arch::MakePreCompute(st.op, l0, l1, st.ndc.planned, st.ndc.timeout,
-                                        st.id * 16 + kComputeP, st.id);
+                                        st.id * 16 + kComputeP);
               ++out.precomputes;
             } else {
-              ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id);
+              ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP);
             }
             compute_slot(e.stmt, e.j) = static_cast<std::int32_t>(trace.size());
             trace.push_back(ci);

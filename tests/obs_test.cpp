@@ -123,10 +123,10 @@ TEST(RequestTracer, FinishIsIdempotent) {
 }
 
 TEST(RequestTracer, SamplePeriodAdmitsEveryNth) {
-  TraceSink sink;
   ObsOptions opt;
   opt.sample_period = 3;
-  opt.emit_stage_events = false;
+  opt.max_trace_events = 0;
+  TraceSink sink(opt.max_trace_events);
   ndc::obs::RequestTracer tracer(&sink, opt);
   int admitted = 0;
   for (int i = 0; i < 9; ++i) {
@@ -189,14 +189,14 @@ TEST(DecisionLog, OffloadResolvesOnceFirstWins) {
   EXPECT_EQ(log.entries()[0].resolved_at, 40u);
 }
 
-TEST(DecisionLog, DuplicateUidsAndUnknownResolvesAreIgnored) {
+TEST(DecisionLog, UnknownResolvesAreIgnored) {
   DecisionLog log;
   log.Record(5, 0, 0, DecisionKind::kOffload, 1, 1);
-  log.Record(5, 0, 0, DecisionKind::kDeclined, -1, 2);  // dup uid: ignored
-  log.Resolve(99, Outcome::kNdcSuccess, 1, 3);          // unknown uid: ignored
+  log.Resolve(99, Outcome::kNdcSuccess, 1, 3);  // unknown uid: ignored
+  log.Resolve(2, Outcome::kNdcSuccess, 1, 3);   // below a known uid, none of its own
   EXPECT_EQ(log.entries().size(), 1u);
   EXPECT_EQ(log.kind_count(DecisionKind::kOffload), 1u);
-  EXPECT_EQ(log.kind_count(DecisionKind::kDeclined), 0u);
+  EXPECT_EQ(log.outcome_count(Outcome::kUnresolved), 1u);
 }
 
 TEST(DecisionLog, EndRunMarksUnresolvedAsNeverMet) {
@@ -233,7 +233,7 @@ TEST(DecisionLog, JsonlHasOneValidObjectPerEntry) {
 /// Runs (workload, scheme) at test scale with `ob` attached.
 ndc::metrics::SchemeResult RunWith(Observability* ob, const std::string& workload,
                                    Scheme scheme) {
-  return ndc::harness::RunScheme(ndc::harness::TestCell(workload, scheme), ob);
+  return ndc::harness::RunSchemeAlone(ndc::harness::TestCell(workload, scheme), ob);
 }
 
 TEST(ObsEndToEnd, StageLatenciesTelescopeToEndToEndPerRequestAndAggregate) {
@@ -380,7 +380,11 @@ TEST(ObsEndToEnd, RunCellObsSummaryStagesSumToTotalEndToEnd) {
   spec.workload = "md";
   spec.scale = ndc::workloads::Scale::kTest;
   spec.scheme = Scheme::kOracle;
-  Value v = ndc::harness::RunCellObsSummary(spec);
+  ObsOptions opt;
+  opt.max_trace_events = 0;
+  Observability ob(opt);
+  ndc::metrics::SchemeResult r = ndc::harness::RunSchemeAlone(spec, &ob);
+  Value v = ndc::harness::CellObsSummary(spec, r.run.makespan, ob);
 
   const Value* stages = v.Find("stages");
   ASSERT_NE(stages, nullptr);

@@ -173,7 +173,7 @@ TEST(RunScheme, CompiledRunMatchesFreshProfile) {
   (void)reused->Baseline();  // populate caches before compiling
   SchemeResult a = harness::RunScheme(spec, *reused);
 
-  SchemeResult b = harness::RunScheme(spec);
+  SchemeResult b = harness::RunSchemeAlone(spec);
 
   EXPECT_EQ(a.run.makespan, b.run.makespan);
   EXPECT_EQ(a.run.ndc_success, b.run.ndc_success);

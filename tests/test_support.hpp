@@ -52,6 +52,14 @@ inline CellSpec TestCell(const std::string& workload, metrics::Scheme scheme,
   return c;
 }
 
+/// RunScheme against a profile of the cell's own
+/// (MakeProfile(spec, spec.NeedsObserve())), with `ob` (when non-null)
+/// attached to the measured run.
+inline metrics::SchemeResult RunSchemeAlone(const CellSpec& spec,
+                                            obs::Observability* ob = nullptr) {
+  return RunScheme(spec, *MakeProfile(spec, spec.NeedsObserve()), ob);
+}
+
 /// Every field of two runs but their observation records.
 inline void ExpectSameRun(const runtime::RunResult& a, const runtime::RunResult& b,
                           const std::string& what) {
