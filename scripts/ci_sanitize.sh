@@ -7,6 +7,9 @@
 #     scheduler, shared-profile sweeps) and ndc-sweep fig04 on 4 sweep
 #     workers sharing profiles, diffed against its golden.
 #
+# Both modes build RelWithDebInfo with asserts on: CMake's RelWithDebInfo
+# flags add -DNDEBUG, so the build sets them to -O2 -g without it.
+#
 # Usage: scripts/ci_sanitize.sh [address|thread] [build-dir]
 #        (default build-dir: build-sanitize for address, build-tsan for thread)
 set -euo pipefail
@@ -28,6 +31,7 @@ if [ "$MODE" = "thread" ]; then SANITIZE_VALUE="thread"; fi
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DNDC_SANITIZE="$SANITIZE_VALUE" \
   -DNDC_WERROR=ON
 if [ "$MODE" = "thread" ]; then
@@ -47,7 +51,7 @@ if [ "$MODE" = "thread" ]; then
   "$BUILD_DIR"/tests/harness_test
   # Shared profiles across 4 sweep workers, end to end: stdout must match
   # the sequential golden byte for byte.
-  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
+  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test \
     --jobs=4 > "$BUILD_DIR/fig04-j4.txt" 2>/dev/null
   diff -u tests/goldens/fig04.scale-test.stdout "$BUILD_DIR/fig04-j4.txt"
 else

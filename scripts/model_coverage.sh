@@ -6,7 +6,8 @@
 # with its tests.
 #
 # Builds ndc-sweep, ndc-trace, ndc-lint and the five examples with
-# --coverage in BUILD_DIR, optimized but with early inlining off, so every
+# --coverage in BUILD_DIR, with asserts on (CMake's RelWithDebInfo flags
+# without -DNDEBUG), optimized but with early inlining off, so every
 # function keeps its own counters. -fkeep-inline-functions makes every unit
 # emit each inline function its headers define, called or not, so a header
 # function no unit calls still shows up as never run; -ffunction-sections
@@ -15,9 +16,8 @@
 #
 # Runs the 13 goldens through scripts/check_figure_goldens.sh (which also
 # checks them bit for bit), one traced ndc-trace cell, ndc-lint's JSON and
-# SARIF outputs, a cold and then a warm smoke sweep through the result
-# cache with the JSONL and CSV exports, a smoke sweep with the obs export,
-# and the examples. Sums gcov's per-function execution counts over every
+# SARIF outputs, a smoke sweep with the JSONL and CSV exports, a smoke
+# sweep with the obs export, and the examples. Sums gcov's per-function execution counts over every
 # translation unit and lists each function of src/ that never ran.
 #
 # Usage: model_coverage.sh [BUILD_DIR]   (default: build-coverage)
@@ -34,6 +34,7 @@ for tool in cmake gcov python3; do
 done
 
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g" \
   "-DCMAKE_CXX_FLAGS=--coverage -fno-early-inlining -fkeep-inline-functions -ffunction-sections" \
   "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections" > /dev/null || exit 2
 EXAMPLES="quickstart stencil_offload custom_policy inspect_compile route_planning"
@@ -56,14 +57,10 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD/tools/ndc-lint" --scale=test --verbose --sarif="$tmp/lint.sarif" > /dev/null || exit 1
 "$BUILD/tools/ndc-lint" --scale=test --json > /dev/null || exit 1
 "$BUILD/tools/ndc-sweep" --list > /dev/null || exit 1
-# The cold sweep writes the result cache, the warm one reads it back. The
-# obs export bypasses the cache, so it runs in a pass of its own.
-for pass in cold warm; do
-  "$BUILD/tools/ndc-sweep" --figure=smoke --scale=test --cache-dir="$tmp/cache" \
-    --export-jsonl="$tmp/$pass.jsonl" --export-csv="$tmp/$pass.csv" \
-    --summary="$tmp/summary.jsonl" --progress \
-    > /dev/null 2> "$tmp/sweep.err" || { cat "$tmp/sweep.err" >&2; exit 1; }
-done
+"$BUILD/tools/ndc-sweep" --figure=smoke --scale=test \
+  --export-jsonl="$tmp/smoke.jsonl" --export-csv="$tmp/smoke.csv" \
+  --summary="$tmp/summary.jsonl" --progress \
+  > /dev/null 2> "$tmp/sweep.err" || { cat "$tmp/sweep.err" >&2; exit 1; }
 "$BUILD/tools/ndc-sweep" --figure=smoke --scale=test --export-obs="$tmp/obs" \
   > /dev/null 2> "$tmp/sweep.err" || { cat "$tmp/sweep.err" >&2; exit 1; }
 # Each example with the argument its ctest case passes.
@@ -102,14 +99,10 @@ ALLOW = [
      "names the violated invariants when a run loses a request"),
     (r"^metrics/profile\.hpp: ndc::metrics::Profile::workload\b",
      "names the workload when a record figure's observation run loses a request"),
-    (r"^json/json\.cpp: ndc::json::\(anonymous namespace\)::Parser::Fail\(",
-     "reports malformed JSON, such as a corrupt result-cache line"),
     (r"^verify/legality_audit\.cpp: .*::HasUnknownDeps\(",
      "classifies an unsafe access movement, which the compiler never emits"),
     (r"^ir/matrix\.cpp: ndc::ir::IntMat::SolveInteger\(.*::(Frac::Reduce\(|\{lambda)",
      "elimination across coupled subscript rows, which no shipped workload has"),
-    (r"^json/json\.hpp: ndc::json::Value::Null\(",
-     "parses a null literal, which no file the tools read holds"),
     # Called from outside src/ and tools/.
     (r"^harness/cell\.cpp: ndc::harness::RunCell\(ndc::harness::CellSpec const&\)",
      "perfbench's sweep_fig04 runs its traced cells with it"),
@@ -118,12 +111,8 @@ ALLOW = [
     (r"^(ir/program\.cpp: ndc::ir::Array::AddrOf|ir/matrix\.cpp: ndc::ir::VecAdd)\(",
      "the reference address rule Program.ResolveAddrMatchesSubscriptReference "
      "checks Program::ResolveAddr against"),
-    (r"^harness/cache\.cpp: ndc::harness::ResultCache::size\(",
-     "tests check that a corrupt cache file loads no entry"),
     (r"^harness/cell\.cpp: ndc::harness::CellResult::operator==",
      "tests compare sweeps cell for cell; it walks cell.cpp's private counter list"),
-    (r"^json/json\.cpp: ndc::json::Value::As(U64|Double)\(",
-     "tests read the tools' parsed JSON output with them"),
     (r"^verify/diagnostics\.cpp: ndc::verify::Report::ToText\b",
      "tests print a report with it when an assertion fails"),
     (r"^arch/core\.hpp: ndc::arch::Core::done_cycle\(",
@@ -137,8 +126,6 @@ ALLOW = [
     # Run, but gcov records no execution for them.
     (r"^ndc/machine\.hpp: ndc::runtime::Machine::CandidateRecordBytes\(",
      "constexpr: only the static_asserts on the record size evaluate it, at compile time"),
-    (r"^noc/geometry\.hpp: ndc::noc::Mesh::Contains\(",
-     "the mesh's asserts (compiled out under NDEBUG) and the tests' route reference"),
     (r"^ndc/policy\.hpp: ndc::runtime::Policy::~Policy\(",
      "defaulted; runs whenever a unique_ptr<Policy> deletes a policy"),
     (r"^(ir/matrix\.hpp: ndc::ir::IntMat::IntMat|ir/program\.hpp: ndc::ir::OperandAddr::OperandAddr)\(\)",

@@ -61,8 +61,8 @@ std::string CellSpec::CanonicalString() const {
   AppendField(out, "scheme", static_cast<std::uint64_t>(scheme));
   AppendField(out, "coarse", coarse_grain ? 1 : 0);
   // Every semantically relevant ArchConfig field. A field added to
-  // ArchConfig must be serialized here (or kCacheVersion bumped) or cached
-  // entries keyed before the change will silently collide with it.
+  // ArchConfig must be serialized here, or two cells that differ only in
+  // it are run as one.
   AppendField(out, "mw", static_cast<std::uint64_t>(cfg.mesh_width));
   AppendField(out, "mh", static_cast<std::uint64_t>(cfg.mesh_height));
   AppendField(out, "iw", static_cast<std::uint64_t>(cfg.issue_width));
@@ -93,7 +93,7 @@ std::string CellSpec::CanonicalString() const {
 }
 
 std::string CellSpec::Key() const {
-  std::uint64_t h = Fnv1a(CanonicalString() + "|" + kCacheVersion);
+  std::uint64_t h = Fnv1a(CanonicalString());
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
   return buf;
@@ -147,8 +147,8 @@ std::uint64_t CellResult::Stat(const std::string& name) const {
 
 namespace {
 
-/// The scalar counters of a CellResult and the names they are cached
-/// under; ToJson, FromJson and operator== all walk this one list.
+/// The scalar counters of a CellResult and the names they are exported
+/// under; ToJson and operator== both walk this one list.
 struct CounterField {
   const char* name;
   std::uint64_t CellResult::*member;
@@ -173,13 +173,6 @@ constexpr CounterField kCounterFields[] = {
     {"transforms", &CellResult::transforms},
 };
 
-/// Reads one counter; false unless `v` is present and an integer.
-bool ReadCounter(const json::Value* v, std::uint64_t* dst) {
-  if (v == nullptr || v->kind != json::Value::Kind::kInt) return false;
-  *dst = v->u64;
-  return true;
-}
-
 }  // namespace
 
 json::Value CellResult::ToJson() const {
@@ -192,28 +185,6 @@ json::Value CellResult::ToJson() const {
   for (const auto& [k, x] : stats) st.obj[k] = json::Value::Int(x);
   v.obj["stats"] = std::move(st);
   return v;
-}
-
-bool CellResult::FromJson(const json::Value& v, CellResult* out) {
-  if (!v.is_object()) return false;
-  CellResult r;
-  for (const CounterField& f : kCounterFields) {
-    if (!ReadCounter(v.Find(f.name), &(r.*f.member))) return false;
-  }
-  const json::Value* locs = v.Find("ndc_at_loc");
-  if (locs == nullptr || !locs->is_array() || locs->arr.size() != r.ndc_at_loc.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < r.ndc_at_loc.size(); ++i) {
-    if (!ReadCounter(&locs->arr[i], &r.ndc_at_loc[i])) return false;
-  }
-  const json::Value* st = v.Find("stats");
-  if (st == nullptr || !st->is_object()) return false;
-  for (const auto& [k, x] : st->obj) {
-    if (!ReadCounter(&x, &r.stats[k])) return false;
-  }
-  *out = r;
-  return true;
 }
 
 bool CellResult::operator==(const CellResult& o) const {

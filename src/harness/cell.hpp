@@ -5,7 +5,7 @@
 // metrics::Profile (program, baseline traces, profile and compiled runs)
 // that is itself a pure function of the spec's ProfileKey(). RunScheme is
 // the one function that runs a cell's scheme, traced or not; RunCell is
-// RunScheme plus the scalar copy the cache and the figures read. RunCell
+// RunScheme plus the scalar copy the figures and exports read. RunCell
 // builds a private profile; RunSweep shares one profile among all cells
 // with the same key. Either way cells can run on any thread in any order
 // and produce results byte-identical to a serial run.
@@ -26,12 +26,6 @@
 #include "workloads/workloads.hpp"
 
 namespace ndc::harness {
-
-/// Folded into every cache key. Bump whenever simulator, compiler, or
-/// workload-generator semantics change in a way that alters measured
-/// numbers: entries keyed with the old version then miss (and are
-/// re-measured) instead of silently serving stale results.
-inline constexpr const char* kCacheVersion = "ndc-harness-3";
 
 /// The name of each input scale: ScaleName prints it, the tools parse it.
 inline constexpr std::pair<workloads::Scale, const char*> kScaleNames[] = {
@@ -55,18 +49,20 @@ struct CellSpec {
   /// measured run has; a compiled scheme also compiles for them.
   arch::ArchConfig cfg;
   /// Display label for configuration variants ("" = Table-1 defaults).
-  /// Deliberately NOT part of the cache key: two figures probing the same
-  /// resolved configuration under different labels share one cache entry.
+  /// Deliberately NOT part of the key: two figures probing the same
+  /// resolved configuration under different labels share one plan cell.
   std::string variant;
 
   /// Scheme column label ("Oracle", "Algorithm-1", "coarse", ...).
   std::string SchemeLabel() const;
 
   /// Canonical serialization of every semantically relevant field
-  /// (including the full ArchConfig); the cache-key hash input.
+  /// (including the full ArchConfig). RunSweep runs cells with equal
+  /// strings once.
   std::string CanonicalString() const;
 
-  /// 16-hex-digit FNV-1a of CanonicalString() + kCacheVersion.
+  /// 16-hex-digit FNV-1a of CanonicalString(): the cell's name in the
+  /// JSONL and CSV exports and in a conservation failure.
   std::string Key() const;
 
   /// CanonicalString() with the fields only the measured run reads
@@ -86,10 +82,9 @@ struct CellSpec {
 };
 
 /// The scalar results of one cell — the subset of runtime::RunResult and
-/// compiler::CompileReport every figure renders from, in a form that
-/// round-trips through the JSONL cache. A scalar counter added here must
-/// also be named in kCounterFields (cell.cpp), which drives ToJson,
-/// FromJson and operator==.
+/// compiler::CompileReport every figure renders from and the JSONL export
+/// writes. A scalar counter added here must also be named in kCounterFields
+/// (cell.cpp), which drives ToJson and operator==.
 struct CellResult {
   std::uint64_t makespan = 0;
   std::uint64_t baseline_makespan = 0;  ///< same workload/cfg, conventional
@@ -104,24 +99,20 @@ struct CellResult {
   // Compiler report (compiled schemes; zero otherwise).
   std::uint64_t chains = 0, planned = 0, reuse_skips = 0;
   std::uint64_t legality_failures = 0, gating_failures = 0;
-  /// Always 0: the compiler attaches no loop transformations. Kept so cache
-  /// entries, CSV exports and the perfbench digest keep their layout.
+  /// Always 0: the compiler attaches no loop transformations. Kept so the
+  /// JSONL and CSV exports and the perfbench digest keep their layout.
   std::uint64_t transforms = 0;
 
   /// Full merged component counters (sim::StatSet contents).
   std::map<std::string, std::uint64_t> stats;
 
-  bool from_cache = false;  ///< set by the sweep engine; not serialized
-
-  /// Recomputed from the two makespans (never serialized, so cached and
-  /// fresh cells agree bit-for-bit).
+  /// Recomputed from the two makespans.
   double ImprovementPct() const;
   double L1MissRate() const;
   double L2MissRate() const;
   std::uint64_t Stat(const std::string& name) const;
 
   json::Value ToJson() const;
-  static bool FromJson(const json::Value& v, CellResult* out);
 
   bool operator==(const CellResult& o) const;
 };
@@ -177,7 +168,7 @@ CellResult RunCell(const CellSpec& spec);
 json::Value CellObsSummary(const CellSpec& spec, std::uint64_t makespan,
                            const obs::Observability& ob);
 
-/// FNV-1a 64-bit (stable across platforms/runs; used for cache keys).
+/// FNV-1a 64-bit (stable across platforms/runs; used for cell keys).
 std::uint64_t Fnv1a(const std::string& s);
 
 }  // namespace ndc::harness

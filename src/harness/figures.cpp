@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,7 @@ SweepSpec BuildFig04(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderFig04(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig04(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   const auto& schemes = Fig04Schemes();
   std::printf("# Figure 4: performance improvement (%%) over the original execution\n");
   std::printf("%-10s", "benchmark");
@@ -76,7 +77,7 @@ void RenderFig04(const FigureOptions& opt, const SweepSpec& spec, const SweepRes
   for (std::size_t w = 0; w * schemes.size() < spec.cells.size(); ++w) {
     std::printf("%-10s", spec.cells[cell].workload.c_str());
     for (std::size_t i = 0; i < schemes.size(); ++i, ++cell) {
-      const CellResult& r = res.cells[cell];
+      const CellResult& r = res[cell];
       std::printf(" %+10.1f%%", r.ImprovementPct());
       ratios[i].push_back(RatioOf(r));
     }
@@ -123,14 +124,14 @@ double LocPct(const CellResult& r, arch::Loc l) {
 
 /// Shared body of the two location-breakdown figures (per-benchmark rows +
 /// running average); returns via out-params what fig13's footer needs.
-void RenderLocationBreakdown(const SweepSpec& spec, const SweepResult& res,
+void RenderLocationBreakdown(const SweepSpec& spec, std::span<const CellResult> res,
                              std::uint64_t* total_ndc, std::uint64_t* total_arith) {
   std::printf("%-10s %8s %8s %8s %8s   (share of NDC computations)\n", "benchmark", "cache",
               "network", "MC", "memory");
   std::array<double, 4> sum{};
   int n = 0;
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    const CellResult& r = res.cells[i];
+    const CellResult& r = res[i];
     double total = 0;
     for (std::uint64_t v : r.ndc_at_loc) total += static_cast<double>(v);
     double c = LocPct(r, arch::Loc::kCacheCtrl), net = LocPct(r, arch::Loc::kLinkBuffer),
@@ -156,13 +157,13 @@ void RenderLocationBreakdown(const SweepSpec& spec, const SweepResult& res,
   }
 }
 
-void RenderFig06(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig06(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Figure 6: oracle NDC-location breakdown", opt);
   RenderLocationBreakdown(spec, res, nullptr, nullptr);
   std::printf("\npaper averages: cache 25.9%%, network 36%%, MC 21.7%%, memory 16.4%%\n");
 }
 
-void RenderFig13(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig13(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Figure 13: Algorithm-1 NDC-location breakdown", opt);
   std::uint64_t total_ndc = 0, total_arith = 0;
   RenderLocationBreakdown(spec, res, &total_ndc, &total_arith);
@@ -204,7 +205,7 @@ SweepSpec BuildFig14(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderFig14(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig14(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Figure 14: Algorithm 1 restricted to one component", opt);
   std::printf("%-10s", "benchmark");
   for (const MaskConfig& c : kFig14Configs) std::printf(" %9s", c.name);
@@ -215,7 +216,7 @@ void RenderFig14(const FigureOptions& opt, const SweepSpec& spec, const SweepRes
   for (std::size_t w = 0; w * 5 < spec.cells.size(); ++w) {
     std::printf("%-10s", spec.cells[cell].workload.c_str());
     for (std::size_t i = 0; i < 5; ++i, ++cell) {
-      const CellResult& r = res.cells[cell];
+      const CellResult& r = res[cell];
       std::printf(" %+8.1f%%", r.ImprovementPct());
       ratios[i].push_back(RatioOf(r));
     }
@@ -239,15 +240,15 @@ SweepSpec BuildFig15(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderFig15(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig15(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Figure 15: NDC opportunities exercised by Algorithm 2", opt);
   std::printf("%-10s %14s %14s %12s\n", "benchmark", "static chains", "dyn. offloads",
               "exercised");
   double sum = 0;
   int n = 0;
   for (std::size_t i = 0; i + 1 < spec.cells.size(); i += 2) {
-    const CellResult& a1 = res.cells[i];
-    const CellResult& a2 = res.cells[i + 1];
+    const CellResult& a1 = res[i];
+    const CellResult& a2 = res[i + 1];
     double dyn = a1.offloads == 0 ? 100.0
                                   : 100.0 * static_cast<double>(a2.offloads) /
                                         static_cast<double>(a1.offloads);
@@ -276,14 +277,14 @@ SweepSpec BuildFig16(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderFig16(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig16(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Figure 16: L1/L2 miss rates, Algorithm 1 vs Algorithm 2", opt);
   std::printf("%-10s | %9s %9s | %9s %9s |\n", "benchmark", "L1 alg-1", "L1 alg-2",
               "L2 alg-1", "L2 alg-2");
   int lower_l1 = 0, lower_l2 = 0, n = 0;
   for (std::size_t i = 0; i + 1 < spec.cells.size(); i += 2) {
-    const CellResult& a1 = res.cells[i];
-    const CellResult& a2 = res.cells[i + 1];
+    const CellResult& a1 = res[i];
+    const CellResult& a2 = res[i + 1];
     std::printf("%-10s | %8.1f%% %8.1f%% | %8.1f%% %8.1f%% |%s\n",
                 spec.cells[i].workload.c_str(), a1.L1MissRate() * 100,
                 a2.L1MissRate() * 100, a1.L2MissRate() * 100, a2.L2MissRate() * 100,
@@ -341,7 +342,7 @@ SweepSpec BuildFig17(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderFig17(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderFig17(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Figure 17: sensitivity to mesh size, L2 capacity, op set", opt);
   std::printf("%-16s %12s %12s %12s   (geomean improvement over the variant's own "
               "baseline)\n",
@@ -351,9 +352,9 @@ void RenderFig17(const FigureOptions& opt, const SweepSpec& spec, const SweepRes
   for (const Fig17Variant& v : kFig17Variants) {
     std::vector<double> r1, r2, ro;
     for (std::size_t i = 0; i < per_variant; i += 3, cell += 3) {
-      r1.push_back(RatioOf(res.cells[cell]));
-      r2.push_back(RatioOf(res.cells[cell + 1]));
-      ro.push_back(RatioOf(res.cells[cell + 2]));
+      r1.push_back(RatioOf(res[cell]));
+      r2.push_back(RatioOf(res[cell + 1]));
+      ro.push_back(RatioOf(res[cell + 2]));
     }
     std::printf("%-16s %+11.1f%% %+11.1f%% %+11.1f%%\n", v.name, GeomeanPct(r1),
                 GeomeanPct(r2), GeomeanPct(ro));
@@ -384,16 +385,16 @@ SweepSpec BuildAbl(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderAbl(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderAbl(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Ablations: route co-selection and mapping granularity", opt);
   std::printf("%-10s | %10s %10s %7s | %9s %9s\n", "benchmark", "router NDC",
               "no-reroute", "drop", "coarse-1", "fine-1");
   double router_with = 0, router_without = 0;
   std::vector<double> coarse_ratio, fine_ratio;
   for (std::size_t i = 0; i + 2 < spec.cells.size(); i += 3) {
-    const CellResult& rw = res.cells[i];
-    const CellResult& rwo = res.cells[i + 1];
-    const CellResult& rc = res.cells[i + 2];
+    const CellResult& rw = res[i];
+    const CellResult& rwo = res[i + 1];
+    const CellResult& rc = res[i + 2];
     std::uint64_t net_w = rw.ndc_at_loc[static_cast<std::size_t>(arch::Loc::kLinkBuffer)];
     std::uint64_t net_wo = rwo.ndc_at_loc[static_cast<std::size_t>(arch::Loc::kLinkBuffer)];
     double drop = net_w == 0
@@ -439,12 +440,12 @@ SweepSpec BuildDiagCongestion(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderDiagCongestion(const FigureOptions&, const SweepSpec&, const SweepResult& res) {
+void RenderDiagCongestion(const FigureOptions&, const SweepSpec&, std::span<const CellResult> res) {
   std::size_t cell = 0;
   for (int mlp : kCongestionMlp) {
-    const CellResult& base = res.cells[cell];
-    const CellResult& orc = res.cells[cell + 1];
-    const CellResult& a1 = res.cells[cell + 2];
+    const CellResult& base = res[cell];
+    const CellResult& orc = res[cell + 1];
+    const CellResult& a1 = res[cell + 2];
     cell += 3;
     std::printf("mlp=%2d base=%8llu contention=%8llu mcwait=%8llu | oracle %+5.1f%% "
                 "(ndc=%llu) | alg1 %+5.1f%% (ndc=%llu)\n",
@@ -471,22 +472,22 @@ SweepSpec BuildSmoke(const FigureOptions& opt) {
   return spec;
 }
 
-void RenderSmoke(const FigureOptions& opt, const SweepSpec& spec, const SweepResult& res) {
+void RenderSmoke(const FigureOptions& opt, const SweepSpec& spec, std::span<const CellResult> res) {
   PrintHeader("Smoke sweep: baseline / Oracle / Algorithm-1", opt);
   std::printf("%-10s %12s %12s %12s\n", "benchmark", "baseline(cy)", "Oracle",
               "Algorithm-1");
   for (std::size_t i = 0; i + 2 < spec.cells.size(); i += 3) {
     std::printf("%-10s %12llu %+11.1f%% %+11.1f%%\n", spec.cells[i].workload.c_str(),
-                static_cast<unsigned long long>(res.cells[i].makespan),
-                res.cells[i + 1].ImprovementPct(), res.cells[i + 2].ImprovementPct());
+                static_cast<unsigned long long>(res[i].makespan),
+                res[i + 1].ImprovementPct(), res[i + 2].ImprovementPct());
   }
 }
 
 // -------------------------------------------------------------- registry ---
 
 using BuildFn = SweepSpec (*)(const FigureOptions&);
-using RenderFn = void (*)(const FigureOptions&, const SweepSpec&, const SweepResult&);
-using RecordFn = SweepSummary (*)(const FigureOptions&);
+using RenderFn = void (*)(const FigureOptions&, const SweepSpec&, std::span<const CellResult>);
+using RecordFn = RecordFigure (*)(const FigureOptions&);
 
 struct FigureEntry {
   const char* name;
@@ -497,11 +498,11 @@ struct FigureEntry {
 };
 
 const FigureEntry kFigures[] = {
-    {"fig02", "arrival-window CDF per NDC location", nullptr, nullptr, &RunFig02},
-    {"fig03", "breakeven points vs arrival windows", nullptr, nullptr, &RunFig03},
+    {"fig02", "arrival-window CDF per NDC location", nullptr, nullptr, &PlanFig02},
+    {"fig03", "breakeven points vs arrival windows", nullptr, nullptr, &PlanFig03},
     {"fig04", "performance improvement per NDC scheme", &BuildFig04, &RenderFig04, nullptr},
     {"fig05", "consecutive arrival windows of one instruction", nullptr, nullptr,
-     &RunFig05},
+     &PlanFig05},
     {"fig06", "oracle NDC-location breakdown", &BuildFig06, &RenderFig06, nullptr},
     {"fig13", "Algorithm-1 NDC-location breakdown", &BuildFig13, &RenderFig13, nullptr},
     {"fig14", "Algorithm 1 restricted to one component", &BuildFig14, &RenderFig14,
@@ -512,7 +513,7 @@ const FigureEntry kFigures[] = {
      nullptr},
     {"fig17", "sensitivity to mesh size, L2 capacity, op set", &BuildFig17, &RenderFig17,
      nullptr},
-    {"tab02", "CME hit/miss estimation accuracy", nullptr, nullptr, &RunTab02},
+    {"tab02", "CME hit/miss estimation accuracy", nullptr, nullptr, &PlanTab02},
     {"abl", "route co-selection and mapping-granularity ablations", &BuildAbl, &RenderAbl,
      nullptr},
     {"diag_congestion", "baseline congestion vs MLP window (diagnostic)",
@@ -521,30 +522,108 @@ const FigureEntry kFigures[] = {
      &RenderSmoke, nullptr},
 };
 
-/// `--export-obs`: writes the summary of each cell's traced run (RunSweep's
-/// `obs_summaries`) into `dir`, one JSON file per cell in cell order.
-void ExportObsSummaries(const SweepSpec& spec, const std::vector<json::Value>& summaries,
-                        const std::string& dir) {
+const FigureEntry* FindFigure(const std::string& name) {
+  for (const FigureEntry& e : kFigures) {
+    if (name == e.name) return &e;
+  }
+  return nullptr;
+}
+
+/// One grid figure of a plan: its spec, and where its cells start in the
+/// plan's spec, which holds every grid figure's cells in request order.
+struct GridPart {
+  SweepSpec spec;
+  std::size_t offset;
+};
+
+json::Value CellLine(const SweepSpec& spec, const CellSpec& c, const CellResult& r) {
+  json::Value v = json::Value::Object();
+  v.obj["figure"] = json::Value::Str(spec.figure);
+  v.obj["workload"] = json::Value::Str(c.workload);
+  v.obj["scheme"] = json::Value::Str(c.SchemeLabel());
+  v.obj["scale"] = json::Value::Str(ScaleName(c.scale));
+  if (!c.variant.empty()) v.obj["variant"] = json::Value::Str(c.variant);
+  v.obj["seed"] = json::Value::Int(c.seed);
+  v.obj["key"] = json::Value::Str(c.Key());
+  v.obj["improvement_pct"] = json::Value::Double(r.ImprovementPct());
+  v.obj["result"] = r.ToJson();
+  return v;
+}
+
+/// `--export-jsonl`: one line per cell of every grid figure (spec fields +
+/// result + improvement), in request order, then the summary line. Returns
+/// false when the file cannot be written.
+bool ExportJsonl(const std::vector<GridPart>& grids, const SweepResult& res,
+                 const std::string& path) {
+  std::ofstream f(path);
+  if (!f) return false;
+  for (const GridPart& g : grids) {
+    for (std::size_t i = 0; i < g.spec.cells.size(); ++i) {
+      f << json::Dump(CellLine(g.spec, g.spec.cells[i], res.cells[g.offset + i])) << "\n";
+    }
+  }
+  json::Value s = json::Value::Object();
+  s.obj["summary"] = res.summary.ToJson();
+  f << json::Dump(s) << "\n";
+  return static_cast<bool>(f);
+}
+
+/// `--export-csv`: the same cells as flat CSV, one row per cell.
+bool ExportCsv(const std::vector<GridPart>& grids, const SweepResult& res,
+               const std::string& path) {
+  std::ofstream f(path);
+  if (!f) return false;
+  f << "figure,workload,scheme,scale,variant,seed,key,"
+       "makespan,baseline_makespan,improvement_pct,l1_miss_rate,l2_miss_rate,"
+       "candidates,offloads,ndc_success,fallbacks,"
+       "ndc_network,ndc_cache,ndc_mc,ndc_memory,chains,planned,transforms\n";
+  for (const GridPart& g : grids) {
+    for (std::size_t i = 0; i < g.spec.cells.size(); ++i) {
+      const CellSpec& c = g.spec.cells[i];
+      const CellResult& r = res.cells[g.offset + i];
+      char num[64];
+      f << g.spec.figure << ',' << c.workload << ',' << c.SchemeLabel() << ','
+        << ScaleName(c.scale) << ',' << c.variant << ',' << c.seed << ',' << c.Key() << ','
+        << r.makespan << ',' << r.baseline_makespan << ',';
+      std::snprintf(num, sizeof(num), "%.6f,%.6f,%.6f", r.ImprovementPct(), r.L1MissRate(),
+                    r.L2MissRate());
+      f << num << ',' << r.candidates << ',' << r.offloads << ',' << r.ndc_success << ','
+        << r.fallbacks;
+      for (std::uint64_t x : r.ndc_at_loc) f << ',' << x;
+      f << ',' << r.chains << ',' << r.planned << ',' << r.transforms << "\n";
+    }
+  }
+  return static_cast<bool>(f);
+}
+
+/// `--export-obs`: writes the summary of each grid cell's traced run
+/// (RunSweep's `obs_summaries`) into `dir`, one JSON file per cell, named
+/// by its figure and its index there. Returns false, after naming the path
+/// on stderr, when the directory cannot be created or a file written.
+bool ExportObsSummaries(const std::vector<GridPart>& grids,
+                        const std::vector<json::Value>& summaries, const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     std::fprintf(stderr, "ndc-harness: cannot create %s: %s\n", dir.c_str(),
                  ec.message().c_str());
-    return;
+    return false;
   }
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    const CellSpec& c = spec.cells[i];
-    char idx[24];  // wide enough for any 64-bit index, silencing -Wformat-truncation
-    std::snprintf(idx, sizeof(idx), "%03zu", i);
-    std::string path = dir + "/" + spec.figure + "_" + idx + "_" + c.workload + "_" +
-                       c.SchemeLabel() + ".json";
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "ndc-harness: cannot write %s\n", path.c_str());
-      return;
+  for (const GridPart& g : grids) {
+    for (std::size_t i = 0; i < g.spec.cells.size(); ++i) {
+      const CellSpec& c = g.spec.cells[i];
+      char idx[24];  // wide enough for any 64-bit index, silencing -Wformat-truncation
+      std::snprintf(idx, sizeof(idx), "%03zu", i);
+      std::string path = dir + "/" + g.spec.figure + "_" + idx + "_" + c.workload + "_" +
+                         c.SchemeLabel() + ".json";
+      std::ofstream f(path);
+      if (!(f << json::Dump(summaries[g.offset + i]) << "\n")) {
+        std::fprintf(stderr, "ndc-harness: cannot write %s\n", path.c_str());
+        return false;
+      }
     }
-    f << json::Dump(summaries[i]) << "\n";
   }
+  return true;
 }
 
 }  // namespace
@@ -560,55 +639,85 @@ const std::vector<FigureInfo>& Figures() {
   return infos;
 }
 
-bool HasFigure(const std::string& name) {
-  for (const FigureEntry& e : kFigures) {
-    if (name == e.name) return true;
-  }
-  return false;
-}
+bool HasFigure(const std::string& name) { return FindFigure(name) != nullptr; }
 
-int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* summary) {
+int RunFigures(const std::vector<std::string>& names, const FigureOptions& opt,
+               SweepSummary* summary) {
   if (!opt.only.empty()) {
-    const std::vector<std::string> names = workloads::BenchmarkNames();
-    if (std::find(names.begin(), names.end(), opt.only) == names.end()) {
+    const std::vector<std::string> all = workloads::BenchmarkNames();
+    if (std::find(all.begin(), all.end(), opt.only) == all.end()) {
       std::fprintf(stderr, "unknown benchmark '%s'\n", opt.only.c_str());
       return 2;
     }
   }
-  for (const FigureEntry& e : kFigures) {
-    if (name != e.name) continue;
-    int rc = 0;
-    SweepSummary s;
-    if (e.build != nullptr) {
-      SweepSpec spec = e.build(opt);
-      SweepOptions so;
-      so.jobs = opt.jobs;
-      so.use_cache = opt.use_cache;
-      so.cache_dir = opt.cache_dir;
-      so.progress = opt.progress;
-      std::vector<json::Value> obs;
-      SweepResult res = RunSweep(spec, so, opt.export_obs.empty() ? nullptr : &obs);
-      e.render(opt, spec, res);
-      std::fflush(stdout);
-      if (!opt.export_jsonl.empty() && !ExportJsonl(spec, res, opt.export_jsonl)) {
-        std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_jsonl.c_str());
-        rc = 2;
-      }
-      if (!opt.export_csv.empty() && !ExportCsv(spec, res, opt.export_csv)) {
-        std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_csv.c_str());
-        rc = 2;
-      }
-      if (!opt.export_obs.empty()) ExportObsSummaries(spec, obs, opt.export_obs);
-      s = res.summary;
-    } else {
-      s = e.record(opt);
-      std::fflush(stdout);
+  std::vector<const FigureEntry*> entries;
+  for (const std::string& name : names) {
+    const FigureEntry* e = FindFigure(name);
+    if (e == nullptr) {
+      std::fprintf(stderr, "unknown figure '%s' (see ndc-sweep --list)\n", name.c_str());
+      return 2;
     }
-    if (summary != nullptr) *summary = s;
-    return rc;
+    entries.push_back(e);
   }
-  std::fprintf(stderr, "unknown figure '%s' (see ndc-sweep --list)\n", name.c_str());
-  return 2;
+
+  // One plan: every grid figure's cells, in request order, and every
+  // record figure's reductions. Each figure keeps its part to render from.
+  SweepSpec plan;
+  PlanExtras extras;
+  std::vector<GridPart> grids;
+  std::vector<RecordFigure> records;
+  for (const FigureEntry* e : entries) {
+    if (!plan.figure.empty()) plan.figure += ",";
+    plan.figure += e->name;
+    if (e->build != nullptr) {
+      grids.push_back({e->build(opt), plan.cells.size()});
+      const std::vector<CellSpec>& cells = grids.back().spec.cells;
+      plan.cells.insert(plan.cells.end(), cells.begin(), cells.end());
+    } else {
+      records.push_back(e->record(opt));
+      PlanExtras& work = records.back().work;
+      extras.observe_reads.insert(extras.observe_reads.end(), work.observe_reads.begin(),
+                                  work.observe_reads.end());
+      extras.tasks.insert(extras.tasks.end(), work.tasks.begin(), work.tasks.end());
+    }
+  }
+
+  SweepOptions so;
+  so.jobs = opt.jobs;
+  so.progress = opt.progress;
+  std::vector<json::Value> obs;
+  SweepResult res = RunSweep(plan, so, opt.export_obs.empty() ? nullptr : &obs, extras);
+
+  std::size_t grid = 0, record = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0) std::printf("\n");
+    if (entries[i]->build != nullptr) {
+      const GridPart& g = grids[grid++];
+      entries[i]->render(opt, g.spec,
+                         std::span<const CellResult>(res.cells).subspan(
+                             g.offset, g.spec.cells.size()));
+    } else {
+      records[record++].render();
+    }
+  }
+  std::fflush(stdout);
+
+  int rc = 0;
+  if (!opt.export_jsonl.empty() && !ExportJsonl(grids, res, opt.export_jsonl)) {
+    std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_jsonl.c_str());
+    rc = 2;
+  }
+  if (!opt.export_csv.empty() && !ExportCsv(grids, res, opt.export_csv)) {
+    std::fprintf(stderr, "ndc-harness: cannot write %s\n", opt.export_csv.c_str());
+    rc = 2;
+  }
+  if (!opt.export_obs.empty() && !ExportObsSummaries(grids, obs, opt.export_obs)) rc = 2;
+  if (summary != nullptr) *summary = res.summary;
+  return rc;
+}
+
+int RunFigure(const std::string& name, const FigureOptions& opt, SweepSummary* summary) {
+  return RunFigures({name}, opt, summary);
 }
 
 }  // namespace ndc::harness

@@ -1,19 +1,20 @@
 // Record-based figures: these consume the full per-candidate observation
 // records (Section 4) or replay accesses through functional caches, so
-// their per-workload artifacts are too large for the scalar result cache.
-// They still fan out one workload per task (harness::ParallelFor); each
-// task reduces its records to the small per-workload aggregate the renderer
-// needs, so peak memory is bounded by the number of jobs.
+// they render from per-benchmark reductions rather than from scalar cells.
+// Each figure's reductions join the one plan of its ndc-sweep call
+// (RunFigures): fig02, fig03 and fig05 read the observation run of the
+// benchmark's shared Table-1 profile, and tab02's replays are plain tasks.
+// Each reduction keeps only the small aggregate the renderer needs, so
+// peak memory is bounded by the plan's live profiles.
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,7 +23,6 @@
 #include "compiler/codegen.hpp"
 #include "fault/conservation.hpp"
 #include "harness/figures.hpp"
-#include "harness/pool.hpp"
 #include "mem/address_map.hpp"
 #include "mem/cache.hpp"
 #include "ndc/record.hpp"
@@ -31,175 +31,155 @@
 namespace ndc::harness {
 namespace {
 
-/// `runs`: the counts of every profile the figure built.
-SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
-                               std::size_t cells,
-                               std::chrono::steady_clock::time_point start,
-                               std::span<const metrics::RunCounts> runs) {
-  SweepSummary s;
-  s.figure = figure;
-  s.jobs = opt.jobs;
-  s.cells = cells;
-  s.sim_invocations = cells;  // record figures bypass the scalar cache
-  metrics::RunCounts total;
-  for (const metrics::RunCounts& r : runs) total += r;
-  s.SetRunCounts(total);
-  s.elapsed_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  return s;
-}
+const std::array<arch::Loc, 4> kLocs = {arch::Loc::kLinkBuffer, arch::Loc::kCacheCtrl,
+                                        arch::Loc::kMemCtrl, arch::Loc::kMemBank};
 
-// The profile's observation run, which must conserve requests as every
-// grid cell's measured run must (RunScheme); throws std::runtime_error
-// naming the figure, the workload and the report otherwise.
-const runtime::RunResult& CheckedObserve(metrics::Profile& profile, const char* figure) {
-  const runtime::RunResult& obs = profile.Observe();
-  fault::ConservationReport rep = fault::CheckConservation(obs.conservation);
-  if (!rep.ok) {
-    throw std::runtime_error(std::string(figure) + " observation run (" + profile.workload() +
-                             "): " + rep.ToString());
-  }
-  return obs;
+/// A read that hands `reduce` the observation run of `workload`'s Table-1
+/// profile, at the options' scale and seed. The run must conserve requests
+/// as every grid cell's measured run must (RunScheme); the read throws
+/// std::runtime_error naming the figure, the workload and the report
+/// otherwise.
+PlanExtras::ObserveRead ReadObservation(const FigureOptions& opt, const std::string& workload,
+                                        const char* figure,
+                                        std::function<void(const runtime::RunResult&)> reduce) {
+  CellSpec c;
+  c.workload = workload;
+  c.scale = opt.scale;
+  c.seed = opt.seed;
+  return {c, [figure, reduce = std::move(reduce)](metrics::Profile& profile) {
+            const runtime::RunResult& obs = profile.Observe();
+            fault::ConservationReport rep = fault::CheckConservation(obs.conservation);
+            if (!rep.ok) {
+              throw std::runtime_error(std::string(figure) + " observation run (" +
+                                       profile.workload() + "): " + rep.ToString());
+            }
+            reduce(obs);
+          }};
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------- fig02 ---
 
-SweepSummary RunFig02(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
-  PrintHeader("Figure 2: arrival-window CDF per NDC location", opt);
+RecordFigure PlanFig02(const FigureOptions& opt) {
+  const std::vector<std::string> names = FilteredWorkloads(opt);
+  auto hists = std::make_shared<std::vector<std::array<sim::BucketHistogram, 4>>>(names.size());
 
-  const std::array<arch::Loc, 4> locs = {arch::Loc::kLinkBuffer, arch::Loc::kCacheCtrl,
-                                         arch::Loc::kMemCtrl, arch::Loc::kMemBank};
-  const char* panel[4] = {"(a) link buffer", "(b) L2 controller", "(c) memory controller",
-                          "(d) main memory"};
-
-  std::vector<std::string> names = FilteredWorkloads(opt);
-  std::vector<std::array<sim::BucketHistogram, 4>> hists(names.size());
-  std::vector<metrics::RunCounts> runs(names.size());
-  ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
-    arch::ArchConfig cfg;
-    metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
-    const auto& obs = CheckedObserve(profile, "fig02");
-    std::array<sim::BucketHistogram, 4> h;
-    obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
-      if (rec.local_l1) return;
-      for (std::size_t l = 0; l < locs.size(); ++l) {
-        const runtime::LocObs& o = rec.at(locs[l]);
-        if (!o.feasible) continue;  // the location can never serve this pair
-        h[l].Add(o.Window());       // kNeverCycle falls into 500+
-      }
-    });
-    hists[b] = std::move(h);
-    runs[b] = profile.run_counts();
-  });
-
-  for (std::size_t l = 0; l < locs.size(); ++l) {
-    std::printf("\n%s — cumulative %% of windows <= bucket edge (paper truncates at 50%%)\n",
-                panel[l]);
-    std::printf("%-10s %6s %6s %6s %6s %6s %6s %6s\n", "benchmark", "<=1", "<=10", "<=20",
-                "<=50", "<=100", "<=500", "500+");
-    for (std::size_t b = 0; b < names.size(); ++b) {
-      const sim::BucketHistogram& h = hists[b][l];
-      std::printf("%-10s", names[b].c_str());
-      for (std::size_t e = 0; e < 6; ++e) {
-        std::printf(" %5.1f%%", h.CumulativeFraction(e) * 100.0);
-      }
-      std::printf(" %5.1f%%\n", h.Fraction(6) * 100.0);
-    }
+  RecordFigure fig;
+  for (std::size_t b = 0; b < names.size(); ++b) {
+    fig.work.observe_reads.push_back(
+        ReadObservation(opt, names[b], "fig02", [hists, b](const runtime::RunResult& obs) {
+          std::array<sim::BucketHistogram, 4>& h = (*hists)[b];
+          obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
+            if (rec.local_l1) return;
+            for (std::size_t l = 0; l < kLocs.size(); ++l) {
+              const runtime::LocObs& o = rec.at(kLocs[l]);
+              if (!o.feasible) continue;  // the location can never serve this pair
+              h[l].Add(o.Window());       // kNeverCycle falls into 500+
+            }
+          });
+        }));
   }
-  std::printf("\npaper example: swim <=20cy at cache controller ~14.3%%, at MC ~7.7%%;\n"
-              "applu <=20cy at cache ~26.7%% vs raytrace ~8.6%% — windows vary widely by\n"
-              "benchmark and location.\n");
-  return MakeRecordSummary("fig02", opt, names.size(), start, runs);
+  fig.render = [names, hists, opt] {
+    PrintHeader("Figure 2: arrival-window CDF per NDC location", opt);
+    const char* panel[4] = {"(a) link buffer", "(b) L2 controller", "(c) memory controller",
+                            "(d) main memory"};
+    for (std::size_t l = 0; l < kLocs.size(); ++l) {
+      std::printf("\n%s — cumulative %% of windows <= bucket edge (paper truncates at 50%%)\n",
+                  panel[l]);
+      std::printf("%-10s %6s %6s %6s %6s %6s %6s %6s\n", "benchmark", "<=1", "<=10", "<=20",
+                  "<=50", "<=100", "<=500", "500+");
+      for (std::size_t b = 0; b < names.size(); ++b) {
+        const sim::BucketHistogram& h = (*hists)[b][l];
+        std::printf("%-10s", names[b].c_str());
+        for (std::size_t e = 0; e < 6; ++e) {
+          std::printf(" %5.1f%%", h.CumulativeFraction(e) * 100.0);
+        }
+        std::printf(" %5.1f%%\n", h.Fraction(6) * 100.0);
+      }
+    }
+    std::printf("\npaper example: swim <=20cy at cache controller ~14.3%%, at MC ~7.7%%;\n"
+                "applu <=20cy at cache ~26.7%% vs raytrace ~8.6%% — windows vary widely by\n"
+                "benchmark and location.\n");
+  };
+  return fig;
 }
 
 // ---------------------------------------------------------------- fig03 ---
 
-SweepSummary RunFig03(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
-  PrintHeader("Figure 3: breakeven points vs arrival windows", opt);
-
-  const std::array<arch::Loc, 4> locs = {arch::Loc::kLinkBuffer, arch::Loc::kCacheCtrl,
-                                         arch::Loc::kMemCtrl, arch::Loc::kMemBank};
-  arch::ArchConfig cfg;
-  noc::Mesh mesh(cfg.mesh_width, cfg.mesh_height);
-
+RecordFigure PlanFig03(const FigureOptions& opt) {
   struct PerWorkload {
     std::array<sim::BucketHistogram, 4> window;
     std::array<sim::BucketHistogram, 4> breakeven;
   };
-  std::vector<std::string> names = FilteredWorkloads(opt);
-  std::vector<PerWorkload> parts(names.size());
-  std::vector<metrics::RunCounts> runs(names.size());
-  ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
-    metrics::Profile profile(names[b], opt.scale, cfg, opt.seed);
-    const auto& obs = CheckedObserve(profile, "fig03");
-    PerWorkload& p = parts[b];
-    obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
-      if (rec.local_l1) return;
-      for (std::size_t l = 0; l < locs.size(); ++l) {
-        const runtime::LocObs& o = rec.at(locs[l]);
-        if (!o.feasible) continue;
-        p.window[l].Add(o.Window());
-        sim::Cycle ret = noc::ResultReturnLatency(mesh, cfg.noc, o.node, rec.core);
-        p.breakeven[l].Add(runtime::BreakevenPoint(rec, locs[l], 1, ret));
+  const std::vector<std::string> names = FilteredWorkloads(opt);
+  auto parts = std::make_shared<std::vector<PerWorkload>>(names.size());
+
+  RecordFigure fig;
+  for (std::size_t b = 0; b < names.size(); ++b) {
+    fig.work.observe_reads.push_back(
+        ReadObservation(opt, names[b], "fig03", [parts, b](const runtime::RunResult& obs) {
+          const arch::ArchConfig cfg;
+          const noc::Mesh mesh(cfg.mesh_width, cfg.mesh_height);
+          PerWorkload& part = (*parts)[b];
+          obs.records->ForEach([&](const runtime::InstanceRecord& rec) {
+            if (rec.local_l1) return;
+            for (std::size_t l = 0; l < kLocs.size(); ++l) {
+              const runtime::LocObs& o = rec.at(kLocs[l]);
+              if (!o.feasible) continue;
+              part.window[l].Add(o.Window());
+              sim::Cycle ret = noc::ResultReturnLatency(mesh, cfg.noc, o.node, rec.core);
+              part.breakeven[l].Add(runtime::BreakevenPoint(rec, kLocs[l], 1, ret));
+            }
+          });
+        }));
+  }
+  fig.render = [parts, opt] {
+    PrintHeader("Figure 3: breakeven points vs arrival windows", opt);
+    // Histogram counts commute, so merging per-workload parts in name order
+    // reproduces the serial accumulation exactly.
+    std::array<sim::BucketHistogram, 4> window_h;
+    std::array<sim::BucketHistogram, 4> breakeven_h;
+    for (const PerWorkload& p : *parts) {
+      for (std::size_t l = 0; l < kLocs.size(); ++l) {
+        window_h[l].MergeFrom(p.window[l]);
+        breakeven_h[l].MergeFrom(p.breakeven[l]);
       }
-    });
-    runs[b] = profile.run_counts();
-  });
-  // Histogram counts commute, so merging per-workload parts in name order
-  // reproduces the serial accumulation exactly.
-  std::array<sim::BucketHistogram, 4> window_h;
-  std::array<sim::BucketHistogram, 4> breakeven_h;
-  for (const PerWorkload& p : parts) {
-    for (std::size_t l = 0; l < locs.size(); ++l) {
-      window_h[l].MergeFrom(p.window[l]);
-      breakeven_h[l].MergeFrom(p.breakeven[l]);
     }
-  }
 
-  const char* loc_names[4] = {"link buffer", "cache controller", "memory controller",
-                              "main memory"};
-  std::printf("\n%% of samples per bucket (paper Figure 3 shape: breakevens skew low)\n");
-  std::printf("%-18s %-10s %6s %6s %6s %6s %6s %6s %6s\n", "location", "metric", "<=1",
-              "<=10", "<=20", "<=50", "<=100", "<=500", "500+");
-  for (std::size_t l = 0; l < locs.size(); ++l) {
-    for (int which = 0; which < 2; ++which) {
-      const sim::BucketHistogram& h = which == 0 ? window_h[l] : breakeven_h[l];
-      std::printf("%-18s %-10s", which == 0 ? loc_names[l] : "",
-                  which == 0 ? "window" : "breakeven");
-      for (std::size_t e = 0; e < 7; ++e) std::printf(" %5.1f%%", h.Fraction(e) * 100.0);
-      std::printf("\n");
+    const char* loc_names[4] = {"link buffer", "cache controller", "memory controller",
+                                "main memory"};
+    std::printf("\n%% of samples per bucket (paper Figure 3 shape: breakevens skew low)\n");
+    std::printf("%-18s %-10s %6s %6s %6s %6s %6s %6s %6s\n", "location", "metric", "<=1",
+                "<=10", "<=20", "<=50", "<=100", "<=500", "500+");
+    for (std::size_t l = 0; l < kLocs.size(); ++l) {
+      for (int which = 0; which < 2; ++which) {
+        const sim::BucketHistogram& h = which == 0 ? window_h[l] : breakeven_h[l];
+        std::printf("%-18s %-10s", which == 0 ? loc_names[l] : "",
+                    which == 0 ? "window" : "breakeven");
+        for (std::size_t e = 0; e < 7; ++e) std::printf(" %5.1f%%", h.Fraction(e) * 100.0);
+        std::printf("\n");
+      }
     }
-  }
 
-  std::printf("\nconclusion check: in every location, the fraction of breakevens <= 20cy "
-              "should exceed the fraction of windows <= 20cy\n");
-  for (std::size_t l = 0; l < locs.size(); ++l) {
-    std::printf("  %-18s windows<=20: %5.1f%%   breakevens<=20: %5.1f%%\n", loc_names[l],
-                window_h[l].CumulativeFraction(2) * 100.0,
-                breakeven_h[l].CumulativeFraction(2) * 100.0);
-  }
-  return MakeRecordSummary("fig03", opt, names.size(), start, runs);
+    std::printf("\nconclusion check: in every location, the fraction of breakevens <= 20cy "
+                "should exceed the fraction of windows <= 20cy\n");
+    for (std::size_t l = 0; l < kLocs.size(); ++l) {
+      std::printf("  %-18s windows<=20: %5.1f%%   breakevens<=20: %5.1f%%\n", loc_names[l],
+                  window_h[l].CumulativeFraction(2) * 100.0,
+                  breakeven_h[l].CumulativeFraction(2) * 100.0);
+    }
+  };
+  return fig;
 }
 
 // ---------------------------------------------------------------- fig05 ---
 
 namespace {
 
-// Consecutive windows of the hottest (core, pc) pair at its first feasible
-// location; `*runs` receives the counts of the profile it builds.
-std::vector<sim::Cycle> WindowTrace(const std::string& name, workloads::Scale scale,
-                                    std::uint64_t seed, int want, metrics::RunCounts* runs) {
-  arch::ArchConfig cfg;
-  metrics::Profile profile(name, scale, cfg, seed);
-  const auto& obs = CheckedObserve(profile, "fig05");
-  *runs = profile.run_counts();
-
+// Consecutive windows (at most `want`) of the hottest (core, pc) pair of
+// `obs` at its first feasible location.
+std::vector<sim::Cycle> WindowTrace(const runtime::RunResult& obs, int want) {
   // (core, pc) -> sorted (compute_idx, window) samples
   std::map<std::pair<sim::NodeId, std::uint32_t>,
            std::vector<std::pair<std::uint32_t, sim::Cycle>>>
@@ -229,48 +209,51 @@ std::vector<sim::Cycle> WindowTrace(const std::string& name, workloads::Scale sc
 
 }  // namespace
 
-SweepSummary RunFig05(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
-  PrintHeader(
-      "Figure 5: 30 consecutive arrival windows of one instruction (ocean, radiosity)",
-      opt);
+RecordFigure PlanFig05(const FigureOptions& opt) {
+  static constexpr std::array<const char*, 2> kNames = {"ocean", "radiosity"};
+  auto traces = std::make_shared<std::array<std::vector<sim::Cycle>, 2>>();
 
-  const std::array<const char*, 2> names = {"ocean", "radiosity"};
-  std::array<std::vector<sim::Cycle>, 2> traces;
-  std::array<metrics::RunCounts, 2> runs;
-  ParallelFor(opt.jobs, names.size(), [&](std::size_t i) {
-    traces[i] = WindowTrace(names[i], opt.scale, opt.seed, 30, &runs[i]);
-  });
-
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const std::vector<sim::Cycle>& trace = traces[i];
-    std::printf("\n%s (window cycles per consecutive execution; '-' = never met):\n  ",
-                names[i]);
-    double mean = 0;
-    int n = 0;
-    for (sim::Cycle w : trace) {
-      if (w == sim::kNeverCycle) {
-        std::printf("  -");
-      } else {
-        std::printf(" %3llu", static_cast<unsigned long long>(w));
-        mean += static_cast<double>(w);
-        ++n;
-      }
-    }
-    // Successive-difference variability: high values = hard to predict.
-    double var = 0;
-    int dn = 0;
-    for (std::size_t j = 1; j < trace.size(); ++j) {
-      if (trace[j] == sim::kNeverCycle || trace[j - 1] == sim::kNeverCycle) continue;
-      double d = static_cast<double>(trace[j]) - static_cast<double>(trace[j - 1]);
-      var += d * d;
-      ++dn;
-    }
-    std::printf("\n  mean=%.1f, successive-diff RMS=%.1f (paper: windows fluctuate "
-                "unpredictably; Last-Wait mispredicts)\n",
-                n ? mean / n : 0.0, dn ? std::sqrt(var / dn) : 0.0);
+  RecordFigure fig;
+  for (std::size_t i = 0; i < kNames.size(); ++i) {
+    fig.work.observe_reads.push_back(
+        ReadObservation(opt, kNames[i], "fig05", [traces, i](const runtime::RunResult& obs) {
+          (*traces)[i] = WindowTrace(obs, 30);
+        }));
   }
-  return MakeRecordSummary("fig05", opt, names.size(), start, runs);
+  fig.render = [traces, opt] {
+    PrintHeader(
+        "Figure 5: 30 consecutive arrival windows of one instruction (ocean, radiosity)",
+        opt);
+    for (std::size_t i = 0; i < kNames.size(); ++i) {
+      const std::vector<sim::Cycle>& trace = (*traces)[i];
+      std::printf("\n%s (window cycles per consecutive execution; '-' = never met):\n  ",
+                  kNames[i]);
+      double mean = 0;
+      int n = 0;
+      for (sim::Cycle w : trace) {
+        if (w == sim::kNeverCycle) {
+          std::printf("  -");
+        } else {
+          std::printf(" %3llu", static_cast<unsigned long long>(w));
+          mean += static_cast<double>(w);
+          ++n;
+        }
+      }
+      // Successive-difference variability: high values = hard to predict.
+      double var = 0;
+      int dn = 0;
+      for (std::size_t j = 1; j < trace.size(); ++j) {
+        if (trace[j] == sim::kNeverCycle || trace[j - 1] == sim::kNeverCycle) continue;
+        double d = static_cast<double>(trace[j]) - static_cast<double>(trace[j - 1]);
+        var += d * d;
+        ++dn;
+      }
+      std::printf("\n  mean=%.1f, successive-diff RMS=%.1f (paper: windows fluctuate "
+                  "unpredictably; Last-Wait mispredicts)\n",
+                  n ? mean / n : 0.0, dn ? std::sqrt(var / dn) : 0.0);
+    }
+  };
+  return fig;
 }
 
 // ---------------------------------------------------------------- tab02 ---
@@ -360,30 +343,34 @@ Accuracy EvaluateCme(const std::string& name, workloads::Scale scale, std::uint6
 
 }  // namespace
 
-SweepSummary RunTab02(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
-  PrintHeader("Table 2: CME hit/miss estimation accuracy", opt);
+RecordFigure PlanTab02(const FigureOptions& opt) {
+  const std::vector<std::string> names = FilteredWorkloads(opt);
+  auto accs = std::make_shared<std::vector<Accuracy>>(names.size());
 
-  std::vector<std::string> names = FilteredWorkloads(opt);
-  std::vector<Accuracy> accs(names.size());
-  ParallelFor(opt.jobs, names.size(), [&](std::size_t b) {
-    accs[b] = EvaluateCme(names[b], opt.scale, opt.seed);
-  });
-
-  std::printf("%-10s %8s %8s\n", "benchmark", "L1", "L2");
-  double l1_sum = 0, l2_sum = 0;
-  int n = 0;
+  RecordFigure fig;
   for (std::size_t b = 0; b < names.size(); ++b) {
-    std::printf("%-10s %7.1f%% %7.1f%%\n", names[b].c_str(), accs[b].L1(), accs[b].L2());
-    l1_sum += accs[b].L1();
-    l2_sum += accs[b].L2();
-    ++n;
+    fig.work.tasks.push_back([accs, b, name = names[b], scale = opt.scale, seed = opt.seed] {
+      (*accs)[b] = EvaluateCme(name, scale, seed);
+    });
   }
-  if (n > 0) std::printf("%-10s %7.1f%% %7.1f%%\n", "average", l1_sum / n, l2_sum / n);
-  std::printf("\npaper averages: L1 81.1%%, L2 72.9%% (misses dominated by effects the\n"
-              "static estimator cannot see: cross-thread interleaving at the shared L2,\n"
-              "irregular indirection, and conflict-model approximations)\n");
-  return MakeRecordSummary("tab02", opt, names.size(), start, {});
+  fig.render = [names, accs, opt] {
+    PrintHeader("Table 2: CME hit/miss estimation accuracy", opt);
+    std::printf("%-10s %8s %8s\n", "benchmark", "L1", "L2");
+    double l1_sum = 0, l2_sum = 0;
+    int n = 0;
+    for (std::size_t b = 0; b < names.size(); ++b) {
+      const Accuracy& a = (*accs)[b];
+      std::printf("%-10s %7.1f%% %7.1f%%\n", names[b].c_str(), a.L1(), a.L2());
+      l1_sum += a.L1();
+      l2_sum += a.L2();
+      ++n;
+    }
+    if (n > 0) std::printf("%-10s %7.1f%% %7.1f%%\n", "average", l1_sum / n, l2_sum / n);
+    std::printf("\npaper averages: L1 81.1%%, L2 72.9%% (misses dominated by effects the\n"
+                "static estimator cannot see: cross-thread interleaving at the shared L2,\n"
+                "irregular indirection, and conflict-model approximations)\n");
+  };
+  return fig;
 }
 
 }  // namespace ndc::harness

@@ -82,10 +82,4 @@ void RunPlan(int jobs, const std::vector<PlanTask>& plan) {
   if (error) std::rethrow_exception(error);
 }
 
-void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn) {
-  std::vector<PlanTask> plan(n);
-  for (std::size_t i = 0; i < n; ++i) plan[i].run = [&fn, i] { fn(i); };
-  RunPlan(jobs, plan);
-}
-
 }  // namespace ndc::harness

@@ -4,9 +4,8 @@
 // transient set of worker threads. Each idle worker takes the first task in
 // plan order that has not started and whose dependencies have all finished,
 // so the plan order is also the priority order. A sweep plans a profile's
-// lowering and profile run ahead of the cells that read them (RunSweep),
-// and a plain index loop is the no-dependency case
-// (ParallelFor). Tasks are coarse (milliseconds to seconds), so one mutex
+// lowering and profile run ahead of the cells and reads that use them
+// (RunSweep). Tasks are coarse (milliseconds to seconds), so one mutex
 // guards all scheduling state.
 
 #include <cstddef>
@@ -34,8 +33,5 @@ struct PlanTask {
 /// caller. Tasks that never started (the failed task's dependents among
 /// them) are skipped.
 void RunPlan(int jobs, const std::vector<PlanTask>& plan);
-
-/// Runs fn(0..n-1) as a plan of n independent tasks.
-void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ndc::harness

@@ -35,9 +35,6 @@ json::Value SweepSummary::ToJson() const {
   v.obj["figure"] = json::Value::Str(figure);
   v.obj["jobs"] = json::Value::Int(static_cast<std::uint64_t>(jobs));
   v.obj["cells"] = json::Value::Int(cells);
-  v.obj["cache_hits"] = json::Value::Int(cache_hits);
-  v.obj["sim_invocations"] = json::Value::Int(sim_invocations);
-  v.obj["cache_load_errors"] = json::Value::Int(cache_load_errors);
   v.obj["machine_runs"] = json::Value::Int(machine_runs);
   v.obj["runs_reused"] = json::Value::Int(runs_reused);
   v.obj["elapsed_ms"] = json::Value::Int(elapsed_ms);
@@ -55,13 +52,12 @@ json::Value SweepSummary::ToJson() const {
 
 namespace {
 
-/// Periodic progress/ETA lines on stderr while cells are simulating.
+/// Periodic progress/ETA lines on stderr while the plan runs.
 class ProgressReporter {
  public:
-  ProgressReporter(const std::string& figure, std::size_t to_simulate, std::size_t cached)
+  ProgressReporter(const std::string& figure, std::size_t total)
       : figure_(figure),
-        total_(to_simulate),
-        cached_(cached),
+        total_(total),
         start_(std::chrono::steady_clock::now()),
         tty_(isatty(2) != 0),
         thread_([this] { Loop(); }) {}
@@ -77,7 +73,7 @@ class ProgressReporter {
     if (tty_) std::fprintf(stderr, "\n");
   }
 
-  void CellDone() { done_.fetch_add(1, std::memory_order_relaxed); }
+  void TaskDone() { done_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
   void Loop() {
@@ -97,15 +93,14 @@ class ProgressReporter {
                     secs / static_cast<double>(done) *
                         static_cast<double>(total_ - done));
     }
-    std::fprintf(stderr, "%ssweep %s: %zu/%zu cells simulated (+%zu cached) | %.1fs%s%s",
-                 tty_ ? "\r" : "", figure_.c_str(), done, total_, cached_, secs, eta,
+    std::fprintf(stderr, "%ssweep %s: %zu/%zu tasks done | %.1fs%s%s",
+                 tty_ ? "\r" : "", figure_.c_str(), done, total_, secs, eta,
                  tty_ ? "   " : "\n");
     std::fflush(stderr);
   }
 
   std::string figure_;
   std::size_t total_;
-  std::size_t cached_;
   std::chrono::steady_clock::time_point start_;
   bool tty_;
   std::atomic<std::size_t> done_{0};
@@ -118,102 +113,139 @@ class ProgressReporter {
 }  // namespace
 
 SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt,
-                     std::vector<json::Value>* obs_summaries) {
+                     std::vector<json::Value>* obs_summaries, const PlanExtras& extras) {
   auto start = std::chrono::steady_clock::now();
+  const std::vector<CellSpec>& cells = spec.cells;
   SweepResult out;
-  out.cells.resize(spec.cells.size());
+  out.cells.resize(cells.size());
   out.summary.figure = spec.figure;
   out.summary.jobs = opt.jobs;
-  out.summary.cells = spec.cells.size();
+  out.summary.cells = cells.size() + extras.observe_reads.size() + extras.tasks.size();
+  if (obs_summaries != nullptr) obs_summaries->assign(cells.size(), json::Value());
 
-  if (obs_summaries != nullptr) obs_summaries->assign(spec.cells.size(), json::Value());
-  // A traced sweep bypasses the cache, so that every cell has a traced run.
-  std::unique_ptr<ResultCache> cache;
-  if (opt.use_cache && obs_summaries == nullptr) {
-    cache = std::make_unique<ResultCache>(opt.cache_dir);
-    out.summary.cache_load_errors = cache->load_errors();
-  }
-
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    if (cache != nullptr && cache->Lookup(spec.cells[i], &out.cells[i])) {
-      ++out.summary.cache_hits;
-    } else {
-      misses.push_back(i);
+  // The spec index of each cell's first copy; only first copies run.
+  std::vector<std::size_t> first(cells.size());
+  std::vector<std::size_t> distinct;
+  {
+    std::map<std::string, std::size_t> seen;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      auto [it, fresh] = seen.emplace(cells[i].CanonicalString(), i);
+      first[i] = it->second;
+      if (fresh) distinct.push_back(i);
     }
   }
-  out.summary.sim_invocations = misses.size();
 
-  // Group the misses by profile key, in order of first miss. Each group
-  // plans one lowering, then one profile run: the observation run if some
-  // cell reads it (the baseline is then taken from it, as the two are
-  // timing-identical), else the baseline run. Its cells follow, each
-  // compiled cell after the group's previous compiled cell, so that a
-  // compiled program annotated as one the group already ran finds that run
+  // Group the distinct cells and the observation reads by profile key, in
+  // order of first appearance. Each group plans one lowering, then one
+  // profile run: the observation run if some cell or read needs it (the
+  // baseline is then taken from it, as the two are timing-identical), else
+  // the baseline run. Its reads and cells follow, each compiled cell after
+  // the group's previous compiled cell, so that a compiled program
+  // annotated as one the group already ran finds that run
   // (metrics::Profile::RunCompiled) instead of racing it. The scheduler's
-  // plan-order priority finishes one group's cells before it starts
+  // plan-order priority finishes one group's tasks before it starts
   // lowering later groups whenever it can, and each profile is dropped
-  // after its last cell, so only about `jobs` profiles are alive at once.
+  // after its last task, so only about `jobs` profiles are alive at once.
   struct Group {
+    CellSpec at;                     // names the profile
     std::vector<std::size_t> cells;  // indices into spec.cells
+    std::vector<std::size_t> reads;  // indices into extras.observe_reads
     bool observe = false;
     std::shared_ptr<metrics::Profile> profile;
-    std::atomic<std::size_t> cells_left{0};
+    std::atomic<std::size_t> tasks_left{0};
     metrics::RunCounts runs;  // the profile's, taken when it is dropped
   };
   std::deque<Group> groups;  // a deque: Group is not movable
   {
     std::map<std::string, std::size_t> index;
-    for (std::size_t i : misses) {
-      auto [it, fresh] = index.emplace(spec.cells[i].ProfileKey(), groups.size());
-      if (fresh) groups.emplace_back();
+    auto group_of = [&](const CellSpec& c) -> Group& {
+      auto [it, fresh] = index.emplace(c.ProfileKey(), groups.size());
+      if (fresh) groups.emplace_back().at = c;
       Group& g = groups[it->second];
+      ++g.tasks_left;
+      return g;
+    };
+    for (std::size_t i : distinct) {
+      Group& g = group_of(cells[i]);
       g.cells.push_back(i);
-      g.observe = g.observe || spec.cells[i].NeedsObserve();
-      ++g.cells_left;
+      g.observe = g.observe || cells[i].NeedsObserve();
+    }
+    for (std::size_t r = 0; r < extras.observe_reads.size(); ++r) {
+      Group& g = group_of(extras.observe_reads[r].cell);
+      g.reads.push_back(r);
+      g.observe = true;
     }
   }
 
   {
     std::unique_ptr<ProgressReporter> progress;
-    if (opt.progress && !misses.empty()) {
-      progress = std::make_unique<ProgressReporter>(spec.figure, misses.size(),
-                                                    out.summary.cache_hits);
+    std::size_t tasks = distinct.size() + extras.observe_reads.size() + extras.tasks.size();
+    if (opt.progress && tasks > 0) {
+      progress = std::make_unique<ProgressReporter>(spec.figure, tasks);
     }
+    auto done = [&progress] {
+      if (progress != nullptr) progress->TaskDone();
+    };
+    auto finish = [&done](Group& group) {
+      if (group.tasks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        group.runs = group.profile->run_counts();
+        group.profile.reset();
+      }
+      done();
+    };
     std::vector<PlanTask> plan;
     for (Group& group : groups) {
       std::size_t lower = plan.size();
-      plan.push_back({[&group, &spec] {
-                        group.profile =
-                            MakeProfile(spec.cells[group.cells.front()], group.observe);
+      plan.push_back({[&group] {
+                        group.profile = MakeProfile(group.at, group.observe);
                         group.profile->Traces();
                       },
                       {}});
       std::size_t profile_run = plan.size();
-      plan.push_back({[&group] { group.profile->Baseline(); }, {lower}});
+      plan.push_back({[&group] {
+                        if (group.observe) {
+                          group.profile->Observe();
+                        } else {
+                          group.profile->Baseline();
+                        }
+                      },
+                      {lower}});
+      for (std::size_t r : group.reads) {
+        plan.push_back({[&, r] {
+                          extras.observe_reads[r].read(*group.profile);
+                          finish(group);
+                        },
+                        {profile_run}});
+      }
       std::size_t last_compiled = profile_run;
       for (std::size_t i : group.cells) {
         std::vector<std::size_t> deps = {profile_run};
-        if (spec.cells[i].IsCompiled()) {
+        if (cells[i].IsCompiled()) {
           if (last_compiled != profile_run) deps.push_back(last_compiled);
           last_compiled = plan.size();
         }
         plan.push_back({[&, i] {
-                          CellResult r = RunCell(
-                              spec.cells[i], group.profile,
+                          out.cells[i] = RunCell(
+                              cells[i], group.profile,
                               obs_summaries != nullptr ? &(*obs_summaries)[i] : nullptr);
-                          if (cache != nullptr) cache->Insert(spec.cells[i], r);
-                          out.cells[i] = std::move(r);
-                          if (group.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                            group.runs = group.profile->run_counts();
-                            group.profile.reset();
-                          }
-                          if (progress != nullptr) progress->CellDone();
+                          finish(group);
                         },
                         std::move(deps)});
       }
     }
+    for (const std::function<void()>& task : extras.tasks) {
+      plan.push_back({[&] {
+                        task();
+                        done();
+                      },
+                      {}});
+    }
     RunPlan(opt.jobs, plan);
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (first[i] == i) continue;
+    out.cells[i] = out.cells[first[i]];
+    if (obs_summaries != nullptr) (*obs_summaries)[i] = (*obs_summaries)[first[i]];
   }
   metrics::RunCounts runs;
   for (const Group& group : groups) runs += group.runs;
@@ -224,62 +256,6 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt,
           std::chrono::steady_clock::now() - start)
           .count());
   return out;
-}
-
-namespace {
-
-json::Value CellLine(const SweepSpec& spec, std::size_t i, const CellResult& r) {
-  const CellSpec& c = spec.cells[i];
-  json::Value v = json::Value::Object();
-  v.obj["figure"] = json::Value::Str(spec.figure);
-  v.obj["workload"] = json::Value::Str(c.workload);
-  v.obj["scheme"] = json::Value::Str(c.SchemeLabel());
-  v.obj["scale"] = json::Value::Str(ScaleName(c.scale));
-  if (!c.variant.empty()) v.obj["variant"] = json::Value::Str(c.variant);
-  v.obj["seed"] = json::Value::Int(c.seed);
-  v.obj["key"] = json::Value::Str(c.Key());
-  v.obj["from_cache"] = json::Value::Bool(r.from_cache);
-  v.obj["improvement_pct"] = json::Value::Double(r.ImprovementPct());
-  v.obj["result"] = r.ToJson();
-  return v;
-}
-
-}  // namespace
-
-bool ExportJsonl(const SweepSpec& spec, const SweepResult& result, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    f << json::Dump(CellLine(spec, i, result.cells[i])) << "\n";
-  }
-  json::Value s = json::Value::Object();
-  s.obj["summary"] = result.summary.ToJson();
-  f << json::Dump(s) << "\n";
-  return static_cast<bool>(f);
-}
-
-bool ExportCsv(const SweepSpec& spec, const SweepResult& result, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << "figure,workload,scheme,scale,variant,seed,key,from_cache,"
-       "makespan,baseline_makespan,improvement_pct,l1_miss_rate,l2_miss_rate,"
-       "candidates,offloads,ndc_success,fallbacks,"
-       "ndc_network,ndc_cache,ndc_mc,ndc_memory,chains,planned,transforms\n";
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const CellSpec& c = spec.cells[i];
-    const CellResult& r = result.cells[i];
-    char num[64];
-    f << spec.figure << ',' << c.workload << ',' << c.SchemeLabel() << ','
-      << ScaleName(c.scale) << ',' << c.variant << ',' << c.seed << ',' << c.Key() << ','
-      << (r.from_cache ? 1 : 0) << ',' << r.makespan << ',' << r.baseline_makespan << ',';
-    std::snprintf(num, sizeof(num), "%.6f,%.6f,%.6f", r.ImprovementPct(), r.L1MissRate(),
-                  r.L2MissRate());
-    f << num << ',' << r.candidates << ',' << r.offloads << ',' << r.ndc_success << ','
-      << r.fallbacks;
-    for (std::uint64_t x : r.ndc_at_loc) f << ',' << x;
-    f << ',' << r.chains << ',' << r.planned << ',' << r.transforms << "\n";
-  }
-  return static_cast<bool>(f);
 }
 
 bool AppendSummary(const SweepSummary& summary, const std::string& path) {

@@ -1,7 +1,7 @@
 // src/json unit tests: the serializer, the escaper's classes, the strict
-// number and \u grammar of the parser, and the two emitters that live in
-// binaries (ndc-lint --json, the bench_substrate report), which are run and
-// their output parsed back.
+// number and \u grammar of the tests' parser (tests/json_parse.hpp), and
+// the two emitters that live in binaries (ndc-lint --json, the
+// bench_substrate report), which are run and their output parsed back.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include <sstream>
 #include <string>
 
-#include "json/json.hpp"
+#include "json_parse.hpp"
 
 namespace ndc::json {
 namespace {
@@ -20,9 +20,9 @@ TEST(Json, DumpIsDeterministicAndParsesBack) {
   v.obj["b"] = Value::Int(42);
   v.obj["a"] = Value::Str("x\"y\n");
   v.obj["c"] = Value::Array();
-  v.obj["c"].arr.push_back(Value::Bool(true));
+  v.obj["c"].arr.push_back(Bool(true));
   v.obj["c"].arr.push_back(Value::Double(1.5));
-  v.obj["c"].arr.push_back(Value::Null());
+  v.obj["c"].arr.push_back(Value());
 
   std::string s = Dump(v);
   EXPECT_EQ(s, "{\"a\":\"x\\\"y\\n\",\"b\":42,\"c\":[true,1.5,null]}");
@@ -44,7 +44,7 @@ TEST(Json, RoundTripsLargeIntegersExactly) {
   Value v = Value::Int(18446744073709551615ull);
   Value back;
   ASSERT_TRUE(Parse(Dump(v), &back));
-  EXPECT_EQ(back.AsU64(), 18446744073709551615ull);
+  EXPECT_EQ(AsU64(back), 18446744073709551615ull);
 }
 
 // Every escape class Dump knows: quote, backslash, the five named
@@ -66,7 +66,7 @@ TEST(Json, SignedWritesNegativeIntegersWithoutAFraction) {
   EXPECT_EQ(Value::Signed(7).kind, Value::Kind::kInt);
   Value back;
   ASSERT_TRUE(Parse("-1", &back));
-  EXPECT_EQ(back.AsDouble(), -1.0);
+  EXPECT_EQ(AsDouble(back), -1.0);
 }
 
 TEST(Json, AcceptsEveryNumberForm) {
@@ -74,11 +74,11 @@ TEST(Json, AcceptsEveryNumberForm) {
   ASSERT_TRUE(Parse("[0,-0,12,-3.25,1e3,1E+2,2.5e-1]", &v));
   ASSERT_EQ(v.arr.size(), 7u);
   EXPECT_EQ(v.arr[2].kind, Value::Kind::kInt);
-  EXPECT_EQ(v.arr[2].AsU64(), 12u);
-  EXPECT_EQ(v.arr[3].AsDouble(), -3.25);
-  EXPECT_EQ(v.arr[4].AsDouble(), 1000.0);
-  EXPECT_EQ(v.arr[5].AsDouble(), 100.0);
-  EXPECT_EQ(v.arr[6].AsDouble(), 0.25);
+  EXPECT_EQ(AsU64(v.arr[2]), 12u);
+  EXPECT_EQ(AsDouble(v.arr[3]), -3.25);
+  EXPECT_EQ(AsDouble(v.arr[4]), 1000.0);
+  EXPECT_EQ(AsDouble(v.arr[5]), 100.0);
+  EXPECT_EQ(AsDouble(v.arr[6]), 0.25);
 }
 
 TEST(Json, RejectsASignWithoutDigits) {
@@ -137,21 +137,21 @@ TEST(JsonEmitters, LintJsonParses) {
   Value v;
   std::string err;
   ASSERT_TRUE(Parse(out, &v, &err)) << err << "\n" << out;
-  ASSERT_TRUE(v.is_array());
+  ASSERT_TRUE(IsArray(v));
   ASSERT_EQ(v.arr.size(), 4u);  // one run per compiler mode
   std::uint64_t warnings = 0;
   for (const Value& run : v.arr) {
-    ASSERT_TRUE(run.is_object());
-    EXPECT_EQ(run.Find("workload")->str, "lu");
-    EXPECT_EQ(run.Find("errors")->AsU64(), 0u);
-    const Value* diags = run.Find("diagnostics");
-    ASSERT_TRUE(diags != nullptr && diags->is_array());
-    EXPECT_EQ(diags->arr.size(), run.Find("warnings")->AsU64());
+    ASSERT_TRUE(IsObject(run));
+    EXPECT_EQ(Find(run, "workload")->str, "lu");
+    EXPECT_EQ(AsU64(*Find(run, "errors")), 0u);
+    const Value* diags = Find(run, "diagnostics");
+    ASSERT_TRUE(diags != nullptr && IsArray(*diags));
+    EXPECT_EQ(diags->arr.size(), AsU64(*Find(run, "warnings")));
     for (const Value& d : diags->arr) {
-      EXPECT_EQ(d.Find("severity")->str, "warning");
-      EXPECT_NE(d.Find("message"), nullptr);
+      EXPECT_EQ(Find(d, "severity")->str, "warning");
+      EXPECT_NE(Find(d, "message"), nullptr);
     }
-    warnings += run.Find("warnings")->AsU64();
+    warnings += AsU64(*Find(run, "warnings"));
   }
   EXPECT_EQ(warnings, 16u);  // 4 modes x (2 R301 + 2 R302)
 }
@@ -168,21 +168,21 @@ TEST(JsonEmitters, BenchSubstrateReportParses) {
   Value v;
   std::string err;
   ASSERT_TRUE(Parse(text.str(), &v, &err)) << err;
-  EXPECT_EQ(v.Find("benchmark")->str, "bench_substrate");
-  EXPECT_EQ(v.Find("events_target")->AsU64(), 20000u);
-  EXPECT_GT(v.Find("speedup_vs_legacy")->AsDouble(), 0.0);
-  const Value* benches = v.Find("benches");
-  ASSERT_TRUE(benches != nullptr && benches->is_array());
+  EXPECT_EQ(Find(v, "benchmark")->str, "bench_substrate");
+  EXPECT_EQ(AsU64(*Find(v, "events_target")), 20000u);
+  EXPECT_GT(AsDouble(*Find(v, "speedup_vs_legacy")), 0.0);
+  const Value* benches = Find(v, "benches");
+  ASSERT_TRUE(benches != nullptr && IsArray(*benches));
   ASSERT_EQ(benches->arr.size(), 9u);
-  EXPECT_EQ(benches->arr[0].Find("name")->str, "calendar_chain");
+  EXPECT_EQ(Find(benches->arr[0], "name")->str, "calendar_chain");
   for (const Value& row : benches->arr) {
     for (const char* key : {"name", "events", "seconds", "events_per_sec", "ns_per_event",
                             "allocs", "allocs_per_event"}) {
-      EXPECT_NE(row.Find(key), nullptr) << key;
+      EXPECT_NE(Find(row, key), nullptr) << key;
     }
-    bool machine = row.Find("name")->str.rfind("machine_", 0) == 0;
-    EXPECT_EQ(row.Find("run_state_bytes_per_instr") != nullptr, machine);
-    EXPECT_EQ(row.Find("trace_bytes_per_instr") != nullptr, machine);
+    bool machine = Find(row, "name")->str.rfind("machine_", 0) == 0;
+    EXPECT_EQ(Find(row, "run_state_bytes_per_instr") != nullptr, machine);
+    EXPECT_EQ(Find(row, "trace_bytes_per_instr") != nullptr, machine);
   }
   std::remove(path.c_str());
 }

@@ -10,7 +10,7 @@
 #include <tuple>
 #include <vector>
 
-#include "json/json.hpp"
+#include "json_parse.hpp"
 #include "obs/obs.hpp"
 #include "test_support.hpp"
 
@@ -49,31 +49,31 @@ TEST(TraceSink, JsonRoundTripsThroughHarnessParser) {
   Value v;
   std::string err;
   ASSERT_TRUE(Parse(sink.ToJson(), &v, &err)) << err;
-  ASSERT_TRUE(v.is_object());
-  const Value* evs = v.Find("traceEvents");
+  ASSERT_TRUE(IsObject(v));
+  const Value* evs = Find(v, "traceEvents");
   ASSERT_NE(evs, nullptr);
-  ASSERT_TRUE(evs->is_array());
+  ASSERT_TRUE(IsArray(*evs));
   ASSERT_EQ(evs->arr.size(), std::size(want));
 
   for (std::size_t i = 0; i < evs->arr.size(); ++i) {
     const Value& e = evs->arr[i];
     const Want& src = want[i];
-    ASSERT_TRUE(e.is_object());
+    ASSERT_TRUE(IsObject(e));
     // Chrome trace-event required keys.
     for (const char* key : {"ph", "ts", "pid", "tid", "name"}) {
-      EXPECT_NE(e.Find(key), nullptr) << "event " << i << " missing " << key;
+      EXPECT_NE(Find(e, key), nullptr) << "event " << i << " missing " << key;
     }
-    EXPECT_EQ(e.Find("ts")->AsU64(), src.ts);
-    EXPECT_EQ(e.Find("ph")->str, std::string(1, src.ph));
-    EXPECT_EQ(e.Find("tid")->AsU64(), src.tid);
-    EXPECT_EQ(e.Find("name")->str, src.name);
+    EXPECT_EQ(AsU64(*Find(e, "ts")), src.ts);
+    EXPECT_EQ(Find(e, "ph")->str, std::string(1, src.ph));
+    EXPECT_EQ(AsU64(*Find(e, "tid")), src.tid);
+    EXPECT_EQ(Find(e, "name")->str, src.name);
     if (src.ph == 'X') {
-      ASSERT_NE(e.Find("dur"), nullptr);
-      EXPECT_EQ(e.Find("dur")->AsU64(), src.dur);
+      ASSERT_NE(Find(e, "dur"), nullptr);
+      EXPECT_EQ(AsU64(*Find(e, "dur")), src.dur);
     }
-    const Value* a = e.Find("args");
+    const Value* a = Find(e, "args");
     ASSERT_NE(a, nullptr);
-    EXPECT_EQ(a->Find("token")->AsU64(), src.token);
+    EXPECT_EQ(AsU64(*Find(*a, "token")), src.token);
   }
 }
 
@@ -218,10 +218,10 @@ TEST(DecisionLog, JsonlHasOneValidObjectPerEntry) {
     Value v;
     std::string err;
     ASSERT_TRUE(Parse(jsonl.substr(pos, next - pos), &v, &err)) << err;
-    ASSERT_TRUE(v.is_object());
-    EXPECT_NE(v.Find("uid"), nullptr);
-    EXPECT_NE(v.Find("kind"), nullptr);
-    EXPECT_NE(v.Find("outcome"), nullptr);
+    ASSERT_TRUE(IsObject(v));
+    EXPECT_NE(Find(v, "uid"), nullptr);
+    EXPECT_NE(Find(v, "kind"), nullptr);
+    EXPECT_NE(Find(v, "outcome"), nullptr);
     ++lines;
     pos = next + 1;
   }
@@ -265,15 +265,15 @@ TEST(ObsEndToEnd, TraceJsonFromRealRunIsValidChromeTraceEvent) {
   Value v;
   std::string err;
   ASSERT_TRUE(Parse(ob.sink.ToJson(), &v, &err)) << err;
-  const Value* evs = v.Find("traceEvents");
+  const Value* evs = Find(v, "traceEvents");
   ASSERT_NE(evs, nullptr);
   ASSERT_EQ(evs->arr.size(), ob.sink.size());
   for (const Value& e : evs->arr) {
     for (const char* key : {"ph", "ts", "pid", "tid", "name"}) {
-      ASSERT_NE(e.Find(key), nullptr);
+      ASSERT_NE(Find(e, key), nullptr);
     }
-    if (e.Find("ph")->str == "X") {
-      ASSERT_NE(e.Find("dur"), nullptr);
+    if (Find(e, "ph")->str == "X") {
+      ASSERT_NE(Find(e, "dur"), nullptr);
     }
   }
 }
@@ -386,16 +386,16 @@ TEST(ObsEndToEnd, RunCellObsSummaryStagesSumToTotalEndToEnd) {
   ndc::metrics::SchemeResult r = ndc::harness::RunSchemeAlone(spec, &ob);
   Value v = ndc::harness::CellObsSummary(spec, r.run.makespan, ob);
 
-  const Value* stages = v.Find("stages");
+  const Value* stages = Find(v, "stages");
   ASSERT_NE(stages, nullptr);
   std::uint64_t sum = 0;
-  for (const auto& [name, entry] : stages->obj) sum += entry.Find("cycles")->AsU64();
-  EXPECT_EQ(sum, v.Find("total_end_to_end_cycles")->AsU64());
-  EXPECT_GT(v.Find("requests_finished")->AsU64(), 0u);
+  for (const auto& [name, entry] : stages->obj) sum += AsU64(*Find(entry, "cycles"));
+  EXPECT_EQ(sum, AsU64(*Find(v, "total_end_to_end_cycles")));
+  EXPECT_GT(AsU64(*Find(v, "requests_finished")), 0u);
   // Every load is sampled, so each one is traced or counted as overflowed.
-  EXPECT_EQ(v.Find("requests_seen")->AsU64(),
-            v.Find("requests_traced")->AsU64() + v.Find("requests_overflowed")->AsU64());
-  EXPECT_NE(v.Find("decisions"), nullptr);
+  EXPECT_EQ(AsU64(*Find(v, "requests_seen")),
+            AsU64(*Find(v, "requests_traced")) + AsU64(*Find(v, "requests_overflowed")));
+  EXPECT_NE(Find(v, "decisions"), nullptr);
 }
 
 }  // namespace

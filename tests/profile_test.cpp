@@ -217,7 +217,6 @@ TEST(Experiment, ParallelSweepMatchesSerialSweep) {
 
   harness::SweepOptions serial;
   serial.jobs = 1;
-  serial.use_cache = false;
   harness::SweepOptions parallel = serial;
   parallel.jobs = 4;
 

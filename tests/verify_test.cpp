@@ -8,7 +8,7 @@
 #include <map>
 
 #include "compiler/pipeline.hpp"
-#include "json/json.hpp"
+#include "json_parse.hpp"
 #include "verify/sarif.hpp"
 #include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
@@ -134,7 +134,7 @@ TEST(Diagnostics, TextRenderingCarriesLocationAndCode) {
 // `obj[key]`, failing the test (and yielding null) when the key is absent.
 const json::Value& Member(const json::Value& obj, const char* key) {
   static const json::Value kMissing;
-  const json::Value* v = obj.Find(key);
+  const json::Value* v = Find(obj, key);
   if (v == nullptr) ADD_FAILURE() << "missing key " << key;
   return v != nullptr ? *v : kMissing;
 }
@@ -149,22 +149,22 @@ TEST(Diagnostics, JsonRenderingIsWellFormed) {
   json::Value v;
   std::string err;
   ASSERT_TRUE(json::Parse(js, &v, &err)) << err << "\n" << js;
-  ASSERT_TRUE(v.is_array());
+  ASSERT_TRUE(IsArray(v));
   ASSERT_EQ(v.arr.size(), 2u);  // one object per finding, in report order
   const json::Value& a = v.arr[0];
   EXPECT_EQ(Member(a, "severity").str, "warning");
-  EXPECT_EQ(Member(a, "code").AsU64(), 105u);
+  EXPECT_EQ(AsU64(Member(a, "code")), 105u);
   EXPECT_EQ(Member(a, "name").str, "subscript-out-of-bounds");
-  EXPECT_EQ(Member(a, "nest").AsDouble(), 0.0);
-  EXPECT_EQ(Member(a, "stmt").AsDouble(), 2.0);
-  EXPECT_EQ(Member(a, "stmt_id").AsU64(), 9u);
-  EXPECT_EQ(Member(a, "array").AsDouble(), 1.0);
+  EXPECT_EQ(AsDouble(Member(a, "nest")), 0.0);
+  EXPECT_EQ(AsDouble(Member(a, "stmt")), 2.0);
+  EXPECT_EQ(AsU64(Member(a, "stmt_id")), 9u);
+  EXPECT_EQ(AsDouble(Member(a, "array")), 1.0);
   EXPECT_EQ(Member(a, "message").str, msg);
   const json::Value& b = v.arr[1];
   EXPECT_EQ(Member(b, "severity").str, "error");
-  EXPECT_EQ(Member(b, "code").AsU64(), 203u);
-  EXPECT_EQ(Member(b, "nest").AsDouble(), 1.0);
-  EXPECT_EQ(Member(b, "stmt").AsDouble(), -1.0);  // "none" stays -1
+  EXPECT_EQ(AsU64(Member(b, "code")), 203u);
+  EXPECT_EQ(AsDouble(Member(b, "nest")), 1.0);
+  EXPECT_EQ(AsDouble(Member(b, "stmt")), -1.0);  // "none" stays -1
   EXPECT_EQ(Member(b, "message").str, "second");
   EXPECT_NE(js.find("\\\""), std::string::npos);   // escaped quote
   EXPECT_NE(js.find("\\\\"), std::string::npos);   // escaped backslash
@@ -461,7 +461,7 @@ const json::Value& SarifRun(const json::Value& log) {
   static const json::Value kMissing;
   EXPECT_EQ(Member(log, "version").str, "2.1.0");
   const json::Value& runs = Member(log, "runs");
-  EXPECT_TRUE(runs.is_array() && runs.arr.size() == 1u);
+  EXPECT_TRUE(IsArray(runs) && runs.arr.size() == 1u);
   return runs.arr.empty() ? kMissing : runs.arr[0];
 }
 
@@ -473,10 +473,10 @@ TEST(Sarif, EmptyReportIsAValidSkeleton) {
   ASSERT_TRUE(json::Parse(s, &log, &err)) << err << "\n" << s;
   const json::Value& run = SarifRun(log);
   const json::Value& results = Member(run, "results");
-  EXPECT_TRUE(results.is_array());
+  EXPECT_TRUE(IsArray(results));
   EXPECT_TRUE(results.arr.empty());
   const json::Value& rules = Member(Member(Member(run, "tool"), "driver"), "rules");
-  EXPECT_TRUE(rules.is_array());
+  EXPECT_TRUE(IsArray(rules));
   EXPECT_TRUE(rules.arr.empty());
 }
 
@@ -490,7 +490,7 @@ TEST(Sarif, FindingsCarryRuleIdsLevelsAndEscapedText) {
   ASSERT_TRUE(json::Parse(s, &log, &err)) << err << "\n" << s;
   const json::Value& run = SarifRun(log);
   const json::Value& results = Member(run, "results");
-  ASSERT_TRUE(results.is_array());
+  ASSERT_TRUE(IsArray(results));
   ASSERT_EQ(results.arr.size(), 2u);  // in report order
   const json::Value& carried = results.arr[0];
   EXPECT_EQ(Member(carried, "ruleId").str, "R301");
@@ -501,20 +501,20 @@ TEST(Sarif, FindingsCarryRuleIdsLevelsAndEscapedText) {
   EXPECT_EQ(Member(Member(unsafe, "message"), "text").str, "dist \"(1,0)\"");
   EXPECT_NE(s.find("dist \\\"(1,0)\\\""), std::string::npos) << s;
   const json::Value& locations = Member(unsafe, "locations");
-  ASSERT_TRUE(locations.is_array() && !locations.arr.empty());
+  ASSERT_TRUE(IsArray(locations) && !locations.arr.empty());
   const json::Value& logical = Member(locations.arr[0], "logicalLocations");
-  ASSERT_TRUE(logical.is_array() && !logical.arr.empty());
+  ASSERT_TRUE(IsArray(logical) && !logical.arr.empty());
   EXPECT_EQ(Member(logical.arr[0], "fullyQualifiedName").str, "nest2/stmt1");
   // Rules are listed once per distinct code, ordered by numeric code, and
   // each result points at its rule.
   const json::Value& rules = Member(Member(Member(run, "tool"), "driver"), "rules");
-  ASSERT_TRUE(rules.is_array());
+  ASSERT_TRUE(IsArray(rules));
   ASSERT_EQ(rules.arr.size(), 2u);
   EXPECT_EQ(Member(rules.arr[0], "id").str, "L203");
   EXPECT_EQ(Member(rules.arr[0], "name").str, "unsafe-lead");
   EXPECT_EQ(Member(rules.arr[1], "id").str, "R301");
-  EXPECT_EQ(Member(unsafe, "ruleIndex").AsU64(), 0u);
-  EXPECT_EQ(Member(carried, "ruleIndex").AsU64(), 1u);
+  EXPECT_EQ(AsU64(Member(unsafe, "ruleIndex")), 0u);
+  EXPECT_EQ(AsU64(Member(carried, "ruleIndex")), 1u);
 }
 
 TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
@@ -533,7 +533,7 @@ TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
   std::string err;
   ASSERT_TRUE(json::Parse(s, &log, &err)) << err << "\n" << s;
   const json::Value& results = Member(SarifRun(log), "results");
-  ASSERT_TRUE(results.is_array() && !results.arr.empty());
+  ASSERT_TRUE(IsArray(results) && !results.arr.empty());
   EXPECT_EQ(Member(Member(results.arr[0], "message"), "text").str, msg);  // byte-identical
   EXPECT_EQ(Member(results.arr[0], "ruleId").str, "L203");
   EXPECT_NE(s.find("\xE2\x86\x92"), std::string::npos);  // rune stayed raw

@@ -1,17 +1,14 @@
 // ndc-sweep — regenerate any paper figure's experiment grid by name.
 //
-// Fans the figure's (workload x scheme x config) grid across worker
-// threads that share one baseline profile per configuration, consults the
-// persistent on-disk result cache (.ndc-cache/), and renders the figure's
-// stdout table. This is the one way to run a figure.
-// A warm re-run of an already-measured grid performs zero simulator
-// invocations; --require-all-hits turns that into an enforced exit status
-// for CI cache verification.
+// Plans every requested figure as one sweep: the union of the figures'
+// cells runs once per distinct cell, on worker threads that share one
+// profile per configuration, and the record figures read the same
+// profiles' observation runs. Then it renders each figure's stdout table
+// in request order. This is the one way to run a figure.
 //
 // Exit status: 0 on success, 2 on usage errors, an unknown figure, a --bench
-// that names no benchmark, or an --export-jsonl/--export-csv/--summary file
-// that cannot be written, 3 when --require-all-hits is set and any cell had
-// to be simulated.
+// that names no benchmark, or an --export-jsonl/--export-csv/--export-obs/
+// --summary target that cannot be written.
 //
 // Run with --help for the flags.
 
@@ -27,7 +24,7 @@ int main(int argc, char** argv) {
   using ndc::harness::FigureInfo;
   std::vector<std::string> figures;
   ndc::harness::FigureOptions opt;
-  bool list = false, no_cache = false, require_all_hits = false;
+  bool list = false;
   std::string summary_path;
   ndc::cli::Parser cli("ndc-sweep");
   cli.Strings("figure", &figures, "NAME", "figure to run (repeatable); 'all' runs every one")
@@ -36,17 +33,12 @@ int main(int argc, char** argv) {
               "workload input size (default small)")
       .String("bench", &opt.only, "NAME", "run one benchmark only")
       .Unsigned("jobs", &opt.jobs, "worker threads (default 1)", 1)
-      .Switch("no-cache", &no_cache, "simulate every cell; read and write no cache")
-      .String("cache-dir", &opt.cache_dir, "DIR", "result cache directory (default .ndc-cache)")
       .Switch("progress", &opt.progress, "report progress on stderr")
       .String("export-jsonl", &opt.export_jsonl, "FILE", "write every cell as JSONL")
       .String("export-csv", &opt.export_csv, "FILE", "write every cell as CSV")
       .String("export-obs", &opt.export_obs, "DIR", "write a traced summary per cell")
-      .String("summary", &summary_path, "FILE", "append each figure's summary JSON line")
-      .Switch("require-all-hits", &require_all_hits,
-              "exit 3 unless every cell came from the cache");
+      .String("summary", &summary_path, "FILE", "append the call's summary JSON line");
   cli.Parse(argc, argv);
-  opt.use_cache = !no_cache;
 
   if (list) {
     std::printf("%-16s %-6s %s\n", "figure", "kind", "title");
@@ -71,25 +63,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::uint64_t total_sims = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) std::printf("\n");
-    ndc::harness::SweepSummary summary;
-    int rc = ndc::harness::RunFigure(names[i], opt, &summary);
-    if (rc != 0) return rc;
-    total_sims += summary.sim_invocations;
-    std::fprintf(stderr, "%s\n", ndc::json::Dump(summary.ToJson()).c_str());
-    if (!summary_path.empty() && !ndc::harness::AppendSummary(summary, summary_path)) {
-      std::fprintf(stderr, "ndc-sweep: cannot append to %s\n", summary_path.c_str());
-      return 2;
-    }
-  }
-  if (require_all_hits && total_sims > 0) {
-    std::fprintf(stderr,
-                 "ndc-sweep: --require-all-hits failed: %llu cells were simulated "
-                 "(expected a fully warm cache)\n",
-                 static_cast<unsigned long long>(total_sims));
-    return 3;
+  ndc::harness::SweepSummary summary;
+  // RunFigure is RunFigures' one-figure case.
+  int rc = names.size() == 1 ? ndc::harness::RunFigure(names.front(), opt, &summary)
+                             : ndc::harness::RunFigures(names, opt, &summary);
+  if (rc != 0) return rc;
+  std::fprintf(stderr, "%s\n", ndc::json::Dump(summary.ToJson()).c_str());
+  if (!summary_path.empty() && !ndc::harness::AppendSummary(summary, summary_path)) {
+    std::fprintf(stderr, "ndc-sweep: cannot append to %s\n", summary_path.c_str());
+    return 2;
   }
   return 0;
 }
